@@ -48,9 +48,12 @@ class OpCounters:
             row[kind] += int(v)
 
     def record_site(self, site: str, counts: np.ndarray, T: int) -> None:
-        rec = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "T": int(T)})
+        """Tally a site's spikes, its neurons and ``mid``, the neurons whose
+        count lies strictly between 0 and T (a site with none is saturated)."""
+        rec = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": int(T)})
         rec["spikes"] += int(counts.sum())
         rec["neurons"] += int(counts.size)
+        rec["mid"] += int(np.count_nonzero((counts > 0) & (counts < T)))
         rec["T"] = int(T)
 
     def total(self, kind: str) -> int:
@@ -75,11 +78,11 @@ class OpCounters:
         for layer, row in other.layers.items():
             self.add(layer, **row)
         for site, rec in other.sites.items():
-            mine = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "T": rec["T"]})
+            mine = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": rec["T"]})
             if mine["T"] != rec["T"]:
                 raise ValueError(f"site {site}: merging windows T={mine['T']} and T={rec['T']}")
-            mine["spikes"] += rec["spikes"]
-            mine["neurons"] += rec["neurons"]
+            for k in ("spikes", "neurons", "mid"):
+                mine[k] += rec[k]
         return self
 
 

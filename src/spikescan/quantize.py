@@ -9,10 +9,10 @@ Activation quantizers are asymmetric (codes 0 .. 2**bits - 1, beta trainable);
 symmetric mode is available for signed data.  Two rounding modes exist:
 
 * ``nearest``: round half away from zero (explicit quantization sites);
-* ``floor``: floor with a +1e-9 grid-snap nudge, matching the integrate-and-
-  fire spike count so spike-encode sites quantize identically in both the
-  real-arithmetic and the spiking forward (the nudge compensates ties that
-  land one ulp under the threshold, see spike.average_if_encode).
+* ``floor``: floor with a +1e-9 grid-snap nudge (ties that land one ulp
+  under a grid point stay on it); spike-encode sites count spikes with this
+  same rule, so they quantize identically in the real-arithmetic and the
+  spiking forward.
 
 Backward is straight-through: gradients pass where the code was not clipped,
 ``alpha`` receives the learned-step-size rule (code - v inside the range, the
@@ -170,11 +170,6 @@ def codes_of(x: np.ndarray, q: Quantizer) -> np.ndarray:
     v = (np.asarray(x, dtype=np.float64) - b) / a
     r = round_half_away(v) if q.rounding == "nearest" else floor_with_snap(v)
     return np.clip(r, q.code_min, q.code_max)
-
-
-def dequantize_codes(codes: np.ndarray, q: Quantizer) -> np.ndarray:
-    a, b = _check_usable(q)
-    return b + a * np.asarray(codes, dtype=np.float64)
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:

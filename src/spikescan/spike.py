@@ -1,20 +1,25 @@
-"""Spike-train codecs built on the average integrate-and-fire neuron.
+"""Spike-encode sites built on the average integrate-and-fire neuron.
 
-The encoder follows the averaged-drive recurrence: the total synaptic drive a
-neuron would collect over a window of ``T`` steps is averaged to ``A``, then
+A site averages the total drive ``d = pre - offset`` a neuron would collect
+over a window of ``T`` steps to ``A = d / T`` and runs
 
     V(0) = 0;  for t = 1..T:  V += A;  if V >= theta: spike, V -= theta.
 
-A drive of ``m * theta`` (integer m in [0, T]) therefore emits exactly m
-spikes, which is what makes quantized activations and spike trains
-interchangeable: the spike count IS the quantizer code, the threshold is the
-quantizer step, and decoding is ``offset + scale * count``.
+After t steps ``V = t*A - theta*(spikes so far)``, so the count over the
+window is ``clip(floor(d / theta), 0, T)``.  The site computes that count in
+closed form with the quantizer's own floor rule
+(``quantize.floor_with_snap``), so the spike count IS the floor code of the
+matching quantizer, the threshold is the quantizer step, and decoding is
+``offset + scale * count``: quantized activations and spike counts are
+interchangeable by construction.  A drive of ``m * theta`` (integer m in
+[0, T]) emits exactly m spikes.  Run step by step in floating point, the
+recurrence can disagree with that floor for drives a few ulps under
+``(k - 1e-9) * theta``; the closed form keeps the real-arithmetic contract
+there too.
 
-The firing comparison uses ``V >= theta * (1 - 1e-9)``.  Exact grid points
-land on V == theta in real arithmetic but one ulp short of it in floating
-point (e.g. accumulating 2/3 three times), so a strict >= would drop the
-final spike of on-grid drives; the relative tolerance restores the tie rule
-without affecting off-grid drives.
+Energy accounting still tallies T threshold comparisons per neuron per
+encode: that models the neuron hardware running the recurrence, not the
+arithmetic used here to obtain its count.
 """
 
 from __future__ import annotations
@@ -23,141 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantize import GRID_SNAP, Quantizer, codes_of, round_half_away
+from .quantize import floor_with_snap
 
 __all__ = [
-    "SpikeTrain",
-    "IFState",
     "SpikeSite",
-    "average_if_encode",
-    "if_spike_count",
-    "encode_quantized",
-    "decode",
-    "spiking_matvec",
     "pow2_shift",
     "threshold_scale",
 ]
-
-
-@dataclass
-class SpikeTrain:
-    """Binary events over a T-step window plus the decode transform."""
-
-    bits: np.ndarray  # [T, ...] of {0, 1}
-    theta: float
-    scale: float
-    offset: float
-
-    @property
-    def T(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.bits.sum(axis=0, dtype=np.float64)
-
-    @property
-    def total_spikes(self) -> int:
-        return int(self.bits.sum())
-
-
-@dataclass
-class IFState:
-    """Membrane state of a bank of integrate-and-fire neurons."""
-
-    potential: np.ndarray
-    theta: float
-
-    def step(self, avg_drive: np.ndarray) -> np.ndarray:
-        """Advance one timestep; returns the fired mask (uint8)."""
-        self.potential = self.potential + avg_drive
-        fired = self.potential >= self.theta * (1.0 - GRID_SNAP)
-        self.potential = np.where(fired, self.potential - self.theta, self.potential)
-        return fired.astype(np.uint8)
-
-
-def average_if_encode(drive: np.ndarray, T: int, theta: float) -> SpikeTrain:
-    """Encode a total drive into a T-step spike train (see module docstring)."""
-    if T < 1:
-        raise ValueError(f"average_if_encode: window length must be >= 1, got {T}")
-    if theta <= 0:
-        raise ValueError(f"average_if_encode: threshold must be positive, got {theta}")
-    drive = np.asarray(drive, dtype=np.float64)
-    state = IFState(potential=np.zeros_like(drive), theta=float(theta))
-    avg = drive / T
-    bits = np.stack([state.step(avg) for _ in range(T)], axis=0)
-    return SpikeTrain(bits=bits, theta=float(theta), scale=float(theta), offset=0.0)
-
-
-def if_spike_count(drive: np.ndarray, T: int, theta: float) -> np.ndarray:
-    """Spike counts only (same recurrence, no per-step record kept)."""
-    if T < 1:
-        raise ValueError(f"if_spike_count: window length must be >= 1, got {T}")
-    if theta <= 0:
-        raise ValueError(f"if_spike_count: threshold must be positive, got {theta}")
-    drive = np.asarray(drive, dtype=np.float64)
-    state = IFState(potential=np.zeros_like(drive), theta=float(theta))
-    avg = drive / T
-    counts = np.zeros(drive.shape, dtype=np.float64)
-    for _ in range(T):
-        counts += state.step(avg)
-    return counts
-
-
-def encode_quantized(x_q: np.ndarray, q: Quantizer) -> SpikeTrain:
-    """Turn already-quantized values into an exact spike train.
-
-    The spike count of every neuron equals its quantizer code; conversion
-    must be exact, so off-grid inputs are rejected.
-    """
-    if q.symmetric or q.code_min != 0:
-        raise ValueError(f"encode_quantized: site {q.name} has negative codes; spike counts cannot be negative")
-    alpha = float(q.alpha.data)
-    beta = float(q.beta.data)
-    x_q = np.asarray(x_q, dtype=np.float64)
-    codes = round_half_away((x_q - beta) / alpha)
-    rebuilt = beta + alpha * codes
-    tol = 1e-9 * max(alpha, float(np.max(np.abs(x_q))) if x_q.size else alpha)
-    off = np.abs(rebuilt - x_q) > tol
-    if np.any(off):
-        idx = tuple(int(i) for i in np.argwhere(off)[0])
-        raise ValueError(
-            f"encode_quantized: value {x_q[idx]!r} at index {idx} is not on the grid of {q.name}"
-        )
-    if np.any(codes < 0) or np.any(codes > q.code_max):
-        bad = codes[(codes < 0) | (codes > q.code_max)][0]
-        raise ValueError(f"encode_quantized: code {int(bad)} outside [0, {q.code_max}] for {q.name}")
-    T = q.code_max
-    train = average_if_encode(x_q - beta, T=T, theta=alpha)
-    if not np.array_equal(train.counts, codes):
-        raise ValueError(f"encode_quantized: spike counts diverged from codes on {q.name}")
-    train.offset = beta
-    return train
-
-
-def decode(s: SpikeTrain) -> np.ndarray:
-    return s.offset + s.scale * s.counts
-
-
-def spiking_matvec(
-    w: np.ndarray, b: np.ndarray | None, s: SpikeTrain
-) -> tuple[np.ndarray, int]:
-    """Spike-driven affine map: accumulate W rows once per input spike.
-
-    Returns ``(out, acc_count)`` where out equals ``linear(decode(s), w, b)``
-    up to float reassociation and acc_count is the exact number of
-    accumulate operations, ``total_spikes * d_out``.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    counts = s.counts
-    if w.ndim != 2 or counts.shape[-1] != w.shape[0]:
-        raise ValueError(
-            f"spiking_matvec: spike shape {counts.shape} does not match weight shape {w.shape}"
-        )
-    out = s.scale * (counts @ w) + s.offset * w.sum(axis=0)
-    if b is not None:
-        out = out + np.asarray(b, dtype=np.float64)
-    return out, s.total_spikes * w.shape[1]
 
 
 def pow2_shift(v: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -181,8 +58,14 @@ class SpikeSite:
     offset: float
     T: int
 
+    def __post_init__(self):
+        if self.T < 1:
+            raise ValueError(f"spike site {self.name}: window length must be >= 1, got {self.T}")
+        if not self.theta > 0:
+            raise ValueError(f"spike site {self.name}: threshold must be positive, got {self.theta}")
+
     def encode_counts(self, pre: np.ndarray) -> np.ndarray:
-        return if_spike_count(pre - self.offset, self.T, self.theta)
+        return np.clip(floor_with_snap((pre - self.offset) / self.theta), 0, self.T)
 
     def decode_counts(self, counts: np.ndarray) -> np.ndarray:
         return self.offset + self.scale * counts

@@ -17,16 +17,16 @@ One block is a gated selective scan over quantized activations:
 
 ``SN`` is a spike-encode site.  During training and real-arithmetic
 inference it quantizes onto the site grid with integrate-and-fire floor
-semantics; after conversion the same site emits actual spike trains whose
-counts are the codes, so both modes agree to float precision.  The model
-ends in a real-arithmetic head mapping the L history positions to the
-forecast horizon per variable.
+semantics; after conversion the same site emits spike counts by the same
+floor rule, so the counts are the codes and both modes agree to float
+precision.  The model ends in a real-arithmetic head mapping the L history
+positions to the forecast horizon per variable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,20 +58,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.delta_rank is None:
             self.delta_rank = max(1, math.ceil(self.d_hidden / 8))
-
-    def to_dict(self) -> dict:
-        return {
-            "d_value": self.d_value,
-            "history": self.history,
-            "horizon": self.horizon,
-            "d_hidden": self.d_hidden,
-            "state_size": self.state_size,
-            "conv_kernel": self.conv_kernel,
-            "delta_rank": self.delta_rank,
-            "blocks": self.blocks,
-            "bits": self.bits,
-            "rmsnorm_eps": self.rmsnorm_eps,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -285,8 +271,9 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
 
     c_in, v_in = encode("x_in", x_in)
     site_in = sites["x_in"]
+    # the offset goes through the same zero-padded causal conv as the counts
     conv_pre = site_in.scale * _np_causal_depthwise(c_in, p.conv_k.data) \
-        + site_in.offset * p.conv_k.data.sum(axis=1)
+        + site_in.offset * _np_causal_depthwise(np.ones((1, L, dh)), p.conv_k.data)
     ct.add(f"{tag}.conv", acc=int(c_in.sum()) * cfg.conv_kernel, acc_bias=conv_pre.size)
     c_s, v_s = encode("conv", conv_pre)
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
+from .energy import OpCounters
 from .quantize import Quantizer
 from .spike import SpikeSite, threshold_scale
 from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig
@@ -159,6 +160,10 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
                if not blk.quantizers[s].initialized]
     if missing:
         raise RuntimeError("cannot convert, uncalibrated sites: " + ", ".join(missing))
+    bad = [blk.quantizers[s].name for blk in model.blocks for s in SPIKE_SITES
+           if blk.quantizers[s].symmetric or blk.quantizers[s].rounding != "floor"]
+    if bad:
+        raise ValueError("cannot convert, spike sites need unsigned floor codes: " + ", ".join(bad))
     T = 2 ** model.cfg.bits - 1
     for blk in model.blocks:
         blk.sites = {}
@@ -169,20 +174,6 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
                                      offset=float(q.beta.data), T=T)
     model.mode = "snn"
     return model
-
-
-class _SaturationProbe:
-    """Counter hook that notices sites emitting intermediate spike counts."""
-
-    def __init__(self):
-        self.mid_codes: dict[str, bool] = {}
-
-    def add(self, layer: str, **kinds) -> None:
-        pass
-
-    def record_site(self, site: str, counts: np.ndarray, T: int) -> None:
-        hit = bool(np.any((counts > 0) & (counts < T)))
-        self.mid_codes[site] = self.mid_codes.get(site, False) or hit
 
 
 def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
@@ -199,7 +190,7 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
     """
     if model.mode != "snn":
         raise RuntimeError("threshold scaling applies to converted models only")
-    probe = _SaturationProbe()
+    probe = OpCounters()
     model.forward(x, counters=probe)
     check = x if verify_x is None else verify_x
     baseline = model.forward(check).data.copy()
@@ -210,7 +201,7 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
         for s in SPIKE_SITES:
             site = blk.sites[s]
             key = f"block{i}.{s}"
-            if site.T > 1 and not probe.mid_codes.get(key, True):
+            if site.T > 1 and probe.sites[key]["mid"] == 0:
                 blk.sites[s] = threshold_scale(site, site.T)
                 scaled.append(key)
     if not scaled:
@@ -228,7 +219,7 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
 
 def _metadata(model: ForecastModel, norm: dict | None, extra: dict | None) -> dict:
     return {
-        "config": model.cfg.to_dict(),
+        "config": asdict(model.cfg),
         "mode": model.mode,
         "quantizers": [{s: blk.quantizers[s].state() for s in QUANT_SITES}
                        for blk in model.blocks],

@@ -18,7 +18,7 @@ from spikescan.dataset import denormalize, make_coupled_sinusoids, make_windows
 from spikescan.energy import EnergyTable, OpCounters
 from spikescan.metrics import r2, rrse
 from spikescan.quantize import Quantizer, quantize, quantize_with_context, round_half_away
-from spikescan.spike import SpikeSite, average_if_encode
+from spikescan.spike import SpikeSite
 from spikescan.ssm import (EXP_HI, EXP_LO, ForecastModel, ModelConfig, apply_kernel,
                            dense_ssm_reference, ssm_kernel)
 from spikescan.train import TrainConfig, apply_threshold_scaling, convert_to_snn, train
@@ -134,7 +134,7 @@ def test_criterion_06_average_if_fidelity():
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
         drive = float(rng.uniform(-theta, (T + 1.5) * theta))
-        got = int(average_if_encode(np.asarray([drive]), T, theta).counts[0])
+        got = int(SpikeSite("c06", theta, theta, 0.0, T).encode_counts(np.asarray([drive]))[0])
         if got != literal_if(drive, T, theta):
             exact = False
             break
@@ -143,7 +143,7 @@ def test_criterion_06_average_if_fidelity():
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
         m = int(rng.integers(0, T + 1))
-        if int(average_if_encode(np.asarray([m * theta]), T, theta).counts[0]) != m:
+        if int(SpikeSite("c06", theta, theta, 0.0, T).encode_counts(np.asarray([m * theta]))[0]) != m:
             grid_ok = False
             break
     ok = exact and grid_ok

@@ -94,6 +94,15 @@ def test_verify_fails_on_tampered_checkpoint(work):
     assert "FAIL" in p.stdout
 
 
+def test_bad_spike_site_in_checkpoint_is_a_usage_error(work):
+    model, meta = load_checkpoint(str(work / "snn.ckpt"))
+    model.blocks[0].sites["h"].T = 0
+    bad = work / "bad_site.ckpt"
+    save_checkpoint(str(bad), model, norm=meta["norm"])
+    p = run("verify", "--model", str(bad), expect=2)
+    assert "block0.h" in p.stderr and "window length" in p.stderr
+
+
 def test_eval_prints_metrics_per_step(work):
     out = run("eval", "--model", str(work / "snn.ckpt"),
               "--data", str(work / "series.csv"), "--has-header").stdout

@@ -1,12 +1,12 @@
-"""Average integrate-and-fire generation, codecs, matvec, threshold scaling."""
+"""Average integrate-and-fire spike sites, their codes, threshold scaling."""
 
 import numpy as np
 import pytest
 
 from spikescan.quantize import Quantizer, quantize_with_context
-from spikescan.spike import (SpikeSite, SpikeTrain, average_if_encode, decode,
-                             encode_quantized, if_spike_count, pow2_shift,
-                             spiking_matvec, threshold_scale)
+from spikescan.spike import SpikeSite, pow2_shift, threshold_scale
+from spikescan.ssm import ForecastModel, ModelConfig
+from spikescan.train import convert_to_snn
 
 GRID_SNAP = 1e-9
 
@@ -25,21 +25,24 @@ def literal_if_simulator(drive, T, theta):
     return bits
 
 
+def site(T, theta, offset=0.0):
+    return SpikeSite(name="s", theta=theta, scale=theta, offset=offset, T=T)
+
+
 def test_worked_example_two_thirds_average():
     # total drive 2 over T=3 steps at threshold 1: potential walks 2/3, 4/3, 1
-    train = average_if_encode(np.array([2.0]), T=3, theta=1.0)
-    assert list(train.bits[:, 0]) == [0, 1, 1]
-    assert train.counts[0] == 2
+    assert list(literal_if_simulator(np.array([2.0]), 3, 1.0)[:, 0]) == [0, 1, 1]
+    assert site(3, 1.0).encode_counts(np.array([2.0]))[0] == 2
 
 
 def test_zero_and_negative_drive_never_fire():
-    train = average_if_encode(np.array([0.0, -0.5, -100.0]), T=4, theta=0.7)
-    assert train.total_spikes == 0
+    counts = site(4, 0.7).encode_counts(np.array([0.0, -0.5, -100.0]))
+    assert counts.sum() == 0
 
 
 def test_saturated_drive_fires_every_step():
-    train = average_if_encode(np.array([3.0 * 0.9]), T=3, theta=0.9)
-    assert list(train.bits[:, 0]) == [1, 1, 1]
+    counts = site(3, 0.9).encode_counts(np.array([3.0 * 0.9, 50.0]))
+    assert list(counts) == [3, 3]
 
 
 def test_matches_literal_simulator_on_1000_random_cases():
@@ -48,9 +51,9 @@ def test_matches_literal_simulator_on_1000_random_cases():
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
         drive = float(rng.uniform(-theta, (T + 1.5) * theta))
-        got = average_if_encode(np.array([drive]), T, theta).bits[:, 0]
-        want = literal_if_simulator(np.array([drive]), T, theta)[:, 0]
-        assert np.array_equal(got, want), (drive, T, theta)
+        got = site(T, theta).encode_counts(np.array([drive]))[0]
+        want = literal_if_simulator(np.array([drive]), T, theta)[:, 0].sum()
+        assert got == want, (drive, T, theta)
 
 
 def test_integer_multiples_of_theta_fire_exactly_m():
@@ -59,87 +62,78 @@ def test_integer_multiples_of_theta_fire_exactly_m():
         T = int(rng.integers(1, 12))
         theta = float(rng.uniform(0.001, 5.0))
         m = int(rng.integers(0, T + 1))
-        counts = if_spike_count(np.array([m * theta]), T, theta)
+        counts = site(T, theta).encode_counts(np.array([m * theta]))
         assert counts[0] == m, (m, T, theta)
 
 
 def test_encode_validates_window_and_threshold():
     with pytest.raises(ValueError):
-        average_if_encode(np.zeros(2), T=0, theta=1.0)
+        site(0, 1.0)
     with pytest.raises(ValueError):
-        average_if_encode(np.zeros(2), T=3, theta=0.0)
+        site(3, 0.0)
+    with pytest.raises(ValueError):
+        site(3, -0.5)
+    with pytest.raises(ValueError):
+        SpikeSite.from_state({"name": "s", "theta": 1.0, "scale": 1.0, "offset": 0.0, "T": 0})
+
+
+def test_tie_edge_counts_equal_quantizer_codes_bit_for_bit():
+    # just under a grid point, beta + (k - 1e-9) * alpha, the T-step recurrence
+    # and the real-arithmetic floor quantizer disagree; the site must follow
+    # the quantizer
+    rng = np.random.default_rng(2024)
+    for bits in range(1, 5):
+        T = 2 ** bits - 1
+        alpha = float(rng.uniform(0.01, 3.0))
+        beta = float(rng.uniform(-2.0, 2.0))
+        q = Quantizer(bits=bits, alpha=alpha, beta=beta, rounding="floor", name="tie")
+        k = rng.integers(0, T + 2, size=20_000)
+        edge = beta + (k - 1e-9) * alpha
+        pre = edge + rng.integers(-64, 65, size=edge.size) * np.spacing(edge)
+        codes = quantize_with_context(pre, q)[1].codes
+        counts = SpikeSite(name="tie", theta=alpha, scale=alpha, offset=beta, T=T).encode_counts(pre)
+        assert np.array_equal(counts, codes), bits
 
 
 class TestQuantizedCodec:
-    Q = Quantizer(bits=2, alpha=0.5, beta=0.0, name="codec")
+    """A site built from a floor quantizer counts spikes equal to its codes."""
+
+    Q = Quantizer(bits=2, alpha=0.5, beta=0.0, rounding="floor", name="codec")
+
+    @staticmethod
+    def site_of(q):
+        return SpikeSite(name=q.name, theta=float(q.alpha.data), scale=float(q.alpha.data),
+                         offset=float(q.beta.data), T=q.code_max)
 
     def test_count_equals_code(self):
-        train = encode_quantized(np.array([1.0]), self.Q)
-        assert train.T == 3
-        assert train.counts[0] == 2
+        assert self.site_of(self.Q).encode_counts(np.array([1.0]))[0] == 2
 
     def test_offset_maps_to_silence(self):
-        q = Quantizer(bits=2, alpha=0.5, beta=-0.2, name="o")
-        train = encode_quantized(np.array([-0.2]), q)
-        assert train.counts[0] == 0
-        assert decode(train)[0] == -0.2
+        q = Quantizer(bits=2, alpha=0.5, beta=-0.2, rounding="floor", name="o")
+        s = self.site_of(q)
+        counts = s.encode_counts(np.array([-0.2]))
+        assert counts[0] == 0
+        assert s.decode_counts(counts)[0] == -0.2
 
     def test_max_code_saturates_window(self):
-        train = encode_quantized(np.array([1.5]), self.Q)
-        assert train.counts[0] == 3 == train.T
+        s = self.site_of(self.Q)
+        assert s.encode_counts(np.array([1.5]))[0] == 3 == s.T
 
     def test_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(0)
-        q = Quantizer(bits=3, alpha=0.37, beta=0.21, name="rt")
-        xq, _ = quantize_with_context(rng.normal(size=300) * 2, q)
-        assert np.array_equal(decode(encode_quantized(xq, q)), xq)
-
-    def test_off_grid_input_is_rejected_with_location(self):
-        vals = np.array([0.5, 0.31, 1.0])
-        with pytest.raises(ValueError) as e:
-            encode_quantized(vals, self.Q)
-        assert "1" in str(e.value)  # names the offending index
+        q = Quantizer(bits=3, alpha=0.37, beta=0.21, rounding="floor", name="rt")
+        xq, ctx = quantize_with_context(rng.normal(size=300) * 2, q)
+        s = self.site_of(q)
+        assert np.array_equal(s.encode_counts(xq), ctx.codes)
+        assert np.array_equal(s.decode_counts(s.encode_counts(xq)), xq)
 
     def test_symmetric_quantizer_rejected(self):
-        q = Quantizer(bits=2, alpha=0.5, symmetric=True, name="sym")
-        with pytest.raises(ValueError):
-            encode_quantized(np.array([0.5]), q)
-
-
-class TestSpikingMatvec:
-    def test_zero_train_zero_accs(self):
-        q = Quantizer(bits=2, alpha=0.5, beta=0.0, name="z")
-        s = encode_quantized(np.zeros(4), q)
-        w = np.ones((4, 3))
-        out, accs = spiking_matvec(w, np.zeros(3), s)
-        assert np.allclose(out, 0.0) and accs == 0
-
-    def test_single_spike_accumulates_one_column(self):
-        q = Quantizer(bits=2, alpha=0.5, beta=0.0, name="s1")
-        xq = np.array([0.0, 0.5, 0.0])
-        s = encode_quantized(xq, q)
-        w = np.arange(12, dtype=float).reshape(3, 4)
-        out, accs = spiking_matvec(w, np.zeros(4), s)
-        assert np.allclose(out, 0.5 * w[1])
-        assert accs == 4
-
-    def test_matches_dense_linear(self):
-        rng = np.random.default_rng(3)
-        q = Quantizer(bits=2, alpha=0.3, beta=-0.1, name="d")
-        for _ in range(20):
-            xq, _ = quantize_with_context(rng.normal(size=6), q)
-            s = encode_quantized(xq, q)
-            w = rng.normal(size=(6, 5))
-            b = rng.normal(size=5)
-            out, accs = spiking_matvec(w, b, s)
-            assert np.max(np.abs(out - (xq @ w + b))) < 1e-10
-            assert accs == s.total_spikes * 5
-
-    def test_shape_mismatch_is_loud(self):
-        q = Quantizer(bits=2, alpha=0.5, name="m")
-        s = encode_quantized(np.zeros(4), q)
-        with pytest.raises(ValueError):
-            spiking_matvec(np.ones((5, 2)), np.zeros(2), s)
+        cfg = ModelConfig(d_value=1, history=4, horizon=1, d_hidden=2, state_size=1)
+        m = ForecastModel.build(cfg, seed=0)
+        m.calibrate(np.random.default_rng(0).normal(size=(4, 4, 1)))
+        m.blocks[0].quantizers["h"].symmetric = True
+        with pytest.raises(ValueError, match="block0.h"):
+            convert_to_snn(m)
 
 
 class TestThresholdScale:
@@ -186,7 +180,9 @@ def test_pow2_shift_is_exact_ldexp():
 
 
 def test_spike_train_invariants():
-    train = average_if_encode(np.array([[1.0, 2.0], [0.0, 3.0]]), T=3, theta=1.0)
-    assert train.bits.shape == (3, 2, 2)
-    assert set(np.unique(train.bits)) <= {0.0, 1.0}
-    assert train.total_spikes == int(train.counts.sum())
+    drive = np.array([[1.0, 2.0], [0.0, 3.0], [-1.0, 7.5]])
+    counts = site(3, 1.0).encode_counts(drive)
+    assert counts.shape == drive.shape
+    assert np.array_equal(counts, np.round(counts))
+    assert counts.min() >= 0 and counts.max() <= 3
+    assert np.array_equal(counts, literal_if_simulator(drive, 3, 1.0).sum(axis=0))

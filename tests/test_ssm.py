@@ -1,15 +1,18 @@
 """Selective-scan block: dense oracles, conversion equivalence, gradients."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spikescan.numerics as nm
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.ssm import (EXP_HI, EXP_LO, ForecastModel, ModelConfig, SPIKE_SITES,
                            apply_kernel, block_forward_ann, dense_ssm_reference,
                            pow2_round_ste, selective_scan, ssm_kernel)
+from spikescan.energy import OpCounters
 from spikescan.train import convert_to_snn
 
 RNG = np.random.default_rng(99)
@@ -106,7 +109,7 @@ def calibrated_model(cfg=None, seed=0, batch=12):
 def test_config_defaults():
     cfg = ModelConfig(d_value=3, history=12, horizon=3, d_hidden=20)
     assert cfg.delta_rank == math.ceil(20 / 8)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
 def test_calibration_touches_every_site_and_freezes_constants():
@@ -222,6 +225,36 @@ def test_ann_snn_equivalence_on_random_models():
         m.mode = "ann"
         ann = m.forward(x).data
         assert np.max(np.abs(ann - snn)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bits=st.integers(1, 4), blocks=st.integers(1, 3), state_size=st.integers(1, 4),
+       conv_kernel=st.integers(2, 4), d_hidden=st.integers(2, 8), seed=st.integers(0, 2 ** 31))
+def test_ann_snn_equivalence_on_unseen_inputs(bits, blocks, state_size, conv_kernel, d_hidden, seed):
+    rng = np.random.default_rng(seed)
+    cfg = small_cfg(bits=bits, blocks=blocks, state_size=state_size, conv_kernel=conv_kernel,
+                    d_hidden=d_hidden, history=int(rng.integers(4, 11)),
+                    d_value=int(rng.integers(1, 4)))
+    m = ForecastModel.build(cfg, seed=seed)
+    for blk in m.blocks:
+        for s in ("x_in", "conv", "delta_raw", "h", "y"):
+            blk.quantizers[s].set_beta(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0))
+    m.calibrate(rng.normal(size=(8, cfg.history, cfg.d_value)))
+    convert_to_snn(m)
+    x = 2.0 * rng.normal(size=(6, cfg.history, cfg.d_value))  # not the calibration data
+    ct = OpCounters()
+    snn = m.forward(x, counters=ct).data
+    m.mode = "ann"
+    ann = m.forward(x).data
+    assert np.max(np.abs(ann - snn)) <= 1e-9
+    # criterion 10: accumulates == spike count x fan-out, per block
+    n, r, dh, K = state_size, cfg.delta_rank, d_hidden, conv_kernel
+    for i in range(blocks):
+        sp = {s: ct.sites[f"block{i}.{s}"]["spikes"] for s in ("x_in", "conv", "delta_raw", "h", "y")}
+        predicted = (sp["x_in"] * K + sp["conv"] * (r + 2 * n) + sp["conv"] * (n + 1)
+                     + sp["delta_raw"] * dh + sp["h"] + sp["y"])
+        measured = sum(row["acc"] for layer, row in ct.layers.items() if layer.startswith(f"block{i}."))
+        assert measured == predicted
 
 
 def test_multi_block_equivalence():
