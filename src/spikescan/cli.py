@@ -14,7 +14,7 @@ import numpy as np
 from .activations import (SILU_GRAD_BOUND, SILU_VALUE_BOUND, SOFTPLUS_GRAD_BOUND,
                           SOFTPLUS_VALUE_BOUND, branch_continuity_gaps,
                           verify_deviation_bounds)
-from .dataset import denormalize, load_csv, make_windows, write_csv
+from .dataset import WindowSplits, denormalize, load_csv, make_windows, write_csv
 from .energy import EnergyTable, compare_ann_energy, profile
 from .metrics import r2, rrse
 from .spike import SpikeSite
@@ -77,6 +77,14 @@ def _norm_from_meta(meta: dict) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(norm["mean"]), np.asarray(norm["std"])
 
 
+def _checkpoint_windows(model: ForecastModel, meta: dict, data: str, has_header: bool) -> WindowSplits:
+    """Every window of ``data`` in ``x_train``/``y_train``, normalized with the
+    checkpoint's statistics."""
+    mean, std = _norm_from_meta(meta)
+    ds = load_csv(data, has_header=has_header)
+    return make_windows(ds, model.cfg.history, model.cfg.horizon, (1.0, 0.0, 0.0), stats=(mean, std))
+
+
 # --- subcommands -----------------------------------------------------------------
 
 
@@ -118,10 +126,7 @@ def cmd_convert(args) -> int:
     if args.threshold_scale:
         if args.data is None:
             raise ValueError("--threshold-scale needs --data to observe which sites saturate")
-        ds = load_csv(args.data, has_header=args.has_header)
-        mean, std = _norm_from_meta(meta)
-        splits = make_windows(ds, model.cfg.history, model.cfg.horizon,
-                              (1.0, 0.0, 0.0), stats=(mean, std))
+        splits = _checkpoint_windows(model, meta, args.data, args.has_header)
         scaled = apply_threshold_scaling(model, splits.x_train[:256])
         if scaled:
             print("threshold-scaled sites: " + ", ".join(scaled))
@@ -153,12 +158,9 @@ def cmd_forecast(args) -> int:
 
 
 def _eval_model(model: ForecastModel, meta: dict, data: str, has_header: bool):
-    mean, std = _norm_from_meta(meta)
-    ds = load_csv(data, has_header=has_header)
-    splits = make_windows(ds, model.cfg.history, model.cfg.horizon,
-                          (1.0, 0.0, 0.0), stats=(mean, std))
-    pred = denormalize(_predict(model, splits.x_train), mean, std)
-    true = denormalize(splits.y_train, mean, std)
+    splits = _checkpoint_windows(model, meta, data, has_header)
+    pred = denormalize(_predict(model, splits.x_train), splits.mean, splits.std)
+    true = denormalize(splits.y_train, splits.mean, splits.std)
     return true, pred
 
 
@@ -175,19 +177,14 @@ def cmd_eval(args) -> int:
 
 def cmd_plot_data(args) -> int:
     model, meta = load_checkpoint(args.model)
-    mean, std = _norm_from_meta(meta)
-    ds = load_csv(args.data, has_header=args.has_header)
-    H, G = model.cfg.history, model.cfg.horizon
     step = args.step
-    if not 1 <= step <= G:
-        raise ValueError(f"--step must be in 1..{G}, got {step}")
-    splits = make_windows(ds, H, G, (1.0, 0.0, 0.0), stats=(mean, std))
-    pred = denormalize(_predict(model, splits.x_train), mean, std)
-    true = denormalize(splits.y_train, mean, std)
+    if not 1 <= step <= model.cfg.horizon:
+        raise ValueError(f"--step must be in 1..{model.cfg.horizon}, got {step}")
+    true, pred = _eval_model(model, meta, args.data, args.has_header)
     rows = []
     for w in range(true.shape[0]):
-        t = w + H + step - 1
-        for j, col in enumerate(ds.columns):
+        t = w + model.cfg.history + step - 1
+        for j in range(true.shape[2]):
             rows.append([t, j, true[w, step - 1, j], pred[w, step - 1, j]])
     write_csv(args.out, np.asarray(rows), ["t", "variable", "true", "predicted"])
     print(f"wrote {len(rows)} (t, true, predicted) rows to {args.out}")
@@ -197,10 +194,7 @@ def cmd_plot_data(args) -> int:
 def cmd_energy(args) -> int:
     model, meta = load_checkpoint(args.model)
     table = EnergyTable.from_config(load_config(args.table))
-    mean, std = _norm_from_meta(meta)
-    ds = load_csv(args.data, has_header=args.has_header)
-    splits = make_windows(ds, model.cfg.history, model.cfg.horizon,
-                          (1.0, 0.0, 0.0), stats=(mean, std))
+    splits = _checkpoint_windows(model, meta, args.data, args.has_header)
     x = splits.x_train if args.limit is None else splits.x_train[:args.limit]
     report = profile(model, x, table)
     print(report.to_text())
@@ -260,11 +254,7 @@ def _verify_checks(model_path: str | None, data_path: str | None,
     if model_path is not None:
         model, meta = load_checkpoint(model_path)
         if data_path is not None:
-            mean, std = _norm_from_meta(meta)
-            ds = load_csv(data_path, has_header=has_header)
-            splits = make_windows(ds, model.cfg.history, model.cfg.horizon,
-                                  (1.0, 0.0, 0.0), stats=(mean, std))
-            x = splits.x_train[:128]
+            x = _checkpoint_windows(model, meta, data_path, has_header).x_train[:128]
         else:
             x = np.random.default_rng(1).normal(size=(32, model.cfg.history, model.cfg.d_value))
         if model.mode != "snn":

@@ -53,6 +53,10 @@ def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
                 data[i, j] = float(cell)
             except ValueError:
                 raise ValueError(f"{path}: non-numeric cell {cell.strip()!r} at row {i}, column {j}") from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite cell {rows[i][j].strip()!r} at row {i}, column {j}")
     return SeriesDataset(values=data, columns=columns)
 
 

@@ -164,14 +164,6 @@ def _check_usable(q: Quantizer) -> tuple[float, float]:
     return a, b
 
 
-def codes_of(x: np.ndarray, q: Quantizer) -> np.ndarray:
-    """Integer codes for raw values (no tape)."""
-    a, b = _check_usable(q)
-    v = (np.asarray(x, dtype=np.float64) - b) / a
-    r = round_half_away(v) if q.rounding == "nearest" else floor_with_snap(v)
-    return np.clip(r, q.code_min, q.code_max)
-
-
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:
     """Forward pass of the quantizer on raw values.
 

@@ -19,8 +19,11 @@ One block is a gated selective scan over quantized activations:
 inference it quantizes onto the site grid with integrate-and-fire floor
 semantics; after conversion the same site emits spike counts by the same
 floor rule, so the counts are the codes and both modes agree to float
-precision.  The model ends in a real-arithmetic head mapping the L history
-positions to the forecast horizon per variable.
+precision.  The spiking forward runs the recurrence in ``selective_scan``,
+the only numpy copy of the scan, and re-encodes ``h`` through a per-step
+hook; since ``y`` never feeds back, it encodes the whole readout once.
+The model ends in a real-arithmetic head mapping the L history positions to
+the forecast horizon per variable.
 """
 
 from __future__ import annotations
@@ -232,6 +235,31 @@ def _np_causal_depthwise(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.einsum("bldk,dk->bld", win, k)
 
 
+def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
+                   D: np.ndarray, u: np.ndarray, encode_h=None) -> np.ndarray:
+    """The selective scan over [B, L, ...] arrays; returns the readout y [B, L, dh].
+
+    Each step decays the state by the exact power of two
+    ``2 ** clip(rint(step_t * A))`` (applied with ``pow2_shift``), adds
+    ``(step_t * B_t) * u_t``, passes the state through ``encode_h(t, h)``
+    when given, and reads out ``sum_n C_t h_t + D u_t``.  The spiking forward
+    re-encodes the state through its ``h`` site in the hook; without one the
+    scan is the bare time-varying recurrence (the linear limit that
+    cross-checks against ``ssm_kernel``).
+    """
+    B, L, dh = u.shape
+    h = np.zeros((B, dh, A.shape[1]))
+    y = np.empty((B, L, dh))
+    for t in range(L):
+        step_t = step[:, t][:, :, None]
+        e = np.clip(np.rint(step_t * A), EXP_LO, EXP_HI).astype(np.int64)
+        h = pow2_shift(h, e) + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
+        if encode_h is not None:
+            h = encode_h(t, h)
+        y[:, t] = (h * C_seq[:, t][:, None, :]).sum(axis=2) + D * u[:, t]
+    return y
+
+
 class _CounterHooks:
     """No-op counter sink used when profiling is off."""
 
@@ -291,29 +319,23 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
     ct.add(f"{tag}.delta_proj", shift=step_pt.size, acc_bias=step_pt.size)
     c_step, v_step = encode("delta", step_pt)
 
-    A = -np.exp(p.A_log.data)
-    h_counts = np.zeros((B, dh, n))
-    h_dec = np.zeros((B, dh, n))  # state starts at 0, not at the grid offset
-    ys = []
-    for t in range(L):
-        step_t = v_step[:, t][:, :, None]
-        e = np.clip(np.rint(step_t * A), EXP_LO, EXP_HI).astype(np.int64)
-        ct.add(f"{tag}.scan", mac=e.size)  # step * A products
-        Ah = pow2_shift(h_dec, e)
-        ct.add(f"{tag}.scan", shift=int(h_counts.sum()))
-        u_c = c_s[:, t]
-        u_v = v_s[:, t]
-        Bbar = step_t * B_seq[:, t][:, None, :]
-        ct.add(f"{tag}.scan", mac=Bbar.size)
-        h_pre = Ah + Bbar * u_v[:, :, None]
-        ct.add(f"{tag}.scan", acc=int(u_c.sum()) * n)
-        h_counts, h_dec = encode("h", h_pre)
-        y_pre = (h_dec * C_seq[:, t][:, None, :]).sum(axis=2) + p.D.data * u_v
-        ct.add(f"{tag}.scan", acc=int(h_counts.sum()) + int(u_c.sum()))
-        y_c, y_v = encode("y", y_pre)
-        ys.append((y_c, y_v))
-    y_counts = np.stack([c for c, _ in ys], axis=1)
-    y_dec = np.stack([v for _, v in ys], axis=1)  # [B, L, dh]
+    # the hook tallies each step's scan ops, then re-encodes the state through
+    # the h site; y never feeds back, so its site encodes the whole readout once
+    prev_counts = np.zeros((B, dh, n))  # the state starts at 0 with no spikes
+    h_spikes = 0
+
+    def encode_h(t: int, h_pre: np.ndarray) -> np.ndarray:
+        nonlocal prev_counts, h_spikes
+        # step * A and step * B products; one shift per surviving state spike
+        ct.add(f"{tag}.scan", mac=2 * h_pre.size, shift=int(prev_counts.sum()),
+               acc=int(c_s[:, t].sum()) * n)
+        prev_counts, h_dec = encode("h", h_pre)
+        h_spikes += int(prev_counts.sum())
+        return h_dec
+
+    y_pre = selective_scan(v_step, -np.exp(p.A_log.data), B_seq, C_seq, p.D.data, v_s, encode_h)
+    ct.add(f"{tag}.scan", acc=h_spikes + int(c_s.sum()))
+    y_counts, y_dec = encode("y", y_pre)  # [B, L, dh]
 
     gate_vals, _ = quantize_with_context(x_res, p.quantizers["x_res"])
     gate = pow2_silu(gate_vals)
@@ -374,35 +396,6 @@ def apply_kernel(u: np.ndarray, K: np.ndarray, D: np.ndarray | None = None) -> n
         if D is not None:
             y[t] += np.asarray(D) @ u[t]
     return y
-
-
-def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
-                   D: np.ndarray, u: np.ndarray,
-                   h_site: SpikeSite | None = None, y_site: SpikeSite | None = None,
-                   exp_lo: int = EXP_LO, exp_hi: int = EXP_HI) -> np.ndarray:
-    """Standalone scan: inputs [B, L, ...] arrays, returns y [B, L, dh].
-
-    With ``h_site``/``y_site`` given, the state and output re-encode through
-    those spike sites each step; with both None the scan is the bare
-    time-varying recurrence (the linear limit used to cross-check against
-    ``ssm_kernel``).
-    """
-    B, L, dh = u.shape
-    n = A.shape[1]
-    h = np.zeros((B, dh, n))
-    ys = np.zeros((B, L, dh))
-    for t in range(L):
-        st = step[:, t][:, :, None]
-        e = np.clip(np.rint(st * A), exp_lo, exp_hi)
-        Abar = np.exp2(e)
-        h = Abar * h + (st * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
-        if h_site is not None:
-            h = h_site.decode_counts(h_site.encode_counts(h))
-        y = (h * C_seq[:, t][:, None, :]).sum(axis=2) + D * u[:, t]
-        if y_site is not None:
-            y = y_site.decode_counts(y_site.encode_counts(y))
-        ys[:, t] = y
-    return ys
 
 
 # --- forecaster ---------------------------------------------------------------

@@ -197,6 +197,13 @@ def test_missing_data_file_is_a_usage_error(work):
     assert "nope.csv" in p.stderr
 
 
+def test_non_finite_data_is_a_usage_error(work):
+    (work / "nan.csv").write_text("s1,s2\n" + "0.5,0.25\n" * 20 + "0.5,nan\n")
+    p = run("eval", "--model", str(work / "snn.ckpt"), "--data", str(work / "nan.csv"),
+            "--has-header", expect=2)
+    assert "non-finite cell 'nan' at row 20, column 1" in p.stderr
+
+
 def test_missing_history_flags_are_reported(work):
     p = run("train", "--data", str(work / "series.csv"), "--has-header",
             "--out", str(work / "t.ckpt"), expect=2)

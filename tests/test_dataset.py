@@ -133,6 +133,14 @@ def test_csv_names_the_bad_cell(tmp_path):
     assert "'oops'" in msg and "row" in msg and "column" in msg
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_rejects_non_finite_cells(tmp_path, cell):
+    p = tmp_path / "nf.csv"
+    p.write_text(f"t,v\n1.0,2.0\n1.5,2.5\n{cell},3.0\n")
+    with pytest.raises(ValueError, match=f"non-finite cell '{cell}' at row 2, column 0"):
+        load_csv(str(p), has_header=True)
+
+
 def test_csv_rejects_ragged_rows(tmp_path):
     p = tmp_path / "rag.csv"
     p.write_text("1.0,2.0\n3.0\n")

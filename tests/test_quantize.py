@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spikescan.numerics as nm
-from spikescan.quantize import (ALPHA_FLOOR, Quantizer, codes_of, init_step_size,
+from spikescan.quantize import (ALPHA_FLOOR, Quantizer, init_step_size,
                                 quantize, quantize_with_context, round_half_away,
                                 ste_backward)
 
@@ -91,7 +91,7 @@ def test_exactly_2_pow_b_codes_reachable():
     for bits in (1, 2, 3):
         q = Quantizer(bits=bits, alpha=0.5, name="r")
         x = np.linspace(-5, 5, 20001)
-        codes = codes_of(x, q)
+        codes = quantize_with_context(x, q)[1].codes
         assert len(np.unique(codes)) == 2 ** bits
 
 

@@ -257,6 +257,54 @@ def test_ann_snn_equivalence_on_unseen_inputs(bits, blocks, state_size, conv_ker
         assert measured == predicted
 
 
+def _zero_row(**kinds):
+    return {"acc": 0, "acc_bias": 0, "mac": 0, "shift": 0, "cmp": 0, **kinds}
+
+
+# criterion 10 checks only the acc identity, so these literals are what fix
+# the scan's mac and shift tallies and every site's cmp count and spikes
+PINNED_LAYERS = {
+    "block0.rmsnorm": _zero_row(mac=160), "block0.in_proj": _zero_row(mac=960),
+    "block0.x_in": _zero_row(cmp=720), "block0.conv": _zero_row(acc=114, acc_bias=240, cmp=720),
+    "block0.proj": _zero_row(acc=399, acc_bias=560), "block0.delta_raw": _zero_row(cmp=120),
+    "block0.delta_proj": _zero_row(acc_bias=720, shift=240), "block0.delta": _zero_row(cmp=720),
+    "block0.scan": _zero_row(acc=373, mac=1440, shift=142), "block0.h": _zero_row(cmp=2160),
+    "block0.y": _zero_row(cmp=720), "block0.gate": _zero_row(acc=21, acc_bias=240, shift=240),
+    "block0.out_proj": _zero_row(acc_bias=80, mac=480),
+    "block1.rmsnorm": _zero_row(mac=160), "block1.in_proj": _zero_row(mac=960),
+    "block1.x_in": _zero_row(cmp=720), "block1.conv": _zero_row(acc=171, acc_bias=240, cmp=720),
+    "block1.proj": _zero_row(acc=49, acc_bias=560), "block1.delta_raw": _zero_row(cmp=120),
+    "block1.delta_proj": _zero_row(acc=198, acc_bias=720, shift=240), "block1.delta": _zero_row(cmp=720),
+    "block1.scan": _zero_row(acc=328, mac=1440, shift=276), "block1.h": _zero_row(cmp=2160),
+    "block1.y": _zero_row(cmp=720), "block1.gate": _zero_row(acc=7, acc_bias=240, shift=240),
+    "block1.out_proj": _zero_row(acc_bias=80, mac=480),
+    "head": _zero_row(acc_bias=24, mac=240),
+}
+PINNED_SITES = {
+    "block0.x_in": (38, 240, 38), "block0.conv": (57, 240, 57), "block0.delta_raw": (0, 40, 0),
+    "block0.delta": (0, 240, 0), "block0.h": (145, 720, 144), "block0.y": (21, 240, 21),
+    "block1.x_in": (57, 240, 57), "block1.conv": (7, 240, 7), "block1.delta_raw": (33, 40, 33),
+    "block1.delta": (0, 240, 0), "block1.h": (300, 720, 300), "block1.y": (7, 240, 7),
+}
+
+
+def test_spiking_tallies_are_pinned():
+    """Every layer's op tally and every site's spikes on a seeded two-block model."""
+    cfg = small_cfg(blocks=2)
+    m = ForecastModel.build(cfg, seed=7)
+    rng = np.random.default_rng(7)
+    for blk in m.blocks:
+        for s in ("x_in", "conv", "delta_raw", "h", "y"):
+            blk.quantizers[s].set_beta(-rng.uniform(0.05, 0.5))
+    m.calibrate(rng.normal(size=(16, cfg.history, cfg.d_value)))
+    convert_to_snn(m)
+    ct = OpCounters()
+    m.forward(2.0 * rng.normal(size=(4, cfg.history, cfg.d_value)), counters=ct)
+    assert list(ct.layers.items()) == list(PINNED_LAYERS.items())
+    assert ct.sites == {name: {"spikes": sp, "neurons": nr, "mid": mid, "T": 3}
+                        for name, (sp, nr, mid) in PINNED_SITES.items()}
+
+
 def test_multi_block_equivalence():
     m, x = calibrated_model(small_cfg(blocks=3))
     convert_to_snn(m)
