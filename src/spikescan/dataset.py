@@ -18,7 +18,6 @@ import numpy as np
 class SeriesDataset:
     values: np.ndarray
     columns: list[str] = field(default_factory=list)
-    sample_rate: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -163,4 +162,4 @@ def make_coupled_sinusoids(n_steps: int = 2000, noise: float = 0.05,
     x2 = 0.7 * np.sin(2.0 * np.pi * t / period + 1.0) + 0.3 * base \
         + noise * rng.standard_normal(n_steps)
     return SeriesDataset(values=np.stack([x1, x2], axis=1),
-                         columns=["s1", "s2"], sample_rate="synthetic")
+                         columns=["s1", "s2"])

@@ -215,14 +215,6 @@ class EnergyComparison:
             f"reduction:           {self.reduction_pct:.2f}%",
         ])
 
-    def to_kv(self) -> dict[str, float]:
-        kv = {"ann_joules": self.ann_joules, "snn_joules": self.snn_joules,
-              "ratio": self.ratio, "reduction_pct": self.reduction_pct}
-        for k in KINDS:
-            kv[f"ann_ops.{k}"] = float(self.ann_ops[k])
-            kv[f"snn_ops.{k}"] = float(self.snn_ops[k])
-        return kv
-
 
 def compare_ann_energy(model: ForecastModel, x: np.ndarray,
                        table: EnergyTable) -> EnergyComparison:

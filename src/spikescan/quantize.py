@@ -3,10 +3,11 @@
 A ``Quantizer`` owns a trainable step size ``alpha`` and offset ``beta`` and
 maps reals onto ``2**bits`` integer codes:
 
-    x_q = alpha * clip(round((x - beta) / alpha), Qn, Qp) + beta
+    x_q = alpha * clip(round((x - beta) / alpha), 0, 2**bits - 1) + beta
 
-Activation quantizers are asymmetric (codes 0 .. 2**bits - 1, beta trainable);
-symmetric mode is available for signed data.  Two rounding modes exist:
+Every grid is unsigned (codes 0 .. 2**bits - 1); a tensor's own
+``trainable`` flag says whether the optimizer moves it.  Two rounding modes
+exist:
 
 * ``nearest``: round half away from zero (explicit quantization sites);
 * ``floor``: floor with a +1e-9 grid-snap nudge (ties that land one ulp
@@ -21,7 +22,7 @@ clip code outside), and ``beta`` collects gradient on clipped entries only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,15 +55,17 @@ def init_step_size(x: np.ndarray) -> float:
 
 @dataclass
 class Quantizer:
-    """Per-site quantization state; ``alpha``/``beta`` are tape leaves."""
+    """Per-site quantization state; ``alpha``/``beta`` are tape leaves.
+
+    A float step size or offset becomes a trainable leaf; a ``Tensor`` is
+    kept with its own ``trainable`` flag, which is the only record of
+    whether the optimizer updates it.
+    """
 
     bits: int
     alpha: Optional[nm.Tensor] = None
     beta: Optional[nm.Tensor] = None
-    symmetric: bool = False
     rounding: str = "nearest"  # "nearest" | "floor"
-    train_alpha: bool = True
-    train_beta: bool = True
     name: str = "q"
 
     def __post_init__(self):
@@ -70,36 +73,35 @@ class Quantizer:
             raise ValueError(f"quantizer {self.name}: bits must be >= 1, got {self.bits}")
         if self.rounding not in ("nearest", "floor"):
             raise ValueError(f"quantizer {self.name}: unknown rounding {self.rounding!r}")
-        if isinstance(self.alpha, (int, float)):
-            self.alpha = nm.Tensor(float(self.alpha))
-        if isinstance(self.beta, (int, float)):
-            self.beta = nm.Tensor(float(self.beta))
         if self.alpha is not None:
-            self.alpha.trainable = self.train_alpha
-            self.alpha.name = f"{self.name}.alpha"
-        if self.beta is None and self.alpha is not None:
+            self.alpha = self._leaf(self.alpha, "alpha")
+        if self.beta is not None:
+            self.beta = self._leaf(self.beta, "beta")
+        elif self.alpha is not None:
             self.set_beta(0.0)
-        elif self.beta is not None:
-            self.beta.trainable = self.train_beta
-            self.beta.name = f"{self.name}.beta"
+
+    def _leaf(self, value, part: str) -> nm.Tensor:
+        t = value if isinstance(value, nm.Tensor) else nm.Tensor(float(value), trainable=True)
+        t.name = f"{self.name}.{part}"
+        return t
 
     @property
     def initialized(self) -> bool:
         return self.alpha is not None
 
     @property
-    def code_min(self) -> int:
-        return -(2 ** (self.bits - 1)) if self.symmetric else 0
-
-    @property
     def code_max(self) -> int:
-        return 2 ** (self.bits - 1) - 1 if self.symmetric else 2 ** self.bits - 1
+        return 2 ** self.bits - 1
 
     def set_alpha(self, value: float) -> None:
-        self.alpha = nm.Tensor(float(value), trainable=self.train_alpha, name=f"{self.name}.alpha")
+        """Replace the step size; a frozen step size stays frozen."""
+        self.alpha = nm.Tensor(float(value), trainable=self.alpha is None or self.alpha.trainable,
+                               name=f"{self.name}.alpha")
 
     def set_beta(self, value: float) -> None:
-        self.beta = nm.Tensor(float(value), trainable=self.train_beta, name=f"{self.name}.beta")
+        """Replace the offset; a frozen offset stays frozen."""
+        self.beta = nm.Tensor(float(value), trainable=self.beta is None or self.beta.trainable,
+                              name=f"{self.name}.beta")
 
     def calibrate(self, x: np.ndarray) -> None:
         """Set alpha from data (beta keeps its value, default 0)."""
@@ -108,38 +110,34 @@ class Quantizer:
             self.set_beta(0.0)
 
     def parameters(self) -> list[nm.Tensor]:
-        ps = []
-        if self.alpha is not None and self.train_alpha:
-            ps.append(self.alpha)
-        if self.beta is not None and self.train_beta:
-            ps.append(self.beta)
-        return ps
+        return [t for t in (self.alpha, self.beta) if t is not None and t.trainable]
 
     def state(self) -> dict:
         if not self.initialized:
             raise RuntimeError(f"quantizer {self.name} has no calibrated step size")
+        # checkpoint format v1 keeps the "symmetric" key; every grid is unsigned
         return {
             "bits": self.bits,
             "alpha": float(self.alpha.data),
             "beta": float(self.beta.data),
-            "symmetric": self.symmetric,
+            "symmetric": False,
             "rounding": self.rounding,
-            "train_alpha": self.train_alpha,
-            "train_beta": self.train_beta,
+            "train_alpha": self.alpha.trainable,
+            "train_beta": self.beta.trainable,
             "name": self.name,
         }
 
     @classmethod
     def from_state(cls, s: dict) -> "Quantizer":
+        name = str(s["name"])
+        if s["symmetric"]:
+            raise ValueError(f"quantizer {name}: symmetric grids are not supported")
         return cls(
             bits=int(s["bits"]),
-            alpha=float(s["alpha"]),
-            beta=float(s["beta"]),
-            symmetric=bool(s["symmetric"]),
+            alpha=nm.Tensor(float(s["alpha"]), trainable=bool(s["train_alpha"])),
+            beta=nm.Tensor(float(s["beta"]), trainable=bool(s["train_beta"])),
             rounding=str(s["rounding"]),
-            train_alpha=bool(s["train_alpha"]),
-            train_beta=bool(s["train_beta"]),
-            name=str(s["name"]),
+            name=name,
         )
 
 
@@ -151,7 +149,6 @@ class QuantizeContext:
     codes: np.ndarray
     mask_lo: np.ndarray
     mask_hi: np.ndarray
-    alpha: float
 
 
 def _check_usable(q: Quantizer) -> tuple[float, float]:
@@ -179,10 +176,10 @@ def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> 
         r = round_half_away(v)
     else:
         r = floor_with_snap(v)
-    codes = np.clip(r, q.code_min, q.code_max)
-    mask_lo = v < q.code_min
+    codes = np.clip(r, 0, q.code_max)
+    mask_lo = v < 0
     mask_hi = v > q.code_max
-    return a * codes + b, QuantizeContext(v=v, codes=codes, mask_lo=mask_lo, mask_hi=mask_hi, alpha=a)
+    return a * codes + b, QuantizeContext(v=v, codes=codes, mask_lo=mask_lo, mask_hi=mask_hi)
 
 
 def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext) -> tuple[np.ndarray, float, float]:

@@ -78,22 +78,13 @@ class SpikeSite:
         return cls(name=str(s["name"]), theta=float(s["theta"]), scale=float(s["scale"]), offset=float(s["offset"]), T=int(s["T"]))
 
 
-def threshold_scale(site: SpikeSite, factor: int) -> SpikeSite:
-    """Scale a site's threshold by ``factor``, collapsing its window.
+def threshold_scale(site: SpikeSite) -> SpikeSite:
+    """Collapse a site's window to a single spike.
 
-    theta and the decode scale grow by ``factor`` (scaling the decode scale
-    is what "scale the downstream weights" means when weights fold in the
-    decode at accumulation time) and the window shrinks to T / factor, so a
-    train of ``factor`` saturated spikes collapses to a single spike.  Exact
-    for sites whose codes only ever hit 0 or T; factor 1 is the identity.
+    theta and the decode scale grow by T (scaling the decode scale is what
+    "scale the downstream weights" means when weights fold in the decode at
+    accumulation time) and the window shrinks to 1, so a train of T
+    saturated spikes becomes one spike.  Exact for sites whose codes only
+    ever hit 0 or T; a site with T = 1 is returned unchanged.
     """
-    if factor < 1:
-        raise ValueError(f"threshold_scale: factor must be >= 1, got {factor}")
-    if site.T % factor != 0:
-        raise ValueError(f"threshold_scale: factor {factor} does not divide window {site.T}")
-    return replace(
-        site,
-        theta=site.theta * factor,
-        scale=site.scale * factor,
-        T=site.T // factor,
-    )
+    return replace(site, theta=site.theta * site.T, scale=site.scale * site.T, T=1)

@@ -86,14 +86,11 @@ def _make_quantizers(bits: int, prefix: str) -> dict[str, Quantizer]:
     for s in SPIKE_SITES:
         qs[s] = Quantizer(bits=bits, rounding="floor", name=f"{prefix}.{s}")
     # Inputs of the pow2 softplus must be integers: frozen unit step.
-    qs["delta_int"] = Quantizer(
-        bits=bits, alpha=1.0, beta=0.0, rounding="nearest",
-        train_alpha=False, train_beta=False, name=f"{prefix}.delta_int",
-    )
+    qs["delta_int"] = Quantizer(bits=bits, alpha=nm.Tensor(1.0), beta=nm.Tensor(0.0),
+                                rounding="nearest", name=f"{prefix}.delta_int")
     qs["x_res"] = Quantizer(bits=bits, rounding="nearest", name=f"{prefix}.x_res")
     # The step site can never reach zero: its grid floor is pow2_softplus(0).
     qs["delta"].set_beta(pow2_softplus(0.0))
-    qs["delta"].train_beta = False
     qs["delta"].beta.trainable = False
     return qs
 
@@ -148,20 +145,17 @@ class BlockParams:
         return ps
 
 
-def pow2_round_ste(x: nm.Tensor, lo: int = EXP_LO, hi: int = EXP_HI, smooth: bool = False) -> nm.Tensor:
-    """2**clip(rint(x), lo, hi) with a straight-through rounding gradient.
+def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
+    """2**clip(rint(x), EXP_LO, EXP_HI) with a straight-through rounding gradient.
 
     Forward snaps the exponent to an integer (round half to even) so the
     result is an exact power of two; backward treats the rounding as
     identity, passing ln(2) * out inside the clamp and zero outside.
     """
-    if smooth:
-        e = np.clip(x.data, lo, hi)
-    else:
-        e = np.clip(np.rint(x.data), lo, hi)
+    e = np.clip(x.data if smooth else np.rint(x.data), EXP_LO, EXP_HI)
     val = np.exp2(e)
     out = nm.Tensor(val)
-    mask = (x.data >= lo) & (x.data <= hi)
+    mask = (x.data >= EXP_LO) & (x.data <= EXP_HI)
 
     def vjp(g, accumulate):
         accumulate(x, g * val * LN2 * mask)
@@ -244,8 +238,7 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     ``(step_t * B_t) * u_t``, passes the state through ``encode_h(t, h)``
     when given, and reads out ``sum_n C_t h_t + D u_t``.  The spiking forward
     re-encodes the state through its ``h`` site in the hook; without one the
-    scan is the bare time-varying recurrence (the linear limit that
-    cross-checks against ``ssm_kernel``).
+    scan is the bare time-varying linear recurrence.
     """
     B, L, dh = u.shape
     h = np.zeros((B, dh, A.shape[1]))
@@ -281,14 +274,14 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
 
     T_pass = 2 ** cfg.bits - 1
 
-    def encode(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def encode(name: str, pre: np.ndarray) -> np.ndarray:
         site = sites[name]
         counts = site.encode_counts(pre)
         ct.add(f"{tag}.{name}", cmp=pre.size * site.T)
         # rate is spikes per (neuron, timestep) slot of the pass window, so a
         # threshold-scaled site with a collapsed T reports a lower rate
         ct.record_site(f"{tag}.{name}", counts, T_pass)
-        return counts, site.decode_counts(counts)
+        return counts
 
     rms = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + cfg.rmsnorm_eps)
     xn = x * p.g_norm.data * rms
@@ -297,27 +290,27 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
     ct.add(f"{tag}.in_proj", mac=xn.size * 2 * dh)
     x_in, x_res = proj[..., :dh], proj[..., dh:]
 
-    c_in, v_in = encode("x_in", x_in)
+    c_in = encode("x_in", x_in)
     site_in = sites["x_in"]
     # the offset goes through the same zero-padded causal conv as the counts
     conv_pre = site_in.scale * _np_causal_depthwise(c_in, p.conv_k.data) \
         + site_in.offset * _np_causal_depthwise(np.ones((1, L, dh)), p.conv_k.data)
     ct.add(f"{tag}.conv", acc=int(c_in.sum()) * cfg.conv_kernel, acc_bias=conv_pre.size)
-    c_s, v_s = encode("conv", conv_pre)
+    c_s = encode("conv", conv_pre)
 
     site_s = sites["conv"]
     pbc = site_s.scale * (c_s @ p.W.data) + site_s.offset * p.W.data.sum(axis=0) + p.b.data
     ct.add(f"{tag}.proj", acc=int(c_s.sum()) * (r + 2 * n), acc_bias=2 * pbc.size)
     d_raw, B_seq, C_seq = pbc[..., :r], pbc[..., r:r + n], pbc[..., r + n:]
 
-    c_dr, v_dr = encode("delta_raw", d_raw)
+    c_dr = encode("delta_raw", d_raw)
     site_dr = sites["delta_raw"]
     dproj = site_dr.scale * (c_dr @ p.W_delta.data) + site_dr.offset * p.W_delta.data.sum(axis=0) + p.b_delta.data
     ct.add(f"{tag}.delta_proj", acc=int(c_dr.sum()) * dh, acc_bias=2 * dproj.size)
     step_int, _ = quantize_with_context(dproj, p.quantizers["delta_int"])
     step_pt = pow2_softplus(step_int)
     ct.add(f"{tag}.delta_proj", shift=step_pt.size, acc_bias=step_pt.size)
-    c_step, v_step = encode("delta", step_pt)
+    step = sites["delta"].decode_counts(encode("delta", step_pt))
 
     # the hook tallies each step's scan ops, then re-encodes the state through
     # the h site; y never feeds back, so its site encodes the whole readout once
@@ -329,73 +322,23 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         # step * A and step * B products; one shift per surviving state spike
         ct.add(f"{tag}.scan", mac=2 * h_pre.size, shift=int(prev_counts.sum()),
                acc=int(c_s[:, t].sum()) * n)
-        prev_counts, h_dec = encode("h", h_pre)
+        prev_counts = encode("h", h_pre)
         h_spikes += int(prev_counts.sum())
-        return h_dec
+        return sites["h"].decode_counts(prev_counts)
 
-    y_pre = selective_scan(v_step, -np.exp(p.A_log.data), B_seq, C_seq, p.D.data, v_s, encode_h)
+    y_pre = selective_scan(step, -np.exp(p.A_log.data), B_seq, C_seq, p.D.data,
+                           site_s.decode_counts(c_s), encode_h)
     ct.add(f"{tag}.scan", acc=h_spikes + int(c_s.sum()))
-    y_counts, y_dec = encode("y", y_pre)  # [B, L, dh]
+    y_counts = encode("y", y_pre)  # [B, L, dh]
 
     gate_vals, _ = quantize_with_context(x_res, p.quantizers["x_res"])
     gate = pow2_silu(gate_vals)
     ct.add(f"{tag}.gate", shift=gate.size, acc_bias=gate.size)
-    gated = y_dec * gate
+    gated = sites["y"].decode_counts(y_counts) * gate
     ct.add(f"{tag}.gate", acc=int(y_counts.sum()))
     z = gated @ p.W_out.data + p.b_out.data
     ct.add(f"{tag}.out_proj", mac=gated.size * dv, acc_bias=z.size)
     return x + z
-
-
-# --- reference dense state space ---------------------------------------------
-
-
-def dense_ssm_reference(A_d: np.ndarray, B_d: np.ndarray, C: np.ndarray,
-                        D: np.ndarray | None, u: np.ndarray) -> np.ndarray:
-    """Literal dense recurrence: h_t = A_d h_{t-1} + B_d u_t, y_t = C h_t (+ D u_t).
-
-    u: [L, m] -> y: [L, p].  The state updates before readout, so the impulse
-    response is C B_d, C A_d B_d, C A_d^2 B_d, ...
-    """
-    A_d, B_d, C = (np.asarray(m, dtype=np.float64) for m in (A_d, B_d, C))
-    u = np.asarray(u, dtype=np.float64)
-    if A_d.shape[0] != A_d.shape[1] or B_d.shape[0] != A_d.shape[0] or C.shape[1] != A_d.shape[0]:
-        raise ValueError(
-            f"dense_ssm_reference: inconsistent shapes A{A_d.shape} B{B_d.shape} C{C.shape}"
-        )
-    L = u.shape[0]
-    h = np.zeros(A_d.shape[0])
-    y = np.zeros((L, C.shape[0]))
-    for t in range(L):
-        h = A_d @ h + B_d @ u[t]
-        y[t] = C @ h
-        if D is not None:
-            y[t] += np.asarray(D) @ u[t]
-    return y
-
-
-def ssm_kernel(A_d: np.ndarray, B_d: np.ndarray, C: np.ndarray, L: int) -> np.ndarray:
-    """Convolution kernel K[k] = C A_d^k B_d for k = 0..L-1; shape [L, p, m]."""
-    A_d, B_d, C = (np.asarray(m, dtype=np.float64) for m in (A_d, B_d, C))
-    K = np.empty((L, C.shape[0], B_d.shape[1]))
-    M = B_d.copy()
-    for k in range(L):
-        K[k] = C @ M
-        M = A_d @ M
-    return K
-
-
-def apply_kernel(u: np.ndarray, K: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
-    """Causal convolution y_t = sum_k K[k] u_{t-k} (+ D u_t)."""
-    u = np.asarray(u, dtype=np.float64)
-    L = u.shape[0]
-    y = np.zeros((L, K.shape[1]))
-    for t in range(L):
-        for k in range(min(t + 1, K.shape[0])):
-            y[t] += K[k] @ u[t - k]
-        if D is not None:
-            y[t] += np.asarray(D) @ u[t]
-    return y
 
 
 # --- forecaster ---------------------------------------------------------------
@@ -463,7 +406,7 @@ class ForecastModel:
         for blk in self.blocks:
             for s in QUANT_SITES:
                 q = blk.quantizers[s]
-                if q.initialized and q.train_alpha:
+                if q.initialized and q.alpha.trainable:
                     np.maximum(q.alpha.data, ALPHA_FLOOR, out=q.alpha.data)
 
     def forward(self, x, smooth: bool = False, counters=None) -> nm.Tensor:

@@ -161,9 +161,9 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
     if missing:
         raise RuntimeError("cannot convert, uncalibrated sites: " + ", ".join(missing))
     bad = [blk.quantizers[s].name for blk in model.blocks for s in SPIKE_SITES
-           if blk.quantizers[s].symmetric or blk.quantizers[s].rounding != "floor"]
+           if blk.quantizers[s].rounding != "floor"]
     if bad:
-        raise ValueError("cannot convert, spike sites need unsigned floor codes: " + ", ".join(bad))
+        raise ValueError("cannot convert, spike sites need floor rounding: " + ", ".join(bad))
     T = 2 ** model.cfg.bits - 1
     for blk in model.blocks:
         blk.sites = {}
@@ -177,16 +177,15 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
 
 
 def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
-                            verify_x: np.ndarray | None = None,
-                            tol: float = 1e-9) -> list[str]:
+                            verify_x: np.ndarray | None = None) -> list[str]:
     """Collapse saturated spike sites to single-spike windows.
 
     A site whose observed counts on ``x`` are only ever 0 or T can emit one
     spike against a threshold scaled by T instead of T spikes against the
     original, cutting its comparisons and downstream accumulations by T.
     The rewrite is applied to every such site, then checked end to end on
-    ``verify_x`` (``x`` when omitted); any output drift beyond ``tol``
-    rolls all sites back.  Returns the names of the sites left scaled.
+    ``verify_x`` (``x`` when omitted); any output drift beyond the 1e-9
+    equivalence bound rolls all sites back.  Returns the names of the sites left scaled.
     """
     if model.mode != "snn":
         raise RuntimeError("threshold scaling applies to converted models only")
@@ -202,12 +201,12 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
             site = blk.sites[s]
             key = f"block{i}.{s}"
             if site.T > 1 and probe.sites[key]["mid"] == 0:
-                blk.sites[s] = threshold_scale(site, site.T)
+                blk.sites[s] = threshold_scale(site)
                 scaled.append(key)
     if not scaled:
         return []
     drift = float(np.max(np.abs(model.forward(check).data - baseline)))
-    if drift > tol:
+    if drift > 1e-9:
         for blk, sites in saved:
             blk.sites = sites
         return []
@@ -255,34 +254,72 @@ def load_checkpoint(path: str) -> tuple[ForecastModel, dict]:
     """Rebuild a model from ``save_checkpoint`` output.
 
     Returns (model, metadata); metadata keeps the ``norm`` and ``extra``
-    entries the checkpoint was saved with.
+    entries the checkpoint was saved with.  A malformed file raises
+    ``ValueError`` naming the file and the defect.
     """
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic {raw[:4]!r})")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (mlen,) = struct.unpack_from("<I", raw, 8)
-    meta = json.loads(raw[12:12 + mlen].decode("utf-8"))
+    try:
+        return _parse_checkpoint(raw)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
-    cfg = ModelConfig.from_dict(meta["config"])
-    model = ForecastModel.build(cfg, seed=0)
+
+def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a model checkpoint (bad magic {raw[:4]!r})")
+    if len(raw) < 12:
+        raise ValueError(f"truncated header: {len(raw)} of 12 bytes")
+    version, mlen = struct.unpack_from("<II", raw, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    if 12 + mlen > len(raw):
+        raise ValueError(f"truncated metadata: {len(raw) - 12} of {mlen} bytes")
+    try:
+        meta = json.loads(raw[12:12 + mlen].decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"metadata is not UTF-8 JSON ({e})") from None
+    try:
+        model = _model_from_metadata(meta)
+    except KeyError as e:
+        raise ValueError(f"metadata is missing key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed metadata ({e})") from None
+
     off = 12 + mlen
     targets = [w for blk in model.blocks for w in blk.weight_tensors()]
     targets += [model.W_head, model.b_head]
+    expected = 4 * sum(w.data.size for w in targets)
+    if len(raw) - off < expected:
+        raise ValueError(f"truncated weight payload: {len(raw) - off} of {expected} bytes")
+    if len(raw) - off > expected:
+        raise ValueError(f"{len(raw) - off - expected} trailing bytes after weight payload")
     for w in targets:
-        nbytes = w.data.size * 4
         arr = np.frombuffer(raw, dtype="<f4", count=w.data.size, offset=off)
         w.data = arr.astype(np.float64).reshape(w.data.shape)
-        off += nbytes
-    if off != len(raw):
-        raise ValueError(f"{path}: {len(raw) - off} trailing bytes after weight payload")
-
-    for blk, qstates, sstates in zip(model.blocks, meta["quantizers"], meta["sites"]):
-        blk.quantizers = {s: Quantizer.from_state(qstates[s]) for s in QUANT_SITES}
-        blk.sites = None if sstates is None else {
-            s: SpikeSite.from_state(v) for s, v in sstates.items()}
-    model.mode = meta["mode"]
+        off += w.data.size * 4
     return model, meta
+
+
+def _model_from_metadata(meta: dict) -> ForecastModel:
+    """The model the metadata describes, with quantizers and sites but no weights."""
+    model = ForecastModel.build(ModelConfig.from_dict(meta["config"]), seed=0)
+    mode, n = meta["mode"], len(model.blocks)
+    if mode not in ("ann", "snn"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if len(meta["quantizers"]) != n or len(meta["sites"]) != n:
+        raise ValueError(f"{len(meta['quantizers'])} quantizer and {len(meta['sites'])} site "
+                         f"entries for {n} blocks")
+    for i, (blk, qstates, sstates) in enumerate(zip(model.blocks, meta["quantizers"], meta["sites"])):
+        if set(qstates) != set(QUANT_SITES):
+            raise ValueError(f"block{i} quantizers {sorted(qstates)} are not {sorted(QUANT_SITES)}")
+        blk.quantizers = {s: Quantizer.from_state(qstates[s]) for s in QUANT_SITES}
+        if sstates is None:
+            if mode == "snn":
+                raise ValueError(f"snn-mode checkpoint has no spike sites for block{i}")
+            continue
+        if set(sstates) != set(SPIKE_SITES):
+            raise ValueError(f"block{i} spike sites {sorted(sstates)} are not {sorted(SPIKE_SITES)}")
+        blk.sites = {s: SpikeSite.from_state(v) for s, v in sstates.items()}
+    model.mode = mode
+    return model

@@ -19,9 +19,9 @@ from spikescan.energy import EnergyTable, OpCounters
 from spikescan.metrics import r2, rrse
 from spikescan.quantize import Quantizer, quantize, quantize_with_context, round_half_away
 from spikescan.spike import SpikeSite
-from spikescan.ssm import (EXP_HI, EXP_LO, ForecastModel, ModelConfig, apply_kernel,
-                           dense_ssm_reference, ssm_kernel)
+from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import TrainConfig, apply_threshold_scaling, convert_to_snn, train
+from ssm_oracle import apply_kernel, dense_ssm_reference, ssm_kernel
 
 
 RESULTS: list[str] = []

@@ -1,5 +1,7 @@
 """End-to-end command-line walkthrough against a tiny synthetic series."""
 
+import json
+import struct
 import subprocess
 import sys
 
@@ -101,6 +103,26 @@ def test_bad_spike_site_in_checkpoint_is_a_usage_error(work):
     save_checkpoint(str(bad), model, norm=meta["norm"])
     p = run("verify", "--model", str(bad), expect=2)
     assert "block0.h" in p.stderr and "window length" in p.stderr
+
+
+def test_symmetric_quantizer_in_checkpoint_is_a_usage_error(work):
+    raw = (work / "snn.ckpt").read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    meta["quantizers"][0]["y"]["symmetric"] = True
+    blob = json.dumps(meta).encode()
+    bad = work / "symmetric.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:])
+    p = run("verify", "--model", str(bad), expect=2)
+    assert "symmetric.ckpt" in p.stderr and "quantizer block0.y: symmetric" in p.stderr
+
+
+def test_truncated_checkpoint_is_a_usage_error(work):
+    bad = work / "six_bytes.ckpt"
+    bad.write_bytes((work / "snn.ckpt").read_bytes()[:6])
+    p = run("eval", "--model", str(bad), "--data", str(work / "series.csv"), "--has-header",
+            expect=2)
+    assert "six_bytes.ckpt: truncated header" in p.stderr and "Traceback" not in p.stderr
 
 
 def test_eval_prints_metrics_per_step(work):

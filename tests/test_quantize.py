@@ -30,15 +30,11 @@ class TestWorkedExamples:
         assert ctx.codes[0] == 3
         assert xq[0] == 1.5
 
-    def test_symmetric_code_range(self):
-        q = Quantizer(bits=3, alpha=1.0, symmetric=True, name="s")
-        assert (q.code_min, q.code_max) == (-4, 3)
-        xq, ctx = quantize_with_context(np.array([-100.0, 100.0]), q)
-        assert list(ctx.codes) == [-4, 3]
-
     def test_asymmetric_code_range(self):
-        q = q2()
-        assert (q.code_min, q.code_max) == (0, 3)
+        q = Quantizer(bits=3, alpha=1.0, name="s")
+        assert q.code_max == 7
+        xq, ctx = quantize_with_context(np.array([-100.0, 100.0]), q)
+        assert list(ctx.codes) == [0, 7]
 
 
 class TestInitializer:
@@ -83,7 +79,7 @@ def test_grid_membership_and_range():
     xq, ctx = quantize_with_context(x, q)
     back = (xq - (-0.4)) / 0.21
     assert np.max(np.abs(back - np.round(back))) < 1e-9
-    assert np.all(xq >= 0.21 * q.code_min - 0.4 - 1e-12)
+    assert np.all(xq >= -0.4 - 1e-12)
     assert np.all(xq <= 0.21 * q.code_max - 0.4 + 1e-12)
 
 
@@ -153,12 +149,22 @@ def test_smooth_mode_is_differentiable_everywhere():
 
 
 def test_quantizer_state_roundtrip():
-    q = Quantizer(bits=2, alpha=0.123, beta=0.456, rounding="floor",
-                  train_alpha=True, train_beta=False, name="block0.h")
+    q = Quantizer(bits=2, alpha=0.123, beta=nm.Tensor(0.456), rounding="floor", name="block0.h")
     s = q.state()
+    assert (s["symmetric"], s["train_alpha"], s["train_beta"]) == (False, True, False)
     q2_ = Quantizer.from_state(s)
     assert q2_.state() == s
     assert float(q2_.alpha.data) == 0.123 and not q2_.beta.trainable
+    assert q2_.parameters() == [q2_.alpha]
+
+
+def test_reset_keeps_the_tensor_flag():
+    q = Quantizer(bits=2, alpha=nm.Tensor(1.0), name="frozen")
+    assert q.parameters() == [q.beta]
+    q.set_alpha(0.5)
+    q.set_beta(0.25)
+    assert not q.alpha.trainable and q.beta.trainable
+    assert q.alpha.name == "frozen.alpha" and float(q.alpha.data) == 0.5
 
 
 def test_alpha_floor_constant():

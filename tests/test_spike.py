@@ -131,7 +131,7 @@ class TestQuantizedCodec:
         cfg = ModelConfig(d_value=1, history=4, horizon=1, d_hidden=2, state_size=1)
         m = ForecastModel.build(cfg, seed=0)
         m.calibrate(np.random.default_rng(0).normal(size=(4, 4, 1)))
-        m.blocks[0].quantizers["h"].symmetric = True
+        m.blocks[0].quantizers["h"].rounding = "nearest"
         with pytest.raises(ValueError, match="block0.h"):
             convert_to_snn(m)
 
@@ -144,7 +144,7 @@ class TestThresholdScale:
         site = self.site()
         pre = np.array([10.0, 0.1 + 3 * 0.5, 0.0])  # counts 3, 3, 0
         before = site.decode_counts(site.encode_counts(pre))
-        scaled = threshold_scale(site, 3)
+        scaled = threshold_scale(site)
         counts = scaled.encode_counts(pre)
         assert list(counts) == [1, 1, 0]
         after = scaled.decode_counts(counts)
@@ -154,21 +154,8 @@ class TestThresholdScale:
         site = self.site()
         pre = np.full(100, 5.0)  # saturates every neuron
         assert site.encode_counts(pre).sum() == 300
-        scaled = threshold_scale(site, 3)
+        scaled = threshold_scale(site)
         assert scaled.encode_counts(pre).sum() == 100
-
-    def test_factor_must_divide_window(self):
-        with pytest.raises(ValueError):
-            threshold_scale(self.site(T=3), 2)
-
-    def test_factor_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_scale(self.site(), 0)
-
-    def test_identity_factor(self):
-        site = self.site()
-        same = threshold_scale(site, 1)
-        assert same == site
 
 
 def test_pow2_shift_is_exact_ldexp():

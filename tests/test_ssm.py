@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 import spikescan.numerics as nm
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.ssm import (EXP_HI, EXP_LO, ForecastModel, ModelConfig, SPIKE_SITES,
-                           apply_kernel, block_forward_ann, dense_ssm_reference,
-                           pow2_round_ste, selective_scan, ssm_kernel)
+                           block_forward_ann, pow2_round_ste, selective_scan)
 from spikescan.energy import OpCounters
 from spikescan.train import convert_to_snn
+from ssm_oracle import apply_kernel, dense_ssm_reference, ssm_kernel
 
 RNG = np.random.default_rng(99)
 
@@ -116,9 +116,10 @@ def test_calibration_touches_every_site_and_freezes_constants():
     m, _ = calibrated_model()
     assert m.calibrated()
     q = m.blocks[0].quantizers
-    assert float(q["delta_int"].alpha.data) == 1.0 and not q["delta_int"].train_alpha
+    assert float(q["delta_int"].alpha.data) == 1.0 and not q["delta_int"].alpha.trainable
+    assert q["delta_int"].parameters() == []
     assert float(q["delta"].beta.data) == pow2_softplus(0.0)
-    assert not q["delta"].beta.trainable
+    assert q["delta"].parameters() == [q["delta"].alpha]
     for s in SPIKE_SITES:
         assert float(q[s].alpha.data) > 0
 

@@ -1,7 +1,12 @@
 """Optimizer behavior, the training loop, conversion, checkpoints."""
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spikescan.numerics as nm
 from spikescan.energy import OpCounters
@@ -337,3 +342,87 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 
 def test_magic_is_four_bytes():
     assert len(CHECKPOINT_MAGIC) == 4
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "readme_model.ckpt"
+
+
+def test_benchmark_fixture_resaves_byte_identical(tmp_path):
+    """The benchmark's frozen checkpoint survives a load/save cycle unchanged."""
+    m, meta = load_checkpoint(str(FIXTURE))
+    out = tmp_path / "fixture.ckpt"
+    save_checkpoint(str(out), m, norm=meta["norm"], extra=meta["extra"])
+    assert out.read_bytes() == FIXTURE.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def small_ckpt(tmp_path_factory):
+    """Bytes of a converted tiny model's checkpoint and a temporary directory."""
+    d = tmp_path_factory.mktemp("ckpt")
+    cfg = small_cfg()
+    m = ForecastModel.build(cfg, seed=2)
+    m.calibrate(make_data(n=8, cfg=cfg)[0])
+    convert_to_snn(m)
+    save_checkpoint(str(d / "ok.ckpt"), m)
+    return d, (d / "ok.ckpt").read_bytes()
+
+
+def with_metadata(raw: bytes, change) -> bytes:
+    """``raw`` with its JSON metadata passed through ``change``."""
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    change(meta)
+    blob = json.dumps(meta).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+@example(cut=0.999)  # inside the weight payload
+def test_truncated_checkpoint_is_a_value_error(small_ckpt, cut):
+    d, raw = small_ckpt
+    p = d / "cut.ckpt"
+    p.write_bytes(raw[:int(cut * len(raw))])
+    with pytest.raises(ValueError, match=r"cut\.ckpt: (not a model checkpoint|truncated \w+)"):
+        load_checkpoint(str(p))
+
+
+def _drop_quantizers(meta):
+    del meta["quantizers"]
+
+
+def _null_sites(meta):
+    meta["sites"] = [None]
+
+
+def _rename_site(meta):
+    meta["sites"][0]["state"] = meta["sites"][0].pop("h")
+
+
+def _symmetric(meta):
+    meta["quantizers"][0]["h"]["symmetric"] = True
+
+
+def _extra_block(meta):
+    meta["quantizers"].append(meta["quantizers"][0])
+
+
+def _unknown_mode(meta):
+    meta["mode"] = "hybrid"
+
+
+@pytest.mark.parametrize("change, defect", [
+    (_drop_quantizers, "metadata is missing key 'quantizers'"),
+    (_null_sites, "snn-mode checkpoint has no spike sites for block0"),
+    (_rename_site, "block0 spike sites .*'state'"),
+    (_symmetric, "quantizer block0.h: symmetric"),
+    (_extra_block, "2 quantizer and 1 site entries for 1 blocks"),
+    (_unknown_mode, "unknown mode 'hybrid'"),
+])
+def test_malformed_metadata_is_named(small_ckpt, change, defect):
+    d, raw = small_ckpt
+    p = d / "bad.ckpt"
+    p.write_bytes(with_metadata(raw, change))
+    with pytest.raises(ValueError, match=r"bad\.ckpt: " + defect):
+        load_checkpoint(str(p))
