@@ -17,7 +17,7 @@ from .activations import (SILU_GRAD_BOUND, SILU_VALUE_BOUND, SOFTPLUS_GRAD_BOUND
 from .dataset import WindowSplits, denormalize, load_csv, make_windows, write_csv
 from .energy import EnergyTable, compare_ann_energy, profile
 from .metrics import r2, rrse
-from .spike import SpikeSite
+from .spike import SpikeSite, simulate_if
 from .ssm import ForecastModel, ModelConfig
 from .train import (TrainConfig, apply_threshold_scaling, convert_to_snn,
                     load_checkpoint, save_checkpoint, train)
@@ -228,27 +228,17 @@ def _verify_checks(model_path: str | None, data_path: str | None,
         checks.append((f"branch continuity: {name}", gap <= 1e-12, f"gap {gap:.2e}"))
 
     rng = np.random.default_rng(0)
-    site = SpikeSite(name="verify", theta=0.25, scale=0.25, offset=-0.1, T=3)
+    site = SpikeSite(name="verify", theta=0.25, offset=-0.1, T=3)
     vals = 0.25 * rng.integers(0, 4, size=500) - 0.1
     codec_gap = float(np.max(np.abs(site.decode_counts(site.encode_counts(vals)) - vals)))
     checks.append(("spike codec round-trip", codec_gap == 0.0, "500 grid values"))
 
     sim_ok = True
     for _ in range(200):
-        T = int(rng.integers(1, 9))
-        theta = float(rng.uniform(0.05, 2.0))
-        drive = float(rng.uniform(-1.0, 2.5 * T * theta))
-        site = SpikeSite(name="verify", theta=theta, scale=theta, offset=0.0, T=T)
-        got = int(site.encode_counts(np.asarray([drive]))[0])
-        v, fired = 0.0, 0
-        for _t in range(T):
-            v += drive / T
-            if v >= theta * (1.0 - 1e-9):
-                fired += 1
-                v -= theta
-        if fired != got:
-            sim_ok = False
-            break
+        T, theta = int(rng.integers(1, 9)), float(rng.uniform(0.05, 2.0))
+        drive = np.asarray([rng.uniform(-1.0, 2.5 * T * theta)])
+        counts = SpikeSite(name="verify", theta=theta, offset=0.0, T=T).encode_counts(drive)
+        sim_ok &= bool(counts[0] == simulate_if(drive, T, theta).sum())
     checks.append(("average-IF vs literal simulator", sim_ok, "200 random cases"))
 
     if model_path is not None:

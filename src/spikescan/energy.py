@@ -73,18 +73,6 @@ class OpCounters:
     def total_spikes(self) -> int:
         return sum(rec["spikes"] for rec in self.sites.values())
 
-    def merge(self, other: "OpCounters") -> "OpCounters":
-        """Fold another pass's tallies into this one (explicit reduction)."""
-        for layer, row in other.layers.items():
-            self.add(layer, **row)
-        for site, rec in other.sites.items():
-            mine = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": rec["T"]})
-            if mine["T"] != rec["T"]:
-                raise ValueError(f"site {site}: merging windows T={mine['T']} and T={rec['T']}")
-            for k in ("spikes", "neurons", "mid"):
-                mine[k] += rec[k]
-        return self
-
 
 @dataclass(frozen=True)
 class EnergyTable:
@@ -154,8 +142,9 @@ def profile(model: ForecastModel, x: np.ndarray, table: EnergyTable,
             counters: OpCounters | None = None) -> EnergyReport:
     """Run spiking inference with op counting and price it with ``table``.
 
-    Pass ``counters`` to keep the raw tallies; they are also usable to merge
-    several batches before building a combined report.
+    Pass ``counters`` to keep the raw tallies.  The report prices every tally
+    ``counters`` holds, so one ``OpCounters`` passed to several calls sums
+    their batches.
     """
     if model.mode != "snn":
         raise RuntimeError("energy profiling requires a converted (snn-mode) model")

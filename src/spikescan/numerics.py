@@ -15,33 +15,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "GradTape",
-    "backward",
-    "tensor",
-    "record_op",
-    "active_tape",
-    "add",
-    "sub",
-    "mul",
-    "neg",
-    "scale",
-    "unary",
-    "exp",
-    "linear",
-    "depthwise_conv1d",
-    "rmsnorm",
-    "split_last",
-    "permute",
-    "reshape",
-    "take_axis1",
-    "stack_axis1",
-    "sum_axis",
-    "sum_all",
-    "mean_all",
-    "mse",
-]
+__all__ = ["Tensor", "GradTape", "backward", "tensor", "record_op", "active_tape", "add",
+           "sub", "mul", "neg", "scale", "unary", "exp", "linear", "causal_conv",
+           "depthwise_conv1d", "rmsnorm", "split_last", "permute", "reshape", "take_axis1",
+           "stack_axis1", "sum_axis", "sum_all", "mean_all", "mse"]
 
 
 class Tensor:
@@ -270,6 +247,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+def _causal_windows(x: np.ndarray, K: int) -> np.ndarray:
+    """[B, L, D] -> [B, L, D, K] windows of x left-padded with K-1 zeros."""
+    return np.lib.stride_tricks.sliding_window_view(np.pad(x, ((0, 0), (K - 1, 0), (0, 0))), K, axis=1)
+
+
+def causal_conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Untaped causal depthwise convolution, the forward of ``depthwise_conv1d``."""
+    return np.einsum("bldk,dk->bld", _causal_windows(x, k.shape[1]), k)
+
+
 def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
     """Causal depthwise convolution along the time axis.
 
@@ -284,15 +271,13 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
             f"depthwise_conv1d: kernel shape {k.data.shape} does not match input shape {x.data.shape}"
         )
     K = k.data.shape[1]
-    xpad = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xpad, K, axis=1)  # [B, L, D, K]
-    out = Tensor(np.einsum("bldk,dk->bld", win, k.data))
+    out = Tensor(causal_conv(x.data, k.data))
 
     def vjp(g, accumulate):
         gpad = np.pad(g, ((0, 0), (0, K - 1), (0, 0)))
         gwin = np.lib.stride_tricks.sliding_window_view(gpad, K, axis=1)  # [B, L, D, K]
         accumulate(x, np.einsum("bldk,dk->bld", gwin, k.data[:, ::-1]))
-        accumulate(k, np.einsum("bld,bldk->dk", g, win))
+        accumulate(k, np.einsum("bld,bldk->dk", g, _causal_windows(x.data, K)))
 
     record_op(out, vjp)
     return out

@@ -22,6 +22,7 @@ clip code outside), and ``beta`` collects gradient on clipped entries only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,6 +133,9 @@ class Quantizer:
         name = str(s["name"])
         if s["symmetric"]:
             raise ValueError(f"quantizer {name}: symmetric grids are not supported")
+        for part in ("alpha", "beta"):
+            if not math.isfinite(float(s[part])):
+                raise ValueError(f"quantizer {name}: {part} must be finite, got {s[part]}")
         return cls(
             bits=int(s["bits"]),
             alpha=nm.Tensor(float(s["alpha"]), trainable=bool(s["train_alpha"])),

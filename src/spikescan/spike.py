@@ -10,12 +10,13 @@ window is ``clip(floor(d / theta), 0, T)``.  The site computes that count in
 closed form with the quantizer's own floor rule
 (``quantize.floor_with_snap``), so the spike count IS the floor code of the
 matching quantizer, the threshold is the quantizer step, and decoding is
-``offset + scale * count``: quantized activations and spike counts are
-interchangeable by construction.  A drive of ``m * theta`` (integer m in
-[0, T]) emits exactly m spikes.  Run step by step in floating point, the
-recurrence can disagree with that floor for drives a few ulps under
-``(k - 1e-9) * theta``; the closed form keeps the real-arithmetic contract
-there too.
+``offset + theta * count``, the quantizer's own ``beta + alpha * code``:
+quantized activations and spike counts are interchangeable by construction.
+A drive of ``m * theta`` (integer m in [0, T]) emits exactly m spikes.  Run
+step by step in floating point (``simulate_if``, the reference the closed
+form is checked against), the recurrence can disagree with that floor for
+drives a few ulps under ``(k - 1e-9) * theta``; the closed form keeps the
+real-arithmetic contract there too.
 
 Energy accounting still tallies T threshold comparisons per neuron per
 encode: that models the neuron hardware running the recurrence, not the
@@ -24,17 +25,14 @@ arithmetic used here to obtain its count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantize import floor_with_snap
+from .quantize import GRID_SNAP, floor_with_snap
 
-__all__ = [
-    "SpikeSite",
-    "pow2_shift",
-    "threshold_scale",
-]
+__all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
 
 def pow2_shift(v: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -54,37 +52,57 @@ class SpikeSite:
 
     name: str
     theta: float
-    scale: float
     offset: float
     T: int
 
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"spike site {self.name}: window length must be >= 1, got {self.T}")
-        if not self.theta > 0:
-            raise ValueError(f"spike site {self.name}: threshold must be positive, got {self.theta}")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"spike site {self.name}: threshold must be positive and finite, got {self.theta}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"spike site {self.name}: offset must be finite, got {self.offset}")
 
     def encode_counts(self, pre: np.ndarray) -> np.ndarray:
         return np.clip(floor_with_snap((pre - self.offset) / self.theta), 0, self.T)
 
     def decode_counts(self, counts: np.ndarray) -> np.ndarray:
-        return self.offset + self.scale * counts
+        return self.offset + self.theta * counts
 
     def state(self) -> dict:
-        return {"name": self.name, "theta": self.theta, "scale": self.scale, "offset": self.offset, "T": self.T}
+        # checkpoint format v1 keeps the decode "scale" key; it is always theta
+        return {"name": self.name, "theta": self.theta, "scale": self.theta, "offset": self.offset, "T": self.T}
 
     @classmethod
     def from_state(cls, s: dict) -> "SpikeSite":
-        return cls(name=str(s["name"]), theta=float(s["theta"]), scale=float(s["scale"]), offset=float(s["offset"]), T=int(s["T"]))
+        site = cls(name=str(s["name"]), theta=float(s["theta"]), offset=float(s["offset"]), T=int(s["T"]))
+        if float(s["scale"]) != site.theta:
+            raise ValueError(f"spike site {site.name}: decode scale {s['scale']} differs from threshold {site.theta}")
+        return site
+
+
+def simulate_if(drive: np.ndarray, T: int, theta: float) -> np.ndarray:
+    """The literal step-by-step recurrence; returns spike bits ``[T, *drive.shape]``.
+
+    A neuron fires at ``V >= theta * (1 - 1e-9)`` (the grid snap).  This is
+    the reference ``encode_counts`` is checked against; no model runs it.
+    """
+    avg = np.asarray(drive, dtype=np.float64) / T
+    v = np.zeros_like(avg)
+    bits = np.zeros((T,) + avg.shape)
+    for t in range(T):
+        v = v + avg
+        bits[t] = v >= theta * (1.0 - GRID_SNAP)
+        v = v - theta * bits[t]
+    return bits
 
 
 def threshold_scale(site: SpikeSite) -> SpikeSite:
     """Collapse a site's window to a single spike.
 
-    theta and the decode scale grow by T (scaling the decode scale is what
-    "scale the downstream weights" means when weights fold in the decode at
-    accumulation time) and the window shrinks to 1, so a train of T
-    saturated spikes becomes one spike.  Exact for sites whose codes only
-    ever hit 0 or T; a site with T = 1 is returned unchanged.
+    theta grows by T and the window shrinks to 1, so a train of T saturated
+    spikes becomes one spike, which decodes to ``offset + (theta * T) * 1``,
+    the value T spikes decoded to.  Exact for sites whose codes only ever
+    hit 0 or T; a site with T = 1 is returned unchanged.
     """
-    return replace(site, theta=site.theta * site.T, scale=site.scale * site.T, T=1)
+    return replace(site, theta=site.theta * site.T, T=1)

@@ -18,10 +18,14 @@ One block is a gated selective scan over quantized activations:
 ``SN`` is a spike-encode site.  During training and real-arithmetic
 inference it quantizes onto the site grid with integrate-and-fire floor
 semantics; after conversion the same site emits spike counts by the same
-floor rule, so the counts are the codes and both modes agree to float
-precision.  The spiking forward runs the recurrence in ``selective_scan``,
-the only numpy copy of the scan, and re-encodes ``h`` through a per-step
-hook; since ``y`` never feeds back, it encodes the whole readout once.
+floor rule, so the counts are the codes.  The spiking forward decodes each
+site's counts once, ``offset + theta * count`` (the quantizer's
+``beta + alpha * code``), and runs the real-arithmetic forward's numpy ops on
+the decoded values, so every site drive, and with it every output, agrees
+bit for bit (a threshold-scaled site only while it saturates).  It runs the
+recurrence in ``selective_scan``, the only numpy copy of the scan, and
+re-encodes ``h`` through a per-step hook; since ``y`` never feeds back, it
+encodes the whole readout once.
 The model ends in a real-arithmetic head mapping the L history positions to
 the forecast horizon per variable.
 """
@@ -222,13 +226,6 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
 # --- spiking forward ----------------------------------------------------------
 
 
-def _np_causal_depthwise(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    K = k.shape[1]
-    xpad = np.pad(x, ((0, 0), (K - 1, 0), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xpad, K, axis=1)
-    return np.einsum("bldk,dk->bld", win, k)
-
-
 def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
                    D: np.ndarray, u: np.ndarray, encode_h=None) -> np.ndarray:
     """The selective scan over [B, L, ...] arrays; returns the readout y [B, L, dh].
@@ -268,20 +265,22 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
     ct = counters if counters is not None else _CounterHooks()
-    B, L, dv = x.shape
+    B, _, dv = x.shape
     dh, n, r = cfg.d_hidden, cfg.state_size, cfg.delta_rank
     sites = p.sites
 
     T_pass = 2 ** cfg.bits - 1
 
-    def encode(name: str, pre: np.ndarray) -> np.ndarray:
+    def encode(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The site's spike counts and their decoded values."""
         site = sites[name]
         counts = site.encode_counts(pre)
+        values = site.decode_counts(counts)
         ct.add(f"{tag}.{name}", cmp=pre.size * site.T)
         # rate is spikes per (neuron, timestep) slot of the pass window, so a
         # threshold-scaled site with a collapsed T reports a lower rate
         ct.record_site(f"{tag}.{name}", counts, T_pass)
-        return counts
+        return counts, values
 
     rms = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + cfg.rmsnorm_eps)
     xn = x * p.g_norm.data * rms
@@ -290,27 +289,22 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
     ct.add(f"{tag}.in_proj", mac=xn.size * 2 * dh)
     x_in, x_res = proj[..., :dh], proj[..., dh:]
 
-    c_in = encode("x_in", x_in)
-    site_in = sites["x_in"]
-    # the offset goes through the same zero-padded causal conv as the counts
-    conv_pre = site_in.scale * _np_causal_depthwise(c_in, p.conv_k.data) \
-        + site_in.offset * _np_causal_depthwise(np.ones((1, L, dh)), p.conv_k.data)
+    c_in, s_in = encode("x_in", x_in)
+    conv_pre = nm.causal_conv(s_in, p.conv_k.data)
     ct.add(f"{tag}.conv", acc=int(c_in.sum()) * cfg.conv_kernel, acc_bias=conv_pre.size)
-    c_s = encode("conv", conv_pre)
+    c_s, s = encode("conv", conv_pre)
 
-    site_s = sites["conv"]
-    pbc = site_s.scale * (c_s @ p.W.data) + site_s.offset * p.W.data.sum(axis=0) + p.b.data
+    pbc = s @ p.W.data + p.b.data
     ct.add(f"{tag}.proj", acc=int(c_s.sum()) * (r + 2 * n), acc_bias=2 * pbc.size)
     d_raw, B_seq, C_seq = pbc[..., :r], pbc[..., r:r + n], pbc[..., r + n:]
 
-    c_dr = encode("delta_raw", d_raw)
-    site_dr = sites["delta_raw"]
-    dproj = site_dr.scale * (c_dr @ p.W_delta.data) + site_dr.offset * p.W_delta.data.sum(axis=0) + p.b_delta.data
+    c_dr, d_spikes = encode("delta_raw", d_raw)
+    dproj = d_spikes @ p.W_delta.data + p.b_delta.data
     ct.add(f"{tag}.delta_proj", acc=int(c_dr.sum()) * dh, acc_bias=2 * dproj.size)
     step_int, _ = quantize_with_context(dproj, p.quantizers["delta_int"])
     step_pt = pow2_softplus(step_int)
     ct.add(f"{tag}.delta_proj", shift=step_pt.size, acc_bias=step_pt.size)
-    step = sites["delta"].decode_counts(encode("delta", step_pt))
+    _, step = encode("delta", step_pt)
 
     # the hook tallies each step's scan ops, then re-encodes the state through
     # the h site; y never feeds back, so its site encodes the whole readout once
@@ -322,19 +316,18 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         # step * A and step * B products; one shift per surviving state spike
         ct.add(f"{tag}.scan", mac=2 * h_pre.size, shift=int(prev_counts.sum()),
                acc=int(c_s[:, t].sum()) * n)
-        prev_counts = encode("h", h_pre)
+        prev_counts, h = encode("h", h_pre)
         h_spikes += int(prev_counts.sum())
-        return sites["h"].decode_counts(prev_counts)
+        return h
 
-    y_pre = selective_scan(step, -np.exp(p.A_log.data), B_seq, C_seq, p.D.data,
-                           site_s.decode_counts(c_s), encode_h)
+    y_pre = selective_scan(step, -np.exp(p.A_log.data), B_seq, C_seq, p.D.data, s, encode_h)
     ct.add(f"{tag}.scan", acc=h_spikes + int(c_s.sum()))
-    y_counts = encode("y", y_pre)  # [B, L, dh]
+    y_counts, y = encode("y", y_pre)  # [B, L, dh]
 
     gate_vals, _ = quantize_with_context(x_res, p.quantizers["x_res"])
     gate = pow2_silu(gate_vals)
     ct.add(f"{tag}.gate", shift=gate.size, acc_bias=gate.size)
-    gated = sites["y"].decode_counts(y_counts) * gate
+    gated = y * gate
     ct.add(f"{tag}.gate", acc=int(y_counts.sum()))
     z = gated @ p.W_out.data + p.b_out.data
     ct.add(f"{tag}.out_proj", mac=gated.size * dv, acc_bias=z.size)

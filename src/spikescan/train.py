@@ -150,9 +150,9 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
 def convert_to_snn(model: ForecastModel) -> ForecastModel:
     """Turn every spike-encode site into an integrate-and-fire site in place.
 
-    Each site's threshold and decode scale are the learned quantizer step,
-    the decode offset is the quantizer offset, and the spike window is the
-    largest code, T = 2**bits - 1, so spike counts and codes coincide.
+    Each site's threshold is the learned quantizer step, its decode offset
+    is the quantizer offset, and the spike window is the largest code,
+    T = 2**bits - 1, so spike counts and codes coincide.
     """
     if model.mode == "snn":
         raise RuntimeError("model is already converted (would discard scaled thresholds)")
@@ -170,7 +170,6 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
         for s in SPIKE_SITES:
             q = blk.quantizers[s]
             blk.sites[s] = SpikeSite(name=q.name, theta=float(q.alpha.data),
-                                     scale=float(q.alpha.data),
                                      offset=float(q.beta.data), T=T)
     model.mode = "snn"
     return model
@@ -304,7 +303,7 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
 def _model_from_metadata(meta: dict) -> ForecastModel:
     """The model the metadata describes, with quantizers and sites but no weights."""
     model = ForecastModel.build(ModelConfig.from_dict(meta["config"]), seed=0)
-    mode, n = meta["mode"], len(model.blocks)
+    mode, n, bits = meta["mode"], len(model.blocks), model.cfg.bits
     if mode not in ("ann", "snn"):
         raise ValueError(f"unknown mode {mode!r}")
     if len(meta["quantizers"]) != n or len(meta["sites"]) != n:
@@ -314,6 +313,9 @@ def _model_from_metadata(meta: dict) -> ForecastModel:
         if set(qstates) != set(QUANT_SITES):
             raise ValueError(f"block{i} quantizers {sorted(qstates)} are not {sorted(QUANT_SITES)}")
         blk.quantizers = {s: Quantizer.from_state(qstates[s]) for s in QUANT_SITES}
+        for s, q in blk.quantizers.items():
+            if q.bits != bits:
+                raise ValueError(f"quantizer block{i}.{s}: {q.bits} bits, the config has {bits}")
         if sstates is None:
             if mode == "snn":
                 raise ValueError(f"snn-mode checkpoint has no spike sites for block{i}")
@@ -321,5 +323,9 @@ def _model_from_metadata(meta: dict) -> ForecastModel:
         if set(sstates) != set(SPIKE_SITES):
             raise ValueError(f"block{i} spike sites {sorted(sstates)} are not {sorted(SPIKE_SITES)}")
         blk.sites = {s: SpikeSite.from_state(v) for s, v in sstates.items()}
+        for s, site in blk.sites.items():
+            if site.T > 2 ** bits - 1:
+                raise ValueError(f"spike site block{i}.{s}: window T={site.T} exceeds the "
+                                 f"largest {bits}-bit code {2 ** bits - 1}")
     model.mode = mode
     return model

@@ -18,7 +18,7 @@ from spikescan.dataset import denormalize, make_coupled_sinusoids, make_windows
 from spikescan.energy import EnergyTable, OpCounters
 from spikescan.metrics import r2, rrse
 from spikescan.quantize import Quantizer, quantize, quantize_with_context, round_half_away
-from spikescan.spike import SpikeSite
+from spikescan.spike import SpikeSite, simulate_if
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import TrainConfig, apply_threshold_scaling, convert_to_snn, train
 from ssm_oracle import apply_kernel, dense_ssm_reference, ssm_kernel
@@ -117,25 +117,15 @@ def test_criterion_05_scan_matches_kernel():
     assert ok
 
 
-def literal_if(drive: float, T: int, theta: float) -> int:
-    v, fired = 0.0, 0
-    for _ in range(T):
-        v += drive / T
-        if v >= theta * (1.0 - 1e-9):
-            fired += 1
-            v -= theta
-    return fired
-
-
 def test_criterion_06_average_if_fidelity():
     rng = np.random.default_rng(13)
     exact = True
     for _ in range(1000):
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
-        drive = float(rng.uniform(-theta, (T + 1.5) * theta))
-        got = int(SpikeSite("c06", theta, theta, 0.0, T).encode_counts(np.asarray([drive]))[0])
-        if got != literal_if(drive, T, theta):
+        drive = np.asarray([rng.uniform(-theta, (T + 1.5) * theta)])
+        got = SpikeSite("c06", theta, 0.0, T).encode_counts(drive)[0]
+        if got != simulate_if(drive, T, theta).sum():
             exact = False
             break
     grid_ok = True
@@ -143,7 +133,7 @@ def test_criterion_06_average_if_fidelity():
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
         m = int(rng.integers(0, T + 1))
-        if int(SpikeSite("c06", theta, theta, 0.0, T).encode_counts(np.asarray([m * theta]))[0]) != m:
+        if int(SpikeSite("c06", theta, 0.0, T).encode_counts(np.asarray([m * theta]))[0]) != m:
             grid_ok = False
             break
     ok = exact and grid_ok
@@ -252,8 +242,7 @@ def test_criterion_07_gradients_match_finite_differences():
 def saturate_site(model: ForecastModel, block: int = 0, name: str = "x_in") -> None:
     site = model.blocks[block].sites[name]
     model.blocks[block].sites[name] = SpikeSite(
-        name=site.name, theta=site.theta, scale=site.scale,
-        offset=site.offset - 1e4 * site.theta, T=site.T)
+        name=site.name, theta=site.theta, offset=site.offset - 1e4 * site.theta, T=site.T)
 
 
 def test_criterion_08_threshold_scaling():

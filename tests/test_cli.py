@@ -88,7 +88,7 @@ def test_verify_fails_on_tampered_checkpoint(work):
     model, meta = load_checkpoint(str(work / "snn.ckpt"))
     site = model.blocks[0].sites["y"]
     model.blocks[0].sites["y"] = type(site)(name=site.name, theta=site.theta * 7,
-                                            scale=site.scale, offset=site.offset, T=site.T)
+                                            offset=site.offset, T=site.T)
     bad = work / "bad.ckpt"
     save_checkpoint(str(bad), model, norm=meta["norm"])
     p = run("verify", "--model", str(bad),
@@ -115,6 +115,19 @@ def test_symmetric_quantizer_in_checkpoint_is_a_usage_error(work):
     bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:])
     p = run("verify", "--model", str(bad), expect=2)
     assert "symmetric.ckpt" in p.stderr and "quantizer block0.y: symmetric" in p.stderr
+
+
+def test_infinite_site_threshold_is_a_usage_error(work):
+    raw = (work / "snn.ckpt").read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    meta["sites"][0]["h"]["theta"] = float("inf")
+    blob = json.dumps(meta).encode()
+    bad = work / "inf_theta.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:])
+    p = run("forecast", "--model", str(bad), "--data", str(work / "series.csv"), "--has-header",
+            "--out", str(work / "inf_theta.csv"), expect=2)
+    assert "inf_theta.ckpt: spike site block0.h: threshold" in p.stderr
 
 
 def test_truncated_checkpoint_is_a_usage_error(work):

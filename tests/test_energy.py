@@ -43,27 +43,6 @@ def test_spike_rate_uses_the_pass_window():
     assert ct.spike_rate("s") == pytest.approx(12 / 18)
 
 
-def test_merge_sums_layers_and_sites():
-    a, b = OpCounters(), OpCounters()
-    a.add("l", acc=2, mac=1)
-    b.add("l", acc=3, cmp=7)
-    b.add("other", shift=1)
-    a.record_site("s", np.array([1]), T=3)
-    b.record_site("s", np.array([2]), T=3)
-    a.merge(b)
-    assert a.layers["l"]["acc"] == 5 and a.layers["l"]["cmp"] == 7
-    assert a.layers["other"]["shift"] == 1
-    assert a.sites["s"]["spikes"] == 3 and a.sites["s"]["neurons"] == 2
-
-
-def test_merge_rejects_mismatched_windows():
-    a, b = OpCounters(), OpCounters()
-    a.record_site("s", np.array([1]), T=3)
-    b.record_site("s", np.array([1]), T=1)
-    with pytest.raises(ValueError, match="T=3 and T=1"):
-        a.merge(b)
-
-
 # --- EnergyTable ---------------------------------------------------------------
 
 
@@ -191,8 +170,7 @@ def test_saturated_single_spike_layer_matches_dense_macs():
     # as the dense layer's multiplies
     m, x = snn_model(seed=7, bits=1)
     blk = m.blocks[0]
-    blk.sites["x_in"] = SpikeSite(name="block0.x_in", theta=1e-9, scale=0.05,
-                                  offset=-100.0, T=1)
+    blk.sites["x_in"] = SpikeSite(name="block0.x_in", theta=1e-9, offset=-100.0, T=1)
     ct = OpCounters()
     m.forward(x, counters=ct)
     assert ct.spike_rate("block0.x_in") == 1.0

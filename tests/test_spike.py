@@ -4,34 +4,18 @@ import numpy as np
 import pytest
 
 from spikescan.quantize import Quantizer, quantize_with_context
-from spikescan.spike import SpikeSite, pow2_shift, threshold_scale
+from spikescan.spike import SpikeSite, pow2_shift, simulate_if, threshold_scale
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 
-GRID_SNAP = 1e-9
-
-
-def literal_if_simulator(drive, T, theta):
-    """Line-by-line average-IF recurrence: average, integrate, fire, subtract."""
-    drive = np.asarray(drive, dtype=np.float64)
-    avg = drive / T
-    v = np.zeros_like(drive)
-    bits = np.zeros((T,) + drive.shape)
-    for t in range(T):
-        v = v + avg
-        fire = v >= theta * (1.0 - GRID_SNAP)
-        bits[t] = fire
-        v = v - theta * fire
-    return bits
-
 
 def site(T, theta, offset=0.0):
-    return SpikeSite(name="s", theta=theta, scale=theta, offset=offset, T=T)
+    return SpikeSite(name="s", theta=theta, offset=offset, T=T)
 
 
 def test_worked_example_two_thirds_average():
     # total drive 2 over T=3 steps at threshold 1: potential walks 2/3, 4/3, 1
-    assert list(literal_if_simulator(np.array([2.0]), 3, 1.0)[:, 0]) == [0, 1, 1]
+    assert list(simulate_if(np.array([2.0]), 3, 1.0)[:, 0]) == [0, 1, 1]
     assert site(3, 1.0).encode_counts(np.array([2.0]))[0] == 2
 
 
@@ -52,7 +36,7 @@ def test_matches_literal_simulator_on_1000_random_cases():
         theta = float(rng.uniform(0.01, 3.0))
         drive = float(rng.uniform(-theta, (T + 1.5) * theta))
         got = site(T, theta).encode_counts(np.array([drive]))[0]
-        want = literal_if_simulator(np.array([drive]), T, theta)[:, 0].sum()
+        want = simulate_if(np.array([drive]), T, theta)[:, 0].sum()
         assert got == want, (drive, T, theta)
 
 
@@ -91,7 +75,7 @@ def test_tie_edge_counts_equal_quantizer_codes_bit_for_bit():
         edge = beta + (k - 1e-9) * alpha
         pre = edge + rng.integers(-64, 65, size=edge.size) * np.spacing(edge)
         codes = quantize_with_context(pre, q)[1].codes
-        counts = SpikeSite(name="tie", theta=alpha, scale=alpha, offset=beta, T=T).encode_counts(pre)
+        counts = SpikeSite(name="tie", theta=alpha, offset=beta, T=T).encode_counts(pre)
         assert np.array_equal(counts, codes), bits
 
 
@@ -102,8 +86,8 @@ class TestQuantizedCodec:
 
     @staticmethod
     def site_of(q):
-        return SpikeSite(name=q.name, theta=float(q.alpha.data), scale=float(q.alpha.data),
-                         offset=float(q.beta.data), T=q.code_max)
+        return SpikeSite(name=q.name, theta=float(q.alpha.data), offset=float(q.beta.data),
+                         T=q.code_max)
 
     def test_count_equals_code(self):
         assert self.site_of(self.Q).encode_counts(np.array([1.0]))[0] == 2
@@ -138,7 +122,7 @@ class TestQuantizedCodec:
 
 class TestThresholdScale:
     def site(self, theta=0.5, T=3):
-        return SpikeSite(name="s", theta=theta, scale=theta, offset=0.1, T=T)
+        return SpikeSite(name="s", theta=theta, offset=0.1, T=T)
 
     def test_saturated_counts_collapse(self):
         site = self.site()
@@ -172,4 +156,4 @@ def test_spike_train_invariants():
     assert counts.shape == drive.shape
     assert np.array_equal(counts, np.round(counts))
     assert counts.min() >= 0 and counts.max() <= 3
-    assert np.array_equal(counts, literal_if_simulator(drive, 3, 1.0).sum(axis=0))
+    assert np.array_equal(counts, simulate_if(drive, 3, 1.0).sum(axis=0))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spikescan.numerics as nm
+import spikescan.ssm as ssm
 from spikescan.activations import pow2_silu, pow2_softplus
+from spikescan.spike import SpikeSite
 from spikescan.ssm import (EXP_HI, EXP_LO, ForecastModel, ModelConfig, SPIKE_SITES,
                            block_forward_ann, pow2_round_ste, selective_scan)
 from spikescan.energy import OpCounters
@@ -247,7 +249,7 @@ def test_ann_snn_equivalence_on_unseen_inputs(bits, blocks, state_size, conv_ker
     snn = m.forward(x, counters=ct).data
     m.mode = "ann"
     ann = m.forward(x).data
-    assert np.max(np.abs(ann - snn)) <= 1e-9
+    assert np.array_equal(ann, snn)
     # criterion 10: accumulates == spike count x fan-out, per block
     n, r, dh, K = state_size, cfg.delta_rank, d_hidden, conv_kernel
     for i in range(blocks):
@@ -289,8 +291,8 @@ PINNED_SITES = {
 }
 
 
-def test_spiking_tallies_are_pinned():
-    """Every layer's op tally and every site's spikes on a seeded two-block model."""
+def pinned_model():
+    """A converted seeded two-block model with negative site offsets, and an unseen input."""
     cfg = small_cfg(blocks=2)
     m = ForecastModel.build(cfg, seed=7)
     rng = np.random.default_rng(7)
@@ -299,11 +301,46 @@ def test_spiking_tallies_are_pinned():
             blk.quantizers[s].set_beta(-rng.uniform(0.05, 0.5))
     m.calibrate(rng.normal(size=(16, cfg.history, cfg.d_value)))
     convert_to_snn(m)
+    return m, 2.0 * rng.normal(size=(4, cfg.history, cfg.d_value))
+
+
+def test_spiking_tallies_are_pinned():
+    """Every layer's op tally and every site's spikes on a seeded two-block model."""
+    m, x = pinned_model()
     ct = OpCounters()
-    m.forward(2.0 * rng.normal(size=(4, cfg.history, cfg.d_value)), counters=ct)
+    m.forward(x, counters=ct)
     assert list(ct.layers.items()) == list(PINNED_LAYERS.items())
     assert ct.sites == {name: {"spikes": sp, "neurons": nr, "mid": mid, "T": 3}
                         for name, (sp, nr, mid) in PINNED_SITES.items()}
+
+
+def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
+    """Every spike site sees bit for bit the drive its quantizer sees."""
+    m, x = pinned_model()
+    drives = {"ann": {}, "snn": {}}
+    quantize, encode_counts = ssm.quantize, SpikeSite.encode_counts
+
+    def ann_site(t, q, smooth=False):
+        drives["ann"].setdefault(q.name, []).append(t.data)
+        return quantize(t, q, smooth)
+
+    def snn_site(site, pre):
+        drives["snn"].setdefault(site.name, []).append(pre)
+        return encode_counts(site, pre)
+
+    monkeypatch.setattr(ssm, "quantize", ann_site)
+    monkeypatch.setattr(SpikeSite, "encode_counts", snn_site)
+    m.forward(x)
+    m.mode = "ann"
+    m.forward(x)
+    names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
+    assert sorted(drives["snn"]) == sorted(names)
+    for name in names:
+        ann, snn = drives["ann"][name], drives["snn"][name]
+        if name.endswith(".y"):  # the taped forward encodes y one step at a time
+            ann = [np.stack(ann, axis=1)]
+        assert len(ann) == len(snn), name
+        assert all(np.array_equal(a, s) for a, s in zip(ann, snn)), name
 
 
 def test_multi_block_equivalence():
@@ -312,7 +349,7 @@ def test_multi_block_equivalence():
     snn = m.forward(x).data
     m.mode = "ann"
     ann = m.forward(x).data
-    assert np.max(np.abs(ann - snn)) <= 1e-9
+    assert np.array_equal(ann, snn)
 
 
 def fd_check_parameters(model, x, y, entries=3, eps=1e-5, tol=1e-3):

@@ -412,6 +412,25 @@ def _unknown_mode(meta):
     meta["mode"] = "hybrid"
 
 
+def _quantizer_bits(meta):
+    meta["quantizers"][0]["h"]["bits"] = 5
+
+
+def _site_window(meta):
+    meta["sites"][0]["h"]["T"] = 7
+
+
+def _site_scale(meta):
+    meta["sites"][0]["y"]["scale"] *= 2
+
+
+def _set(group, site, key, value):
+    def change(meta):
+        meta[group][0][site][key] = value
+    change.__name__ = f"_{key}_{value}"
+    return change
+
+
 @pytest.mark.parametrize("change, defect", [
     (_drop_quantizers, "metadata is missing key 'quantizers'"),
     (_null_sites, "snn-mode checkpoint has no spike sites for block0"),
@@ -419,6 +438,13 @@ def _unknown_mode(meta):
     (_symmetric, "quantizer block0.h: symmetric"),
     (_extra_block, "2 quantizer and 1 site entries for 1 blocks"),
     (_unknown_mode, "unknown mode 'hybrid'"),
+    (_quantizer_bits, "quantizer block0.h: 5 bits, the config has 2"),
+    (_site_window, "spike site block0.h: window T=7 exceeds the largest 2-bit code 3"),
+    (_site_scale, "spike site block0.y: decode scale .* differs from threshold"),
+    (_set("quantizers", "conv", "alpha", float("inf")), "quantizer block0.conv: alpha must be finite, got inf"),
+    (_set("quantizers", "x_in", "beta", float("nan")), "quantizer block0.x_in: beta must be finite, got nan"),
+    (_set("sites", "h", "theta", float("inf")), "spike site block0.h: threshold must be positive and finite, got inf"),
+    (_set("sites", "conv", "offset", -float("inf")), "spike site block0.conv: offset must be finite, got -inf"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
