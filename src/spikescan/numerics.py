@@ -16,9 +16,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = ["Tensor", "GradTape", "backward", "tensor", "record_op", "active_tape", "add",
-           "sub", "mul", "neg", "scale", "unary", "exp", "linear", "causal_conv",
-           "depthwise_conv1d", "rmsnorm", "split_last", "permute", "reshape", "take_axis1",
-           "stack_axis1", "sum_axis", "sum_all", "mean_all", "mse"]
+           "sub", "mul", "neg", "scale", "unary", "exp", "linear", "depthwise_conv1d",
+           "rmsnorm", "split_last", "permute", "reshape", "take_axis1", "stack_axis1",
+           "sum_axis", "sum_all", "mean_all", "mse"]
 
 
 class Tensor:
@@ -247,16 +247,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def _causal_windows(x: np.ndarray, K: int) -> np.ndarray:
-    """[B, L, D] -> [B, L, D, K] windows of x left-padded with K-1 zeros."""
-    return np.lib.stride_tricks.sliding_window_view(np.pad(x, ((0, 0), (K - 1, 0), (0, 0))), K, axis=1)
-
-
-def causal_conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Untaped causal depthwise convolution, the forward of ``depthwise_conv1d``."""
-    return np.einsum("bldk,dk->bld", _causal_windows(x, k.shape[1]), k)
-
-
 def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
     """Causal depthwise convolution along the time axis.
 
@@ -271,13 +261,15 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
             f"depthwise_conv1d: kernel shape {k.data.shape} does not match input shape {x.data.shape}"
         )
     K = k.data.shape[1]
-    out = Tensor(causal_conv(x.data, k.data))
+    xpad = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))
+    xwin = np.lib.stride_tricks.sliding_window_view(xpad, K, axis=1)  # [B, L, D, K]
+    out = Tensor(np.einsum("bldk,dk->bld", xwin, k.data))
 
     def vjp(g, accumulate):
         gpad = np.pad(g, ((0, 0), (0, K - 1), (0, 0)))
         gwin = np.lib.stride_tricks.sliding_window_view(gpad, K, axis=1)  # [B, L, D, K]
         accumulate(x, np.einsum("bldk,dk->bld", gwin, k.data[:, ::-1]))
-        accumulate(k, np.einsum("bld,bldk->dk", g, _causal_windows(x.data, K)))
+        accumulate(k, np.einsum("bld,bldk->dk", g, xwin))
 
     record_op(out, vjp)
     return out
@@ -311,19 +303,19 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
     if sum(sizes) != x.data.shape[-1]:
         raise ValueError(f"split_last: sizes {tuple(sizes)} do not sum to last axis of {x.data.shape}")
     outs = []
-    offsets = np.cumsum([0] + list(sizes))
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
+    hi = 0
+    for size in sizes:
+        lo, hi = hi, hi + size
         piece = Tensor(np.ascontiguousarray(x.data[..., lo:hi]))
-        outs.append((piece, int(lo), int(hi)))
 
-    for piece, lo, hi in outs:
         def vjp(g, accumulate, lo=lo, hi=hi):
             full = np.zeros_like(x.data)
             full[..., lo:hi] = g
             accumulate(x, full)
 
         record_op(piece, vjp)
-    return tuple(p for p, _, _ in outs)
+        outs.append(piece)
+    return tuple(outs)
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:

@@ -173,7 +173,9 @@ def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> 
     """
     a, b = _check_usable(q)
     x = np.asarray(x, dtype=np.float64)
-    v = (x - b) / a
+    # in-place steps keep the temporaries of a [B, L, d] site to a few arrays
+    v = x - b
+    v /= a
     if smooth:
         r = v
     elif q.rounding == "nearest":
@@ -183,7 +185,9 @@ def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> 
     codes = np.clip(r, 0, q.code_max)
     mask_lo = v < 0
     mask_hi = v > q.code_max
-    return a * codes + b, QuantizeContext(v=v, codes=codes, mask_lo=mask_lo, mask_hi=mask_hi)
+    out = codes * a
+    out += b
+    return out, QuantizeContext(v=v, codes=codes, mask_lo=mask_lo, mask_hi=mask_hi)
 
 
 def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext) -> tuple[np.ndarray, float, float]:

@@ -36,14 +36,12 @@ __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
 
 def pow2_shift(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """v * 2**e via exponent manipulation (exact, no multiply)."""
+    """v * 2**e for integer exponents (a shift), bit for bit ``np.ldexp(v, e)``,
+    subnormal results included, while 2**e is a normal float (-1022 <= e <= 1023)."""
     e = np.asarray(e)
-    if not np.issubdtype(e.dtype, np.integer):
-        as_int = e.astype(np.int64)
-        if not np.array_equal(as_int, e):
-            raise ValueError("pow2_shift: exponents must be integers")
-        e = as_int
-    return np.ldexp(np.asarray(v, dtype=np.float64), e)
+    if e.dtype.kind not in "iu" and not (np.rint(e) == e).all():
+        raise ValueError("pow2_shift: exponents must be integers")
+    return np.asarray(v, dtype=np.float64) * np.exp2(e)
 
 
 @dataclass

@@ -12,20 +12,21 @@ One block is a gated selective scan over quantized activations:
     A                 = -exp(A_log)
     for t:  Abar_t    = 2 ** clip(rint(step_t * A), lo, hi)  # exact powers of two
             h_t       = SN(Abar_t * h_{t-1} + (step_t * B_t) * s_t)
-            y_t       = SN(sum_n C_t * h_t + D * s_t)
-    out               = x + W_out @ (y * pow2_silu(Q(x_res))) + b_out
+            y_t       = sum_n C_t * h_t + D * s_t
+    out               = x + W_out @ (SN(y) * pow2_silu(Q(x_res))) + b_out
 
 ``SN`` is a spike-encode site.  During training and real-arithmetic
 inference it quantizes onto the site grid with integrate-and-fire floor
 semantics; after conversion the same site emits spike counts by the same
-floor rule, so the counts are the codes.  The spiking forward decodes each
-site's counts once, ``offset + theta * count`` (the quantizer's
-``beta + alpha * code``), and runs the real-arithmetic forward's numpy ops on
-the decoded values, so every site drive, and with it every output, agrees
-bit for bit (a threshold-scaled site only while it saturates).  It runs the
-recurrence in ``selective_scan``, the only numpy copy of the scan, and
-re-encodes ``h`` through a per-step hook; since ``y`` never feeds back, it
-encodes the whole readout once.
+floor rule, so the counts are the codes, and decodes them once,
+``offset + theta * count`` (the quantizer's ``beta + alpha * code``).
+Both forwards run one block body, ``_block``, and differ only in the site
+encoder they bind, so every site drive, and with it every output, agrees
+bit for bit (a threshold-scaled site only while it saturates).  The
+recurrence runs in ``selective_scan``, the one loop over time, which
+re-encodes ``h`` through a per-step hook; since ``y`` never feeds back, its
+site encodes the whole readout once.  In training the scan is one tape op
+whose hand-written backward walks the steps in reverse.
 The model ends in a real-arithmetic head mapping the L history positions to
 the forecast horizon per variable.
 """
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t
-from .quantize import Quantizer, quantize, quantize_with_context
+# pow2_silu has no caller here; perfbench's tracer looks it up on this module
+from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t  # noqa: F401
+from .quantize import Quantizer, quantize, quantize_with_context, ste_backward
 from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
@@ -149,15 +151,20 @@ class BlockParams:
         return ps
 
 
+def _exponent(x: np.ndarray, smooth: bool) -> np.ndarray:
+    """The decay exponent of ``x = step * A``: clip(rint(x)), or clip(x) when ``smooth``."""
+    return np.clip(x if smooth else np.rint(x), EXP_LO, EXP_HI)
+
+
 def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
     """2**clip(rint(x), EXP_LO, EXP_HI) with a straight-through rounding gradient.
 
     Forward snaps the exponent to an integer (round half to even) so the
     result is an exact power of two; backward treats the rounding as
     identity, passing ln(2) * out inside the clamp and zero outside.
+    ``selective_scan`` applies the same rule to its decay.
     """
-    e = np.clip(x.data if smooth else np.rint(x.data), EXP_LO, EXP_HI)
-    val = np.exp2(e)
+    val = np.exp2(_exponent(x.data, smooth))
     out = nm.Tensor(val)
     mask = (x.data >= EXP_LO) & (x.data <= EXP_HI)
 
@@ -168,170 +175,207 @@ def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
     return out
 
 
-# --- real-arithmetic (taped) forward -----------------------------------------
-
-
-def _sn(x: nm.Tensor, q: Quantizer, smooth: bool, collect: dict | None) -> nm.Tensor:
-    """One spike-encode site in the real-arithmetic forward.
-
-    During calibration (``collect`` given) a site that has no step size yet
-    acts as identity and records the arriving values; already-calibrated
-    sites quantize as usual, so each site is initialized against the value
-    distribution it will actually see.
-    """
-    if collect is not None and not q.initialized:
-        collect.setdefault(q.name, []).append(x.data)
-        return x
-    return quantize(x, q, smooth=smooth)
-
-
-def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
-                      smooth: bool = False, collect: dict | None = None) -> nm.Tensor:
-    B, L, dv = x.data.shape
-    dh, n, r = cfg.d_hidden, cfg.state_size, cfg.delta_rank
-    q = p.quantizers
-
-    xn = nm.rmsnorm(x, p.g_norm, cfg.rmsnorm_eps)
-    x_in, x_res = nm.split_last(nm.linear(xn, p.W_in), [dh, dh])
-    s_in = _sn(x_in, q["x_in"], smooth, collect)
-    s = _sn(nm.depthwise_conv1d(s_in, p.conv_k), q["conv"], smooth, collect)
-
-    d_raw, B_seq, C_seq = nm.split_last(nm.linear(s, p.W, p.b), [r, n, n])
-    d_spikes = _sn(d_raw, q["delta_raw"], smooth, collect)
-    step_int = _sn(nm.linear(d_spikes, p.W_delta, p.b_delta), q["delta_int"], smooth, collect)
-    step = _sn(pow2_softplus_t(step_int), q["delta"], smooth, collect)
-
-    A = nm.neg(nm.exp(p.A_log))  # [dh, n]
-    h = nm.tensor(np.zeros((B, dh, n)))
-    ys = []
-    for t in range(L):
-        step_t = nm.reshape(nm.take_axis1(step, t), (B, dh, 1))
-        B_t = nm.reshape(nm.take_axis1(B_seq, t), (B, 1, n))
-        C_t = nm.reshape(nm.take_axis1(C_seq, t), (B, 1, n))
-        u_t = nm.take_axis1(s, t)  # [B, dh]
-        Abar = pow2_round_ste(nm.mul(step_t, A), smooth=smooth)
-        Bbar = nm.mul(step_t, B_t)  # [B, dh, n]
-        h_pre = nm.add(nm.mul(Abar, h), nm.mul(Bbar, nm.reshape(u_t, (B, dh, 1))))
-        h = _sn(h_pre, q["h"], smooth, collect)
-        y_pre = nm.add(nm.sum_axis(nm.mul(h, C_t), axis=2), nm.mul(p.D, u_t))
-        ys.append(_sn(y_pre, q["y"], smooth, collect))
-    y = nm.stack_axis1(ys)  # [B, L, dh]
-
-    gate_in = _sn(x_res, q["x_res"], smooth, collect)
-    gated = nm.mul(y, pow2_silu_t(gate_in))
-    z = nm.linear(gated, p.W_out, p.b_out)
-    return nm.add(x, z)
-
-
-# --- spiking forward ----------------------------------------------------------
+# --- the block ------------------------------------------------------------------
 
 
 def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
-                   D: np.ndarray, u: np.ndarray, encode_h=None) -> np.ndarray:
+                   D: np.ndarray, u: np.ndarray, encode_h=None, smooth: bool = False) -> np.ndarray:
     """The selective scan over [B, L, ...] arrays; returns the readout y [B, L, dh].
 
     Each step decays the state by the exact power of two
     ``2 ** clip(rint(step_t * A))`` (applied with ``pow2_shift``), adds
     ``(step_t * B_t) * u_t``, passes the state through ``encode_h(t, h)``
-    when given, and reads out ``sum_n C_t h_t + D u_t``.  The spiking forward
-    re-encodes the state through its ``h`` site in the hook; without one the
-    scan is the bare time-varying linear recurrence.
+    when given, and reads out ``sum_n C_t h_t + D u_t``.  Both forwards
+    re-encode the state through their ``h`` site in the hook; without one the
+    scan is the bare time-varying linear recurrence.  ``smooth`` keeps the
+    exponent unrounded (the finite-difference surrogate of ``quantize``).
     """
     B, L, dh = u.shape
     h = np.zeros((B, dh, A.shape[1]))
     y = np.empty((B, L, dh))
     for t in range(L):
         step_t = step[:, t][:, :, None]
-        e = np.clip(np.rint(step_t * A), EXP_LO, EXP_HI).astype(np.int64)
-        h = pow2_shift(h, e) + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
+        e = _exponent(step_t * A, smooth)
+        h = h * np.exp2(e) if smooth else pow2_shift(h, e)
+        h = h + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
         if encode_h is not None:
             h = encode_h(t, h)
         y[:, t] = (h * C_seq[:, t][:, None, :]).sum(axis=2) + D * u[:, t]
     return y
 
 
-class _CounterHooks:
-    """No-op counter sink used when profiling is off."""
+def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counters, tag: str) -> nm.Tensor:
+    """One block's dataflow, the same in both forwards.
 
-    def add(self, layer: str, **kinds) -> None:
-        pass
+    ``encode(name, t)`` returns site ``name``'s values and spike counts
+    (``None`` outside the spiking forward); ``scan(step, A, B_seq, C_seq, D,
+    u, u_counts)`` returns the scan's readout.  ``counters``, unless ``None``,
+    gets each layer's op tally right after the layer.
+    """
+    dv, dh, n, r = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank
 
-    def record_site(self, site: str, counts: np.ndarray, T: int) -> None:
-        pass
+    xn = nm.rmsnorm(x, p.g_norm, cfg.rmsnorm_eps)
+    if counters is not None:
+        counters.add(f"{tag}.rmsnorm", mac=2 * xn.data.size)
+    proj = nm.linear(xn, p.W_in)
+    if counters is not None:
+        counters.add(f"{tag}.in_proj", mac=xn.data.size * 2 * dh)
+    x_in, x_res = nm.split_last(proj, [dh, dh])
+
+    s_in, c_in = encode("x_in", x_in)
+    conv_pre = nm.depthwise_conv1d(s_in, p.conv_k)
+    if counters is not None:
+        counters.add(f"{tag}.conv", acc=int(c_in.sum()) * cfg.conv_kernel, acc_bias=conv_pre.data.size)
+    s, c_s = encode("conv", conv_pre)
+
+    pbc = nm.linear(s, p.W, p.b)
+    if counters is not None:
+        counters.add(f"{tag}.proj", acc=int(c_s.sum()) * (r + 2 * n), acc_bias=2 * pbc.data.size)
+    d_raw, B_seq, C_seq = nm.split_last(pbc, [r, n, n])
+    d_spikes, c_dr = encode("delta_raw", d_raw)
+    dproj = nm.linear(d_spikes, p.W_delta, p.b_delta)
+    if counters is not None:
+        counters.add(f"{tag}.delta_proj", acc=int(c_dr.sum()) * dh, acc_bias=2 * dproj.data.size)
+    step_int, _ = encode("delta_int", dproj)
+    step_pt = pow2_softplus_t(step_int)
+    if counters is not None:
+        counters.add(f"{tag}.delta_proj", shift=step_pt.data.size, acc_bias=step_pt.data.size)
+    step, _ = encode("delta", step_pt)
+
+    A = nm.neg(nm.exp(p.A_log))  # [dh, n]
+    y, y_counts = encode("y", scan(step, A, B_seq, C_seq, p.D, s, c_s))  # y never feeds back
+
+    gate_in, _ = encode("x_res", x_res)
+    gate = pow2_silu_t(gate_in)
+    if counters is not None:
+        counters.add(f"{tag}.gate", shift=gate.data.size, acc_bias=gate.data.size)
+    gated = nm.mul(y, gate)
+    if counters is not None:
+        counters.add(f"{tag}.gate", acc=int(y_counts.sum()))
+    z = nm.linear(gated, p.W_out, p.b_out)
+    if counters is not None:
+        counters.add(f"{tag}.out_proj", mac=gated.data.size * dv, acc_bias=z.data.size)
+    return nm.add(x, z)
+
+
+def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, saved: list, smooth: bool):
+    """Backward of the taped scan; ``saved`` holds each step's state and its h context.
+
+    Under the straight-through estimator the state gradient runs back through
+    the linear recurrence ``g_{t-1} = Abar_t * ste(g_t + C_t dy_t)``, one
+    reverse loop; every other gradient is a sum over the saved steps.
+    """
+    def vjp(gy, accumulate):
+        st, Ad, Bs, us = step.data, A.data, B_seq.data, u.data
+        x = st[..., None] * Ad  # [B, L, dh, n], the forward's products
+        abar = np.exp2(_exponent(x, smooth))
+        h = np.stack([h_t for h_t, _ in saved], axis=1)  # [B, L, dh, n]
+        g_pre = np.empty_like(h)
+        g = np.zeros_like(h[:, 0])
+        g_alpha = g_beta = 0.0
+        for t in range(h.shape[1] - 1, -1, -1):
+            g = g + gy[:, t][:, :, None] * C_seq.data[:, t][:, None, :]
+            g, ga, gb = ste_backward(g, saved[t][1])
+            g_alpha, g_beta = g_alpha + ga, g_beta + gb
+            g_pre[:, t] = g
+            g = g * abar[:, t]
+        h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
+        g_x = g_pre * h_prev * abar * (LN2 * ((x >= EXP_LO) & (x <= EXP_HI)))
+        g_bu = (g_pre * Bs[:, :, None, :]).sum(axis=3)  # [B, L, dh]
+        accumulate(step, us * g_bu + (g_x * Ad).sum(axis=3))
+        accumulate(A, (g_x * st[..., None]).sum(axis=(0, 1)))
+        accumulate(B_seq, (g_pre * (st * us)[..., None]).sum(axis=2))
+        accumulate(C_seq, (gy[..., None] * h).sum(axis=2))
+        accumulate(D, (gy * us).sum(axis=(0, 1)))
+        accumulate(u, st * g_bu + gy * D.data)
+        if q.alpha.trainable:
+            accumulate(q.alpha, np.asarray(g_alpha))
+        if q.beta.trainable:
+            accumulate(q.beta, np.asarray(g_beta))
+
+    return vjp
+
+
+def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
+                      smooth: bool = False, collect: dict | None = None) -> nm.Tensor:
+    """Real-arithmetic forward of one block; under an active tape the scan is one tape op.
+
+    During calibration (``collect`` given) a site that has no step size yet
+    acts as identity and records the arriving values; already-calibrated
+    sites quantize as usual, so each site is initialized against the value
+    distribution it will actually see.
+    """
+    q = p.quantizers
+
+    def pending(name: str, v: np.ndarray) -> bool:
+        if collect is None or q[name].initialized:
+            return False
+        collect.setdefault(q[name].name, []).append(v)
+        return True
+
+    def encode(name, t):
+        return (t if pending(name, t.data) else quantize(t, q[name], smooth=smooth)), None
+
+    def scan(step, A, B_seq, C_seq, D, u, u_counts):
+        saved = [] if nm.active_tape() is not None else None  # per-step state, only for a backward
+
+        def encode_h(t, h_pre):
+            if pending("h", h_pre):
+                return h_pre
+            h, ctx = quantize_with_context(h_pre, q["h"], smooth)
+            if saved is not None:
+                saved.append((h, ctx))
+            return h
+
+        y = nm.Tensor(selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data,
+                                     encode_h, smooth))
+        if saved is not None:
+            nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, q["h"], saved, smooth))
+        return y
+
+    return _block(x, p, cfg, encode, scan, None, "block")
 
 
 def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=None, tag: str = "block") -> np.ndarray:
-    """Spike-driven forward of one converted block (numpy, no tape)."""
+    """Spike-driven forward of one converted block (numpy, no tape).
+
+    Each spike site emits counts and decodes them once, ``offset + theta *
+    count``; ``delta_int`` and ``x_res`` stay real-arithmetic quantizers.
+    """
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
-    ct = counters if counters is not None else _CounterHooks()
-    B, _, dv = x.shape
-    dh, n, r = cfg.d_hidden, cfg.state_size, cfg.delta_rank
-    sites = p.sites
-
     T_pass = 2 ** cfg.bits - 1
 
-    def encode(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The site's spike counts and their decoded values."""
-        site = sites[name]
-        counts = site.encode_counts(pre)
-        values = site.decode_counts(counts)
-        ct.add(f"{tag}.{name}", cmp=pre.size * site.T)
-        # rate is spikes per (neuron, timestep) slot of the pass window, so a
-        # threshold-scaled site with a collapsed T reports a lower rate
-        ct.record_site(f"{tag}.{name}", counts, T_pass)
-        return counts, values
+    def encode(name, t):
+        site = p.sites.get(name)
+        if site is None:
+            return quantize(t, p.quantizers[name]), None
+        counts = site.encode_counts(t.data)
+        if counters is not None:
+            counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
+            # rate is spikes per (neuron, timestep) slot of the pass window, so a
+            # threshold-scaled site with a collapsed T reports a lower rate
+            counters.record_site(f"{tag}.{name}", counts, T_pass)
+        return nm.Tensor(site.decode_counts(counts)), counts
 
-    rms = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + cfg.rmsnorm_eps)
-    xn = x * p.g_norm.data * rms
-    ct.add(f"{tag}.rmsnorm", mac=2 * xn.size)
-    proj = xn @ p.W_in.data
-    ct.add(f"{tag}.in_proj", mac=xn.size * 2 * dh)
-    x_in, x_res = proj[..., :dh], proj[..., dh:]
+    def scan(step, A, B_seq, C_seq, D, u, u_counts):
+        spikes = [0]  # per step, the state's spikes; it starts at 0 with none
 
-    c_in, s_in = encode("x_in", x_in)
-    conv_pre = nm.causal_conv(s_in, p.conv_k.data)
-    ct.add(f"{tag}.conv", acc=int(c_in.sum()) * cfg.conv_kernel, acc_bias=conv_pre.size)
-    c_s, s = encode("conv", conv_pre)
+        def encode_h(t, h_pre):
+            if counters is not None:
+                # step * A and step * B products; one shift per surviving state spike
+                counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1],
+                             acc=int(u_counts[:, t].sum()) * cfg.state_size)
+            h, counts = encode("h", nm.Tensor(h_pre))
+            spikes.append(int(counts.sum()))
+            return h.data
 
-    pbc = s @ p.W.data + p.b.data
-    ct.add(f"{tag}.proj", acc=int(c_s.sum()) * (r + 2 * n), acc_bias=2 * pbc.size)
-    d_raw, B_seq, C_seq = pbc[..., :r], pbc[..., r:r + n], pbc[..., r + n:]
+        y = selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data, encode_h)
+        if counters is not None:
+            counters.add(f"{tag}.scan", acc=sum(spikes) + int(u_counts.sum()))
+        return nm.Tensor(y)
 
-    c_dr, d_spikes = encode("delta_raw", d_raw)
-    dproj = d_spikes @ p.W_delta.data + p.b_delta.data
-    ct.add(f"{tag}.delta_proj", acc=int(c_dr.sum()) * dh, acc_bias=2 * dproj.size)
-    step_int, _ = quantize_with_context(dproj, p.quantizers["delta_int"])
-    step_pt = pow2_softplus(step_int)
-    ct.add(f"{tag}.delta_proj", shift=step_pt.size, acc_bias=step_pt.size)
-    _, step = encode("delta", step_pt)
-
-    # the hook tallies each step's scan ops, then re-encodes the state through
-    # the h site; y never feeds back, so its site encodes the whole readout once
-    prev_counts = np.zeros((B, dh, n))  # the state starts at 0 with no spikes
-    h_spikes = 0
-
-    def encode_h(t: int, h_pre: np.ndarray) -> np.ndarray:
-        nonlocal prev_counts, h_spikes
-        # step * A and step * B products; one shift per surviving state spike
-        ct.add(f"{tag}.scan", mac=2 * h_pre.size, shift=int(prev_counts.sum()),
-               acc=int(c_s[:, t].sum()) * n)
-        prev_counts, h = encode("h", h_pre)
-        h_spikes += int(prev_counts.sum())
-        return h
-
-    y_pre = selective_scan(step, -np.exp(p.A_log.data), B_seq, C_seq, p.D.data, s, encode_h)
-    ct.add(f"{tag}.scan", acc=h_spikes + int(c_s.sum()))
-    y_counts, y = encode("y", y_pre)  # [B, L, dh]
-
-    gate_vals, _ = quantize_with_context(x_res, p.quantizers["x_res"])
-    gate = pow2_silu(gate_vals)
-    ct.add(f"{tag}.gate", shift=gate.size, acc_bias=gate.size)
-    gated = y * gate
-    ct.add(f"{tag}.gate", acc=int(y_counts.sum()))
-    z = gated @ p.W_out.data + p.b_out.data
-    ct.add(f"{tag}.out_proj", mac=gated.size * dv, acc_bias=z.size)
-    return x + z
+    return _block(nm.Tensor(x), p, cfg, encode, scan, counters, tag).data
 
 
 # --- forecaster ---------------------------------------------------------------
@@ -389,7 +433,9 @@ class ForecastModel:
             h = nm.tensor(data)
             for blk in self.blocks:
                 h = block_forward_ann(h, blk, self.cfg, collect=collect)
-            vals = np.concatenate([v.ravel() for v in collect.get(q.name, [np.zeros(1)])])
+            if q.name not in collect:
+                raise RuntimeError(f"calibration: quantizer {q.name} collected no values")
+            vals = np.concatenate([v.ravel() for v in collect[q.name]])
             beta = float(q.beta.data) if q.beta is not None else 0.0
             q.calibrate(vals - beta)
 
@@ -409,6 +455,9 @@ class ForecastModel:
             raise ValueError(
                 f"forward: expected [B, {self.cfg.history}, {self.cfg.d_value}] input, got {arr.shape}"
             )
+        finite = np.isfinite(arr).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"forward: window {int(np.argmin(finite))} holds NaN or inf")
         if self.mode == "snn":
             h = arr
             for i, blk in enumerate(self.blocks):

@@ -323,9 +323,16 @@ def _model_from_metadata(meta: dict) -> ForecastModel:
         if set(sstates) != set(SPIKE_SITES):
             raise ValueError(f"block{i} spike sites {sorted(sstates)} are not {sorted(SPIKE_SITES)}")
         blk.sites = {s: SpikeSite.from_state(v) for s, v in sstates.items()}
+        T = 2 ** bits - 1
         for s, site in blk.sites.items():
-            if site.T > 2 ** bits - 1:
+            if site.T > T:
                 raise ValueError(f"spike site block{i}.{s}: window T={site.T} exceeds the "
-                                 f"largest {bits}-bit code {2 ** bits - 1}")
+                                 f"largest {bits}-bit code {T}")
+            # the site must count the quantizer's codes, or their threshold-scaled form
+            alpha, beta = float(blk.quantizers[s].alpha.data), float(blk.quantizers[s].beta.data)
+            if (site.theta, site.offset, site.T) not in ((alpha, beta, T), (alpha * T, beta, 1)):
+                raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = "
+                                 f"({site.theta}, {site.offset}, {site.T}) is neither the quantizer's "
+                                 f"({alpha}, {beta}, {T}) nor its threshold-scaled ({alpha * T}, {beta}, 1)")
     model.mode = mode
     return model

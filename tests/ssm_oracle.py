@@ -1,11 +1,18 @@
-"""Dense state-space oracles the scan tests check against.
+"""Oracles the scan and block tests check against.
 
 ``dense_ssm_reference`` runs the literal recurrence with full matrices;
 ``ssm_kernel`` and ``apply_kernel`` compute the same output as a causal
-convolution with the impulse response.
+convolution with the impulse response.  ``taped_forward`` is the model's
+real-arithmetic forward with the scan unrolled into per-step tape
+primitives, the gradient reference for the scan's hand-written backward.
 """
 
 import numpy as np
+
+import spikescan.numerics as nm
+from spikescan.activations import pow2_silu_t, pow2_softplus_t
+from spikescan.quantize import quantize
+from spikescan.ssm import forecast_head, pow2_round_ste
 
 
 def dense_ssm_reference(A_d: np.ndarray, B_d: np.ndarray, C: np.ndarray,
@@ -54,3 +61,47 @@ def apply_kernel(u: np.ndarray, K: np.ndarray, D: np.ndarray | None = None) -> n
         if D is not None:
             y[t] += np.asarray(D) @ u[t]
     return y
+
+
+def taped_block(x: nm.Tensor, p, cfg, smooth: bool = False) -> nm.Tensor:
+    """One block with every step of the scan recorded primitive by primitive."""
+    B, L, dv = x.data.shape
+    dh, n, r = cfg.d_hidden, cfg.state_size, cfg.delta_rank
+    q = p.quantizers
+
+    def site(t, name):
+        return quantize(t, q[name], smooth=smooth)
+
+    xn = nm.rmsnorm(x, p.g_norm, cfg.rmsnorm_eps)
+    x_in, x_res = nm.split_last(nm.linear(xn, p.W_in), [dh, dh])
+    s = site(nm.depthwise_conv1d(site(x_in, "x_in"), p.conv_k), "conv")
+    d_raw, B_seq, C_seq = nm.split_last(nm.linear(s, p.W, p.b), [r, n, n])
+    step_int = site(nm.linear(site(d_raw, "delta_raw"), p.W_delta, p.b_delta), "delta_int")
+    step = site(pow2_softplus_t(step_int), "delta")
+
+    A = nm.neg(nm.exp(p.A_log))  # [dh, n]
+    h = nm.tensor(np.zeros((B, dh, n)))
+    ys = []
+    for t in range(L):
+        step_t = nm.reshape(nm.take_axis1(step, t), (B, dh, 1))
+        B_t = nm.reshape(nm.take_axis1(B_seq, t), (B, 1, n))
+        C_t = nm.reshape(nm.take_axis1(C_seq, t), (B, 1, n))
+        u_t = nm.take_axis1(s, t)  # [B, dh]
+        Abar = pow2_round_ste(nm.mul(step_t, A), smooth=smooth)
+        Bbar = nm.mul(step_t, B_t)  # [B, dh, n]
+        h_pre = nm.add(nm.mul(Abar, h), nm.mul(Bbar, nm.reshape(u_t, (B, dh, 1))))
+        h = site(h_pre, "h")
+        y_pre = nm.add(nm.sum_axis(nm.mul(h, C_t), axis=2), nm.mul(p.D, u_t))
+        ys.append(site(y_pre, "y"))
+    y = nm.stack_axis1(ys)  # [B, L, dh]
+
+    gated = nm.mul(y, pow2_silu_t(site(x_res, "x_res")))
+    return nm.add(x, nm.linear(gated, p.W_out, p.b_out))
+
+
+def taped_forward(model, x: np.ndarray, smooth: bool = False) -> nm.Tensor:
+    """``ForecastModel.forward`` in real-arithmetic mode, built on ``taped_block``."""
+    t = nm.tensor(x)
+    for blk in model.blocks:
+        t = taped_block(t, blk, model.cfg, smooth)
+    return forecast_head(t, model.W_head, model.b_head)

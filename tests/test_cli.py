@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spikescan.dataset import load_csv, make_coupled_sinusoids, write_csv
+from spikescan.spike import threshold_scale
 from spikescan.train import load_checkpoint, save_checkpoint
 
 HISTORY, HORIZON = 8, 2
@@ -85,10 +86,9 @@ def test_verify_passes_on_good_checkpoint(work):
 
 
 def test_verify_fails_on_tampered_checkpoint(work):
+    # a threshold-scaled site loads, but y codes mid-range, so scaling it breaks equivalence
     model, meta = load_checkpoint(str(work / "snn.ckpt"))
-    site = model.blocks[0].sites["y"]
-    model.blocks[0].sites["y"] = type(site)(name=site.name, theta=site.theta * 7,
-                                            offset=site.offset, T=site.T)
+    model.blocks[0].sites["y"] = threshold_scale(model.blocks[0].sites["y"])
     bad = work / "bad.ckpt"
     save_checkpoint(str(bad), model, norm=meta["norm"])
     p = run("verify", "--model", str(bad),
@@ -128,6 +128,20 @@ def test_infinite_site_threshold_is_a_usage_error(work):
     p = run("forecast", "--model", str(bad), "--data", str(work / "series.csv"), "--has-header",
             "--out", str(work / "inf_theta.csv"), expect=2)
     assert "inf_theta.ckpt: spike site block0.h: threshold" in p.stderr
+
+
+def test_site_inconsistent_with_its_quantizer_is_a_usage_error(work):
+    raw = (work / "snn.ckpt").read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    meta["sites"][0]["y"]["T"] = 2
+    blob = json.dumps(meta).encode()
+    bad = work / "y_window.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:])
+    p = run("forecast", "--model", str(bad), "--data", str(work / "series.csv"), "--has-header",
+            "--out", str(work / "y_window.csv"), expect=2)
+    assert "y_window.ckpt: spike site block0.y: (theta, offset, T)" in p.stderr
+    assert "Traceback" not in p.stderr
 
 
 def test_truncated_checkpoint_is_a_usage_error(work):

@@ -5,7 +5,7 @@ import pytest
 
 from spikescan.quantize import Quantizer, quantize_with_context
 from spikescan.spike import SpikeSite, pow2_shift, simulate_if, threshold_scale
-from spikescan.ssm import ForecastModel, ModelConfig
+from spikescan.ssm import EXP_HI, EXP_LO, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 
 
@@ -148,6 +148,13 @@ def test_pow2_shift_is_exact_ldexp():
     assert np.array_equal(pow2_shift(v, e), v * np.exp2(e))
     with pytest.raises(ValueError):
         pow2_shift(v, np.array([0.5, 0.0, 0.0]))
+    # every exponent the scan uses, on values that round once shifted into the subnormals
+    rng = np.random.default_rng(3)
+    e = np.repeat(np.arange(EXP_LO, EXP_HI + 1), 2000)
+    v = rng.uniform(-1.0, 1.0, size=e.size) * 10.0 ** rng.uniform(-318.0, 3.0, size=e.size)
+    got = pow2_shift(v, e)
+    assert np.array_equal(got, np.ldexp(v, e))
+    assert np.count_nonzero((got != 0) & (np.abs(got) < np.finfo(np.float64).tiny)) > 1000
 
 
 def test_spike_train_invariants():

@@ -15,7 +15,7 @@ from spikescan.ssm import (EXP_HI, EXP_LO, ForecastModel, ModelConfig, SPIKE_SIT
                            block_forward_ann, pow2_round_ste, selective_scan)
 from spikescan.energy import OpCounters
 from spikescan.train import convert_to_snn
-from ssm_oracle import apply_kernel, dense_ssm_reference, ssm_kernel
+from ssm_oracle import apply_kernel, dense_ssm_reference, ssm_kernel, taped_forward
 
 RNG = np.random.default_rng(99)
 
@@ -131,6 +131,34 @@ def test_forward_validates_input_shape():
     with pytest.raises(ValueError) as e:
         m.forward(np.zeros((2, 5, 2)))
     assert "10" in str(e.value)
+
+
+def test_forward_names_the_first_non_finite_window():
+    m, x = calibrated_model()
+    for bad in (np.nan, -np.inf):
+        xb = x.copy()
+        xb[3, 4, 1] = bad
+        xb[7, 0, 0] = bad
+        with pytest.raises(ValueError, match="forward: window 3 holds NaN or inf"):
+            m.forward(xb)
+
+
+def test_calibration_rejects_a_site_that_collected_nothing(monkeypatch):
+    """A site the forward forgets to collect fails calibration instead of getting a made-up step."""
+
+    class SkipY:
+        def __init__(self, collect):
+            self.collect = collect
+
+        def setdefault(self, name, default):
+            return [] if name == "block0.y" else self.collect.setdefault(name, default)
+
+    forward = ssm.block_forward_ann
+    monkeypatch.setattr(ssm, "block_forward_ann",
+                        lambda x, p, cfg, smooth=False, collect=None: forward(x, p, cfg, smooth, SkipY(collect)))
+    m = ForecastModel.build(small_cfg(), seed=0)
+    with pytest.raises(RuntimeError, match="block0.y"):
+        m.calibrate(np.random.default_rng(0).normal(size=(4, 10, 2)))
 
 
 def straight_line_block(x, p, cfg):
@@ -315,30 +343,38 @@ def test_spiking_tallies_are_pinned():
 
 
 def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
-    """Every spike site sees bit for bit the drive its quantizer sees."""
+    """At every encode point, each spike site sees bit for bit the drive its quantizer sees."""
     m, x = pinned_model()
+    names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
     drives = {"ann": {}, "snn": {}}
-    quantize, encode_counts = ssm.quantize, SpikeSite.encode_counts
+    quantize, quantize_with_context = ssm.quantize, ssm.quantize_with_context
+    encode_counts = SpikeSite.encode_counts
+
+    def record(mode, name, pre):
+        if name in names:  # delta_int and x_res quantize in both modes
+            drives[mode].setdefault(name, []).append(pre)
 
     def ann_site(t, q, smooth=False):
-        drives["ann"].setdefault(q.name, []).append(t.data)
+        record("ann", q.name, t.data)
         return quantize(t, q, smooth)
 
+    def ann_state(v, q, smooth=False):  # the scan's per-step h hook
+        record("ann", q.name, v)
+        return quantize_with_context(v, q, smooth)
+
     def snn_site(site, pre):
-        drives["snn"].setdefault(site.name, []).append(pre)
+        record("snn", site.name, pre)
         return encode_counts(site, pre)
 
     monkeypatch.setattr(ssm, "quantize", ann_site)
+    monkeypatch.setattr(ssm, "quantize_with_context", ann_state)
     monkeypatch.setattr(SpikeSite, "encode_counts", snn_site)
     m.forward(x)
     m.mode = "ann"
     m.forward(x)
-    names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
-    assert sorted(drives["snn"]) == sorted(names)
+    assert sorted(drives["snn"]) == sorted(drives["ann"]) == sorted(names)
     for name in names:
         ann, snn = drives["ann"][name], drives["snn"][name]
-        if name.endswith(".y"):  # the taped forward encodes y one step at a time
-            ann = [np.stack(ann, axis=1)]
         assert len(ann) == len(snn), name
         assert all(np.array_equal(a, s) for a, s in zip(ann, snn)), name
 
@@ -350,6 +386,35 @@ def test_multi_block_equivalence():
     m.mode = "ann"
     ann = m.forward(x).data
     assert np.array_equal(ann, snn)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bits=st.integers(1, 4), blocks=st.integers(1, 3), state_size=st.integers(1, 4),
+       smooth=st.booleans(), seed=st.integers(0, 2 ** 31))
+def test_gradients_match_the_per_step_taped_oracle(bits, blocks, state_size, smooth, seed):
+    """The scan's one tape op gives the gradients of the scan unrolled into primitives."""
+    rng = np.random.default_rng(seed)
+    cfg = small_cfg(bits=bits, blocks=blocks, state_size=state_size, history=int(rng.integers(3, 9)))
+    m = ForecastModel.build(cfg, seed=seed)
+    for blk in m.blocks:
+        for s in ("x_in", "conv", "delta_raw", "h", "y"):
+            blk.quantizers[s].set_beta(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0))
+    m.calibrate(rng.normal(size=(8, cfg.history, cfg.d_value)))
+    for blk in m.blocks:
+        blk.A_log.data[:, 0] = math.log(40.0)  # step >= 1, so this exponent clips at EXP_LO
+        blk.A_log.data[:, 1:] += rng.uniform(-1.0, 3.0, size=(cfg.d_hidden, state_size - 1))
+        blk.quantizers["h"].set_alpha(0.3 * float(blk.quantizers["h"].alpha.data))  # codes clip high
+    x = 2.0 * rng.normal(size=(5, cfg.history, cfg.d_value))
+    y = rng.normal(size=(5, cfg.horizon, cfg.d_value))
+    grads = []
+    for forward in (m.forward, lambda v, smooth: taped_forward(m, v, smooth)):
+        with nm.GradTape() as tape:
+            loss = nm.mse(forward(x, smooth=smooth), nm.tensor(y))
+        grads.append(nm.backward(tape, output=loss))
+    for p in m.parameters():
+        got, want = (np.asarray(g.get(p, np.zeros_like(p.data))) for g in grads)
+        scale = max(np.max(np.abs(got)), np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale, p.name
 
 
 def fd_check_parameters(model, x, y, entries=3, eps=1e-5, tol=1e-3):

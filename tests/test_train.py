@@ -445,6 +445,7 @@ def _set(group, site, key, value):
     (_set("quantizers", "x_in", "beta", float("nan")), "quantizer block0.x_in: beta must be finite, got nan"),
     (_set("sites", "h", "theta", float("inf")), "spike site block0.h: threshold must be positive and finite, got inf"),
     (_set("sites", "conv", "offset", -float("inf")), "spike site block0.conv: offset must be finite, got -inf"),
+    (_set("sites", "y", "T", 2), r"spike site block0.y: \(theta, offset, T\) = .* is neither the quantizer's"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
