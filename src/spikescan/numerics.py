@@ -260,16 +260,26 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
         raise ValueError(
             f"depthwise_conv1d: kernel shape {k.data.shape} does not match input shape {x.data.shape}"
         )
-    K = k.data.shape[1]
+    L, K = x.data.shape[1], k.data.shape[1]
+    kd = k.data
     xpad = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))
-    xwin = np.lib.stride_tricks.sliding_window_view(xpad, K, axis=1)  # [B, L, D, K]
-    out = Tensor(np.einsum("bldk,dk->bld", xwin, k.data))
+    # K shifted multiply-adds in tap order: the sum order of sum_j k[:, j] x[t - K+1 + j]
+    y = xpad[:, 0:L] * kd[:, 0]
+    for j in range(1, K):
+        y += xpad[:, j:j + L] * kd[:, j]
+    out = Tensor(y)
 
     def vjp(g, accumulate):
+        # out[t] reads x[t - K+1 + j] through tap j, so x[s] collects g[s + K-1 - j] k[:, j]
         gpad = np.pad(g, ((0, 0), (0, K - 1), (0, 0)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gpad, K, axis=1)  # [B, L, D, K]
-        accumulate(x, np.einsum("bldk,dk->bld", gwin, k.data[:, ::-1]))
-        accumulate(k, np.einsum("bld,bldk->dk", g, xwin))
+        gx = gpad[:, 0:L] * kd[:, K - 1]
+        for i in range(1, K):
+            gx += gpad[:, i:i + L] * kd[:, K - 1 - i]
+        accumulate(x, gx)
+        gk = np.empty_like(kd)
+        for j in range(K):
+            gk[:, j] = np.einsum("bld,bld->d", g, xpad[:, j:j + L])
+        accumulate(k, gk)
 
     record_op(out, vjp)
     return out

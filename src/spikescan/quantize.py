@@ -42,7 +42,8 @@ def round_half_away(v: np.ndarray) -> np.ndarray:
 
 def floor_with_snap(v: np.ndarray) -> np.ndarray:
     """Floor with a tiny positive nudge so exact grid points stay put."""
-    return np.floor(np.asarray(v, dtype=np.float64) + GRID_SNAP)
+    r = np.asarray(v, dtype=np.float64) + GRID_SNAP
+    return np.floor(r, out=r)
 
 
 def init_step_size(x: np.ndarray) -> float:
@@ -151,8 +152,7 @@ class QuantizeContext:
 
     v: np.ndarray
     codes: np.ndarray
-    mask_lo: np.ndarray
-    mask_hi: np.ndarray
+    clipped: np.ndarray  # v outside [0, code_max]
 
 
 def _check_usable(q: Quantizer) -> tuple[float, float]:
@@ -165,9 +165,10 @@ def _check_usable(q: Quantizer) -> tuple[float, float]:
     return a, b
 
 
-def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:
-    """Forward pass of the quantizer on raw values.
+def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward pass of the quantizer on raw values: ``(out, v, codes)``.
 
+    ``v = (x - beta) / alpha`` and ``codes`` are what a backward needs;
     ``smooth`` replaces rounding by identity inside the clip range (the
     straight-through surrogate used by finite-difference gradient checks).
     """
@@ -177,17 +178,21 @@ def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> 
     v = x - b
     v /= a
     if smooth:
-        r = v
-    elif q.rounding == "nearest":
-        r = round_half_away(v)
+        codes = np.clip(v, 0, q.code_max)
     else:
-        r = floor_with_snap(v)
-    codes = np.clip(r, 0, q.code_max)
-    mask_lo = v < 0
-    mask_hi = v > q.code_max
+        codes = round_half_away(v) if q.rounding == "nearest" else floor_with_snap(v)
+        np.clip(codes, 0, q.code_max, out=codes)
     out = codes * a
     out += b
-    return out, QuantizeContext(v=v, codes=codes, mask_lo=mask_lo, mask_hi=mask_hi)
+    return out, v, codes
+
+
+def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:
+    """``quantize_values`` plus the clip mask: the output and the context ``ste_backward`` reads."""
+    out, v, codes = quantize_values(x, q, smooth)
+    clipped = v < 0
+    clipped |= v > q.code_max
+    return out, QuantizeContext(v=v, codes=codes, clipped=clipped)
 
 
 def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext) -> tuple[np.ndarray, float, float]:
@@ -199,18 +204,22 @@ def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext) -> tuple[np.ndarray
         raise ValueError(
             f"ste_backward: grad shape {grad_out.shape} does not match forward shape {ctx.v.shape}"
         )
-    clipped = ctx.mask_lo | ctx.mask_hi
+    clipped = ctx.clipped
     grad_x = np.where(clipped, 0.0, grad_out)
     # Learned-step-size rule: clipped entries pull alpha toward the clip code,
     # in-range entries see the rounding residual (code - v).
     per_entry = np.where(clipped, ctx.codes, ctx.codes - ctx.v)
-    grad_alpha = float(np.sum(grad_out * per_entry))
-    grad_beta = float(np.sum(grad_out * clipped))
+    per_entry *= grad_out
+    grad_alpha = float(per_entry.sum())
+    np.multiply(grad_out, clipped, out=per_entry)  # reuses the buffer: one temporary fewer
+    grad_beta = float(per_entry.sum())
     return grad_x, grad_alpha, grad_beta
 
 
 def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False) -> nm.Tensor:
-    """Taped quantization of a Tensor through ``q``."""
+    """Taped quantization of a Tensor through ``q``; without a tape, values only."""
+    if nm.active_tape() is None:
+        return nm.Tensor(quantize_values(x.data, q, smooth)[0])
     xq, ctx = quantize_with_context(x.data, q, smooth=smooth)
     out = nm.Tensor(xq)
     alpha, beta = q.alpha, q.beta

@@ -62,10 +62,16 @@ class SpikeSite:
             raise ValueError(f"spike site {self.name}: offset must be finite, got {self.offset}")
 
     def encode_counts(self, pre: np.ndarray) -> np.ndarray:
-        return np.clip(floor_with_snap((pre - self.offset) / self.theta), 0, self.T)
+        # in place, as in ``quantize_values``: same operations, fewer temporaries
+        d = pre - self.offset
+        d /= self.theta
+        counts = floor_with_snap(d)
+        return np.clip(counts, 0, self.T, out=counts)
 
     def decode_counts(self, counts: np.ndarray) -> np.ndarray:
-        return self.offset + self.theta * counts
+        out = counts * self.theta
+        out += self.offset
+        return out
 
     def state(self) -> dict:
         # checkpoint format v1 keeps the decode "scale" key; it is always theta

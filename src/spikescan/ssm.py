@@ -41,7 +41,7 @@ import numpy as np
 from . import numerics as nm
 # pow2_silu has no caller here; perfbench's tracer looks it up on this module
 from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t  # noqa: F401
-from .quantize import Quantizer, quantize, quantize_with_context, ste_backward
+from .quantize import Quantizer, quantize, quantize_values, quantize_with_context, ste_backward
 from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
@@ -221,29 +221,38 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counter
     if counters is not None:
         counters.add(f"{tag}.in_proj", mac=xn.data.size * 2 * dh)
     x_in, x_res = nm.split_last(proj, [dh, dh])
+    # each `del` drops an intermediate after its last reader: off the tape that halves
+    # the forward's transient heap, which glibc would otherwise trim and re-fault every call
+    del xn, proj
 
     s_in, c_in = encode("x_in", x_in)
     conv_pre = nm.depthwise_conv1d(s_in, p.conv_k)
+    del x_in, s_in
     if counters is not None:
         counters.add(f"{tag}.conv", acc=int(c_in.sum()) * cfg.conv_kernel, acc_bias=conv_pre.data.size)
     s, c_s = encode("conv", conv_pre)
+    del c_in, conv_pre
 
     pbc = nm.linear(s, p.W, p.b)
     if counters is not None:
         counters.add(f"{tag}.proj", acc=int(c_s.sum()) * (r + 2 * n), acc_bias=2 * pbc.data.size)
     d_raw, B_seq, C_seq = nm.split_last(pbc, [r, n, n])
+    del pbc
     d_spikes, c_dr = encode("delta_raw", d_raw)
     dproj = nm.linear(d_spikes, p.W_delta, p.b_delta)
     if counters is not None:
         counters.add(f"{tag}.delta_proj", acc=int(c_dr.sum()) * dh, acc_bias=2 * dproj.data.size)
     step_int, _ = encode("delta_int", dproj)
+    del d_raw, d_spikes, c_dr, dproj
     step_pt = pow2_softplus_t(step_int)
     if counters is not None:
         counters.add(f"{tag}.delta_proj", shift=step_pt.data.size, acc_bias=step_pt.data.size)
     step, _ = encode("delta", step_pt)
+    del step_int, step_pt
 
     A = nm.neg(nm.exp(p.A_log))  # [dh, n]
     y, y_counts = encode("y", scan(step, A, B_seq, C_seq, p.D, s, c_s))  # y never feeds back
+    del s, c_s, B_seq, C_seq, step
 
     gate_in, _ = encode("x_res", x_res)
     gate = pow2_silu_t(gate_in)
@@ -258,36 +267,47 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counter
     return nm.add(x, z)
 
 
-def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, saved: list, smooth: bool):
-    """Backward of the taped scan; ``saved`` holds each step's state and its h context.
+def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, hs: np.ndarray, ctxs: list, smooth: bool):
+    """Backward of the taped scan; ``hs`` [L, B, dh, n] holds the encoded states, ``ctxs`` their h contexts.
 
     Under the straight-through estimator the state gradient runs back through
     the linear recurrence ``g_{t-1} = Abar_t * ste(g_t + C_t dy_t)``, one
-    reverse loop; every other gradient is a sum over the saved steps.
+    reverse loop of a few in-place ops per step; every other gradient is one
+    contraction over the whole sequence.  Time-major arrays keep each step's
+    slice contiguous.
     """
     def vjp(gy, accumulate):
-        st, Ad, Bs, us = step.data, A.data, B_seq.data, u.data
-        x = st[..., None] * Ad  # [B, L, dh, n], the forward's products
-        abar = np.exp2(_exponent(x, smooth))
-        h = np.stack([h_t for h_t, _ in saved], axis=1)  # [B, L, dh, n]
-        g_pre = np.empty_like(h)
-        g = np.zeros_like(h[:, 0])
+        st, us, Bs, Cs, dy = (np.ascontiguousarray(a.swapaxes(0, 1))
+                              for a in (step.data, u.data, B_seq.data, C_seq.data, gy))
+        x = np.einsum("lbd,dn->lbdn", st, A.data)  # the forward's products step_t * A
+        live = (x >= EXP_LO) & (x <= EXP_HI)  # where the exponent's STE passes
+        abar = _exponent(x, smooth)
+        np.exp2(abar, out=abar)
+        del x
+        g_pre = np.empty_like(hs)  # [t]: the gradient of the state before step t's encode
         g_alpha = g_beta = 0.0
-        for t in range(h.shape[1] - 1, -1, -1):
-            g = g + gy[:, t][:, :, None] * C_seq.data[:, t][:, None, :]
-            g, ga, gb = ste_backward(g, saved[t][1])
+        for t in range(len(hs) - 1, -1, -1):
+            g_t = np.multiply(dy[t, :, :, None], Cs[t, :, None, :], out=g_pre[t])  # the readout's share
+            if t < len(hs) - 1:
+                g_t += g
+            g, ga, gb = ste_backward(g_t, ctxs[t])
             g_alpha, g_beta = g_alpha + ga, g_beta + gb
-            g_pre[:, t] = g
-            g = g * abar[:, t]
-        h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
-        g_x = g_pre * h_prev * abar * (LN2 * ((x >= EXP_LO) & (x <= EXP_HI)))
-        g_bu = (g_pre * Bs[:, :, None, :]).sum(axis=3)  # [B, L, dh]
-        accumulate(step, us * g_bu + (g_x * Ad).sum(axis=3))
-        accumulate(A, (g_x * st[..., None]).sum(axis=(0, 1)))
-        accumulate(B_seq, (g_pre * (st * us)[..., None]).sum(axis=2))
-        accumulate(C_seq, (gy[..., None] * h).sum(axis=2))
-        accumulate(D, (gy * us).sum(axis=(0, 1)))
-        accumulate(u, st * g_bu + gy * D.data)
+            g_t[...] = g
+            g *= abar[t]
+        g_bu = np.matmul(g_pre, Bs[..., None])[..., 0]  # through (step_t * B_t) * u_t
+        accumulate(B_seq, np.matmul((st * us)[:, :, None, :], g_pre)[:, :, 0].swapaxes(0, 1))
+        accumulate(C_seq, np.matmul(dy[:, :, None, :], hs)[:, :, 0].swapaxes(0, 1))
+        accumulate(D, np.einsum("lbd,lbd->d", dy, us))
+        accumulate(u, (st * g_bu + dy * D.data).swapaxes(0, 1))
+        # the exponent of step t scales h_{t-1} (zero before the first step) by ln2 * Abar_t
+        abar *= live
+        g_x = g_pre[1:]
+        g_x *= hs[:-1]
+        g_x *= abar[1:]
+        g_step = us * g_bu
+        g_step[1:] += LN2 * np.einsum("lbdn,dn->lbd", g_x, A.data)
+        accumulate(step, g_step.swapaxes(0, 1))
+        accumulate(A, LN2 * np.einsum("lbdn,lbd->dn", g_x, st[1:]))
         if q.alpha.trainable:
             accumulate(q.alpha, np.asarray(g_alpha))
         if q.beta.trainable:
@@ -317,20 +337,25 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
         return (t if pending(name, t.data) else quantize(t, q[name], smooth=smooth)), None
 
     def scan(step, A, B_seq, C_seq, D, u, u_counts):
-        saved = [] if nm.active_tape() is not None else None  # per-step state, only for a backward
+        taped = nm.active_tape() is not None
+        # each step's state [L, B, dh, n], time-major, only for a backward
+        hs = np.empty((u.shape[1], u.shape[0]) + A.shape) if taped else None
+        ctxs = []
 
         def encode_h(t, h_pre):
             if pending("h", h_pre):
                 return h_pre
+            if not taped:
+                return quantize_values(h_pre, q["h"], smooth)[0]
             h, ctx = quantize_with_context(h_pre, q["h"], smooth)
-            if saved is not None:
-                saved.append((h, ctx))
+            hs[t] = h
+            ctxs.append(ctx)
             return h
 
         y = nm.Tensor(selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data,
                                      encode_h, smooth))
-        if saved is not None:
-            nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, q["h"], saved, smooth))
+        if taped:
+            nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, q["h"], hs, ctxs, smooth))
         return y
 
     return _block(x, p, cfg, encode, scan, None, "block")

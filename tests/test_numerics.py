@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spikescan.numerics as nm
 
@@ -110,6 +111,39 @@ def test_depthwise_conv_gradients():
     x = RNG.normal(size=(2, 6, 3))
     k = RNG.normal(size=(3, 4))
     check_op(nm.depthwise_conv1d, brute_causal_depthwise, [x, k])
+
+
+def sliding_window_conv(x, k, g):
+    """The conv as one einsum over [B, L, D, K] windows, and its backward the same way."""
+    K = k.shape[1]
+    xwin = np.lib.stride_tricks.sliding_window_view(np.pad(x, ((0, 0), (K - 1, 0), (0, 0))), K, axis=1)
+    gwin = np.lib.stride_tricks.sliding_window_view(np.pad(g, ((0, 0), (0, K - 1), (0, 0))), K, axis=1)
+    return (np.einsum("bldk,dk->bld", xwin, k), np.einsum("bldk,dk->bld", gwin, k[:, ::-1]),
+            np.einsum("bld,bldk->dk", g, xwin))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(B=st.integers(1, 5), L=st.integers(1, 5), D=st.integers(1, 5), K=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 31))
+def test_depthwise_conv_equals_the_sliding_window_einsum(B, L, D, K, seed):
+    """The K ordered shifted taps give the einsum's bits, forward and backward.
+
+    With one channel the windows' tap axis is contiguous and einsum sums it
+    in another order, so there the forward agrees to rounding only.
+    """
+    rng = np.random.default_rng(seed)
+    x, k, g = rng.normal(size=(B, L, D)), rng.normal(size=(D, K)), rng.normal(size=(B, L, D))
+    xt, kt = nm.tensor(x, trainable=True), nm.tensor(k, trainable=True)
+    with nm.GradTape() as tape:
+        out = nm.depthwise_conv1d(xt, kt)
+    grads = nm.backward(tape, loss_grad=g, output=out)
+    want_out, want_gx, want_gk = sliding_window_conv(x, k, g)
+    if D > 1:
+        assert np.array_equal(out.data, want_out)
+    else:
+        assert np.allclose(out.data, want_out, rtol=1e-14, atol=1e-15)
+    assert np.array_equal(grads[xt], want_gx)
+    assert np.array_equal(grads[kt], want_gk)
 
 
 def test_rmsnorm_gradient_and_scale_invariance():

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spikescan.numerics as nm
 import spikescan.ssm as ssm
@@ -347,7 +347,7 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
     m, x = pinned_model()
     names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
     drives = {"ann": {}, "snn": {}}
-    quantize, quantize_with_context = ssm.quantize, ssm.quantize_with_context
+    quantize, quantize_values = ssm.quantize, ssm.quantize_values
     encode_counts = SpikeSite.encode_counts
 
     def record(mode, name, pre):
@@ -358,16 +358,16 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         record("ann", q.name, t.data)
         return quantize(t, q, smooth)
 
-    def ann_state(v, q, smooth=False):  # the scan's per-step h hook
+    def ann_state(v, q, smooth=False):  # the scan's per-step h hook, off the tape
         record("ann", q.name, v)
-        return quantize_with_context(v, q, smooth)
+        return quantize_values(v, q, smooth)
 
     def snn_site(site, pre):
         record("snn", site.name, pre)
         return encode_counts(site, pre)
 
     monkeypatch.setattr(ssm, "quantize", ann_site)
-    monkeypatch.setattr(ssm, "quantize_with_context", ann_state)
+    monkeypatch.setattr(ssm, "quantize_values", ann_state)
     monkeypatch.setattr(SpikeSite, "encode_counts", snn_site)
     m.forward(x)
     m.mode = "ann"
@@ -390,11 +390,15 @@ def test_multi_block_equivalence():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(bits=st.integers(1, 4), blocks=st.integers(1, 3), state_size=st.integers(1, 4),
-       smooth=st.booleans(), seed=st.integers(0, 2 ** 31))
-def test_gradients_match_the_per_step_taped_oracle(bits, blocks, state_size, smooth, seed):
+       d_hidden=st.integers(1, 7), batch=st.integers(1, 6), smooth=st.booleans(), seed=st.integers(0, 2 ** 31))
+# batch, history, d_hidden and state all differ, so no contraction over a swapped axis passes by symmetry
+@example(bits=2, blocks=1, state_size=3, d_hidden=5, batch=4, smooth=False, seed=3)  # history 7
+@example(bits=2, blocks=2, state_size=3, d_hidden=5, batch=4, smooth=True, seed=3)
+def test_gradients_match_the_per_step_taped_oracle(bits, blocks, state_size, d_hidden, batch, smooth, seed):
     """The scan's one tape op gives the gradients of the scan unrolled into primitives."""
     rng = np.random.default_rng(seed)
-    cfg = small_cfg(bits=bits, blocks=blocks, state_size=state_size, history=int(rng.integers(3, 9)))
+    cfg = small_cfg(bits=bits, blocks=blocks, state_size=state_size, d_hidden=d_hidden,
+                    history=int(rng.integers(3, 9)))
     m = ForecastModel.build(cfg, seed=seed)
     for blk in m.blocks:
         for s in ("x_in", "conv", "delta_raw", "h", "y"):
@@ -404,8 +408,8 @@ def test_gradients_match_the_per_step_taped_oracle(bits, blocks, state_size, smo
         blk.A_log.data[:, 0] = math.log(40.0)  # step >= 1, so this exponent clips at EXP_LO
         blk.A_log.data[:, 1:] += rng.uniform(-1.0, 3.0, size=(cfg.d_hidden, state_size - 1))
         blk.quantizers["h"].set_alpha(0.3 * float(blk.quantizers["h"].alpha.data))  # codes clip high
-    x = 2.0 * rng.normal(size=(5, cfg.history, cfg.d_value))
-    y = rng.normal(size=(5, cfg.horizon, cfg.d_value))
+    x = 2.0 * rng.normal(size=(batch, cfg.history, cfg.d_value))
+    y = rng.normal(size=(batch, cfg.horizon, cfg.d_value))
     grads = []
     for forward in (m.forward, lambda v, smooth: taped_forward(m, v, smooth)):
         with nm.GradTape() as tape:

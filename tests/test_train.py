@@ -168,6 +168,18 @@ def test_shuffle_seed_changes_the_trajectory():
     assert losses[0] != losses[1]
 
 
+def test_a_training_step_records_29_tape_ops():
+    """README config, one block, batch 64: the block's ops, the head and the loss; the scan is one op."""
+    cfg = ModelConfig(d_value=2, history=12, horizon=3)
+    m = ForecastModel.build(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(64, 12, 2)), rng.normal(size=(64, 3, 2))
+    m.calibrate(x)
+    with nm.GradTape() as tape:
+        nm.mse(m.forward(x), nm.tensor(y))
+    assert len(tape) == 29
+
+
 def test_train_autocalibrates_uninitialized_models():
     cfg = small_cfg()
     x, y = make_data(cfg=cfg)
