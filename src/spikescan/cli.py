@@ -14,7 +14,7 @@ import numpy as np
 from .activations import (SILU_GRAD_BOUND, SILU_VALUE_BOUND, SOFTPLUS_GRAD_BOUND,
                           SOFTPLUS_VALUE_BOUND, branch_continuity_gaps,
                           verify_deviation_bounds)
-from .dataset import WindowSplits, denormalize, load_csv, make_windows, write_csv
+from .dataset import SeriesDataset, WindowSplits, denormalize, load_csv, make_windows, write_csv
 from .energy import EnergyTable, compare_ann_energy, profile
 from .metrics import r2, rrse
 from .spike import SpikeSite, simulate_if
@@ -77,11 +77,19 @@ def _norm_from_meta(meta: dict) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(norm["mean"]), np.asarray(norm["std"])
 
 
+def _model_series(model: ForecastModel, data: str, has_header: bool) -> SeriesDataset:
+    """The CSV ``data``, with one column per variable the model takes."""
+    ds = load_csv(data, has_header=has_header)
+    if ds.values.shape[1] != model.cfg.d_value:
+        raise ValueError(f"{data}: {ds.values.shape[1]} columns, the model takes d_value = {model.cfg.d_value}")
+    return ds
+
+
 def _checkpoint_windows(model: ForecastModel, meta: dict, data: str, has_header: bool) -> WindowSplits:
     """Every window of ``data`` in ``x_train``/``y_train``, normalized with the
     checkpoint's statistics."""
     mean, std = _norm_from_meta(meta)
-    ds = load_csv(data, has_header=has_header)
+    ds = _model_series(model, data, has_header)
     return make_windows(ds, model.cfg.history, model.cfg.horizon, (1.0, 0.0, 0.0), stats=(mean, std))
 
 
@@ -140,7 +148,7 @@ def cmd_convert(args) -> int:
 def cmd_forecast(args) -> int:
     model, meta = load_checkpoint(args.model)
     mean, std = _norm_from_meta(meta)
-    ds = load_csv(args.data, has_header=args.has_header)
+    ds = _model_series(model, args.data, args.has_header)
     H, G = model.cfg.history, model.cfg.horizon
     rows = ds.values.shape[0]
     if rows < H:

@@ -106,10 +106,10 @@ class Quantizer:
                               name=f"{self.name}.beta")
 
     def calibrate(self, x: np.ndarray) -> None:
-        """Set alpha from data (beta keeps its value, default 0)."""
-        self.set_alpha(init_step_size(x))
+        """Set alpha from the values ``x`` reaching the site, measured from beta (kept, default 0)."""
         if self.beta is None:
             self.set_beta(0.0)
+        self.set_alpha(init_step_size(np.ravel(x) - float(self.beta.data)))
 
     def parameters(self) -> list[nm.Tensor]:
         return [t for t in (self.alpha, self.beta) if t is not None and t.trainable]

@@ -36,11 +36,8 @@ __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
 
 def pow2_shift(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """v * 2**e for integer exponents (a shift), bit for bit ``np.ldexp(v, e)``,
+    """v * 2**e; for integer ``e`` an exact shift, bit for bit ``np.ldexp(v, e)``,
     subnormal results included, while 2**e is a normal float (-1022 <= e <= 1023)."""
-    e = np.asarray(e)
-    if e.dtype.kind not in "iu" and not (np.rint(e) == e).all():
-        raise ValueError("pow2_shift: exponents must be integers")
     return np.asarray(v, dtype=np.float64) * np.exp2(e)
 
 

@@ -67,6 +67,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.delta_rank is None:
             self.delta_rank = max(1, math.ceil(self.d_hidden / 8))
+        for k in ("d_value", "history", "horizon", "d_hidden", "state_size", "conv_kernel", "delta_rank"):
+            if getattr(self, k) < 1:
+                raise ValueError(f"model config: {k} must be >= 1, got {getattr(self, k)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -195,8 +198,7 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     y = np.empty((B, L, dh))
     for t in range(L):
         step_t = step[:, t][:, :, None]
-        e = _exponent(step_t * A, smooth)
-        h = h * np.exp2(e) if smooth else pow2_shift(h, e)
+        h = pow2_shift(h, _exponent(step_t * A, smooth))
         h = h + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
         if encode_h is not None:
             h = encode_h(t, h)
@@ -317,34 +319,40 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, hs: np.ndarray, ctxs: l
 
 
 def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
-                      smooth: bool = False, collect: dict | None = None) -> nm.Tensor:
+                      smooth: bool = False, calibrate: bool = False) -> nm.Tensor:
     """Real-arithmetic forward of one block; under an active tape the scan is one tape op.
 
-    During calibration (``collect`` given) a site that has no step size yet
-    acts as identity and records the arriving values; already-calibrated
-    sites quantize as usual, so each site is initialized against the value
-    distribution it will actually see.
+    With ``calibrate`` a site that has no step size yet first fits one to the
+    values arriving at it (``Quantizer.calibrate``), then quantizes as usual.
+    Sites are reached in forward order, so every site upstream already
+    quantizes and each step size is fit to the values it will actually see.
     """
     q = p.quantizers
 
-    def pending(name: str, v: np.ndarray) -> bool:
-        if collect is None or q[name].initialized:
-            return False
-        collect.setdefault(q[name].name, []).append(v)
-        return True
-
     def encode(name, t):
-        return (t if pending(name, t.data) else quantize(t, q[name], smooth=smooth)), None
+        if calibrate and not q[name].initialized:
+            q[name].calibrate(t.data)
+        return quantize(t, q[name], smooth=smooth), None
 
     def scan(step, A, B_seq, C_seq, D, u, u_counts):
+        args = (step.data, A.data, B_seq.data, C_seq.data, D.data, u.data)
+        if calibrate and not q["h"].initialized:
+            # h feeds back into itself: fit it on the states of a scan that leaves them unencoded
+            states = []
+
+            def keep(t, h_pre):
+                states.append(h_pre.ravel())
+                return h_pre
+
+            selective_scan(*args, keep, smooth)
+            if states:  # a scan that never calls its hook leaves h to the model's check
+                q["h"].calibrate(np.concatenate(states))
         taped = nm.active_tape() is not None
         # each step's state [L, B, dh, n], time-major, only for a backward
         hs = np.empty((u.shape[1], u.shape[0]) + A.shape) if taped else None
         ctxs = []
 
         def encode_h(t, h_pre):
-            if pending("h", h_pre):
-                return h_pre
             if not taped:
                 return quantize_values(h_pre, q["h"], smooth)[0]
             h, ctx = quantize_with_context(h_pre, q["h"], smooth)
@@ -352,8 +360,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             ctxs.append(ctx)
             return h
 
-        y = nm.Tensor(selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data,
-                                     encode_h, smooth))
+        y = nm.Tensor(selective_scan(*args, encode_h, smooth))
         if taped:
             nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, q["h"], hs, ctxs, smooth))
         return y
@@ -441,28 +448,18 @@ class ForecastModel:
         return all(b.quantizers[s].initialized for b in self.blocks for s in QUANT_SITES)
 
     def calibrate(self, x: np.ndarray) -> None:
-        """Initialize quantizer step sizes one site at a time, in forward order.
+        """Initialize every quantizer step size in one forward pass over ``x``.
 
-        Each pass runs the model with every already-calibrated site quantizing
-        for real while the next uncalibrated site records its inputs and acts
-        as identity; that site's alpha is then set from the recorded values
-        (shifted by the site's offset) and the pass repeats.  This way every
-        step size is fit to the activations it will actually see, which a
-        single all-identity pass badly misestimates for downstream sites.
+        Each block runs once with ``calibrate``.  Sites are reached in forward
+        order, so each fits its step size to the activations it will actually
+        see, every site upstream of it already quantizing.
         """
-        data = np.asarray(x, dtype=np.float64)
-        pending = [blk.quantizers[s] for blk in self.blocks for s in QUANT_SITES
-                   if not blk.quantizers[s].initialized]
-        for q in pending:
-            collect: dict[str, list[np.ndarray]] = {}
-            h = nm.tensor(data)
-            for blk in self.blocks:
-                h = block_forward_ann(h, blk, self.cfg, collect=collect)
-            if q.name not in collect:
+        h = nm.tensor(np.asarray(x, dtype=np.float64))
+        for blk in self.blocks:
+            h = block_forward_ann(h, blk, self.cfg, calibrate=True)
+        for q in (blk.quantizers[s] for blk in self.blocks for s in QUANT_SITES):
+            if not q.initialized:
                 raise RuntimeError(f"calibration: quantizer {q.name} collected no values")
-            vals = np.concatenate([v.ravel() for v in collect[q.name]])
-            beta = float(q.beta.data) if q.beta is not None else 0.0
-            q.calibrate(vals - beta)
 
     def clamp_steps(self) -> None:
         """Keep every quantizer step size positive after an optimizer update."""

@@ -35,6 +35,10 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"train config: batch_size must be >= 1, got {self.batch_size}")
+
 
 class Adam:
     """Adam with bias correction, state kept per parameter tensor."""

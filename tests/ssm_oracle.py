@@ -4,15 +4,17 @@
 ``ssm_kernel`` and ``apply_kernel`` compute the same output as a causal
 convolution with the impulse response.  ``taped_forward`` is the model's
 real-arithmetic forward with the scan unrolled into per-step tape
-primitives, the gradient reference for the scan's hand-written backward.
+primitives, the gradient reference for the scan's hand-written backward;
+``multi_pass_calibrate`` is the calibration reference, one full forward per
+uncalibrated site.
 """
 
 import numpy as np
 
 import spikescan.numerics as nm
 from spikescan.activations import pow2_silu_t, pow2_softplus_t
-from spikescan.quantize import quantize
-from spikescan.ssm import forecast_head, pow2_round_ste
+from spikescan.quantize import init_step_size, quantize
+from spikescan.ssm import QUANT_SITES, forecast_head, pow2_round_ste
 
 
 def dense_ssm_reference(A_d: np.ndarray, B_d: np.ndarray, C: np.ndarray,
@@ -63,13 +65,20 @@ def apply_kernel(u: np.ndarray, K: np.ndarray, D: np.ndarray | None = None) -> n
     return y
 
 
-def taped_block(x: nm.Tensor, p, cfg, smooth: bool = False) -> nm.Tensor:
-    """One block with every step of the scan recorded primitive by primitive."""
+def taped_block(x: nm.Tensor, p, cfg, smooth: bool = False, collect: dict | None = None) -> nm.Tensor:
+    """One block with every step of the scan recorded primitive by primitive.
+
+    With ``collect`` given, a site that has no step size yet acts as identity
+    and appends the values arriving at it to ``collect[quantizer name]``.
+    """
     B, L, dv = x.data.shape
     dh, n, r = cfg.d_hidden, cfg.state_size, cfg.delta_rank
     q = p.quantizers
 
     def site(t, name):
+        if collect is not None and not q[name].initialized:
+            collect.setdefault(q[name].name, []).append(t.data)
+            return t
         return quantize(t, q[name], smooth=smooth)
 
     xn = nm.rmsnorm(x, p.g_norm, cfg.rmsnorm_eps)
@@ -91,9 +100,8 @@ def taped_block(x: nm.Tensor, p, cfg, smooth: bool = False) -> nm.Tensor:
         Bbar = nm.mul(step_t, B_t)  # [B, dh, n]
         h_pre = nm.add(nm.mul(Abar, h), nm.mul(Bbar, nm.reshape(u_t, (B, dh, 1))))
         h = site(h_pre, "h")
-        y_pre = nm.add(nm.sum_axis(nm.mul(h, C_t), axis=2), nm.mul(p.D, u_t))
-        ys.append(site(y_pre, "y"))
-    y = nm.stack_axis1(ys)  # [B, L, dh]
+        ys.append(nm.add(nm.sum_axis(nm.mul(h, C_t), axis=2), nm.mul(p.D, u_t)))
+    y = site(nm.stack_axis1(ys), "y")  # [B, L, dh]; y never feeds back
 
     gated = nm.mul(y, pow2_silu_t(site(x_res, "x_res")))
     return nm.add(x, nm.linear(gated, p.W_out, p.b_out))
@@ -105,3 +113,25 @@ def taped_forward(model, x: np.ndarray, smooth: bool = False) -> nm.Tensor:
     for blk in model.blocks:
         t = taped_block(t, blk, model.cfg, smooth)
     return forecast_head(t, model.W_head, model.b_head)
+
+
+def multi_pass_calibrate(model, x: np.ndarray) -> None:
+    """Calibrate one site at a time: a full forward per uncalibrated site.
+
+    Each pass runs the model with every calibrated site quantizing while the
+    uncalibrated ones act as identity, then sets the next site's step size
+    from the values it recorded, measured from its offset.
+    """
+    data = np.asarray(x, dtype=np.float64)
+    pending = [blk.quantizers[s] for blk in model.blocks for s in QUANT_SITES
+               if not blk.quantizers[s].initialized]
+    for q in pending:
+        collect: dict[str, list[np.ndarray]] = {}
+        h = nm.tensor(data)
+        for blk in model.blocks:
+            h = taped_block(h, blk, model.cfg, collect=collect)
+        vals = np.concatenate([v.ravel() for v in collect[q.name]])
+        beta = float(q.beta.data) if q.beta is not None else 0.0
+        q.set_alpha(init_step_size(vals - beta))
+        if q.beta is None:
+            q.set_beta(0.0)

@@ -253,6 +253,27 @@ def test_non_finite_data_is_a_usage_error(work):
     assert "non-finite cell 'nan' at row 20, column 1" in p.stderr
 
 
+@pytest.mark.parametrize("command", ["forecast", "eval", "verify"])
+def test_csv_with_the_wrong_column_count_is_a_usage_error(work, command):
+    (work / "three.csv").write_text("s1,s2,s3\n" + "0.5,0.25,0.125\n" * 20)
+    extra = ["--out", str(work / "three_fc.csv")] if command == "forecast" else []
+    p = run(command, "--model", str(work / "snn.ckpt"), "--data", str(work / "three.csv"),
+            "--has-header", *extra, expect=2)
+    assert "three.csv: 3 columns, the model takes d_value = 2" in p.stderr
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("state_size = 0\n", "state_size"), ("conv_kernel = 0\n", "conv_kernel"),
+    ("batch_size = 0\n", "batch_size"), ("history = 0\n", "history"),
+])
+def test_degenerate_sizes_are_usage_errors(work, setting, key):
+    (work / "degenerate.cfg").write_text(setting)
+    flags = [] if key == "history" else ["--history", "8"]
+    p = run("train", "--data", str(work / "series.csv"), "--has-header", *flags, "--horizon", "2",
+            "--config", str(work / "degenerate.cfg"), "--out", str(work / "t.ckpt"), expect=2)
+    assert f"{key} must be >= 1, got 0" in p.stderr and "Traceback" not in p.stderr
+
+
 def test_missing_history_flags_are_reported(work):
     p = run("train", "--data", str(work / "series.csv"), "--has-header",
             "--out", str(work / "t.ckpt"), expect=2)

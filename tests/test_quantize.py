@@ -56,6 +56,12 @@ class TestInitializer:
         q.calibrate(np.array([0.6, 0.8, 0.1]))
         assert q.initialized and float(q.alpha.data) == pytest.approx(0.7)
 
+    def test_calibrate_measures_from_the_offset(self):
+        q = Quantizer(bits=2, name="c")
+        q.set_beta(-0.5)
+        q.calibrate(np.array([0.1, 0.3, -0.4]))  # [0.6, 0.8, 0.1] above the offset
+        assert float(q.alpha.data) == pytest.approx(0.7) and float(q.beta.data) == -0.5
+
 
 def test_round_half_away_from_zero():
     v = np.array([0.5, 1.5, -0.5, -1.5, 2.4, -2.4])

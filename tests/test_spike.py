@@ -146,8 +146,6 @@ def test_pow2_shift_is_exact_ldexp():
     v = np.array([1.5, -2.0, 0.75])
     e = np.array([-3, 0, -1])
     assert np.array_equal(pow2_shift(v, e), v * np.exp2(e))
-    with pytest.raises(ValueError):
-        pow2_shift(v, np.array([0.5, 0.0, 0.0]))
     # every exponent the scan uses, on values that round once shifted into the subnormals
     rng = np.random.default_rng(3)
     e = np.repeat(np.arange(EXP_LO, EXP_HI + 1), 2000)

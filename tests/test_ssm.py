@@ -11,11 +11,11 @@ import spikescan.numerics as nm
 import spikescan.ssm as ssm
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.spike import SpikeSite
-from spikescan.ssm import (EXP_HI, EXP_LO, ForecastModel, ModelConfig, SPIKE_SITES,
+from spikescan.ssm import (EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig, SPIKE_SITES,
                            block_forward_ann, pow2_round_ste, selective_scan)
 from spikescan.energy import OpCounters
 from spikescan.train import convert_to_snn
-from ssm_oracle import apply_kernel, dense_ssm_reference, ssm_kernel, taped_forward
+from ssm_oracle import apply_kernel, dense_ssm_reference, multi_pass_calibrate, ssm_kernel, taped_forward
 
 RNG = np.random.default_rng(99)
 
@@ -114,6 +114,13 @@ def test_config_defaults():
     assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
+@pytest.mark.parametrize("key", ["d_value", "history", "horizon", "d_hidden", "state_size",
+                                 "conv_kernel", "delta_rank"])
+def test_config_rejects_sizes_below_one(key):
+    with pytest.raises(ValueError, match=f"model config: {key} must be >= 1, got 0"):
+        ModelConfig(**{"d_value": 3, "history": 12, "horizon": 3, key: 0})
+
+
 def test_calibration_touches_every_site_and_freezes_constants():
     m, _ = calibrated_model()
     assert m.calibrated()
@@ -144,21 +151,48 @@ def test_forward_names_the_first_non_finite_window():
 
 
 def test_calibration_rejects_a_site_that_collected_nothing(monkeypatch):
-    """A site the forward forgets to collect fails calibration instead of getting a made-up step."""
-
-    class SkipY:
-        def __init__(self, collect):
-            self.collect = collect
-
-        def setdefault(self, name, default):
-            return [] if name == "block0.y" else self.collect.setdefault(name, default)
-
-    forward = ssm.block_forward_ann
-    monkeypatch.setattr(ssm, "block_forward_ann",
-                        lambda x, p, cfg, smooth=False, collect=None: forward(x, p, cfg, smooth, SkipY(collect)))
+    """A site the forward never reaches fails calibration instead of getting a made-up step."""
+    scan = ssm.selective_scan
+    monkeypatch.setattr(ssm, "selective_scan", lambda step, A, B_seq, C_seq, D, u, encode_h=None, smooth=False:
+                        scan(step, A, B_seq, C_seq, D, u, None, smooth))  # h is never encoded
     m = ForecastModel.build(small_cfg(), seed=0)
-    with pytest.raises(RuntimeError, match="block0.y"):
+    with pytest.raises(RuntimeError, match="block0.h"):
         m.calibrate(np.random.default_rng(0).normal(size=(4, 10, 2)))
+
+
+def test_calibration_runs_each_block_once(monkeypatch):
+    calls = []
+    forward = ssm.block_forward_ann
+    monkeypatch.setattr(ssm, "block_forward_ann", lambda x, p, *a, **kw: calls.append(p) or forward(x, p, *a, **kw))
+    m = ForecastModel.build(small_cfg(blocks=3), seed=0)
+    m.calibrate(np.random.default_rng(0).normal(size=(4, 10, 2)))
+    assert m.calibrated() and [id(p) for p in calls] == [id(b) for b in m.blocks]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bits=st.integers(1, 4), blocks=st.integers(1, 3), state_size=st.integers(1, 4),
+       conv_kernel=st.integers(2, 4), d_hidden=st.integers(1, 7), batch=st.integers(1, 6),
+       history=st.integers(2, 10), offsets=st.booleans(), seed=st.integers(0, 2 ** 31))
+def test_one_pass_calibration_matches_the_multi_pass_oracle(bits, blocks, state_size, conv_kernel,
+                                                            d_hidden, batch, history, offsets, seed):
+    """Every step size equals the one a full forward per site, in forward order, gives it."""
+    cfg = small_cfg(bits=bits, blocks=blocks, state_size=state_size, conv_kernel=conv_kernel,
+                    d_hidden=d_hidden, history=history)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 2.0) * rng.normal(size=(batch, history, cfg.d_value))
+    models = [ForecastModel.build(cfg, seed=seed) for _ in range(2)]
+    if offsets:
+        betas = rng.choice([-1.0, 1.0], size=(blocks, 5)) * rng.uniform(0.05, 1.0, size=(blocks, 5))
+        for m in models:
+            for blk, bs in zip(m.blocks, betas):
+                for s, b in zip(("x_in", "conv", "delta_raw", "h", "y"), bs):
+                    blk.quantizers[s].set_beta(b)
+    models[0].calibrate(x)
+    multi_pass_calibrate(models[1], x)
+    for got, want in zip(*(m.blocks for m in models)):
+        for s in QUANT_SITES:
+            assert np.array_equal(got.quantizers[s].alpha.data, want.quantizers[s].alpha.data), s
+            assert np.array_equal(got.quantizers[s].beta.data, want.quantizers[s].beta.data), s
 
 
 def straight_line_block(x, p, cfg):

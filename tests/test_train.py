@@ -168,6 +168,11 @@ def test_shuffle_seed_changes_the_trajectory():
     assert losses[0] != losses[1]
 
 
+def test_train_config_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="train config: batch_size must be >= 1, got 0"):
+        TrainConfig(batch_size=0)
+
+
 def test_a_training_step_records_29_tape_ops():
     """README config, one block, batch 64: the block's ops, the head and the loss; the scan is one op."""
     cfg = ModelConfig(d_value=2, history=12, horizon=3)
@@ -443,6 +448,13 @@ def _set(group, site, key, value):
     return change
 
 
+def _config(key, value):
+    def change(meta):
+        meta["config"][key] = value
+    change.__name__ = f"_config_{key}_{value}"
+    return change
+
+
 @pytest.mark.parametrize("change, defect", [
     (_drop_quantizers, "metadata is missing key 'quantizers'"),
     (_null_sites, "snn-mode checkpoint has no spike sites for block0"),
@@ -458,6 +470,9 @@ def _set(group, site, key, value):
     (_set("sites", "h", "theta", float("inf")), "spike site block0.h: threshold must be positive and finite, got inf"),
     (_set("sites", "conv", "offset", -float("inf")), "spike site block0.conv: offset must be finite, got -inf"),
     (_set("sites", "y", "T", 2), r"spike site block0.y: \(theta, offset, T\) = .* is neither the quantizer's"),
+    (_config("state_size", 0), "model config: state_size must be >= 1, got 0"),
+    (_config("history", -3), "model config: history must be >= 1, got -3"),
+    (_config("delta_rank", 0), "model config: delta_rank must be >= 1, got 0"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
