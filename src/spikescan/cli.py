@@ -18,17 +18,15 @@ from .dataset import SeriesDataset, WindowSplits, denormalize, load_csv, make_wi
 from .energy import EnergyTable, compare_ann_energy, profile
 from .metrics import r2, rrse
 from .spike import SpikeSite, simulate_if
-from .ssm import ForecastModel, ModelConfig
+from .ssm import ForecastModel, ModelConfig, field_types
 from .train import (TrainConfig, apply_threshold_scaling, convert_to_snn,
                     load_checkpoint, save_checkpoint, train)
 
-MODEL_KEYS = {"d_hidden": int, "state_size": int, "conv_kernel": int,
-              "delta_rank": int, "blocks": int, "rmsnorm_eps": float,
-              "history": int, "horizon": int, "bits": int}
-TRAIN_KEYS = {"lr": float, "batch_size": int, "max_epochs": int, "patience": int,
-              "beta1": float, "beta2": float, "eps": float, "seed": int}
+# config-file keys and parse types; d_value is the CSV's column count
+MODEL_KEYS = {k: t for k, t in field_types(ModelConfig).items() if k != "d_value"}
+TRAIN_KEYS = field_types(TrainConfig)
 SPLIT_KEYS = {"split_train": float, "split_val": float, "split_test": float}
-ENERGY_KEYS = {"e_acc": float, "e_mac": float, "e_shift": float, "e_cmp": float}
+ENERGY_KEYS = field_types(EnergyTable)
 ALL_KEYS = {**MODEL_KEYS, **TRAIN_KEYS, **SPLIT_KEYS, **ENERGY_KEYS}
 
 
@@ -98,21 +96,18 @@ def _checkpoint_windows(model: ForecastModel, meta: dict, data: str, has_header:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    history = args.history if args.history is not None else cfg.get("history")
-    horizon = args.horizon if args.horizon is not None else cfg.get("horizon")
-    if history is None or horizon is None:
+    flags = {k: getattr(args, k) for k in ("history", "horizon", "bits") if getattr(args, k) is not None}
+    model_kw = {**{k: cfg[k] for k in MODEL_KEYS if k in cfg}, **flags}
+    if "history" not in model_kw or "horizon" not in model_kw:
         raise ValueError("history and horizon must be given (flags or config file)")
-    bits = args.bits if args.bits is not None else cfg.get("bits", 2)
 
     ds = load_csv(args.data, has_header=args.has_header)
-    splits = make_windows(ds, history, horizon, _split_from(cfg))
+    splits = make_windows(ds, model_kw["history"], model_kw["horizon"], _split_from(cfg))
     n_tr, n_va, n_te = splits.counts()
     print(f"windows: {n_tr} train / {n_va} val / {n_te} test "
           f"({ds.values.shape[0]} rows, {ds.values.shape[1]} variables)")
 
-    mc = ModelConfig(d_value=ds.values.shape[1], history=history, horizon=horizon, bits=bits,
-                     **{k: cfg[k] for k in ("d_hidden", "state_size", "conv_kernel",
-                                            "delta_rank", "blocks", "rmsnorm_eps") if k in cfg})
+    mc = ModelConfig(d_value=ds.values.shape[1], **model_kw)
     tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k in cfg})
     model = ForecastModel.build(mc, seed=tc.seed)
     model.calibrate(splits.x_train[:512])
@@ -134,8 +129,12 @@ def cmd_convert(args) -> int:
     if args.threshold_scale:
         if args.data is None:
             raise ValueError("--threshold-scale needs --data to observe which sites saturate")
-        splits = _checkpoint_windows(model, meta, args.data, args.has_header)
-        scaled = apply_threshold_scaling(model, splits.x_train[:256])
+        w = _checkpoint_windows(model, meta, args.data, args.has_header).x_train[:512]
+        if len(w) < 2:
+            raise ValueError(f"{args.data}: {len(w)} window(s); --threshold-scale needs at least 2, "
+                             "one half to probe and one to verify on")
+        k = len(w) // 2  # verify on windows the probe did not see
+        scaled = apply_threshold_scaling(model, w[:k], verify_x=w[k:])
         if scaled:
             print("threshold-scaled sites: " + ", ".join(scaled))
         else:
@@ -208,7 +207,7 @@ def cmd_energy(args) -> int:
     print(report.to_text())
     if args.compare:
         print()
-        print(compare_ann_energy(model, x, table).to_text())
+        print(compare_ann_energy(report, model.cfg, x.shape[0], table).to_text())
     if args.out:
         kv = report.to_kv()
         with open(args.out, "w") as f:

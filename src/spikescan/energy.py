@@ -21,7 +21,7 @@ exactly linear in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -84,18 +84,18 @@ class EnergyTable:
     e_cmp: float
 
     def __post_init__(self):
-        for k in ("e_acc", "e_mac", "e_shift", "e_cmp"):
-            if getattr(self, k) < 0:
-                raise ValueError(f"energy table entry {k} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"energy table entry {f.name} must be >= 0")
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, object]) -> "EnergyTable":
-        missing = [k for k in ("e_acc", "e_mac", "e_shift", "e_cmp") if k not in cfg]
+        keys = [f.name for f in fields(cls)]
+        missing = [k for k in keys if k not in cfg]
         if missing:
             raise ValueError("energy table is missing entries: " + ", ".join(missing)
                              + " (per-op joules must be supplied, none are built in)")
-        return cls(e_acc=float(cfg["e_acc"]), e_mac=float(cfg["e_mac"]),
-                   e_shift=float(cfg["e_shift"]), e_cmp=float(cfg["e_cmp"]))
+        return cls(**{k: float(cfg[k]) for k in keys})
 
     def cost(self, row: Mapping[str, int]) -> float:
         return ((row["acc"] + row["acc_bias"]) * self.e_acc
@@ -205,24 +205,22 @@ class EnergyComparison:
         ])
 
 
-def compare_ann_energy(model: ForecastModel, x: np.ndarray,
+def compare_ann_energy(report: EnergyReport, cfg: ModelConfig, batch: int,
                        table: EnergyTable) -> EnergyComparison:
-    """Weigh spiking inference against the dense forward under one table.
+    """Weigh a spiking ``profile`` report against the dense forward under one table.
 
-    The dense side is the analytic MAC count of the same architecture on the
-    same input shape; the spiking side is the instrumented counter tally.
+    The dense side is the analytic MAC count of the same architecture on
+    ``batch`` windows; the spiking side is ``report``, priced with ``table``
+    by ``profile``.  Runs no forward.
     """
-    snn_ct = OpCounters()
-    profile(model, x, table, counters=snn_ct)
-    ann_ct = ann_op_counts(model.cfg, batch=np.asarray(x).shape[0])
+    ann_ct = ann_op_counts(cfg, batch)
     ann_j = sum(table.cost(row) for row in ann_ct.layers.values())
-    snn_j = sum(table.cost(row) for row in snn_ct.layers.values())
-    ratio = snn_j / ann_j if ann_j > 0 else float("inf")
+    ratio = report.total_joules / ann_j if ann_j > 0 else float("inf")
     return EnergyComparison(
         ann_joules=ann_j,
-        snn_joules=snn_j,
+        snn_joules=report.total_joules,
         ratio=ratio,
         reduction_pct=(1.0 - ratio) * 100.0,
         ann_ops=ann_ct.totals(),
-        snn_ops=snn_ct.totals(),
+        snn_ops=report.op_totals,
     )

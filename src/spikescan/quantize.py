@@ -61,12 +61,13 @@ class Quantizer:
 
     A float step size or offset becomes a trainable leaf; a ``Tensor`` is
     kept with its own ``trainable`` flag, which is the only record of
-    whether the optimizer updates it.
+    whether the optimizer updates it.  The offset exists from construction
+    (0.0 unless given); the step size is ``None`` until calibrated.
     """
 
     bits: int
     alpha: Optional[nm.Tensor] = None
-    beta: Optional[nm.Tensor] = None
+    beta: nm.Tensor = 0.0
     rounding: str = "nearest"  # "nearest" | "floor"
     name: str = "q"
 
@@ -77,10 +78,7 @@ class Quantizer:
             raise ValueError(f"quantizer {self.name}: unknown rounding {self.rounding!r}")
         if self.alpha is not None:
             self.alpha = self._leaf(self.alpha, "alpha")
-        if self.beta is not None:
-            self.beta = self._leaf(self.beta, "beta")
-        elif self.alpha is not None:
-            self.set_beta(0.0)
+        self.beta = self._leaf(self.beta, "beta")
 
     def _leaf(self, value, part: str) -> nm.Tensor:
         t = value if isinstance(value, nm.Tensor) else nm.Tensor(float(value), trainable=True)
@@ -102,13 +100,10 @@ class Quantizer:
 
     def set_beta(self, value: float) -> None:
         """Replace the offset; a frozen offset stays frozen."""
-        self.beta = nm.Tensor(float(value), trainable=self.beta is None or self.beta.trainable,
-                              name=f"{self.name}.beta")
+        self.beta = nm.Tensor(float(value), trainable=self.beta.trainable, name=f"{self.name}.beta")
 
     def calibrate(self, x: np.ndarray) -> None:
-        """Set alpha from the values ``x`` reaching the site, measured from beta (kept, default 0)."""
-        if self.beta is None:
-            self.set_beta(0.0)
+        """Set alpha from the values ``x`` reaching the site, measured from beta (kept)."""
         self.set_alpha(init_step_size(np.ravel(x) - float(self.beta.data)))
 
     def parameters(self) -> list[nm.Tensor]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantize import GRID_SNAP, floor_with_snap
+from .quantize import GRID_SNAP, Quantizer, floor_with_snap
 
 __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
@@ -57,6 +57,11 @@ class SpikeSite:
             raise ValueError(f"spike site {self.name}: threshold must be positive and finite, got {self.theta}")
         if not math.isfinite(self.offset):
             raise ValueError(f"spike site {self.name}: offset must be finite, got {self.offset}")
+
+    @classmethod
+    def of(cls, q: Quantizer) -> "SpikeSite":
+        """The site that counts ``q``'s codes: threshold = step, offset = offset, window = largest code."""
+        return cls(name=q.name, theta=float(q.alpha.data), offset=float(q.beta.data), T=q.code_max)
 
     def encode_counts(self, pre: np.ndarray) -> np.ndarray:
         # in place, as in ``quantize_values``: same operations, fewer temporaries

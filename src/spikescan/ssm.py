@@ -34,6 +34,7 @@ the forecast horizon per variable.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,11 @@ EXP_HI = 0
 
 SPIKE_SITES = ("x_in", "conv", "delta_raw", "delta", "h", "y")
 QUANT_SITES = SPIKE_SITES + ("delta_int", "x_res")
+
+
+def field_types(cls) -> dict[str, type]:
+    """A config dataclass's fields and the type each takes, ``int`` for an optional ``int | None``."""
+    return {k: (typing.get_args(t) or (t,))[0] for k, t in typing.get_type_hints(cls).items()}
 
 
 @dataclass
@@ -67,8 +73,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.delta_rank is None:
             self.delta_rank = max(1, math.ceil(self.d_hidden / 8))
-        for k in ("d_value", "history", "horizon", "d_hidden", "state_size", "conv_kernel", "delta_rank"):
-            if getattr(self, k) < 1:
+        for k, t in field_types(ModelConfig).items():
+            if t is int and getattr(self, k) < 1:
                 raise ValueError(f"model config: {k} must be >= 1, got {getattr(self, k)}")
 
     @classmethod
@@ -91,16 +97,14 @@ def _log_spaced_decay(d_hidden: int, n: int) -> np.ndarray:
 
 
 def _make_quantizers(bits: int, prefix: str) -> dict[str, Quantizer]:
-    qs: dict[str, Quantizer] = {}
-    for s in SPIKE_SITES:
-        qs[s] = Quantizer(bits=bits, rounding="floor", name=f"{prefix}.{s}")
+    # The step site can never reach zero: its grid floor is pow2_softplus(0), frozen.
+    offsets = {"delta": nm.Tensor(float(pow2_softplus(0.0)))}
+    qs = {s: Quantizer(bits=bits, beta=offsets.get(s, 0.0), rounding="floor", name=f"{prefix}.{s}")
+          for s in SPIKE_SITES}
     # Inputs of the pow2 softplus must be integers: frozen unit step.
     qs["delta_int"] = Quantizer(bits=bits, alpha=nm.Tensor(1.0), beta=nm.Tensor(0.0),
                                 rounding="nearest", name=f"{prefix}.delta_int")
     qs["x_res"] = Quantizer(bits=bits, rounding="nearest", name=f"{prefix}.x_res")
-    # The step site can never reach zero: its grid floor is pow2_softplus(0).
-    qs["delta"].set_beta(pow2_softplus(0.0))
-    qs["delta"].beta.trainable = False
     return qs
 
 
@@ -121,8 +125,6 @@ class BlockParams:
     b_out: nm.Tensor
     quantizers: dict[str, Quantizer]
     sites: dict[str, SpikeSite] | None = None  # populated by conversion
-
-    WEIGHT_FIELDS = ("W_in", "conv_k", "W", "b", "W_delta", "b_delta", "A_log", "D", "g_norm", "W_out", "b_out")
 
     @classmethod
     def build(cls, cfg: ModelConfig, rng: np.random.Generator, index: int) -> "BlockParams":
@@ -152,6 +154,10 @@ class BlockParams:
         for s in QUANT_SITES:
             ps.extend(self.quantizers[s].parameters())
         return ps
+
+
+# the weight tensors in declaration order, the order parameters() and the checkpoint payload walk
+BlockParams.WEIGHT_FIELDS = tuple(k for k, t in typing.get_type_hints(BlockParams).items() if t is nm.Tensor)
 
 
 def _exponent(x: np.ndarray, smooth: bool) -> np.ndarray:
@@ -399,7 +405,8 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
                 counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1],
                              acc=int(u_counts[:, t].sum()) * cfg.state_size)
             h, counts = encode("h", nm.Tensor(h_pre))
-            spikes.append(int(counts.sum()))
+            if counters is not None:
+                spikes.append(int(counts.sum()))
             return h.data
 
         y = selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data, encode_h)

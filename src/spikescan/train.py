@@ -168,13 +168,8 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
            if blk.quantizers[s].rounding != "floor"]
     if bad:
         raise ValueError("cannot convert, spike sites need floor rounding: " + ", ".join(bad))
-    T = 2 ** model.cfg.bits - 1
     for blk in model.blocks:
-        blk.sites = {}
-        for s in SPIKE_SITES:
-            q = blk.quantizers[s]
-            blk.sites[s] = SpikeSite(name=q.name, theta=float(q.alpha.data),
-                                     offset=float(q.beta.data), T=T)
+        blk.sites = {s: SpikeSite.of(blk.quantizers[s]) for s in SPIKE_SITES}
     model.mode = "snn"
     return model
 
@@ -333,10 +328,10 @@ def _model_from_metadata(meta: dict) -> ForecastModel:
                 raise ValueError(f"spike site block{i}.{s}: window T={site.T} exceeds the "
                                  f"largest {bits}-bit code {T}")
             # the site must count the quantizer's codes, or their threshold-scaled form
-            alpha, beta = float(blk.quantizers[s].alpha.data), float(blk.quantizers[s].beta.data)
-            if (site.theta, site.offset, site.T) not in ((alpha, beta, T), (alpha * T, beta, 1)):
-                raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = "
-                                 f"({site.theta}, {site.offset}, {site.T}) is neither the quantizer's "
-                                 f"({alpha}, {beta}, {T}) nor its threshold-scaled ({alpha * T}, {beta}, 1)")
+            got, plain = (site.theta, site.offset, site.T), SpikeSite.of(blk.quantizers[s])
+            allowed = [(a.theta, a.offset, a.T) for a in (plain, threshold_scale(plain))]
+            if got not in allowed:
+                raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = {got} is neither "
+                                 f"the quantizer's {allowed[0]} nor its threshold-scaled {allowed[1]}")
     model.mode = mode
     return model

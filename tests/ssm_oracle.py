@@ -131,7 +131,4 @@ def multi_pass_calibrate(model, x: np.ndarray) -> None:
         for blk in model.blocks:
             h = taped_block(h, blk, model.cfg, collect=collect)
         vals = np.concatenate([v.ravel() for v in collect[q.name]])
-        beta = float(q.beta.data) if q.beta is not None else 0.0
-        q.set_alpha(init_step_size(vals - beta))
-        if q.beta is None:
-            q.set_beta(0.0)
+        q.set_alpha(init_step_size(vals - float(q.beta.data)))

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from spikescan import cli, ssm
 from spikescan.dataset import load_csv, make_coupled_sinusoids, write_csv
 from spikescan.spike import threshold_scale
 from spikescan.train import load_checkpoint, save_checkpoint
@@ -75,6 +76,28 @@ def test_threshold_scale_runs_with_data(work):
     out = run("convert", "--in", str(work / "ann.ckpt"), "--out", str(work / "ts.ckpt"),
               "--threshold-scale", "--data", str(work / "series.csv"), "--has-header").stdout
     assert "threshold-scaled sites" in out or "no sites were threshold-scaled" in out
+
+
+def test_threshold_scale_verifies_on_windows_it_did_not_probe(work, monkeypatch):
+    calls = []
+
+    def record(model, x, verify_x=None):
+        calls.append((x, verify_x))
+        return []
+
+    monkeypatch.setattr(cli, "apply_threshold_scaling", record)
+    assert cli.main(["convert", "--in", str(work / "ann.ckpt"), "--out", str(work / "held.ckpt"),
+                     "--threshold-scale", "--data", str(work / "series.csv"), "--has-header"]) == 0
+    [(probe, verify)] = calls
+    assert len(probe) > 0 and verify is not None and len(verify) > 0
+    assert not {w.tobytes() for w in probe} & {w.tobytes() for w in verify}
+
+
+def test_threshold_scale_needs_two_windows(work):
+    write_csv(str(work / "one_window.csv"), np.ones((HISTORY + HORIZON, 2)), ["a", "b"])
+    p = run("convert", "--in", str(work / "ann.ckpt"), "--out", str(work / "one.ckpt"),
+            "--threshold-scale", "--data", str(work / "one_window.csv"), "--has-header", expect=2)
+    assert "one_window.csv: 1 window(s)" in p.stderr and "Traceback" not in p.stderr
 
 
 def test_verify_passes_on_good_checkpoint(work):
@@ -203,6 +226,22 @@ def test_energy_profile_and_kv_output(work):
     assert float(kv["ops.acc"]) >= 0
 
 
+def test_energy_compare_prices_the_profiled_run(work, monkeypatch, capsys):
+    calls = []
+    forward = ssm.block_forward_snn
+
+    def counted(*args, **kw):
+        calls.append(kw.get("tag"))
+        return forward(*args, **kw)
+
+    monkeypatch.setattr(ssm, "block_forward_snn", counted)
+    assert cli.main(["energy", "--model", str(work / "snn.ckpt"), "--data", str(work / "series.csv"),
+                     "--has-header", "--table", str(work / "energy.cfg"), "--limit", "16", "--compare"]) == 0
+    assert "ratio (snn/ann)" in capsys.readouterr().out
+    blocks = load_checkpoint(str(work / "snn.ckpt"))[0].cfg.blocks
+    assert calls == [f"block{i}" for i in range(blocks)]  # one spiking forward, not a second for --compare
+
+
 def test_energy_requires_snn_checkpoint(work):
     p = run("energy", "--model", str(work / "ann.ckpt"), "--data", str(work / "series.csv"),
             "--has-header", "--table", str(work / "energy.cfg"), expect=2)
@@ -265,6 +304,7 @@ def test_csv_with_the_wrong_column_count_is_a_usage_error(work, command):
 @pytest.mark.parametrize("setting, key", [
     ("state_size = 0\n", "state_size"), ("conv_kernel = 0\n", "conv_kernel"),
     ("batch_size = 0\n", "batch_size"), ("history = 0\n", "history"),
+    ("blocks = 0\n", "blocks"),
 ])
 def test_degenerate_sizes_are_usage_errors(work, setting, key):
     (work / "degenerate.cfg").write_text(setting)

@@ -156,7 +156,9 @@ def test_threshold_scaling_lowers_comparisons():
 
 def test_dense_comparison_reports_both_sides():
     m, x = snn_model(seed=6)
-    cmp_ = compare_ann_energy(m, x, TABLE)
+    report = profile(m, x, TABLE)
+    cmp_ = compare_ann_energy(report, m.cfg, x.shape[0], TABLE)
+    assert cmp_.snn_joules == report.total_joules and cmp_.snn_ops == report.op_totals
     assert cmp_.ann_joules > 0 and cmp_.snn_joules > 0
     assert cmp_.ratio == pytest.approx(cmp_.snn_joules / cmp_.ann_joules, rel=1e-12)
     assert cmp_.reduction_pct == pytest.approx((1 - cmp_.ratio) * 100, rel=1e-9)

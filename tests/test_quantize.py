@@ -56,6 +56,12 @@ class TestInitializer:
         q.calibrate(np.array([0.6, 0.8, 0.1]))
         assert q.initialized and float(q.alpha.data) == pytest.approx(0.7)
 
+    def test_the_offset_exists_before_calibration(self):
+        q = Quantizer(bits=2, name="c")
+        assert float(q.beta.data) == 0.0 and q.beta.trainable and q.beta.name == "c.beta"
+        frozen = Quantizer(bits=2, beta=nm.Tensor(0.25), name="f")
+        assert not frozen.initialized and not frozen.beta.trainable and frozen.parameters() == []
+
     def test_calibrate_measures_from_the_offset(self):
         q = Quantizer(bits=2, name="c")
         q.set_beta(-0.5)

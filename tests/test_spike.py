@@ -75,7 +75,7 @@ def test_tie_edge_counts_equal_quantizer_codes_bit_for_bit():
         edge = beta + (k - 1e-9) * alpha
         pre = edge + rng.integers(-64, 65, size=edge.size) * np.spacing(edge)
         codes = quantize_with_context(pre, q)[1].codes
-        counts = SpikeSite(name="tie", theta=alpha, offset=beta, T=T).encode_counts(pre)
+        counts = SpikeSite.of(q).encode_counts(pre)
         assert np.array_equal(counts, codes), bits
 
 
@@ -84,30 +84,25 @@ class TestQuantizedCodec:
 
     Q = Quantizer(bits=2, alpha=0.5, beta=0.0, rounding="floor", name="codec")
 
-    @staticmethod
-    def site_of(q):
-        return SpikeSite(name=q.name, theta=float(q.alpha.data), offset=float(q.beta.data),
-                         T=q.code_max)
-
     def test_count_equals_code(self):
-        assert self.site_of(self.Q).encode_counts(np.array([1.0]))[0] == 2
+        assert SpikeSite.of(self.Q).encode_counts(np.array([1.0]))[0] == 2
 
     def test_offset_maps_to_silence(self):
         q = Quantizer(bits=2, alpha=0.5, beta=-0.2, rounding="floor", name="o")
-        s = self.site_of(q)
+        s = SpikeSite.of(q)
         counts = s.encode_counts(np.array([-0.2]))
         assert counts[0] == 0
         assert s.decode_counts(counts)[0] == -0.2
 
     def test_max_code_saturates_window(self):
-        s = self.site_of(self.Q)
+        s = SpikeSite.of(self.Q)
         assert s.encode_counts(np.array([1.5]))[0] == 3 == s.T
 
     def test_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(0)
         q = Quantizer(bits=3, alpha=0.37, beta=0.21, rounding="floor", name="rt")
         xq, ctx = quantize_with_context(rng.normal(size=300) * 2, q)
-        s = self.site_of(q)
+        s = SpikeSite.of(q)
         assert np.array_equal(s.encode_counts(xq), ctx.codes)
         assert np.array_equal(s.decode_counts(s.encode_counts(xq)), xq)
 

@@ -115,7 +115,7 @@ def test_config_defaults():
 
 
 @pytest.mark.parametrize("key", ["d_value", "history", "horizon", "d_hidden", "state_size",
-                                 "conv_kernel", "delta_rank"])
+                                 "conv_kernel", "delta_rank", "blocks", "bits"])
 def test_config_rejects_sizes_below_one(key):
     with pytest.raises(ValueError, match=f"model config: {key} must be >= 1, got 0"):
         ModelConfig(**{"d_value": 3, "history": 12, "horizon": 3, key: 0})

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spikescan.numerics as nm
 from spikescan.energy import OpCounters
-from spikescan.ssm import ForecastModel, ModelConfig
+from spikescan.spike import threshold_scale
+from spikescan.ssm import SPIKE_SITES, ForecastModel, ModelConfig
 from spikescan.train import (Adam, CHECKPOINT_MAGIC, TrainConfig, apply_threshold_scaling,
                              convert_to_snn, load_checkpoint, save_checkpoint, train)
 
@@ -473,6 +474,8 @@ def _config(key, value):
     (_config("state_size", 0), "model config: state_size must be >= 1, got 0"),
     (_config("history", -3), "model config: history must be >= 1, got -3"),
     (_config("delta_rank", 0), "model config: delta_rank must be >= 1, got 0"),
+    (_config("blocks", 0), "model config: blocks must be >= 1, got 0"),
+    (_config("bits", 0), "model config: bits must be >= 1, got 0"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
@@ -480,3 +483,45 @@ def test_malformed_metadata_is_named(small_ckpt, change, defect):
     p.write_bytes(with_metadata(raw, change))
     with pytest.raises(ValueError, match=r"bad\.ckpt: " + defect):
         load_checkpoint(str(p))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bits=st.integers(1, 4), blocks=st.integers(1, 3), data=st.data())
+def test_spike_sites_round_trip_and_any_other_site_is_refused(tmp_path, bits, blocks, data):
+    """A converted model with any subset of sites threshold-scaled re-loads bit for bit;
+    a stored site that is neither its quantizer's nor the threshold-scaled one is named."""
+    cfg = small_cfg(bits=bits, blocks=blocks)
+    m = ForecastModel.build(cfg, seed=bits + 4 * blocks)
+    for w in [t for blk in m.blocks for t in blk.weight_tensors()] + [m.W_head, m.b_head]:
+        w.data = w.data.astype(np.float32).astype(np.float64)  # as stored, so forecasts can match
+    x = make_data(n=8, cfg=cfg, seed=blocks)[0]
+    m.calibrate(x)
+    ann = m.forward(x).data
+    convert_to_snn(m)
+    keys = [(i, s) for i in range(blocks) for s in SPIKE_SITES]
+    for i, s in data.draw(st.lists(st.sampled_from(keys), unique=True), label="scaled"):
+        m.blocks[i].sites[s] = threshold_scale(m.blocks[i].sites[s])
+    snn = m.forward(x).data
+    p = tmp_path / "rt.ckpt"
+    save_checkpoint(str(p), m)
+    raw = p.read_bytes()
+    m2, _ = load_checkpoint(str(p))
+    save_checkpoint(str(p), m2)
+    assert p.read_bytes() == raw
+    assert np.array_equal(m2.forward(x).data, snn)
+    m2.mode = "ann"
+    assert np.array_equal(m2.forward(x).data, ann)
+
+    i, s = data.draw(st.sampled_from(keys), label="tampered")
+    site = m.blocks[i].sites[s]
+    changes = [("theta", site.theta * 1.5), ("offset", site.offset + 0.5)]
+    changes += [("T", t) for t in range(1, 2 ** bits + 1) if t != site.T]  # up to one past the largest code
+    for part, bad in changes:
+        def change(meta):
+            meta["sites"][i][s][part] = bad
+            meta["sites"][i][s]["scale"] = meta["sites"][i][s]["theta"]  # the v1 key follows theta
+
+        p.write_bytes(with_metadata(raw, change))
+        with pytest.raises(ValueError, match=rf"rt\.ckpt: spike site block{i}\.{s}: (\(theta, offset, T\)|window T=)"):
+            load_checkpoint(str(p))
