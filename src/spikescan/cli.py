@@ -199,6 +199,8 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
     model, meta = load_checkpoint(args.model)
     table = EnergyTable.from_config(load_config(args.table))
     splits = _checkpoint_windows(model, meta, args.data, args.has_header)

@@ -247,6 +247,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """``x`` [B, L, D] with zero rows added along time, written into a zeroed buffer (``np.pad`` costs far more)."""
+    B, L, D = x.shape
+    out = np.zeros((B, before + L + after, D))
+    out[:, before:before + L] = x
+    return out
+
+
 def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
     """Causal depthwise convolution along the time axis.
 
@@ -262,7 +270,7 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
         )
     L, K = x.data.shape[1], k.data.shape[1]
     kd = k.data
-    xpad = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))
+    xpad = _pad_time(x.data, K - 1, 0)
     # K shifted multiply-adds in tap order: the sum order of sum_j k[:, j] x[t - K+1 + j]
     y = xpad[:, 0:L] * kd[:, 0]
     for j in range(1, K):
@@ -271,7 +279,7 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
 
     def vjp(g, accumulate):
         # out[t] reads x[t - K+1 + j] through tap j, so x[s] collects g[s + K-1 - j] k[:, j]
-        gpad = np.pad(g, ((0, 0), (0, K - 1), (0, 0)))
+        gpad = _pad_time(g, 0, K - 1)
         gx = gpad[:, 0:L] * kd[:, K - 1]
         for i in range(1, K):
             gx += gpad[:, i:i + L] * kd[:, K - 1 - i]

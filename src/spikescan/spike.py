@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantize import GRID_SNAP, Quantizer, floor_with_snap
+from .quantize import GRID_SNAP, Quantizer, clip_inplace, floor_with_snap
 
 __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
@@ -68,7 +68,7 @@ class SpikeSite:
         d = pre - self.offset
         d /= self.theta
         counts = floor_with_snap(d)
-        return np.clip(counts, 0, self.T, out=counts)
+        return clip_inplace(counts, 0, self.T)
 
     def decode_counts(self, counts: np.ndarray) -> np.ndarray:
         out = counts * self.theta

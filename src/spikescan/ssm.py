@@ -42,7 +42,7 @@ import numpy as np
 from . import numerics as nm
 # pow2_silu has no caller here; perfbench's tracer looks it up on this module
 from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t  # noqa: F401
-from .quantize import Quantizer, quantize, quantize_values, quantize_with_context, ste_backward
+from .quantize import Quantizer, clip_inplace, quantize, quantize_values, quantize_with_context, ste_backward
 from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
@@ -161,8 +161,10 @@ BlockParams.WEIGHT_FIELDS = tuple(k for k, t in typing.get_type_hints(BlockParam
 
 
 def _exponent(x: np.ndarray, smooth: bool) -> np.ndarray:
-    """The decay exponent of ``x = step * A``: clip(rint(x)), or clip(x) when ``smooth``."""
-    return np.clip(x if smooth else np.rint(x), EXP_LO, EXP_HI)
+    """The decay exponent of ``x = step * A``, in place in ``x``: clip(rint(x)), or clip(x) when ``smooth``."""
+    if not smooth:
+        np.rint(x, out=x)
+    return clip_inplace(x, EXP_LO, EXP_HI)
 
 
 def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
@@ -173,7 +175,7 @@ def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
     identity, passing ln(2) * out inside the clamp and zero outside.
     ``selective_scan`` applies the same rule to its decay.
     """
-    val = np.exp2(_exponent(x.data, smooth))
+    val = np.exp2(_exponent(x.data.copy(), smooth))
     out = nm.Tensor(val)
     mask = (x.data >= EXP_LO) & (x.data <= EXP_HI)
 
@@ -198,17 +200,28 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     re-encode the state through their ``h`` site in the hook; without one the
     scan is the bare time-varying linear recurrence.  ``smooth`` keeps the
     exponent unrounded (the finite-difference surrogate of ``quantize``).
+
+    A step is a short run of ufunc calls into two [B, dh, n] buffers
+    allocated once: one holds the exponent, the other the input term and
+    then the readout product.  The ``h`` passed to ``encode_h`` is a working
+    array the scan updates in place and may overwrite after the hook
+    returns: a hook that keeps it must copy it.
     """
     B, L, dh = u.shape
     h = np.zeros((B, dh, A.shape[1]))
+    expo = np.empty_like(h)
+    term = np.empty_like(h)
     y = np.empty((B, L, dh))
     for t in range(L):
-        step_t = step[:, t][:, :, None]
-        h = pow2_shift(h, _exponent(step_t * A, smooth))
-        h = h + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
+        step_t = step[:, t, :, None]
+        h = pow2_shift(h, _exponent(np.multiply(step_t, A, out=expo), smooth))
+        np.multiply(step_t, B_seq[:, t, None, :], out=term)
+        term *= u[:, t, :, None]
+        h += term
         if encode_h is not None:
             h = encode_h(t, h)
-        y[:, t] = (h * C_seq[:, t][:, None, :]).sum(axis=2) + D * u[:, t]
+        np.multiply(h, C_seq[:, t, None, :], out=term)
+        np.add(term.sum(axis=2), D * u[:, t], out=y[:, t])
     return y
 
 
@@ -289,8 +302,7 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, hs: np.ndarray, ctxs: l
                               for a in (step.data, u.data, B_seq.data, C_seq.data, gy))
         x = np.einsum("lbd,dn->lbdn", st, A.data)  # the forward's products step_t * A
         live = (x >= EXP_LO) & (x <= EXP_HI)  # where the exponent's STE passes
-        abar = _exponent(x, smooth)
-        np.exp2(abar, out=abar)
+        abar = np.exp2(_exponent(x, smooth), out=x)  # x is dead after the mask
         del x
         g_pre = np.empty_like(hs)  # [t]: the gradient of the state before step t's encode
         g_alpha = g_beta = 0.0
@@ -347,7 +359,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             states = []
 
             def keep(t, h_pre):
-                states.append(h_pre.ravel())
+                states.append(h_pre.ravel().copy())  # the scan reuses its buffers
                 return h_pre
 
             selective_scan(*args, keep, smooth)
@@ -384,17 +396,22 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         raise RuntimeError("block has no spike sites; convert the model first")
     T_pass = 2 ** cfg.bits - 1
 
-    def encode(name, t):
-        site = p.sites.get(name)
-        if site is None:
-            return quantize(t, p.quantizers[name]), None
-        counts = site.encode_counts(t.data)
+    def code(name, v):
+        """Spike site ``name``'s counts for the raw drive ``v``, decoded: ``(values, counts)``."""
+        site = p.sites[name]
+        counts = site.encode_counts(v)
         if counters is not None:
             counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
             # rate is spikes per (neuron, timestep) slot of the pass window, so a
             # threshold-scaled site with a collapsed T reports a lower rate
             counters.record_site(f"{tag}.{name}", counts, T_pass)
-        return nm.Tensor(site.decode_counts(counts)), counts
+        return site.decode_counts(counts), counts
+
+    def encode(name, t):
+        if name not in p.sites:
+            return quantize(t, p.quantizers[name]), None
+        values, counts = code(name, t.data)
+        return nm.Tensor(values), counts
 
     def scan(step, A, B_seq, C_seq, D, u, u_counts):
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none
@@ -404,10 +421,10 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
                 # step * A and step * B products; one shift per surviving state spike
                 counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1],
                              acc=int(u_counts[:, t].sum()) * cfg.state_size)
-            h, counts = encode("h", nm.Tensor(h_pre))
+            h, counts = code("h", h_pre)
             if counters is not None:
                 spikes.append(int(counts.sum()))
-            return h.data
+            return h
 
         y = selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data, encode_h)
         if counters is not None:

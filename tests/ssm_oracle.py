@@ -2,7 +2,9 @@
 
 ``dense_ssm_reference`` runs the literal recurrence with full matrices;
 ``ssm_kernel`` and ``apply_kernel`` compute the same output as a causal
-convolution with the impulse response.  ``taped_forward`` is the model's
+convolution with the impulse response.  ``reference_scan`` is the selective
+scan written with a fresh array per op, the bit-exact reference for the
+buffered ``selective_scan``.  ``taped_forward`` is the model's
 real-arithmetic forward with the scan unrolled into per-step tape
 primitives, the gradient reference for the scan's hand-written backward;
 ``multi_pass_calibrate`` is the calibration reference, one full forward per
@@ -14,7 +16,8 @@ import numpy as np
 import spikescan.numerics as nm
 from spikescan.activations import pow2_silu_t, pow2_softplus_t
 from spikescan.quantize import init_step_size, quantize
-from spikescan.ssm import QUANT_SITES, forecast_head, pow2_round_ste
+from spikescan.spike import pow2_shift
+from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, forecast_head, pow2_round_ste
 
 
 def dense_ssm_reference(A_d: np.ndarray, B_d: np.ndarray, C: np.ndarray,
@@ -62,6 +65,25 @@ def apply_kernel(u: np.ndarray, K: np.ndarray, D: np.ndarray | None = None) -> n
             y[t] += K[k] @ u[t - k]
         if D is not None:
             y[t] += np.asarray(D) @ u[t]
+    return y
+
+
+def reference_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
+                   D: np.ndarray, u: np.ndarray, encode_h=None, smooth: bool = False) -> np.ndarray:
+    """``selective_scan`` with every op out of place; the hook's ``h`` is never reused."""
+    def exponent(x):
+        return np.clip(x if smooth else np.rint(x), EXP_LO, EXP_HI)
+
+    B, L, dh = u.shape
+    h = np.zeros((B, dh, A.shape[1]))
+    y = np.empty((B, L, dh))
+    for t in range(L):
+        step_t = step[:, t][:, :, None]
+        h = pow2_shift(h, exponent(step_t * A))
+        h = h + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
+        if encode_h is not None:
+            h = encode_h(t, h)
+        y[:, t] = (h * C_seq[:, t][:, None, :]).sum(axis=2) + D * u[:, t]
     return y
 
 

@@ -242,6 +242,15 @@ def test_energy_compare_prices_the_profiled_run(work, monkeypatch, capsys):
     assert calls == [f"block{i}" for i in range(blocks)]  # one spiking forward, not a second for --compare
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_energy_rejects_a_limit_below_one(work, capsys, limit):
+    # -5 would slice off the last 5 windows; 0 would price no window and print an infinite ratio
+    assert cli.main(["energy", "--model", str(work / "snn.ckpt"), "--data", str(work / "series.csv"),
+                     "--has-header", "--table", str(work / "energy.cfg"), "--limit", limit, "--compare"]) == 2
+    out, err = capsys.readouterr()
+    assert f"--limit must be >= 1, got {limit}" in err and "total energy" not in out
+
+
 def test_energy_requires_snn_checkpoint(work):
     p = run("energy", "--model", str(work / "ann.ckpt"), "--data", str(work / "series.csv"),
             "--has-header", "--table", str(work / "energy.cfg"), expect=2)

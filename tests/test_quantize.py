@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spikescan.numerics as nm
-from spikescan.quantize import (ALPHA_FLOOR, Quantizer, init_step_size,
+from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, init_step_size,
                                 quantize, quantize_with_context, round_half_away,
                                 ste_backward)
+from spikescan.ssm import EXP_HI, EXP_LO
 
 
 def q2(alpha=0.5, beta=0.0, **kw):
@@ -67,6 +69,23 @@ class TestInitializer:
         q.set_beta(-0.5)
         q.calibrate(np.array([0.1, 0.3, -0.4]))  # [0.6, 0.8, 0.1] above the offset
         assert float(q.alpha.data) == pytest.approx(0.7) and float(q.beta.data) == -0.5
+
+
+EDGE_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 15.5]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40),
+       bounds=st.one_of(st.integers(1, 15).map(lambda T: (0, T)), st.just((EXP_LO, EXP_HI))))
+@example(values=EDGE_VALUES, bounds=(0, 3))
+@example(values=EDGE_VALUES, bounds=(EXP_LO, EXP_HI))
+def test_clip_inplace_equals_np_clip_bit_for_bit(values, bounds):
+    """Signed zeros, NaN payloads, infinities and subnormals clip exactly as ``np.clip`` does."""
+    x = np.array(values, dtype=np.float64)
+    expect = np.clip(x, *bounds)
+    out = clip_inplace(x, *bounds)
+    assert out is x
+    assert out.tobytes() == expect.tobytes()
 
 
 def test_round_half_away_from_zero():

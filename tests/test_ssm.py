@@ -13,9 +13,10 @@ from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.spike import SpikeSite
 from spikescan.ssm import (EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig, SPIKE_SITES,
                            block_forward_ann, pow2_round_ste, selective_scan)
-from spikescan.energy import OpCounters
-from spikescan.train import convert_to_snn
-from ssm_oracle import apply_kernel, dense_ssm_reference, multi_pass_calibrate, ssm_kernel, taped_forward
+from spikescan.energy import EnergyTable, OpCounters, profile
+from spikescan.train import TrainConfig, convert_to_snn, train
+from ssm_oracle import (apply_kernel, dense_ssm_reference, multi_pass_calibrate, reference_scan, ssm_kernel,
+                        taped_forward)
 
 RNG = np.random.default_rng(99)
 
@@ -73,6 +74,34 @@ def test_selective_scan_constant_step_matches_kernel():
             Cd = Cseq[b, 0][None, :]
             ref = dense_ssm_reference(Ad, Bd, Cd, np.array([[D[d]]]), u[b, :, d][:, None])
             assert np.max(np.abs(y[b, :, d] - ref[:, 0])) < 1e-10
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(batch=st.integers(1, 5), L=st.integers(1, 16), dh=st.integers(1, 8), n=st.integers(1, 4),
+       smooth=st.booleans(), hook=st.sampled_from(["none", "floor", "keep"]), seed=st.integers(0, 2**32 - 1))
+def test_selective_scan_matches_the_out_of_place_reference(batch, L, dh, n, smooth, hook, seed):
+    """Bit for bit the out-of-place scan: the readout and every state the hook sees."""
+    rng = np.random.default_rng(seed)
+    # quarter-step grid: step * A lands on rint ties, and past EXP_LO, as well as between
+    step = rng.integers(1, 48, size=(batch, L, dh)) / 4.0
+    A = -np.exp(rng.uniform(-2.0, 2.0, size=(dh, n)))
+    B_seq, C_seq, u = (rng.normal(size=s) for s in ((batch, L, n), (batch, L, n), (batch, L, dh)))
+    D = rng.normal(size=dh)
+    q = ssm.Quantizer(bits=2, alpha=0.3, beta=-0.2, rounding="floor", name="h")
+    seen = {"scan": [], "reference": []}
+
+    def make_hook(key):
+        def encode_h(t, h):
+            seen[key].append((t, h.copy()))
+            return ssm.quantize_values(h, q, smooth)[0] if hook == "floor" else h
+        return None if hook == "none" else encode_h
+
+    y = selective_scan(step, A, B_seq, C_seq, D, u, make_hook("scan"), smooth)
+    ref = reference_scan(step, A, B_seq, C_seq, D, u, make_hook("reference"), smooth)
+    assert np.array_equal(y, ref)
+    assert len(seen["scan"]) == len(seen["reference"]) == (0 if hook == "none" else L)
+    for (t, h), (t_ref, h_ref) in zip(seen["scan"], seen["reference"]):
+        assert t == t_ref and np.array_equal(h, h_ref)
 
 
 def test_pow2_round_forward_is_exact_powers():
@@ -386,7 +415,7 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
 
     def record(mode, name, pre):
         if name in names:  # delta_int and x_res quantize in both modes
-            drives[mode].setdefault(name, []).append(pre)
+            drives[mode].setdefault(name, []).append(pre.copy())  # the scan may reuse h's array
 
     def ann_site(t, q, smooth=False):
         record("ann", q.name, t.data)
@@ -411,6 +440,25 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         ann, snn = drives["ann"][name], drives["snn"][name]
         assert len(ann) == len(snn), name
         assert all(np.array_equal(a, s) for a, s in zip(ann, snn)), name
+
+
+def test_hot_path_calls_neither_np_clip_nor_np_pad(monkeypatch):
+    """Calibration, a taped training step, both forwards and the energy profile run without the
+    wrapper-heavy ``np.clip`` and ``np.pad``, whose Python layers cost more than the work at batch 1."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.clip and np.pad are too slow for the forward and training paths")
+
+    monkeypatch.setattr(np, "clip", forbidden)
+    monkeypatch.setattr(np, "pad", forbidden)
+    m, x = calibrated_model(small_cfg(blocks=2))
+    y = np.random.default_rng(5).normal(size=(x.shape[0], m.cfg.horizon, m.cfg.d_value))
+    res = train(m, x, y, x[:0], y[:0], TrainConfig(max_epochs=1, batch_size=x.shape[0]))
+    assert res.epochs_run == 1 and np.isfinite(res.train_losses[0])
+    ann = m.forward(x[:1]).data
+    convert_to_snn(m)
+    assert np.array_equal(m.forward(x[:1]).data, ann)
+    table = EnergyTable(e_acc=1e-12, e_mac=4e-12, e_shift=1e-13, e_cmp=1e-13)
+    assert profile(m, x, table).total_joules > 0
 
 
 def test_multi_block_equivalence():
