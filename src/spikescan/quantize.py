@@ -40,9 +40,9 @@ def round_half_away(v: np.ndarray) -> np.ndarray:
     return np.sign(v) * np.floor(np.abs(v) + 0.5)
 
 
-def floor_with_snap(v: np.ndarray) -> np.ndarray:
-    """Floor with a tiny positive nudge so exact grid points stay put."""
-    r = np.asarray(v, dtype=np.float64) + GRID_SNAP
+def floor_with_snap(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Floor with a tiny positive nudge so exact grid points stay put; into ``out`` when given."""
+    r = np.add(np.asarray(v, dtype=np.float64), GRID_SNAP, out=out)
     return np.floor(r, out=r)
 
 

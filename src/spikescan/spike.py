@@ -35,10 +35,10 @@ from .quantize import GRID_SNAP, Quantizer, clip_inplace, floor_with_snap
 __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
 
-def pow2_shift(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """v * 2**e; for integer ``e`` an exact shift, bit for bit ``np.ldexp(v, e)``,
-    subnormal results included, while 2**e is a normal float (-1022 <= e <= 1023)."""
-    return np.asarray(v, dtype=np.float64) * np.exp2(e)
+def pow2_shift(v: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v * 2**e, into ``out`` when given; for integer ``e`` an exact shift, bit for bit
+    ``np.ldexp(v, e)``, subnormal results included, while 2**e is a normal float (-1022 <= e <= 1023)."""
+    return np.multiply(v, np.exp2(e), out=out)
 
 
 @dataclass
@@ -67,8 +67,7 @@ class SpikeSite:
         # in place, as in ``quantize_values``: same operations, fewer temporaries
         d = pre - self.offset
         d /= self.theta
-        counts = floor_with_snap(d)
-        return clip_inplace(counts, 0, self.T)
+        return clip_inplace(floor_with_snap(d, out=d), 0, self.T)
 
     def decode_counts(self, counts: np.ndarray) -> np.ndarray:
         out = counts * self.theta

@@ -47,6 +47,7 @@ from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
 EXP_HI = 0
+SCAN_CHUNK = 16384  # state entries per scan chunk buffer: 128 KiB of float64
 
 SPIKE_SITES = ("x_in", "conv", "delta_raw", "delta", "h", "y")
 QUANT_SITES = SPIKE_SITES + ("delta_int", "x_res")
@@ -201,27 +202,44 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     scan is the bare time-varying linear recurrence.  ``smooth`` keeps the
     exponent unrounded (the finite-difference surrogate of ``quantize``).
 
-    A step is a short run of ufunc calls into two [B, dh, n] buffers
-    allocated once: one holds the exponent, the other the input term and
-    then the readout product.  The ``h`` passed to ``encode_h`` is a working
-    array the scan updates in place and may overwrite after the hook
-    returns: a hook that keeps it must copy it.
+    Time runs in chunks of ``span`` steps, as many as fit ``SCAN_CHUNK``
+    entries of state (at least one, at most L), so no buffer grows with L.
+    Only the state update is sequential: a chunk's decay exponents, its input
+    terms and, after its last step, its readout are one call each over
+    time-major [span, B, dh, n] buffers, allocated once per scan.  Each step
+    writes its state into the chunk's slot ``hs[j]``, and that slot is the
+    ``h`` the hook receives: a working array the scan overwrites in a later
+    chunk, so a hook that keeps it must copy it.  The scan only reads an
+    array the hook returns instead, copying it into the slot when the chunk
+    has more steps than one.
     """
     B, L, dh = u.shape
-    h = np.zeros((B, dh, A.shape[1]))
-    expo = np.empty_like(h)
-    term = np.empty_like(h)
+    n = A.shape[1]
+    span = max(1, min(L, SCAN_CHUNK // max(1, B * dh * n)))  # B = 0 takes one chunk of empty steps
+    expo, term, hs = (np.empty((span, B, dh, n)) for _ in range(3))
+    # time-major views, so a chunk of each is one slice
+    step_t = step.swapaxes(0, 1)[..., None]
+    B_t, C_t = (a.swapaxes(0, 1)[:, :, None] for a in (B_seq, C_seq))
+    u_t = u.swapaxes(0, 1)
     y = np.empty((B, L, dh))
-    for t in range(L):
-        step_t = step[:, t, :, None]
-        h = pow2_shift(h, _exponent(np.multiply(step_t, A, out=expo), smooth))
-        np.multiply(step_t, B_seq[:, t, None, :], out=term)
-        term *= u[:, t, :, None]
-        h += term
-        if encode_h is not None:
-            h = encode_h(t, h)
-        np.multiply(h, C_seq[:, t, None, :], out=term)
-        np.add(term.sum(axis=2), D * u[:, t], out=y[:, t])
+    h = np.zeros(1)  # the zero initial state, broadcast by the first shift
+    for t0 in range(0, L, span):
+        k = min(span, L - t0)
+        ts = slice(t0, t0 + k)
+        e = _exponent(np.multiply(step_t[ts], A, out=expo[:k]), smooth)
+        bu = np.multiply(step_t[ts], B_t[ts], out=term[:k])
+        bu *= u_t[ts, :, :, None]
+        for j in range(k):
+            h = pow2_shift(h, e[j], out=hs[j])
+            h += bu[j]
+            if encode_h is not None:
+                h = encode_h(t0 + j, h)
+                if k > 1 and h is not hs[j]:  # the readout reads a chunk's states from hs
+                    hs[j] = h
+        # a one-step chunk reads its state where it is; no name holds that array into the
+        # next chunk's hook, where one more live [B, dh, n] array slows batch 256 measurably
+        readout = np.multiply(hs[:k] if k > 1 else h[None], C_t[ts], out=term[:k]).sum(axis=3)
+        np.add(readout, D * u_t[ts], out=y.swapaxes(0, 1)[ts])
     return y
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spikescan.numerics as nm
-from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, init_step_size,
+from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with_snap, init_step_size,
                                 quantize, quantize_with_context, round_half_away,
                                 ste_backward)
 from spikescan.ssm import EXP_HI, EXP_LO
@@ -86,6 +86,14 @@ def test_clip_inplace_equals_np_clip_bit_for_bit(values, bounds):
     out = clip_inplace(x, *bounds)
     assert out is x
     assert out.tobytes() == expect.tobytes()
+
+
+def test_floor_with_snap_into_its_input_equals_the_fresh_result():
+    x = np.random.default_rng(4).integers(-40, 41, size=2000) / 8.0 - 1e-9
+    x[:4] = [-0.0, 3.0 - 1e-9, 3.0 - 2e-9, np.inf]
+    expect = floor_with_snap(x)
+    assert floor_with_snap(x, out=x) is x
+    assert x.tobytes() == expect.tobytes()
 
 
 def test_round_half_away_from_zero():

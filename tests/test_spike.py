@@ -148,6 +148,9 @@ def test_pow2_shift_is_exact_ldexp():
     got = pow2_shift(v, e)
     assert np.array_equal(got, np.ldexp(v, e))
     assert np.count_nonzero((got != 0) & (np.abs(got) < np.finfo(np.float64).tiny)) > 1000
+    buf = np.empty_like(v)
+    assert pow2_shift(v, e, out=buf) is buf
+    assert np.array_equal(buf, np.ldexp(v, e))
 
 
 def test_spike_train_invariants():

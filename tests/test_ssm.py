@@ -1,6 +1,7 @@
 """Selective-scan block: dense oracles, conversion equivalence, gradients."""
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -76,32 +77,83 @@ def test_selective_scan_constant_step_matches_kernel():
             assert np.max(np.abs(y[b, :, d] - ref[:, 0])) < 1e-10
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(batch=st.integers(1, 5), L=st.integers(1, 16), dh=st.integers(1, 8), n=st.integers(1, 4),
-       smooth=st.booleans(), hook=st.sampled_from(["none", "floor", "keep"]), seed=st.integers(0, 2**32 - 1))
-def test_selective_scan_matches_the_out_of_place_reference(batch, L, dh, n, smooth, hook, seed):
-    """Bit for bit the out-of-place scan: the readout and every state the hook sees."""
-    rng = np.random.default_rng(seed)
+H_SITE = ssm.Quantizer(bits=2, alpha=0.3, beta=-0.2, rounding="floor", name="h")  # a scan hook's grid
+
+
+def scan_inputs(rng, batch, L, dh, n):
+    """Random scan operands ``(step, A, B_seq, C_seq, D, u)``."""
     # quarter-step grid: step * A lands on rint ties, and past EXP_LO, as well as between
     step = rng.integers(1, 48, size=(batch, L, dh)) / 4.0
     A = -np.exp(rng.uniform(-2.0, 2.0, size=(dh, n)))
     B_seq, C_seq, u = (rng.normal(size=s) for s in ((batch, L, n), (batch, L, n), (batch, L, dh)))
-    D = rng.normal(size=dh)
-    q = ssm.Quantizer(bits=2, alpha=0.3, beta=-0.2, rounding="floor", name="h")
+    return step, A, B_seq, C_seq, rng.normal(size=dh), u
+
+
+def assert_scan_matches_reference(args, smooth, hook):
+    """Bit for bit the out-of-place scan: the readout and every state the hook sees."""
     seen = {"scan": [], "reference": []}
 
     def make_hook(key):
         def encode_h(t, h):
             seen[key].append((t, h.copy()))
-            return ssm.quantize_values(h, q, smooth)[0] if hook == "floor" else h
+            return ssm.quantize_values(h, H_SITE, smooth)[0] if hook == "floor" else h
         return None if hook == "none" else encode_h
 
-    y = selective_scan(step, A, B_seq, C_seq, D, u, make_hook("scan"), smooth)
-    ref = reference_scan(step, A, B_seq, C_seq, D, u, make_hook("reference"), smooth)
+    y = selective_scan(*args, make_hook("scan"), smooth)
+    ref = reference_scan(*args, make_hook("reference"), smooth)
     assert np.array_equal(y, ref)
-    assert len(seen["scan"]) == len(seen["reference"]) == (0 if hook == "none" else L)
+    assert len(seen["scan"]) == len(seen["reference"]) == (0 if hook == "none" else args[-1].shape[1])
     for (t, h), (t_ref, h_ref) in zip(seen["scan"], seen["reference"]):
         assert t == t_ref and np.array_equal(h, h_ref)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(batch=st.integers(1, 5), L=st.integers(1, 16), dh=st.integers(1, 8), n=st.integers(1, 4),
+       smooth=st.booleans(), hook=st.sampled_from(["none", "floor", "keep"]), seed=st.integers(0, 2**32 - 1))
+def test_selective_scan_matches_the_out_of_place_reference(batch, L, dh, n, smooth, hook, seed):
+    """Bit for bit the out-of-place scan: the readout and every state the hook sees."""
+    assert_scan_matches_reference(scan_inputs(np.random.default_rng(seed), batch, L, dh, n), smooth, hook)
+
+
+# at the README size (dh 16, n 4): the whole window in one chunk, several chunks,
+# a partial last chunk, one step per chunk
+@pytest.mark.parametrize("batch, L, span", [(1, 12, 12), (64, 12, 4), (100, 13, 2), (256, 12, 1)])
+@pytest.mark.parametrize("hook", ["none", "floor", "keep"])
+@pytest.mark.parametrize("smooth", [False, True])
+def test_selective_scan_chunk_boundaries_match_the_reference(batch, L, span, hook, smooth):
+    assert min(L, ssm.SCAN_CHUNK // (batch * 16 * 4)) == span
+    rng = np.random.default_rng(batch * 100 + L)
+    assert_scan_matches_reference(scan_inputs(rng, batch, L, 16, 4), smooth, hook)
+
+
+@pytest.mark.parametrize("batch", [1, 64, 256])
+def test_selective_scan_never_writes_into_what_the_hook_returns(batch):
+    args = scan_inputs(np.random.default_rng(batch), batch, 12, 16, 4)
+    returned = []
+
+    def encode_h(t, h):
+        out = ssm.quantize_values(h, H_SITE)[0]
+        returned.append((out, out.copy()))
+        return out
+
+    y = selective_scan(*args, encode_h)
+    assert len(returned) == 12
+    assert all(np.array_equal(out, kept) for out, kept in returned)
+    assert np.array_equal(y, reference_scan(*args, lambda t, h: ssm.quantize_values(h, H_SITE)[0]))
+
+
+def test_selective_scan_memory_does_not_grow_with_the_window():
+    """Beyond ``y`` the scan's peak heap is its chunk buffers: the same at L = 12 and L = 48."""
+    peaks = []
+    for L in (12, 48):
+        args = scan_inputs(np.random.default_rng(L), 256, L, 16, 4)
+        tracemalloc.start()
+        try:
+            y = selective_scan(*args, lambda t, h: ssm.quantize_values(h, H_SITE)[0])
+            peaks.append(tracemalloc.get_traced_memory()[1] - y.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) <= 4096, peaks
 
 
 def test_pow2_round_forward_is_exact_powers():
@@ -167,6 +219,15 @@ def test_forward_validates_input_shape():
     with pytest.raises(ValueError) as e:
         m.forward(np.zeros((2, 5, 2)))
     assert "10" in str(e.value)
+
+
+def test_forward_on_an_empty_batch_returns_an_empty_forecast():
+    m, x = calibrated_model()
+    assert m.forward(x[:0]).data.shape == (0, m.cfg.horizon, m.cfg.d_value)
+    convert_to_snn(m)
+    ct = OpCounters()
+    assert m.forward(x[:0], counters=ct).data.shape == (0, m.cfg.horizon, m.cfg.d_value)
+    assert ct.total("acc") == 0
 
 
 def test_forward_names_the_first_non_finite_window():
