@@ -73,7 +73,8 @@ class GradTape:
 
     def record(self, out: Tensor, vjp: Callable) -> None:
         """Append one record. ``vjp(grad_out, accumulate)`` must scatter
-        gradients to the op's inputs via ``accumulate(tensor, grad)``."""
+        gradients to the op's inputs via ``accumulate(tensor, grad)``, or
+        ``accumulate(tensor, grad, index)`` for a gradient of ``tensor[index]`` alone."""
         self._records.append((out, vjp))
 
     def __len__(self) -> int:
@@ -113,9 +114,15 @@ def backward(tape: GradTape, loss_grad=1.0, output: Tensor | None = None) -> dic
     grads: dict[Tensor, np.ndarray] = {}
     seed = np.broadcast_to(np.asarray(loss_grad, dtype=np.float64), output.data.shape)
     grads[output] = np.array(seed, dtype=np.float64)
+    owned: set[Tensor] = set()  # gradients held in an array this replay made, so it may add into them
 
-    def accumulate(t: Tensor, g: np.ndarray) -> None:
-        if t in grads:
+    def accumulate(t: Tensor, g: np.ndarray, index=None) -> None:
+        if index is not None:
+            if t not in owned:  # a zero buffer, or a copy of the array some vjp handed over
+                grads[t] = np.array(grads[t], dtype=np.float64) if t in grads else np.zeros(t.data.shape)
+                owned.add(t)
+            grads[t][index] += g
+        elif t in grads:
             grads[t] = grads[t] + g
         else:
             grads[t] = np.asarray(g, dtype=np.float64)
@@ -326,10 +333,8 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
         lo, hi = hi, hi + size
         piece = Tensor(np.ascontiguousarray(x.data[..., lo:hi]))
 
-        def vjp(g, accumulate, lo=lo, hi=hi):
-            full = np.zeros_like(x.data)
-            full[..., lo:hi] = g
-            accumulate(x, full)
+        def vjp(g, accumulate, index=(..., slice(lo, hi))):
+            accumulate(x, g, index)
 
         record_op(piece, vjp)
         outs.append(piece)

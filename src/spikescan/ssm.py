@@ -206,7 +206,13 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     entries of state (at least one, at most L), so no buffer grows with L.
     Only the state update is sequential: a chunk's decay exponents, its input
     terms and, after its last step, its readout are one call each over
-    time-major [span, B, dh, n] buffers, allocated once per scan.  Each step
+    time-major [span, B, dh, n] buffers, allocated once per scan.  Every
+    product runs on whole [k, B, dh, n] operands: each chunk first repeats
+    ``step`` and ``u`` along the state axis and ``B_t``, ``C_t`` along the
+    channel axis, since a ufunc that broadcasts a length-1 axis against the
+    short state axis costs several times the arithmetic.  The readout adds
+    the state entries in index order from +0.0, the order numpy's
+    ``sum`` takes over fewer than 8 entries.  Each step
     writes its state into the chunk's slot ``hs[j]``, and that slot is the
     ``h`` the hook receives: a working array the scan overwrites in a later
     chunk, so a hook that keeps it must copy it.  The scan only reads an
@@ -218,17 +224,18 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     span = max(1, min(L, SCAN_CHUNK // max(1, B * dh * n)))  # B = 0 takes one chunk of empty steps
     expo, term, hs = (np.empty((span, B, dh, n)) for _ in range(3))
     # time-major views, so a chunk of each is one slice
-    step_t = step.swapaxes(0, 1)[..., None]
+    step_t, u_t = (a.swapaxes(0, 1)[..., None] for a in (step, u))
     B_t, C_t = (a.swapaxes(0, 1)[:, :, None] for a in (B_seq, C_seq))
-    u_t = u.swapaxes(0, 1)
     y = np.empty((B, L, dh))
     h = np.zeros(1)  # the zero initial state, broadcast by the first shift
     for t0 in range(0, L, span):
         k = min(span, L - t0)
         ts = slice(t0, t0 + k)
-        e = _exponent(np.multiply(step_t[ts], A, out=expo[:k]), smooth)
-        bu = np.multiply(step_t[ts], B_t[ts], out=term[:k])
-        bu *= u_t[ts, :, :, None]
+        st = np.repeat(step_t[ts], n, axis=3)
+        e = _exponent(np.multiply(st, A, out=expo[:k]), smooth)
+        bu = np.multiply(st, np.repeat(B_t[ts], dh, axis=2), out=term[:k])
+        del st
+        bu *= np.repeat(u_t[ts], n, axis=3)
         for j in range(k):
             h = pow2_shift(h, e[j], out=hs[j])
             h += bu[j]
@@ -238,8 +245,11 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
                     hs[j] = h
         # a one-step chunk reads its state where it is; no name holds that array into the
         # next chunk's hook, where one more live [B, dh, n] array slows batch 256 measurably
-        readout = np.multiply(hs[:k] if k > 1 else h[None], C_t[ts], out=term[:k]).sum(axis=3)
-        np.add(readout, D * u_t[ts], out=y.swapaxes(0, 1)[ts])
+        hc = np.multiply(hs[:k] if k > 1 else h[None], np.repeat(C_t[ts], dh, axis=2), out=term[:k])
+        readout = np.add(0.0, hc[..., 0])
+        for i in range(1, n):
+            readout += hc[..., i]
+        np.add(readout, D * u_t[ts, ..., 0], out=y.swapaxes(0, 1)[ts])
     return y
 
 
@@ -318,14 +328,18 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, hs: np.ndarray, ctxs: l
     def vjp(gy, accumulate):
         st, us, Bs, Cs, dy = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (step.data, u.data, B_seq.data, C_seq.data, gy))
-        x = np.einsum("lbd,dn->lbdn", st, A.data)  # the forward's products step_t * A
+        dh, n = A.data.shape
+        x = np.repeat(st[..., None], n, axis=3)
+        x *= A.data  # the forward's products step_t * A, on whole operands as the forward takes them
         live = (x >= EXP_LO) & (x <= EXP_HI)  # where the exponent's STE passes
         abar = np.exp2(_exponent(x, smooth), out=x)  # x is dead after the mask
         del x
-        g_pre = np.empty_like(hs)  # [t]: the gradient of the state before step t's encode
+        # [t]: the gradient of the state before step t's encode, first the readout's share dy_t * C_t
+        g_pre = np.repeat(dy[..., None], n, axis=3)
+        g_pre *= np.repeat(Cs[:, :, None], dh, axis=2)
         g_alpha = g_beta = 0.0
         for t in range(len(hs) - 1, -1, -1):
-            g_t = np.multiply(dy[t, :, :, None], Cs[t, :, None, :], out=g_pre[t])  # the readout's share
+            g_t = g_pre[t]
             if t < len(hs) - 1:
                 g_t += g
             g, ga, gb = ste_backward(g_t, ctxs[t])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -87,6 +88,12 @@ def _eval_loss(model, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
     return total / max(1, y.size)
 
 
+def _diverged(loss: float, epoch: int, step: int, params: list[nm.Tensor]) -> typing.NoReturn:
+    bad = next((p.name or f"parameter {j}" for j, p in enumerate(params) if not np.isfinite(p.data).all()), None)
+    raise ValueError(f"training diverged: loss {loss} at epoch {epoch}, step {step}; "
+                     + (f"first non-finite parameter {bad}" if bad else "every parameter is finite"))
+
+
 def train(model, x_train: np.ndarray, y_train: np.ndarray,
           x_val: np.ndarray, y_val: np.ndarray,
           cfg: TrainConfig | None = None) -> TrainResult:
@@ -96,7 +103,9 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
     patience counter and snapshots the parameters; after ``patience``
     consecutive epochs without such an improvement training stops and the
     snapshot is restored.  With an empty validation set the training loss
-    is monitored instead.  Fully deterministic for a given seed.
+    is monitored instead.  Fully deterministic for a given seed.  A
+    non-finite training-step loss raises ``ValueError`` naming the epoch,
+    the step and the first non-finite parameter.
     """
     cfg = cfg or TrainConfig()
     if hasattr(model, "calibrated") and not model.calibrated():
@@ -118,6 +127,8 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
             with nm.GradTape() as tape:
                 pred = model.forward(xb)
                 loss = nm.mse(pred, nm.tensor(yb))
+            if not np.isfinite(loss.data):
+                _diverged(float(loss.data), epoch, i // cfg.batch_size, params)
             grads = nm.backward(tape, output=loss)
             opt.step(grads)
             if hasattr(model, "clamp_steps"):

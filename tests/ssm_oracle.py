@@ -83,7 +83,9 @@ def reference_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
         h = h + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
         if encode_h is not None:
             h = encode_h(t, h)
-        y[:, t] = (h * C_seq[:, t][:, None, :]).sum(axis=2) + D * u[:, t]
+        hc = h * C_seq[:, t][:, None, :]
+        # the state entries in index order from +0.0; numpy's sum takes that order below 8 entries only
+        y[:, t] = sum((hc[..., i] for i in range(hc.shape[-1])), 0.0) + D * u[:, t]
     return y
 
 

@@ -323,6 +323,17 @@ def test_degenerate_sizes_are_usage_errors(work, setting, key):
     assert f"{key} must be >= 1, got 0" in p.stderr and "Traceback" not in p.stderr
 
 
+def test_a_diverging_training_run_is_a_usage_error(work):
+    ds = make_coupled_sinusoids(n_steps=400, seed=0)
+    write_csv(str(work / "series400.csv"), ds.values, ds.columns)
+    (work / "diverge.cfg").write_text("max_epochs = 2\nlr = 1e9\n")
+    out = work / "diverged.ckpt"
+    p = run("train", "--data", str(work / "series400.csv"), "--has-header", "--history", "12", "--horizon", "3",
+            "--config", str(work / "diverge.cfg"), "--out", str(out), expect=2)
+    assert "training diverged: loss nan at epoch 0, step 2; first non-finite parameter block0.A_log" in p.stderr
+    assert "Traceback" not in p.stderr and not out.exists()
+
+
 def test_missing_history_flags_are_reported(work):
     p = run("train", "--data", str(work / "series.csv"), "--has-header",
             "--out", str(work / "t.ckpt"), expect=2)

@@ -185,6 +185,30 @@ def test_reshape_permute_split_stack_take():
     check_op(restack, lambda a: a[:, ::-1], [x])
 
 
+@pytest.mark.parametrize("handed_first", [True, False])
+def test_split_gradients_add_into_a_buffer_the_tape_owns(handed_first):
+    """A piece's gradient lands in its slice; an array a vjp hands over is never written into."""
+    x = nm.tensor(RNG.normal(size=(2, 3, 6)), trainable=True)
+    handed = RNG.normal(size=x.shape)
+    kept = handed.copy()
+    w = [RNG.normal(size=(2, 3, k)) for k in (1, 2, 3)]
+
+    def hand_over():  # an op whose backward gives x the array ``handed`` itself
+        out = nm.Tensor(x.data.copy())
+        nm.record_op(out, lambda g, accumulate: accumulate(x, handed))
+        return nm.sum_all(out)
+
+    with nm.GradTape() as tape:
+        # the tape replays in reverse: recorded last, the handed array reaches x first
+        early = None if handed_first else hand_over()
+        a, b, c = nm.split_last(x, [1, 2, 3])  # b gets no gradient
+        total = nm.add(nm.sum_all(nm.mul(a, w[0])), nm.sum_all(nm.mul(c, w[2])))
+        total = nm.add(total, hand_over() if handed_first else early)
+    g = nm.backward(tape, output=total)[x]
+    assert np.array_equal(handed, kept)
+    assert np.array_equal(g, handed + np.concatenate([w[0], np.zeros_like(w[1]), w[2]], axis=-1))
+
+
 def test_sum_mean_mse():
     x = RNG.normal(size=(3, 4))
     y = RNG.normal(size=(3, 4))

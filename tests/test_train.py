@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spikescan.numerics as nm
+from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import OpCounters
 from spikescan.spike import threshold_scale
 from spikescan.ssm import SPIKE_SITES, ForecastModel, ModelConfig
@@ -172,6 +173,23 @@ def test_shuffle_seed_changes_the_trajectory():
 def test_train_config_rejects_an_empty_batch():
     with pytest.raises(ValueError, match="train config: batch_size must be >= 1, got 0"):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows that make the loss NaN
+def test_a_diverging_run_names_the_epoch_step_and_parameter():
+    sp = make_windows(make_coupled_sinusoids(n_steps=400, seed=0), 12, 3)
+    m = ForecastModel.build(ModelConfig(d_value=2, history=12, horizon=3), seed=0)
+    with pytest.raises(ValueError, match="training diverged: loss nan at epoch 0, step 2; "
+                                         "first non-finite parameter block0.A_log"):
+        train(m, sp.x_train, sp.y_train, sp.x_val, sp.y_val, TrainConfig(lr=1e9, max_epochs=2))
+
+
+def test_a_non_finite_loss_with_finite_parameters_says_so():
+    x = np.ones((8, 1))
+    y = 2 * x
+    y[5] = np.nan  # the second batch of 4
+    with pytest.raises(ValueError, match="loss nan at epoch 0, step 1; every parameter is finite"):
+        train(_ScalarFit(1.0), x, y, x, 2 * x, TrainConfig(max_epochs=3, batch_size=4, seed=0))
 
 
 def test_a_training_step_records_29_tape_ops():
