@@ -40,6 +40,18 @@ def round_half_away(v: np.ndarray) -> np.ndarray:
     return np.sign(v) * np.floor(np.abs(v) + 0.5)
 
 
+def round_half_up(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``floor(v + 0.5)``, into ``out`` when given: the quantizer's nearest rule, two in-place passes.
+
+    Under a clip to ``[0, code_max]`` this is ``round_half_away``, except
+    that a ``v`` in (-0.5, 0) rounds to +0.0 where ``round_half_away``
+    keeps -0.0; a decode ``code * alpha + beta`` shows that only when
+    ``beta`` is -0.0.
+    """
+    r = np.add(v, 0.5, out=out)
+    return np.floor(r, out=r)
+
+
 def floor_with_snap(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Floor with a tiny positive nudge so exact grid points stay put; into ``out`` when given."""
     r = np.add(np.asarray(v, dtype=np.float64), GRID_SNAP, out=out)
@@ -50,8 +62,8 @@ def clip_inplace(x: np.ndarray, lo, hi) -> np.ndarray:
     """``np.clip(x, lo, hi, out=x)`` as two ufunc calls; returns ``x``.
 
     The bound is the first operand of each call, so the result equals
-    ``np.clip``'s bit for bit: -0.0 clips to a +0.0 bound and NaN passes
-    through.  Bypassing ``np.clip``'s Python wrappers halves the cost on
+    ``np.clip``'s bit for bit: -0.0 stays -0.0 against a zero bound and NaN
+    passes through.  Bypassing ``np.clip``'s Python wrappers halves the cost on
     small arrays.
     """
     np.maximum(lo, x, out=x)
@@ -172,26 +184,28 @@ def _check_usable(q: Quantizer) -> tuple[float, float]:
     return a, b
 
 
-def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass of the quantizer on raw values: ``(out, v, codes)``.
 
     ``v = (x - beta) / alpha`` and ``codes`` are what a backward needs;
     ``smooth`` replaces rounding by identity inside the clip range (the
     straight-through surrogate used by finite-difference gradient checks).
+    With ``out`` (``x`` itself may be) every step runs in that one buffer,
+    so ``v`` and ``codes`` are overwritten: all three results are ``out``.
     """
     a, b = _check_usable(q)
-    x = np.asarray(x, dtype=np.float64)
     # in-place steps keep the temporaries of a [B, L, d] site to a few arrays
-    v = x - b
+    v = np.subtract(np.asarray(x, dtype=np.float64), b, out=out)
     v /= a
     if smooth:
-        codes = v.copy()
-    else:
-        codes = round_half_away(v) if q.rounding == "nearest" else floor_with_snap(v)
+        codes = v.copy() if out is None else v
+    else:  # with ``out``, v is out
+        codes = (round_half_up if q.rounding == "nearest" else floor_with_snap)(v, out=out)
     clip_inplace(codes, 0, q.code_max)
-    out = codes * a
-    out += b
-    return out, v, codes
+    res = np.multiply(codes, a, out=out)
+    res += b
+    return res, v, codes
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:
@@ -223,10 +237,16 @@ def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext) -> tuple[np.ndarray
     return grad_x, grad_alpha, grad_beta
 
 
-def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False) -> nm.Tensor:
-    """Taped quantization of a Tensor through ``q``; without a tape, values only."""
+def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, out: np.ndarray | None = None) -> nm.Tensor:
+    """Taped quantization of a Tensor through ``q``; without a tape, values only.
+
+    ``out`` (off the tape only) receives the values; ``x.data`` itself may be
+    passed for an input nothing reads again.  Without it ``x`` is never written.
+    """
     if nm.active_tape() is None:
-        return nm.Tensor(quantize_values(x.data, q, smooth)[0])
+        return nm.Tensor(quantize_values(x.data, q, smooth, out=out)[0])
+    if out is not None:
+        raise ValueError(f"quantize {q.name}: out= is for untaped calls; a backward reads the input")
     xq, ctx = quantize_with_context(x.data, q, smooth=smooth)
     out = nm.Tensor(xq)
     alpha, beta = q.alpha, q.beta

@@ -63,16 +63,17 @@ class SpikeSite:
         """The site that counts ``q``'s codes: threshold = step, offset = offset, window = largest code."""
         return cls(name=q.name, theta=float(q.alpha.data), offset=float(q.beta.data), T=q.code_max)
 
-    def encode_counts(self, pre: np.ndarray) -> np.ndarray:
-        # in place, as in ``quantize_values``: same operations, fewer temporaries
-        d = pre - self.offset
+    def encode_counts(self, pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The spike counts of the drive ``pre``, into ``out`` when given (``pre`` itself may be)."""
+        d = np.subtract(pre, self.offset, out=out)
         d /= self.theta
         return clip_inplace(floor_with_snap(d, out=d), 0, self.T)
 
-    def decode_counts(self, counts: np.ndarray) -> np.ndarray:
-        out = counts * self.theta
-        out += self.offset
-        return out
+    def decode_counts(self, counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``offset + theta * counts``, into ``out`` when given (``counts`` itself may be)."""
+        v = np.multiply(counts, self.theta, out=out)
+        v += self.offset
+        return v
 
     def state(self) -> dict:
         # checkpoint format v1 keeps the decode "scale" key; it is always theta

@@ -190,6 +190,11 @@ def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
 # --- the block ------------------------------------------------------------------
 
 
+def _dead(t: nm.Tensor) -> np.ndarray | None:
+    """Where to encode a drive nothing reads again: its own buffer, unless a tape's backward reads it."""
+    return t.data if nm.active_tape() is None else None
+
+
 def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
                    D: np.ndarray, u: np.ndarray, encode_h=None, smooth: bool = False) -> np.ndarray:
     """The selective scan over [B, L, ...] arrays; returns the readout y [B, L, dh].
@@ -215,9 +220,10 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     ``sum`` takes over fewer than 8 entries.  Each step
     writes its state into the chunk's slot ``hs[j]``, and that slot is the
     ``h`` the hook receives: a working array the scan overwrites in a later
-    chunk, so a hook that keeps it must copy it.  The scan only reads an
-    array the hook returns instead, copying it into the slot when the chunk
-    has more steps than one.
+    chunk, so a hook that keeps it must copy it.  A hook may encode in place
+    and return the slot itself; the scan only reads the array the hook
+    returns, copying any other array into the slot when the chunk has more
+    steps than one.
     """
     B, L, dh = u.shape
     n = A.shape[1]
@@ -237,12 +243,12 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
         del st
         bu *= np.repeat(u_t[ts], n, axis=3)
         for j in range(k):
-            h = pow2_shift(h, e[j], out=hs[j])
+            slot = h = pow2_shift(h, e[j], out=hs[j])
             h += bu[j]
             if encode_h is not None:
                 h = encode_h(t0 + j, h)
-                if k > 1 and h is not hs[j]:  # the readout reads a chunk's states from hs
-                    hs[j] = h
+                if k > 1 and h is not slot:  # the readout reads a chunk's states from hs
+                    slot[...] = h
         # a one-step chunk reads its state where it is; no name holds that array into the
         # next chunk's hook, where one more live [B, dh, n] array slows batch 256 measurably
         hc = np.multiply(hs[:k] if k > 1 else h[None], np.repeat(C_t[ts], dh, axis=2), out=term[:k])
@@ -256,10 +262,12 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
 def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counters, tag: str) -> nm.Tensor:
     """One block's dataflow, the same in both forwards.
 
-    ``encode(name, t)`` returns site ``name``'s values and spike counts
-    (``None`` outside the spiking forward); ``scan(step, A, B_seq, C_seq, D,
-    u, u_counts)`` returns the scan's readout.  ``counters``, unless ``None``,
-    gets each layer's op tally right after the layer.
+    ``encode(name, t)`` returns site ``name``'s values and its spike totals
+    per step (``None`` unless the spiking forward counts); off the tape it
+    consumes its drive, which may come back holding the values, so each
+    drive is encoded after its last other reader.  ``scan(step, A, B_seq,
+    C_seq, D, u, u_counts)`` returns the scan's readout.  ``counters``,
+    unless ``None``, gets each layer's op tally right after the layer.
     """
     dv, dh, n, r = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank
 
@@ -300,8 +308,9 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counter
     del step_int, step_pt
 
     A = nm.neg(nm.exp(p.A_log))  # [dh, n]
-    y, y_counts = encode("y", scan(step, A, B_seq, C_seq, p.D, s, c_s))  # y never feeds back
-    del s, c_s, B_seq, C_seq, step
+    y = scan(step, A, B_seq, C_seq, p.D, s, c_s)
+    del s, c_s, B_seq, C_seq, step  # before y's encode, so its peak holds none of the scan's inputs
+    y, y_counts = encode("y", y)  # y never feeds back
 
     gate_in, _ = encode("x_res", x_res)
     gate = pow2_silu_t(gate_in)
@@ -382,7 +391,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
     def encode(name, t):
         if calibrate and not q[name].initialized:
             q[name].calibrate(t.data)
-        return quantize(t, q[name], smooth=smooth), None
+        return quantize(t, q[name], smooth=smooth, out=_dead(t)), None
 
     def scan(step, A, B_seq, C_seq, D, u, u_counts):
         args = (step.data, A.data, B_seq.data, C_seq.data, D.data, u.data)
@@ -404,7 +413,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
 
         def encode_h(t, h_pre):
             if not taped:
-                return quantize_values(h_pre, q["h"], smooth)[0]
+                return quantize_values(h_pre, q["h"], smooth, out=h_pre)[0]
             h, ctx = quantize_with_context(h_pre, q["h"], smooth)
             hs[t] = h
             ctxs.append(ctx)
@@ -429,21 +438,25 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
     T_pass = 2 ** cfg.bits - 1
 
     def code(name, v):
-        """Spike site ``name``'s counts for the raw drive ``v``, decoded: ``(values, counts)``."""
+        """Spike site ``name`` on the dead drive ``v``: its decode, written into ``v``, and
+        with ``counters`` its spike totals per step (the ``h`` site's one total), else ``None``."""
         site = p.sites[name]
-        counts = site.encode_counts(v)
+        counts = site.encode_counts(v, out=v)
+        spikes = None
         if counters is not None:
             counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
             # rate is spikes per (neuron, timestep) slot of the pass window, so a
             # threshold-scaled site with a collapsed T reports a lower rate
             counters.record_site(f"{tag}.{name}", counts, T_pass)
-        return site.decode_counts(counts), counts
+            # exact integer sums: _block only ever adds counts up, and the scan by step
+            spikes = int(counts.sum()) if name == "h" else counts.sum(axis=(0, 2))
+        return site.decode_counts(counts, out=counts), spikes
 
     def encode(name, t):
         if name not in p.sites:
-            return quantize(t, p.quantizers[name]), None
-        values, counts = code(name, t.data)
-        return nm.Tensor(values), counts
+            return quantize(t, p.quantizers[name], out=_dead(t)), None
+        values, spikes = code(name, t.data)
+        return nm.Tensor(values), spikes
 
     def scan(step, A, B_seq, C_seq, D, u, u_counts):
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none
@@ -452,10 +465,10 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
             if counters is not None:
                 # step * A and step * B products; one shift per surviving state spike
                 counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1],
-                             acc=int(u_counts[:, t].sum()) * cfg.state_size)
-            h, counts = code("h", h_pre)
+                             acc=int(u_counts[t]) * cfg.state_size)
+            h, total = code("h", h_pre)
             if counters is not None:
-                spikes.append(int(counts.sum()))
+                spikes.append(total)
             return h
 
         y = selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data, encode_h)

@@ -1,13 +1,15 @@
 """Learned-step quantizer: worked examples, laws, and straight-through grads."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spikescan.numerics as nm
 from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with_snap, init_step_size,
-                                quantize, quantize_with_context, round_half_away,
-                                ste_backward)
+                                quantize, quantize_values, quantize_with_context, round_half_away,
+                                round_half_up, ste_backward)
 from spikescan.ssm import EXP_HI, EXP_LO
 
 
@@ -99,6 +101,79 @@ def test_floor_with_snap_into_its_input_equals_the_fresh_result():
 def test_round_half_away_from_zero():
     v = np.array([0.5, 1.5, -0.5, -1.5, 2.4, -2.4])
     assert list(round_half_away(v)) == [1, 2, -1, -2, 2, -2]
+
+
+_HALF_BELOW, _HALF_ABOVE = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+NEAREST_EDGES = [0.0, -0.0, 0.5, -0.5, _HALF_BELOW, -_HALF_BELOW, _HALF_ABOVE, -_HALF_ABOVE, -0.25,
+                 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, np.inf, -np.inf, 14.5, 15.5, 16.5]
+
+
+def _tie_or_neighbour(k: int, side: int) -> float:
+    tie = k + 0.5
+    return float(tie if side == 0 else np.nextafter(tie, side * np.inf))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(st.sampled_from(NEAREST_EDGES),
+                                 st.builds(_tie_or_neighbour, st.integers(-17, 17), st.sampled_from([-1, 0, 1])),
+                                 st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True)),
+                       min_size=1, max_size=40),
+       code_max=st.integers(1, 15),
+       alpha=st.sampled_from([1.0, 0.37, 2.0 ** -3]),
+       beta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0)))
+@example(values=NEAREST_EDGES, code_max=15, alpha=1.0, beta=0.0)
+@example(values=NEAREST_EDGES, code_max=1, alpha=1.0, beta=-0.0)
+def test_nearest_rounding_is_round_half_away_under_the_clip(values, code_max, alpha, beta):
+    """``round_half_up`` under the clip codes what ``round_half_away`` does, except that it gives
+    +0.0 where ``round_half_away`` keeps -0.0 (a v in (-0.5, 0)); decoded, the two agree byte for
+    byte unless beta is -0.0, and by value always."""
+    v = np.array(values, dtype=np.float64)
+    parent = clip_inplace(round_half_away(v), 0, code_max)
+    codes = clip_inplace(round_half_up(v), 0, code_max)
+    assert codes.tobytes() == (parent + 0.0).tobytes()  # + 0.0 turns -0.0 into +0.0, nothing else
+    assert not np.signbit(codes).any()
+    decoded, parent_decoded = codes * alpha + beta, parent * alpha + beta
+    assert np.array_equal(decoded, parent_decoded)
+    if not (beta == 0.0 and math.copysign(1.0, beta) < 0):
+        assert decoded.tobytes() == parent_decoded.tobytes()
+    assert round_half_up(v, out=v) is v
+    assert v.tobytes() == round_half_up(np.array(values, dtype=np.float64)).tobytes()
+
+
+def test_nearest_codes_a_small_negative_drive_as_positive_zero():
+    """The one place the nearest rule departs from ``round_half_away`` under the clip."""
+    v = np.array([-0.25, -5e-324, -0.0, -0.5])
+    assert np.signbit(clip_inplace(round_half_away(v), 0, 3)).tolist() == [True, True, False, False]
+    q = Quantizer(bits=2, alpha=1.0, beta=-0.0, rounding="nearest", name="z")
+    out, _, codes = quantize_values(v, q)
+    assert codes.tolist() == [0.0] * 4 and not np.signbit(codes).any()
+    assert not np.signbit(out).any()  # round_half_away's -0.0 codes decode to -0.0
+
+
+@pytest.mark.parametrize("rounding, smooth", [("nearest", False), ("floor", False), ("floor", True)])
+def test_quantize_values_into_its_input_equals_the_fresh_result(rounding, smooth):
+    q = Quantizer(bits=3, alpha=0.37, beta=-0.11, rounding=rounding, name="o")
+    x = np.random.default_rng(5).normal(size=(64, 12, 16)) * 2.0
+    x[0, 0, :6] = [-0.0, -0.11, -0.2, 0.37 * 3.5 - 0.11, np.inf, -np.inf]
+    fresh = quantize_values(x, q, smooth)[0]
+    got, v, codes = quantize_values(x, q, smooth, out=x)
+    assert got is x and v is x and codes is x
+    assert x.tobytes() == fresh.tobytes()
+
+
+def test_quantize_writes_into_its_input_only_when_asked():
+    q = Quantizer(bits=2, alpha=0.5, beta=0.1, rounding="nearest", name="w")
+    x = nm.Tensor(np.random.default_rng(6).normal(size=(3, 5, 4)))
+    kept = x.data.copy()
+    out = quantize(x, q)
+    assert x.data.tobytes() == kept.tobytes() and not np.shares_memory(out.data, x.data)
+    with nm.GradTape():
+        taped = quantize(x, q)
+        with pytest.raises(ValueError, match="untaped"):
+            quantize(x, q, out=x.data)
+    assert x.data.tobytes() == kept.tobytes()
+    assert quantize(x, q, out=x.data).data is x.data
+    assert x.data.tobytes() == out.data.tobytes() == taped.data.tobytes()
 
 
 def test_idempotence_bit_exact():

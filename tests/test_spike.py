@@ -153,6 +153,21 @@ def test_pow2_shift_is_exact_ldexp():
     assert np.array_equal(buf, np.ldexp(v, e))
 
 
+def test_encode_and_decode_write_into_their_input_only_when_asked():
+    s = site(3, 0.4, offset=-0.15)
+    pre = np.random.default_rng(8).normal(size=(64, 12, 16))
+    pre[0, 0, :4] = [-0.0, -0.15, 0.4 * 2 - 0.15, 5.0]
+    kept = pre.copy()
+    counts = s.encode_counts(pre)
+    assert pre.tobytes() == kept.tobytes()
+    decoded = s.decode_counts(counts)
+    assert counts.tobytes() == s.encode_counts(kept).tobytes()
+    assert s.encode_counts(pre, out=pre) is pre
+    assert pre.tobytes() == counts.tobytes()
+    assert s.decode_counts(pre, out=pre) is pre
+    assert pre.tobytes() == decoded.tobytes()
+
+
 def test_spike_train_invariants():
     drive = np.array([[1.0, 2.0], [0.0, 3.0], [-1.0, 7.5]])
     counts = site(3, 1.0).encode_counts(drive)
