@@ -34,6 +34,10 @@ _SILU_ROOT = math.sqrt(1.0 + 2.0 * LN2 * LN2)
 SILU_CUT = math.log2((_SILU_ROOT - 1.0) / (2.0 * LN2))
 SILU_SHIFT = -_SILU_ROOT / LN2 - SILU_CUT
 
+# 0-d twins of the constants the forward's activations pass to numpy (``numerics.operand``)
+_SOFTPLUS_CUT, _SOFTPLUS_SHIFT = nm.operand(SOFTPLUS_CUT), nm.operand(SOFTPLUS_SHIFT)
+_SILU_CUT, _SILU_SHIFT = nm.operand(SILU_CUT), nm.operand(SILU_SHIFT)
+
 # Certified uniform deviation bounds against the smooth references.
 SOFTPLUS_VALUE_BOUND = 0.914
 SOFTPLUS_GRAD_BOUND = 0.371
@@ -78,8 +82,8 @@ def _sigmoid(x):
 
 def pow2_softplus(x):
     """Piecewise softplus: 2**x below the cut, x + shift above (continuous)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x < SOFTPLUS_CUT, np.exp2(x), x + SOFTPLUS_SHIFT)
+    x = np.asanyarray(x, dtype=np.float64)
+    return np.where(np.less(x, _SOFTPLUS_CUT), np.exp2(x), np.add(x, _SOFTPLUS_SHIFT))
 
 
 def pow2_softplus_grad(x):
@@ -89,8 +93,9 @@ def pow2_softplus_grad(x):
 
 def pow2_silu(x):
     """Piecewise SiLU: -(2**x) below the cut, 2**(-x-1) + x + shift above."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x < SILU_CUT, -np.exp2(x), np.exp2(-x - 1.0) + x + SILU_SHIFT)
+    x = np.asanyarray(x, dtype=np.float64)
+    upper = np.add(np.add(np.exp2(np.subtract(np.negative(x), nm.ONE)), x), _SILU_SHIFT)
+    return np.where(np.less(x, _SILU_CUT), np.negative(np.exp2(x)), upper)
 
 
 def pow2_silu_grad(x):

@@ -47,14 +47,17 @@ class OpCounters:
                 raise ValueError(f"op count must be nonnegative, got {kind}={v}")
             row[kind] += int(v)
 
-    def record_site(self, site: str, counts: np.ndarray, T: int) -> None:
+    def record_site(self, site: str, counts: np.ndarray, T: int) -> int:
         """Tally a site's spikes, its neurons and ``mid``, the neurons whose
-        count lies strictly between 0 and T (a site with none is saturated)."""
+        count lies strictly between 0 and T (a site with none is saturated);
+        returns the spikes of ``counts``."""
         rec = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": int(T)})
-        rec["spikes"] += int(counts.sum())
+        spikes = int(counts.sum())
+        rec["spikes"] += spikes
         rec["neurons"] += int(counts.size)
         rec["mid"] += int(np.count_nonzero((counts > 0) & (counts < T)))
         rec["T"] = int(T)
+        return spikes
 
     def total(self, kind: str) -> int:
         return sum(row[kind] for row in self.layers.values())

@@ -18,7 +18,7 @@ import numpy as np
 __all__ = ["Tensor", "GradTape", "backward", "tensor", "record_op", "active_tape", "add",
            "sub", "mul", "neg", "scale", "unary", "exp", "linear", "depthwise_conv1d",
            "rmsnorm", "split_last", "permute", "reshape", "take_axis1", "stack_axis1",
-           "sum_axis", "sum_all", "mean_all", "mse"]
+           "sum_axis", "sum_all", "mean_all", "mse", "operand", "ZERO", "ONE"]
 
 
 class Tensor:
@@ -45,6 +45,21 @@ class Tensor:
 
 def tensor(data, trainable: bool = False, name: str | None = None) -> Tensor:
     return Tensor(data, trainable=trainable, name=name)
+
+
+def operand(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, a ufunc operand to build once.
+
+    numpy converts a Python ``float`` or ``int`` operand anew on every ufunc
+    call, which costs about as much as the arithmetic on a batch-1 array; a
+    0-d float64 array needs no conversion and gives the same result.
+    """
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+ZERO, ONE = operand(0.0), operand(1.0)
 
 
 # --- tape machinery ---------------------------------------------------------
@@ -344,8 +359,8 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = Tensor(np.ascontiguousarray(np.transpose(x.data, axes)))
-    inverse = tuple(np.argsort(axes))
-    record_op(out, lambda g, accumulate: accumulate(x, np.transpose(g, inverse)))
+    # the inverse permutation is found only when a backward needs it
+    record_op(out, lambda g, accumulate: accumulate(x, np.transpose(g, np.argsort(axes))))
     return out
 
 

@@ -22,6 +22,7 @@ clip code outside), and ``beta`` collects gradient on clipped entries only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,6 +33,9 @@ from . import numerics as nm
 
 ALPHA_FLOOR = 1e-8
 GRID_SNAP = 1e-9
+
+_HALF = nm.operand(0.5)
+_SNAP = nm.operand(GRID_SNAP)
 
 
 def round_half_away(v: np.ndarray) -> np.ndarray:
@@ -48,13 +52,13 @@ def round_half_up(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     keeps -0.0; a decode ``code * alpha + beta`` shows that only when
     ``beta`` is -0.0.
     """
-    r = np.add(v, 0.5, out=out)
+    r = np.add(v, _HALF, out=out)
     return np.floor(r, out=r)
 
 
 def floor_with_snap(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Floor with a tiny positive nudge so exact grid points stay put; into ``out`` when given."""
-    r = np.add(np.asarray(v, dtype=np.float64), GRID_SNAP, out=out)
+    r = np.add(np.asanyarray(v, dtype=np.float64), _SNAP, out=out)
     return np.floor(r, out=r)
 
 
@@ -174,14 +178,18 @@ class QuantizeContext:
     clipped: np.ndarray  # v outside [0, code_max]
 
 
-def _check_usable(q: Quantizer) -> tuple[float, float]:
+@functools.cache
+def _code_max_operand(bits: int) -> np.ndarray:
+    return nm.operand(2 ** bits - 1)
+
+
+def _check_usable(q: Quantizer) -> tuple[np.ndarray, np.ndarray]:
+    """``q``'s step size and offset as the 0-d arrays its tensors hold."""
     if not q.initialized:
         raise RuntimeError(f"quantizer {q.name} used before calibration")
-    a = float(q.alpha.data)
-    b = float(q.beta.data)
-    if a <= 0:
-        raise ValueError(f"quantizer {q.name}: step size must be positive, got {a}")
-    return a, b
+    if float(q.alpha.data) <= 0:
+        raise ValueError(f"quantizer {q.name}: step size must be positive, got {float(q.alpha.data)}")
+    return q.alpha.data, q.beta.data
 
 
 def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
@@ -196,16 +204,15 @@ def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
     """
     a, b = _check_usable(q)
     # in-place steps keep the temporaries of a [B, L, d] site to a few arrays
-    v = np.subtract(np.asarray(x, dtype=np.float64), b, out=out)
-    v /= a
+    v = np.subtract(np.asanyarray(x, dtype=np.float64), b, out=out)
+    np.divide(v, a, out=v)
     if smooth:
         codes = v.copy() if out is None else v
     else:  # with ``out``, v is out
         codes = (round_half_up if q.rounding == "nearest" else floor_with_snap)(v, out=out)
-    clip_inplace(codes, 0, q.code_max)
+    clip_inplace(codes, nm.ZERO, _code_max_operand(q.bits))
     res = np.multiply(codes, a, out=out)
-    res += b
-    return res, v, codes
+    return np.add(res, b, out=res), v, codes
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:

@@ -30,20 +30,33 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .numerics import ZERO, operand
 from .quantize import GRID_SNAP, Quantizer, clip_inplace, floor_with_snap
 
 __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
 
 def pow2_shift(v: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v * 2**e, into ``out`` when given; for integer ``e`` an exact shift, bit for bit
-    ``np.ldexp(v, e)``, subnormal results included, while 2**e is a normal float (-1022 <= e <= 1023)."""
-    return np.multiply(v, np.exp2(e), out=out)
+    """v * 2**e; for integer ``e`` an exact shift, bit for bit ``np.ldexp(v, e)``, subnormal
+    results included, while 2**e is a normal float (-1022 <= e <= 1023).
+
+    With ``out`` (``e`` itself may be) 2**e is written there first and the product after it,
+    with no temporary, so ``out`` must not overlap ``v``.
+    """
+    if out is None:
+        return np.multiply(v, np.exp2(e))
+    if np.may_share_memory(v, out):
+        raise ValueError("pow2_shift: out must not overlap v, since 2**e is written into it first")
+    return np.multiply(v, np.exp2(e, out=out), out=out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpikeSite:
-    """Spiking configuration of one encode site in a converted network."""
+    """Spiking configuration of one encode site in a converted network.
+
+    Frozen, so the 0-d float64 operands its encode and decode pass to numpy,
+    built once here, always hold the fields' values.
+    """
 
     name: str
     theta: float
@@ -57,6 +70,8 @@ class SpikeSite:
             raise ValueError(f"spike site {self.name}: threshold must be positive and finite, got {self.theta}")
         if not math.isfinite(self.offset):
             raise ValueError(f"spike site {self.name}: offset must be finite, got {self.offset}")
+        for attr in ("theta", "offset", "T"):
+            object.__setattr__(self, f"_{attr}", operand(getattr(self, attr)))
 
     @classmethod
     def of(cls, q: Quantizer) -> "SpikeSite":
@@ -65,15 +80,14 @@ class SpikeSite:
 
     def encode_counts(self, pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The spike counts of the drive ``pre``, into ``out`` when given (``pre`` itself may be)."""
-        d = np.subtract(pre, self.offset, out=out)
-        d /= self.theta
-        return clip_inplace(floor_with_snap(d, out=d), 0, self.T)
+        d = np.subtract(pre, self._offset, out=out)
+        np.divide(d, self._theta, out=d)
+        return clip_inplace(floor_with_snap(d, out=d), ZERO, self._T)
 
     def decode_counts(self, counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``offset + theta * counts``, into ``out`` when given (``counts`` itself may be)."""
-        v = np.multiply(counts, self.theta, out=out)
-        v += self.offset
-        return v
+        v = np.multiply(counts, self._theta, out=out)
+        return np.add(v, self._offset, out=v)
 
     def state(self) -> dict:
         # checkpoint format v1 keeps the decode "scale" key; it is always theta

@@ -47,6 +47,7 @@ from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
 EXP_HI = 0
+_EXP_LO, _EXP_HI = nm.operand(EXP_LO), nm.operand(EXP_HI)
 SCAN_CHUNK = 16384  # state entries per scan chunk buffer: 128 KiB of float64
 
 SPIKE_SITES = ("x_in", "conv", "delta_raw", "delta", "h", "y")
@@ -165,7 +166,7 @@ def _exponent(x: np.ndarray, smooth: bool) -> np.ndarray:
     """The decay exponent of ``x = step * A``, in place in ``x``: clip(rint(x)), or clip(x) when ``smooth``."""
     if not smooth:
         np.rint(x, out=x)
-    return clip_inplace(x, EXP_LO, EXP_HI)
+    return clip_inplace(x, _EXP_LO, _EXP_HI)
 
 
 def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
@@ -200,19 +201,22 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     """The selective scan over [B, L, ...] arrays; returns the readout y [B, L, dh].
 
     Each step decays the state by the exact power of two
-    ``2 ** clip(rint(step_t * A))`` (applied with ``pow2_shift``), adds
-    ``(step_t * B_t) * u_t``, passes the state through ``encode_h(t, h)``
-    when given, and reads out ``sum_n C_t h_t + D u_t``.  Both forwards
+    ``Abar_t = 2 ** clip(rint(step_t * A))``, adds ``(step_t * B_t) * u_t``,
+    passes the state through ``encode_h(t, h)`` when given, and reads out
+    ``sum_n C_t h_t + D u_t``.  Both forwards
     re-encode the state through their ``h`` site in the hook; without one the
     scan is the bare time-varying linear recurrence.  ``smooth`` keeps the
     exponent unrounded (the finite-difference surrogate of ``quantize``).
 
     Time runs in chunks of ``span`` steps, as many as fit ``SCAN_CHUNK``
     entries of state (at least one, at most L), so no buffer grows with L.
-    Only the state update is sequential: a chunk's decay exponents, its input
-    terms and, after its last step, its readout are one call each over
-    time-major [span, B, dh, n] buffers, allocated once per scan.  Every
-    product runs on whole [k, B, dh, n] operands: each chunk first repeats
+    Only the state update is sequential: a chunk's decay factors (its
+    exponents, then ``pow2_shift(1, e)`` written over them, which is 2**e
+    exactly), its input terms and, after its last step, its readout
+    are one call each over time-major [span, B, dh, n] buffers, allocated once
+    per scan.  A step is then ``h * Abar_t``, bit for bit the shift
+    ``pow2_shift(h, e_t)``, plus its term.  Every product runs on whole
+    [k, B, dh, n] operands: each chunk first repeats
     ``step`` and ``u`` along the state axis and ``B_t``, ``C_t`` along the
     channel axis, since a ufunc that broadcasts a length-1 axis against the
     short state axis costs several times the arithmetic.  The readout adds
@@ -233,17 +237,18 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     step_t, u_t = (a.swapaxes(0, 1)[..., None] for a in (step, u))
     B_t, C_t = (a.swapaxes(0, 1)[:, :, None] for a in (B_seq, C_seq))
     y = np.empty((B, L, dh))
-    h = np.zeros(1)  # the zero initial state, broadcast by the first shift
+    h = nm.ZERO  # the zero initial state, broadcast by the first step
     for t0 in range(0, L, span):
         k = min(span, L - t0)
         ts = slice(t0, t0 + k)
         st = np.repeat(step_t[ts], n, axis=3)
         e = _exponent(np.multiply(st, A, out=expo[:k]), smooth)
+        abar = pow2_shift(nm.ONE, e, out=e)  # 1 * 2**e is exact
         bu = np.multiply(st, np.repeat(B_t[ts], dh, axis=2), out=term[:k])
         del st
         bu *= np.repeat(u_t[ts], n, axis=3)
         for j in range(k):
-            slot = h = pow2_shift(h, e[j], out=hs[j])
+            slot = h = np.multiply(h, abar[j], out=hs[j])
             h += bu[j]
             if encode_h is not None:
                 h = encode_h(t0 + j, h)
@@ -252,7 +257,7 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
         # a one-step chunk reads its state where it is; no name holds that array into the
         # next chunk's hook, where one more live [B, dh, n] array slows batch 256 measurably
         hc = np.multiply(hs[:k] if k > 1 else h[None], np.repeat(C_t[ts], dh, axis=2), out=term[:k])
-        readout = np.add(0.0, hc[..., 0])
+        readout = np.add(nm.ZERO, hc[..., 0])
         for i in range(1, n):
             readout += hc[..., i]
         np.add(readout, D * u_t[ts, ..., 0], out=y.swapaxes(0, 1)[ts])
@@ -262,11 +267,11 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
 def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counters, tag: str) -> nm.Tensor:
     """One block's dataflow, the same in both forwards.
 
-    ``encode(name, t)`` returns site ``name``'s values and its spike totals
-    per step (``None`` unless the spiking forward counts); off the tape it
+    ``encode(name, t)`` returns site ``name``'s values and its spike total
+    (``None`` unless the spiking forward counts); off the tape it
     consumes its drive, which may come back holding the values, so each
     drive is encoded after its last other reader.  ``scan(step, A, B_seq,
-    C_seq, D, u, u_counts)`` returns the scan's readout.  ``counters``,
+    C_seq, D, u, u_spikes)`` returns the scan's readout.  ``counters``,
     unless ``None``, gets each layer's op tally right after the layer.
     """
     dv, dh, n, r = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank
@@ -286,19 +291,19 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counter
     conv_pre = nm.depthwise_conv1d(s_in, p.conv_k)
     del x_in, s_in
     if counters is not None:
-        counters.add(f"{tag}.conv", acc=int(c_in.sum()) * cfg.conv_kernel, acc_bias=conv_pre.data.size)
+        counters.add(f"{tag}.conv", acc=c_in * cfg.conv_kernel, acc_bias=conv_pre.data.size)
     s, c_s = encode("conv", conv_pre)
     del c_in, conv_pre
 
     pbc = nm.linear(s, p.W, p.b)
     if counters is not None:
-        counters.add(f"{tag}.proj", acc=int(c_s.sum()) * (r + 2 * n), acc_bias=2 * pbc.data.size)
+        counters.add(f"{tag}.proj", acc=c_s * (r + 2 * n), acc_bias=2 * pbc.data.size)
     d_raw, B_seq, C_seq = nm.split_last(pbc, [r, n, n])
     del pbc
     d_spikes, c_dr = encode("delta_raw", d_raw)
     dproj = nm.linear(d_spikes, p.W_delta, p.b_delta)
     if counters is not None:
-        counters.add(f"{tag}.delta_proj", acc=int(c_dr.sum()) * dh, acc_bias=2 * dproj.data.size)
+        counters.add(f"{tag}.delta_proj", acc=c_dr * dh, acc_bias=2 * dproj.data.size)
     step_int, _ = encode("delta_int", dproj)
     del d_raw, d_spikes, c_dr, dproj
     step_pt = pow2_softplus_t(step_int)
@@ -310,7 +315,7 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counter
     A = nm.neg(nm.exp(p.A_log))  # [dh, n]
     y = scan(step, A, B_seq, C_seq, p.D, s, c_s)
     del s, c_s, B_seq, C_seq, step  # before y's encode, so its peak holds none of the scan's inputs
-    y, y_counts = encode("y", y)  # y never feeds back
+    y, y_spikes = encode("y", y)  # y never feeds back
 
     gate_in, _ = encode("x_res", x_res)
     gate = pow2_silu_t(gate_in)
@@ -318,7 +323,7 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counter
         counters.add(f"{tag}.gate", shift=gate.data.size, acc_bias=gate.data.size)
     gated = nm.mul(y, gate)
     if counters is not None:
-        counters.add(f"{tag}.gate", acc=int(y_counts.sum()))
+        counters.add(f"{tag}.gate", acc=y_spikes)
     z = nm.linear(gated, p.W_out, p.b_out)
     if counters is not None:
         counters.add(f"{tag}.out_proj", mac=gated.data.size * dv, acc_bias=z.data.size)
@@ -393,7 +398,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             q[name].calibrate(t.data)
         return quantize(t, q[name], smooth=smooth, out=_dead(t)), None
 
-    def scan(step, A, B_seq, C_seq, D, u, u_counts):
+    def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         args = (step.data, A.data, B_seq.data, C_seq.data, D.data, u.data)
         if calibrate and not q["h"].initialized:
             # h feeds back into itself: fit it on the states of a scan that leaves them unencoded
@@ -439,7 +444,7 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
 
     def code(name, v):
         """Spike site ``name`` on the dead drive ``v``: its decode, written into ``v``, and
-        with ``counters`` its spike totals per step (the ``h`` site's one total), else ``None``."""
+        with ``counters`` its spike total, else ``None``."""
         site = p.sites[name]
         counts = site.encode_counts(v, out=v)
         spikes = None
@@ -447,9 +452,9 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
             counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
             # rate is spikes per (neuron, timestep) slot of the pass window, so a
             # threshold-scaled site with a collapsed T reports a lower rate
-            counters.record_site(f"{tag}.{name}", counts, T_pass)
-            # exact integer sums: _block only ever adds counts up, and the scan by step
-            spikes = int(counts.sum()) if name == "h" else counts.sum(axis=(0, 2))
+            spikes = counters.record_site(f"{tag}.{name}", counts, T_pass)
+            if spikes is None:  # a counters object that keeps no site record returns no total
+                spikes = int(counts.sum())
         return site.decode_counts(counts, out=counts), spikes
 
     def encode(name, t):
@@ -458,14 +463,13 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         values, spikes = code(name, t.data)
         return nm.Tensor(values), spikes
 
-    def scan(step, A, B_seq, C_seq, D, u, u_counts):
+    def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none
 
         def encode_h(t, h_pre):
             if counters is not None:
                 # step * A and step * B products; one shift per surviving state spike
-                counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1],
-                             acc=int(u_counts[t]) * cfg.state_size)
+                counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
             h, total = code("h", h_pre)
             if counters is not None:
                 spikes.append(total)
@@ -473,7 +477,8 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
 
         y = selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data, encode_h)
         if counters is not None:
-            counters.add(f"{tag}.scan", acc=sum(spikes) + int(u_counts.sum()))
+            # one readout accumulate per state spike; each input spike feeds n terms B u and one D u
+            counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
         return nm.Tensor(y)
 
     return _block(nm.Tensor(x), p, cfg, encode, scan, counters, tag).data

@@ -121,7 +121,7 @@ def test_verify_fails_on_tampered_checkpoint(work):
 
 def test_bad_spike_site_in_checkpoint_is_a_usage_error(work):
     model, meta = load_checkpoint(str(work / "snn.ckpt"))
-    model.blocks[0].sites["h"].T = 0
+    object.__setattr__(model.blocks[0].sites["h"], "T", 0)  # sites are frozen; this one bypasses the check
     bad = work / "bad_site.ckpt"
     save_checkpoint(str(bad), model, norm=meta["norm"])
     p = run("verify", "--model", str(bad), expect=2)

@@ -1,5 +1,7 @@
 """Average integrate-and-fire spike sites, their codes, threshold scaling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,18 @@ class TestThresholdScale:
         after = scaled.decode_counts(counts)
         assert np.array_equal(before, after)
 
+    def test_a_scaled_site_encodes_with_its_own_operands(self):
+        site = self.site()
+        scaled = threshold_scale(site)
+        fresh = SpikeSite(name="s", theta=site.theta * site.T, offset=site.offset, T=1)
+        pre = np.random.default_rng(4).normal(scale=3.0, size=500)
+        pre[:3] = [0.1 + 1.5, 0.1 + 1.5 - 1e-6, 0.1]  # on and just under the scaled threshold
+        counts = scaled.encode_counts(pre)
+        assert counts.tobytes() == fresh.encode_counts(pre).tobytes()
+        assert counts[:3].tolist() == [1, 0, 0] and counts.max() == 1
+        assert scaled.decode_counts(counts).tobytes() == fresh.decode_counts(counts).tobytes()
+        assert site.encode_counts(pre).max() == 3  # the site it came from keeps its own
+
     def test_rate_drops_by_factor(self):
         site = self.site()
         pre = np.full(100, 5.0)  # saturates every neuron
@@ -151,6 +165,26 @@ def test_pow2_shift_is_exact_ldexp():
     buf = np.empty_like(v)
     assert pow2_shift(v, e, out=buf) is buf
     assert np.array_equal(buf, np.ldexp(v, e))
+
+
+def test_pow2_shift_writes_2_to_the_e_into_out_first():
+    e = np.array([-3.0, 0.0, -32.0])
+    assert pow2_shift(np.ones(1), e, out=e) is e
+    assert e.tolist() == [0.125, 1.0, 2.0 ** -32]
+    v = np.array([1.5, -2.0, 0.75])
+    for out in (v, v[::-1], v.reshape(3, 1)[:, 0]):  # the shift would read 2**e for v
+        with pytest.raises(ValueError, match="overlap"):
+            pow2_shift(v, np.zeros(3), out=out)
+    assert v.tolist() == [1.5, -2.0, 0.75]
+
+
+def test_a_site_is_frozen():
+    s = site(3, 0.5, offset=0.1)
+    for field, value in (("name", "t"), ("theta", 1.0), ("offset", 0.0), ("T", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, value)
+    assert s == site(3, 0.5, offset=0.1)
+    assert s.encode_counts(np.array([0.1 + 2 * 0.5]))[0] == 2
 
 
 def test_encode_and_decode_write_into_their_input_only_when_asked():

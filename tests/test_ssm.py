@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import spikescan.numerics as nm
 import spikescan.ssm as ssm
 from spikescan.activations import pow2_silu, pow2_softplus
+from spikescan.quantize import Quantizer
 from spikescan.spike import SpikeSite
 from spikescan.ssm import (EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig, SPIKE_SITES,
                            block_forward_ann, pow2_round_ste, selective_scan)
@@ -540,6 +541,64 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         ann, snn = drives["ann"][name], drives["snn"][name]
         assert len(ann) == len(snn), name
         assert all(np.array_equal(a, s) for a, s in zip(ann, snn)), name
+
+
+class OperandLog(np.ndarray):
+    """An array that logs the operand types of every ufunc call it takes part in."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        OperandLog.calls.append((ufunc.__name__, tuple(type(v) for v in inputs)))
+        plain = tuple(v.view(np.ndarray) if isinstance(v, OperandLog) else v for v in inputs)
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, OperandLog) else o for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(OperandLog) if isinstance(result, np.ndarray) else result
+
+
+def test_hot_path_ufuncs_take_no_python_scalar_operands():
+    """Site encodes and decodes, quantizers, the decay exponent, its shift and both activations pass
+    numpy only arrays: a Python ``float`` or ``int`` operand is converted anew on every call, which
+    at batch 1 costs about as much as the arithmetic."""
+    rng = np.random.default_rng(12)
+
+    def drive():
+        return rng.normal(scale=2.0, size=(2, 3, 4)).view(OperandLog)
+
+    def into_itself(fn):
+        def call():
+            d = drive()
+            return fn(d, d)
+        return call
+
+    site = SpikeSite(name="s", theta=0.4, offset=-0.1, T=3)
+    qs = [Quantizer(bits=2, alpha=0.4, beta=-0.1, rounding=r, name=r) for r in ("floor", "nearest")]
+    calls = {
+        "encode_counts": lambda: site.encode_counts(drive()),
+        "encode_counts in place": into_itself(lambda d, o: site.encode_counts(d, out=o)),
+        "decode_counts": lambda: site.decode_counts(drive()),
+        "decode_counts in place": into_itself(lambda d, o: site.decode_counts(d, out=o)),
+        "exponent": lambda: ssm._exponent(drive(), False),
+        "smooth exponent": lambda: ssm._exponent(drive(), True),
+        "pow2_shift into the exponent": into_itself(lambda e, o: ssm.pow2_shift(nm.ONE, e, out=o)),
+        "pow2_softplus": lambda: pow2_softplus(drive()),
+        "pow2_silu": lambda: pow2_silu(drive()),
+    }
+    for q in qs:
+        for smooth in (False, True):
+            calls[f"quantize_values {q.name} {smooth}"] = lambda q=q, s=smooth: ssm.quantize_values(drive(), q, s)
+            calls[f"quantize_values {q.name} {smooth} in place"] = into_itself(
+                lambda d, o, q=q, s=smooth: ssm.quantize_values(d, q, s, out=o))
+    for name, call in calls.items():
+        OperandLog.calls.clear()
+        call()
+        assert len(OperandLog.calls) >= 2, name  # the logging array reached the arithmetic
+        scalars = [(ufunc, types) for ufunc, types in OperandLog.calls
+                   if not all(issubclass(t, np.ndarray) for t in types)]
+        assert not scalars, (name, scalars)
 
 
 def test_hot_path_calls_neither_np_clip_nor_np_pad(monkeypatch):

@@ -1,5 +1,6 @@
 """Optimizer behavior, the training loop, conversion, checkpoints."""
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -389,6 +390,26 @@ def test_benchmark_fixture_resaves_byte_identical(tmp_path):
     out = tmp_path / "fixture.ckpt"
     save_checkpoint(str(out), m, norm=meta["norm"], extra=meta["extra"])
     assert out.read_bytes() == FIXTURE.read_bytes()
+
+
+# SHA-256 of the fixture's forecasts of 256 windows of an unseen series (seed 8675309), numpy 2.4.6
+# with its bundled OpenBLAS; every mode and batch size gives these bytes, and any change of them is
+# a change of the model's arithmetic
+FIXTURE_FORECAST_SHA256 = "85c5d4c7292c84ae2bb704bb801d00831379fd7f308c4caf37e8eb02865cd886"
+
+
+@pytest.mark.parametrize("batch", [1, 64, 256])
+@pytest.mark.parametrize("mode", ["ann", "snn"])
+def test_benchmark_fixture_forecasts_are_pinned_to_the_byte(mode, batch):
+    m, meta = load_checkpoint(str(FIXTURE))
+    norm = meta["norm"]
+    x = make_windows(make_coupled_sinusoids(n_steps=300, seed=8675309), m.cfg.history, m.cfg.horizon,
+                     (1.0, 0.0, 0.0), stats=(np.asarray(norm["mean"]), np.asarray(norm["std"]))).x_train[:256]
+    if mode == "snn":
+        convert_to_snn(m)
+    out = np.concatenate([m.forward(x[i:i + batch]).data for i in range(0, len(x), batch)])
+    assert out.shape == (256, m.cfg.horizon, m.cfg.d_value)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == FIXTURE_FORECAST_SHA256
 
 
 @pytest.fixture(scope="module")
