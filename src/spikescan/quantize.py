@@ -9,7 +9,9 @@ Every grid is unsigned (codes 0 .. 2**bits - 1); a tensor's own
 ``trainable`` flag says whether the optimizer moves it.  Two rounding modes
 exist:
 
-* ``nearest``: round half away from zero (explicit quantization sites);
+* ``nearest``: ``round_half_up``, ``floor(v + 0.5)`` (explicit quantization
+  sites); under the clip it is round half away from zero except that a
+  ``v`` in (-0.5, 0) gives +0.0;
 * ``floor``: floor with a +1e-9 grid-snap nudge (ties that land one ulp
   under a grid point stay on it); spike-encode sites count spikes with this
   same rule, so they quantize identically in the real-arithmetic and the
@@ -30,6 +32,11 @@ from typing import Optional
 import numpy as np
 
 from . import numerics as nm
+
+try:  # numpy >= 2
+    from numpy._core.umath import clip as _clip_ufunc
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip_ufunc
 
 ALPHA_FLOOR = 1e-8
 GRID_SNAP = 1e-9
@@ -63,15 +70,13 @@ def floor_with_snap(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def clip_inplace(x: np.ndarray, lo, hi) -> np.ndarray:
-    """``np.clip(x, lo, hi, out=x)`` as two ufunc calls; returns ``x``.
+    """``np.clip(x, lo, hi, out=x)`` as one call of the ufunc ``np.clip`` runs; returns ``x``.
 
-    The bound is the first operand of each call, so the result equals
-    ``np.clip``'s bit for bit: -0.0 stays -0.0 against a zero bound and NaN
-    passes through.  Bypassing ``np.clip``'s Python wrappers halves the cost on
-    small arrays.
+    Same ufunc, same result bit for bit: -0.0 stays -0.0 against a zero
+    bound, NaN passes through and infinities clip.  Bypassing ``np.clip``'s
+    Python wrappers halves the cost on small arrays.
     """
-    np.maximum(lo, x, out=x)
-    return np.minimum(hi, x, out=x)
+    return _clip_ufunc(x, lo, hi, out=x)
 
 
 def init_step_size(x: np.ndarray) -> float:

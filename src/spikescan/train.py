@@ -9,6 +9,7 @@ present.  Conversion and checkpoints are specific to ``ForecastModel``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import typing
 from dataclasses import asdict, dataclass, field
@@ -37,37 +38,88 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"train config: batch_size must be >= 1, got {self.batch_size}")
+        for key in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"train config: {key} must be >= 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"train config: lr must be finite and > 0, got {self.lr}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"train config: {key} must be in [0, 1), got {getattr(self, key)}")
+        if not self.eps > 0:
+            raise ValueError(f"train config: eps must be > 0, got {self.eps}")
+        if self.seed < 0:
+            raise ValueError(f"train config: seed must be >= 0, got {self.seed}")
 
 
 class Adam:
-    """Adam with bias correction, state kept per parameter tensor."""
+    """Adam with bias correction over one flat float64 buffer.
+
+    The constructor copies the parameters into ``flat`` and makes each
+    one's ``data`` a view of its slice, so a step is a dozen ufunc calls
+    over the whole buffer instead of a dozen per tensor.  From then on the
+    parameters must be written in place (``p.data[...] = x``); a step
+    raises if a parameter's ``data`` was rebound.  A step
+    updates only the parameters ``grads`` holds: the others keep their
+    value and moments.  The element-wise arithmetic is the textbook
+    per-tensor rule's, operation for operation.
+    """
 
     def __init__(self, params, lr: float = 5e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("Adam: a parameter is listed twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._ends = np.cumsum([p.data.size for p in self.params]).tolist()
+        size = self._ends[-1] if self._ends else 0
+        self.flat = np.empty(size)
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._g, self._u = np.empty(size), np.empty(size)  # the gathered gradient, a scratch buffer
+        self._views, self._grad_views = [], []
+        for p, hi in zip(self.params, self._ends):
+            lo = hi - p.data.size
+            self.flat[lo:hi] = p.data.ravel()
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+            self._views.append(p.data)
+            self._grad_views.append(self._g[lo:hi].reshape(p.data.shape))
 
     def step(self, grads: dict) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        runs: list[list[int]] = []  # [lo, hi) spans of consecutive parameters that have a gradient
+        lo = 0
+        for p, own, view, hi in zip(self.params, self._views, self._grad_views, self._ends):
+            if p.data is not own:
+                raise RuntimeError(f"Adam: the data of {p.name or 'a parameter'} was rebound; "
+                                   "write it in place (p.data[...] = x) so the optimizer sees it")
             g = grads.get(p)
-            if g is None:
-                continue
+            if g is not None:
+                view[...] = g
+                if runs and runs[-1][1] == lo:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+            lo = hi
+        for lo, hi in runs:
+            p, m, v, g, u = (a[lo:hi] for a in (self.flat, self._m, self._v, self._g, self._u))
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=u)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=u)
+            v += np.multiply(u, g, out=u)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps); g's slice is free again and takes the numerator
+            np.sqrt(np.divide(v, c2, out=u), out=u)
+            u += self.eps
+            np.divide(m, c1, out=g)
+            g *= self.lr
+            g /= u
+            p -= g
 
 
 @dataclass
@@ -114,7 +166,7 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     res = TrainResult()
-    best = [p.data.copy() for p in params]
+    best = opt.flat.copy()
     wait = 0
     n = x_train.shape[0]
 
@@ -147,15 +199,14 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
         if val_loss < res.best_val:
             res.best_val = val_loss
             res.best_epoch = epoch
-            best = [p.data.copy() for p in params]
+            best = opt.flat.copy()
             wait = 0
         else:
             wait += 1
             if wait >= cfg.patience:
                 break
 
-    for p, saved in zip(params, best):
-        p.data = saved
+    opt.flat[...] = best  # through the views: every parameter keeps its array
     return res
 
 

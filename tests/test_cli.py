@@ -323,6 +323,21 @@ def test_degenerate_sizes_are_usage_errors(work, setting, key):
     assert f"{key} must be >= 1, got 0" in p.stderr and "Traceback" not in p.stderr
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("max_epochs = 0\n", "max_epochs must be >= 1, got 0"),
+    ("lr = -1\n", "lr must be finite and > 0, got -1"),
+    ("beta2 = 1.0\n", "beta2 must be in [0, 1), got 1.0"),
+])
+def test_untrainable_settings_are_usage_errors(work, setting, message):
+    """Each of these used to train (an untrained checkpoint, gradient ascent, a division by zero)."""
+    (work / "untrainable.cfg").write_text(setting)
+    out = work / "untrainable.ckpt"
+    p = run("train", "--data", str(work / "series.csv"), "--has-header", "--history", "8", "--horizon", "2",
+            "--config", str(work / "untrainable.cfg"), "--out", str(out), expect=2)
+    assert f"train config: {message}" in p.stderr and "Traceback" not in p.stderr
+    assert not out.exists()
+
+
 def test_a_diverging_training_run_is_a_usage_error(work):
     ds = make_coupled_sinusoids(n_steps=400, seed=0)
     write_csv(str(work / "series400.csv"), ds.values, ds.columns)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spikescan.numerics as nm
+import spikescan.quantize as quantize_mod
 from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with_snap, init_step_size,
                                 quantize, quantize_values, quantize_with_context, round_half_away,
                                 round_half_up, ste_backward)
@@ -88,6 +89,12 @@ def test_clip_inplace_equals_np_clip_bit_for_bit(values, bounds):
     out = clip_inplace(x, *bounds)
     assert out is x
     assert out.tobytes() == expect.tobytes()
+
+
+def test_clip_inplace_runs_numpys_clip_ufunc():
+    """Resolved at import from ``numpy._core.umath`` (numpy 2) or ``numpy.core.umath`` (numpy 1.x)."""
+    assert isinstance(quantize_mod._clip_ufunc, np.ufunc) and quantize_mod._clip_ufunc.__name__ == "clip"
+    assert quantize_mod._clip_ufunc.nin == 3 and quantize_mod._clip_ufunc.nout == 1
 
 
 def test_floor_with_snap_into_its_input_equals_the_fresh_result():

@@ -422,6 +422,27 @@ def test_ann_snn_equivalence_on_random_models():
         assert np.max(np.abs(ann - snn)) <= 1e-9
 
 
+@pytest.mark.parametrize("mode", ["ann", "snn"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(bits=st.integers(1, 3), blocks=st.integers(1, 2), state_size=st.integers(1, 9),
+       d_hidden=st.integers(2, 16), history=st.integers(1, 14), seed=st.integers(0, 2 ** 31),
+       start=st.integers(0, 256 - 37), pick=st.integers(0, 36))
+@example(bits=2, blocks=1, state_size=4, d_hidden=16, history=12, seed=0, start=219, pick=36)  # README size
+def test_a_windows_forecast_does_not_depend_on_its_batch(mode, bits, blocks, state_size, d_hidden, history,
+                                                         seed, start, pick):
+    """Alone, in a batch of 37 and in a batch of 256, a window's forecast has the same bytes: a BLAS
+    kernel or a chunk layout that changed with the batch could flip a spike at a threshold."""
+    cfg = small_cfg(bits=bits, blocks=blocks, state_size=state_size, d_hidden=d_hidden, history=history)
+    m, _ = calibrated_model(cfg, seed=seed % 1000)
+    if mode == "snn":
+        convert_to_snn(m)
+    x = 1.5 * np.random.default_rng(seed).normal(size=(256, history, cfg.d_value))  # not the calibration data
+    full = m.forward(x).data
+    assert m.forward(x[start:start + 37]).data.tobytes() == full[start:start + 37].tobytes()
+    i = start + pick
+    assert m.forward(x[i:i + 1]).data.tobytes() == full[i:i + 1].tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(bits=st.integers(1, 4), blocks=st.integers(1, 3), state_size=st.integers(1, 4),
        conv_kernel=st.integers(2, 4), d_hidden=st.integers(2, 8), seed=st.integers(0, 2 ** 31))
@@ -592,10 +613,11 @@ def test_hot_path_ufuncs_take_no_python_scalar_operands():
             calls[f"quantize_values {q.name} {smooth}"] = lambda q=q, s=smooth: ssm.quantize_values(drive(), q, s)
             calls[f"quantize_values {q.name} {smooth} in place"] = into_itself(
                 lambda d, o, q=q, s=smooth: ssm.quantize_values(d, q, s, out=o))
+    fewest = {"smooth exponent": 1}  # a single clip; every other entry makes at least two calls
     for name, call in calls.items():
         OperandLog.calls.clear()
         call()
-        assert len(OperandLog.calls) >= 2, name  # the logging array reached the arithmetic
+        assert len(OperandLog.calls) >= fewest.get(name, 2), name  # the logging array reached the arithmetic
         scalars = [(ufunc, types) for ufunc, types in OperandLog.calls
                    if not all(issubclass(t, np.ndarray) for t in types)]
         assert not scalars, (name, scalars)

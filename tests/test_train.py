@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import spikescan.numerics as nm
 from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import OpCounters
+from spikescan.quantize import ALPHA_FLOOR
 from spikescan.spike import threshold_scale
 from spikescan.ssm import SPIKE_SITES, ForecastModel, ModelConfig
 from spikescan.train import (Adam, CHECKPOINT_MAGIC, TrainConfig, apply_threshold_scaling,
@@ -54,6 +55,88 @@ def test_adam_skips_parameters_without_gradients():
         opt.step({a: np.ones(2)})
     assert np.array_equal(b.data, before)
     assert not np.array_equal(a.data, np.array([1.0, 2.0]))
+
+
+def per_tensor_adam(values, grad_steps, lr=1e-2, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-tensor update, one tensor at a time, in the flat Adam's operation order."""
+    ps = [np.array(v, dtype=np.float64) for v in values]
+    ms, vs = [np.zeros_like(p) for p in ps], [np.zeros_like(p) for p in ps]
+    trail = []
+    for t, grads in enumerate(grad_steps, start=1):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, m, v, g in zip(ps, ms, vs, grads):
+            if g is None:
+                continue
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        trail.append([p.tobytes() for p in ps])
+    return trail
+
+
+def test_flat_adam_matches_the_per_tensor_rule_bit_for_bit():
+    """0-d, 1-d and 2-d tensors over 30 steps; the middle ones skip some steps, and a skipped tensor
+    keeps its value and moments, so a later step resumes from them exactly."""
+    rng = np.random.default_rng(11)
+    values = [rng.normal(), rng.normal(size=5), rng.normal(size=(3, 4)), rng.normal(), rng.normal(size=(2, 3))]
+    grad_steps = []
+    for t in range(30):
+        gs = [rng.normal(size=np.shape(v)) * 10.0 ** rng.integers(-6, 3) for v in values]
+        if t % 3 == 1:
+            gs[2] = None
+        if t % 4 == 2:
+            gs[1] = gs[3] = None
+        grad_steps.append(gs)
+    params = [nm.tensor(v, trainable=True) for v in values]
+    opt = Adam(params, lr=1e-2)
+    trail = []
+    for gs in grad_steps:
+        opt.step({p: g for p, g in zip(params, gs) if g is not None})
+        trail.append([p.data.tobytes() for p in params])
+    assert trail == per_tensor_adam(values, grad_steps)
+    assert all(np.shares_memory(p.data, opt.flat) for p in params)
+    assert [p.data.shape for p in params] == [np.shape(v) for v in values]
+
+
+def test_adam_rejects_a_parameter_listed_twice():
+    p = nm.tensor(np.zeros(2), trainable=True)
+    with pytest.raises(ValueError, match="listed twice"):
+        Adam([p, p])
+
+
+def test_adam_refuses_a_parameter_whose_data_was_rebound():
+    """A rebound ``data`` would leave the flat buffer: the step would stop moving it and the
+    end-of-training restore would miss it, so the step says so instead."""
+    a = nm.tensor(np.zeros(2), trainable=True, name="a")
+    b = nm.tensor(np.zeros(3), trainable=True, name="b")
+    opt = Adam([a, b], lr=1e-2)
+    a.data[...] = 1.0  # in place: still the buffer's view
+    opt.step({a: np.ones(2)})
+    b.data = np.ones(3)
+    before = opt.flat.copy()
+    with pytest.raises(RuntimeError, match="data of b was rebound"):
+        opt.step({a: np.ones(2)})
+    assert opt.flat.tobytes() == before.tobytes()
+
+
+def test_clamp_steps_lands_in_the_buffer_the_next_step_reads():
+    cfg = small_cfg()
+    x, y = make_data(cfg=cfg)
+    m = ForecastModel.build(cfg, seed=0)
+    m.calibrate(x)
+    params = m.parameters()
+    opt = Adam(params, lr=1e-2)
+    alpha = m.blocks[0].quantizers["x_in"].alpha
+    j = next(i for i, p in enumerate(params) if p is alpha)
+    alpha.data[...] = -3.0  # as if an update overshot below zero
+    m.clamp_steps()
+    assert opt.flat[sum(p.data.size for p in params[:j])] == ALPHA_FLOOR
+    g = np.asarray(0.5)
+    opt.step({alpha: g})
+    expect = per_tensor_adam([ALPHA_FLOOR], [[g]])[-1][0]
+    assert alpha.data.tobytes() == expect
 
 
 def test_zero_learning_rate_is_a_noop():
@@ -132,6 +215,29 @@ def test_best_snapshot_is_restored():
     assert final == pytest.approx(res.best_val, abs=1e-15)
 
 
+class _Recorder(_ScalarFit):
+    """``_ScalarFit`` that records the array and value of ``w`` at every untaped (validation) forward."""
+
+    def __init__(self, w0):
+        super().__init__(w0)
+        self.seen = []
+
+    def forward(self, x, smooth=False, counters=None):
+        if nm.active_tape() is None:
+            self.seen.append((self.w.data, float(self.w.data)))
+        return super().forward(x, smooth, counters)
+
+
+def test_train_restores_the_best_snapshot_into_the_same_arrays():
+    m = _Recorder(1.9)
+    x = np.ones((8, 1))
+    res = train(m, x, 2 * x, x, 2 * x, TrainConfig(lr=1.5, patience=4, max_epochs=40, batch_size=8))
+    assert res.best_epoch < res.epochs_run - 1  # the last epoch was not the best: a restore happened
+    arrays = {id(a) for a, _ in m.seen}
+    assert len(arrays) == 1 and id(m.w.data) in arrays
+    assert float(m.w.data) == m.seen[res.best_epoch][1]
+
+
 def small_cfg(**kw) -> ModelConfig:
     base = dict(d_value=2, history=8, horizon=2, d_hidden=4, state_size=2,
                 conv_kernel=3, blocks=1, bits=2)
@@ -174,6 +280,22 @@ def test_shuffle_seed_changes_the_trajectory():
 def test_train_config_rejects_an_empty_batch():
     with pytest.raises(ValueError, match="train config: batch_size must be >= 1, got 0"):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("max_epochs", 0, ">= 1"), ("patience", 0, ">= 1"), ("patience", -3, ">= 1"),
+    ("lr", -1.0, "finite and > 0"), ("lr", 0.0, "finite and > 0"), ("lr", float("inf"), "finite and > 0"),
+    ("lr", float("nan"), "finite and > 0"), ("beta1", -0.1, "in \\[0, 1\\)"), ("beta1", 1.0, "in \\[0, 1\\)"),
+    ("beta2", 1.0, "in \\[0, 1\\)"), ("beta2", float("nan"), "in \\[0, 1\\)"), ("eps", 0.0, "> 0"),
+    ("eps", -1e-8, "> 0"), ("eps", float("nan"), "> 0"), ("seed", -1, ">= 0"),
+])
+def test_train_config_validates_every_field(key, value, rule):
+    with pytest.raises(ValueError, match=f"train config: {key} must be {rule}, got {value}"):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_accepts_the_edges_of_its_ranges():
+    TrainConfig(max_epochs=1, patience=1, lr=1e9, beta1=0.0, beta2=0.0, eps=1e-300, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows that make the loss NaN
