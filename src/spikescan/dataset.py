@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -30,10 +31,10 @@ class SeriesDataset:
 
 
 def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
-    """Read a numeric CSV; any bad cell is reported with its row and column."""
+    """Read a numeric CSV, skipping blank rows; the first defect is named by row
+    and column, in the order ``_raise_first_defect`` states."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [row for row in csv.reader(f) if "".join(row).strip()]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     columns: list[str] = []
@@ -43,15 +44,14 @@ def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
         if not rows:
             raise ValueError(f"{path}: header only, no data rows")
     width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric cell {cell.strip()!r} at row {i}, column {j}") from None
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError("ragged rows")
+        cells = map(float, chain.from_iterable(rows))
+        data = np.fromiter(cells, np.float64, count=len(rows) * width).reshape(len(rows), width)
+    except ValueError:
+        _raise_first_defect(path, rows, width)
+        raise
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]
@@ -59,14 +59,27 @@ def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
     return SeriesDataset(values=data, columns=columns)
 
 
+def _raise_first_defect(path: str, rows: list[list[str]], width: int) -> None:
+    """Raise for the first ragged row or non-numeric cell in file order, the
+    width before the cells within a row; ``load_csv`` calls it only after its
+    parse failed, and reports a non-finite cell only once every cell parses."""
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric cell {cell.strip()!r} at row {i}, column {j}") from None
+
+
 def write_csv(path: str, values: np.ndarray, columns: list[str] | None = None) -> None:
-    values = np.asarray(values)
+    rows = np.atleast_2d(np.asarray(values)).tolist()
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         if columns:
             writer.writerow(columns)
-        for row in np.atleast_2d(values):
-            writer.writerow([format(v, ".10g") for v in row])
+        writer.writerows([format(v, ".10g") for v in row] for row in rows)
 
 
 @dataclass

@@ -1,7 +1,11 @@
 """Windowing, normalization hygiene, CSV IO, and the fit metrics."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikescan.dataset import (SeriesDataset, denormalize, load_csv,
                                make_coupled_sinusoids, make_windows,
@@ -146,6 +150,110 @@ def test_csv_rejects_ragged_rows(tmp_path):
     p.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match="has 1 cells, expected 2"):
         load_csv(str(p))
+
+
+def load_error(path, has_header=False) -> str:
+    with pytest.raises(ValueError) as e:
+        load_csv(str(path), has_header=has_header)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("text, has_header, message", [
+    # rows are walked in file order: an earlier bad cell beats a later ragged row
+    ("1,2\n1,oops\n3,4\n5\n", False, "non-numeric cell 'oops' at row 1, column 1"),
+    # ... and an earlier ragged row beats a later bad cell
+    ("1,2\n3\n4,oops\n", False, "row 1 has 1 cells, expected 2"),
+    # within one row the width is checked before the cells
+    ("1,2\n3,oops,5\n", False, "row 1 has 3 cells, expected 2"),
+    ("1,2\n x ,y\n", False, "non-numeric cell 'x' at row 1, column 0"),
+    # a non-finite cell is reported only once every cell parses
+    ("nan,1\n1,2\n3,4\n5,6\n7,oops\n", False, "non-numeric cell 'oops' at row 4, column 1"),
+    ("nan,1\n1,2\n3,4\n5\n", False, "row 3 has 1 cells, expected 2"),
+    ("1,2\n3, inf\nnan,4\n", False, "non-finite cell 'inf' at row 1, column 1"),
+    # row numbers count data rows: the header and blank rows are not counted
+    ("a,b\n1,2\n\n , \n3,x\n", True, "non-numeric cell 'x' at row 1, column 1"),
+    ("a,b\n1,2\n3\n", True, "row 1 has 1 cells, expected 2"),
+    ("\n  \n", False, "no data rows"),
+    ("a,b\n\n", True, "header only, no data rows"),
+])
+def test_csv_reports_the_first_defect_in_file_order(tmp_path, text, has_header, message):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    assert load_error(p, has_header) == f"{p}: {message}"
+
+
+def padded_cell(left: str, text: str, right: str, quoted: bool) -> tuple[str, str]:
+    """A cell as written to the file, and the text ``csv.reader`` hands back."""
+    raw = left + text + right
+    return (f'"{raw}"' if quoted else raw), raw
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                    1.7976931348623157e308]))
+NUMBER_TEXT = st.one_of(st.builds(repr, FINITE),
+                        # %.10g rounds doubles above 1.797693135e308 up to inf
+                        st.builds("{:.10g}".format, FINITE.filter(lambda x: abs(x) <= 1e308)),
+                        st.sampled_from(["-0", "+0.0", "1_0", "-1_000.5", "1e1_0", "007"]))
+PAD = st.text(alphabet=" \t", max_size=2)
+CELLS = st.builds(padded_cell, PAD, NUMBER_TEXT, PAD, st.booleans())
+BLANK_ROWS = ["", " ", "\t", ",", " ,  ,\t", '"",""']
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), rows=st.integers(1, 5), width=st.integers(1, 4), has_header=st.booleans())
+def test_csv_cells_parse_like_float_bit_for_bit(tmp_path_factory, data, rows, width, has_header):
+    grid = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width),
+                              min_size=rows, max_size=rows))
+    lines = [",".join(cell for cell, _ in row) for row in grid]
+    for k in sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(k, data.draw(st.sampled_from(BLANK_ROWS)))
+    names = [f" c{j} " for j in range(width)]
+    if has_header:
+        lines.insert(0, ",".join(names))
+    p = tmp_path_factory.mktemp("csv") / "p.csv"
+    p.write_text("\n".join(lines) + "\n")
+    ds = load_csv(str(p), has_header=has_header)
+    expect = np.array([[float(text) for _, text in row] for row in grid], dtype=np.float64)
+    assert ds.values.shape == (rows, width) and ds.values.dtype == np.float64
+    assert ds.values.tobytes() == expect.tobytes()
+    assert ds.columns == ([n.strip() for n in names] if has_header else [f"v{j}" for j in range(width)])
+
+
+def test_csv_header_with_a_comma_round_trips(tmp_path):
+    p = tmp_path / "q.csv"
+    write_csv(str(p), np.array([[1.0, 2.0]]), columns=["load, kW", "temp"])
+    assert p.read_text().splitlines()[0] == '"load, kW",temp'
+    ds = load_csv(str(p), has_header=True)
+    assert ds.columns == ["load, kW", "temp"]
+    assert ds.values.tolist() == [[1.0, 2.0]]
+
+
+def per_element_csv(values, columns=None) -> bytes:
+    """The bytes of formatting each numpy element on its own, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if columns:
+        writer.writerow(columns)
+    for row in np.atleast_2d(np.asarray(values)):
+        writer.writerow([format(v, ".10g") for v in row])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("values, columns, expect", [
+    (np.array([[-0.0, np.nan], [np.inf, -np.inf], [5e-324, 1.7976931348623157e308]]), ["a,b", "c"],
+     b'"a,b",c\r\n-0,nan\r\ninf,-inf\r\n4.940656458e-324,1.797693135e+308\r\n'),
+    (np.array([[1, -2], [3, 2 ** 40]]), None, b"1,-2\r\n3,1.099511628e+12\r\n"),
+    (np.array([1.5, 2.5]), ["x"], b"x\r\n1.5,2.5\r\n"),
+    (np.array([[0.1, 1 / 3]], dtype=np.float32), None, b"0.1000000015,0.3333333433\r\n"),
+    (np.random.default_rng(5).normal(size=(7, 3)) * 1e5, ["u", "v", "w"], None),
+])
+def test_write_csv_bytes_match_the_per_element_rule(tmp_path, values, columns, expect):
+    p = tmp_path / "w.csv"
+    write_csv(str(p), values, columns)
+    assert p.read_bytes() == per_element_csv(values, columns)
+    if expect is not None:
+        assert p.read_bytes() == expect
 
 
 def test_dataset_requires_2d_values():
