@@ -32,7 +32,8 @@ class SeriesDataset:
 
 def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
     """Read a numeric CSV, skipping blank rows; the first defect is named by row
-    and column, in the order ``_raise_first_defect`` states."""
+    and column, in the order ``_raise_first_defect`` states.  A header must
+    name as many columns as data row 0 has cells."""
     with open(path, newline="") as f:
         rows = [row for row in csv.reader(f) if "".join(row).strip()]
     if not rows:
@@ -43,6 +44,8 @@ def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
         rows = rows[1:]
         if not rows:
             raise ValueError(f"{path}: header only, no data rows")
+        if len(columns) != len(rows[0]):
+            raise ValueError(f"{path}: header has {len(columns)} names, data row 0 has {len(rows[0])} cells")
     width = len(rows[0])
     try:
         if set(map(len, rows)) != {width}:

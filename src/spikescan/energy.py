@@ -39,7 +39,9 @@ class OpCounters:
         self.sites: dict[str, dict[str, int]] = {}
 
     def add(self, layer: str, **kinds: int) -> None:
-        row = self.layers.setdefault(layer, {k: 0 for k in KINDS})
+        row = self.layers.get(layer)
+        if row is None:  # inserted before its kinds are checked, as a new layer always was
+            row = self.layers[layer] = dict.fromkeys(KINDS, 0)
         for kind, v in kinds.items():
             if kind not in KINDS:
                 raise ValueError(f"unknown op kind {kind!r} (expected one of {KINDS})")

@@ -6,7 +6,9 @@ on the primitives defined here.  A forward pass executed under an active
 closures in reverse order and returns a gradient for every trainable leaf.
 
 Values are always float64 and row-major.  Ops run tape-free (pure forward)
-when no tape is active, so inference costs nothing extra.
+when no tape is active: the primitives a forward runs return before they
+build a backward closure or call ``record_op``, so inference costs nothing
+extra.
 """
 
 from __future__ import annotations
@@ -21,15 +23,20 @@ __all__ = ["Tensor", "GradTape", "backward", "tensor", "record_op", "active_tape
            "sum_axis", "sum_all", "mean_all", "mse", "operand", "ZERO", "ONE"]
 
 
+_F64 = np.dtype(np.float64)
+
+
 class Tensor:
     """A named, optionally trainable wrapper around a float64 ndarray."""
 
     __slots__ = ("data", "trainable", "name")
 
     def __init__(self, data, trainable: bool = False, name: str | None = None):
-        data = np.asarray(data, dtype=np.float64)
-        if not data.flags["C_CONTIGUOUS"]:
-            data = np.ascontiguousarray(data)
+        # the forwards hand over float64 C-contiguous arrays, which need no conversion
+        if type(data) is not np.ndarray or data.dtype is not _F64 or not data.flags.c_contiguous:
+            data = np.asarray(data, dtype=np.float64)
+            if not data.flags.c_contiguous:
+                data = np.ascontiguousarray(data)
         self.data = data
         self.trainable = trainable
         self.name = name
@@ -174,6 +181,8 @@ def _data(x) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     out = Tensor(_data(a) + _data(b))
+    if not _TAPE_STACK:
+        return out
 
     def vjp(g, accumulate):
         if isinstance(a, Tensor):
@@ -201,6 +210,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     da, db = _data(a), _data(b)
     out = Tensor(da * db)
+    if not _TAPE_STACK:
+        return out
 
     def vjp(g, accumulate):
         if isinstance(a, Tensor):
@@ -214,6 +225,8 @@ def mul(a, b) -> Tensor:
 
 def neg(x: Tensor) -> Tensor:
     out = Tensor(-x.data)
+    if not _TAPE_STACK:
+        return out
     record_op(out, lambda g, accumulate: accumulate(x, -g))
     return out
 
@@ -228,6 +241,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 def unary(x: Tensor, fn: Callable[[np.ndarray], np.ndarray], grad_fn: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """Generic differentiable elementwise op: out = fn(x), d out/dx = grad_fn(x)."""
     out = Tensor(fn(x.data))
+    if not _TAPE_STACK:
+        return out
     record_op(out, lambda g, accumulate: accumulate(x, g * grad_fn(x.data)))
     return out
 
@@ -235,6 +250,8 @@ def unary(x: Tensor, fn: Callable[[np.ndarray], np.ndarray], grad_fn: Callable[[
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
     out = Tensor(e)
+    if not _TAPE_STACK:
+        return out
     record_op(out, lambda g, accumulate: accumulate(x, g * e))
     return out
 
@@ -256,6 +273,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             )
         y = y + b.data
     out = Tensor(y)
+    if not _TAPE_STACK:
+        return out
 
     def vjp(g, accumulate):
         accumulate(x, g @ w.data.T)
@@ -298,6 +317,8 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
     for j in range(1, K):
         y += xpad[:, j:j + L] * kd[:, j]
     out = Tensor(y)
+    if not _TAPE_STACK:
+        return out
 
     def vjp(g, accumulate):
         # out[t] reads x[t - K+1 + j] through tap j, so x[s] collects g[s + K-1 - j] k[:, j]
@@ -322,8 +343,12 @@ def rmsnorm(x: Tensor, g: Tensor, eps: float = 1e-6) -> Tensor:
             f"rmsnorm: gain shape {g.data.shape} does not match input shape {x.data.shape}"
         )
     d = x.data.shape[-1]
-    r = 1.0 / np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
+    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True)
+    ms /= d  # np.mean's sum and division, without its Python layers
+    r = 1.0 / np.sqrt(ms + eps)
     out = Tensor(x.data * g.data * r)
+    if not _TAPE_STACK:
+        return out
 
     def vjp(grad, accumulate):
         # out_i = x_i g_i r with r = (mean_j x_j^2 + eps)^(-1/2)
@@ -347,18 +372,22 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
     for size in sizes:
         lo, hi = hi, hi + size
         piece = Tensor(np.ascontiguousarray(x.data[..., lo:hi]))
+        outs.append(piece)
+        if not _TAPE_STACK:
+            continue
 
         def vjp(g, accumulate, index=(..., slice(lo, hi))):
             accumulate(x, g, index)
 
         record_op(piece, vjp)
-        outs.append(piece)
     return tuple(outs)
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = Tensor(np.ascontiguousarray(np.transpose(x.data, axes)))
+    if not _TAPE_STACK:
+        return out
     # the inverse permutation is found only when a backward needs it
     record_op(out, lambda g, accumulate: accumulate(x, np.transpose(g, np.argsort(axes))))
     return out

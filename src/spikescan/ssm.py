@@ -443,10 +443,11 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
     T_pass = 2 ** cfg.bits - 1
 
     def code(name, v):
-        """Spike site ``name`` on the dead drive ``v``: its decode, written into ``v``, and
-        with ``counters`` its spike total, else ``None``."""
+        """Spike site ``name`` on the dead drive ``v``: its decoded values (in ``v``'s buffer
+        unless ``v`` is small enough for a threshold search) and with ``counters`` its spike
+        total, else ``None``."""
         site = p.sites[name]
-        counts = site.encode_counts(v, out=v)
+        counts, values = site.encode(v)
         spikes = None
         if counters is not None:
             counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
@@ -455,7 +456,9 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
             spikes = counters.record_site(f"{tag}.{name}", counts, T_pass)
             if spikes is None:  # a counters object that keeps no site record returns no total
                 spikes = int(counts.sum())
-        return site.decode_counts(counts, out=counts), spikes
+        if values is None:  # arithmetic counts in v's buffer, read above
+            values = site.decode_counts(counts, out=counts)
+        return values, spikes
 
     def encode(name, t):
         if name not in p.sites:
@@ -551,8 +554,8 @@ class ForecastModel:
             raise ValueError(
                 f"forward: expected [B, {self.cfg.history}, {self.cfg.d_value}] input, got {arr.shape}"
             )
-        finite = np.isfinite(arr).all(axis=(1, 2))
-        if not finite.all():
+        if not np.isfinite(arr).all():
+            finite = np.isfinite(arr).all(axis=(1, 2))
             raise ValueError(f"forward: window {int(np.argmin(finite))} holds NaN or inf")
         if self.mode == "snn":
             h = arr

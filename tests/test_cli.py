@@ -310,6 +310,16 @@ def test_csv_with_the_wrong_column_count_is_a_usage_error(work, command):
     assert "three.csv: 3 columns, the model takes d_value = 2" in p.stderr
 
 
+@pytest.mark.parametrize("rows", ["0.5,0.25,0.125\n", "0.5\n"])
+def test_a_header_that_disagrees_with_the_data_is_a_usage_error(work, rows):
+    (work / "named.csv").write_text("s1,s2\n" + rows * 20)
+    p = run("eval", "--model", str(work / "snn.ckpt"), "--data", str(work / "named.csv"),
+            "--has-header", expect=2)
+    cells = rows.count(",") + 1
+    assert f"named.csv: header has 2 names, data row 0 has {cells} cells" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 @pytest.mark.parametrize("setting, key", [
     ("state_size = 0\n", "state_size"), ("conv_kernel = 0\n", "conv_kernel"),
     ("batch_size = 0\n", "batch_size"), ("history = 0\n", "history"),

@@ -173,6 +173,9 @@ def load_error(path, has_header=False) -> str:
     # row numbers count data rows: the header and blank rows are not counted
     ("a,b\n1,2\n\n , \n3,x\n", True, "non-numeric cell 'x' at row 1, column 1"),
     ("a,b\n1,2\n3\n", True, "row 1 has 1 cells, expected 2"),
+    # a header is checked against data row 0 before any row
+    ("a,b\n1,2,3\n4,5,6\n", True, "header has 2 names, data row 0 has 3 cells"),
+    ("a,b,c\n1,2\n3,4,5\n", True, "header has 3 names, data row 0 has 2 cells"),
     ("\n  \n", False, "no data rows"),
     ("a,b\n\n", True, "header only, no data rows"),
 ])

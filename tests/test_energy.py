@@ -1,13 +1,16 @@
 """Op counting identities and energy pricing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import (EnergyTable, OpCounters, ann_op_counts,
                               compare_ann_energy, profile)
-from spikescan.spike import SpikeSite
+from spikescan.spike import SEARCH_MAX, SpikeSite
 from spikescan.ssm import ForecastModel, ModelConfig
-from spikescan.train import convert_to_snn
+from spikescan.train import convert_to_snn, load_checkpoint
 
 TABLE = EnergyTable(e_acc=0.9e-12, e_mac=4.6e-12, e_shift=0.15e-12, e_cmp=0.1e-12)
 
@@ -189,3 +192,26 @@ def test_analytic_counts_scale_with_batch():
     one = ann_op_counts(cfg, batch=1).totals()
     four = ann_op_counts(cfg, batch=4).totals()
     assert {k: 4 * v for k, v in one.items()} == four
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "readme_model.ckpt"
+
+
+def test_a_batch_tallies_what_its_windows_tally_one_by_one():
+    """At batch 256 every site drive takes the arithmetic, alone every one the threshold search:
+    the tallies of 256 unseen fixture windows are the same either way, layer by layer and site by site."""
+    m, meta = load_checkpoint(str(FIXTURE))
+    norm = meta["norm"]
+    x = make_windows(make_coupled_sinusoids(n_steps=300, seed=20261018), m.cfg.history, m.cfg.horizon,
+                     (1.0, 0.0, 0.0), stats=(np.asarray(norm["mean"]), np.asarray(norm["std"]))).x_train[:256]
+    convert_to_snn(m)
+    cfg = m.cfg
+    # the largest drive of one window, and the smallest of the batch (delta_raw's)
+    assert cfg.history * cfg.d_hidden <= SEARCH_MAX < 256 * cfg.history * cfg.delta_rank
+    whole, alone = OpCounters(), OpCounters()
+    report = profile(m, x, TABLE, counters=whole)
+    for i in range(len(x)):
+        profile(m, x[i:i + 1], TABLE, counters=alone)
+    assert list(whole.layers.items()) == list(alone.layers.items())
+    assert whole.sites == alone.sites
+    assert sum(TABLE.cost(row) for row in alone.layers.values()) == report.total_joules

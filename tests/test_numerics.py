@@ -260,3 +260,19 @@ def test_ops_outside_tape_do_not_record():
         inside = nm.mul(t, t)
         _ = nm.sum_all(inside)
     assert len(tape) == 2
+
+
+def test_a_tensor_keeps_a_float64_c_contiguous_array_and_converts_the_rest():
+    a = np.arange(6.0).reshape(2, 3)
+    assert nm.Tensor(a).data is a
+    zero_d = np.array(2.5)
+    assert nm.Tensor(zero_d).data is zero_d and nm.Tensor(2.5).data.shape == ()
+
+    class Sub(np.ndarray):
+        pass
+
+    for given in ([[1, 2, 3], [4, 5, 6]], a.astype(np.float32), np.asfortranarray(a), a.astype(">f8"),
+                  np.arange(12.0).reshape(2, 6)[:, ::2], a.view(Sub)):
+        data = nm.Tensor(given).data
+        assert type(data) is np.ndarray and data.dtype == np.float64 and data.flags.c_contiguous
+        assert np.array_equal(data, np.asarray(given, dtype=np.float64))

@@ -4,9 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikescan.quantize import Quantizer, quantize_with_context
-from spikescan.spike import SpikeSite, pow2_shift, simulate_if, threshold_scale
+from spikescan.spike import SEARCH_MAX, SpikeSite, pow2_shift, simulate_if, threshold_scale
 from spikescan.ssm import EXP_HI, EXP_LO, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 
@@ -209,3 +210,73 @@ def test_spike_train_invariants():
     assert np.array_equal(counts, np.round(counts))
     assert counts.min() >= 0 and counts.max() <= 3
     assert np.array_equal(counts, simulate_if(drive, 3, 1.0).sum(axis=0))
+
+
+def ulps_around(v: np.ndarray, n: int) -> np.ndarray:
+    """Each value of ``v`` and its ``n`` float64 neighbours on either side."""
+    out, up, down = [v], v, v
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+SPECIAL_DRIVES = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324,
+                           2.2250738585072009e-308, -2.2250738585072009e-308, 1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_theta=st.floats(-8.0, 3.0), log_offset=st.floats(-12.0, 4.0),
+       offset_sign=st.sampled_from([-1.0, 0.0, 1.0]), T=st.sampled_from([1, 3, 7, 15]),
+       scaled=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_offset, offset_sign, T,
+                                                                 scaled, seed):
+    """Each threshold is the least drive that reaches its count, and a small drive counted by searching
+    them gets ``encode_counts``' counts and ``decode_counts``' bytes, at and within 3 ulps of every
+    threshold, at the float64 extremes and on random drives."""
+    s = site(T, 10.0 ** log_theta, offset_sign * 10.0 ** log_offset)
+    if scaled:
+        s = threshold_scale(s)
+    tau = s.thresholds()
+    k = np.arange(1, s.T + 1)
+    with np.errstate(over="ignore"):  # the arithmetic on drives near the float64 extremes
+        assert (s.encode_counts(tau) >= k).all() and (s.encode_counts(np.nextafter(tau, -np.inf)) < k).all()
+    rng = np.random.default_rng(seed)
+    spread = s.offset + s.theta * rng.uniform(-2.0, s.T + 2.0, size=200)
+    wide = rng.choice([-1.0, 1.0], size=100) * 10.0 ** rng.uniform(-320.0, 308.0, size=100)
+    drive = np.concatenate([ulps_around(tau, 3), SPECIAL_DRIVES, spread, wide])
+    drive = np.concatenate([drive, np.zeros(-drive.size % SEARCH_MAX)])
+    for piece in drive.reshape(-1, 4, SEARCH_MAX // 4):  # drives the size of the largest search
+        with np.errstate(over="ignore"):
+            want = s.encode_counts(piece)
+        counts, values = s.encode(piece.copy())
+        assert values is not None  # searched
+        assert np.array_equal(counts, want)
+        assert values.tobytes() == s.decode_counts(want).tobytes()
+
+
+def test_a_nan_or_a_large_drive_takes_the_arithmetic():
+    """The search would give NaN the count T (a finite value), so a NaN drive is counted by
+    ``encode_counts`` in its own buffer, as a drive above ``SEARCH_MAX`` entries is."""
+    s = site(3, 0.5, offset=-0.25)
+    for drive in (np.array([0.1, np.nan, 2.0]), np.linspace(-1.0, 3.0, SEARCH_MAX + 1)):
+        buf = drive.copy()
+        counts, values = s.encode(buf)
+        assert counts is buf and values is None
+        assert counts.tobytes() == s.encode_counts(drive).tobytes()
+
+
+def test_search_tables_are_built_on_a_sites_first_small_drive():
+    """Conversion pays nothing for the tables; a batch-1 forward builds each site's once."""
+    cfg = ModelConfig(d_value=2, history=6, horizon=2, d_hidden=4, state_size=2, conv_kernel=2)
+    m = ForecastModel.build(cfg, seed=0)
+    x = np.random.default_rng(0).normal(size=(8, 6, 2))
+    m.calibrate(x)
+    convert_to_snn(m)
+    sites = list(m.blocks[0].sites.values())
+    assert all(s._tables is None for s in sites)
+    m.forward(x[:1])
+    tables = [s._tables for s in sites]
+    assert all(t is not None for t in tables)
+    m.forward(x[1:2])
+    assert all(s._tables is t for s, t in zip(sites, tables))

@@ -1,6 +1,7 @@
 """Selective-scan block: dense oracles, conversion equivalence, gradients."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -533,7 +534,7 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
     names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
     drives = {"ann": {}, "snn": {}}
     quantize, quantize_values = ssm.quantize, ssm.quantize_values
-    encode_counts = SpikeSite.encode_counts
+    encode = SpikeSite.encode  # the entry point of every spiking encode, search or arithmetic
 
     def record(mode, name, pre):
         if name in names:  # delta_int and x_res quantize in both modes
@@ -547,13 +548,13 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         record("ann", q.name, v)
         return quantize_values(v, q, smooth, out=out)
 
-    def snn_site(site, pre, out=None):
+    def snn_site(site, pre):
         record("snn", site.name, pre)
-        return encode_counts(site, pre, out=out)
+        return encode(site, pre)
 
     monkeypatch.setattr(ssm, "quantize", ann_site)
     monkeypatch.setattr(ssm, "quantize_values", ann_state)
-    monkeypatch.setattr(SpikeSite, "encode_counts", snn_site)
+    monkeypatch.setattr(SpikeSite, "encode", snn_site)
     m.forward(x)
     m.mode = "ann"
     m.forward(x)
@@ -562,6 +563,82 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         ann, snn = drives["ann"][name], drives["snn"][name]
         assert len(ann) == len(snn), name
         assert all(np.array_equal(a, s) for a, s in zip(ann, snn)), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the NaN
+def test_a_window_that_overflows_to_nan_forecasts_the_same_bytes_alone():
+    """A window of 1.7e308 with rmsnorm gains of 4 overflows to inf and then NaN, which reaches every
+    site. Alone its drives are small enough for a threshold search, which would count NaN as T; they
+    take the arithmetic instead, so the forecast has the bytes of the batch-256 and real-arithmetic
+    forwards."""
+    cfg = small_cfg()
+    m, _ = calibrated_model(cfg)
+    x = np.random.default_rng(3).normal(size=(256, cfg.history, cfg.d_value))  # not the calibration data
+    x[5, 2] = 1.7e308
+    m.blocks[0].g_norm.data[:] = 4.0
+    ann = m.forward(x[5:6]).data
+    convert_to_snn(m)
+    alone = m.forward(x[5:6]).data
+    assert np.isnan(alone).all()
+    assert alone.tobytes() == m.forward(x).data[5:6].tobytes() == ann.tobytes()
+
+
+def readme_model() -> tuple[ForecastModel, np.ndarray]:
+    """The README configuration, calibrated, and an unseen batch of 64."""
+    m = ForecastModel.build(ModelConfig(d_value=2, history=12, horizon=3, conv_kernel=3), seed=0)
+    rng = np.random.default_rng(0)
+    m.calibrate(rng.normal(size=(64, 12, 2)))
+    return m, rng.normal(size=(64, 12, 2))
+
+
+def test_only_a_taped_forward_records_backward_closures(monkeypatch):
+    """Off the tape the primitives return before they build a closure or call ``record_op``; a taped
+    README step records its 29 ops through it, so a wrapped ``record_op`` still sees every one."""
+    recorded = []
+    record_op = nm.record_op
+
+    def counting(out, vjp):
+        recorded.append(out)
+        return record_op(out, vjp)
+
+    monkeypatch.setattr(nm, "record_op", counting)
+    m, x = readme_model()
+    m.forward(x)
+    assert recorded == []
+    with nm.GradTape() as tape:
+        nm.mse(m.forward(x), nm.tensor(np.zeros((64, 3, 2))))
+    assert len(recorded) == len(tape) == 29
+    convert_to_snn(m)
+    m.forward(x)
+    m.forward(x[:1])
+    profile(m, x[:1], EnergyTable(e_acc=1.0, e_mac=1.0, e_shift=1.0, e_cmp=1.0))
+    assert len(recorded) == 29
+
+
+# Python function calls of one untaped batch-1 spiking forward at the README size, numpy 2.4
+# (265 when every site encoded by arithmetic and every primitive built its backward closure)
+BATCH_1_CALLS = 169
+
+
+def test_a_batch_1_spiking_forward_makes_few_python_calls():
+    """Streaming latency is per-call overhead, so a change that adds Python calls to the batch-1
+    spiking forward fails here without a timing test; counted as ``sys.setprofile`` call events."""
+    m, x = readme_model()
+    convert_to_snn(m)
+    m.forward(x[:1])  # builds the sites' search tables
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        m.forward(x[1:2])
+    finally:
+        sys.setprofile(before)
+    assert calls <= BATCH_1_CALLS
 
 
 class OperandLog(np.ndarray):
