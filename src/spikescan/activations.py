@@ -11,14 +11,14 @@ decimals) by solving for continuity at the breakpoint:
   The cut is where the two branch derivatives agree.
 
 Both approximations stay within certified uniform bounds of the smooth
-reference functions; ``verify_deviation_bounds`` re-checks the bounds on a
-dense grid and reports the empirical maxima and their locations.
+reference functions (``DEVIATION_BOUNDS``); ``verify_deviation_bounds``
+re-checks them on a dense grid and returns the empirical maxima and their
+locations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,13 @@ SOFTPLUS_VALUE_BOUND = 0.914
 SOFTPLUS_GRAD_BOUND = 0.371
 SILU_VALUE_BOUND = 0.316
 SILU_GRAD_BOUND = 0.263
+# the bound each row of ``verify_deviation_bounds`` is held to
+DEVIATION_BOUNDS = {
+    "softplus_value": SOFTPLUS_VALUE_BOUND,
+    "softplus_grad": SOFTPLUS_GRAD_BOUND,
+    "silu_value": SILU_VALUE_BOUND,
+    "silu_grad": SILU_GRAD_BOUND,
+}
 
 
 # --- smooth references ------------------------------------------------------
@@ -117,49 +124,6 @@ def pow2_silu_t(x: nm.Tensor) -> nm.Tensor:
 # --- deviation verification --------------------------------------------------
 
 
-@dataclass
-class DeviationReport:
-    """Empirical max |approx - reference| for values and derivatives.
-
-    ``*_argmax`` are the grid points attaining each maximum.  ``passed`` is
-    true when every empirical maximum sits within its certified bound.
-    """
-
-    grid_lo: float
-    grid_hi: float
-    grid_step: float
-    softplus_value_max: float
-    softplus_value_argmax: float
-    softplus_grad_max: float
-    softplus_grad_argmax: float
-    silu_value_max: float
-    silu_value_argmax: float
-    silu_grad_max: float
-    silu_grad_argmax: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.softplus_value_max <= SOFTPLUS_VALUE_BOUND
-            and self.softplus_grad_max <= SOFTPLUS_GRAD_BOUND
-            and self.silu_value_max <= SILU_VALUE_BOUND
-            and self.silu_grad_max <= SILU_GRAD_BOUND
-        )
-
-    def to_text(self) -> str:
-        rows = [
-            ("softplus value", self.softplus_value_max, self.softplus_value_argmax, SOFTPLUS_VALUE_BOUND),
-            ("softplus grad ", self.softplus_grad_max, self.softplus_grad_argmax, SOFTPLUS_GRAD_BOUND),
-            ("silu value    ", self.silu_value_max, self.silu_value_argmax, SILU_VALUE_BOUND),
-            ("silu grad     ", self.silu_grad_max, self.silu_grad_argmax, SILU_GRAD_BOUND),
-        ]
-        lines = [f"deviation grid [{self.grid_lo}, {self.grid_hi}] step {self.grid_step}"]
-        for name, got, at, bound in rows:
-            status = "ok" if got <= bound else "EXCEEDED"
-            lines.append(f"  {name}  max {got:.6f} at x={at:+.4f}  bound {bound:.3f}  {status}")
-        return "\n".join(lines)
-
-
 def branch_continuity_gaps() -> dict[str, float]:
     """Branch disagreement of each approximation at its cut, value and slope.
 
@@ -185,28 +149,16 @@ def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def verify_deviation_bounds(lo: float = -10.0, hi: float = 10.0, step: float = 1e-3) -> DeviationReport:
-    """Scan the grid and report max deviations of both approximations."""
+def verify_deviation_bounds(lo: float = -10.0, hi: float = 10.0,
+                            step: float = 1e-3) -> dict[str, tuple[float, float]]:
+    """Max |approx - reference| on the grid and the x attaining it, per row of ``DEVIATION_BOUNDS``."""
     x = grid_points(lo, hi, step)
-
-    def peak(diff):
-        i = int(np.argmax(np.abs(diff)))
-        return float(np.abs(diff[i])), float(x[i])
-
-    sp_v, sp_v_at = peak(pow2_softplus(x) - softplus(x))
-    sp_g, sp_g_at = peak(pow2_softplus_grad(x) - softplus_grad(x))
-    si_v, si_v_at = peak(pow2_silu(x) - silu(x))
-    si_g, si_g_at = peak(pow2_silu_grad(x) - silu_grad(x))
-    return DeviationReport(
-        grid_lo=lo,
-        grid_hi=hi,
-        grid_step=step,
-        softplus_value_max=sp_v,
-        softplus_value_argmax=sp_v_at,
-        softplus_grad_max=sp_g,
-        softplus_grad_argmax=sp_g_at,
-        silu_value_max=si_v,
-        silu_value_argmax=si_v_at,
-        silu_grad_max=si_g,
-        silu_grad_argmax=si_g_at,
-    )
+    table = {}
+    for name, approx, ref in (("softplus_value", pow2_softplus, softplus),
+                              ("softplus_grad", pow2_softplus_grad, softplus_grad),
+                              ("silu_value", pow2_silu, silu),
+                              ("silu_grad", pow2_silu_grad, silu_grad)):
+        diff = np.abs(approx(x) - ref(x))
+        i = int(np.argmax(diff))
+        table[name] = (float(diff[i]), float(x[i]))
+    return table

@@ -11,9 +11,7 @@ import sys
 
 import numpy as np
 
-from .activations import (SILU_GRAD_BOUND, SILU_VALUE_BOUND, SOFTPLUS_GRAD_BOUND,
-                          SOFTPLUS_VALUE_BOUND, branch_continuity_gaps,
-                          verify_deviation_bounds)
+from .activations import DEVIATION_BOUNDS, branch_continuity_gaps, verify_deviation_bounds
 from .dataset import SeriesDataset, WindowSplits, denormalize, load_csv, make_windows, write_csv
 from .energy import EnergyTable, compare_ann_energy, profile
 from .metrics import r2, rrse
@@ -152,13 +150,11 @@ def cmd_forecast(args) -> int:
     rows = ds.values.shape[0]
     if rows < H:
         raise ValueError(f"{args.data}: {rows} rows is shorter than the model history {H}")
-    z = (ds.values - mean) / std
-    starts = np.arange(0, rows - H + 1)
-    x = np.stack([z[s:s + H] for s in starts])
+    x = make_windows(ds, H, 0, (1.0, 0.0, 0.0), stats=(mean, std)).x_train  # every start, no target
     pred = denormalize(_predict(model, x), mean, std)  # [W, G, N]
 
     header = ["t"] + [f"{c}_step{g + 1}" for g in range(G) for c in ds.columns]
-    out = np.column_stack([starts + H, pred.reshape(pred.shape[0], -1)])
+    out = np.column_stack([np.arange(H, rows + 1), pred.reshape(pred.shape[0], -1)])
     write_csv(args.out, out, header)
     print(f"wrote {out.shape[0]} forecasts to {args.out}")
     return 0
@@ -188,13 +184,12 @@ def cmd_plot_data(args) -> int:
     if not 1 <= step <= model.cfg.horizon:
         raise ValueError(f"--step must be in 1..{model.cfg.horizon}, got {step}")
     true, pred = _eval_model(model, meta, args.data, args.has_header)
-    rows = []
-    for w in range(true.shape[0]):
-        t = w + model.cfg.history + step - 1
-        for j in range(true.shape[2]):
-            rows.append([t, j, true[w, step - 1, j], pred[w, step - 1, j]])
-    write_csv(args.out, np.asarray(rows), ["t", "variable", "true", "predicted"])
-    print(f"wrote {len(rows)} (t, true, predicted) rows to {args.out}")
+    W, N = true.shape[0], true.shape[2]
+    t = np.arange(W) + model.cfg.history + step - 1  # the row window w forecasts at this step
+    rows = np.column_stack([t.repeat(N), np.tile(np.arange(N), W),
+                            true[:, step - 1].ravel(), pred[:, step - 1].ravel()])
+    write_csv(args.out, rows, ["t", "variable", "true", "predicted"])
+    print(f"wrote {W * N} (t, true, predicted) rows to {args.out}")
     return 0
 
 
@@ -222,17 +217,10 @@ def cmd_energy(args) -> int:
 def _verify_checks(model_path: str | None, data_path: str | None,
                    has_header: bool) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
-    rep = verify_deviation_bounds()
-    checks.append(("pow2 softplus deviation bounds",
-                   rep.softplus_value_max <= SOFTPLUS_VALUE_BOUND
-                   and rep.softplus_grad_max <= SOFTPLUS_GRAD_BOUND,
-                   f"value {rep.softplus_value_max:.4f}/{SOFTPLUS_VALUE_BOUND} "
-                   f"grad {rep.softplus_grad_max:.4f}/{SOFTPLUS_GRAD_BOUND}"))
-    checks.append(("pow2 silu deviation bounds",
-                   rep.silu_value_max <= SILU_VALUE_BOUND
-                   and rep.silu_grad_max <= SILU_GRAD_BOUND,
-                   f"value {rep.silu_value_max:.4f}/{SILU_VALUE_BOUND} "
-                   f"grad {rep.silu_grad_max:.4f}/{SILU_GRAD_BOUND}"))
+    for name, (peak, at) in verify_deviation_bounds().items():
+        bound = DEVIATION_BOUNDS[name]
+        checks.append((f"pow2 deviation: {name}", peak <= bound,
+                       f"max {peak:.4f} at x={at:+.4f}, bound {bound}"))
     for name, gap in branch_continuity_gaps().items():
         checks.append((f"branch continuity: {name}", gap <= 1e-12, f"gap {gap:.2e}"))
 

@@ -52,9 +52,14 @@ class OpCounters:
     def record_site(self, site: str, counts: np.ndarray, T: int) -> int:
         """Tally a site's spikes, its neurons and ``mid``, the neurons whose
         count lies strictly between 0 and T (a site with none is saturated);
-        returns the spikes of ``counts``."""
+        returns the spikes of ``counts``, whose first axis is the window."""
+        try:
+            spikes = int(counts.sum())
+        except ValueError:  # NaN counts: a window overflowed upstream of this site
+            w = int(np.isnan(counts.reshape(len(counts), -1)).any(axis=1).argmax())
+            raise ValueError(f"spike site {site}: window {w} has NaN spike counts "
+                             "(its values overflowed before the site)") from None
         rec = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": int(T)})
-        spikes = int(counts.sum())
         rec["spikes"] += spikes
         rec["neurons"] += int(counts.size)
         rec["mid"] += int(np.count_nonzero((counts > 0) & (counts < T)))

@@ -45,19 +45,13 @@ _HALF = nm.operand(0.5)
 _SNAP = nm.operand(GRID_SNAP)
 
 
-def round_half_away(v: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero."""
-    v = np.asarray(v, dtype=np.float64)
-    return np.sign(v) * np.floor(np.abs(v) + 0.5)
-
-
 def round_half_up(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``floor(v + 0.5)``, into ``out`` when given: the quantizer's nearest rule, two in-place passes.
 
-    Under a clip to ``[0, code_max]`` this is ``round_half_away``, except
-    that a ``v`` in (-0.5, 0) rounds to +0.0 where ``round_half_away``
-    keeps -0.0; a decode ``code * alpha + beta`` shows that only when
-    ``beta`` is -0.0.
+    Under a clip to ``[0, code_max]`` this is round half away from zero,
+    except that a ``v`` in (-0.5, 0) rounds to +0.0 where that rule keeps
+    -0.0; a decode ``code * alpha + beta`` shows that only when ``beta`` is
+    -0.0.
     """
     r = np.add(v, _HALF, out=out)
     return np.floor(r, out=r)

@@ -241,12 +241,12 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     for t0 in range(0, L, span):
         k = min(span, L - t0)
         ts = slice(t0, t0 + k)
-        st = np.repeat(step_t[ts], n, axis=3)
+        st = step_t[ts].repeat(n, axis=3)
         e = _exponent(np.multiply(st, A, out=expo[:k]), smooth)
         abar = pow2_shift(nm.ONE, e, out=e)  # 1 * 2**e is exact
-        bu = np.multiply(st, np.repeat(B_t[ts], dh, axis=2), out=term[:k])
+        bu = np.multiply(st, B_t[ts].repeat(dh, axis=2), out=term[:k])
         del st
-        bu *= np.repeat(u_t[ts], n, axis=3)
+        bu *= u_t[ts].repeat(n, axis=3)
         for j in range(k):
             slot = h = np.multiply(h, abar[j], out=hs[j])
             h += bu[j]
@@ -256,7 +256,7 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
                     slot[...] = h
         # a one-step chunk reads its state where it is; no name holds that array into the
         # next chunk's hook, where one more live [B, dh, n] array slows batch 256 measurably
-        hc = np.multiply(hs[:k] if k > 1 else h[None], np.repeat(C_t[ts], dh, axis=2), out=term[:k])
+        hc = np.multiply(hs[:k] if k > 1 else h[None], C_t[ts].repeat(dh, axis=2), out=term[:k])
         readout = np.add(nm.ZERO, hc[..., 0])
         for i in range(1, n):
             readout += hc[..., i]
@@ -343,14 +343,14 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, hs: np.ndarray, ctxs: l
         st, us, Bs, Cs, dy = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (step.data, u.data, B_seq.data, C_seq.data, gy))
         dh, n = A.data.shape
-        x = np.repeat(st[..., None], n, axis=3)
+        x = st[..., None].repeat(n, axis=3)
         x *= A.data  # the forward's products step_t * A, on whole operands as the forward takes them
         live = (x >= EXP_LO) & (x <= EXP_HI)  # where the exponent's STE passes
         abar = np.exp2(_exponent(x, smooth), out=x)  # x is dead after the mask
         del x
         # [t]: the gradient of the state before step t's encode, first the readout's share dy_t * C_t
-        g_pre = np.repeat(dy[..., None], n, axis=3)
-        g_pre *= np.repeat(Cs[:, :, None], dh, axis=2)
+        g_pre = dy[..., None].repeat(n, axis=3)
+        g_pre *= Cs[:, :, None].repeat(dh, axis=2)
         g_alpha = g_beta = 0.0
         for t in range(len(hs) - 1, -1, -1):
             g_t = g_pre[t]

@@ -8,7 +8,8 @@ buffered ``selective_scan``.  ``taped_forward`` is the model's
 real-arithmetic forward with the scan unrolled into per-step tape
 primitives, the gradient reference for the scan's hand-written backward;
 ``multi_pass_calibrate`` is the calibration reference, one full forward per
-uncalibrated site.
+uncalibrated site.  ``round_half_away`` is the textbook nearest rule the
+quantizer's ``round_half_up`` is checked against.
 """
 
 import numpy as np
@@ -18,6 +19,12 @@ from spikescan.activations import pow2_silu_t, pow2_softplus_t
 from spikescan.quantize import init_step_size, quantize
 from spikescan.spike import pow2_shift
 from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, forecast_head, pow2_round_ste
+
+
+def round_half_away(v: np.ndarray) -> np.ndarray:
+    """Round to nearest integer, ties away from zero."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.sign(v) * np.floor(np.abs(v) + 0.5)
 
 
 def dense_ssm_reference(A_d: np.ndarray, B_d: np.ndarray, C: np.ndarray,

@@ -17,11 +17,11 @@ from spikescan.activations import (SILU_GRAD_BOUND, SILU_VALUE_BOUND,
 from spikescan.dataset import denormalize, make_coupled_sinusoids, make_windows
 from spikescan.energy import EnergyTable, OpCounters
 from spikescan.metrics import r2, rrse
-from spikescan.quantize import Quantizer, quantize, quantize_with_context, round_half_away
+from spikescan.quantize import Quantizer, quantize, quantize_with_context
 from spikescan.spike import SpikeSite, simulate_if
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import TrainConfig, apply_threshold_scaling, convert_to_snn, train
-from ssm_oracle import apply_kernel, dense_ssm_reference, ssm_kernel
+from ssm_oracle import apply_kernel, dense_ssm_reference, round_half_away, ssm_kernel
 
 
 RESULTS: list[str] = []
@@ -53,23 +53,23 @@ def random_model(rng: np.random.Generator, bits=None, blocks=None):
 
 def test_criterion_01_softplus_deviation_bounds():
     t0 = time.perf_counter()
-    rep = verify_deviation_bounds(lo=-10.0, hi=10.0, step=1e-3)
+    table = verify_deviation_bounds(lo=-10.0, hi=10.0, step=1e-3)
     dt = time.perf_counter() - t0
-    ok = (rep.softplus_value_max <= SOFTPLUS_VALUE_BOUND
-          and rep.softplus_grad_max <= SOFTPLUS_GRAD_BOUND and dt < 1.0)
-    report(1, ok, f"softplus value {rep.softplus_value_max:.4f} <= {SOFTPLUS_VALUE_BOUND}, "
-                  f"grad {rep.softplus_grad_max:.4f} <= {SOFTPLUS_GRAD_BOUND}, {dt:.2f}s")
+    (value, _), (grad, _) = table["softplus_value"], table["softplus_grad"]
+    ok = value <= SOFTPLUS_VALUE_BOUND and grad <= SOFTPLUS_GRAD_BOUND and dt < 1.0
+    report(1, ok, f"softplus value {value:.4f} <= {SOFTPLUS_VALUE_BOUND}, "
+                  f"grad {grad:.4f} <= {SOFTPLUS_GRAD_BOUND}, {dt:.2f}s")
     assert ok
 
 
 def test_criterion_02_silu_deviation_bounds():
     t0 = time.perf_counter()
-    rep = verify_deviation_bounds(lo=-10.0, hi=10.0, step=1e-3)
+    table = verify_deviation_bounds(lo=-10.0, hi=10.0, step=1e-3)
     dt = time.perf_counter() - t0
-    ok = (rep.silu_value_max <= SILU_VALUE_BOUND
-          and rep.silu_grad_max <= SILU_GRAD_BOUND and dt < 1.0)
-    report(2, ok, f"silu value {rep.silu_value_max:.4f} <= {SILU_VALUE_BOUND}, "
-                  f"grad {rep.silu_grad_max:.4f} <= {SILU_GRAD_BOUND}, {dt:.2f}s")
+    (value, _), (grad, _) = table["silu_value"], table["silu_grad"]
+    ok = value <= SILU_VALUE_BOUND and grad <= SILU_GRAD_BOUND and dt < 1.0
+    report(2, ok, f"silu value {value:.4f} <= {SILU_VALUE_BOUND}, "
+                  f"grad {grad:.4f} <= {SILU_GRAD_BOUND}, {dt:.2f}s")
     assert ok
 
 

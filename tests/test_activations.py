@@ -37,17 +37,27 @@ def test_continuity_across_cut_neighborhood():
 
 
 def test_deviation_bounds_on_dense_grid():
-    rep = act.verify_deviation_bounds(-10.0, 10.0, 1e-3)
-    assert rep.softplus_value_max <= act.SOFTPLUS_VALUE_BOUND
-    assert rep.softplus_grad_max <= act.SOFTPLUS_GRAD_BOUND
-    assert rep.silu_value_max <= act.SILU_VALUE_BOUND
-    assert rep.silu_grad_max <= act.SILU_GRAD_BOUND
-    assert rep.passed
+    table = act.verify_deviation_bounds(-10.0, 10.0, 1e-3)
+    assert act.DEVIATION_BOUNDS == {
+        "softplus_value": act.SOFTPLUS_VALUE_BOUND, "softplus_grad": act.SOFTPLUS_GRAD_BOUND,
+        "silu_value": act.SILU_VALUE_BOUND, "silu_grad": act.SILU_GRAD_BOUND,
+    }
+    assert list(table) == list(act.DEVIATION_BOUNDS)
+    fns = {"softplus_value": (act.pow2_softplus, act.softplus),
+           "softplus_grad": (act.pow2_softplus_grad, act.softplus_grad),
+           "silu_value": (act.pow2_silu, act.silu),
+           "silu_grad": (act.pow2_silu_grad, act.silu_grad)}
+    x = act.grid_points(-10.0, 10.0, 1e-3)
+    for name, (peak, at) in table.items():
+        assert peak <= act.DEVIATION_BOUNDS[name], name
+        # the maximum is attained at a grid point, and no grid point deviates more
+        approx, ref = fns[name]
+        assert at in x
+        assert abs(float(approx(at)) - float(ref(at))) == pytest.approx(peak, rel=1e-12)
+        assert np.max(np.abs(approx(x) - ref(x))) == peak
     # the certificates are tight: empirical maxima reach most of the bound
-    assert rep.softplus_value_max > 0.9 * act.SOFTPLUS_VALUE_BOUND
-    assert rep.silu_value_max > 0.9 * act.SILU_VALUE_BOUND
-    text = rep.to_text()
-    assert "softplus value" in text and "ok" in text
+    assert table["softplus_value"][0] > 0.9 * act.SOFTPLUS_VALUE_BOUND
+    assert table["silu_value"][0] > 0.9 * act.SILU_VALUE_BOUND
 
 
 def test_grid_points_inclusive_and_validated():

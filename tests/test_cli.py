@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spikescan import cli, ssm
+from spikescan.activations import DEVIATION_BOUNDS, verify_deviation_bounds
 from spikescan.dataset import load_csv, make_coupled_sinusoids, write_csv
 from spikescan.spike import threshold_scale
 from spikescan.train import load_checkpoint, save_checkpoint
@@ -106,6 +107,22 @@ def test_verify_passes_on_good_checkpoint(work):
     assert "ann/snn forward equivalence" in out
     assert "FAIL" not in out
     assert "all" in out and "checks passed" in out
+    # one line per deviation row: its maximum, the x where it occurs, and its bound
+    rows = [line for line in out.splitlines() if line.startswith("pow2 deviation: ")]
+    table = verify_deviation_bounds()
+    assert len(rows) == len(table) == len(DEVIATION_BOUNDS)
+    for line, (name, (peak, at)) in zip(rows, table.items()):
+        assert line.split()[2:] == [name, "PASS", "max", f"{peak:.4f}", "at", f"x={at:+.4f},",
+                                    "bound", str(DEVIATION_BOUNDS[name])]
+
+
+def test_verify_fails_on_a_deviation_row_over_its_bound(monkeypatch, capsys):
+    monkeypatch.setitem(DEVIATION_BOUNDS, "silu_grad", 0.25)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    [row] = [line for line in out.splitlines() if "FAIL" in line]
+    assert row.split()[2:4] == ["silu_grad", "FAIL"] and row.endswith("bound 0.25")
+    assert "1 of" in out and "checks failed" in out
 
 
 def test_verify_fails_on_tampered_checkpoint(work):
@@ -194,6 +211,19 @@ def test_forecast_covers_every_window(work):
     assert fc.values[-1, 0] == 260
 
 
+def test_forecast_needs_one_full_history(work):
+    write_csv(str(work / "short.csv"), np.ones((HISTORY - 1, 2)), ["s1", "s2"])
+    p = run("forecast", "--model", str(work / "snn.ckpt"), "--data", str(work / "short.csv"), "--has-header",
+            "--out", str(work / "short_fc.csv"), expect=2)
+    assert f"short.csv: {HISTORY - 1} rows is shorter than the model history {HISTORY}" in p.stderr
+    assert "Traceback" not in p.stderr
+    write_csv(str(work / "exact.csv"), np.ones((HISTORY, 2)), ["s1", "s2"])
+    run("forecast", "--model", str(work / "snn.ckpt"), "--data", str(work / "exact.csv"), "--has-header",
+        "--out", str(work / "exact_fc.csv"))
+    fc = load_csv(str(work / "exact_fc.csv"), has_header=True)
+    assert fc.values.shape == (1, 1 + 2 * HORIZON) and fc.values[0, 0] == HISTORY
+
+
 def test_plot_data_emits_aligned_rows(work):
     out_csv = work / "plot.csv"
     run("plot-data", "--model", str(work / "snn.ckpt"), "--data", str(work / "series.csv"),
@@ -206,6 +236,15 @@ def test_plot_data_emits_aligned_rows(work):
     t0, var0, true0 = int(pd.values[0, 0]), int(pd.values[0, 1]), pd.values[0, 2]
     assert t0 == HISTORY + 1  # step 2 lands one row later
     assert true0 == pytest.approx(raw.values[t0, var0], abs=1e-9)
+    # every row holds the arrays eval scores, window by window and variable by variable
+    model, meta = load_checkpoint(str(work / "snn.ckpt"))
+    true, pred = cli._eval_model(model, meta, str(work / "series.csv"), True)
+    expected = [[w + HISTORY + 1, j, true[w, 1, j], pred[w, 1, j]]
+                for w in range(n_windows) for j in range(2)]
+    lines = out_csv.read_text().splitlines()[1:]
+    assert lines == [",".join(format(v, ".10g") for v in row) for row in expected]
+    t, var = pd.values[:, 0].astype(int), pd.values[:, 1].astype(int)
+    assert np.allclose(pd.values[:, 2], raw.values[t, var], rtol=0, atol=1e-9)
 
 
 def test_plot_data_rejects_out_of_range_step(work):

@@ -187,6 +187,55 @@ def test_saturated_single_spike_layer_matches_dense_macs():
     assert snn_j == ann_j
 
 
+@pytest.mark.parametrize("kw", [dict(), dict(blocks=2, bits=3, state_size=5, d_hidden=9, d_value=3)])
+def test_dense_counts_follow_the_spiking_tallies(kw):
+    """Each dense row of ``ann_op_counts`` is what the spiking forward tallies on the same batch,
+    with every spike-driven layer's fan-in read as that layer's input neurons (its site's count)."""
+    m, _ = snn_model(seed=8, **kw)
+    cfg = m.cfg
+    x = np.random.default_rng(9).normal(size=(37, cfg.history, cfg.d_value))
+    ct = OpCounters()
+    m.forward(x, counters=ct)
+    dense = ann_op_counts(cfg, batch=37).layers
+    dh, n, r, K = cfg.d_hidden, cfg.state_size, cfg.delta_rank, cfg.conv_kernel
+    layers = ("rmsnorm", "in_proj", "conv", "proj", "delta_proj", "scan", "gate", "out_proj")
+    assert list(dense) == [f"block{i}.{layer}" for i in range(cfg.blocks) for layer in layers] + ["head"]
+    assert dense["head"] == ct.layers["head"]
+    for i in range(cfg.blocks):
+        tag = f"block{i}"
+        d, sp = {k[len(tag) + 1:]: v for k, v in dense.items() if k.startswith(tag)}, ct.layers
+
+        def neurons(site):
+            return ct.sites[f"{tag}.{site}"]["neurons"]
+
+        for layer in ("rmsnorm", "in_proj", "out_proj"):
+            assert d[layer] == sp[f"{tag}.{layer}"], layer
+        assert d["conv"] == dict(acc=0, acc_bias=0, mac=neurons("x_in") * K, shift=0, cmp=0)
+        assert d["proj"] == dict(acc=0, acc_bias=sp[f"{tag}.proj"]["acc_bias"] // 2,
+                                 mac=neurons("conv") * (r + 2 * n), shift=0, cmp=0)
+        assert 2 * d["proj"]["acc_bias"] == sp[f"{tag}.proj"]["acc_bias"]
+        assert d["delta_proj"] == dict(acc=0, acc_bias=2 * sp[f"{tag}.delta_proj"]["acc_bias"] // 3,
+                                       mac=neurons("delta_raw") * dh, shift=sp[f"{tag}.delta_proj"]["shift"],
+                                       cmp=0)
+        assert 3 * d["delta_proj"]["acc_bias"] == 2 * sp[f"{tag}.delta_proj"]["acc_bias"]
+        assert d["gate"] == dict(acc=0, acc_bias=sp[f"{tag}.gate"]["acc_bias"], mac=neurons("y"),
+                                 shift=sp[f"{tag}.gate"]["shift"], cmp=0)
+        assert d["scan"] == dict(acc=0, acc_bias=0, mac=5 * neurons("h") + neurons("conv"), shift=0, cmp=0)
+
+
+@pytest.mark.parametrize("batch, window", [(1, 0), (256, 5)])
+def test_a_window_that_overflows_to_nan_names_its_site_and_window(batch, window):
+    """A window of 1.7e308 with rmsnorm gains of 4 overflows to inf and then NaN at every site;
+    ``profile`` names the first site and the window, alone or in a batch."""
+    m, _ = snn_model(seed=3)
+    x = np.random.default_rng(3).normal(size=(256, m.cfg.history, m.cfg.d_value))
+    x[5, 2] = 1.7e308
+    m.blocks[0].g_norm.data[:] = 4.0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=rf"^spike site block0\.x_in: window {window} has NaN spike counts"):
+        profile(m, x[5:6] if batch == 1 else x, TABLE)
+
+
 def test_analytic_counts_scale_with_batch():
     cfg = ModelConfig(d_value=2, history=8, horizon=2, d_hidden=4)
     one = ann_op_counts(cfg, batch=1).totals()

@@ -617,7 +617,7 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
 
 # Python function calls of one untaped batch-1 spiking forward at the README size, numpy 2.4
 # (265 when every site encoded by arithmetic and every primitive built its backward closure)
-BATCH_1_CALLS = 169
+BATCH_1_CALLS = 157
 
 
 def test_a_batch_1_spiking_forward_makes_few_python_calls():
