@@ -255,6 +255,8 @@ def _verify_checks(model_path: str | None, data_path: str | None,
 
 
 def cmd_verify(args) -> int:
+    if args.data is not None and args.model is None:
+        raise ValueError("verify: --data needs --model, whose ann/snn equivalence check runs on its windows")
     checks = _verify_checks(args.model, args.data, args.has_header)
     width = max(len(name) for name, _, _ in checks)
     failed = 0

@@ -201,6 +201,15 @@ def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
     With ``out`` (``x`` itself may be) every step runs in that one buffer,
     so ``v`` and ``codes`` are overwritten: all three results are ``out``.
     """
+    v, codes = quantize_codes(x, q, smooth, out)
+    res = np.multiply(codes, q.alpha.data, out=out)
+    return np.add(res, q.beta.data, out=res), v, codes
+
+
+def quantize_codes(x: np.ndarray, q: Quantizer, smooth: bool = False,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``v = (x - beta) / alpha`` and its codes ``clip(round(v), 0, code_max)``, which
+    ``quantize_values`` decodes; with ``out`` (``x`` itself may be) both are ``out``."""
     a, b = _check_usable(q)
     # in-place steps keep the temporaries of a [B, L, d] site to a few arrays
     v = np.subtract(np.asanyarray(x, dtype=np.float64), b, out=out)
@@ -209,9 +218,7 @@ def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
         codes = v.copy() if out is None else v
     else:  # with ``out``, v is out
         codes = (round_half_up if q.rounding == "nearest" else floor_with_snap)(v, out=out)
-    clip_inplace(codes, nm.ZERO, _code_max_operand(q.bits))
-    res = np.multiply(codes, a, out=out)
-    return np.add(res, b, out=res), v, codes
+    return v, clip_inplace(codes, nm.ZERO, _code_max_operand(q.bits))
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:

@@ -30,6 +30,13 @@ the same decoded bits.  The search compares each entry with the thresholds
 as the neuron compares its potential with its threshold, and energy
 accounting tallies T threshold comparisons per neuron per encode, the
 neuron hardware running the recurrence, whichever way the count is found.
+
+The same bisection gives a quantizer's code thresholds, so ``CodeTable``
+reads an activation of a quantizer's codes the same way: the spiking
+forward reads the gate and the step's softplus from per-code tables, by one
+search for a drive of at most ``SEARCH_MAX`` entries and by the quantizer's
+arithmetic codes for a larger one, bit for bit the activation of the
+quantized values.
 """
 
 from __future__ import annotations
@@ -40,9 +47,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import ZERO, operand
-from .quantize import GRID_SNAP, Quantizer, clip_inplace, floor_with_snap
+from .quantize import GRID_SNAP, Quantizer, clip_inplace, floor_with_snap, quantize_codes, quantize_values
 
-__all__ = ["SEARCH_MAX", "SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
+__all__ = ["SEARCH_MAX", "CodeTable", "SpikeSite", "bisect_thresholds", "pow2_shift", "simulate_if",
+           "threshold_scale"]
 
 # Largest drive ``SpikeSite.encode`` counts by threshold search.  Search and read
 # against encode and decode by arithmetic, on a shared 2-vCPU Xeon with numpy 2.4:
@@ -60,6 +68,28 @@ _KEY_LO, _KEY_HI = np.uint64(0x000F_FFFF_FFFF_FFFF), np.uint64(0xFFF0_0000_0000_
 def _key_values(keys: np.ndarray) -> np.ndarray:
     """The float64 values of order keys."""
     return np.where(keys & _SIGN, keys & ~_SIGN, ~keys).view(np.float64)
+
+
+def bisect_thresholds(count, n: int) -> np.ndarray:
+    """``tau_k`` for k = 1..n: the least float64 ``x`` with ``count(x) >= k``.
+
+    ``count`` maps a float64 array to counts entrywise, monotone in ``x``, with
+    ``count(+inf) >= n``, so each ``tau_k`` lies in (-inf, +inf] and is found by
+    bisection over the order keys of float64 values, every k at once: the count
+    itself decides each step, so the thresholds are exact by construction.  The
+    keys are uint64, where ``hi - lo`` cannot overflow, and fewer than 2**64 lie
+    between -inf and +inf, so 64 halvings leave ``hi`` just above ``lo``.
+    """
+    k = np.arange(1, n + 1)
+    lo = np.full(n, _KEY_LO)  # count below k
+    hi = np.full(n, _KEY_HI)  # count k or more
+    with np.errstate(over="ignore"):  # inputs near the float64 extremes overflow to +-inf
+        for _ in range(64):
+            mid = lo + (hi - lo) // 2
+            reached = count(_key_values(mid)) >= k
+            hi = np.where(reached, mid, hi)
+            lo = np.where(reached, lo, mid)
+    return _key_values(hi)
 
 
 def pow2_shift(v: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,25 +148,8 @@ class SpikeSite:
         return np.add(v, self._offset, out=v)
 
     def thresholds(self) -> np.ndarray:
-        """``tau_k`` for k = 1..T: the least float64 drive ``encode_counts`` gives k spikes or more.
-
-        The count is monotone in the drive, -inf gives 0 spikes and +inf gives T,
-        so each ``tau_k`` lies in (-inf, +inf] and is found by bisection over the
-        order keys of float64 values, every k at once: the count itself decides
-        each step, so the thresholds are exact by construction.  The keys are
-        uint64, where ``hi - lo`` cannot overflow, and fewer than 2**64 lie
-        between -inf and +inf, so 64 halvings leave ``hi`` just above ``lo``.
-        """
-        k = np.arange(1, self.T + 1)
-        lo = np.full(self.T, _KEY_LO)  # fewer than k spikes
-        hi = np.full(self.T, _KEY_HI)  # k spikes or more
-        with np.errstate(over="ignore"):  # drives near the float64 extremes overflow to +-inf counts
-            for _ in range(64):
-                mid = lo + (hi - lo) // 2
-                reached = self.encode_counts(_key_values(mid)) >= k
-                hi = np.where(reached, mid, hi)
-                lo = np.where(reached, lo, mid)
-        return _key_values(hi)
+        """``tau_k`` for k = 1..T: the least float64 drive ``encode_counts`` gives k spikes or more."""
+        return bisect_thresholds(self.encode_counts, self.T)
 
     def _search_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Build the site's tables: its thresholds with a NaN after them, and its T + 1 decoded levels."""
@@ -175,6 +188,51 @@ class SpikeSite:
         if float(s["scale"]) != site.theta:
             raise ValueError(f"spike site {site.name}: decode scale {s['scale']} differs from threshold {site.theta}")
         return site
+
+
+class CodeTable:
+    """An activation of a quantizer's codes, read from a table: bit for bit ``fn(quantize_values(x, q)[0])``.
+
+    ``values`` is ``fn`` of the quantizer's 2**bits decoded levels, the floats
+    ``code * alpha + beta`` that ``quantize_values`` decodes to, so ``fn`` sees
+    the same inputs, and ``tau`` its exact code thresholds (a NaN after them),
+    found as ``SpikeSite.thresholds`` finds a site's.  The table holds for one
+    state of the quantizer, ``key``: its step, offset, bits and rounding, which
+    ``key_of`` reads, so a reader that finds a different key builds a new table.
+    """
+
+    __slots__ = ("key", "tau", "values")
+
+    def __init__(self, q: Quantizer, fn):
+        self.key = self.key_of(q)
+        self.tau = np.append(bisect_thresholds(lambda x: quantize_codes(x, q)[1], q.code_max), np.nan)
+        levels = np.multiply(np.arange(q.code_max + 1.0), q.alpha.data)
+        self.values = fn(np.add(levels, q.beta.data, out=levels))
+
+    @staticmethod
+    def key_of(q: Quantizer) -> tuple:
+        return None if q.alpha is None else float(q.alpha.data), float(q.beta.data), q.bits, q.rounding
+
+    def read(self, drive: np.ndarray, q: Quantizer, fn) -> np.ndarray:
+        """``fn(quantize_values(drive, q)[0])`` for the quantizer the table was built for.
+
+        ``drive`` is dead: nothing reads it again, and a large one ends up
+        holding the result.  A drive of at most ``SEARCH_MAX`` entries gets its
+        codes from one search of the thresholds and its values from one read;
+        a larger one computes its codes in its own buffer with the quantizer's
+        arithmetic, then reads.  A NaN entry counts past the table and makes a
+        large drive's maximum NaN: such a drive takes the arithmetic, whose NaN
+        passes through ``fn``.
+        """
+        if drive.size <= SEARCH_MAX:
+            try:
+                return self.values.take(self.tau.searchsorted(drive, side="right"), mode="raise")
+            except IndexError:  # a NaN entry counted past the table
+                pass
+        elif not np.isnan(np.maximum.reduce(drive, None)):
+            codes = quantize_codes(drive, q, out=drive)[1]
+            return self.values.take(codes.astype(np.intp), mode="clip", out=codes)  # codes in range
+        return fn(quantize_values(drive, q, out=drive)[0])
 
 
 def simulate_if(drive: np.ndarray, T: int, theta: float) -> np.ndarray:

@@ -21,8 +21,13 @@ semantics; after conversion the same site emits spike counts by the same
 floor rule, so the counts are the codes, and decodes them once,
 ``offset + theta * count`` (the quantizer's ``beta + alpha * code``).
 Both forwards run one block body, ``_block``, and differ only in the site
-encoder they bind, so every site drive, and with it every output, agrees
-bit for bit (a threshold-scaled site only while it saturates).  The
+encoder and the activation hook they bind, so every site drive, and with it
+every output, agrees bit for bit (a threshold-scaled site only while it
+saturates).  ``x_res`` and ``delta_int`` stay quantizers in both; the
+spiking forward reads their activations, the gate and the step's softplus,
+from per-code tables (``spike.CodeTable``), bit for bit: a small drive by
+one search of the codes' thresholds, a larger one by the quantizer's
+arithmetic codes.  The
 recurrence runs in ``selective_scan``, the one loop over time, which
 re-encodes ``h`` through a per-step hook; since ``y`` never feeds back, its
 site encodes the whole readout once.  In training the scan is one tape op
@@ -35,15 +40,15 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
-# pow2_silu has no caller here; perfbench's tracer looks it up on this module
-from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t  # noqa: F401
+# perfbench's tracer looks these names up on this module
+from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t
 from .quantize import Quantizer, clip_inplace, quantize, quantize_values, quantize_with_context, ste_backward
-from .spike import SpikeSite, pow2_shift
+from .spike import CodeTable, SpikeSite, pow2_shift
 
 EXP_LO = -32
 EXP_HI = 0
@@ -127,6 +132,8 @@ class BlockParams:
     b_out: nm.Tensor
     quantizers: dict[str, Quantizer]
     sites: dict[str, SpikeSite] | None = None  # populated by conversion
+    # the spiking forward's CodeTable per quantizer it reads by code, built on its first read
+    tables: dict[str, CodeTable] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, cfg: ModelConfig, rng: np.random.Generator, index: int) -> "BlockParams":
@@ -264,15 +271,19 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     return y
 
 
-def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counters, tag: str) -> nm.Tensor:
+def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, counters,
+           tag: str) -> nm.Tensor:
     """One block's dataflow, the same in both forwards.
 
-    ``encode(name, t)`` returns site ``name``'s values and its spike total
-    (``None`` unless the spiking forward counts); off the tape it
+    ``encode(name, t)`` returns spike site ``name``'s values and its spike
+    total (``None`` unless the spiking forward counts); off the tape it
     consumes its drive, which may come back holding the values, so each
-    drive is encoded after its last other reader.  ``scan(step, A, B_seq,
-    C_seq, D, u, u_spikes)`` returns the scan's readout.  ``counters``,
-    unless ``None``, gets each layer's op tally right after the layer.
+    drive is encoded after its last other reader.  ``apply(name, t, fn,
+    fn_t)`` returns the activation ``fn`` (taped: ``fn_t``) of quantizer
+    ``name``'s values of ``t``, consuming ``t`` the same way.  ``scan(step,
+    A, B_seq, C_seq, D, u, u_spikes)`` returns the scan's readout.
+    ``counters``, unless ``None``, gets each layer's op tally right after
+    the layer.
     """
     dv, dh, n, r = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank
 
@@ -304,21 +315,20 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, scan, counter
     dproj = nm.linear(d_spikes, p.W_delta, p.b_delta)
     if counters is not None:
         counters.add(f"{tag}.delta_proj", acc=c_dr * dh, acc_bias=2 * dproj.data.size)
-    step_int, _ = encode("delta_int", dproj)
+    step_pt = apply("delta_int", dproj, pow2_softplus, pow2_softplus_t)
     del d_raw, d_spikes, c_dr, dproj
-    step_pt = pow2_softplus_t(step_int)
     if counters is not None:
         counters.add(f"{tag}.delta_proj", shift=step_pt.data.size, acc_bias=step_pt.data.size)
     step, _ = encode("delta", step_pt)
-    del step_int, step_pt
+    del step_pt
 
     A = nm.neg(nm.exp(p.A_log))  # [dh, n]
     y = scan(step, A, B_seq, C_seq, p.D, s, c_s)
     del s, c_s, B_seq, C_seq, step  # before y's encode, so its peak holds none of the scan's inputs
     y, y_spikes = encode("y", y)  # y never feeds back
 
-    gate_in, _ = encode("x_res", x_res)
-    gate = pow2_silu_t(gate_in)
+    gate = apply("x_res", x_res, pow2_silu, pow2_silu_t)
+    del x_res
     if counters is not None:
         counters.add(f"{tag}.gate", shift=gate.data.size, acc_bias=gate.data.size)
     gated = nm.mul(y, gate)
@@ -398,6 +408,9 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             q[name].calibrate(t.data)
         return quantize(t, q[name], smooth=smooth, out=_dead(t)), None
 
+    def apply(name, t, fn, fn_t):
+        return fn_t(encode(name, t)[0])
+
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         args = (step.data, A.data, B_seq.data, C_seq.data, D.data, u.data)
         if calibrate and not q["h"].initialized:
@@ -429,14 +442,16 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, q["h"], hs, ctxs, smooth))
         return y
 
-    return _block(x, p, cfg, encode, scan, None, "block")
+    return _block(x, p, cfg, encode, apply, scan, None, "block")
 
 
 def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=None, tag: str = "block") -> np.ndarray:
     """Spike-driven forward of one converted block (numpy, no tape).
 
     Each spike site emits counts and decodes them once, ``offset + theta *
-    count``; ``delta_int`` and ``x_res`` stay real-arithmetic quantizers.
+    count``.  ``delta_int`` and ``x_res`` stay quantizers, whose activations
+    (the step's softplus and the gate) are read from the block's per-code
+    tables, built on the first read and again whenever a quantizer changes.
     """
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
@@ -461,10 +476,14 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         return values, spikes
 
     def encode(name, t):
-        if name not in p.sites:
-            return quantize(t, p.quantizers[name], out=_dead(t)), None
         values, spikes = code(name, t.data)
         return nm.Tensor(values), spikes
+
+    def apply(name, t, fn, fn_t):
+        q, table = p.quantizers[name], p.tables.get(name)
+        if table is None or table.key != CodeTable.key_of(q):
+            table = p.tables[name] = CodeTable(q, fn)
+        return nm.Tensor(table.read(t.data, q, fn))
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none
@@ -484,7 +503,7 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
             counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
         return nm.Tensor(y)
 
-    return _block(nm.Tensor(x), p, cfg, encode, scan, counters, tag).data
+    return _block(nm.Tensor(x), p, cfg, encode, apply, scan, counters, tag).data
 
 
 # --- forecaster ---------------------------------------------------------------

@@ -125,6 +125,13 @@ def test_verify_fails_on_a_deviation_row_over_its_bound(monkeypatch, capsys):
     assert "1 of" in out and "checks failed" in out
 
 
+def test_verify_data_without_a_model_is_a_usage_error(tmp_path):
+    """``--data`` feeds only the ann/snn check, which needs a checkpoint: alone it must not pass silently."""
+    p = run("verify", "--data", str(tmp_path / "nope.csv"), expect=2)
+    assert "--data needs --model" in p.stderr and "checks passed" not in p.stdout
+    assert "Traceback" not in p.stderr
+
+
 def test_verify_fails_on_tampered_checkpoint(work):
     # a threshold-scaled site loads, but y codes mid-range, so scaling it breaks equivalence
     model, meta = load_checkpoint(str(work / "snn.ckpt"))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikescan.quantize import Quantizer, quantize_with_context
-from spikescan.spike import SEARCH_MAX, SpikeSite, pow2_shift, simulate_if, threshold_scale
+from spikescan.activations import pow2_silu, pow2_softplus
+from spikescan.quantize import Quantizer, quantize_codes, quantize_values, quantize_with_context
+from spikescan.spike import SEARCH_MAX, CodeTable, SpikeSite, pow2_shift, simulate_if, threshold_scale
 from spikescan.ssm import EXP_HI, EXP_LO, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 
@@ -280,3 +281,61 @@ def test_search_tables_are_built_on_a_sites_first_small_drive():
     assert all(t is not None for t in tables)
     m.forward(x[1:2])
     assert all(s._tables is t for s, t in zip(sites, tables))
+
+
+def unread(x):
+    raise AssertionError("a drive without NaN reads its table, never the activation")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bits=st.integers(1, 4), rounding=st.sampled_from(["nearest", "floor"]), log_alpha=st.floats(-8.0, 3.0),
+       log_beta=st.floats(-12.0, 4.0), beta_sign=st.sampled_from([-1.0, 0.0, 1.0]),
+       fn=st.sampled_from([pow2_silu, pow2_softplus]), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_code_table_reads_like_the_arithmetic(bits, rounding, log_alpha, log_beta, beta_sign, fn, seed):
+    """Each threshold is the least input that reaches its code, and a drive of ``SEARCH_MAX`` entries
+    (searched) or one more (arithmetic codes) reads ``fn(quantize_values(x, q)[0])``'s bytes, at and
+    within 3 ulps of every threshold, at +-0, +-inf, subnormals and the float64 extremes, on random
+    drives, and with a NaN entry, which reads NaN."""
+    q = Quantizer(bits=bits, alpha=10.0 ** log_alpha, beta=beta_sign * 10.0 ** log_beta, rounding=rounding)
+    with np.errstate(over="ignore", invalid="ignore"):  # fn of levels far below zero overflows 2**-x
+        table = CodeTable(q, fn)
+    tau = table.tau[:-1]
+    k = np.arange(1, q.code_max + 1)
+    with np.errstate(over="ignore"):  # the arithmetic on inputs near the float64 extremes
+        assert (quantize_codes(tau, q)[1] >= k).all()
+        assert (quantize_codes(np.nextafter(tau, -np.inf), q)[1] < k).all()
+    rng = np.random.default_rng(seed)
+    spread = q.beta.data + q.alpha.data * rng.uniform(-2.0, q.code_max + 2.0, size=200)
+    wide = rng.choice([-1.0, 1.0], size=100) * 10.0 ** rng.uniform(-320.0, 308.0, size=100)
+    values = np.concatenate([ulps_around(tau, 3), SPECIAL_DRIVES, spread, wide])
+    for size in (SEARCH_MAX, SEARCH_MAX + 1):
+        pieces = np.resize(values, -(-values.size // size) * size).reshape(-1, size)
+        with_nan = pieces[0].copy()
+        with_nan[rng.integers(size)] = np.nan
+        for piece in [*pieces, with_nan]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = fn(quantize_values(piece, q)[0])
+                got = table.read(piece.copy(), q, fn if piece is with_nan else unread)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.isnan(got), np.isnan(piece))
+
+
+@pytest.mark.parametrize("fn", [pow2_silu, pow2_softplus])
+@pytest.mark.parametrize("size", [8, 2000])
+def test_a_nan_entry_reads_nan_from_a_small_and_a_large_drive(fn, size):
+    """NaN counts past the table in a search, and its arithmetic code casts to no index, so a drive
+    with NaN takes the arithmetic: NaN in, NaN out, every other entry as the table reads it."""
+    q = Quantizer(bits=2, alpha=0.5, beta=-0.25, rounding="nearest")
+    table = CodeTable(q, fn)
+    drive = np.linspace(-1.0, 2.0, size)
+    drive[size // 2] = np.nan
+    got = table.read(drive.copy(), q, fn)
+    assert got.tobytes() == fn(quantize_values(drive, q)[0]).tobytes()
+    assert np.isnan(got[size // 2]) and np.isfinite(np.delete(got, size // 2)).all()
+
+
+def test_a_code_table_checks_its_quantizer_as_quantize_does():
+    with pytest.raises(RuntimeError, match="before calibration"):
+        CodeTable(Quantizer(bits=2, name="block0.x_res"), pow2_silu)
+    with pytest.raises(ValueError, match="step size must be positive"):
+        CodeTable(Quantizer(bits=2, alpha=0.0, name="block0.x_res"), pow2_silu)

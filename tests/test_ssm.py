@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import spikescan.activations as activations
 import spikescan.numerics as nm
+import spikescan.spike as spike
 import spikescan.ssm as ssm
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.quantize import Quantizer
@@ -615,9 +617,58 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
     assert len(recorded) == 29
 
 
+def test_a_warmed_spiking_forward_reads_the_gate_and_step_from_tables(monkeypatch):
+    """Once its tables are built, the spiking forward gets ``x_res``'s gate and ``delta_int``'s softplus
+    by reading them, at batch 1 (search) and 256 (arithmetic codes), with the same bytes: neither the
+    quantizer nor the activations run."""
+    m, _ = readme_model()
+    x = np.random.default_rng(1).normal(size=(256, 12, 2))
+    convert_to_snn(m)
+    m.forward(x[:1])  # builds the tables
+    want = [m.forward(xb).data for xb in (x[:1], x)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warmed spiking forward reads its gate and step from tables")
+
+    for owner, name in ((ssm, "quantize"), (ssm, "quantize_values"), (spike, "quantize_values"),
+                        (ssm, "pow2_silu"), (ssm, "pow2_softplus"), (ssm, "pow2_silu_t"),
+                        (ssm, "pow2_softplus_t"), (activations, "pow2_silu"), (activations, "pow2_softplus")):
+        monkeypatch.setattr(owner, name, forbidden)
+    got = [m.forward(xb).data for xb in (x[:1], x)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_a_changed_quantizer_rebuilds_its_table():
+    """A table holds for its quantizer's step, offset, bits and rounding: an in-place write to the step
+    (as Adam makes) or a new offset builds a new one on the next spiking forward, which still gives the
+    real-arithmetic forward's bytes."""
+    m, x = readme_model()
+    convert_to_snn(m)
+    blk = m.blocks[0]
+
+    def forecasts():
+        snn = [m.forward(xb).data.tobytes() for xb in (x[:1], x)]
+        m.mode = "ann"
+        ann = [m.forward(xb).data.tobytes() for xb in (x[:1], x)]
+        m.mode = "snn"
+        assert snn == ann
+        return snn
+
+    before, tables = forecasts(), dict(blk.tables)
+    blk.quantizers["x_res"].alpha.data[...] *= 1.5
+    after = forecasts()
+    assert after != before
+    assert blk.tables["x_res"] is not tables["x_res"] and blk.tables["delta_int"] is tables["delta_int"]
+    blk.quantizers["delta_int"].set_beta(2.0)
+    forecasts()
+    assert blk.tables["delta_int"] is not tables["delta_int"]
+    assert blk.tables["delta_int"].values.tobytes() == pow2_softplus(np.arange(4.0) + 2.0).tobytes()
+
+
 # Python function calls of one untaped batch-1 spiking forward at the README size, numpy 2.4
-# (265 when every site encoded by arithmetic and every primitive built its backward closure)
-BATCH_1_CALLS = 157
+# (265 when every site encoded by arithmetic and every primitive built its backward closure,
+# 157 while the gate and the step's softplus were computed rather than read from tables)
+BATCH_1_CALLS = 133
 
 
 def test_a_batch_1_spiking_forward_makes_few_python_calls():
