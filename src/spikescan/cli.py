@@ -70,7 +70,7 @@ def _norm_from_meta(meta: dict) -> tuple[np.ndarray, np.ndarray]:
     norm = meta.get("norm")
     if not norm:
         raise ValueError("checkpoint carries no normalization statistics; retrain with this version")
-    return np.asarray(norm["mean"]), np.asarray(norm["std"])
+    return np.asarray(norm["mean"], dtype=np.float64), np.asarray(norm["std"], dtype=np.float64)
 
 
 def _model_series(model: ForecastModel, data: str, has_header: bool) -> SeriesDataset:
@@ -257,6 +257,8 @@ def _verify_checks(model_path: str | None, data_path: str | None,
 def cmd_verify(args) -> int:
     if args.data is not None and args.model is None:
         raise ValueError("verify: --data needs --model, whose ann/snn equivalence check runs on its windows")
+    if args.has_header and args.data is None:
+        raise ValueError("verify: --has-header describes the --data CSV, and no --data was given")
     checks = _verify_checks(args.model, args.data, args.has_header)
     width = max(len(name) for name, _, _ in checks)
     failed = 0

@@ -1,21 +1,25 @@
-"""Learned-step-size quantizers with straight-through gradients.
+"""Code grids, and the learned-step-size quantizers that train them.
 
-A ``Quantizer`` owns a trainable step size ``alpha`` and offset ``beta`` and
-maps reals onto ``2**bits`` integer codes:
+A code grid maps reals onto the integer codes 0..T of a step ``theta`` from
+an offset, and decodes a code back:
 
-    x_q = alpha * clip(round((x - beta) / alpha), 0, 2**bits - 1) + beta
+    code = clip(round((x - offset) / theta), 0, T),    value = offset + theta * code
 
-Every grid is unsigned (codes 0 .. 2**bits - 1); a tensor's own
-``trainable`` flag says whether the optimizer moves it.  Two rounding modes
-exist:
+One pair of helpers, ``_codes`` and ``_decode``, runs that arithmetic for every
+grid and quantizer, under one of two rounding rules:
 
 * ``nearest``: ``round_half_up``, ``floor(v + 0.5)`` (explicit quantization
   sites); under the clip it is round half away from zero except that a
   ``v`` in (-0.5, 0) gives +0.0;
 * ``floor``: floor with a +1e-9 grid-snap nudge (ties that land one ulp
-  under a grid point stay on it); spike-encode sites count spikes with this
-  same rule, so they quantize identically in the real-arithmetic and the
-  spiking forward.
+  under a grid point stay on it).  A spike site (``spike.SpikeSite``) is a
+  floor grid whose codes are its spike counts.
+
+A ``Quantizer`` owns a trainable step size ``alpha`` and offset ``beta`` over
+``2**bits`` codes; ``Quantizer.grid`` freezes their current values into a
+``CodeGrid``, whose ``read`` codes a small drive by one search of its T exact
+thresholds (``bisect_thresholds``) and a larger one by the arithmetic, bit for
+bit alike, and reads their values, or an activation of them, from one table.
 
 Backward is straight-through: gradients pass where the code was not clipped,
 ``alpha`` receives the learned-step-size rule (code - v inside the range, the
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -41,8 +45,20 @@ except ImportError:  # numpy 1.x
 ALPHA_FLOOR = 1e-8
 GRID_SNAP = 1e-9
 
+# Largest drive ``CodeGrid.read`` codes by threshold search.  Search and read
+# against encode and decode by arithmetic, on a shared 2-vCPU Xeon with numpy 2.4:
+# 1.4-2.3 against 4.0-4.7 us at 64 entries (T = 3), 7.3 against 9.0 us at 512
+# (7.4 against 7.7 at T = 15), even or worse from 768 and 23 against 14 us at 2048;
+# the search costs a binary search per entry, the arithmetic a few vectorized passes.
+SEARCH_MAX = 512
+
 _HALF = nm.operand(0.5)
 _SNAP = nm.operand(GRID_SNAP)
+
+# A float64's order key is its bits with the sign bit set, or all its bits flipped if
+# it is negative: uint64 keys in the order of the values, -0.0 just below +0.0.
+_SIGN = np.uint64(1 << 63)
+_KEY_LO, _KEY_HI = np.uint64(0x000F_FFFF_FFFF_FFFF), np.uint64(0xFFF0_0000_0000_0000)  # -inf, +inf
 
 
 def round_half_up(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -73,6 +89,111 @@ def clip_inplace(x: np.ndarray, lo, hi) -> np.ndarray:
     return _clip_ufunc(x, lo, hi, out=x)
 
 
+_ROUNDING = {"nearest": round_half_up, "floor": floor_with_snap}
+
+
+def _codes(x: np.ndarray, step: np.ndarray, offset: np.ndarray, rule, top: np.ndarray,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``v = (x - offset) / step`` and its codes ``clip(rule(v), 0, top)``; with ``out`` (``x``
+    itself may be) both are ``out``, which keeps the temporaries of a [B, L, d] site to a few arrays."""
+    v = np.subtract(x, offset, out=out)
+    np.divide(v, step, out=v)
+    return v, clip_inplace(rule(v, out=out), nm.ZERO, top)
+
+
+def _decode(codes: np.ndarray, step, offset, out: np.ndarray | None = None) -> np.ndarray:
+    """``offset + step * codes``, into ``out`` when given (``codes`` itself may be)."""
+    v = np.multiply(codes, step, out=out)
+    return np.add(v, offset, out=v)
+
+
+def _key_values(keys: np.ndarray) -> np.ndarray:
+    """The float64 values of order keys."""
+    return np.where(keys & _SIGN, keys & ~_SIGN, ~keys).view(np.float64)
+
+
+def bisect_thresholds(count, n: int) -> np.ndarray:
+    """``tau_k`` for k = 1..n: the least float64 ``x`` with ``count(x) >= k``.
+
+    ``count`` maps a float64 array to counts entrywise, monotone in ``x``, with
+    ``count(+inf) >= n``, so each ``tau_k`` lies in (-inf, +inf] and is found by
+    bisection over the order keys of float64 values, every k at once: the count
+    itself decides each step, so the thresholds are exact by construction.  The
+    keys are uint64, where ``hi - lo`` cannot overflow, and fewer than 2**64 lie
+    between -inf and +inf, so 64 halvings leave ``hi`` just above ``lo``.
+    """
+    k = np.arange(1, n + 1)
+    lo = np.full(n, _KEY_LO)  # count below k
+    hi = np.full(n, _KEY_HI)  # count k or more
+    with np.errstate(over="ignore"):  # inputs near the float64 extremes overflow to +-inf
+        for _ in range(64):
+            mid = lo + (hi - lo) // 2
+            reached = count(_key_values(mid)) >= k
+            hi = np.where(reached, mid, hi)
+            lo = np.where(reached, lo, mid)
+    return _key_values(hi)
+
+
+@dataclass(frozen=True)
+class CodeGrid:
+    """Codes 0..T of the step ``theta`` from ``offset`` under ``rounding``, and their decode.  Frozen,
+    so its 0-d operands, built here, and its thresholds and tables, built on first use, hold its fields."""
+
+    name: str
+    theta: float
+    offset: float
+    T: int
+    rounding: str = "floor"
+
+    def __post_init__(self):
+        for attr in ("theta", "offset", "T"):
+            object.__setattr__(self, f"_{attr}", nm.operand(getattr(self, attr)))
+        object.__setattr__(self, "_tables", {})  # fn -> fn of the T + 1 levels; None -> the levels
+
+    def codes(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The codes of ``x``, into ``out`` when given (``x`` itself may be)."""
+        return _codes(x, self._theta, self._offset, _ROUNDING[self.rounding], self._T, out)[1]
+
+    def decode(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``offset + theta * codes``, into ``out`` when given (``codes`` itself may be)."""
+        return _decode(codes, self._theta, self._offset, out)
+
+    def thresholds(self) -> np.ndarray:
+        """``tau_k`` for k = 1..T: the least float64 whose code is k or more."""
+        return bisect_thresholds(self.codes, self.T)
+
+    @functools.cached_property
+    def _tau(self) -> np.ndarray:  # the thresholds with a NaN after them, built on the first search
+        return np.append(self.thresholds(), np.nan)
+
+    def read(self, drive: np.ndarray, fn=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The codes of ``drive``, which nothing reads again, and ``fn`` of their values (without
+        ``fn``, the values), bit for bit ``fn(decode(codes(drive)))``.
+
+        A drive of at most ``SEARCH_MAX`` entries is coded by one search of the thresholds,
+        ``code = #{k: tau_k <= x}``, and read from one table into fresh arrays.  A larger one is
+        coded by the arithmetic in its own buffer; without ``fn`` its values come back ``None``,
+        for the caller to decode in place once it has read the codes.  A NaN entry sorts past
+        the table, so its drive takes the arithmetic, whose NaN passes through ``decode`` and ``fn``.
+        """
+        table = self._tables.get(fn)
+        if table is None:
+            levels = self.decode(np.arange(self.T + 1.0))
+            table = self._tables[fn] = levels if fn is None else fn(levels)
+        if drive.size <= SEARCH_MAX:
+            codes = self._tau.searchsorted(drive, side="right")
+            try:
+                return codes, table.take(codes, mode="raise")
+            except IndexError:  # a NaN entry counted T + 1
+                pass
+        codes = self.codes(drive, out=drive)
+        if fn is None:
+            return codes, None
+        if np.isnan(np.maximum.reduce(codes, None)):
+            return codes, fn(self.decode(codes, out=codes))
+        return codes, table.take(codes.astype(np.intp), mode="clip", out=codes)  # codes in range
+
+
 def init_step_size(x: np.ndarray) -> float:
     """Initial step size: mean of entries >= 0.5, else max(mean |x|, 1e-3)."""
     x = np.asarray(x, dtype=np.float64)
@@ -97,11 +218,12 @@ class Quantizer:
     beta: nm.Tensor = 0.0
     rounding: str = "nearest"  # "nearest" | "floor"
     name: str = "q"
+    _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (key, CodeGrid)
 
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError(f"quantizer {self.name}: bits must be >= 1, got {self.bits}")
-        if self.rounding not in ("nearest", "floor"):
+        if self.rounding not in _ROUNDING:
             raise ValueError(f"quantizer {self.name}: unknown rounding {self.rounding!r}")
         if self.alpha is not None:
             self.alpha = self._leaf(self.alpha, "alpha")
@@ -128,6 +250,14 @@ class Quantizer:
     def set_beta(self, value: float) -> None:
         """Replace the offset; a frozen offset stays frozen."""
         self.beta = nm.Tensor(float(value), trainable=self.beta.trainable, name=f"{self.name}.beta")
+
+    def grid(self) -> CodeGrid:
+        """The grid of the current step, offset, bits and rounding, rebuilt (and checked) on a change."""
+        key = None if self.alpha is None else float(self.alpha.data), float(self.beta.data), self.bits, self.rounding
+        if self._grid is None or self._grid[0] != key:
+            a, b = _check_usable(self)
+            self._grid = key, CodeGrid(self.name, float(a), float(b), self.code_max, self.rounding)
+        return self._grid[1]
 
     def calibrate(self, x: np.ndarray) -> None:
         """Set alpha from the values ``x`` reaching the site, measured from beta (kept)."""
@@ -202,8 +332,7 @@ def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
     so ``v`` and ``codes`` are overwritten: all three results are ``out``.
     """
     v, codes = quantize_codes(x, q, smooth, out)
-    res = np.multiply(codes, q.alpha.data, out=out)
-    return np.add(res, q.beta.data, out=res), v, codes
+    return _decode(codes, q.alpha.data, q.beta.data, out), v, codes
 
 
 def quantize_codes(x: np.ndarray, q: Quantizer, smooth: bool = False,
@@ -211,14 +340,8 @@ def quantize_codes(x: np.ndarray, q: Quantizer, smooth: bool = False,
     """``v = (x - beta) / alpha`` and its codes ``clip(round(v), 0, code_max)``, which
     ``quantize_values`` decodes; with ``out`` (``x`` itself may be) both are ``out``."""
     a, b = _check_usable(q)
-    # in-place steps keep the temporaries of a [B, L, d] site to a few arrays
-    v = np.subtract(np.asanyarray(x, dtype=np.float64), b, out=out)
-    np.divide(v, a, out=v)
-    if smooth:
-        codes = v.copy() if out is None else v
-    else:  # with ``out``, v is out
-        codes = (round_half_up if q.rounding == "nearest" else floor_with_snap)(v, out=out)
-    return v, clip_inplace(codes, nm.ZERO, _code_max_operand(q.bits))
+    rule = np.positive if smooth else _ROUNDING[q.rounding]  # smooth: no rounding, the identity ufunc
+    return _codes(np.asanyarray(x, dtype=np.float64), a, b, rule, _code_max_operand(q.bits), out)
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:

@@ -24,23 +24,21 @@ Both forwards run one block body, ``_block``, and differ only in the site
 encoder and the activation hook they bind, so every site drive, and with it
 every output, agrees bit for bit (a threshold-scaled site only while it
 saturates).  ``x_res`` and ``delta_int`` stay quantizers in both; the
-spiking forward reads their activations, the gate and the step's softplus,
-from per-code tables (``spike.CodeTable``), bit for bit: a small drive by
-one search of the codes' thresholds, a larger one by the quantizer's
-arithmetic codes.  The
-recurrence runs in ``selective_scan``, the one loop over time, which
-re-encodes ``h`` through a per-step hook; since ``y`` never feeds back, its
-site encodes the whole readout once.  In training the scan is one tape op
-whose hand-written backward walks the steps in reverse.
-The model ends in a real-arithmetic head mapping the L history positions to
-the forecast horizon per variable.
+spiking forward reads every site, and the gate and the step's softplus from
+their quantizers' grids, through one code-grid read (``CodeGrid.read``), bit
+for bit.  The recurrence runs in ``selective_scan``, the one loop over time,
+which re-encodes ``h`` through a per-step hook; since ``y`` never feeds
+back, its site encodes the whole readout once.  In training the scan is one
+tape op whose hand-written backward walks the steps in reverse.  The model
+ends in a real-arithmetic head mapping the L history positions to the
+forecast horizon per variable.
 """
 
 from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +46,7 @@ from . import numerics as nm
 # perfbench's tracer looks these names up on this module
 from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t
 from .quantize import Quantizer, clip_inplace, quantize, quantize_values, quantize_with_context, ste_backward
-from .spike import CodeTable, SpikeSite, pow2_shift
+from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
 EXP_HI = 0
@@ -132,8 +130,6 @@ class BlockParams:
     b_out: nm.Tensor
     quantizers: dict[str, Quantizer]
     sites: dict[str, SpikeSite] | None = None  # populated by conversion
-    # the spiking forward's CodeTable per quantizer it reads by code, built on its first read
-    tables: dict[str, CodeTable] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, cfg: ModelConfig, rng: np.random.Generator, index: int) -> "BlockParams":
@@ -450,19 +446,16 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
 
     Each spike site emits counts and decodes them once, ``offset + theta *
     count``.  ``delta_int`` and ``x_res`` stay quantizers, whose activations
-    (the step's softplus and the gate) are read from the block's per-code
-    tables, built on the first read and again whenever a quantizer changes.
+    (the step's softplus and the gate) are read through their grids' tables.
     """
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
     T_pass = 2 ** cfg.bits - 1
 
     def code(name, v):
-        """Spike site ``name`` on the dead drive ``v``: its decoded values (in ``v``'s buffer
-        unless ``v`` is small enough for a threshold search) and with ``counters`` its spike
-        total, else ``None``."""
+        """Spike site ``name`` on the dead drive ``v``: its values and, with ``counters``, its spike total."""
         site = p.sites[name]
-        counts, values = site.encode(v)
+        counts, values = site.read(v)
         spikes = None
         if counters is not None:
             counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
@@ -472,7 +465,7 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
             if spikes is None:  # a counters object that keeps no site record returns no total
                 spikes = int(counts.sum())
         if values is None:  # arithmetic counts in v's buffer, read above
-            values = site.decode_counts(counts, out=counts)
+            values = site.decode(counts, out=counts)
         return values, spikes
 
     def encode(name, t):
@@ -480,10 +473,7 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         return nm.Tensor(values), spikes
 
     def apply(name, t, fn, fn_t):
-        q, table = p.quantizers[name], p.tables.get(name)
-        if table is None or table.key != CodeTable.key_of(q):
-            table = p.tables[name] = CodeTable(q, fn)
-        return nm.Tensor(table.read(t.data, q, fn))
+        return nm.Tensor(p.quantizers[name].grid().read(t.data, fn)[1])
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none

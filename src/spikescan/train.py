@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import typing
 from dataclasses import asdict, dataclass, field
 
@@ -395,5 +396,21 @@ def _model_from_metadata(meta: dict) -> ForecastModel:
             if got not in allowed:
                 raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = {got} is neither "
                                  f"the quantizer's {allowed[0]} nor its threshold-scaled {allowed[1]}")
+    if meta.get("norm") is not None:
+        _check_norm(meta["norm"], model.cfg.d_value)
     model.mode = mode
     return model
+
+
+def _check_norm(norm, d: int) -> None:
+    """Normalization statistics: ``mean`` and ``std``, each ``d`` finite numbers, every ``std`` above zero."""
+    if not isinstance(norm, dict):
+        raise ValueError(f"norm must be an object with mean and std, got {type(norm).__name__}")
+    for key in ("mean", "std"):  # an int compares exactly, so one too large for a float64 fails
+        v = norm.get(key)
+        if not (isinstance(v, list) and len(v) == d
+                and all(type(e) in (int, float) and abs(e) <= sys.float_info.max for e in v)):
+            raise ValueError(f"norm {key} must be a list of {d} finite numbers, got {v!r}")
+    if min(norm["std"]) <= 0:
+        raise ValueError(f"norm std must be positive, got {norm['std']}")
+

@@ -1,6 +1,7 @@
 """End-to-end command-line walkthrough against a tiny synthetic series."""
 
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -132,6 +133,14 @@ def test_verify_data_without_a_model_is_a_usage_error(tmp_path):
     assert "Traceback" not in p.stderr
 
 
+def test_verify_header_flag_without_data_is_a_usage_error(work, capsys):
+    """``--has-header`` describes the ``--data`` CSV: without one it must not pass silently."""
+    for argv in (["verify", "--has-header"], ["verify", "--model", str(work / "snn.ckpt"), "--has-header"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "--has-header" in err and "--data" in err and "checks passed" not in out
+
+
 def test_verify_fails_on_tampered_checkpoint(work):
     # a threshold-scaled site loads, but y codes mid-range, so scaling it breaks equivalence
     model, meta = load_checkpoint(str(work / "snn.ckpt"))
@@ -189,6 +198,68 @@ def test_site_inconsistent_with_its_quantizer_is_a_usage_error(work):
             "--out", str(work / "y_window.csv"), expect=2)
     assert "y_window.ckpt: spike site block0.y: (theta, offset, T)" in p.stderr
     assert "Traceback" not in p.stderr
+
+
+def _drop_std(norm):
+    del norm["std"]
+
+
+def _negate_std(norm):
+    norm["std"] = [-v for v in norm["std"]]
+
+
+def _one_mean(norm):
+    norm["mean"] = norm["mean"][:1]
+
+
+def _std_as_text(norm):
+    norm["std"] = "1.0"
+
+
+def _nan_mean(norm):
+    norm["mean"][0] = float("nan")
+
+
+def _huge_std(norm):
+    norm["std"][0] = 10 ** 400  # a JSON int past the largest float64
+
+
+@pytest.mark.parametrize("change, defect", [
+    (_drop_std, "norm std must be a list of 2 finite numbers, got None"),
+    (_negate_std, "norm std must be positive"),
+    (_one_mean, "norm mean must be a list of 2 finite numbers"),
+    (_std_as_text, "norm std must be a list of 2 finite numbers, got '1.0'"),
+    (_nan_mean, "norm mean must be a list of 2 finite numbers, got \\[nan"),
+    (_huge_std, "norm std must be a list of 2 finite numbers, got \\[1000"),
+])
+def test_malformed_norm_in_checkpoint_is_a_usage_error(work, capsys, change, defect):
+    """Normalization statistics are checked on load: each defect exits 2 naming the file and the key,
+    where it once ended in a traceback or forecast from a negative or broadcast scale."""
+    raw = (work / "snn.ckpt").read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    change(meta["norm"])
+    blob = json.dumps(meta).encode()
+    bad = work / "bad_norm.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:])
+    out = work / "bad_norm.csv"
+    assert cli.main(["forecast", "--model", str(bad), "--data", str(work / "series.csv"), "--has-header",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search("bad_norm.ckpt: " + defect, err), err
+    assert not out.exists()
+
+
+def test_a_checkpoint_without_norm_still_loads(work):
+    raw = (work / "snn.ckpt").read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    meta["norm"] = None
+    blob = json.dumps(meta).encode()
+    bare = work / "no_norm.ckpt"
+    bare.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:])
+    model, got = load_checkpoint(str(bare))
+    assert got["norm"] is None and model.mode == "snn"
 
 
 def test_truncated_checkpoint_is_a_usage_error(work):

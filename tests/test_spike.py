@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.quantize import Quantizer, quantize_codes, quantize_values, quantize_with_context
-from spikescan.spike import SEARCH_MAX, CodeTable, SpikeSite, pow2_shift, simulate_if, threshold_scale
+from spikescan.spike import SEARCH_MAX, SpikeSite, pow2_shift, simulate_if, threshold_scale
 from spikescan.ssm import EXP_HI, EXP_LO, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 
@@ -250,7 +250,7 @@ def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_
     for piece in drive.reshape(-1, 4, SEARCH_MAX // 4):  # drives the size of the largest search
         with np.errstate(over="ignore"):
             want = s.encode_counts(piece)
-        counts, values = s.encode(piece.copy())
+        counts, values = s.read(piece.copy())
         assert values is not None  # searched
         assert np.array_equal(counts, want)
         assert values.tobytes() == s.decode_counts(want).tobytes()
@@ -262,29 +262,24 @@ def test_a_nan_or_a_large_drive_takes_the_arithmetic():
     s = site(3, 0.5, offset=-0.25)
     for drive in (np.array([0.1, np.nan, 2.0]), np.linspace(-1.0, 3.0, SEARCH_MAX + 1)):
         buf = drive.copy()
-        counts, values = s.encode(buf)
+        counts, values = s.read(buf)
         assert counts is buf and values is None
         assert counts.tobytes() == s.encode_counts(drive).tobytes()
 
 
 def test_search_tables_are_built_on_a_sites_first_small_drive():
-    """Conversion pays nothing for the tables; a batch-1 forward builds each site's once."""
+    """Conversion pays nothing for the thresholds and tables; a batch-1 forward builds each site's once."""
     cfg = ModelConfig(d_value=2, history=6, horizon=2, d_hidden=4, state_size=2, conv_kernel=2)
     m = ForecastModel.build(cfg, seed=0)
     x = np.random.default_rng(0).normal(size=(8, 6, 2))
     m.calibrate(x)
     convert_to_snn(m)
     sites = list(m.blocks[0].sites.values())
-    assert all(s._tables is None for s in sites)
+    assert all("_tau" not in vars(s) and s._tables == {} for s in sites)
     m.forward(x[:1])
-    tables = [s._tables for s in sites]
-    assert all(t is not None for t in tables)
+    built = [(vars(s)["_tau"], s._tables[None]) for s in sites]
     m.forward(x[1:2])
-    assert all(s._tables is t for s, t in zip(sites, tables))
-
-
-def unread(x):
-    raise AssertionError("a drive without NaN reads its table, never the activation")
+    assert all(vars(s)["_tau"] is tau and s._tables[None] is levels for s, (tau, levels) in zip(sites, built))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -295,11 +290,19 @@ def test_a_code_table_reads_like_the_arithmetic(bits, rounding, log_alpha, log_b
     """Each threshold is the least input that reaches its code, and a drive of ``SEARCH_MAX`` entries
     (searched) or one more (arithmetic codes) reads ``fn(quantize_values(x, q)[0])``'s bytes, at and
     within 3 ulps of every threshold, at +-0, +-inf, subnormals and the float64 extremes, on random
-    drives, and with a NaN entry, which reads NaN."""
+    drives, and with a NaN entry, which reads NaN.  Only that NaN drive calls ``fn``; every other
+    reads the table ``fn`` built once from the levels."""
     q = Quantizer(bits=bits, alpha=10.0 ** log_alpha, beta=beta_sign * 10.0 ** log_beta, rounding=rounding)
+    grid, calls = q.grid(), []
+
+    def counted(x):
+        calls.append(x.shape)
+        return fn(x)
+
     with np.errstate(over="ignore", invalid="ignore"):  # fn of levels far below zero overflows 2**-x
-        table = CodeTable(q, fn)
-    tau = table.tau[:-1]
+        grid.read(np.zeros(1), counted)
+    assert calls == [(q.code_max + 1,)]  # the table of the levels
+    tau = grid.thresholds()
     k = np.arange(1, q.code_max + 1)
     with np.errstate(over="ignore"):  # the arithmetic on inputs near the float64 extremes
         assert (quantize_codes(tau, q)[1] >= k).all()
@@ -313,9 +316,11 @@ def test_a_code_table_reads_like_the_arithmetic(bits, rounding, log_alpha, log_b
         with_nan = pieces[0].copy()
         with_nan[rng.integers(size)] = np.nan
         for piece in [*pieces, with_nan]:
+            before = len(calls)
             with np.errstate(over="ignore", invalid="ignore"):
                 want = fn(quantize_values(piece, q)[0])
-                got = table.read(piece.copy(), q, fn if piece is with_nan else unread)
+                got = grid.read(piece.copy(), counted)[1]
+            assert len(calls) == before + (piece is with_nan)
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(np.isnan(got), np.isnan(piece))
 
@@ -326,16 +331,15 @@ def test_a_nan_entry_reads_nan_from_a_small_and_a_large_drive(fn, size):
     """NaN counts past the table in a search, and its arithmetic code casts to no index, so a drive
     with NaN takes the arithmetic: NaN in, NaN out, every other entry as the table reads it."""
     q = Quantizer(bits=2, alpha=0.5, beta=-0.25, rounding="nearest")
-    table = CodeTable(q, fn)
     drive = np.linspace(-1.0, 2.0, size)
     drive[size // 2] = np.nan
-    got = table.read(drive.copy(), q, fn)
+    got = q.grid().read(drive.copy(), fn)[1]
     assert got.tobytes() == fn(quantize_values(drive, q)[0]).tobytes()
     assert np.isnan(got[size // 2]) and np.isfinite(np.delete(got, size // 2)).all()
 
 
 def test_a_code_table_checks_its_quantizer_as_quantize_does():
     with pytest.raises(RuntimeError, match="before calibration"):
-        CodeTable(Quantizer(bits=2, name="block0.x_res"), pow2_silu)
+        Quantizer(bits=2, name="block0.x_res").grid()
     with pytest.raises(ValueError, match="step size must be positive"):
-        CodeTable(Quantizer(bits=2, alpha=0.0, name="block0.x_res"), pow2_silu)
+        Quantizer(bits=2, alpha=0.0, name="block0.x_res").grid()

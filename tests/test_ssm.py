@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import spikescan.activations as activations
 import spikescan.numerics as nm
-import spikescan.spike as spike
+import spikescan.quantize as quantize
 import spikescan.ssm as ssm
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.quantize import Quantizer
@@ -536,7 +536,7 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
     names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
     drives = {"ann": {}, "snn": {}}
     quantize, quantize_values = ssm.quantize, ssm.quantize_values
-    encode = SpikeSite.encode  # the entry point of every spiking encode, search or arithmetic
+    read = SpikeSite.read  # the entry point of every spiking encode, search or arithmetic
 
     def record(mode, name, pre):
         if name in names:  # delta_int and x_res quantize in both modes
@@ -550,13 +550,13 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         record("ann", q.name, v)
         return quantize_values(v, q, smooth, out=out)
 
-    def snn_site(site, pre):
+    def snn_site(site, pre, fn=None):
         record("snn", site.name, pre)
-        return encode(site, pre)
+        return read(site, pre, fn)
 
     monkeypatch.setattr(ssm, "quantize", ann_site)
     monkeypatch.setattr(ssm, "quantize_values", ann_state)
-    monkeypatch.setattr(SpikeSite, "encode", snn_site)
+    monkeypatch.setattr(SpikeSite, "read", snn_site)
     m.forward(x)
     m.mode = "ann"
     m.forward(x)
@@ -618,30 +618,43 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
 
 
 def test_a_warmed_spiking_forward_reads_the_gate_and_step_from_tables(monkeypatch):
-    """Once its tables are built, the spiking forward gets ``x_res``'s gate and ``delta_int``'s softplus
-    by reading them, at batch 1 (search) and 256 (arithmetic codes), with the same bytes: neither the
-    quantizer nor the activations run."""
+    """Once its grids' tables are built, the spiking forward gets ``x_res``'s gate and ``delta_int``'s
+    softplus by reading them, at batch 1 (search) and 256 (arithmetic codes), with the same bytes:
+    neither the quantizer's own path nor the activations run.  A grid's table is ``fn`` of its levels,
+    kept per ``fn``: the activations the forward passes are counted, and run only to build the tables."""
     m, _ = readme_model()
     x = np.random.default_rng(1).normal(size=(256, 12, 2))
     convert_to_snn(m)
+    calls = []
+
+    def counted(fn):
+        def activation(v):
+            calls.append(fn.__name__)
+            return fn(v)
+        return activation
+
+    for name in ("pow2_silu", "pow2_softplus"):
+        monkeypatch.setattr(ssm, name, counted(getattr(ssm, name)))
     m.forward(x[:1])  # builds the tables
+    assert sorted(calls) == ["pow2_silu", "pow2_softplus"]
     want = [m.forward(xb).data for xb in (x[:1], x)]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a warmed spiking forward reads its gate and step from tables")
 
-    for owner, name in ((ssm, "quantize"), (ssm, "quantize_values"), (spike, "quantize_values"),
-                        (ssm, "pow2_silu"), (ssm, "pow2_softplus"), (ssm, "pow2_silu_t"),
-                        (ssm, "pow2_softplus_t"), (activations, "pow2_silu"), (activations, "pow2_softplus")):
+    for owner, name in ((ssm, "quantize"), (ssm, "quantize_values"), (quantize, "quantize_values"),
+                        (quantize, "quantize_codes"), (ssm, "pow2_silu_t"), (ssm, "pow2_softplus_t"),
+                        (activations, "pow2_silu"), (activations, "pow2_softplus")):
         monkeypatch.setattr(owner, name, forbidden)
     got = [m.forward(xb).data for xb in (x[:1], x)]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert len(calls) == 2
 
 
 def test_a_changed_quantizer_rebuilds_its_table():
-    """A table holds for its quantizer's step, offset, bits and rounding: an in-place write to the step
-    (as Adam makes) or a new offset builds a new one on the next spiking forward, which still gives the
-    real-arithmetic forward's bytes."""
+    """A quantizer's grid, and with it the grid's tables, holds for its step, offset, bits and rounding:
+    an in-place write to the step (as Adam makes) or a new offset builds a new one on the next spiking
+    forward, which still gives the real-arithmetic forward's bytes."""
     m, x = readme_model()
     convert_to_snn(m)
     blk = m.blocks[0]
@@ -654,15 +667,17 @@ def test_a_changed_quantizer_rebuilds_its_table():
         assert snn == ann
         return snn
 
-    before, tables = forecasts(), dict(blk.tables)
-    blk.quantizers["x_res"].alpha.data[...] *= 1.5
+    qs = blk.quantizers
+    before, grids = forecasts(), {s: qs[s].grid() for s in ("x_res", "delta_int")}
+    qs["x_res"].alpha.data[...] *= 1.5
     after = forecasts()
     assert after != before
-    assert blk.tables["x_res"] is not tables["x_res"] and blk.tables["delta_int"] is tables["delta_int"]
-    blk.quantizers["delta_int"].set_beta(2.0)
+    assert qs["x_res"].grid() is not grids["x_res"] and qs["delta_int"].grid() is grids["delta_int"]
+    qs["delta_int"].set_beta(2.0)
     forecasts()
-    assert blk.tables["delta_int"] is not tables["delta_int"]
-    assert blk.tables["delta_int"].values.tobytes() == pow2_softplus(np.arange(4.0) + 2.0).tobytes()
+    assert qs["delta_int"].grid() is not grids["delta_int"]
+    built = qs["delta_int"].grid()._tables  # the forward built the softplus table of the new grid
+    assert built[pow2_softplus].tobytes() == pow2_softplus(np.arange(4.0) + 2.0).tobytes()
 
 
 # Python function calls of one untaped batch-1 spiking forward at the README size, numpy 2.4
@@ -676,7 +691,7 @@ def test_a_batch_1_spiking_forward_makes_few_python_calls():
     spiking forward fails here without a timing test; counted as ``sys.setprofile`` call events."""
     m, x = readme_model()
     convert_to_snn(m)
-    m.forward(x[:1])  # builds the sites' search tables
+    m.forward(x[:1])  # builds the grids' thresholds and tables
     calls = 0
 
     def count(frame, event, arg):
