@@ -120,6 +120,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if not args.threshold_scale:
+        ignored = [flag for flag, given in (("--data", args.data is not None), ("--has-header", args.has_header))
+                   if given]
+        if ignored:
+            raise ValueError(f"convert: {' and '.join(ignored)} only serve --threshold-scale, which was not given")
     model, meta = load_checkpoint(args.in_path)
     if model.mode == "snn":
         raise ValueError(f"{args.in_path} is already a converted (snn-mode) checkpoint")

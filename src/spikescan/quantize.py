@@ -23,7 +23,8 @@ bit alike, and reads their values, or an activation of them, from one table.
 
 Backward is straight-through: gradients pass where the code was not clipped,
 ``alpha`` receives the learned-step-size rule (code - v inside the range, the
-clip code outside), and ``beta`` collects gradient on clipped entries only.
+clip code outside), and ``beta`` collects gradient on clipped entries only;
+a frozen step size or offset gets no pass at all (``ste_vjp``).
 """
 
 from __future__ import annotations
@@ -93,12 +94,13 @@ _ROUNDING = {"nearest": round_half_up, "floor": floor_with_snap}
 
 
 def _codes(x: np.ndarray, step: np.ndarray, offset: np.ndarray, rule, top: np.ndarray,
-           out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+           out: np.ndarray | None = None, codes_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``v = (x - offset) / step`` and its codes ``clip(rule(v), 0, top)``; with ``out`` (``x``
-    itself may be) both are ``out``, which keeps the temporaries of a [B, L, d] site to a few arrays."""
+    itself may be) both are ``out``, which keeps the temporaries of a [B, L, d] site to a few arrays,
+    unless ``codes_out`` takes the codes and leaves ``v`` in ``out``."""
     v = np.subtract(x, offset, out=out)
     np.divide(v, step, out=v)
-    return v, clip_inplace(rule(v, out=out), nm.ZERO, top)
+    return v, clip_inplace(rule(v, out=out if codes_out is None else codes_out), nm.ZERO, top)
 
 
 def _decode(codes: np.ndarray, step, offset, out: np.ndarray | None = None) -> np.ndarray:
@@ -166,6 +168,14 @@ class CodeGrid:
     def _tau(self) -> np.ndarray:  # the thresholds with a NaN after them, built on the first search
         return np.append(self.thresholds(), np.nan)
 
+    def table(self, fn=None) -> np.ndarray:
+        """``fn`` of the T + 1 decoded levels (without ``fn``, the levels), built on first use."""
+        table = self._tables.get(fn)
+        if table is None:
+            levels = self.decode(np.arange(self.T + 1.0))
+            table = self._tables[fn] = levels if fn is None else fn(levels)
+        return table
+
     def read(self, drive: np.ndarray, fn=None) -> tuple[np.ndarray, np.ndarray | None]:
         """The codes of ``drive``, which nothing reads again, and ``fn`` of their values (without
         ``fn``, the values), bit for bit ``fn(decode(codes(drive)))``.
@@ -177,9 +187,8 @@ class CodeGrid:
         the table, so its drive takes the arithmetic, whose NaN passes through ``decode`` and ``fn``.
         """
         table = self._tables.get(fn)
-        if table is None:
-            levels = self.decode(np.arange(self.T + 1.0))
-            table = self._tables[fn] = levels if fn is None else fn(levels)
+        if table is None:  # built once; a call per read would cost batch-1 latency
+            table = self.table(fn)
         if drive.size <= SEARCH_MAX:
             codes = self._tau.searchsorted(drive, side="right")
             try:
@@ -335,25 +344,37 @@ def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
     return _decode(codes, q.alpha.data, q.beta.data, out), v, codes
 
 
-def quantize_codes(x: np.ndarray, q: Quantizer, smooth: bool = False,
-                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def quantize_codes(x: np.ndarray, q: Quantizer, smooth: bool = False, out: np.ndarray | None = None,
+                   codes_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``v = (x - beta) / alpha`` and its codes ``clip(round(v), 0, code_max)``, which
-    ``quantize_values`` decodes; with ``out`` (``x`` itself may be) both are ``out``."""
+    ``quantize_values`` decodes; with ``out`` (``x`` itself may be) both are ``out``, unless
+    ``codes_out`` takes the codes."""
     a, b = _check_usable(q)
     rule = np.positive if smooth else _ROUNDING[q.rounding]  # smooth: no rounding, the identity ufunc
-    return _codes(np.asanyarray(x, dtype=np.float64), a, b, rule, _code_max_operand(q.bits), out)
+    return _codes(np.asanyarray(x, dtype=np.float64), a, b, rule, _code_max_operand(q.bits), out, codes_out)
+
+
+def quantize_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> QuantizeContext:
+    """``v``, the codes and the clip mask of ``x`` through ``q``: the context ``ste_backward`` reads."""
+    v, codes = quantize_codes(x, q, smooth)
+    clipped = v < 0
+    clipped |= v > q.code_max
+    return QuantizeContext(v=v, codes=codes, clipped=clipped)
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:
     """``quantize_values`` plus the clip mask: the output and the context ``ste_backward`` reads."""
-    out, v, codes = quantize_values(x, q, smooth)
-    clipped = v < 0
-    clipped |= v > q.code_max
-    return out, QuantizeContext(v=v, codes=codes, clipped=clipped)
+    ctx = quantize_context(x, q, smooth)
+    return _decode(ctx.codes, q.alpha.data, q.beta.data), ctx
 
 
-def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext) -> tuple[np.ndarray, float, float]:
-    """Straight-through backward: returns (grad_x, grad_alpha, grad_beta)."""
+def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext, alpha: bool = True,
+                 beta: bool = True) -> tuple[np.ndarray, float | None, float | None]:
+    """Straight-through backward: returns (grad_x, grad_alpha, grad_beta).
+
+    A step-size or offset gradient not asked for (``alpha`` or ``beta`` false,
+    as for a frozen leaf) is not computed and comes back ``None``.
+    """
     if ctx is None:
         raise ValueError("ste_backward called without a saved forward context")
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -363,13 +384,15 @@ def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext) -> tuple[np.ndarray
         )
     clipped = ctx.clipped
     grad_x = np.where(clipped, 0.0, grad_out)
-    # Learned-step-size rule: clipped entries pull alpha toward the clip code,
-    # in-range entries see the rounding residual (code - v).
-    per_entry = np.where(clipped, ctx.codes, ctx.codes - ctx.v)
-    per_entry *= grad_out
-    grad_alpha = float(per_entry.sum())
-    np.multiply(grad_out, clipped, out=per_entry)  # reuses the buffer: one temporary fewer
-    grad_beta = float(per_entry.sum())
+    grad_alpha = grad_beta = per_entry = None
+    if alpha:
+        # Learned-step-size rule: clipped entries pull alpha toward the clip code,
+        # in-range entries see the rounding residual (code - v).
+        per_entry = np.where(clipped, ctx.codes, ctx.codes - ctx.v)
+        per_entry *= grad_out
+        grad_alpha = float(per_entry.sum())
+    if beta:
+        grad_beta = float(np.multiply(grad_out, clipped, out=per_entry).sum())  # reuses alpha's buffer
     return grad_x, grad_alpha, grad_beta
 
 
@@ -385,15 +408,24 @@ def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, out: np.ndarray |
         raise ValueError(f"quantize {q.name}: out= is for untaped calls; a backward reads the input")
     xq, ctx = quantize_with_context(x.data, q, smooth=smooth)
     out = nm.Tensor(xq)
+    nm.record_op(out, ste_vjp(x, q, ctx))
+    return out
+
+
+def ste_vjp(x: nm.Tensor, q: Quantizer, ctx: QuantizeContext, slope: np.ndarray | None = None):
+    """The tape closure of a quantization of ``x`` through ``q`` with context ``ctx``; with
+    ``slope``, of an activation of it whose derivative at the quantized values is ``slope``.
+
+    Only a trainable step size or offset gets a gradient; a frozen one's sum is never formed.
+    """
     alpha, beta = q.alpha, q.beta
 
     def vjp(g, accumulate):
-        gx, ga, gb = ste_backward(g, ctx)
+        gx, ga, gb = ste_backward(g if slope is None else g * slope, ctx, alpha.trainable, beta.trainable)
         accumulate(x, gx)
-        if alpha.trainable:
+        if ga is not None:
             accumulate(alpha, np.asarray(ga))
-        if beta.trainable:
+        if gb is not None:
             accumulate(beta, np.asarray(gb))
 
-    nm.record_op(out, vjp)
-    return out
+    return vjp

@@ -29,8 +29,13 @@ their quantizers' grids, through one code-grid read (``CodeGrid.read``), bit
 for bit.  The recurrence runs in ``selective_scan``, the one loop over time,
 which re-encodes ``h`` through a per-step hook; since ``y`` never feeds
 back, its site encodes the whole readout once.  In training the scan is one
-tape op whose hand-written backward walks the steps in reverse.  The model
-ends in a real-arithmetic head mapping the L history positions to the
+tape op whose hand-written backward walks the steps in reverse, reading what
+its forward kept: the decay factors, the exponent's straight-through mask,
+the encoded states and the ``h`` site's scaled drives and codes, in
+whole-sequence buffers each block keeps per batch shape across steps
+(``ScanKeep``).  The gate and the step's softplus are each one tape op too,
+reading their values and slopes from their quantizer grid's tables.  The
+model ends in a real-arithmetic head mapping the L history positions to the
 forecast horizon per variable.
 """
 
@@ -38,14 +43,17 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
 # perfbench's tracer looks these names up on this module
-from .activations import LN2, pow2_silu, pow2_silu_t, pow2_softplus, pow2_softplus_t
-from .quantize import Quantizer, clip_inplace, quantize, quantize_values, quantize_with_context, ste_backward
+from .activations import (LN2, pow2_silu, pow2_silu_grad, pow2_silu_t, pow2_softplus, pow2_softplus_grad,
+                          pow2_softplus_t)
+from .quantize import (Quantizer, clip_inplace, quantize, quantize_codes, quantize_context, quantize_values,
+                       quantize_with_context, ste_vjp)
 from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
@@ -130,6 +138,8 @@ class BlockParams:
     b_out: nm.Tensor
     quantizers: dict[str, Quantizer]
     sites: dict[str, SpikeSite] | None = None  # populated by conversion
+    # per [L, B, dh, n] shape, the sequences a taped scan keeps for its backward, reused across steps
+    scan_keeps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, cfg: ModelConfig, rng: np.random.Generator, index: int) -> "BlockParams":
@@ -199,8 +209,38 @@ def _dead(t: nm.Tensor) -> np.ndarray | None:
     return t.data if nm.active_tape() is None else None
 
 
+class ScanKeep:
+    """What a taped scan keeps for its backward, time-major [L, B, dh, n] sequences.
+
+    ``abar`` holds the decay factors, ``live`` the exponent's straight-through
+    mask (``EXP_LO <= step * A <= EXP_HI``), ``hs`` the encoded states, and
+    ``v`` and ``codes`` the ``h`` site's scaled drives and codes.  ``holder``
+    refers weakly to the tape whose backward reads them, until that backward
+    has run; a set nobody holds may be handed to the next taped scan.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.abar, self.hs, self.v, self.codes = (np.empty(shape) for _ in range(4))
+        self.live = np.empty(shape, dtype=bool)
+        self.holder = None
+
+    @classmethod
+    def of(cls, p: BlockParams, shape: tuple[int, ...], tape: nm.GradTape) -> "ScanKeep":
+        """The block's set for ``shape``, held for ``tape``; a fresh one while a live tape whose
+        backward has not run the scan holds that set, so the forwards of two pending tapes never
+        share buffers, and a dropped tape releases its set."""
+        keep = p.scan_keeps.get(shape)
+        if keep is None:
+            keep = p.scan_keeps[shape] = cls(shape)
+        elif keep.holder is not None and keep.holder() is not None:
+            keep = cls(shape)
+        keep.holder = weakref.ref(tape)
+        return keep
+
+
 def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
-                   D: np.ndarray, u: np.ndarray, encode_h=None, smooth: bool = False) -> np.ndarray:
+                   D: np.ndarray, u: np.ndarray, encode_h=None, smooth: bool = False,
+                   keep: ScanKeep | None = None) -> np.ndarray:
     """The selective scan over [B, L, ...] arrays; returns the readout y [B, L, dh].
 
     Each step decays the state by the exact power of two
@@ -231,11 +271,18 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     and return the slot itself; the scan only reads the array the hook
     returns, copying any other array into the slot when the chunk has more
     steps than one.
+
+    With ``keep`` (the taped scan) the decay factors and the states are
+    written into its whole-sequence buffers ``keep.abar`` and ``keep.hs``,
+    step t's slot being ``keep.hs[t]``, and the exponent's straight-through
+    mask into ``keep.live``, so the backward reads them instead of
+    recomputing them; only the input terms take a chunk buffer.
     """
     B, L, dh = u.shape
     n = A.shape[1]
     span = max(1, min(L, SCAN_CHUNK // max(1, B * dh * n)))  # B = 0 takes one chunk of empty steps
-    expo, term, hs = (np.empty((span, B, dh, n)) for _ in range(3))
+    term = np.empty((span, B, dh, n))
+    expo, hs = (np.empty((span, B, dh, n)) for _ in range(2)) if keep is None else (keep.abar, keep.hs)
     # time-major views, so a chunk of each is one slice
     step_t, u_t = (a.swapaxes(0, 1)[..., None] for a in (step, u))
     B_t, C_t = (a.swapaxes(0, 1)[:, :, None] for a in (B_seq, C_seq))
@@ -244,14 +291,19 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     for t0 in range(0, L, span):
         k = min(span, L - t0)
         ts = slice(t0, t0 + k)
+        at = slice(0, k) if keep is None else ts  # this chunk's decay factors and states
         st = step_t[ts].repeat(n, axis=3)
-        e = _exponent(np.multiply(st, A, out=expo[:k]), smooth)
-        abar = pow2_shift(nm.ONE, e, out=e)  # 1 * 2**e is exact
+        x = np.multiply(st, A, out=expo[at])
+        if keep is not None:
+            live = np.greater_equal(x, _EXP_LO, out=keep.live[ts])
+            live &= np.less_equal(x, _EXP_HI)
+        abar = pow2_shift(nm.ONE, _exponent(x, smooth), out=x)  # 1 * 2**e is exact
+        slots = hs[at]
         bu = np.multiply(st, B_t[ts].repeat(dh, axis=2), out=term[:k])
         del st
         bu *= u_t[ts].repeat(n, axis=3)
         for j in range(k):
-            slot = h = np.multiply(h, abar[j], out=hs[j])
+            slot = h = np.multiply(h, abar[j], out=slots[j])
             h += bu[j]
             if encode_h is not None:
                 h = encode_h(t0 + j, h)
@@ -259,7 +311,7 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
                     slot[...] = h
         # a one-step chunk reads its state where it is; no name holds that array into the
         # next chunk's hook, where one more live [B, dh, n] array slows batch 256 measurably
-        hc = np.multiply(hs[:k] if k > 1 else h[None], C_t[ts].repeat(dh, axis=2), out=term[:k])
+        hc = np.multiply(slots if k > 1 else h[None], C_t[ts].repeat(dh, axis=2), out=term[:k])
         readout = np.add(nm.ZERO, hc[..., 0])
         for i in range(1, n):
             readout += hc[..., i]
@@ -275,8 +327,9 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     total (``None`` unless the spiking forward counts); off the tape it
     consumes its drive, which may come back holding the values, so each
     drive is encoded after its last other reader.  ``apply(name, t, fn,
-    fn_t)`` returns the activation ``fn`` (taped: ``fn_t``) of quantizer
-    ``name``'s values of ``t``, consuming ``t`` the same way.  ``scan(step,
+    fn_grad, fn_t)`` returns the activation ``fn`` (taped: ``fn_t``, or ``fn``
+    and its derivative ``fn_grad`` read from tables) of quantizer ``name``'s
+    values of ``t``, consuming ``t`` the same way.  ``scan(step,
     A, B_seq, C_seq, D, u, u_spikes)`` returns the scan's readout.
     ``counters``, unless ``None``, gets each layer's op tally right after
     the layer.
@@ -311,7 +364,7 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     dproj = nm.linear(d_spikes, p.W_delta, p.b_delta)
     if counters is not None:
         counters.add(f"{tag}.delta_proj", acc=c_dr * dh, acc_bias=2 * dproj.data.size)
-    step_pt = apply("delta_int", dproj, pow2_softplus, pow2_softplus_t)
+    step_pt = apply("delta_int", dproj, pow2_softplus, pow2_softplus_grad, pow2_softplus_t)
     del d_raw, d_spikes, c_dr, dproj
     if counters is not None:
         counters.add(f"{tag}.delta_proj", shift=step_pt.data.size, acc_bias=step_pt.data.size)
@@ -323,7 +376,7 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     del s, c_s, B_seq, C_seq, step  # before y's encode, so its peak holds none of the scan's inputs
     y, y_spikes = encode("y", y)  # y never feeds back
 
-    gate = apply("x_res", x_res, pow2_silu, pow2_silu_t)
+    gate = apply("x_res", x_res, pow2_silu, pow2_silu_grad, pow2_silu_t)
     del x_res
     if counters is not None:
         counters.add(f"{tag}.gate", shift=gate.data.size, acc_bias=gate.data.size)
@@ -336,43 +389,49 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     return nm.add(x, z)
 
 
-def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, hs: np.ndarray, ctxs: list, smooth: bool):
-    """Backward of the taped scan; ``hs`` [L, B, dh, n] holds the encoded states, ``ctxs`` their h contexts.
+def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep):
+    """Backward of the taped scan, reading the sequences its forward kept in ``keep``.
 
     Under the straight-through estimator the state gradient runs back through
     the linear recurrence ``g_{t-1} = Abar_t * ste(g_t + C_t dy_t)``, one
-    reverse loop of a few in-place ops per step; every other gradient is one
-    contraction over the whole sequence.  Time-major arrays keep each step's
-    slice contiguous.
+    reverse loop that only adds, masks and decays; every other gradient is
+    one contraction over the whole sequence.  The ``h`` site's step-size and
+    offset gradients are ``ste_backward``'s per-step sums of the same
+    products, added in reverse step order.  Time-major arrays keep each
+    step's slice contiguous.  The backward releases ``keep`` when done.
     """
     def vjp(gy, accumulate):
         st, us, Bs, Cs, dy = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (step.data, u.data, B_seq.data, C_seq.data, gy))
         dh, n = A.data.shape
-        x = st[..., None].repeat(n, axis=3)
-        x *= A.data  # the forward's products step_t * A, on whole operands as the forward takes them
-        live = (x >= EXP_LO) & (x <= EXP_HI)  # where the exponent's STE passes
-        abar = np.exp2(_exponent(x, smooth), out=x)  # x is dead after the mask
-        del x
+        abar, hs, v = keep.abar, keep.hs, keep.v
+        L = len(hs)
         # [t]: the gradient of the state before step t's encode, first the readout's share dy_t * C_t
         g_pre = dy[..., None].repeat(n, axis=3)
         g_pre *= Cs[:, :, None].repeat(dh, axis=2)
-        g_alpha = g_beta = 0.0
-        for t in range(len(hs) - 1, -1, -1):
-            g_t = g_pre[t]
-            if t < len(hs) - 1:
-                g_t += g
-            g, ga, gb = ste_backward(g_t, ctxs[t])
-            g_alpha, g_beta = g_alpha + ga, g_beta + gb
-            g_t[...] = g
+        clipped = v < 0  # v outside [0, code_max]: the site passes no gradient there
+        clipped |= v > q.code_max
+        passed = _pass_bits(clipped)
+        g = np.empty(hs.shape[1:])
+        for t in range(L - 1, 0, -1):  # g_pre[t] is now the gradient of step t's drive
+            np.bitwise_and(g_pre[t].view(np.uint64), passed[t], out=g.view(np.uint64))
             g *= abar[t]
+            g_pre[t - 1] += g
+        # learned step size: clipped entries pull alpha toward the clip code, the others see code - v
+        if q.alpha.trainable:
+            np.bitwise_and(v.view(np.uint64), passed, out=v.view(np.uint64))  # +0.0 where clipped
+            per_entry = np.subtract(keep.codes, v, out=v)
+            accumulate(q.alpha, np.asarray(_step_sums(np.multiply(per_entry, g_pre, out=per_entry))))
+        if q.beta.trainable:
+            accumulate(q.beta, np.asarray(_step_sums(np.multiply(g_pre, clipped, out=v))))
+        np.bitwise_and(g_pre.view(np.uint64), passed, out=g_pre.view(np.uint64))
         g_bu = np.matmul(g_pre, Bs[..., None])[..., 0]  # through (step_t * B_t) * u_t
         accumulate(B_seq, np.matmul((st * us)[:, :, None, :], g_pre)[:, :, 0].swapaxes(0, 1))
         accumulate(C_seq, np.matmul(dy[:, :, None, :], hs)[:, :, 0].swapaxes(0, 1))
         accumulate(D, np.einsum("lbd,lbd->d", dy, us))
         accumulate(u, (st * g_bu + dy * D.data).swapaxes(0, 1))
         # the exponent of step t scales h_{t-1} (zero before the first step) by ln2 * Abar_t
-        abar *= live
+        np.multiply(abar, 0.0, out=abar, where=~keep.live)  # abar * live, bit for bit: only dead entries change
         g_x = g_pre[1:]
         g_x *= hs[:-1]
         g_x *= abar[1:]
@@ -380,12 +439,50 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, hs: np.ndarray, ctxs: l
         g_step[1:] += LN2 * np.einsum("lbdn,dn->lbd", g_x, A.data)
         accumulate(step, g_step.swapaxes(0, 1))
         accumulate(A, LN2 * np.einsum("lbdn,lbd->dn", g_x, st[1:]))
-        if q.alpha.trainable:
-            accumulate(q.alpha, np.asarray(g_alpha))
-        if q.beta.trainable:
-            accumulate(q.beta, np.asarray(g_beta))
+        keep.holder = None
 
     return vjp
+
+
+def _pass_bits(clipped: np.ndarray) -> np.ndarray:
+    """Words that pass a float64's bits where ``clipped`` is false and clear them where it is true.
+
+    ANDed with an array's bits they give ``np.where(clipped, 0.0, x)`` bit
+    for bit, without the branch per entry that makes ``where`` slow on a
+    mask that clips about half the entries at random.
+    """
+    bits = clipped.astype(np.uint64)
+    bits -= 1  # 1 -> 0, 0 -> all ones
+    return bits
+
+
+def _step_sums(products: np.ndarray) -> float:
+    """The sum of each step's [B, dh, n] products, the steps added in reverse order from 0.0 as Python
+    floats; one reduction over each step's contiguous entries sums them as ``products[t].sum()`` does."""
+    total = 0.0
+    for s in products.sum(axis=(1, 2, 3))[::-1].tolist():
+        total += s
+    return total
+
+
+def _activation_t(x: nm.Tensor, q: Quantizer, fn, fn_grad) -> nm.Tensor:
+    """``fn(quantize(x, q))`` as one tape op, its value and slope read from ``q``'s grid tables.
+
+    Each table holds ``fn`` (or ``fn_grad``) of the grid's decoded levels, so
+    a read at the codes is bit for bit ``fn`` of the quantized values, and the
+    backward ``ste_backward(g * slope)`` is that of ``fn_t(quantize(x, q))``.
+    A NaN code has no entry, so its drive takes the arithmetic.
+    """
+    ctx, grid = quantize_context(x.data, q), q.grid()
+    if np.isnan(np.maximum.reduce(ctx.codes, None, initial=0.0)):
+        xq = grid.decode(ctx.codes)
+        value, slope = fn(xq), fn_grad(xq)
+    else:
+        i = ctx.codes.astype(np.intp)
+        value, slope = grid.table(fn).take(i, mode="clip"), grid.table(fn_grad).take(i, mode="clip")
+    out = nm.Tensor(value)
+    nm.record_op(out, ste_vjp(x, q, ctx, slope))
+    return out
 
 
 def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
@@ -396,15 +493,22 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
     values arriving at it (``Quantizer.calibrate``), then quantizes as usual.
     Sites are reached in forward order, so every site upstream already
     quantizes and each step size is fit to the values it will actually see.
+    Under a tape the gate and the step's softplus are each one op reading
+    their grid's tables (``_activation_t``), except with ``smooth`` or
+    ``calibrate``, and the scan keeps what its backward reads in the block's
+    buffers (``ScanKeep``).
     """
     q = p.quantizers
+    tables = nm.active_tape() is not None and not (smooth or calibrate)
 
     def encode(name, t):
         if calibrate and not q[name].initialized:
             q[name].calibrate(t.data)
         return quantize(t, q[name], smooth=smooth, out=_dead(t)), None
 
-    def apply(name, t, fn, fn_t):
+    def apply(name, t, fn, fn_grad, fn_t):
+        if tables:
+            return _activation_t(t, q[name], fn, fn_grad)
         return fn_t(encode(name, t)[0])
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
@@ -413,29 +517,26 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             # h feeds back into itself: fit it on the states of a scan that leaves them unencoded
             states = []
 
-            def keep(t, h_pre):
+            def collect(t, h_pre):
                 states.append(h_pre.ravel().copy())  # the scan reuses its buffers
                 return h_pre
 
-            selective_scan(*args, keep, smooth)
+            selective_scan(*args, collect, smooth)
             if states:  # a scan that never calls its hook leaves h to the model's check
                 q["h"].calibrate(np.concatenate(states))
-        taped = nm.active_tape() is not None
-        # each step's state [L, B, dh, n], time-major, only for a backward
-        hs = np.empty((u.shape[1], u.shape[0]) + A.shape) if taped else None
-        ctxs = []
+        qh = q["h"]
+        tape = nm.active_tape()
+        if tape is None:
+            return nm.Tensor(selective_scan(*args, lambda t, h_pre: quantize_values(h_pre, qh, smooth, out=h_pre)[0],
+                                            smooth))
+        kept = ScanKeep.of(p, (u.shape[1], u.shape[0]) + A.shape, tape)
+        grid = qh.grid()
 
-        def encode_h(t, h_pre):
-            if not taped:
-                return quantize_values(h_pre, q["h"], smooth, out=h_pre)[0]
-            h, ctx = quantize_with_context(h_pre, q["h"], smooth)
-            hs[t] = h
-            ctxs.append(ctx)
-            return h
+        def encode_h(t, h_pre):  # v and the codes into the kept buffers, the state in place
+            return grid.decode(quantize_codes(h_pre, qh, smooth, kept.v[t], kept.codes[t])[1], out=h_pre)
 
-        y = nm.Tensor(selective_scan(*args, encode_h, smooth))
-        if taped:
-            nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, q["h"], hs, ctxs, smooth))
+        y = nm.Tensor(selective_scan(*args, encode_h, smooth, kept))
+        nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept))
         return y
 
     return _block(x, p, cfg, encode, apply, scan, None, "block")
@@ -472,7 +573,7 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         values, spikes = code(name, t.data)
         return nm.Tensor(values), spikes
 
-    def apply(name, t, fn, fn_t):
+    def apply(name, t, fn, fn_grad, fn_t):
         return nm.Tensor(p.quantizers[name].grid().read(t.data, fn)[1])
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):

@@ -74,6 +74,17 @@ def test_threshold_scale_needs_data(work):
     assert "--data" in p.stderr
 
 
+@pytest.mark.parametrize("flags", [["--data", "series.csv"], ["--has-header"], ["--data", "series.csv", "--has-header"]])
+def test_convert_flags_without_threshold_scale_are_usage_errors(work, capsys, flags):
+    """``--data`` and ``--has-header`` serve only ``--threshold-scale``: without it they must not pass silently."""
+    out = work / "ignored.ckpt"
+    argv = [str(work / f) if f.endswith(".csv") else f for f in flags]
+    assert cli.main(["convert", "--in", str(work / "ann.ckpt"), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert all(f in err for f in flags if f.startswith("--")) and "--threshold-scale" in err
+    assert not out.exists()
+
+
 def test_threshold_scale_runs_with_data(work):
     out = run("convert", "--in", str(work / "ann.ckpt"), "--out", str(work / "ts.ckpt"),
               "--threshold-scale", "--data", str(work / "series.csv"), "--has-header").stdout

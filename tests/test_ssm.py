@@ -286,8 +286,8 @@ def test_forward_names_the_first_non_finite_window():
 def test_calibration_rejects_a_site_that_collected_nothing(monkeypatch):
     """A site the forward never reaches fails calibration instead of getting a made-up step."""
     scan = ssm.selective_scan
-    monkeypatch.setattr(ssm, "selective_scan", lambda step, A, B_seq, C_seq, D, u, encode_h=None, smooth=False:
-                        scan(step, A, B_seq, C_seq, D, u, None, smooth))  # h is never encoded
+    monkeypatch.setattr(ssm, "selective_scan", lambda step, A, B_seq, C_seq, D, u, encode_h=None, smooth=False,
+                        keep=None: scan(step, A, B_seq, C_seq, D, u, None, smooth, keep))  # h is never encoded
     m = ForecastModel.build(small_cfg(), seed=0)
     with pytest.raises(RuntimeError, match="block0.h"):
         m.calibrate(np.random.default_rng(0).normal(size=(4, 10, 2)))
@@ -595,7 +595,7 @@ def readme_model() -> tuple[ForecastModel, np.ndarray]:
 
 def test_only_a_taped_forward_records_backward_closures(monkeypatch):
     """Off the tape the primitives return before they build a closure or call ``record_op``; a taped
-    README step records its 29 ops through it, so a wrapped ``record_op`` still sees every one."""
+    README step records its 27 ops through it, so a wrapped ``record_op`` still sees every one."""
     recorded = []
     record_op = nm.record_op
 
@@ -609,12 +609,12 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
     assert recorded == []
     with nm.GradTape() as tape:
         nm.mse(m.forward(x), nm.tensor(np.zeros((64, 3, 2))))
-    assert len(recorded) == len(tape) == 29
+    assert len(recorded) == len(tape) == 27
     convert_to_snn(m)
     m.forward(x)
     m.forward(x[:1])
     profile(m, x[:1], EnergyTable(e_acc=1.0, e_mac=1.0, e_shift=1.0, e_cmp=1.0))
-    assert len(recorded) == 29
+    assert len(recorded) == 27
 
 
 def test_a_warmed_spiking_forward_reads_the_gate_and_step_from_tables(monkeypatch):
@@ -678,6 +678,34 @@ def test_a_changed_quantizer_rebuilds_its_table():
     assert qs["delta_int"].grid() is not grids["delta_int"]
     built = qs["delta_int"].grid()._tables  # the forward built the softplus table of the new grid
     assert built[pow2_softplus].tobytes() == pow2_softplus(np.arange(4.0) + 2.0).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN through the arithmetic
+@pytest.mark.parametrize("fn, fn_grad, fn_t", [(pow2_silu, activations.pow2_silu_grad, activations.pow2_silu_t),
+                                               (pow2_softplus, activations.pow2_softplus_grad,
+                                                activations.pow2_softplus_t)])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_taped_activation_from_tables_is_the_two_ops_bit_for_bit(fn, fn_grad, fn_t, frozen):
+    """In training the gate and the step's softplus are one tape op reading value and slope from the
+    grid's tables: its value and gradients are those of the quantizer and the activation taped as two
+    ops, a drive with NaN included (it takes the arithmetic), and a frozen step size gets none."""
+    rng = np.random.default_rng(5)
+    q = Quantizer(bits=2, alpha=nm.Tensor(0.6, trainable=not frozen), beta=-0.2, rounding="nearest")
+    for nan in (False, True):
+        x = 2.0 * rng.normal(size=(3, 7, 5))
+        if nan:
+            x[1, 2, 3] = np.nan
+        g = rng.normal(size=x.shape)
+        got = []
+        for op in (lambda t: ssm._activation_t(t, q, fn, fn_grad), lambda t: fn_t(quantize.quantize(t, q))):
+            t = nm.tensor(x, trainable=True)
+            with nm.GradTape() as tape:
+                out = op(t)
+            grads = nm.backward(tape, loss_grad=g, output=out)
+            got.append([out.data.tobytes()] + [grads[p].tobytes() if p in grads else None
+                                               for p in (t, q.alpha, q.beta)])
+        assert got[0] == got[1]
+        assert (got[0][2] is None) == frozen
 
 
 # Python function calls of one untaped batch-1 spiking forward at the README size, numpy 2.4

@@ -315,8 +315,9 @@ def test_a_non_finite_loss_with_finite_parameters_says_so():
         train(_ScalarFit(1.0), x, y, x, 2 * x, TrainConfig(max_epochs=3, batch_size=4, seed=0))
 
 
-def test_a_training_step_records_29_tape_ops():
-    """README config, one block, batch 64: the block's ops, the head and the loss; the scan is one op."""
+def test_a_training_step_records_27_tape_ops():
+    """README config, one block, batch 64: the block's ops, the head and the loss; the scan is one op,
+    and so are the gate and the step's softplus, each with its quantizer."""
     cfg = ModelConfig(d_value=2, history=12, horizon=3)
     m = ForecastModel.build(cfg, seed=0)
     rng = np.random.default_rng(0)
@@ -324,7 +325,7 @@ def test_a_training_step_records_29_tape_ops():
     m.calibrate(x)
     with nm.GradTape() as tape:
         nm.mse(m.forward(x), nm.tensor(y))
-    assert len(tape) == 29
+    assert len(tape) == 27
 
 
 def test_train_autocalibrates_uninitialized_models():
