@@ -66,10 +66,11 @@ def _predict(model: ForecastModel, x: np.ndarray, batch: int = 256) -> np.ndarra
     return np.concatenate(outs, axis=0)
 
 
-def _norm_from_meta(meta: dict) -> tuple[np.ndarray, np.ndarray]:
+def _norm_from_meta(meta: dict, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The normalization statistics of the checkpoint at ``path``, whose metadata is ``meta``."""
     norm = meta.get("norm")
     if not norm:
-        raise ValueError("checkpoint carries no normalization statistics; retrain with this version")
+        raise ValueError(f"{path}: checkpoint carries no normalization statistics; retrain with this version")
     return np.asarray(norm["mean"], dtype=np.float64), np.asarray(norm["std"], dtype=np.float64)
 
 
@@ -81,10 +82,10 @@ def _model_series(model: ForecastModel, data: str, has_header: bool) -> SeriesDa
     return ds
 
 
-def _checkpoint_windows(model: ForecastModel, meta: dict, data: str, has_header: bool) -> WindowSplits:
+def _checkpoint_windows(model: ForecastModel, meta: dict, path: str, data: str, has_header: bool) -> WindowSplits:
     """Every window of ``data`` in ``x_train``/``y_train``, normalized with the
-    checkpoint's statistics."""
-    mean, std = _norm_from_meta(meta)
+    statistics of the checkpoint at ``path``."""
+    mean, std = _norm_from_meta(meta, path)
     ds = _model_series(model, data, has_header)
     return make_windows(ds, model.cfg.history, model.cfg.horizon, (1.0, 0.0, 0.0), stats=(mean, std))
 
@@ -132,7 +133,7 @@ def cmd_convert(args) -> int:
     if args.threshold_scale:
         if args.data is None:
             raise ValueError("--threshold-scale needs --data to observe which sites saturate")
-        w = _checkpoint_windows(model, meta, args.data, args.has_header).x_train[:512]
+        w = _checkpoint_windows(model, meta, args.in_path, args.data, args.has_header).x_train[:512]
         if len(w) < 2:
             raise ValueError(f"{args.data}: {len(w)} window(s); --threshold-scale needs at least 2, "
                              "one half to probe and one to verify on")
@@ -149,7 +150,7 @@ def cmd_convert(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, meta = load_checkpoint(args.model)
-    mean, std = _norm_from_meta(meta)
+    mean, std = _norm_from_meta(meta, args.model)
     ds = _model_series(model, args.data, args.has_header)
     H, G = model.cfg.history, model.cfg.horizon
     rows = ds.values.shape[0]
@@ -165,8 +166,8 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _eval_model(model: ForecastModel, meta: dict, data: str, has_header: bool):
-    splits = _checkpoint_windows(model, meta, data, has_header)
+def _eval_model(model: ForecastModel, meta: dict, path: str, data: str, has_header: bool):
+    splits = _checkpoint_windows(model, meta, path, data, has_header)
     pred = denormalize(_predict(model, splits.x_train), splits.mean, splits.std)
     true = denormalize(splits.y_train, splits.mean, splits.std)
     return true, pred
@@ -174,7 +175,7 @@ def _eval_model(model: ForecastModel, meta: dict, data: str, has_header: bool):
 
 def cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
-    true, pred = _eval_model(model, meta, args.data, args.has_header)
+    true, pred = _eval_model(model, meta, args.model, args.data, args.has_header)
     print(f"windows: {true.shape[0]}   mode: {model.mode}")
     print(f"overall  R2 = {r2(true, pred):.6f}   RRSE = {rrse(true, pred):.6f}")
     for g in range(true.shape[1]):
@@ -188,7 +189,7 @@ def cmd_plot_data(args) -> int:
     step = args.step
     if not 1 <= step <= model.cfg.horizon:
         raise ValueError(f"--step must be in 1..{model.cfg.horizon}, got {step}")
-    true, pred = _eval_model(model, meta, args.data, args.has_header)
+    true, pred = _eval_model(model, meta, args.model, args.data, args.has_header)
     W, N = true.shape[0], true.shape[2]
     t = np.arange(W) + model.cfg.history + step - 1  # the row window w forecasts at this step
     rows = np.column_stack([t.repeat(N), np.tile(np.arange(N), W),
@@ -202,8 +203,10 @@ def cmd_energy(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
     model, meta = load_checkpoint(args.model)
+    if model.mode != "snn":
+        raise ValueError(f"{args.model}: energy profiling requires a converted (snn-mode) checkpoint")
     table = EnergyTable.from_config(load_config(args.table))
-    splits = _checkpoint_windows(model, meta, args.data, args.has_header)
+    splits = _checkpoint_windows(model, meta, args.model, args.data, args.has_header)
     x = splits.x_train if args.limit is None else splits.x_train[:args.limit]
     report = profile(model, x, table)
     print(report.to_text())
@@ -246,7 +249,7 @@ def _verify_checks(model_path: str | None, data_path: str | None,
     if model_path is not None:
         model, meta = load_checkpoint(model_path)
         if data_path is not None:
-            x = _checkpoint_windows(model, meta, data_path, has_header).x_train[:128]
+            x = _checkpoint_windows(model, meta, model_path, data_path, has_header).x_train[:128]
         else:
             x = np.random.default_rng(1).normal(size=(32, model.cfg.history, model.cfg.d_value))
         if model.mode != "snn":

@@ -24,7 +24,7 @@ bit alike, and reads their values, or an activation of them, from one table.
 Backward is straight-through: gradients pass where the code was not clipped,
 ``alpha`` receives the learned-step-size rule (code - v inside the range, the
 clip code outside), and ``beta`` collects gradient on clipped entries only;
-a frozen step size or offset gets no pass at all (``ste_vjp``).
+a frozen step size or offset gets no pass at all (``quantize``, the one taped op).
 """
 
 from __future__ import annotations
@@ -396,28 +396,29 @@ def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext, alpha: bool = True,
     return grad_x, grad_alpha, grad_beta
 
 
-def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, out: np.ndarray | None = None) -> nm.Tensor:
-    """Taped quantization of a Tensor through ``q``; without a tape, values only.
+def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, out: np.ndarray | None = None,
+             fn=None, fn_grad=None) -> nm.Tensor:
+    """Taped quantization of a Tensor through ``q``, then ``fn`` of the values when given, as one
+    tape op; without a tape, values only.
 
+    On the tape ``fn`` and its derivative ``fn_grad`` at the codes are read from ``q``'s grid
+    tables, bit for bit, unless a code indexes none (under ``smooth``, or a NaN).
     ``out`` (off the tape only) receives the values; ``x.data`` itself may be
     passed for an input nothing reads again.  Without it ``x`` is never written.
     """
     if nm.active_tape() is None:
-        return nm.Tensor(quantize_values(x.data, q, smooth, out=out)[0])
+        values = quantize_values(x.data, q, smooth, out=out)[0]
+        return nm.Tensor(values if fn is None else fn(values))
     if out is not None:
         raise ValueError(f"quantize {q.name}: out= is for untaped calls; a backward reads the input")
-    xq, ctx = quantize_with_context(x.data, q, smooth=smooth)
-    out = nm.Tensor(xq)
-    nm.record_op(out, ste_vjp(x, q, ctx))
-    return out
-
-
-def ste_vjp(x: nm.Tensor, q: Quantizer, ctx: QuantizeContext, slope: np.ndarray | None = None):
-    """The tape closure of a quantization of ``x`` through ``q`` with context ``ctx``; with
-    ``slope``, of an activation of it whose derivative at the quantized values is ``slope``.
-
-    Only a trainable step size or offset gets a gradient; a frozen one's sum is never formed.
-    """
+    ctx, slope = quantize_context(x.data, q, smooth), None
+    if fn is not None and not smooth and not np.isnan(np.maximum.reduce(ctx.codes, None, initial=0.0)):
+        grid, i = q.grid(), ctx.codes.astype(np.intp)
+        value, slope = grid.table(fn).take(i, mode="clip"), grid.table(fn_grad).take(i, mode="clip")
+    else:
+        value = _decode(ctx.codes, q.alpha.data, q.beta.data)
+        if fn is not None:
+            value, slope = fn(value), fn_grad(value)
     alpha, beta = q.alpha, q.beta
 
     def vjp(g, accumulate):
@@ -428,4 +429,6 @@ def ste_vjp(x: nm.Tensor, q: Quantizer, ctx: QuantizeContext, slope: np.ndarray 
         if gb is not None:
             accumulate(beta, np.asarray(gb))
 
-    return vjp
+    result = nm.Tensor(value)
+    nm.record_op(result, vjp)
+    return result

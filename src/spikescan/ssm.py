@@ -33,8 +33,8 @@ tape op whose hand-written backward walks the steps in reverse, reading what
 its forward kept: the decay factors, the exponent's straight-through mask,
 the encoded states and the ``h`` site's scaled drives and codes, in
 whole-sequence buffers each block keeps per batch shape across steps
-(``ScanKeep``).  The gate and the step's softplus are each one tape op too,
-reading their values and slopes from their quantizer grid's tables.  The
+(``ScanKeep``).  The gate and the step's softplus are each one ``quantize``
+op too, reading their values and slopes from their quantizer grid's tables.  The
 model ends in a real-arithmetic head mapping the L history positions to the
 forecast horizon per variable.
 """
@@ -42,24 +42,28 @@ forecast horizon per variable.
 from __future__ import annotations
 
 import math
+import sys
 import typing
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
-# perfbench's tracer looks these names up on this module
+# perfbench's tracer looks these names up on this module; the model calls neither the ``_t``
+# wrappers nor ``quantize_with_context``, which stay as its spans and as test oracles
 from .activations import (LN2, pow2_silu, pow2_silu_grad, pow2_silu_t, pow2_softplus, pow2_softplus_grad,
                           pow2_softplus_t)
-from .quantize import (Quantizer, clip_inplace, quantize, quantize_codes, quantize_context, quantize_values,
-                       quantize_with_context, ste_vjp)
+from .quantize import Quantizer, clip_inplace, quantize, quantize_codes, quantize_values, quantize_with_context
 from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
 EXP_HI = 0
 _EXP_LO, _EXP_HI = nm.operand(EXP_LO), nm.operand(EXP_HI)
 SCAN_CHUNK = 16384  # state entries per scan chunk buffer: 128 KiB of float64
+
+# Each code grid's tables hold 2**bits entries, rebuilt every step for a trainable quantizer: a
+# README-size taped step took 4.9 ms at 8 bits, 7.7 at 16, 17 at 18 and 59 at 20 (shared 2-vCPU Xeon)
+MAX_BITS = 16
 
 SPIKE_SITES = ("x_in", "conv", "delta_raw", "delta", "h", "y")
 QUANT_SITES = SPIKE_SITES + ("delta_int", "x_res")
@@ -87,8 +91,14 @@ class ModelConfig:
         if self.delta_rank is None:
             self.delta_rank = max(1, math.ceil(self.d_hidden / 8))
         for k, t in field_types(ModelConfig).items():
-            if t is int and getattr(self, k) < 1:
-                raise ValueError(f"model config: {k} must be >= 1, got {getattr(self, k)}")
+            v = getattr(self, k)
+            if t is int and v < 1:
+                raise ValueError(f"model config: {k} must be >= 1, got {v}")
+            # an int compares exactly, so one too large for a float64 fails
+            if t is float and not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
+                raise ValueError(f"model config: {k} must be a finite number > 0, got {v!r}")
+        if self.bits > MAX_BITS:
+            raise ValueError(f"model config: bits must be <= {MAX_BITS}, got {self.bits}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -138,28 +148,36 @@ class BlockParams:
     b_out: nm.Tensor
     quantizers: dict[str, Quantizer]
     sites: dict[str, SpikeSite] | None = None  # populated by conversion
-    # per [L, B, dh, n] shape, the sequences a taped scan keeps for its backward, reused across steps
+    # per [L, B, dh, n] shape, the spare sets of sequences a taped scan keeps for its backward
     scan_keeps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @staticmethod
+    def shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+        """Each weight field's shape under ``cfg``, in ``WEIGHT_FIELDS`` order."""
+        dv, dh, n, r, K = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank, cfg.conv_kernel
+        return {"W_in": (dv, 2 * dh), "conv_k": (dh, K), "W": (dh, r + 2 * n), "b": (r + 2 * n,),
+                "W_delta": (r, dh), "b_delta": (dh,), "A_log": (dh, n), "D": (dh,), "g_norm": (dv,),
+                "W_out": (dh, dv), "b_out": (dv,)}
 
     @classmethod
     def build(cls, cfg: ModelConfig, rng: np.random.Generator, index: int) -> "BlockParams":
-        dv, dh, n, r, K = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank, cfg.conv_kernel
+        s = cls.shapes(cfg)
+        init = {  # the draws in this order
+            "W_in": _uniform(rng, s["W_in"], cfg.d_value),
+            "conv_k": _uniform(rng, s["conv_k"], cfg.conv_kernel),
+            "W": _uniform(rng, s["W"], cfg.d_hidden),
+            "b": np.zeros(s["b"]),
+            "W_delta": _uniform(rng, s["W_delta"], cfg.delta_rank),
+            "b_delta": np.zeros(s["b_delta"]),
+            "A_log": _log_spaced_decay(*s["A_log"]),
+            "D": np.ones(s["D"]),
+            "g_norm": np.ones(s["g_norm"]),
+            "W_out": _uniform(rng, s["W_out"], cfg.d_hidden),
+            "b_out": np.zeros(s["b_out"]),
+        }
         name = f"block{index}"
-        p = cls(
-            W_in=nm.tensor(_uniform(rng, (dv, 2 * dh), dv), trainable=True, name=f"{name}.W_in"),
-            conv_k=nm.tensor(_uniform(rng, (dh, K), K), trainable=True, name=f"{name}.conv_k"),
-            W=nm.tensor(_uniform(rng, (dh, r + 2 * n), dh), trainable=True, name=f"{name}.W"),
-            b=nm.tensor(np.zeros(r + 2 * n), trainable=True, name=f"{name}.b"),
-            W_delta=nm.tensor(_uniform(rng, (r, dh), r), trainable=True, name=f"{name}.W_delta"),
-            b_delta=nm.tensor(np.zeros(dh), trainable=True, name=f"{name}.b_delta"),
-            A_log=nm.tensor(_log_spaced_decay(dh, n), trainable=True, name=f"{name}.A_log"),
-            D=nm.tensor(np.ones(dh), trainable=True, name=f"{name}.D"),
-            g_norm=nm.tensor(np.ones(dv), trainable=True, name=f"{name}.g_norm"),
-            W_out=nm.tensor(_uniform(rng, (dh, dv), dh), trainable=True, name=f"{name}.W_out"),
-            b_out=nm.tensor(np.zeros(dv), trainable=True, name=f"{name}.b_out"),
-            quantizers=_make_quantizers(cfg.bits, name),
-        )
-        return p
+        return cls(**{k: nm.tensor(v, trainable=True, name=f"{name}.{k}") for k, v in init.items()},
+                   quantizers=_make_quantizers(cfg.bits, name))
 
     def weight_tensors(self) -> list[nm.Tensor]:
         return [getattr(self, f) for f in self.WEIGHT_FIELDS]
@@ -214,28 +232,15 @@ class ScanKeep:
 
     ``abar`` holds the decay factors, ``live`` the exponent's straight-through
     mask (``EXP_LO <= step * A <= EXP_HI``), ``hs`` the encoded states, and
-    ``v`` and ``codes`` the ``h`` site's scaled drives and codes.  ``holder``
-    refers weakly to the tape whose backward reads them, until that backward
-    has run; a set nobody holds may be handed to the next taped scan.
+    ``v`` and ``codes`` the ``h`` site's scaled drives and codes.  A taped
+    scan takes a set from its block's spares (``BlockParams.scan_keeps``), or
+    builds one, and its backward puts the set back: two pending tapes hold
+    two sets, and a dropped tape's set is collected with it.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         self.abar, self.hs, self.v, self.codes = (np.empty(shape) for _ in range(4))
         self.live = np.empty(shape, dtype=bool)
-        self.holder = None
-
-    @classmethod
-    def of(cls, p: BlockParams, shape: tuple[int, ...], tape: nm.GradTape) -> "ScanKeep":
-        """The block's set for ``shape``, held for ``tape``; a fresh one while a live tape whose
-        backward has not run the scan holds that set, so the forwards of two pending tapes never
-        share buffers, and a dropped tape releases its set."""
-        keep = p.scan_keeps.get(shape)
-        if keep is None:
-            keep = p.scan_keeps[shape] = cls(shape)
-        elif keep.holder is not None and keep.holder() is not None:
-            keep = cls(shape)
-        keep.holder = weakref.ref(tape)
-        return keep
 
 
 def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
@@ -327,9 +332,9 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     total (``None`` unless the spiking forward counts); off the tape it
     consumes its drive, which may come back holding the values, so each
     drive is encoded after its last other reader.  ``apply(name, t, fn,
-    fn_grad, fn_t)`` returns the activation ``fn`` (taped: ``fn_t``, or ``fn``
-    and its derivative ``fn_grad`` read from tables) of quantizer ``name``'s
-    values of ``t``, consuming ``t`` the same way.  ``scan(step,
+    fn_grad)`` returns the activation ``fn`` (with its derivative ``fn_grad``
+    on the tape) of quantizer ``name``'s values of ``t``, consuming ``t`` the
+    same way.  ``scan(step,
     A, B_seq, C_seq, D, u, u_spikes)`` returns the scan's readout.
     ``counters``, unless ``None``, gets each layer's op tally right after
     the layer.
@@ -364,7 +369,7 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     dproj = nm.linear(d_spikes, p.W_delta, p.b_delta)
     if counters is not None:
         counters.add(f"{tag}.delta_proj", acc=c_dr * dh, acc_bias=2 * dproj.data.size)
-    step_pt = apply("delta_int", dproj, pow2_softplus, pow2_softplus_grad, pow2_softplus_t)
+    step_pt = apply("delta_int", dproj, pow2_softplus, pow2_softplus_grad)
     del d_raw, d_spikes, c_dr, dproj
     if counters is not None:
         counters.add(f"{tag}.delta_proj", shift=step_pt.data.size, acc_bias=step_pt.data.size)
@@ -376,7 +381,7 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     del s, c_s, B_seq, C_seq, step  # before y's encode, so its peak holds none of the scan's inputs
     y, y_spikes = encode("y", y)  # y never feeds back
 
-    gate = apply("x_res", x_res, pow2_silu, pow2_silu_grad, pow2_silu_t)
+    gate = apply("x_res", x_res, pow2_silu, pow2_silu_grad)
     del x_res
     if counters is not None:
         counters.add(f"{tag}.gate", shift=gate.data.size, acc_bias=gate.data.size)
@@ -389,7 +394,7 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     return nm.add(x, z)
 
 
-def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep):
+def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares: list):
     """Backward of the taped scan, reading the sequences its forward kept in ``keep``.
 
     Under the straight-through estimator the state gradient runs back through
@@ -398,7 +403,7 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep):
     one contraction over the whole sequence.  The ``h`` site's step-size and
     offset gradients are ``ste_backward``'s per-step sums of the same
     products, added in reverse step order.  Time-major arrays keep each
-    step's slice contiguous.  The backward releases ``keep`` when done.
+    step's slice contiguous.  The backward puts ``keep`` back on ``spares`` when done.
     """
     def vjp(gy, accumulate):
         st, us, Bs, Cs, dy = (np.ascontiguousarray(a.swapaxes(0, 1))
@@ -439,7 +444,7 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep):
         g_step[1:] += LN2 * np.einsum("lbdn,dn->lbd", g_x, A.data)
         accumulate(step, g_step.swapaxes(0, 1))
         accumulate(A, LN2 * np.einsum("lbdn,lbd->dn", g_x, st[1:]))
-        keep.holder = None
+        spares.append(keep)
 
     return vjp
 
@@ -465,26 +470,6 @@ def _step_sums(products: np.ndarray) -> float:
     return total
 
 
-def _activation_t(x: nm.Tensor, q: Quantizer, fn, fn_grad) -> nm.Tensor:
-    """``fn(quantize(x, q))`` as one tape op, its value and slope read from ``q``'s grid tables.
-
-    Each table holds ``fn`` (or ``fn_grad``) of the grid's decoded levels, so
-    a read at the codes is bit for bit ``fn`` of the quantized values, and the
-    backward ``ste_backward(g * slope)`` is that of ``fn_t(quantize(x, q))``.
-    A NaN code has no entry, so its drive takes the arithmetic.
-    """
-    ctx, grid = quantize_context(x.data, q), q.grid()
-    if np.isnan(np.maximum.reduce(ctx.codes, None, initial=0.0)):
-        xq = grid.decode(ctx.codes)
-        value, slope = fn(xq), fn_grad(xq)
-    else:
-        i = ctx.codes.astype(np.intp)
-        value, slope = grid.table(fn).take(i, mode="clip"), grid.table(fn_grad).take(i, mode="clip")
-    out = nm.Tensor(value)
-    nm.record_op(out, ste_vjp(x, q, ctx, slope))
-    return out
-
-
 def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
                       smooth: bool = False, calibrate: bool = False) -> nm.Tensor:
     """Real-arithmetic forward of one block; under an active tape the scan is one tape op.
@@ -493,23 +478,19 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
     values arriving at it (``Quantizer.calibrate``), then quantizes as usual.
     Sites are reached in forward order, so every site upstream already
     quantizes and each step size is fit to the values it will actually see.
-    Under a tape the gate and the step's softplus are each one op reading
-    their grid's tables (``_activation_t``), except with ``smooth`` or
-    ``calibrate``, and the scan keeps what its backward reads in the block's
-    buffers (``ScanKeep``).
+    Every site, the gate and the step's softplus included, is one ``quantize``
+    op, and the scan keeps what its backward reads in one of the block's
+    spare buffer sets (``ScanKeep``).
     """
     q = p.quantizers
-    tables = nm.active_tape() is not None and not (smooth or calibrate)
 
-    def encode(name, t):
+    def encode(name, t, fn=None, fn_grad=None):
         if calibrate and not q[name].initialized:
             q[name].calibrate(t.data)
-        return quantize(t, q[name], smooth=smooth, out=_dead(t)), None
+        return quantize(t, q[name], smooth, _dead(t), fn, fn_grad), None
 
-    def apply(name, t, fn, fn_grad, fn_t):
-        if tables:
-            return _activation_t(t, q[name], fn, fn_grad)
-        return fn_t(encode(name, t)[0])
+    def apply(name, t, fn, fn_grad):
+        return encode(name, t, fn, fn_grad)[0]
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         args = (step.data, A.data, B_seq.data, C_seq.data, D.data, u.data)
@@ -525,18 +506,19 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             if states:  # a scan that never calls its hook leaves h to the model's check
                 q["h"].calibrate(np.concatenate(states))
         qh = q["h"]
-        tape = nm.active_tape()
-        if tape is None:
+        if nm.active_tape() is None:
             return nm.Tensor(selective_scan(*args, lambda t, h_pre: quantize_values(h_pre, qh, smooth, out=h_pre)[0],
                                             smooth))
-        kept = ScanKeep.of(p, (u.shape[1], u.shape[0]) + A.shape, tape)
+        shape = (u.shape[1], u.shape[0]) + A.shape
+        spares = p.scan_keeps.setdefault(shape, [])
+        kept = spares.pop() if spares else ScanKeep(shape)
         grid = qh.grid()
 
         def encode_h(t, h_pre):  # v and the codes into the kept buffers, the state in place
             return grid.decode(quantize_codes(h_pre, qh, smooth, kept.v[t], kept.codes[t])[1], out=h_pre)
 
         y = nm.Tensor(selective_scan(*args, encode_h, smooth, kept))
-        nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept))
+        nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept, spares))
         return y
 
     return _block(x, p, cfg, encode, apply, scan, None, "block")
@@ -573,7 +555,7 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
         values, spikes = code(name, t.data)
         return nm.Tensor(values), spikes
 
-    def apply(name, t, fn, fn_grad, fn_t):
+    def apply(name, t, fn, fn_grad):
         return nm.Tensor(p.quantizers[name].grid().read(t.data, fn)[1])
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
@@ -615,13 +597,24 @@ class ForecastModel:
     b_head: nm.Tensor
     mode: str = "ann"
 
+    @staticmethod
+    def head_shapes(cfg: ModelConfig) -> tuple[tuple[int, int], tuple[int]]:
+        """The shapes of ``W_head`` and ``b_head`` under ``cfg``."""
+        return (cfg.history, cfg.horizon), (cfg.horizon,)
+
+    @classmethod
+    def weight_count(cls, cfg: ModelConfig) -> int:
+        """How many weights a model of ``cfg`` holds, from the shapes alone: nothing is allocated."""
+        block = sum(math.prod(s) for s in BlockParams.shapes(cfg).values())
+        return cfg.blocks * block + sum(math.prod(s) for s in cls.head_shapes(cfg))
+
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int = 0) -> "ForecastModel":
         rng = np.random.default_rng(seed)
         blocks = [BlockParams.build(cfg, rng, i) for i in range(cfg.blocks)]
-        W_head = nm.tensor(_uniform(rng, (cfg.history, cfg.horizon), cfg.history),
-                           trainable=True, name="head.W")
-        b_head = nm.tensor(np.zeros(cfg.horizon), trainable=True, name="head.b")
+        w_shape, b_shape = cls.head_shapes(cfg)
+        W_head = nm.tensor(_uniform(rng, w_shape, cfg.history), trainable=True, name="head.W")
+        b_head = nm.tensor(np.zeros(b_shape), trainable=True, name="head.b")
         return cls(cfg=cfg, blocks=blocks, W_head=W_head, b_head=b_head)
 
     def parameters(self) -> list[nm.Tensor]:

@@ -340,21 +340,23 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
         meta = json.loads(raw[12:12 + mlen].decode("utf-8"))
     except ValueError as e:
         raise ValueError(f"metadata is not UTF-8 JSON ({e})") from None
+    off = 12 + mlen
     try:
-        model = _model_from_metadata(meta)
+        cfg = ModelConfig.from_dict(meta["config"])
+        # the payload's length before the model, whose weights the claimed sizes would allocate
+        expected = 4 * ForecastModel.weight_count(cfg)
+        if len(raw) - off < expected:
+            raise ValueError(f"truncated weight payload: {len(raw) - off} of {expected} bytes")
+        if len(raw) - off > expected:
+            raise ValueError(f"{len(raw) - off - expected} trailing bytes after weight payload")
+        model = _model_from_metadata(meta, cfg)
     except KeyError as e:
         raise ValueError(f"metadata is missing key {e}") from None
-    except TypeError as e:
+    except (TypeError, OverflowError) as e:  # OverflowError: a number no float64 or index holds
         raise ValueError(f"malformed metadata ({e})") from None
 
-    off = 12 + mlen
     targets = [w for blk in model.blocks for w in blk.weight_tensors()]
     targets += [model.W_head, model.b_head]
-    expected = 4 * sum(w.data.size for w in targets)
-    if len(raw) - off < expected:
-        raise ValueError(f"truncated weight payload: {len(raw) - off} of {expected} bytes")
-    if len(raw) - off > expected:
-        raise ValueError(f"{len(raw) - off - expected} trailing bytes after weight payload")
     for w in targets:
         arr = np.frombuffer(raw, dtype="<f4", count=w.data.size, offset=off)
         w.data = arr.astype(np.float64).reshape(w.data.shape)
@@ -362,9 +364,9 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
     return model, meta
 
 
-def _model_from_metadata(meta: dict) -> ForecastModel:
-    """The model the metadata describes, with quantizers and sites but no weights."""
-    model = ForecastModel.build(ModelConfig.from_dict(meta["config"]), seed=0)
+def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
+    """The model the metadata and its config ``cfg`` describe, with quantizers and sites but no weights."""
+    model = ForecastModel.build(cfg, seed=0)
     mode, n, bits = meta["mode"], len(model.blocks), model.cfg.bits
     if mode not in ("ann", "snn"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -387,6 +389,9 @@ def _model_from_metadata(meta: dict) -> ForecastModel:
         blk.sites = {s: SpikeSite.from_state(v) for s, v in sstates.items()}
         T = 2 ** bits - 1
         for s, site in blk.sites.items():
+            if blk.quantizers[s].rounding != "floor":  # as convert_to_snn requires
+                raise ValueError(f"spike site block{i}.{s}: its quantizer rounds by "
+                                 f"{blk.quantizers[s].rounding}, a spike site counts by floor")
             if site.T > T:
                 raise ValueError(f"spike site block{i}.{s}: window T={site.T} exceeds the "
                                  f"largest {bits}-bit code {T}")

@@ -1,19 +1,23 @@
 """End-to-end command-line walkthrough against a tiny synthetic series."""
 
+import contextlib
+import io
 import json
 import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spikescan import cli, ssm
 from spikescan.activations import DEVIATION_BOUNDS, verify_deviation_bounds
 from spikescan.dataset import load_csv, make_coupled_sinusoids, write_csv
 from spikescan.spike import threshold_scale
-from spikescan.train import load_checkpoint, save_checkpoint
+from spikescan.train import convert_to_snn, load_checkpoint, save_checkpoint
 
 HISTORY, HORIZON = 8, 2
 
@@ -327,7 +331,7 @@ def test_plot_data_emits_aligned_rows(work):
     assert true0 == pytest.approx(raw.values[t0, var0], abs=1e-9)
     # every row holds the arrays eval scores, window by window and variable by variable
     model, meta = load_checkpoint(str(work / "snn.ckpt"))
-    true, pred = cli._eval_model(model, meta, str(work / "series.csv"), True)
+    true, pred = cli._eval_model(model, meta, str(work / "snn.ckpt"), str(work / "series.csv"), True)
     expected = [[w + HISTORY + 1, j, true[w, 1, j], pred[w, 1, j]]
                 for w in range(n_windows) for j in range(2)]
     lines = out_csv.read_text().splitlines()[1:]
@@ -461,6 +465,15 @@ def test_degenerate_sizes_are_usage_errors(work, setting, key):
     assert f"{key} must be >= 1, got 0" in p.stderr and "Traceback" not in p.stderr
 
 
+def test_a_code_width_over_16_bits_is_a_usage_error(work):
+    """Every code grid holds 2**bits table entries, rebuilt each step for a trainable quantizer."""
+    out = work / "wide.ckpt"
+    p = run("train", "--data", str(work / "series.csv"), "--has-header", "--history", "8", "--horizon", "2",
+            "--bits", "17", "--config", str(work / "train.cfg"), "--out", str(out), expect=2)
+    assert "model config: bits must be <= 16, got 17" in p.stderr and "Traceback" not in p.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("max_epochs = 0\n", "max_epochs must be >= 1, got 0"),
     ("lr = -1\n", "lr must be finite and > 0, got -1"),
@@ -502,3 +515,106 @@ def test_forecast_and_eval_agree_between_modes(work):
         "--has-header", "--out", str(b))
     fa, fb = load_csv(str(a), has_header=True), load_csv(str(b), has_header=True)
     assert np.max(np.abs(fa.values - fb.values)) <= 1e-9
+
+
+# --- mutated checkpoints through the command line ----------------------------------------
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "readme_model.ckpt"
+MUTATED_COMMANDS = {
+    "forecast": ["forecast", "--model", "{ckpt}", "--data", "{csv}", "--has-header", "--out", "{dir}/f.csv"],
+    "eval": ["eval", "--model", "{ckpt}", "--data", "{csv}", "--has-header"],
+    "energy": ["energy", "--model", "{ckpt}", "--data", "{csv}", "--has-header", "--table", "{dir}/energy.cfg",
+               "--limit", "8"],
+    "convert": ["convert", "--in", "{ckpt}", "--out", "{dir}/converted.ckpt"],
+    "verify": ["verify", "--model", "{ckpt}", "--data", "{csv}", "--has-header"],
+}
+BYTE_MUTATIONS = ("flip", "truncate")
+KEY_MUTATIONS = ("drop", "str", "list", "null", "grow", "shrink", "nan", "inf", "huge")
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """A directory with a short series and an energy table, and the bytes of the benchmark
+    fixture (a trained checkpoint) and of its converted copy."""
+    d = tmp_path_factory.mktemp("mutated")
+    ds = make_coupled_sinusoids(n_steps=40, seed=1)
+    write_csv(str(d / "series.csv"), ds.values, ds.columns)
+    (d / "energy.cfg").write_text("e_acc = 0.9e-12\ne_mac = 4.6e-12\ne_shift = 0.15e-12\ne_cmp = 0.1e-12\n")
+    model, meta = load_checkpoint(str(FIXTURE))
+    save_checkpoint(str(d / "snn.ckpt"), convert_to_snn(model), norm=meta["norm"], extra=meta["extra"])
+    return d, {"ann": FIXTURE.read_bytes(), "snn": (d / "snn.ckpt").read_bytes()}
+
+
+def _mutate_key(meta, walk, how) -> None:
+    """Apply ``how`` to the metadata entry ``walk`` leads to: each step picks a key or index of the
+    current object or list (modulo its length); the walk stops at a leaf or an empty container."""
+    parent, key, node = None, None, meta
+    for i in walk:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent, key = node, list(node)[i % len(node)] if isinstance(node, dict) else i % len(node)
+        node = node[key]
+    if parent is None:
+        return
+    if how == "drop":
+        del parent[key]
+    elif how in ("grow", "shrink"):
+        parent[key] = _resized(node, how == "grow")
+    else:
+        parent[key] = {"str": "x", "list": [], "null": None, "nan": float("nan"), "inf": float("inf"),
+                       "huge": 10 ** 400}[how]
+
+
+def _resized(value, grow: bool):
+    """``value`` one size up or down: a list or a string repeats or loses its last entry, a number grows
+    a thousandfold or halves, a bool flips, an object stays."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (list, str)):
+        return value + value[-1:] if grow else value[:-1]
+    if isinstance(value, int):
+        return value * 1000 + 1 if grow else value // 2
+    if isinstance(value, float):
+        return value * 1000 if grow else value / 2
+    return value
+
+
+def _mutated(raw: bytes, how: str, where: int, walk: list[int]) -> bytes:
+    if how == "flip":
+        b = bytearray(raw)
+        b[where // 8 % len(b)] ^= 1 << (where % 8)
+        return bytes(b)
+    if how == "truncate":
+        return raw[:where % len(raw)]
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    _mutate_key(meta, walk, how)
+    blob = json.dumps(meta).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:]
+
+
+@settings(max_examples=800, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=st.sampled_from(["ann", "snn"]), command=st.sampled_from(sorted(MUTATED_COMMANDS)),
+       how=st.sampled_from(BYTE_MUTATIONS + KEY_MUTATIONS), where=st.integers(0, 2 ** 20),
+       walk=st.lists(st.integers(0, 15), min_size=1, max_size=4))
+# a number no float64 holds: a quantizer's step size, a site's threshold and window, the history
+@example(source="ann", command="forecast", how="huge", where=0, walk=[2, 0, 0, 1])
+@example(source="snn", command="eval", how="huge", where=0, walk=[3, 0, 4, 1])
+@example(source="snn", command="verify", how="huge", where=0, walk=[3, 0, 5, 4])
+@example(source="ann", command="convert", how="huge", where=0, walk=[0, 1])
+def test_a_mutated_checkpoint_exits_0_1_or_2_and_names_the_file(mutation_inputs, source, command, how,
+                                                                 where, walk):
+    """Flipped bits, a truncation, or a metadata key dropped, retyped, resized, made non-finite or too
+    large for a float64: every command returns 0, 1 or 2 and raises nothing, and an exit 2 names the
+    checkpoint or the CSV."""
+    d, raw = mutation_inputs
+    ckpt = d / "mutated.ckpt"
+    ckpt.write_bytes(_mutated(raw[source], how, where, walk))
+    argv = [a.format(ckpt=ckpt, csv=d / "series.csv", dir=d) for a in MUTATED_COMMANDS[command]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "mutated.ckpt" in err.getvalue() or "series.csv" in err.getvalue(), err.getvalue()

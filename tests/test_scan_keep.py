@@ -1,10 +1,13 @@
 """The sequences a taped scan keeps for its backward, reused across training steps.
 
-Each block keeps one ``ScanKeep`` per batch shape.  A set is handed out only
-while no live tape whose backward has not run the scan holds it, so pending
-tapes never share buffers, a dropped tape frees its set, and a gradient a
-backward returned never aliases a buffer the next step overwrites.
+Each block keeps a list of spare ``ScanKeep`` sets per batch shape.  A taped
+scan pops one (or builds one) and its backward puts it back, so pending tapes
+never share buffers, a dropped tape's set is collected with it, and a gradient
+a backward returned never aliases a buffer the next step overwrites.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,31 +44,35 @@ def as_bytes(m, g) -> list[bytes]:
     return [g[p].tobytes() if p in g else None for p in m.parameters()]
 
 
-def buffers(keep) -> list[np.ndarray]:
-    return [keep.abar, keep.live, keep.hs, keep.v, keep.codes]
-
-
 def test_two_pending_tapes_get_the_gradients_of_separate_runs():
     m, rng = readme_model()
     (x1, y1), (x2, y2) = batch(rng), batch(rng)
     g1, g2 = grads(m, x1, y1), grads(m, x2, y2)
     tape1, loss1 = taped(m, x1, y1)
-    tape2, loss2 = taped(m, x2, y2)  # the block's set is held by tape1: this one gets fresh buffers
-    assert len(m.blocks[0].scan_keeps) == 1
+    tape2, loss2 = taped(m, x2, y2)  # the block's spare is held by tape1: this one gets fresh buffers
+    [spares] = m.blocks[0].scan_keeps.values()
+    assert spares == []
     assert as_bytes(m, nm.backward(tape2, output=loss2)) == g2
     assert as_bytes(m, nm.backward(tape1, output=loss1)) == g1
+    assert len(spares) == 2 and spares[0] is not spares[1]  # both backwards put their sets back
+    assert grads(m, x1, y1) == g1
 
 
 def test_a_dropped_tape_frees_its_buffers_for_the_next_step():
+    """A tape dropped before its backward takes its set with it: that set is never handed out again,
+    and the next step builds a fresh one with unchanged gradients."""
     m, rng = readme_model()
     (x1, y1), (x2, y2) = batch(rng), batch(rng)
     g2 = grads(m, x2, y2)
-    [keep] = m.blocks[0].scan_keeps.values()
-    kept = buffers(keep)
+    [spares] = m.blocks[0].scan_keeps.values()
+    gone = weakref.ref(spares[0])
     tape, loss = taped(m, x1, y1)
+    assert spares == []
     del tape, loss  # never replayed
+    gc.collect()
+    assert gone() is None
     assert grads(m, x2, y2) == g2
-    assert all(a is b for a, b in zip(buffers(keep), kept))
+    assert len(spares) == 1
 
 
 def test_a_failed_forward_leaves_the_next_step_correct():
@@ -99,18 +106,18 @@ def test_the_last_short_batch_of_an_epoch_keeps_its_own_set():
 
 
 def test_a_warmed_step_reuses_the_same_buffers(monkeypatch):
-    """Also while the replayed tapes are still referenced: the scan's backward releases its set."""
+    """Also while the replayed tapes are still referenced: the scan's backward puts its set back."""
     m, rng = readme_model(blocks=2)
     handed = []
-    of = ssm.ScanKeep.of.__func__
-    monkeypatch.setattr(ssm.ScanKeep, "of", classmethod(lambda cls, *a: handed.append(of(cls, *a)) or handed[-1]))
+    scan_vjp = ssm._scan_vjp
+    monkeypatch.setattr(ssm, "_scan_vjp", lambda *a: handed.append(a[-2]) or scan_vjp(*a))
     held = []
     for _ in range(4):
         tape, loss = taped(m, *batch(rng))
         nm.backward(tape, output=loss)
         held.append(tape)
-    assert all(len(blk.scan_keeps) == 1 for blk in m.blocks)
-    kept = [keep for blk in m.blocks for keep in blk.scan_keeps.values()]
+    assert all(len(spares) == 1 for blk in m.blocks for spares in blk.scan_keeps.values())
+    kept = [spares[0] for blk in m.blocks for spares in blk.scan_keeps.values()]
     assert handed == kept * 4  # each step, block by block, the block's own set
 
 

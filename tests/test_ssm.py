@@ -1,5 +1,6 @@
 """Selective-scan block: dense oracles, conversion equivalence, gradients."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -542,9 +543,9 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         if name in names:  # delta_int and x_res quantize in both modes
             drives[mode].setdefault(name, []).append(pre.copy())  # the scan may reuse h's array
 
-    def ann_site(t, q, smooth=False, out=None):
+    def ann_site(t, q, smooth=False, out=None, fn=None, fn_grad=None):
         record("ann", q.name, t.data)
-        return quantize(t, q, smooth, out=out)
+        return quantize(t, q, smooth, out, fn, fn_grad)
 
     def ann_state(v, q, smooth=False, out=None):  # the scan's per-step h hook, off the tape
         record("ann", q.name, v)
@@ -595,7 +596,8 @@ def readme_model() -> tuple[ForecastModel, np.ndarray]:
 
 def test_only_a_taped_forward_records_backward_closures(monkeypatch):
     """Off the tape the primitives return before they build a closure or call ``record_op``; a taped
-    README step records its 27 ops through it, so a wrapped ``record_op`` still sees every one."""
+    README step records its 27 ops through it, so a wrapped ``record_op`` still sees every one.  Under
+    ``smooth`` the gate and the step's softplus stay one ``quantize`` op each, computed, not read."""
     recorded = []
     record_op = nm.record_op
 
@@ -607,9 +609,11 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
     m, x = readme_model()
     m.forward(x)
     assert recorded == []
-    with nm.GradTape() as tape:
-        nm.mse(m.forward(x), nm.tensor(np.zeros((64, 3, 2))))
-    assert len(recorded) == len(tape) == 27
+    for smooth in (True, False):
+        recorded.clear()
+        with nm.GradTape() as tape:
+            nm.mse(m.forward(x, smooth=smooth), nm.tensor(np.zeros((64, 3, 2))))
+        assert len(recorded) == len(tape) == 27, smooth
     convert_to_snn(m)
     m.forward(x)
     m.forward(x[:1])
@@ -686,25 +690,27 @@ def test_a_changed_quantizer_rebuilds_its_table():
                                                 activations.pow2_softplus_t)])
 @pytest.mark.parametrize("frozen", [False, True])
 def test_a_taped_activation_from_tables_is_the_two_ops_bit_for_bit(fn, fn_grad, fn_t, frozen):
-    """In training the gate and the step's softplus are one tape op reading value and slope from the
-    grid's tables: its value and gradients are those of the quantizer and the activation taped as two
-    ops, a drive with NaN included (it takes the arithmetic), and a frozen step size gets none."""
+    """In training the gate and the step's softplus are one ``quantize`` op reading value and slope
+    from the grid's tables: its value and gradients are those of the quantizer and the activation taped
+    as two ops, a drive with NaN included (it takes the arithmetic), and so is the ``smooth``
+    surrogate's (all arithmetic); a frozen step size gets none."""
     rng = np.random.default_rng(5)
     q = Quantizer(bits=2, alpha=nm.Tensor(0.6, trainable=not frozen), beta=-0.2, rounding="nearest")
-    for nan in (False, True):
+    for smooth, nan in itertools.product((False, True), repeat=2):
         x = 2.0 * rng.normal(size=(3, 7, 5))
         if nan:
             x[1, 2, 3] = np.nan
         g = rng.normal(size=x.shape)
         got = []
-        for op in (lambda t: ssm._activation_t(t, q, fn, fn_grad), lambda t: fn_t(quantize.quantize(t, q))):
+        for op in (lambda t: quantize.quantize(t, q, smooth, fn=fn, fn_grad=fn_grad),
+                   lambda t: fn_t(quantize.quantize(t, q, smooth))):
             t = nm.tensor(x, trainable=True)
             with nm.GradTape() as tape:
                 out = op(t)
             grads = nm.backward(tape, loss_grad=g, output=out)
             got.append([out.data.tobytes()] + [grads[p].tobytes() if p in grads else None
                                                for p in (t, q.alpha, q.beta)])
-        assert got[0] == got[1]
+        assert got[0] == got[1], (smooth, nan)
         assert (got[0][2] is None) == frozen
 
 

@@ -604,17 +604,22 @@ def _site_scale(meta):
     meta["sites"][0]["y"]["scale"] *= 2
 
 
+def _short(value) -> str:
+    """``value`` for a test id; ``10 ** 400`` is 401 digits."""
+    return "huge" if value == 10 ** 400 else str(value)
+
+
 def _set(group, site, key, value):
     def change(meta):
         meta[group][0][site][key] = value
-    change.__name__ = f"_{key}_{value}"
+    change.__name__ = f"_{key}_{_short(value)}"
     return change
 
 
 def _config(key, value):
     def change(meta):
         meta["config"][key] = value
-    change.__name__ = f"_config_{key}_{value}"
+    change.__name__ = f"_config_{key}_{_short(value)}"
     return change
 
 
@@ -638,12 +643,37 @@ def _config(key, value):
     (_config("delta_rank", 0), "model config: delta_rank must be >= 1, got 0"),
     (_config("blocks", 0), "model config: blocks must be >= 1, got 0"),
     (_config("bits", 0), "model config: bits must be >= 1, got 0"),
+    (_config("bits", 17), "model config: bits must be <= 16, got 17"),
+    (_config("rmsnorm_eps", "x"), "model config: rmsnorm_eps must be a finite number > 0, got 'x'"),
+    (_config("rmsnorm_eps", -1.0), "model config: rmsnorm_eps must be a finite number > 0, got -1.0"),
+    (_config("rmsnorm_eps", 10 ** 400), "model config: rmsnorm_eps must be a finite number > 0, got 1000"),
+    (_config("history", 10 ** 400), r"truncated weight payload: \d+ of \d{400,} bytes"),
+    (_set("quantizers", "h", "alpha", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
+    (_set("sites", "conv", "theta", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
+    (_set("sites", "y", "T", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
+    (_set("quantizers", "x_in", "rounding", "nearest"),
+     "spike site block0.x_in: its quantizer rounds by nearest, a spike site counts by floor"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
     p = d / "bad.ckpt"
     p.write_bytes(with_metadata(raw, change))
     with pytest.raises(ValueError, match=r"bad\.ckpt: " + defect):
+        load_checkpoint(str(p))
+
+
+def test_the_payload_length_is_checked_before_the_model_is_built(small_ckpt, monkeypatch):
+    """Metadata that claims a million channels fails on the payload length, from the config's shapes
+    alone: the loader never allocates the weights it claims."""
+    d, raw = small_ckpt
+    p = d / "huge.ckpt"
+    p.write_bytes(with_metadata(raw, _config("d_hidden", 10 ** 6)))
+
+    def build(*args, **kwargs):
+        raise AssertionError("the model was built before its payload length was checked")
+
+    monkeypatch.setattr(ForecastModel, "build", build)
+    with pytest.raises(ValueError, match=r"huge\.ckpt: truncated weight payload: \d+ of \d{8,} bytes"):
         load_checkpoint(str(p))
 
 
