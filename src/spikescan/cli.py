@@ -13,7 +13,7 @@ import numpy as np
 
 from .activations import DEVIATION_BOUNDS, branch_continuity_gaps, verify_deviation_bounds
 from .dataset import SeriesDataset, WindowSplits, denormalize, load_csv, make_windows, write_csv
-from .energy import EnergyTable, compare_ann_energy, profile
+from .energy import EnergyTable, OpCounters, compare_ann_energy, profile
 from .metrics import r2, rrse
 from .spike import SpikeSite, simulate_if
 from .ssm import ForecastModel, ModelConfig, field_types
@@ -26,6 +26,7 @@ TRAIN_KEYS = field_types(TrainConfig)
 SPLIT_KEYS = {"split_train": float, "split_val": float, "split_test": float}
 ENERGY_KEYS = field_types(EnergyTable)
 ALL_KEYS = {**MODEL_KEYS, **TRAIN_KEYS, **SPLIT_KEYS, **ENERGY_KEYS}
+BATCH = 256  # windows per forward, so a command's memory does not grow with the CSV
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
@@ -61,8 +62,8 @@ def _split_from(cfg: dict) -> tuple[float, float, float]:
     return (cfg.get("split_train", 0.7), cfg.get("split_val", 0.1), cfg.get("split_test", 0.2))
 
 
-def _predict(model: ForecastModel, x: np.ndarray, batch: int = 256) -> np.ndarray:
-    outs = [model.forward(x[i:i + batch]).data for i in range(0, x.shape[0], batch)]
+def _predict(model: ForecastModel, x: np.ndarray) -> np.ndarray:
+    outs = [model.forward(x[i:i + BATCH]).data for i in range(0, x.shape[0], BATCH)]
     return np.concatenate(outs, axis=0)
 
 
@@ -208,7 +209,9 @@ def cmd_energy(args) -> int:
     table = EnergyTable.from_config(load_config(args.table))
     splits = _checkpoint_windows(model, meta, args.model, args.data, args.has_header)
     x = splits.x_train if args.limit is None else splits.x_train[:args.limit]
-    report = profile(model, x, table)
+    counters = OpCounters()
+    for i in range(0, x.shape[0], BATCH):  # each report prices every batch so far
+        report = profile(model, x[i:i + BATCH], table, counters)
     print(report.to_text())
     if args.compare:
         print()

@@ -3,11 +3,16 @@
 Rows are time steps, columns are variables.  Splits are chronological with
 no shuffling across boundaries, and z-score statistics come from the rows
 the training windows touch, never from validation or test rows.
+
+A CSV is read once, as UTF-8.  A plain numeric file is parsed by numpy's C
+reader; any other file takes ``parse_csv``, the ``csv.reader`` and ``float``
+path, which alone names a defect.  Both give the same values and columns.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -30,12 +35,76 @@ class SeriesDataset:
             raise ValueError(f"{len(self.columns)} column names for {self.values.shape[1]} variables")
 
 
+# ASCII separators that numpy's reader strips around a number as whitespace, and float does not
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
-    """Read a numeric CSV, skipping blank rows; the first defect is named by row
-    and column, in the order ``_raise_first_defect`` states.  A header must
-    name as many columns as data row 0 has cells."""
-    with open(path, newline="") as f:
-        rows = [row for row in csv.reader(f) if "".join(row).strip()]
+    """Read a numeric CSV as UTF-8 text.  A plain file is parsed by numpy's C
+    reader; any other goes to ``parse_csv``, which gives the same values and
+    names the first defect."""
+    text = _read_utf8(path)
+    plain = _parse_plain(text, has_header)
+    return plain if plain is not None else parse_csv(path, text, has_header)
+
+
+def _read_utf8(path: str) -> str:
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: not UTF-8 text: byte 0x{raw[e.start]:02x} at offset {e.start} "
+                         f"(line {line}): {e.reason}") from None
+
+
+def _parse_plain(text: str, has_header: bool) -> SeriesDataset | None:
+    """The series numpy's C reader reads from ``text``, or None for a file
+    that only ``parse_csv`` reads right.
+
+    The reader ends a line at LF or CRLF and fails on a CR inside one, skips
+    only empty lines, takes no quote, and converts a cell with the function
+    ``float`` calls, so it fails on underscores and non-ASCII digits.  It
+    strips the ASCII separators as whitespace, which ``float`` does not, so
+    a file holding one goes to the csv path.  Non-finite cells, a header
+    whose width differs from the data's, and a header that is quoted or
+    split by a lone CR go there too, to be named.
+    """
+    if any(c in text for c in _SEPARATORS):
+        return None
+    lines = text.split("\n")
+    columns: list[str] = []
+    if has_header:  # the first line with a non-blank cell; the blank ones before it are skipped
+        k = next((k for k, line in enumerate(lines) if line.replace(",", "").strip()), None)
+        if k is None:
+            return None
+        header = lines[k].removesuffix("\r")
+        if '"' in header or "\r" in header:
+            return None
+        columns = [c.strip() for c in header.split(",")]
+        del lines[:k + 1]
+    if not any(map(str.strip, lines)):  # the reader warns on input with no data line
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(data).all() or (has_header and len(columns) != data.shape[1]):
+        return None
+    return SeriesDataset(values=data, columns=columns)
+
+
+def parse_csv(path: str, text: str, has_header: bool = False) -> SeriesDataset:
+    """Parse CSV ``text``, read from ``path``, with ``csv.reader`` and ``float``,
+    skipping blank rows; the first defect is named by row and column, in the
+    order ``_raise_first_defect`` states.  A header must name as many columns
+    as data row 0 has cells."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [row for row in reader if "".join(row).strip()]
+    except csv.Error as e:  # a field longer than csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     columns: list[str] = []
@@ -64,7 +133,7 @@ def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
 
 def _raise_first_defect(path: str, rows: list[list[str]], width: int) -> None:
     """Raise for the first ragged row or non-numeric cell in file order, the
-    width before the cells within a row; ``load_csv`` calls it only after its
+    width before the cells within a row; ``parse_csv`` calls it only after its
     parse failed, and reports a non-finite cell only once every cell parses."""
     for i, row in enumerate(rows):
         if len(row) != width:

@@ -37,6 +37,7 @@ class OpCounters:
     def __init__(self):
         self.layers: dict[str, dict[str, int]] = {}
         self.sites: dict[str, dict[str, int]] = {}
+        self.windows = 0  # windows profiled so far; an error names a window by its place in the run
 
     def add(self, layer: str, **kinds: int) -> None:
         row = self.layers.get(layer)
@@ -56,7 +57,7 @@ class OpCounters:
         try:
             spikes = int(counts.sum())
         except ValueError:  # NaN counts: a window overflowed upstream of this site
-            w = int(np.isnan(counts.reshape(len(counts), -1)).any(axis=1).argmax())
+            w = self.windows + int(np.isnan(counts.reshape(len(counts), -1)).any(axis=1).argmax())
             raise ValueError(f"spike site {site}: window {w} has NaN spike counts "
                              "(its values overflowed before the site)") from None
         rec = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": int(T)})
@@ -160,6 +161,7 @@ def profile(model: ForecastModel, x: np.ndarray, table: EnergyTable,
         raise RuntimeError("energy profiling requires a converted (snn-mode) model")
     ct = counters if counters is not None else OpCounters()
     model.forward(x, counters=ct)
+    ct.windows += len(x)
     per_layer = {layer: table.cost(row) for layer, row in ct.layers.items()}
     return EnergyReport(
         total_joules=sum(per_layer.values()),

@@ -315,8 +315,9 @@ def load_checkpoint(path: str) -> tuple[ForecastModel, dict]:
     """Rebuild a model from ``save_checkpoint`` output.
 
     Returns (model, metadata); metadata keeps the ``norm`` and ``extra``
-    entries the checkpoint was saved with.  A malformed file raises
-    ``ValueError`` naming the file and the defect.
+    entries the checkpoint was saved with.  A malformed file, or one holding
+    a NaN or infinite weight, raises ``ValueError`` naming the file and the
+    defect.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -359,6 +360,10 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
     targets += [model.W_head, model.b_head]
     for w in targets:
         arr = np.frombuffer(raw, dtype="<f4", count=w.data.size, offset=off)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"non-finite weight {arr[i]} in {w.name} at flat index {i}")
         w.data = arr.astype(np.float64).reshape(w.data.shape)
         off += w.data.size * 4
     return model, meta

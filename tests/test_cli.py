@@ -433,6 +433,39 @@ def test_non_finite_data_is_a_usage_error(work):
     assert "non-finite cell 'nan' at row 20, column 1" in p.stderr
 
 
+def test_a_csv_that_is_not_utf8_is_named(work, capsys):
+    (work / "latin.csv").write_bytes(b"s1,s2\n" + b"0.5,0.25\n" * 20 + b"0.5,\xff\n")
+    assert cli.main(["eval", "--model", str(work / "snn.ckpt"), "--data", str(work / "latin.csv"),
+                     "--has-header"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {work / 'latin.csv'}: not UTF-8 text: byte 0xff at offset 190 (line 22)" in err
+
+
+def test_energy_profiles_in_batches_and_reports_as_one_call(work, monkeypatch, capsys):
+    """On a CSV of 591 windows, ``energy`` runs no forward on more than 256 windows, and its text and
+    ``--out`` file are those of one ``profile`` call on every window."""
+    ds = make_coupled_sinusoids(n_steps=600, seed=5)
+    write_csv(str(work / "long.csv"), ds.values, ds.columns)
+    batches = []
+    forward = ssm.block_forward_snn
+
+    def counted(x, *args, **kw):
+        batches.append(len(x))
+        return forward(x, *args, **kw)
+
+    def energy(out: str, batch: int) -> tuple[str, str]:
+        monkeypatch.setattr(cli, "BATCH", batch)
+        assert cli.main(["energy", "--model", str(work / "snn.ckpt"), "--data", str(work / "long.csv"),
+                         "--has-header", "--table", str(work / "energy.cfg"), "--compare",
+                         "--out", str(work / out)]) == 0
+        return capsys.readouterr().out.replace(str(work / out), "OUT"), (work / out).read_text()
+
+    one = energy("one.kv", 10 ** 6)
+    monkeypatch.setattr(ssm, "block_forward_snn", counted)
+    assert energy("batched.kv", 256) == one
+    assert batches == [256, 256, 79]
+
+
 @pytest.mark.parametrize("command", ["forecast", "eval", "verify"])
 def test_csv_with_the_wrong_column_count_is_a_usage_error(work, command):
     (work / "three.csv").write_text("s1,s2,s3\n" + "0.5,0.25,0.125\n" * 20)
@@ -543,6 +576,18 @@ def mutation_inputs(tmp_path_factory):
     model, meta = load_checkpoint(str(FIXTURE))
     save_checkpoint(str(d / "snn.ckpt"), convert_to_snn(model), norm=meta["norm"], extra=meta["extra"])
     return d, {"ann": FIXTURE.read_bytes(), "snn": (d / "snn.ckpt").read_bytes()}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_head_weight_in_the_fixture_is_a_usage_error(mutation_inputs, capsys, value):
+    """The fixture's last float32 is ``head.b[2]``: made NaN or inf, ``forecast`` exits 2 and names it."""
+    d, raw = mutation_inputs
+    ckpt = d / "nonfinite.ckpt"
+    ckpt.write_bytes(raw["ann"][:-4] + struct.pack("<f", value))
+    assert cli.main(["forecast", "--model", str(ckpt), "--data", str(d / "series.csv"), "--has-header",
+                     "--out", str(d / "nf.csv")]) == 2
+    assert f"error: {ckpt}: non-finite weight {value} in head.b at flat index 2" in capsys.readouterr().err
+    assert not (d / "nf.csv").exists()
 
 
 def _mutate_key(meta, walk, how) -> None:

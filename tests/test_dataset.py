@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikescan import dataset
 from spikescan.dataset import (SeriesDataset, denormalize, load_csv,
                                make_coupled_sinusoids, make_windows,
-                               normalization_stats, window_count, write_csv)
+                               normalization_stats, parse_csv, window_count, write_csv)
 from spikescan.metrics import r2, rrse
 
 
@@ -221,6 +222,94 @@ def test_csv_cells_parse_like_float_bit_for_bit(tmp_path_factory, data, rows, wi
     assert ds.values.shape == (rows, width) and ds.values.dtype == np.float64
     assert ds.values.tobytes() == expect.tobytes()
     assert ds.columns == ([n.strip() for n in names] if has_header else [f"v{j}" for j in range(width)])
+
+
+PLAIN_NUMBER = st.one_of(st.builds(repr, FINITE),
+                        st.builds("{:.10g}".format, FINITE.filter(lambda x: abs(x) <= 1e308)))
+PLAIN_CELLS = st.builds(lambda left, text, right: left + text + right, PAD, PLAIN_NUMBER, PAD)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), rows=st.integers(1, 5), width=st.integers(1, 4), has_header=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans())
+def test_plain_files_load_like_the_csv_path(tmp_path_factory, data, rows, width, has_header, newline,
+                                            final_newline):
+    """A plain file takes numpy's reader and gives the bytes and columns of ``parse_csv``."""
+    lines = [",".join(data.draw(st.lists(PLAIN_CELLS, min_size=width, max_size=width)))
+             for _ in range(rows)]
+    if has_header:
+        lines.insert(0, ",".join(f" c{j} " for j in range(width)))
+    for k in sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(k, "")
+    text = newline.join(lines) + (newline if final_newline else "")
+    p = tmp_path_factory.mktemp("plain") / "p.csv"
+    p.write_bytes(text.encode())
+    assert dataset._parse_plain(text, has_header) is not None
+    ds, ref = load_csv(str(p), has_header=has_header), parse_csv(str(p), text, has_header)
+    assert ds.values.shape == ref.values.shape == (rows, width)
+    assert ds.values.tobytes() == ref.values.tobytes()
+    assert ds.columns == ref.columns
+
+
+V = ["v0", "v1"]
+
+
+@pytest.mark.parametrize("text, has_header, expect", [
+    ('"1.5",2\n3,4\n', False, ([[1.5, 2.0], [3.0, 4.0]], V)),
+    ("1_0,2\n", False, ([[10.0, 2.0]], V)),
+    ("\uff11,2\n", False, ([[1.0, 2.0]], V)),  # a full-width digit
+    ("1,2\n \t\n3,4\n", False, ([[1.0, 2.0], [3.0, 4.0]], V)),
+    ("1,2\n,\n3,4\n", False, ([[1.0, 2.0], [3.0, 4.0]], V)),
+    ("1,2\r3,4\r", False, ([[1.0, 2.0], [3.0, 4.0]], V)),
+    ("a,b\r1,2\n", True, ([[1.0, 2.0]], ["a", "b"])),  # a lone CR ends the header
+    ('"a,b",c\n1,2\n', True, ([[1.0, 2.0]], ["a,b", "c"])),
+    ("1,2\nnan,3\n", False, "non-finite cell 'nan' at row 1, column 0"),
+    ("1,2\n3, inf\n", False, "non-finite cell 'inf' at row 1, column 1"),
+    ("1,2\n3\n", False, "row 1 has 1 cells, expected 2"),
+    ("1,2#x\n", False, "non-numeric cell '2#x' at row 0, column 1"),
+    # float strips no ASCII file separator, which numpy's reader takes for whitespace
+    ("1\x1c,2\n", False, "non-numeric cell '1' at row 0, column 0"),
+    ("a,b\n1,2,3\n", True, "header has 2 names, data row 0 has 3 cells"),
+    ("", False, "no data rows"),
+    ("\r\n", False, "no data rows"),
+    ("a,b\r\n", True, "header only, no data rows"),
+])
+def test_files_that_are_not_plain_take_the_csv_path(tmp_path, text, has_header, expect):
+    p = tmp_path / "f.csv"
+    p.write_bytes(text.encode())
+    assert dataset._parse_plain(text, has_header) is None
+    if isinstance(expect, str):
+        assert load_error(p, has_header) == f"{p}: {expect}"
+    else:
+        ds = load_csv(str(p), has_header=has_header)
+        assert (ds.values.tolist(), ds.columns) == expect and ds.values.dtype == np.float64
+
+
+def test_only_a_file_that_is_not_plain_reaches_the_csv_reader(tmp_path, monkeypatch):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("a,b\r\n1,2\r\n3,4\r\n")
+    quoted.write_text('a,b\n"1",2\n3,4\n')
+    assert load_csv(str(quoted), has_header=True).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(dataset.csv, "reader", refuse)
+    ds = load_csv(str(plain), has_header=True)
+    assert ds.columns == ["a", "b"] and ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        load_csv(str(quoted), has_header=True)
+
+
+def test_a_field_over_the_csv_size_limit_is_a_value_error(tmp_path):
+    """A numeric cell of 200 000 digits loads when the file is plain; quoted, ``csv.reader``
+    refuses it, and the refusal names the file and the line."""
+    digits = "0" * 199_999 + "1"
+    p = tmp_path / "long.csv"
+    p.write_text(f"1,2\n3,{digits}\n")
+    assert load_csv(str(p)).values.tolist() == [[1.0, 2.0], [3.0, 1.0]]
+    p.write_text(f'1,2\n3,"{digits}"\n')
+    assert load_error(p).startswith(f"{p}: line 2: field larger than field limit")
 
 
 def test_csv_header_with_a_comma_round_trips(tmp_path):

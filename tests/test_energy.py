@@ -236,6 +236,21 @@ def test_a_window_that_overflows_to_nan_names_its_site_and_window(batch, window)
         profile(m, x[5:6] if batch == 1 else x, TABLE)
 
 
+def test_a_batch_after_the_first_names_the_window_by_its_place_in_the_run():
+    """One ``OpCounters`` over batches of 100: the overflowing window 205 is named 205, not 5."""
+    m, _ = snn_model(seed=3)
+    x = np.random.default_rng(3).normal(size=(256, m.cfg.history, m.cfg.d_value))
+    x[205, 2] = 1.7e308
+    m.blocks[0].g_norm.data[:] = 4.0
+    ct = OpCounters()
+    profile(m, x[:100], TABLE, ct)
+    profile(m, x[100:200], TABLE, ct)
+    assert ct.windows == 200
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"^spike site block0\.x_in: window 205 has NaN spike counts"):
+        profile(m, x[200:], TABLE, ct)
+
+
 def test_analytic_counts_scale_with_batch():
     cfg = ModelConfig(d_value=2, history=8, horizon=2, d_hidden=4)
     one = ann_op_counts(cfg, batch=1).totals()

@@ -677,6 +677,25 @@ def test_the_payload_length_is_checked_before_the_model_is_built(small_ckpt, mon
         load_checkpoint(str(p))
 
 
+@pytest.mark.parametrize("tensor, index", [("block0.W", 5), ("head.b", 2)])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_weight_is_refused_at_load(tmp_path, tensor, index, value):
+    """The fixture with one float32 of a block weight or the head set non-finite: the loader names
+    the file, the tensor and the entry."""
+    raw = bytearray(FIXTURE.read_bytes())
+    m, _ = load_checkpoint(str(FIXTURE))
+    weights = [w for blk in m.blocks for w in blk.weight_tensors()] + [m.W_head, m.b_head]
+    names = [w.name for w in weights]
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    before = sum(w.data.size for w in weights[:names.index(tensor)])
+    struct.pack_into("<f", raw, 12 + mlen + 4 * (before + index), value)
+    p = tmp_path / "nonfinite.ckpt"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(str(p))
+    assert str(e.value) == f"{p}: non-finite weight {value} in {tensor} at flat index {index}"
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(bits=st.integers(1, 4), blocks=st.integers(1, 3), data=st.data())
