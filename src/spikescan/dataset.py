@@ -198,8 +198,8 @@ def make_windows(ds: SeriesDataset, history: int, horizon: int,
     M = window_count(rows, history, horizon)
     if M <= 0:
         raise ValueError(f"series has {rows} rows; need at least history + horizon = {history + horizon}")
-    if any(r < 0 for r in split) or sum(split) > 1.0 + 1e-9:
-        raise ValueError(f"split ratios must be nonnegative and sum to at most 1, got {split}")
+    if not (all(0 <= r < math.inf for r in split) and sum(split) <= 1.0 + 1e-9):
+        raise ValueError(f"split ratios must be finite, nonnegative and sum to at most 1, got {split}")
     n_tr = math.floor(split[0] * M)
     n_va = math.floor(split[1] * M)
     n_te = math.floor(split[2] * M)

@@ -96,8 +96,9 @@ class EnergyTable:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"energy table entry {f.name} must be >= 0")
+            v = getattr(self, f.name)
+            if not 0 <= v < np.inf:
+                raise ValueError(f"energy table entry {f.name} must be finite and >= 0, got {v}")
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, object]) -> "EnergyTable":

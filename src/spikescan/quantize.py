@@ -5,8 +5,8 @@ an offset, and decodes a code back:
 
     code = clip(round((x - offset) / theta), 0, T),    value = offset + theta * code
 
-One pair of helpers, ``_codes`` and ``_decode``, runs that arithmetic for every
-grid and quantizer, under one of two rounding rules:
+``_codes`` and ``CodeGrid.decode`` run that arithmetic for every grid and
+quantizer, under one of two rounding rules:
 
 * ``nearest``: ``round_half_up``, ``floor(v + 0.5)`` (explicit quantization
   sites); under the clip it is round half away from zero except that a
@@ -21,10 +21,14 @@ A ``Quantizer`` owns a trainable step size ``alpha`` and offset ``beta`` over
 thresholds (``bisect_thresholds``) and a larger one by the arithmetic, bit for
 bit alike, and reads their values, or an activation of them, from one table.
 
-Backward is straight-through: gradients pass where the code was not clipped,
-``alpha`` receives the learned-step-size rule (code - v inside the range, the
-clip code outside), and ``beta`` collects gradient on clipped entries only;
-a frozen step size or offset gets no pass at all (``quantize``, the one taped op).
+Every real-arithmetic quantization, taped (``quantize``) or not, codes by
+``quantize_codes`` with its quantizer grid's operands and decodes by that grid.
+
+Backward is straight-through, one rule for ``ste_backward`` and the scan's
+``h`` site: gradients pass where the code was not clipped (``clip_mask``,
+``pass_through``), ``alpha`` receives the learned-step-size rule (``lsq_terms``:
+code - v inside the range, the clip code outside), and ``beta`` collects
+gradient on clipped entries only; a frozen step size or offset gets no pass.
 """
 
 from __future__ import annotations
@@ -103,12 +107,6 @@ def _codes(x: np.ndarray, step: np.ndarray, offset: np.ndarray, rule, top: np.nd
     return v, clip_inplace(rule(v, out=out if codes_out is None else codes_out), nm.ZERO, top)
 
 
-def _decode(codes: np.ndarray, step, offset, out: np.ndarray | None = None) -> np.ndarray:
-    """``offset + step * codes``, into ``out`` when given (``codes`` itself may be)."""
-    v = np.multiply(codes, step, out=out)
-    return np.add(v, offset, out=v)
-
-
 def _key_values(keys: np.ndarray) -> np.ndarray:
     """The float64 values of order keys."""
     return np.where(keys & _SIGN, keys & ~_SIGN, ~keys).view(np.float64)
@@ -158,7 +156,8 @@ class CodeGrid:
 
     def decode(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``offset + theta * codes``, into ``out`` when given (``codes`` itself may be)."""
-        return _decode(codes, self._theta, self._offset, out)
+        v = np.multiply(codes, self._theta, out=out)
+        return np.add(v, self._offset, out=v)
 
     def thresholds(self) -> np.ndarray:
         """``tau_k`` for k = 1..T: the least float64 whose code is k or more."""
@@ -261,11 +260,16 @@ class Quantizer:
         self.beta = nm.Tensor(float(value), trainable=self.beta.trainable, name=f"{self.name}.beta")
 
     def grid(self) -> CodeGrid:
-        """The grid of the current step, offset, bits and rounding, rebuilt (and checked) on a change."""
-        key = None if self.alpha is None else float(self.alpha.data), float(self.beta.data), self.bits, self.rounding
+        """The grid of the current step, offset, bits and rounding, rebuilt (and checked) on a change of
+        their bytes: an offset turning from +0.0 to -0.0 changes ``x - offset`` at a zero ``x``."""
+        if self.alpha is None:
+            raise RuntimeError(f"quantizer {self.name} used before calibration")
+        key = self.alpha.data.tobytes(), self.beta.data.tobytes(), self.bits, self.rounding
         if self._grid is None or self._grid[0] != key:
-            a, b = _check_usable(self)
-            self._grid = key, CodeGrid(self.name, float(a), float(b), self.code_max, self.rounding)
+            a = float(self.alpha.data)
+            if a <= 0:
+                raise ValueError(f"quantizer {self.name}: step size must be positive, got {a}")
+            self._grid = key, CodeGrid(self.name, a, float(self.beta.data), self.code_max, self.rounding)
         return self._grid[1]
 
     def calibrate(self, x: np.ndarray) -> None:
@@ -313,21 +317,7 @@ class QuantizeContext:
 
     v: np.ndarray
     codes: np.ndarray
-    clipped: np.ndarray  # v outside [0, code_max]
-
-
-@functools.cache
-def _code_max_operand(bits: int) -> np.ndarray:
-    return nm.operand(2 ** bits - 1)
-
-
-def _check_usable(q: Quantizer) -> tuple[np.ndarray, np.ndarray]:
-    """``q``'s step size and offset as the 0-d arrays its tensors hold."""
-    if not q.initialized:
-        raise RuntimeError(f"quantizer {q.name} used before calibration")
-    if float(q.alpha.data) <= 0:
-        raise ValueError(f"quantizer {q.name}: step size must be positive, got {float(q.alpha.data)}")
-    return q.alpha.data, q.beta.data
+    top: int  # the grid's top code T
 
 
 def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
@@ -341,31 +331,47 @@ def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
     so ``v`` and ``codes`` are overwritten: all three results are ``out``.
     """
     v, codes = quantize_codes(x, q, smooth, out)
-    return _decode(codes, q.alpha.data, q.beta.data, out), v, codes
+    return q.grid().decode(codes, out), v, codes
 
 
 def quantize_codes(x: np.ndarray, q: Quantizer, smooth: bool = False, out: np.ndarray | None = None,
                    codes_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``v = (x - beta) / alpha`` and its codes ``clip(round(v), 0, code_max)``, which
-    ``quantize_values`` decodes; with ``out`` (``x`` itself may be) both are ``out``, unless
-    ``codes_out`` takes the codes."""
-    a, b = _check_usable(q)
+    ``quantize_values`` decodes, with the operands of ``q``'s grid; with ``out`` (``x`` itself
+    may be) both are ``out``, unless ``codes_out`` takes the codes."""
+    g = q.grid()
     rule = np.positive if smooth else _ROUNDING[q.rounding]  # smooth: no rounding, the identity ufunc
-    return _codes(np.asanyarray(x, dtype=np.float64), a, b, rule, _code_max_operand(q.bits), out, codes_out)
-
-
-def quantize_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> QuantizeContext:
-    """``v``, the codes and the clip mask of ``x`` through ``q``: the context ``ste_backward`` reads."""
-    v, codes = quantize_codes(x, q, smooth)
-    clipped = v < 0
-    clipped |= v > q.code_max
-    return QuantizeContext(v=v, codes=codes, clipped=clipped)
+    return _codes(np.asanyarray(x, dtype=np.float64), g._theta, g._offset, rule, g._T, out, codes_out)
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:
-    """``quantize_values`` plus the clip mask: the output and the context ``ste_backward`` reads."""
-    ctx = quantize_context(x, q, smooth)
-    return _decode(ctx.codes, q.alpha.data, q.beta.data), ctx
+    """``quantize_values`` plus the context ``ste_backward`` reads."""
+    ctx = QuantizeContext(*quantize_codes(x, q, smooth), q.code_max)
+    return q.grid().decode(ctx.codes), ctx
+
+
+def clip_mask(v: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``v`` lies outside [0, top] (``clipped``; a NaN is not), and ``passed``: words that keep a
+    float64's bits where an entry is not clipped and clear them where it is, which ``pass_through``
+    ANDs in without the branch per entry that makes ``where`` slow on a mask clipping half at random."""
+    clipped = v < 0
+    clipped |= v > top
+    passed = clipped.astype(np.uint64)
+    passed -= 1  # 1 -> 0, 0 -> all ones
+    return clipped, passed
+
+
+def pass_through(x: np.ndarray, passed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.where(clipped, 0.0, x)`` bit for bit, into ``out`` when given (``x`` itself may be)."""
+    bits = np.bitwise_and(x.view(np.uint64), passed, out=None if out is None else out.view(np.uint64))
+    return bits.view(np.float64)
+
+
+def lsq_terms(v: np.ndarray, codes: np.ndarray, passed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each entry's learned-step-size term, ``np.where(clipped, codes, codes - v)`` bit for bit (a clipped
+    ``v`` passes as +0.0, and ``code - (+0.0)`` is ``code``), into ``out`` when given (``v`` may be)."""
+    kept = pass_through(v, passed, out)
+    return np.subtract(codes, kept, out=kept)
 
 
 def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext, alpha: bool = True,
@@ -379,16 +385,12 @@ def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext, alpha: bool = True,
         raise ValueError("ste_backward called without a saved forward context")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != ctx.v.shape:
-        raise ValueError(
-            f"ste_backward: grad shape {grad_out.shape} does not match forward shape {ctx.v.shape}"
-        )
-    clipped = ctx.clipped
-    grad_x = np.where(clipped, 0.0, grad_out)
+        raise ValueError(f"ste_backward: grad shape {grad_out.shape} does not match forward shape {ctx.v.shape}")
+    clipped, passed = clip_mask(ctx.v, ctx.top)
+    grad_x = pass_through(grad_out, passed)
     grad_alpha = grad_beta = per_entry = None
     if alpha:
-        # Learned-step-size rule: clipped entries pull alpha toward the clip code,
-        # in-range entries see the rounding residual (code - v).
-        per_entry = np.where(clipped, ctx.codes, ctx.codes - ctx.v)
+        per_entry = lsq_terms(ctx.v, ctx.codes, passed)
         per_entry *= grad_out
         grad_alpha = float(per_entry.sum())
     if beta:
@@ -411,12 +413,12 @@ def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, out: np.ndarray |
         return nm.Tensor(values if fn is None else fn(values))
     if out is not None:
         raise ValueError(f"quantize {q.name}: out= is for untaped calls; a backward reads the input")
-    ctx, slope = quantize_context(x.data, q, smooth), None
+    ctx, grid, slope = QuantizeContext(*quantize_codes(x.data, q, smooth), q.code_max), q.grid(), None
     if fn is not None and not smooth and not np.isnan(np.maximum.reduce(ctx.codes, None, initial=0.0)):
-        grid, i = q.grid(), ctx.codes.astype(np.intp)
+        i = ctx.codes.astype(np.intp)
         value, slope = grid.table(fn).take(i, mode="clip"), grid.table(fn_grad).take(i, mode="clip")
     else:
-        value = _decode(ctx.codes, q.alpha.data, q.beta.data)
+        value = grid.decode(ctx.codes)
         if fn is not None:
             value, slope = fn(value), fn_grad(value)
     alpha, beta = q.alpha, q.beta

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .quantize import GRID_SNAP, SEARCH_MAX, CodeGrid, Quantizer, bisect_thresholds
+from .quantize import GRID_SNAP, CodeGrid, Quantizer
 
-__all__ = ["SEARCH_MAX", "SpikeSite", "bisect_thresholds", "pow2_shift", "simulate_if", "threshold_scale"]
+__all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
 
 def pow2_shift(v: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -53,7 +53,8 @@ from . import numerics as nm
 # wrappers nor ``quantize_with_context``, which stay as its spans and as test oracles
 from .activations import (LN2, pow2_silu, pow2_silu_grad, pow2_silu_t, pow2_softplus, pow2_softplus_grad,
                           pow2_softplus_t)
-from .quantize import Quantizer, clip_inplace, quantize, quantize_codes, quantize_values, quantize_with_context
+from .quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, clip_mask, lsq_terms, pass_through, quantize,
+                       quantize_codes, quantize_values, quantize_with_context)
 from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
@@ -400,10 +401,11 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
     Under the straight-through estimator the state gradient runs back through
     the linear recurrence ``g_{t-1} = Abar_t * ste(g_t + C_t dy_t)``, one
     reverse loop that only adds, masks and decays; every other gradient is
-    one contraction over the whole sequence.  The ``h`` site's step-size and
-    offset gradients are ``ste_backward``'s per-step sums of the same
-    products, added in reverse step order.  Time-major arrays keep each
-    step's slice contiguous.  The backward puts ``keep`` back on ``spares`` when done.
+    one contraction over the whole sequence.  The ``h`` site's mask and LSQ
+    terms come from ``ste_backward``'s helpers, and its step-size and offset
+    gradients are per-step sums of the same products, added in reverse step
+    order.  Time-major arrays keep each step's slice contiguous.  The
+    backward puts ``keep`` back on ``spares`` when done.
     """
     def vjp(gy, accumulate):
         st, us, Bs, Cs, dy = (np.ascontiguousarray(a.swapaxes(0, 1))
@@ -414,22 +416,18 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
         # [t]: the gradient of the state before step t's encode, first the readout's share dy_t * C_t
         g_pre = dy[..., None].repeat(n, axis=3)
         g_pre *= Cs[:, :, None].repeat(dh, axis=2)
-        clipped = v < 0  # v outside [0, code_max]: the site passes no gradient there
-        clipped |= v > q.code_max
-        passed = _pass_bits(clipped)
+        clipped, passed = clip_mask(v, q.code_max)  # the site passes no gradient where it clips
         g = np.empty(hs.shape[1:])
         for t in range(L - 1, 0, -1):  # g_pre[t] is now the gradient of step t's drive
-            np.bitwise_and(g_pre[t].view(np.uint64), passed[t], out=g.view(np.uint64))
+            pass_through(g_pre[t], passed[t], out=g)
             g *= abar[t]
             g_pre[t - 1] += g
-        # learned step size: clipped entries pull alpha toward the clip code, the others see code - v
         if q.alpha.trainable:
-            np.bitwise_and(v.view(np.uint64), passed, out=v.view(np.uint64))  # +0.0 where clipped
-            per_entry = np.subtract(keep.codes, v, out=v)
+            per_entry = lsq_terms(v, keep.codes, passed, out=v)
             accumulate(q.alpha, np.asarray(_step_sums(np.multiply(per_entry, g_pre, out=per_entry))))
         if q.beta.trainable:
             accumulate(q.beta, np.asarray(_step_sums(np.multiply(g_pre, clipped, out=v))))
-        np.bitwise_and(g_pre.view(np.uint64), passed, out=g_pre.view(np.uint64))
+        pass_through(g_pre, passed, out=g_pre)
         g_bu = np.matmul(g_pre, Bs[..., None])[..., 0]  # through (step_t * B_t) * u_t
         accumulate(B_seq, np.matmul((st * us)[:, :, None, :], g_pre)[:, :, 0].swapaxes(0, 1))
         accumulate(C_seq, np.matmul(dy[:, :, None, :], hs)[:, :, 0].swapaxes(0, 1))
@@ -447,18 +445,6 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
         spares.append(keep)
 
     return vjp
-
-
-def _pass_bits(clipped: np.ndarray) -> np.ndarray:
-    """Words that pass a float64's bits where ``clipped`` is false and clear them where it is true.
-
-    ANDed with an array's bits they give ``np.where(clipped, 0.0, x)`` bit
-    for bit, without the branch per entry that makes ``where`` slow on a
-    mask that clips about half the entries at random.
-    """
-    bits = clipped.astype(np.uint64)
-    bits -= 1  # 1 -> 0, 0 -> all ones
-    return bits
 
 
 def _step_sums(products: np.ndarray) -> float:
@@ -634,7 +620,7 @@ class ForecastModel:
         order, so each fits its step size to the activations it will actually
         see, every site upstream of it already quantizing.
         """
-        h = nm.tensor(np.asarray(x, dtype=np.float64))
+        h = nm.tensor(self._windows(x, "calibrate"))
         for blk in self.blocks:
             h = block_forward_ann(h, blk, self.cfg, calibrate=True)
         for q in (blk.quantizers[s] for blk in self.blocks for s in QUANT_SITES):
@@ -643,23 +629,25 @@ class ForecastModel:
 
     def clamp_steps(self) -> None:
         """Keep every quantizer step size positive after an optimizer update."""
-        from .quantize import ALPHA_FLOOR
         for blk in self.blocks:
             for s in QUANT_SITES:
                 q = blk.quantizers[s]
                 if q.initialized and q.alpha.trainable:
                     np.maximum(q.alpha.data, ALPHA_FLOOR, out=q.alpha.data)
 
-    def forward(self, x, smooth: bool = False, counters=None) -> nm.Tensor:
-        """x: [B, history, d_value] -> predictions [B, horizon, d_value]."""
+    def _windows(self, x, caller: str) -> np.ndarray:
+        """``x``'s array, checked to be finite [B, history, d_value] windows; an error names ``caller``."""
         arr = x.data if isinstance(x, nm.Tensor) else np.asarray(x, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[1] != self.cfg.history or arr.shape[2] != self.cfg.d_value:
-            raise ValueError(
-                f"forward: expected [B, {self.cfg.history}, {self.cfg.d_value}] input, got {arr.shape}"
-            )
+            raise ValueError(f"{caller}: expected [B, {self.cfg.history}, {self.cfg.d_value}] input, got {arr.shape}")
         if not np.isfinite(arr).all():
             finite = np.isfinite(arr).all(axis=(1, 2))
-            raise ValueError(f"forward: window {int(np.argmin(finite))} holds NaN or inf")
+            raise ValueError(f"{caller}: window {int(np.argmin(finite))} holds NaN or inf")
+        return arr
+
+    def forward(self, x, smooth: bool = False, counters=None) -> nm.Tensor:
+        """x: [B, history, d_value] -> predictions [B, horizon, d_value]."""
+        arr = self._windows(x, "forward")
         if self.mode == "snn":
             h = arr
             for i, blk in enumerate(self.blocks):

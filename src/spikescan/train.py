@@ -47,8 +47,8 @@ class TrainConfig:
         for key in ("beta1", "beta2"):
             if not 0 <= getattr(self, key) < 1:
                 raise ValueError(f"train config: {key} must be in [0, 1), got {getattr(self, key)}")
-        if not self.eps > 0:
-            raise ValueError(f"train config: eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"train config: eps must be finite and > 0, got {self.eps}")
         if self.seed < 0:
             raise ValueError(f"train config: seed must be >= 0, got {self.seed}")
 

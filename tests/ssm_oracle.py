@@ -9,7 +9,9 @@ real-arithmetic forward with the scan unrolled into per-step tape
 primitives, the gradient reference for the scan's hand-written backward;
 ``multi_pass_calibrate`` is the calibration reference, one full forward per
 uncalibrated site.  ``round_half_away`` is the textbook nearest rule the
-quantizer's ``round_half_up`` is checked against.
+quantizer's ``round_half_up`` is checked against, and ``ste_backward_where``
+the straight-through backward written with ``np.where``, the bit-exact
+reference for ``quantize.ste_backward``'s masks.
 """
 
 import numpy as np
@@ -25,6 +27,21 @@ def round_half_away(v: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero."""
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.floor(np.abs(v) + 0.5)
+
+
+def ste_backward_where(grad_out: np.ndarray, v: np.ndarray, codes: np.ndarray, top: int, alpha: bool = True,
+                       beta: bool = True) -> tuple[np.ndarray, float | None, float | None]:
+    """(grad_x, grad_alpha, grad_beta) of a quantizer whose forward gave ``v`` and ``codes`` on a
+    grid of top code ``top``: gradients pass where ``v`` lies in [0, top], ``alpha`` gets
+    ``code - v`` there and the clip code outside, ``beta`` the gradient of the clipped entries."""
+    clipped = (v < 0) | (v > top)
+    grad_x = np.where(clipped, 0.0, grad_out)
+    grad_alpha = grad_beta = None
+    if alpha:
+        grad_alpha = float((np.where(clipped, codes, codes - v) * grad_out).sum())
+    if beta:
+        grad_beta = float((grad_out * clipped).sum())
+    return grad_x, grad_alpha, grad_beta
 
 
 def dense_ssm_reference(A_d: np.ndarray, B_d: np.ndarray, C: np.ndarray,

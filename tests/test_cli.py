@@ -522,6 +522,31 @@ def test_untrainable_settings_are_usage_errors(work, setting, message):
     assert not out.exists()
 
 
+ENERGY_TABLE = "e_acc = 0.9e-12\ne_mac = {}\ne_shift = 0.15e-12\ne_cmp = 0.1e-12\n"
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("train", "eps = inf\n", "train config: eps must be finite and > 0, got inf"),
+    ("train", "split_train = nan\n",
+     "split ratios must be finite, nonnegative and sum to at most 1, got (nan, 0.1, 0.2)"),
+    ("energy", ENERGY_TABLE.format("nan"), "energy table entry e_mac must be finite and >= 0, got nan"),
+    ("energy", ENERGY_TABLE.format("inf"), "energy table entry e_mac must be finite and >= 0, got inf"),
+])
+def test_non_finite_config_values_are_usage_errors(work, command, setting, message):
+    """Each of these used to run: a training step that moved nothing, an error naming no setting,
+    and an energy report of nan joules, all but one exiting 0."""
+    (work / "non_finite.cfg").write_text(setting)
+    out = work / "non_finite.out"
+    if command == "train":
+        p = run("train", "--data", str(work / "series.csv"), "--has-header", "--history", "8", "--horizon", "2",
+                "--config", str(work / "non_finite.cfg"), "--out", str(out), expect=2)
+    else:
+        p = run("energy", "--model", str(work / "snn.ckpt"), "--data", str(work / "series.csv"), "--has-header",
+                "--table", str(work / "non_finite.cfg"), "--out", str(out), expect=2)
+    assert message in p.stderr and "Traceback" not in p.stderr
+    assert not out.exists()
+
+
 def test_a_diverging_training_run_is_a_usage_error(work):
     ds = make_coupled_sinusoids(n_steps=400, seed=0)
     write_csv(str(work / "series400.csv"), ds.values, ds.columns)

@@ -56,6 +56,13 @@ def test_bad_ratios_are_rejected():
         make_windows(ds, 3, 1, split=(-0.1, 0.5, 0.2))
 
 
+@pytest.mark.parametrize("split", [(float("nan"), 0.1, 0.2), (0.7, float("nan"), 0.2), (0.7, 0.1, float("inf"))])
+def test_non_finite_ratios_are_rejected(split):
+    """A NaN ratio used to fail converting a window count to an integer, naming no ratio."""
+    with pytest.raises(ValueError, match=r"split ratios must be finite, nonnegative and sum to at most 1, got \("):
+        make_windows(series(20), 3, 1, split=split)
+
+
 def test_statistics_come_only_from_train_rows():
     ds = series(40, width=2)
     H, G = 4, 2

@@ -8,7 +8,8 @@ import pytest
 from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import (EnergyTable, OpCounters, ann_op_counts,
                               compare_ann_energy, profile)
-from spikescan.spike import SEARCH_MAX, SpikeSite
+from spikescan.quantize import SEARCH_MAX
+from spikescan.spike import SpikeSite
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn, load_checkpoint
 
@@ -58,6 +59,13 @@ def test_table_requires_every_entry():
 def test_table_rejects_negative_energies():
     with pytest.raises(ValueError, match="e_mac"):
         EnergyTable(e_acc=1e-12, e_mac=-1.0, e_shift=0.0, e_cmp=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_table_rejects_non_finite_energies(value):
+    """A NaN or infinite entry used to price every report at nan or inf joules."""
+    with pytest.raises(ValueError, match=f"energy table entry e_shift must be finite and >= 0, got {value}"):
+        EnergyTable.from_config({"e_acc": 1e-12, "e_mac": 1e-12, "e_shift": value, "e_cmp": 0.0})
 
 
 def test_cost_is_exactly_linear():

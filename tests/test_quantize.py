@@ -12,7 +12,7 @@ from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with
                                 quantize, quantize_values, quantize_with_context, round_half_up,
                                 ste_backward)
 from spikescan.ssm import EXP_HI, EXP_LO
-from ssm_oracle import round_half_away
+from ssm_oracle import round_half_away, ste_backward_where
 
 
 def q2(alpha=0.5, beta=0.0, **kw):
@@ -248,6 +248,57 @@ class TestSTE:
         xq, ctx = quantize_with_context(np.zeros(3), q2())
         with pytest.raises(ValueError):
             ste_backward(np.ones(4), ctx)
+
+
+SPECIAL = st.sampled_from([-0.0, 0.0, math.nan])
+
+
+@st.composite
+def ste_cases(draw):
+    """A quantizer, a drive and an upstream gradient: drives on exact grid points, between them,
+    clipped below 0 and above the top code, -0.0 and NaN; gradients with -0.0 and NaN."""
+    bits = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0))
+    beta = draw(st.sampled_from([0.0, -0.0, 0.25, -1.5]) | st.floats(-5.0, 5.0))
+    q = Quantizer(bits=bits, alpha=nm.Tensor(alpha, trainable=draw(st.booleans())),
+                  beta=nm.Tensor(beta, trainable=draw(st.booleans())), rounding=draw(st.sampled_from(["nearest", "floor"])))
+    top = 2 ** bits - 1
+    level = st.integers(-3, top + 3).map(lambda k: beta + alpha * k)  # exact points, and past both ends
+    between = st.floats(-3.0, top + 3.0).map(lambda k: beta + alpha * k)
+    n = draw(st.integers(1, 40))
+    x = draw(st.lists(level | between | SPECIAL, min_size=n, max_size=n))
+    g = draw(st.lists(st.floats(-10.0, 10.0) | SPECIAL, min_size=n, max_size=n))
+    return q, np.array(x), np.array(g), draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=ste_cases())
+def test_ste_backward_is_the_where_formulas_bit_for_bit(case):
+    """The bit masks of ``ste_backward`` give the bytes of the ``np.where`` formulas they replaced,
+    and a frozen step size or offset gets ``None``."""
+    q, x, g, smooth = case
+    _, ctx = quantize_with_context(x, q, smooth)
+    with np.errstate(invalid="ignore"):
+        got = ste_backward(g, ctx, q.alpha.trainable, q.beta.trainable)
+        want = ste_backward_where(g, ctx.v, ctx.codes, q.code_max, q.alpha.trainable, q.beta.trainable)
+    assert got[0].tobytes() == want[0].tobytes()
+    for part, trained, a, b in zip(("alpha", "beta"), (q.alpha.trainable, q.beta.trainable), got[1:], want[1:]):
+        assert (a is None) == (b is None) == (not trained), part
+        assert a is None or np.float64(a).tobytes() == np.float64(b).tobytes(), part
+
+
+def test_an_offset_turning_to_minus_zero_gets_its_own_grid():
+    """The grid keys on the offset's bytes: an offset written from +0.0 to -0.0, as an in-place update
+    may, codes a zero drive with the new sign, as ``x - beta`` does."""
+    q = q2()
+    x = np.array([-0.0, 0.0, 0.7])
+    before = q.grid()
+    q.beta.data[...] = -0.0
+    assert q.grid() is not before
+    for smooth in (False, True):
+        got, v, codes = quantize_values(x.copy(), q, smooth)
+        assert v.tobytes() == ((x - q.beta.data) / q.alpha.data).tobytes()
+        assert got.tobytes() == (codes * q.alpha.data + q.beta.data).tobytes()
 
 
 def test_taped_quantize_routes_ste_gradients():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikescan.activations import pow2_silu, pow2_softplus
-from spikescan.quantize import Quantizer, quantize_codes, quantize_values, quantize_with_context
-from spikescan.spike import SEARCH_MAX, SpikeSite, pow2_shift, simulate_if, threshold_scale
+from spikescan.quantize import SEARCH_MAX, Quantizer, quantize_codes, quantize_values, quantize_with_context
+from spikescan.spike import SpikeSite, pow2_shift, simulate_if, threshold_scale
 from spikescan.ssm import EXP_HI, EXP_LO, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 

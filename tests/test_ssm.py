@@ -294,6 +294,26 @@ def test_calibration_rejects_a_site_that_collected_nothing(monkeypatch):
         m.calibrate(np.random.default_rng(0).normal(size=(4, 10, 2)))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
+def test_calibration_checks_its_windows_as_the_forward_does(bad):
+    """Calibration used to take a NaN window, fitting NaN step sizes that then forecast NaN on clean
+    input, and windows of the wrong length; it now refuses them with the forward's message."""
+    cfg = small_cfg()
+    m = ForecastModel.build(cfg, seed=0)
+    x = np.random.default_rng(0).normal(size=(16, cfg.history, cfg.d_value))
+    if bad == "shape":
+        x = x[:4, 1:]
+    else:
+        x[5, 3, 1] = float(bad)
+    with pytest.raises(ValueError) as forward:
+        m.forward(x)
+    with pytest.raises(ValueError) as calibrate:
+        m.calibrate(x)
+    assert str(forward.value).startswith("forward: ")
+    assert str(calibrate.value) == "calibrate: " + str(forward.value).removeprefix("forward: ")
+    assert not any(blk.quantizers[s].initialized for blk in m.blocks for s in SPIKE_SITES)
+
+
 def test_calibration_runs_each_block_once(monkeypatch):
     calls = []
     forward = ssm.block_forward_ann

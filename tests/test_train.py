@@ -286,8 +286,9 @@ def test_train_config_rejects_an_empty_batch():
     ("max_epochs", 0, ">= 1"), ("patience", 0, ">= 1"), ("patience", -3, ">= 1"),
     ("lr", -1.0, "finite and > 0"), ("lr", 0.0, "finite and > 0"), ("lr", float("inf"), "finite and > 0"),
     ("lr", float("nan"), "finite and > 0"), ("beta1", -0.1, "in \\[0, 1\\)"), ("beta1", 1.0, "in \\[0, 1\\)"),
-    ("beta2", 1.0, "in \\[0, 1\\)"), ("beta2", float("nan"), "in \\[0, 1\\)"), ("eps", 0.0, "> 0"),
-    ("eps", -1e-8, "> 0"), ("eps", float("nan"), "> 0"), ("seed", -1, ">= 0"),
+    ("beta2", 1.0, "in \\[0, 1\\)"), ("beta2", float("nan"), "in \\[0, 1\\)"), ("eps", 0.0, "finite and > 0"),
+    ("eps", -1e-8, "finite and > 0"), ("eps", float("nan"), "finite and > 0"), ("eps", float("inf"), "finite and > 0"),
+    ("seed", -1, ">= 0"),
 ])
 def test_train_config_validates_every_field(key, value, rule):
     with pytest.raises(ValueError, match=f"train config: {key} must be {rule}, got {value}"):
