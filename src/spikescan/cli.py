@@ -1,18 +1,20 @@
 """Command-line interface: train, convert, forecast, verify, energy, eval, plot-data.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-Config files are flat ``key = value`` text; ``#`` starts a comment.
+Config files are flat ``key = value`` UTF-8 text; ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 import numpy as np
 
 from .activations import DEVIATION_BOUNDS, branch_continuity_gaps, verify_deviation_bounds
-from .dataset import SeriesDataset, WindowSplits, denormalize, load_csv, make_windows, write_csv
+from .dataset import (DEFAULT_SPLIT, SeriesDataset, WindowSplits, denormalize, load_csv, make_windows,
+                      read_utf8, write_csv)
 from .energy import EnergyTable, OpCounters, compare_ann_energy, profile
 from .metrics import r2, rrse
 from .spike import SpikeSite, simulate_if
@@ -20,46 +22,49 @@ from .ssm import ForecastModel, ModelConfig, field_types
 from .train import (TrainConfig, apply_threshold_scaling, convert_to_snn,
                     load_checkpoint, save_checkpoint, train)
 
-# config-file keys and parse types; d_value is the CSV's column count
+# config-file keys and parse types, per command; d_value is the CSV's column count
 MODEL_KEYS = {k: t for k, t in field_types(ModelConfig).items() if k != "d_value"}
 TRAIN_KEYS = field_types(TrainConfig)
 SPLIT_KEYS = {"split_train": float, "split_val": float, "split_test": float}
 ENERGY_KEYS = field_types(EnergyTable)
-ALL_KEYS = {**MODEL_KEYS, **TRAIN_KEYS, **SPLIT_KEYS, **ENERGY_KEYS}
 BATCH = 256  # windows per forward, so a command's memory does not grow with the CSV
 
 
-def parse_kv_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            s = line.split("#", 1)[0].strip()
-            if not s:
-                continue
-            if "=" not in s:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
-            k, v = s.split("=", 1)
-            out[k.strip()] = v.strip()
-    return out
-
-
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, keys: dict[str, type]) -> dict:
+    """The ``key = value`` lines of the file at ``path``, each key one of ``keys``
+    given once and parsed to its type; every error names ``path:line``."""
     if path is None:
         return {}
-    raw = parse_kv_file(path)
     cfg: dict = {}
-    for k, v in raw.items():
-        if k not in ALL_KEYS:
-            raise ValueError(f"{path}: unknown config key {k!r} (known: {', '.join(sorted(ALL_KEYS))})")
+    for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), 1):
+        s = line.split("#", 1)[0].strip()
+        if not s:
+            continue
+        if "=" not in s:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
+        k, v = (part.strip() for part in s.split("=", 1))
+        if k not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown config key {k!r} (known: {', '.join(sorted(keys))})")
+        if k in cfg:
+            raise ValueError(f"{path}:{lineno}: key {k!r} given twice")
         try:
-            cfg[k] = ALL_KEYS[k](v)
+            cfg[k] = keys[k](v)
         except ValueError:
-            raise ValueError(f"{path}: key {k!r} expects {ALL_KEYS[k].__name__}, got {v!r}") from None
+            raise ValueError(f"{path}:{lineno}: key {k!r} expects {keys[k].__name__}, got {v!r}") from None
     return cfg
 
 
 def _split_from(cfg: dict) -> tuple[float, float, float]:
-    return (cfg.get("split_train", 0.7), cfg.get("split_val", 0.1), cfg.get("split_test", 0.2))
+    return tuple(cfg.get(k, d) for k, d in zip(SPLIT_KEYS, DEFAULT_SPLIT))
+
+
+def _windows(ds: SeriesDataset, data: str, history: int, horizon: int, split: tuple[float, float, float],
+             stats: tuple[np.ndarray, np.ndarray] | None = None) -> WindowSplits:
+    """``make_windows`` on the series of the CSV ``data``, whose path its errors name."""
+    try:
+        return make_windows(ds, history, horizon, split, stats)
+    except ValueError as e:
+        raise ValueError(f"{data}: {e}") from None
 
 
 def _predict(model: ForecastModel, x: np.ndarray) -> np.ndarray:
@@ -88,21 +93,21 @@ def _checkpoint_windows(model: ForecastModel, meta: dict, path: str, data: str, 
     statistics of the checkpoint at ``path``."""
     mean, std = _norm_from_meta(meta, path)
     ds = _model_series(model, data, has_header)
-    return make_windows(ds, model.cfg.history, model.cfg.horizon, (1.0, 0.0, 0.0), stats=(mean, std))
+    return _windows(ds, data, model.cfg.history, model.cfg.horizon, (1.0, 0.0, 0.0), stats=(mean, std))
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, {**MODEL_KEYS, **TRAIN_KEYS, **SPLIT_KEYS})
     flags = {k: getattr(args, k) for k in ("history", "horizon", "bits") if getattr(args, k) is not None}
     model_kw = {**{k: cfg[k] for k in MODEL_KEYS if k in cfg}, **flags}
     if "history" not in model_kw or "horizon" not in model_kw:
         raise ValueError("history and horizon must be given (flags or config file)")
 
     ds = load_csv(args.data, has_header=args.has_header)
-    splits = make_windows(ds, model_kw["history"], model_kw["horizon"], _split_from(cfg))
+    splits = _windows(ds, args.data, model_kw["history"], model_kw["horizon"], _split_from(cfg))
     n_tr, n_va, n_te = splits.counts()
     print(f"windows: {n_tr} train / {n_va} val / {n_te} test "
           f"({ds.values.shape[0]} rows, {ds.values.shape[1]} variables)")
@@ -154,14 +159,11 @@ def cmd_forecast(args) -> int:
     mean, std = _norm_from_meta(meta, args.model)
     ds = _model_series(model, args.data, args.has_header)
     H, G = model.cfg.history, model.cfg.horizon
-    rows = ds.values.shape[0]
-    if rows < H:
-        raise ValueError(f"{args.data}: {rows} rows is shorter than the model history {H}")
-    x = make_windows(ds, H, 0, (1.0, 0.0, 0.0), stats=(mean, std)).x_train  # every start, no target
+    x = _windows(ds, args.data, H, 0, (1.0, 0.0, 0.0), stats=(mean, std)).x_train  # every start, no target
     pred = denormalize(_predict(model, x), mean, std)  # [W, G, N]
 
     header = ["t"] + [f"{c}_step{g + 1}" for g in range(G) for c in ds.columns]
-    out = np.column_stack([np.arange(H, rows + 1), pred.reshape(pred.shape[0], -1)])
+    out = np.column_stack([np.arange(H, ds.values.shape[0] + 1), pred.reshape(pred.shape[0], -1)])
     write_csv(args.out, out, header)
     print(f"wrote {out.shape[0]} forecasts to {args.out}")
     return 0
@@ -206,7 +208,7 @@ def cmd_energy(args) -> int:
     model, meta = load_checkpoint(args.model)
     if model.mode != "snn":
         raise ValueError(f"{args.model}: energy profiling requires a converted (snn-mode) checkpoint")
-    table = EnergyTable.from_config(load_config(args.table))
+    table = EnergyTable.from_config(load_config(args.table, ENERGY_KEYS))
     splits = _checkpoint_windows(model, meta, args.model, args.data, args.has_header)
     x = splits.x_train if args.limit is None else splits.x_train[:args.limit]
     counters = OpCounters()
@@ -218,7 +220,7 @@ def cmd_energy(args) -> int:
         print(compare_ann_energy(report, model.cfg, x.shape[0], table).to_text())
     if args.out:
         kv = report.to_kv()
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             for k in sorted(kv):
                 f.write(f"{k} = {kv[k]:.12e}\n")
         print(f"\nwrote {args.out}")

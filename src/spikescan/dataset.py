@@ -4,9 +4,10 @@ Rows are time steps, columns are variables.  Splits are chronological with
 no shuffling across boundaries, and z-score statistics come from the rows
 the training windows touch, never from validation or test rows.
 
-A CSV is read once, as UTF-8.  A plain numeric file is parsed by numpy's C
-reader; any other file takes ``parse_csv``, the ``csv.reader`` and ``float``
-path, which alone names a defect.  Both give the same values and columns.
+A CSV is read once, as UTF-8 with or without a byte-order mark, and written
+as UTF-8.  A plain numeric file is parsed by numpy's C reader; any other file
+takes ``parse_csv``, the ``csv.reader`` and ``float`` path, which alone names
+a defect.  Both give the same values and columns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -37,22 +37,26 @@ class SeriesDataset:
 
 # ASCII separators that numpy's reader strips around a number as whitespace, and float does not
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+# train, validation and test shares of the windows when none are given
+DEFAULT_SPLIT = (0.7, 0.1, 0.2)
 
 
 def load_csv(path: str, has_header: bool = False) -> SeriesDataset:
     """Read a numeric CSV as UTF-8 text.  A plain file is parsed by numpy's C
     reader; any other goes to ``parse_csv``, which gives the same values and
     names the first defect."""
-    text = _read_utf8(path)
+    text = read_utf8(path)
     plain = _parse_plain(text, has_header)
     return plain if plain is not None else parse_csv(path, text, has_header)
 
 
-def _read_utf8(path: str) -> str:
+def read_utf8(path: str) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 without one leading
+    byte-order mark; a byte that is not UTF-8 is named by its offset in the file."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise ValueError(f"{path}: not UTF-8 text: byte 0x{raw[e.start]:02x} at offset {e.start} "
@@ -97,9 +101,10 @@ def _parse_plain(text: str, has_header: bool) -> SeriesDataset | None:
 
 def parse_csv(path: str, text: str, has_header: bool = False) -> SeriesDataset:
     """Parse CSV ``text``, read from ``path``, with ``csv.reader`` and ``float``,
-    skipping blank rows; the first defect is named by row and column, in the
-    order ``_raise_first_defect`` states.  A header must name as many columns
-    as data row 0 has cells."""
+    skipping blank rows.  A header must name as many columns as data row 0 has
+    cells.  The first defect is named by row and column: rows in file order, a
+    row's width before its cells, and a non-finite cell only once every cell
+    parses."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = [row for row in reader if "".join(row).strip()]
@@ -116,14 +121,16 @@ def parse_csv(path: str, text: str, has_header: bool = False) -> SeriesDataset:
         if len(columns) != len(rows[0]):
             raise ValueError(f"{path}: header has {len(columns)} names, data row 0 has {len(rows[0])} cells")
     width = len(rows[0])
-    try:
-        if set(map(len, rows)) != {width}:
-            raise ValueError("ragged rows")
-        cells = map(float, chain.from_iterable(rows))
-        data = np.fromiter(cells, np.float64, count=len(rows) * width).reshape(len(rows), width)
-    except ValueError:
-        _raise_first_defect(path, rows, width)
-        raise
+    cells: list[float] = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric cell {cell.strip()!r} at row {i}, column {j}") from None
+    data = np.array(cells, dtype=np.float64).reshape(len(rows), width)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]
@@ -131,23 +138,9 @@ def parse_csv(path: str, text: str, has_header: bool = False) -> SeriesDataset:
     return SeriesDataset(values=data, columns=columns)
 
 
-def _raise_first_defect(path: str, rows: list[list[str]], width: int) -> None:
-    """Raise for the first ragged row or non-numeric cell in file order, the
-    width before the cells within a row; ``parse_csv`` calls it only after its
-    parse failed, and reports a non-finite cell only once every cell parses."""
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric cell {cell.strip()!r} at row {i}, column {j}") from None
-
-
 def write_csv(path: str, values: np.ndarray, columns: list[str] | None = None) -> None:
     rows = np.atleast_2d(np.asarray(values)).tolist()
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         if columns:
             writer.writerow(columns)
@@ -184,7 +177,7 @@ def normalization_stats(values: np.ndarray, train_rows: int) -> tuple[np.ndarray
 
 
 def make_windows(ds: SeriesDataset, history: int, horizon: int,
-                 split: tuple[float, float, float] = (0.7, 0.1, 0.2),
+                 split: tuple[float, float, float] = DEFAULT_SPLIT,
                  stats: tuple[np.ndarray, np.ndarray] | None = None) -> WindowSplits:
     """Slice a series into normalized (history, horizon) window pairs.
 

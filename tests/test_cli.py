@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import struct
 import subprocess
@@ -20,11 +21,12 @@ from spikescan.spike import threshold_scale
 from spikescan.train import convert_to_snn, load_checkpoint, save_checkpoint
 
 HISTORY, HORIZON = 8, 2
+ENERGY_TABLE = "e_acc = 0.9e-12\ne_mac = {}\ne_shift = 0.15e-12\ne_cmp = 0.1e-12\n"
 
 
-def run(*argv, expect=0):
+def run(*argv, expect=0, env=None):
     proc = subprocess.run([sys.executable, "-m", "spikescan.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}")
     return proc
@@ -308,7 +310,7 @@ def test_forecast_needs_one_full_history(work):
     write_csv(str(work / "short.csv"), np.ones((HISTORY - 1, 2)), ["s1", "s2"])
     p = run("forecast", "--model", str(work / "snn.ckpt"), "--data", str(work / "short.csv"), "--has-header",
             "--out", str(work / "short_fc.csv"), expect=2)
-    assert f"short.csv: {HISTORY - 1} rows is shorter than the model history {HISTORY}" in p.stderr
+    assert f"short.csv: series has {HISTORY - 1} rows; need at least history + horizon = {HISTORY}" in p.stderr
     assert "Traceback" not in p.stderr
     write_csv(str(work / "exact.csv"), np.ones((HISTORY, 2)), ["s1", "s2"])
     run("forecast", "--model", str(work / "snn.ckpt"), "--data", str(work / "exact.csv"), "--has-header",
@@ -420,6 +422,89 @@ def test_config_syntax_errors_carry_line_numbers(work):
     assert ":2:" in p.stderr
 
 
+def config_command(work, command, cfg, *extra) -> int:
+    """``train --config cfg`` or ``energy --table cfg`` on the fixture's series, in this process."""
+    if command == "train":
+        args = ["--history", str(HISTORY), "--horizon", str(HORIZON), "--config", str(cfg),
+                "--out", str(work / "config.ckpt")]
+    else:
+        args = ["--model", str(work / "snn.ckpt"), "--table", str(cfg)]
+    return cli.main([command, "--data", str(work / "series.csv"), "--has-header", *args, *extra])
+
+
+# the POSIX locale with UTF-8 mode off, where text I/O without an encoding is ASCII
+ASCII_LOCALE = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # each command takes only the keys it reads: train no energy entry, energy no training setting
+    ("train", b"d_hidden = 6\ne_acc = 5\n", "2: unknown config key 'e_acc' (known: "),
+    ("energy", ENERGY_TABLE.format("4.6e-12").encode() + b"lr = 7\n",
+     "5: unknown config key 'lr' (known: e_acc, e_cmp, e_mac, e_shift)"),
+    ("train", b"d_hidden = 6\n# wider\nd_hidden = 8\n", "3: key 'd_hidden' given twice"),
+    ("train", b"d_hidden = 6\n# r\xe9glages\n", " not UTF-8 text: byte 0xe9 at offset 16 (line 2)"),
+])
+def test_config_errors_name_the_file_and_line(work, capsys, command, text, message):
+    cfg = work / "refused.cfg"
+    cfg.write_bytes(text)
+    assert config_command(work, command, cfg) == 2
+    assert f"error: {cfg}:{message}" in capsys.readouterr().err
+
+
+def test_a_config_may_start_with_a_byte_order_mark(work, capsys):
+    cfg = work / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + ENERGY_TABLE.format("4.6e-12").encode())
+    assert config_command(work, "energy", cfg, "--limit", "4") == 0
+    assert "total energy" in capsys.readouterr().out
+
+
+def test_a_non_ascii_config_comment_reads_under_an_ascii_locale(work):
+    (work / "accented.cfg").write_bytes("# réglages\n".encode() + (work / "train.cfg").read_bytes())
+    run("train", "--data", str(work / "series.csv"), "--has-header", "--history", str(HISTORY),
+        "--horizon", str(HORIZON), "--config", str(work / "accented.cfg"), "--out", str(work / "accented.ckpt"),
+        env=ASCII_LOCALE)
+    assert load_checkpoint(str(work / "accented.ckpt"))[0].cfg.d_hidden == 6
+
+
+def test_a_forecast_with_non_ascii_column_names_is_written_as_utf8(work):
+    """Under an ASCII locale the forecast CSV is still UTF-8, the encoding ``load_csv`` reads back."""
+    ds = load_csv(str(work / "series.csv"), has_header=True)
+    write_csv(str(work / "accented.csv"), ds.values, ["température", "débit"])
+    out = work / "accented_fc.csv"
+    run("forecast", "--model", str(work / "snn.ckpt"), "--data", str(work / "accented.csv"), "--has-header",
+        "--out", str(out), env=ASCII_LOCALE)
+    assert load_csv(str(out), has_header=True).columns[:3] == ["t", "température_step1", "débit_step1"]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_column(work, capsys):
+    csv_path, out = work / "bom.csv", work / "bom_fc.csv"
+    csv_path.write_bytes(b"\xef\xbb\xbf" + (work / "series.csv").read_bytes())
+    assert cli.main(["forecast", "--model", str(work / "snn.ckpt"), "--data", str(csv_path), "--has-header",
+                     "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("t,s1_step1,s2_step1,s1_step2,")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "energy", "plot-data", "verify", "convert", "forecast"])
+def test_a_csv_one_row_too_short_is_named(work, capsys, command):
+    """Each command that windows a CSV names it when the series holds no window: ``forecast`` needs a
+    history of rows, the others a history and a horizon."""
+    rows = HISTORY - 1 if command == "forecast" else HISTORY + HORIZON - 1
+    short, out = work / f"short_{command}.csv", str(work / f"short_{command}.out")
+    write_csv(str(short), np.ones((rows, 2)), ["s1", "s2"])
+    snn = str(work / "snn.ckpt")
+    args = {"train": ["--history", str(HISTORY), "--horizon", str(HORIZON), "--out", out],
+            "eval": ["--model", snn],
+            "energy": ["--model", snn, "--table", str(work / "energy.cfg")],
+            "plot-data": ["--model", snn, "--out", out],
+            "verify": ["--model", snn],
+            "convert": ["--in", str(work / "ann.ckpt"), "--threshold-scale", "--out", out],
+            "forecast": ["--model", snn, "--out", out]}[command]
+    assert cli.main([command, "--data", str(short), "--has-header", *args]) == 2
+    message = f"error: {short}: series has {rows} rows; need at least history + horizon = {rows + 1}"
+    assert message in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
 def test_missing_data_file_is_a_usage_error(work):
     p = run("eval", "--model", str(work / "snn.ckpt"), "--data", str(work / "nope.csv"),
             expect=2)
@@ -520,9 +605,6 @@ def test_untrainable_settings_are_usage_errors(work, setting, message):
             "--config", str(work / "untrainable.cfg"), "--out", str(out), expect=2)
     assert f"train config: {message}" in p.stderr and "Traceback" not in p.stderr
     assert not out.exists()
-
-
-ENERGY_TABLE = "e_acc = 0.9e-12\ne_mac = {}\ne_shift = 0.15e-12\ne_cmp = 0.1e-12\n"
 
 
 @pytest.mark.parametrize("command, setting, message", [

@@ -319,6 +319,26 @@ def test_a_field_over_the_csv_size_limit_is_a_value_error(tmp_path):
     assert load_error(p).startswith(f"{p}: line 2: field larger than field limit")
 
 
+@pytest.mark.parametrize("body, has_header, expect", [
+    (b"1.5,2\n3,4\n", False, ([[1.5, 2.0], [3.0, 4.0]], V)),  # numpy's reader
+    (b'"1.5",2\n3,4\n', False, ([[1.5, 2.0], [3.0, 4.0]], V)),  # the csv path
+    (b"s1,s2\n1,2\n", True, ([[1.0, 2.0]], ["s1", "s2"])),
+    (b'"s1",s2\n1,2\n', True, ([[1.0, 2.0]], ["s1", "s2"])),
+    (b"\xef\xbb\xbf1,2\n", False, "non-numeric cell '\\ufeff1' at row 0, column 0"),  # only one mark is dropped
+    # a byte that is not UTF-8 is named by its offset in the file, the mark counted
+    (b"1,2\n3,\xff\n", False, "not UTF-8 text: byte 0xff at offset 9 (line 2): invalid start byte"),
+])
+def test_a_leading_byte_order_mark_is_not_read_as_text(tmp_path, body, has_header, expect):
+    """Spreadsheets save "CSV UTF-8" with a byte-order mark in front."""
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + body)
+    if isinstance(expect, str):
+        assert load_error(p, has_header) == f"{p}: {expect}"
+    else:
+        ds = load_csv(str(p), has_header=has_header)
+        assert (ds.values.tolist(), ds.columns) == expect
+
+
 def test_csv_header_with_a_comma_round_trips(tmp_path):
     p = tmp_path / "q.csv"
     write_csv(str(p), np.array([[1.0, 2.0]]), columns=["load, kW", "temp"])
