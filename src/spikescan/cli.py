@@ -208,7 +208,11 @@ def cmd_energy(args) -> int:
     model, meta = load_checkpoint(args.model)
     if model.mode != "snn":
         raise ValueError(f"{args.model}: energy profiling requires a converted (snn-mode) checkpoint")
-    table = EnergyTable.from_config(load_config(args.table, ENERGY_KEYS))
+    entries = load_config(args.table, ENERGY_KEYS)  # its errors name the file and line
+    try:
+        table = EnergyTable.from_config(entries)
+    except ValueError as e:
+        raise ValueError(f"{args.table}: {e}") from None
     splits = _checkpoint_windows(model, meta, args.model, args.data, args.has_header)
     x = splits.x_train if args.limit is None else splits.x_train[:args.limit]
     counters = OpCounters()

@@ -27,7 +27,7 @@ saturates).  ``x_res`` and ``delta_int`` stay quantizers in both; the
 spiking forward reads every site, and the gate and the step's softplus from
 their quantizers' grids, through one code-grid read (``CodeGrid.read``), bit
 for bit.  The recurrence runs in ``selective_scan``, the one loop over time,
-which re-encodes ``h`` through a per-step hook; since ``y`` never feeds
+which re-encodes ``h`` in place through a per-step hook; since ``y`` never feeds
 back, its site encodes the whole readout once.  In training the scan is one
 tape op whose hand-written backward walks the steps in reverse, reading what
 its forward kept: the decay factors, the exponent's straight-through mask,
@@ -93,6 +93,8 @@ class ModelConfig:
             self.delta_rank = max(1, math.ceil(self.d_hidden / 8))
         for k, t in field_types(ModelConfig).items():
             v = getattr(self, k)
+            if type(v) is bool or (t is int and type(v) is not int):  # JSON true is no number, 4.0 no integer
+                raise ValueError(f"model config: {k} must be {'an integer' if t is int else 'a number'}, got {v!r}")
             if t is int and v < 1:
                 raise ValueError(f"model config: {k} must be >= 1, got {v}")
             # an int compares exactly, so one too large for a float64 fails
@@ -103,7 +105,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        """The config a checkpoint holds: every field and no other key."""
+        odd = set(d) ^ cls.__dataclass_fields__.keys()  # unknown keys and missing fields
+        if odd:
+            k = min(odd)
+            raise ValueError(f"model config: {'unknown' if k in d else 'missing'} field {k!r}")
+        return cls(**d)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -251,10 +258,10 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
 
     Each step decays the state by the exact power of two
     ``Abar_t = 2 ** clip(rint(step_t * A))``, adds ``(step_t * B_t) * u_t``,
-    passes the state through ``encode_h(t, h)`` when given, and reads out
-    ``sum_n C_t h_t + D u_t``.  Both forwards
-    re-encode the state through their ``h`` site in the hook; without one the
-    scan is the bare time-varying linear recurrence.  ``smooth`` keeps the
+    encodes the state in place through ``encode_h(t, h)`` when given, and
+    reads out ``sum_n C_t h_t + D u_t``.  Both forwards re-encode the state
+    through their ``h`` site in the hook; without one the scan is the bare
+    time-varying linear recurrence.  ``smooth`` keeps the
     exponent unrounded (the finite-difference surrogate of ``quantize``).
 
     Time runs in chunks of ``span`` steps, as many as fit ``SCAN_CHUNK``
@@ -272,11 +279,9 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     the state entries in index order from +0.0, the order numpy's
     ``sum`` takes over fewer than 8 entries.  Each step
     writes its state into the chunk's slot ``hs[j]``, and that slot is the
-    ``h`` the hook receives: a working array the scan overwrites in a later
-    chunk, so a hook that keeps it must copy it.  A hook may encode in place
-    and return the slot itself; the scan only reads the array the hook
-    returns, copying any other array into the slot when the chunk has more
-    steps than one.
+    ``h`` the hook receives: the hook encodes the state in its slot and
+    returns nothing.  The slot is a working array the scan overwrites in a
+    later chunk, so a hook that keeps it must copy it.
 
     With ``keep`` (the taped scan) the decay factors and the states are
     written into its whole-sequence buffers ``keep.abar`` and ``keep.hs``,
@@ -309,15 +314,11 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
         del st
         bu *= u_t[ts].repeat(n, axis=3)
         for j in range(k):
-            slot = h = np.multiply(h, abar[j], out=slots[j])
+            h = np.multiply(h, abar[j], out=slots[j])
             h += bu[j]
             if encode_h is not None:
-                h = encode_h(t0 + j, h)
-                if k > 1 and h is not slot:  # the readout reads a chunk's states from hs
-                    slot[...] = h
-        # a one-step chunk reads its state where it is; no name holds that array into the
-        # next chunk's hook, where one more live [B, dh, n] array slows batch 256 measurably
-        hc = np.multiply(slots if k > 1 else h[None], C_t[ts].repeat(dh, axis=2), out=term[:k])
+                encode_h(t0 + j, h)
+        hc = np.multiply(slots, C_t[ts].repeat(dh, axis=2), out=term[:k])
         readout = np.add(nm.ZERO, hc[..., 0])
         for i in range(1, n):
             readout += hc[..., i]
@@ -486,22 +487,23 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
 
             def collect(t, h_pre):
                 states.append(h_pre.ravel().copy())  # the scan reuses its buffers
-                return h_pre
 
             selective_scan(*args, collect, smooth)
             if states:  # a scan that never calls its hook leaves h to the model's check
                 q["h"].calibrate(np.concatenate(states))
         qh = q["h"]
         if nm.active_tape() is None:
-            return nm.Tensor(selective_scan(*args, lambda t, h_pre: quantize_values(h_pre, qh, smooth, out=h_pre)[0],
-                                            smooth))
+            def encode_h(t, h_pre):
+                quantize_values(h_pre, qh, smooth, out=h_pre)
+
+            return nm.Tensor(selective_scan(*args, encode_h, smooth))
         shape = (u.shape[1], u.shape[0]) + A.shape
         spares = p.scan_keeps.setdefault(shape, [])
         kept = spares.pop() if spares else ScanKeep(shape)
         grid = qh.grid()
 
         def encode_h(t, h_pre):  # v and the codes into the kept buffers, the state in place
-            return grid.decode(quantize_codes(h_pre, qh, smooth, kept.v[t], kept.codes[t])[1], out=h_pre)
+            grid.decode(quantize_codes(h_pre, qh, smooth, kept.v[t], kept.codes[t])[1], out=h_pre)
 
         y = nm.Tensor(selective_scan(*args, encode_h, smooth, kept))
         nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept, spares))
@@ -510,8 +512,9 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
     return _block(x, p, cfg, encode, apply, scan, None, "block")
 
 
-def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=None, tag: str = "block") -> np.ndarray:
-    """Spike-driven forward of one converted block (numpy, no tape).
+def block_forward_snn(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, counters=None,
+                      tag: str = "block") -> nm.Tensor:
+    """Spike-driven forward of one converted block, a Tensor in and a Tensor out (no tape).
 
     Each spike site emits counts and decodes them once, ``offset + theta *
     count``.  ``delta_int`` and ``x_res`` stay quantizers, whose activations
@@ -552,9 +555,10 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
                 # step * A and step * B products; one shift per surviving state spike
                 counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
             h, total = code("h", h_pre)
+            if h is not h_pre:  # a small drive's values come from the table, not its buffer
+                h_pre[...] = h
             if counters is not None:
                 spikes.append(total)
-            return h
 
         y = selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data, encode_h)
         if counters is not None:
@@ -562,7 +566,7 @@ def block_forward_snn(x: np.ndarray, p: BlockParams, cfg: ModelConfig, counters=
             counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
         return nm.Tensor(y)
 
-    return _block(nm.Tensor(x), p, cfg, encode, apply, scan, counters, tag).data
+    return _block(x, p, cfg, encode, apply, scan, counters, tag)
 
 
 # --- forecaster ---------------------------------------------------------------
@@ -620,7 +624,7 @@ class ForecastModel:
         order, so each fits its step size to the activations it will actually
         see, every site upstream of it already quantizing.
         """
-        h = nm.tensor(self._windows(x, "calibrate"))
+        h = self._windows(x, "calibrate")
         for blk in self.blocks:
             h = block_forward_ann(h, blk, self.cfg, calibrate=True)
         for q in (blk.quantizers[s] for blk in self.blocks for s in QUANT_SITES):
@@ -635,29 +639,24 @@ class ForecastModel:
                 if q.initialized and q.alpha.trainable:
                     np.maximum(q.alpha.data, ALPHA_FLOOR, out=q.alpha.data)
 
-    def _windows(self, x, caller: str) -> np.ndarray:
-        """``x``'s array, checked to be finite [B, history, d_value] windows; an error names ``caller``."""
-        arr = x.data if isinstance(x, nm.Tensor) else np.asarray(x, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[1] != self.cfg.history or arr.shape[2] != self.cfg.d_value:
-            raise ValueError(f"{caller}: expected [B, {self.cfg.history}, {self.cfg.d_value}] input, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            finite = np.isfinite(arr).all(axis=(1, 2))
+    def _windows(self, x, caller: str) -> nm.Tensor:
+        """``x`` as a Tensor, checked to be finite [B, history, d_value] windows; an error names ``caller``."""
+        t = x if isinstance(x, nm.Tensor) else nm.tensor(x)
+        if t.shape[1:] != (self.cfg.history, self.cfg.d_value):  # a shape of another length differs too
+            raise ValueError(f"{caller}: expected [B, {self.cfg.history}, {self.cfg.d_value}] input, got {t.shape}")
+        if not np.isfinite(t.data).all():
+            finite = np.isfinite(t.data).all(axis=(1, 2))
             raise ValueError(f"{caller}: window {int(np.argmin(finite))} holds NaN or inf")
-        return arr
+        return t
 
     def forward(self, x, smooth: bool = False, counters=None) -> nm.Tensor:
         """x: [B, history, d_value] -> predictions [B, horizon, d_value]."""
-        arr = self._windows(x, "forward")
-        if self.mode == "snn":
-            h = arr
-            for i, blk in enumerate(self.blocks):
-                h = block_forward_snn(h, blk, self.cfg, counters=counters, tag=f"block{i}")
-            out = forecast_head(nm.tensor(h), self.W_head, self.b_head)
-            if counters is not None:
-                counters.add("head", mac=h.shape[0] * self.cfg.d_value * self.cfg.history * self.cfg.horizon,
-                             acc_bias=out.data.size)
-            return out
-        t = x if isinstance(x, nm.Tensor) else nm.tensor(arr)
-        for blk in self.blocks:
-            t = block_forward_ann(t, blk, self.cfg, smooth=smooth)
-        return forecast_head(t, self.W_head, self.b_head)
+        t = self._windows(x, "forward")
+        snn = self.mode == "snn"
+        for i, blk in enumerate(self.blocks):
+            t = (block_forward_snn(t, blk, self.cfg, counters=counters, tag=f"block{i}") if snn
+                 else block_forward_ann(t, blk, self.cfg, smooth=smooth))
+        out = forecast_head(t, self.W_head, self.b_head)
+        if snn and counters is not None:  # a real-arithmetic forward counts no ops
+            counters.add("head", mac=out.data.size * self.cfg.history, acc_bias=out.data.size)  # history MACs an output
+        return out

@@ -451,6 +451,17 @@ def test_config_errors_name_the_file_and_line(work, capsys, command, text, messa
     assert f"error: {cfg}:{message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("e_acc = 0.9e-12\n", "energy table is missing entries: e_mac, e_shift, e_cmp"),
+    (ENERGY_TABLE.format("nan"), "energy table entry e_mac must be finite and >= 0, got nan"),
+])
+def test_energy_table_errors_name_the_table(work, capsys, text, message):
+    table = work / "refused_table.cfg"
+    table.write_text(text)
+    assert config_command(work, "energy", table) == 2
+    assert f"error: {table}: {message}" in capsys.readouterr().err
+
+
 def test_a_config_may_start_with_a_byte_order_mark(work, capsys):
     cfg = work / "bom.cfg"
     cfg.write_bytes(b"\xef\xbb\xbf" + ENERGY_TABLE.format("4.6e-12").encode())
@@ -535,7 +546,7 @@ def test_energy_profiles_in_batches_and_reports_as_one_call(work, monkeypatch, c
     forward = ssm.block_forward_snn
 
     def counted(x, *args, **kw):
-        batches.append(len(x))
+        batches.append(len(x.data))
         return forward(x, *args, **kw)
 
     def energy(out: str, batch: int) -> tuple[str, str]:

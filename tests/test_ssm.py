@@ -85,6 +85,11 @@ def test_selective_scan_constant_step_matches_kernel():
 H_SITE = ssm.Quantizer(bits=2, alpha=0.3, beta=-0.2, rounding="floor", name="h")  # a scan hook's grid
 
 
+def floor_h(t, h):
+    """A scan hook: ``H_SITE``'s values of the state, in its slot."""
+    ssm.quantize_values(h, H_SITE, out=h)
+
+
 def scan_inputs(rng, batch, L, dh, n):
     """Random scan operands ``(step, A, B_seq, C_seq, D, u)``."""
     # quarter-step grid: step * A lands on rint ties, and past EXP_LO, as well as between
@@ -101,7 +106,8 @@ def assert_scan_matches_reference(args, smooth, hook):
     def make_hook(key):
         def encode_h(t, h):
             seen[key].append((t, h.copy()))
-            return ssm.quantize_values(h, H_SITE, smooth)[0] if hook == "floor" else h
+            if hook == "floor":
+                ssm.quantize_values(h, H_SITE, smooth, out=h)
         return None if hook == "none" else encode_h
 
     y = selective_scan(*args, make_hook("scan"), smooth)
@@ -148,22 +154,6 @@ def test_index_order_sum_is_numpys_sum_below_eight_entries(n):
     assert ordered.tobytes() == p.sum(axis=-1).tobytes()
 
 
-@pytest.mark.parametrize("batch", [1, 64, 256])
-def test_selective_scan_never_writes_into_what_the_hook_returns(batch):
-    args = scan_inputs(np.random.default_rng(batch), batch, 12, 16, 4)
-    returned = []
-
-    def encode_h(t, h):
-        out = ssm.quantize_values(h, H_SITE)[0]
-        returned.append((out, out.copy()))
-        return out
-
-    y = selective_scan(*args, encode_h)
-    assert len(returned) == 12
-    assert all(np.array_equal(out, kept) for out, kept in returned)
-    assert np.array_equal(y, reference_scan(*args, lambda t, h: ssm.quantize_values(h, H_SITE)[0]))
-
-
 def test_selective_scan_memory_does_not_grow_with_the_window():
     """Beyond ``y`` the scan's peak heap is its chunk buffers: the same at L = 12 and L = 48."""
     peaks = []
@@ -171,17 +161,18 @@ def test_selective_scan_memory_does_not_grow_with_the_window():
         args = scan_inputs(np.random.default_rng(L), 256, L, 16, 4)
         tracemalloc.start()
         try:
-            y = selective_scan(*args, lambda t, h: ssm.quantize_values(h, H_SITE)[0])
+            y = selective_scan(*args, floor_h)
             peaks.append(tracemalloc.get_traced_memory()[1] - y.nbytes)
         finally:
             tracemalloc.stop()
     assert abs(peaks[0] - peaks[1]) <= 4096, peaks
 
 
-@pytest.mark.parametrize("in_place", [True, False])
-def test_selective_scan_copies_only_a_state_the_hook_did_not_write_in_its_slot(monkeypatch, in_place):
-    """A hook that encodes the state in place and returns its slot costs no copy per step."""
-    args = scan_inputs(np.random.default_rng(2), 64, 12, 16, 4)  # chunks of 4 steps
+# one chunk of 12 steps, chunks of 4 steps, one step per chunk
+@pytest.mark.parametrize("batch", [1, 64, 256])
+def test_selective_scan_writes_no_slot_itself(monkeypatch, batch):
+    """The hook encodes the state in its slot, so the scan copies nothing into a slot."""
+    args = scan_inputs(np.random.default_rng(batch), batch, 12, 16, 4)
     writes = []
 
     class Slots(np.ndarray):
@@ -189,15 +180,12 @@ def test_selective_scan_copies_only_a_state_the_hook_did_not_write_in_its_slot(m
             writes.append(index)
             super().__setitem__(index, value)
 
-    def encode_h(t, h):
-        return ssm.quantize_values(h, H_SITE, out=h if in_place else None)[0]
-
     empty = np.empty
     with monkeypatch.context() as mp:
         mp.setattr(np, "empty", lambda shape: empty(shape).view(Slots))
-        y = np.asarray(selective_scan(*args, encode_h))
-    assert len(writes) == (0 if in_place else 12)
-    assert y.tobytes() == reference_scan(*args, lambda t, h: ssm.quantize_values(h, H_SITE)[0]).tobytes()
+        y = np.asarray(selective_scan(*args, floor_h))
+    assert writes == []
+    assert y.tobytes() == reference_scan(*args, floor_h).tobytes()
 
 
 def test_pow2_round_forward_is_exact_powers():

@@ -624,6 +624,13 @@ def _config(key, value):
     return change
 
 
+def _without_config(key):
+    def change(meta):
+        del meta["config"][key]
+    change.__name__ = f"_config_without_{key}"
+    return change
+
+
 @pytest.mark.parametrize("change, defect", [
     (_drop_quantizers, "metadata is missing key 'quantizers'"),
     (_null_sites, "snn-mode checkpoint has no spike sites for block0"),
@@ -648,6 +655,14 @@ def _config(key, value):
     (_config("rmsnorm_eps", "x"), "model config: rmsnorm_eps must be a finite number > 0, got 'x'"),
     (_config("rmsnorm_eps", -1.0), "model config: rmsnorm_eps must be a finite number > 0, got -1.0"),
     (_config("rmsnorm_eps", 10 ** 400), "model config: rmsnorm_eps must be a finite number > 0, got 1000"),
+    # these loaded (true as 1, a missing field as its default, an unknown key ignored), or, 4.0,
+    # failed as malformed metadata naming no key
+    (_config("rmsnorm_eps", True), "model config: rmsnorm_eps must be a number, got True"),
+    (_config("delta_rank", True), "model config: delta_rank must be an integer, got True"),
+    (_config("d_hidden", 4.0), "model config: d_hidden must be an integer, got 4.0"),
+    (_without_config("rmsnorm_eps"), "model config: missing field 'rmsnorm_eps'"),
+    (_without_config("delta_rank"), "model config: missing field 'delta_rank'"),
+    (_config("dropout", 0.5), "model config: unknown field 'dropout'"),
     (_config("history", 10 ** 400), r"truncated weight payload: \d+ of \d{400,} bytes"),
     (_set("quantizers", "h", "alpha", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
     (_set("sites", "conv", "theta", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
