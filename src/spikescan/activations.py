@@ -36,7 +36,7 @@ SILU_SHIFT = -_SILU_ROOT / LN2 - SILU_CUT
 
 # 0-d twins of the constants the forward's activations pass to numpy (``numerics.operand``)
 _SOFTPLUS_CUT, _SOFTPLUS_SHIFT = nm.operand(SOFTPLUS_CUT), nm.operand(SOFTPLUS_SHIFT)
-_SILU_CUT, _SILU_SHIFT = nm.operand(SILU_CUT), nm.operand(SILU_SHIFT)
+_SILU_CUT, _SILU_SHIFT, _MINUS_ONE = nm.operand(SILU_CUT), nm.operand(SILU_SHIFT), nm.operand(-1.0)
 
 # Certified uniform deviation bounds against the smooth references.
 SOFTPLUS_VALUE_BOUND = 0.914
@@ -101,7 +101,9 @@ def pow2_softplus_grad(x):
 def pow2_silu(x):
     """Piecewise SiLU: -(2**x) below the cut, 2**(-x-1) + x + shift above."""
     x = np.asanyarray(x, dtype=np.float64)
-    upper = np.add(np.add(np.exp2(np.subtract(np.negative(x), nm.ONE)), x), _SILU_SHIFT)
+    # -1 - x rounds as -x - 1 does, and keeps a NaN's sign: negating one would flip it, and the add of
+    # the two NaNs would keep either sign, by the entry's place in numpy's vector loop
+    upper = np.add(np.add(np.exp2(np.subtract(_MINUS_ONE, x)), x), _SILU_SHIFT)
     return np.where(np.less(x, _SILU_CUT), np.negative(np.exp2(x)), upper)
 
 

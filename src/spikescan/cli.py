@@ -23,7 +23,7 @@ from .train import (TrainConfig, apply_threshold_scaling, convert_to_snn,
                     load_checkpoint, save_checkpoint, train)
 
 # config-file keys and parse types, per command; d_value is the CSV's column count
-MODEL_KEYS = {k: t for k, t in field_types(ModelConfig).items() if k != "d_value"}
+MODEL_KEYS = {k: t for k, t in ModelConfig.FIELD_TYPES.items() if k != "d_value"}
 TRAIN_KEYS = field_types(TrainConfig)
 SPLIT_KEYS = {"split_train": float, "split_val": float, "split_test": float}
 ENERGY_KEYS = field_types(EnergyTable)

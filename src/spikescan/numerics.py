@@ -385,11 +385,11 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    out = Tensor(np.ascontiguousarray(np.transpose(x.data, axes)))
+    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))  # the method: np.transpose adds two frames
     if not _TAPE_STACK:
         return out
     # the inverse permutation is found only when a backward needs it
-    record_op(out, lambda g, accumulate: accumulate(x, np.transpose(g, np.argsort(axes))))
+    record_op(out, lambda g, accumulate: accumulate(x, g.transpose(np.argsort(axes))))
     return out
 
 

@@ -19,7 +19,8 @@ A ``Quantizer`` owns a trainable step size ``alpha`` and offset ``beta`` over
 ``2**bits`` codes; ``Quantizer.grid`` freezes their current values into a
 ``CodeGrid``, whose ``read`` codes a small drive by one search of its T exact
 thresholds (``bisect_thresholds``) and a larger one by the arithmetic, bit for
-bit alike, and reads their values, or an activation of them, from one table.
+bit alike, and writes their values, or an activation of them, into the drive
+itself, read from one table whose last entry is the NaN an overflow makes.
 
 Every real-arithmetic quantization, taped (``quantize``) or not, codes by
 ``quantize_codes`` with its quantizer grid's operands and decodes by that grid.
@@ -168,38 +169,47 @@ class CodeGrid:
         return np.append(self.thresholds(), np.nan)
 
     def table(self, fn=None) -> np.ndarray:
-        """``fn`` of the T + 1 decoded levels (without ``fn``, the levels), built on first use."""
+        """``fn`` of the T + 1 decoded levels and, last, of the NaN the arithmetic makes of a NaN drive
+        (without ``fn``, those T + 2 values), in one ``fn`` call, built on first use."""
         table = self._tables.get(fn)
         if table is None:
-            levels = self.decode(np.arange(self.T + 1.0))
+            with np.errstate(invalid="ignore"):  # inf - inf: the platform's default NaN, as an overflow makes it
+                levels = np.append(self.decode(np.arange(self.T + 1.0)), np.subtract(np.inf, np.inf))
             table = self._tables[fn] = levels if fn is None else fn(levels)
         return table
 
-    def read(self, drive: np.ndarray, fn=None) -> tuple[np.ndarray, np.ndarray | None]:
-        """The codes of ``drive``, which nothing reads again, and ``fn`` of their values (without
-        ``fn``, the values), bit for bit ``fn(decode(codes(drive)))``.
+    def read(self, drive: np.ndarray, fn=None, counted: bool = False) -> np.ndarray:
+        """Writes ``fn`` of the values of ``drive``'s codes (without ``fn``, the values) into ``drive``,
+        which nothing reads again, bit for bit ``fn(decode(codes(drive)))``, and returns the codes.
 
         A drive of at most ``SEARCH_MAX`` entries is coded by one search of the thresholds,
-        ``code = #{k: tau_k <= x}``, and read from one table into fresh arrays.  A larger one is
-        coded by the arithmetic in its own buffer; without ``fn`` its values come back ``None``,
-        for the caller to decode in place once it has read the codes.  A NaN entry sorts past
-        the table, so its drive takes the arithmetic, whose NaN passes through ``decode`` and ``fn``.
+        ``code = #{k: tau_k <= x}``, into a fresh index array, and its values are taken from one table
+        straight into the drive.  A NaN entry sorts past the thresholds, to code T + 1, whose table entry
+        is ``fn`` of the platform's default NaN: the NaN an overflow makes, which the arithmetic passes
+        through ``decode`` and ``fn``.  A larger drive is coded by the arithmetic in its own buffer, so
+        its codes come back as the drive, decoded in place or read through the table (``fn`` computed
+        where a NaN casts to no index).  ``counted`` (no ``fn``) is for a caller that tallies the codes
+        before they are decoded: a larger drive's stay in its buffer for the caller to decode, and a
+        drive holding NaN takes the arithmetic, whose NaN count the tally refuses.
         """
         table = self._tables.get(fn)
         if table is None:  # built once; a call per read would cost batch-1 latency
             table = self.table(fn)
         if drive.size <= SEARCH_MAX:
             codes = self._tau.searchsorted(drive, side="right")
-            try:
-                return codes, table.take(codes, mode="raise")
-            except IndexError:  # a NaN entry counted T + 1
-                pass
+            # counted, a NaN's code T + 1 sends the drive to the arithmetic; argmax is the cheapest test
+            if not counted or not codes.size or codes.item(codes.argmax()) <= self.T:
+                table.take(codes, mode="clip", out=drive)  # no index clips; "raise" would buffer the output
+                return codes
         codes = self.codes(drive, out=drive)
+        if counted:
+            return codes
         if fn is None:
-            return codes, None
+            return self.decode(codes, out=codes)
         if np.isnan(np.maximum.reduce(codes, None)):
-            return codes, fn(self.decode(codes, out=codes))
-        return codes, table.take(codes.astype(np.intp), mode="clip", out=codes)  # codes in range
+            codes[...] = fn(self.decode(codes, out=codes))
+            return codes
+        return table.take(codes.astype(np.intp), mode="clip", out=codes)  # codes in range
 
 
 def init_step_size(x: np.ndarray) -> float:

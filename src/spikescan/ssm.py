@@ -26,7 +26,9 @@ every output, agrees bit for bit (a threshold-scaled site only while it
 saturates).  ``x_res`` and ``delta_int`` stay quantizers in both; the
 spiking forward reads every site, and the gate and the step's softplus from
 their quantizers' grids, through one code-grid read (``CodeGrid.read``), bit
-for bit.  The recurrence runs in ``selective_scan``, the one loop over time,
+for bit, which writes the values into the drive itself, so off the tape a
+site's or activation's output is its input Tensor, and the state hook's output
+its slot.  The recurrence runs in ``selective_scan``, the one loop over time,
 which re-encodes ``h`` in place through a per-step hook; since ``y`` never feeds
 back, its site encodes the whole readout once.  In training the scan is one
 tape op whose hand-written backward walks the steps in reverse, reading what
@@ -91,26 +93,39 @@ class ModelConfig:
     def __post_init__(self):
         if self.delta_rank is None:
             self.delta_rank = max(1, math.ceil(self.d_hidden / 8))
-        for k, t in field_types(ModelConfig).items():
-            v = getattr(self, k)
-            if type(v) is bool or (t is int and type(v) is not int):  # JSON true is no number, 4.0 no integer
-                raise ValueError(f"model config: {k} must be {'an integer' if t is int else 'a number'}, got {v!r}")
-            if t is int and v < 1:
-                raise ValueError(f"model config: {k} must be >= 1, got {v}")
-            # an int compares exactly, so one too large for a float64 fails
-            if t is float and not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
-                raise ValueError(f"model config: {k} must be a finite number > 0, got {v!r}")
+        for k in self.FIELD_TYPES:
+            _check_field(k, getattr(self, k))
         if self.bits > MAX_BITS:
             raise ValueError(f"model config: bits must be <= {MAX_BITS}, got {self.bits}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config a checkpoint holds: every field and no other key."""
+        """The config a checkpoint holds: every field and no other key, and none null (the
+        ``delta_rank`` a Python caller leaves ``None`` takes its default)."""
         odd = set(d) ^ cls.__dataclass_fields__.keys()  # unknown keys and missing fields
         if odd:
             k = min(odd)
             raise ValueError(f"model config: {'unknown' if k in d else 'missing'} field {k!r}")
+        for k, v in d.items():
+            if v is None:
+                _check_field(k, v)
         return cls(**d)
+
+
+# each field and the type it takes, found once: get_type_hints compiles the string annotations
+ModelConfig.FIELD_TYPES = field_types(ModelConfig)
+
+
+def _check_field(k: str, v) -> None:
+    """Refuse the value ``v`` of ``ModelConfig`` field ``k`` unless its type and range fit."""
+    t = ModelConfig.FIELD_TYPES[k]
+    if type(v) is bool or (t is int and type(v) is not int):  # JSON true is no number, 4.0 no integer
+        raise ValueError(f"model config: {k} must be {'an integer' if t is int else 'a number'}, got {v!r}")
+    if t is int and v < 1:
+        raise ValueError(f"model config: {k} must be >= 1, got {v}")
+    # an int compares exactly, so one too large for a float64 fails
+    if t is float and not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
+        raise ValueError(f"model config: {k} must be a finite number > 0, got {v!r}")
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -293,10 +308,13 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     n = A.shape[1]
     span = max(1, min(L, SCAN_CHUNK // max(1, B * dh * n)))  # B = 0 takes one chunk of empty steps
     term = np.empty((span, B, dh, n))
-    expo, hs = (np.empty((span, B, dh, n)) for _ in range(2)) if keep is None else (keep.abar, keep.hs)
+    if keep is None:
+        expo, hs = np.empty((span, B, dh, n)), np.empty((span, B, dh, n))
+    else:
+        expo, hs = keep.abar, keep.hs
     # time-major views, so a chunk of each is one slice
-    step_t, u_t = (a.swapaxes(0, 1)[..., None] for a in (step, u))
-    B_t, C_t = (a.swapaxes(0, 1)[:, :, None] for a in (B_seq, C_seq))
+    step_t, u_t = step.swapaxes(0, 1)[..., None], u.swapaxes(0, 1)[..., None]
+    B_t, C_t = B_seq.swapaxes(0, 1)[:, :, None], C_seq.swapaxes(0, 1)[:, :, None]
     y = np.empty((B, L, dh))
     h = nm.ZERO  # the zero initial state, broadcast by the first step
     for t0 in range(0, L, span):
@@ -517,53 +535,60 @@ def block_forward_snn(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, counters=N
     """Spike-driven forward of one converted block, a Tensor in and a Tensor out (no tape).
 
     Each spike site emits counts and decodes them once, ``offset + theta *
-    count``.  ``delta_int`` and ``x_res`` stay quantizers, whose activations
-    (the step's softplus and the gate) are read through their grids' tables.
+    count``, into its drive.  ``delta_int`` and ``x_res`` stay quantizers, whose
+    activations (the step's softplus and the gate) are read through their grids'
+    tables into theirs.  With ``counters`` each site's counts are tallied before
+    they are decoded.
     """
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
     T_pass = 2 ** cfg.bits - 1
+    sites = p.sites
 
-    def code(name, v):
-        """Spike site ``name`` on the dead drive ``v``: its values and, with ``counters``, its spike total."""
-        site = p.sites[name]
-        counts, values = site.read(v)
-        spikes = None
-        if counters is not None:
-            counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
-            # rate is spikes per (neuron, timestep) slot of the pass window, so a
-            # threshold-scaled site with a collapsed T reports a lower rate
-            spikes = counters.record_site(f"{tag}.{name}", counts, T_pass)
-            if spikes is None:  # a counters object that keeps no site record returns no total
-                spikes = int(counts.sum())
-        if values is None:  # arithmetic counts in v's buffer, read above
-            values = site.decode(counts, out=counts)
-        return values, spikes
+    def count(name, v):
+        """Spike site ``name`` on the dead drive ``v``, into which it decodes its counts once the op
+        counters have read them; returns its spike total."""
+        site = sites[name]
+        counts = site.read(v, counted=True)
+        counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
+        # rate is spikes per (neuron, timestep) slot of the pass window, so a
+        # threshold-scaled site with a collapsed T reports a lower rate
+        spikes = counters.record_site(f"{tag}.{name}", counts, T_pass)
+        if spikes is None:  # a counters object that keeps no site record returns no total
+            spikes = int(counts.sum())
+        if counts is v:  # a large drive's arithmetic counts, in its buffer until read above
+            site.decode(counts, out=v)
+        return spikes
 
     def encode(name, t):
-        values, spikes = code(name, t.data)
-        return nm.Tensor(values), spikes
+        if counters is None:
+            sites[name].read(t.data)
+            return t, None
+        return t, count(name, t.data)
 
     def apply(name, t, fn, fn_grad):
-        return nm.Tensor(p.quantizers[name].grid().read(t.data, fn)[1])
+        p.quantizers[name].grid().read(t.data, fn)
+        return t
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
+        args = step.data, A.data, B_seq.data, C_seq.data, D.data, u.data
+        if counters is None:
+            read = sites["h"].read
+
+            def encode_h(t, h_pre):
+                read(h_pre)
+
+            return nm.Tensor(selective_scan(*args, encode_h))
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none
 
         def encode_h(t, h_pre):
-            if counters is not None:
-                # step * A and step * B products; one shift per surviving state spike
-                counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
-            h, total = code("h", h_pre)
-            if h is not h_pre:  # a small drive's values come from the table, not its buffer
-                h_pre[...] = h
-            if counters is not None:
-                spikes.append(total)
+            # step * A and step * B products; one shift per surviving state spike
+            counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
+            spikes.append(count("h", h_pre))
 
-        y = selective_scan(step.data, A.data, B_seq.data, C_seq.data, D.data, u.data, encode_h)
-        if counters is not None:
-            # one readout accumulate per state spike; each input spike feeds n terms B u and one D u
-            counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
+        y = selective_scan(*args, encode_h)
+        # one readout accumulate per state spike; each input spike feeds n terms B u and one D u
+        counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
         return nm.Tensor(y)
 
     return _block(x, p, cfg, encode, apply, scan, counters, tag)

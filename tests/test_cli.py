@@ -708,6 +708,23 @@ def test_a_non_finite_head_weight_in_the_fixture_is_a_usage_error(mutation_input
     assert not (d / "nf.csv").exists()
 
 
+def test_a_null_delta_rank_in_the_fixture_is_a_usage_error(mutation_inputs, capsys):
+    """``ModelConfig(...)`` gives a ``None`` delta_rank its default, but a checkpoint holds every field:
+    the fixture with ``"delta_rank": null`` loaded with that default; ``forecast`` now exits 2 naming
+    the file and the field."""
+    d, raw = mutation_inputs
+    (mlen,) = struct.unpack_from("<I", raw["ann"], 8)
+    meta = json.loads(raw["ann"][12:12 + mlen])
+    meta["config"]["delta_rank"] = None
+    blob = json.dumps(meta).encode()
+    ckpt = d / "null.ckpt"
+    ckpt.write_bytes(raw["ann"][:8] + struct.pack("<I", len(blob)) + blob + raw["ann"][12 + mlen:])
+    assert cli.main(["forecast", "--model", str(ckpt), "--data", str(d / "series.csv"), "--has-header",
+                     "--out", str(d / "null.csv")]) == 2
+    assert f"error: {ckpt}: model config: delta_rank must be an integer, got None" in capsys.readouterr().err
+    assert not (d / "null.csv").exists()
+
+
 def _mutate_key(meta, walk, how) -> None:
     """Apply ``how`` to the metadata entry ``walk`` leads to: each step picks a key or index of the
     current object or list (modulo its length); the walk stops at a leaf or an empty container."""

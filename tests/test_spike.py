@@ -222,6 +222,8 @@ def ulps_around(v: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+with np.errstate(invalid="ignore"):
+    DEFAULT_NAN = np.subtract(np.inf, np.inf)  # the platform's NaN, which an overflow makes
 SPECIAL_DRIVES = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324,
                            2.2250738585072009e-308, -2.2250738585072009e-308, 1.7976931348623157e308])
 
@@ -250,21 +252,28 @@ def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_
     for piece in drive.reshape(-1, 4, SEARCH_MAX // 4):  # drives the size of the largest search
         with np.errstate(over="ignore"):
             want = s.encode_counts(piece)
-        counts, values = s.read(piece.copy())
-        assert values is not None  # searched
+        values = piece.copy()
+        counts = s.read(values)
+        assert counts.dtype == np.intp  # searched
         assert np.array_equal(counts, want)
         assert values.tobytes() == s.decode_counts(want).tobytes()
 
 
-def test_a_nan_or_a_large_drive_takes_the_arithmetic():
-    """The search would give NaN the count T (a finite value), so a NaN drive is counted by
-    ``encode_counts`` in its own buffer, as a drive above ``SEARCH_MAX`` entries is."""
+def test_a_large_or_a_counted_nan_drive_takes_the_arithmetic():
+    """A drive above ``SEARCH_MAX`` entries is counted by ``encode_counts`` in its own buffer and
+    decoded there, or left counted for a caller that tallies the counts.  A small NaN drive reads the
+    default NaN from the table's last entry, unless it is counted: the search would give NaN the count
+    T + 1 (a finite value), so it takes the arithmetic, whose count NaN the op counters refuse."""
     s = site(3, 0.5, offset=-0.25)
-    for drive in (np.array([0.1, np.nan, 2.0]), np.linspace(-1.0, 3.0, SEARCH_MAX + 1)):
+    nan, large = np.array([0.1, DEFAULT_NAN, 2.0]), np.linspace(-1.0, 3.0, SEARCH_MAX + 1)
+    for drive in (nan, large):
         buf = drive.copy()
-        counts, values = s.read(buf)
-        assert counts is buf and values is None
-        assert counts.tobytes() == s.encode_counts(drive).tobytes()
+        assert s.read(buf, counted=True) is buf
+        assert buf.tobytes() == s.encode_counts(drive).tobytes()
+        buf = drive.copy()
+        s.read(buf)
+        assert buf.tobytes() == s.decode_counts(s.encode_counts(drive)).tobytes()
+    assert s.read(nan.copy()).tolist() == [0, 4, 3]
 
 
 def test_search_tables_are_built_on_a_sites_first_small_drive():
@@ -301,7 +310,7 @@ def test_a_code_table_reads_like_the_arithmetic(bits, rounding, log_alpha, log_b
 
     with np.errstate(over="ignore", invalid="ignore"):  # fn of levels far below zero overflows 2**-x
         grid.read(np.zeros(1), counted)
-    assert calls == [(q.code_max + 1,)]  # the table of the levels
+    assert calls == [(q.code_max + 2,)]  # the table of the levels and the NaN
     tau = grid.thresholds()
     k = np.arange(1, q.code_max + 1)
     with np.errstate(over="ignore"):  # the arithmetic on inputs near the float64 extremes
@@ -314,13 +323,13 @@ def test_a_code_table_reads_like_the_arithmetic(bits, rounding, log_alpha, log_b
     for size in (SEARCH_MAX, SEARCH_MAX + 1):
         pieces = np.resize(values, -(-values.size // size) * size).reshape(-1, size)
         with_nan = pieces[0].copy()
-        with_nan[rng.integers(size)] = np.nan
+        with_nan[rng.integers(size)] = DEFAULT_NAN
         for piece in [*pieces, with_nan]:
             before = len(calls)
             with np.errstate(over="ignore", invalid="ignore"):
                 want = fn(quantize_values(piece, q)[0])
-                got = grid.read(piece.copy(), counted)[1]
-            assert len(calls) == before + (piece is with_nan)
+                grid.read(got := piece.copy(), counted)
+            assert len(calls) == before + (piece is with_nan and size > SEARCH_MAX)
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(np.isnan(got), np.isnan(piece))
 
@@ -328,12 +337,13 @@ def test_a_code_table_reads_like_the_arithmetic(bits, rounding, log_alpha, log_b
 @pytest.mark.parametrize("fn", [pow2_silu, pow2_softplus])
 @pytest.mark.parametrize("size", [8, 2000])
 def test_a_nan_entry_reads_nan_from_a_small_and_a_large_drive(fn, size):
-    """NaN counts past the table in a search, and its arithmetic code casts to no index, so a drive
-    with NaN takes the arithmetic: NaN in, NaN out, every other entry as the table reads it."""
+    """NaN counts past the thresholds in a search, to the table's last entry, and its arithmetic code
+    casts to no index, so a large drive with NaN takes the arithmetic: NaN in, NaN out, every other
+    entry as the table reads it."""
     q = Quantizer(bits=2, alpha=0.5, beta=-0.25, rounding="nearest")
     drive = np.linspace(-1.0, 2.0, size)
-    drive[size // 2] = np.nan
-    got = q.grid().read(drive.copy(), fn)[1]
+    drive[size // 2] = DEFAULT_NAN
+    q.grid().read(got := drive.copy(), fn)
     assert got.tobytes() == fn(quantize_values(drive, q)[0]).tobytes()
     assert np.isnan(got[size // 2]) and np.isfinite(np.delete(got, size // 2)).all()
 

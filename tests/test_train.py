@@ -662,6 +662,9 @@ def _without_config(key):
     (_config("d_hidden", 4.0), "model config: d_hidden must be an integer, got 4.0"),
     (_without_config("rmsnorm_eps"), "model config: missing field 'rmsnorm_eps'"),
     (_without_config("delta_rank"), "model config: missing field 'delta_rank'"),
+    # null loaded as the default ceil(d_hidden / 8), which ModelConfig(...) still gives a None
+    (_config("delta_rank", None), "model config: delta_rank must be an integer, got None"),
+    (_config("rmsnorm_eps", None), "model config: rmsnorm_eps must be a finite number > 0, got None"),
     (_config("dropout", 0.5), "model config: unknown field 'dropout'"),
     (_config("history", 10 ** 400), r"truncated weight payload: \d+ of \d{400,} bytes"),
     (_set("quantizers", "h", "alpha", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
