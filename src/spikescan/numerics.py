@@ -5,10 +5,16 @@ on the primitives defined here.  A forward pass executed under an active
 ``GradTape`` records one closure per primitive; ``backward`` replays the
 closures in reverse order and returns a gradient for every trainable leaf.
 
-Values are always float64 and row-major.  Ops run tape-free (pure forward)
-when no tape is active: the primitives a forward runs return before they
-build a backward closure or call ``record_op``, so inference costs nothing
-extra.
+Values are always float64 and row-major.  Tensors belong to the tape.  A
+primitive's arithmetic is an unchecked array kernel, a module attribute named
+``<primitive>_kernel`` (``rmsnorm``, ``linear``, ``split_last``,
+``depthwise_conv1d``, ``permute``, ``exp``, ``neg``, ``mul`` and ``add``); the
+primitive is its shape checks, that kernel and its tape closure, so a taped
+and an untaped forward agree bit for bit by construction.  Off the tape a
+forward skips the primitives: a block unwraps its input Tensor once, runs the
+kernels on bare arrays and wraps its output once.  A primitive called with
+no tape active still returns before it builds a backward closure or calls
+``record_op``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import numpy as np
 __all__ = ["Tensor", "GradTape", "backward", "tensor", "record_op", "active_tape", "add",
            "sub", "mul", "neg", "scale", "unary", "exp", "linear", "depthwise_conv1d",
            "rmsnorm", "split_last", "permute", "reshape", "take_axis1", "stack_axis1",
-           "sum_axis", "sum_all", "mean_all", "mse", "operand", "ZERO", "ONE"]
+           "sum_axis", "sum_all", "mean_all", "mse", "operand", "ZERO", "ONE",
+           "add_kernel", "mul_kernel", "neg_kernel", "exp_kernel", "linear_kernel",
+           "depthwise_conv1d_kernel", "rmsnorm_kernel", "split_last_kernel", "permute_kernel"]
 
 
 _F64 = np.dtype(np.float64)
@@ -176,11 +184,74 @@ def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """``x`` [B, L, D] with zero rows added along time, written into a zeroed buffer (``np.pad`` costs far more)."""
+    B, L, D = x.shape
+    out = np.zeros((B, before + L + after, D))
+    out[:, before:before + L] = x
+    return out
+
+
+def _rms_scale(x: np.ndarray, eps: float) -> np.ndarray:
+    """``1 / sqrt(mean(x**2) + eps)`` over the last axis, kept as a length-1 axis."""
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True)
+    ms /= x.shape[-1]  # np.mean's sum and division, without its Python layers
+    return 1.0 / np.sqrt(ms + eps)
+
+
+# --- array kernels ----------------------------------------------------------
+# Each primitive's arithmetic on bare float64 arrays, unchecked: the caller
+# guarantees the shapes (weights are checked at build and load, windows by the
+# model).  The elementwise ones are numpy's ufuncs themselves.
+
+add_kernel, mul_kernel, neg_kernel, exp_kernel = np.add, np.multiply, np.negative, np.exp
+
+
+def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w`` over the last axis, plus ``b`` when given."""
+    y = x @ w
+    if b is not None:
+        # a new array, not `y += b`: across processes the in-place add cost batch-256 forwards 20 %
+        y = y + b
+    return y
+
+
+def depthwise_conv1d_kernel(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Causal depthwise convolution of ``x`` [B, L, D] by ``k`` [D, K] along time."""
+    L, K = x.shape[1], k.shape[1]
+    xpad = _pad_time(x, K - 1, 0)
+    # K shifted multiply-adds in tap order: the sum order of sum_j k[:, j] x[t - K+1 + j]
+    y = xpad[:, 0:L] * k[:, 0]
+    for j in range(1, K):
+        y += xpad[:, j:j + L] * k[:, j]
+    return y
+
+
+def rmsnorm_kernel(x: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
+    """``x * g`` scaled by the reciprocal root mean square of ``x`` over the last axis."""
+    return x * g * _rms_scale(x, eps)
+
+
+def split_last_kernel(x: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Consecutive chunks of the last axis of the given sizes, each C-contiguous (a view when it already is)."""
+    outs = []
+    hi = 0
+    for size in sizes:
+        lo, hi = hi, hi + size
+        outs.append(np.ascontiguousarray(x[..., lo:hi]))
+    return outs
+
+
+def permute_kernel(x: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``x`` with its axes reordered, copied C-contiguous."""
+    return np.ascontiguousarray(x.transpose(axes))  # the method: np.transpose adds two frames
+
+
 # --- elementwise primitives -------------------------------------------------
 
 
 def add(a, b) -> Tensor:
-    out = Tensor(_data(a) + _data(b))
+    out = Tensor(add_kernel(_data(a), _data(b)))
     if not _TAPE_STACK:
         return out
 
@@ -209,7 +280,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     da, db = _data(a), _data(b)
-    out = Tensor(da * db)
+    out = Tensor(mul_kernel(da, db))
     if not _TAPE_STACK:
         return out
 
@@ -224,7 +295,7 @@ def mul(a, b) -> Tensor:
 
 
 def neg(x: Tensor) -> Tensor:
-    out = Tensor(-x.data)
+    out = Tensor(neg_kernel(x.data))
     if not _TAPE_STACK:
         return out
     record_op(out, lambda g, accumulate: accumulate(x, -g))
@@ -248,7 +319,7 @@ def unary(x: Tensor, fn: Callable[[np.ndarray], np.ndarray], grad_fn: Callable[[
 
 
 def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
+    e = exp_kernel(x.data)
     out = Tensor(e)
     if not _TAPE_STACK:
         return out
@@ -265,14 +336,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ValueError(
             f"linear: input shape {x.data.shape} does not match weight shape {w.data.shape}"
         )
-    y = x.data @ w.data
-    if b is not None:
-        if b.data.shape != (w.data.shape[1],):
-            raise ValueError(
-                f"linear: bias shape {b.data.shape} does not match weight shape {w.data.shape}"
-            )
-        y = y + b.data
-    out = Tensor(y)
+    if b is not None and b.data.shape != (w.data.shape[1],):
+        raise ValueError(
+            f"linear: bias shape {b.data.shape} does not match weight shape {w.data.shape}"
+        )
+    out = Tensor(linear_kernel(x.data, w.data, None if b is None else b.data))
     if not _TAPE_STACK:
         return out
 
@@ -285,14 +353,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             accumulate(b, g2.sum(axis=0))
 
     record_op(out, vjp)
-    return out
-
-
-def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
-    """``x`` [B, L, D] with zero rows added along time, written into a zeroed buffer (``np.pad`` costs far more)."""
-    B, L, D = x.shape
-    out = np.zeros((B, before + L + after, D))
-    out[:, before:before + L] = x
     return out
 
 
@@ -309,16 +369,11 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
         raise ValueError(
             f"depthwise_conv1d: kernel shape {k.data.shape} does not match input shape {x.data.shape}"
         )
-    L, K = x.data.shape[1], k.data.shape[1]
-    kd = k.data
-    xpad = _pad_time(x.data, K - 1, 0)
-    # K shifted multiply-adds in tap order: the sum order of sum_j k[:, j] x[t - K+1 + j]
-    y = xpad[:, 0:L] * kd[:, 0]
-    for j in range(1, K):
-        y += xpad[:, j:j + L] * kd[:, j]
-    out = Tensor(y)
+    out = Tensor(depthwise_conv1d_kernel(x.data, k.data))
     if not _TAPE_STACK:
         return out
+    L, K = x.data.shape[1], k.data.shape[1]
+    kd = k.data
 
     def vjp(g, accumulate):
         # out[t] reads x[t - K+1 + j] through tap j, so x[s] collects g[s + K-1 - j] k[:, j]
@@ -328,6 +383,7 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
             gx += gpad[:, i:i + L] * kd[:, K - 1 - i]
         accumulate(x, gx)
         gk = np.empty_like(kd)
+        xpad = _pad_time(x.data, K - 1, 0)
         for j in range(K):
             gk[:, j] = np.einsum("bld,bld->d", g, xpad[:, j:j + L])
         accumulate(k, gk)
@@ -342,16 +398,14 @@ def rmsnorm(x: Tensor, g: Tensor, eps: float = 1e-6) -> Tensor:
         raise ValueError(
             f"rmsnorm: gain shape {g.data.shape} does not match input shape {x.data.shape}"
         )
-    d = x.data.shape[-1]
-    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True)
-    ms /= d  # np.mean's sum and division, without its Python layers
-    r = 1.0 / np.sqrt(ms + eps)
-    out = Tensor(x.data * g.data * r)
+    out = Tensor(rmsnorm_kernel(x.data, g.data, eps))
     if not _TAPE_STACK:
         return out
+    d = x.data.shape[-1]
 
     def vjp(grad, accumulate):
         # out_i = x_i g_i r with r = (mean_j x_j^2 + eps)^(-1/2)
+        r = _rms_scale(x.data, eps)
         inner = np.sum(grad * g.data * x.data, axis=-1, keepdims=True)
         accumulate(x, grad * g.data * r - x.data * (r ** 3) * inner / d)
         accumulate(g, _unbroadcast(grad * x.data * r, g.data.shape))
@@ -367,25 +421,23 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
     """Split the last axis into consecutive chunks of the given sizes."""
     if sum(sizes) != x.data.shape[-1]:
         raise ValueError(f"split_last: sizes {tuple(sizes)} do not sum to last axis of {x.data.shape}")
-    outs = []
+    outs = tuple(Tensor(piece) for piece in split_last_kernel(x.data, sizes))
+    if not _TAPE_STACK:
+        return outs
     hi = 0
-    for size in sizes:
+    for size, piece in zip(sizes, outs):
         lo, hi = hi, hi + size
-        piece = Tensor(np.ascontiguousarray(x.data[..., lo:hi]))
-        outs.append(piece)
-        if not _TAPE_STACK:
-            continue
 
         def vjp(g, accumulate, index=(..., slice(lo, hi))):
             accumulate(x, g, index)
 
         record_op(piece, vjp)
-    return tuple(outs)
+    return outs
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))  # the method: np.transpose adds two frames
+    out = Tensor(permute_kernel(x.data, axes))
     if not _TAPE_STACK:
         return out
     # the inverse permutation is found only when a backward needs it

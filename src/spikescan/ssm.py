@@ -27,10 +27,13 @@ saturates).  ``x_res`` and ``delta_int`` stay quantizers in both; the
 spiking forward reads every site, and the gate and the step's softplus from
 their quantizers' grids, through one code-grid read (``CodeGrid.read``), bit
 for bit, which writes the values into the drive itself, so off the tape a
-site's or activation's output is its input Tensor, and the state hook's output
-its slot.  The recurrence runs in ``selective_scan``, the one loop over time,
-which re-encodes ``h`` in place through a per-step hook; since ``y`` never feeds
-back, its site encodes the whole readout once.  In training the scan is one
+site's or activation's output is its input array, and the state's its slot.
+Tensors belong to the tape: under one ``_block`` runs the Tensor primitives,
+and off it the block unwraps its input once, runs their array kernels on bare
+arrays and wraps its output once.  The recurrence runs in ``selective_scan``,
+the one loop over time, which re-encodes ``h`` in place through a per-step
+hook given the state alone; since ``y`` never feeds back, its site encodes the
+whole readout once.  In training the scan is one
 tape op whose hand-written backward walks the steps in reverse, reading what
 its forward kept: the decay factors, the exponent's straight-through mask,
 the encoded states and the ``h`` site's scaled drives and codes, in
@@ -44,6 +47,7 @@ forecast horizon per variable.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -214,6 +218,9 @@ class BlockParams:
 
 # the weight tensors in declaration order, the order parameters() and the checkpoint payload walk
 BlockParams.WEIGHT_FIELDS = tuple(k for k, t in typing.get_type_hints(BlockParams).items() if t is nm.Tensor)
+# a block's weights in that order, as Tensors for the taped primitives or as their arrays for the kernels
+_WEIGHT_TENSORS = operator.attrgetter(*BlockParams.WEIGHT_FIELDS)
+_WEIGHT_ARRAYS = operator.attrgetter(*(f"{k}.data" for k in BlockParams.WEIGHT_FIELDS))
 
 
 def _exponent(x: np.ndarray, smooth: bool) -> np.ndarray:
@@ -245,11 +252,6 @@ def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
 # --- the block ------------------------------------------------------------------
 
 
-def _dead(t: nm.Tensor) -> np.ndarray | None:
-    """Where to encode a drive nothing reads again: its own buffer, unless a tape's backward reads it."""
-    return t.data if nm.active_tape() is None else None
-
-
 class ScanKeep:
     """What a taped scan keeps for its backward, time-major [L, B, dh, n] sequences.
 
@@ -273,7 +275,7 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
 
     Each step decays the state by the exact power of two
     ``Abar_t = 2 ** clip(rint(step_t * A))``, adds ``(step_t * B_t) * u_t``,
-    encodes the state in place through ``encode_h(t, h)`` when given, and
+    encodes the state in place through ``encode_h(h)`` when given, and
     reads out ``sum_n C_t h_t + D u_t``.  Both forwards re-encode the state
     through their ``h`` site in the hook; without one the scan is the bare
     time-varying linear recurrence.  ``smooth`` keeps the
@@ -294,9 +296,10 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     the state entries in index order from +0.0, the order numpy's
     ``sum`` takes over fewer than 8 entries.  Each step
     writes its state into the chunk's slot ``hs[j]``, and that slot is the
-    ``h`` the hook receives: the hook encodes the state in its slot and
-    returns nothing.  The slot is a working array the scan overwrites in a
-    later chunk, so a hook that keeps it must copy it.
+    ``h`` the hook receives, step by step in time order: the hook encodes
+    the state in its slot, and whatever it returns is ignored.  The slot is
+    a working array the scan overwrites in a later chunk, so a hook that
+    keeps it must copy it.
 
     With ``keep`` (the taped scan) the decay factors and the states are
     written into its whole-sequence buffers ``keep.abar`` and ``keep.hs``,
@@ -335,7 +338,7 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
             h = np.multiply(h, abar[j], out=slots[j])
             h += bu[j]
             if encode_h is not None:
-                encode_h(t0 + j, h)
+                encode_h(h)
         hc = np.multiply(slots, C_t[ts].repeat(dh, axis=2), out=term[:k])
         readout = np.add(nm.ZERO, hc[..., 0])
         for i in range(1, n):
@@ -344,9 +347,14 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     return y
 
 
-def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, counters,
-           tag: str) -> nm.Tensor:
-    """One block's dataflow, the same in both forwards.
+def _block(x, p: BlockParams, cfg: ModelConfig, encode, apply, scan, counters, tag: str):
+    """One block's dataflow, the same in both forwards and on and off the tape.
+
+    A Tensor ``x`` runs the Tensor primitives, which a tape records, on the
+    block's weight Tensors; an array ``x`` (off the tape) runs the unchecked
+    array kernels on their arrays, and every hook then reads and writes
+    arrays.  Either way each value passes through the same kernel, so the
+    two agree bit for bit.
 
     ``encode(name, t)`` returns spike site ``name``'s values and its spike
     total (``None`` unless the spiking forward counts); off the tape it
@@ -356,62 +364,72 @@ def _block(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, encode, apply, scan, 
     on the tape) of quantizer ``name``'s values of ``t``, consuming ``t`` the
     same way.  ``scan(step,
     A, B_seq, C_seq, D, u, u_spikes)`` returns the scan's readout.
-    ``counters``, unless ``None``, gets each layer's op tally right after
-    the layer.
+    ``counters`` (arrays only), unless ``None``, gets each layer's op tally
+    right after the layer.
     """
     dv, dh, n, r = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank
+    if isinstance(x, nm.Tensor):
+        rmsnorm, linear, split, conv, exp, neg, mul, add = (
+            nm.rmsnorm, nm.linear, nm.split_last, nm.depthwise_conv1d, nm.exp, nm.neg, nm.mul, nm.add)
+        weights = _WEIGHT_TENSORS(p)
+    else:
+        rmsnorm, linear, split, conv, exp, neg, mul, add = (
+            nm.rmsnorm_kernel, nm.linear_kernel, nm.split_last_kernel, nm.depthwise_conv1d_kernel,
+            nm.exp_kernel, nm.neg_kernel, nm.mul_kernel, nm.add_kernel)
+        weights = _WEIGHT_ARRAYS(p)
+    W_in, conv_k, W, b, W_delta, b_delta, A_log, D, g_norm, W_out, b_out = weights
 
-    xn = nm.rmsnorm(x, p.g_norm, cfg.rmsnorm_eps)
+    xn = rmsnorm(x, g_norm, cfg.rmsnorm_eps)
     if counters is not None:
-        counters.add(f"{tag}.rmsnorm", mac=2 * xn.data.size)
-    proj = nm.linear(xn, p.W_in)
+        counters.add(f"{tag}.rmsnorm", mac=2 * xn.size)
+    proj = linear(xn, W_in)
     if counters is not None:
-        counters.add(f"{tag}.in_proj", mac=xn.data.size * 2 * dh)
-    x_in, x_res = nm.split_last(proj, [dh, dh])
+        counters.add(f"{tag}.in_proj", mac=xn.size * 2 * dh)
+    x_in, x_res = split(proj, [dh, dh])
     # each `del` drops an intermediate after its last reader: off the tape that halves
     # the forward's transient heap, which glibc would otherwise trim and re-fault every call
     del xn, proj
 
     s_in, c_in = encode("x_in", x_in)
-    conv_pre = nm.depthwise_conv1d(s_in, p.conv_k)
+    conv_pre = conv(s_in, conv_k)
     del x_in, s_in
     if counters is not None:
-        counters.add(f"{tag}.conv", acc=c_in * cfg.conv_kernel, acc_bias=conv_pre.data.size)
+        counters.add(f"{tag}.conv", acc=c_in * cfg.conv_kernel, acc_bias=conv_pre.size)
     s, c_s = encode("conv", conv_pre)
     del c_in, conv_pre
 
-    pbc = nm.linear(s, p.W, p.b)
+    pbc = linear(s, W, b)
     if counters is not None:
-        counters.add(f"{tag}.proj", acc=c_s * (r + 2 * n), acc_bias=2 * pbc.data.size)
-    d_raw, B_seq, C_seq = nm.split_last(pbc, [r, n, n])
+        counters.add(f"{tag}.proj", acc=c_s * (r + 2 * n), acc_bias=2 * pbc.size)
+    d_raw, B_seq, C_seq = split(pbc, [r, n, n])
     del pbc
     d_spikes, c_dr = encode("delta_raw", d_raw)
-    dproj = nm.linear(d_spikes, p.W_delta, p.b_delta)
+    dproj = linear(d_spikes, W_delta, b_delta)
     if counters is not None:
-        counters.add(f"{tag}.delta_proj", acc=c_dr * dh, acc_bias=2 * dproj.data.size)
+        counters.add(f"{tag}.delta_proj", acc=c_dr * dh, acc_bias=2 * dproj.size)
     step_pt = apply("delta_int", dproj, pow2_softplus, pow2_softplus_grad)
     del d_raw, d_spikes, c_dr, dproj
     if counters is not None:
-        counters.add(f"{tag}.delta_proj", shift=step_pt.data.size, acc_bias=step_pt.data.size)
+        counters.add(f"{tag}.delta_proj", shift=step_pt.size, acc_bias=step_pt.size)
     step, _ = encode("delta", step_pt)
     del step_pt
 
-    A = nm.neg(nm.exp(p.A_log))  # [dh, n]
-    y = scan(step, A, B_seq, C_seq, p.D, s, c_s)
+    A = neg(exp(A_log))  # [dh, n]
+    y = scan(step, A, B_seq, C_seq, D, s, c_s)
     del s, c_s, B_seq, C_seq, step  # before y's encode, so its peak holds none of the scan's inputs
     y, y_spikes = encode("y", y)  # y never feeds back
 
     gate = apply("x_res", x_res, pow2_silu, pow2_silu_grad)
     del x_res
     if counters is not None:
-        counters.add(f"{tag}.gate", shift=gate.data.size, acc_bias=gate.data.size)
-    gated = nm.mul(y, gate)
+        counters.add(f"{tag}.gate", shift=gate.size, acc_bias=gate.size)
+    gated = mul(y, gate)
     if counters is not None:
         counters.add(f"{tag}.gate", acc=y_spikes)
-    z = nm.linear(gated, p.W_out, p.b_out)
+    z = linear(gated, W_out, b_out)
     if counters is not None:
-        counters.add(f"{tag}.out_proj", mac=gated.data.size * dv, acc_bias=z.data.size)
-    return nm.add(x, z)
+        counters.add(f"{tag}.out_proj", mac=gated.size * dv, acc_bias=z.size)
+    return add(x, z)
 
 
 def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares: list):
@@ -477,68 +495,73 @@ def _step_sums(products: np.ndarray) -> float:
 
 def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
                       smooth: bool = False, calibrate: bool = False) -> nm.Tensor:
-    """Real-arithmetic forward of one block; under an active tape the scan is one tape op.
+    """Real-arithmetic forward of one block, a Tensor in and a Tensor out; under an active tape the
+    scan is one tape op.
 
     With ``calibrate`` a site that has no step size yet first fits one to the
     values arriving at it (``Quantizer.calibrate``), then quantizes as usual.
     Sites are reached in forward order, so every site upstream already
     quantizes and each step size is fit to the values it will actually see.
-    Every site, the gate and the step's softplus included, is one ``quantize``
-    op, and the scan keeps what its backward reads in one of the block's
-    spare buffer sets (``ScanKeep``).
+    On the tape every site, the gate and the step's softplus included, is one
+    ``quantize`` op, and the scan keeps what its backward reads in one of the
+    block's spare buffer sets (``ScanKeep``).  Off it the block runs on
+    arrays, and each site quantizes its dead drive in place.
     """
     q = p.quantizers
+    taped = nm.active_tape() is not None
 
     def encode(name, t, fn=None, fn_grad=None):
         if calibrate and not q[name].initialized:
-            q[name].calibrate(t.data)
-        return quantize(t, q[name], smooth, _dead(t), fn, fn_grad), None
+            q[name].calibrate(t.data if taped else t)
+        if taped:
+            return quantize(t, q[name], smooth, None, fn, fn_grad), None
+        values = quantize_values(t, q[name], smooth, out=t)[0]
+        return values if fn is None else fn(values), None
 
     def apply(name, t, fn, fn_grad):
         return encode(name, t, fn, fn_grad)[0]
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
-        args = (step.data, A.data, B_seq.data, C_seq.data, D.data, u.data)
-        if calibrate and not q["h"].initialized:
+        args = (step, A, B_seq, C_seq, D, u)
+        if taped:
+            args = tuple(a.data for a in args)
+        qh = q["h"]
+        if calibrate and not qh.initialized:
             # h feeds back into itself: fit it on the states of a scan that leaves them unencoded
             states = []
-
-            def collect(t, h_pre):
-                states.append(h_pre.ravel().copy())  # the scan reuses its buffers
-
-            selective_scan(*args, collect, smooth)
+            selective_scan(*args, lambda h: states.append(h.ravel().copy()), smooth)  # copies: buffers get reused
             if states:  # a scan that never calls its hook leaves h to the model's check
-                q["h"].calibrate(np.concatenate(states))
-        qh = q["h"]
-        if nm.active_tape() is None:
-            def encode_h(t, h_pre):
-                quantize_values(h_pre, qh, smooth, out=h_pre)
-
-            return nm.Tensor(selective_scan(*args, encode_h, smooth))
+                qh.calibrate(np.concatenate(states))
+        if not taped:
+            return selective_scan(*args, lambda h: quantize_values(h, qh, smooth, out=h), smooth)
         shape = (u.shape[1], u.shape[0]) + A.shape
         spares = p.scan_keeps.setdefault(shape, [])
         kept = spares.pop() if spares else ScanKeep(shape)
         grid = qh.grid()
+        slots = zip(kept.v, kept.codes)  # each step's own, in step order
 
-        def encode_h(t, h_pre):  # v and the codes into the kept buffers, the state in place
-            grid.decode(quantize_codes(h_pre, qh, smooth, kept.v[t], kept.codes[t])[1], out=h_pre)
+        def encode_h(h_pre):  # v and the codes into the kept buffers, the state in place
+            v, codes = next(slots)
+            grid.decode(quantize_codes(h_pre, qh, smooth, v, codes)[1], out=h_pre)
 
         y = nm.Tensor(selective_scan(*args, encode_h, smooth, kept))
         nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept, spares))
         return y
 
-    return _block(x, p, cfg, encode, apply, scan, None, "block")
+    if taped:
+        return _block(x, p, cfg, encode, apply, scan, None, "block")
+    return nm.Tensor(_block(x.data, p, cfg, encode, apply, scan, None, "block"))
 
 
 def block_forward_snn(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, counters=None,
                       tag: str = "block") -> nm.Tensor:
     """Spike-driven forward of one converted block, a Tensor in and a Tensor out (no tape).
 
-    Each spike site emits counts and decodes them once, ``offset + theta *
-    count``, into its drive.  ``delta_int`` and ``x_res`` stay quantizers, whose
-    activations (the step's softplus and the gate) are read through their grids'
-    tables into theirs.  With ``counters`` each site's counts are tallied before
-    they are decoded.
+    The block runs on arrays.  Each spike site emits counts and decodes them
+    once, ``offset + theta * count``, into its drive.  ``delta_int`` and
+    ``x_res`` stay quantizers, whose activations (the step's softplus and the
+    gate) are read through their grids' tables into theirs.  With
+    ``counters`` each site's counts are tallied before they are decoded.
     """
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
@@ -562,46 +585,41 @@ def block_forward_snn(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, counters=N
 
     def encode(name, t):
         if counters is None:
-            sites[name].read(t.data)
+            sites[name].read(t)
             return t, None
-        return t, count(name, t.data)
+        return t, count(name, t)
 
     def apply(name, t, fn, fn_grad):
-        p.quantizers[name].grid().read(t.data, fn)
+        p.quantizers[name].grid().read(t, fn)
         return t
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
-        args = step.data, A.data, B_seq.data, C_seq.data, D.data, u.data
         if counters is None:
-            read = sites["h"].read
-
-            def encode_h(t, h_pre):
-                read(h_pre)
-
-            return nm.Tensor(selective_scan(*args, encode_h))
+            return selective_scan(step, A, B_seq, C_seq, D, u, sites["h"].read)
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none
 
-        def encode_h(t, h_pre):
+        def encode_h(h_pre):
             # step * A and step * B products; one shift per surviving state spike
             counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
             spikes.append(count("h", h_pre))
 
-        y = selective_scan(*args, encode_h)
+        y = selective_scan(step, A, B_seq, C_seq, D, u, encode_h)
         # one readout accumulate per state spike; each input spike feeds n terms B u and one D u
         counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
-        return nm.Tensor(y)
+        return y
 
-    return _block(x, p, cfg, encode, apply, scan, counters, tag)
+    return nm.Tensor(_block(x.data, p, cfg, encode, apply, scan, counters, tag))
 
 
 # --- forecaster ---------------------------------------------------------------
 
 
 def forecast_head(z: nm.Tensor, W_head: nm.Tensor, b_head: nm.Tensor) -> nm.Tensor:
-    """Map [B, L, d_v] -> [B, horizon, d_v] with a shared linear over time."""
-    zp = nm.permute(z, (0, 2, 1))
-    out = nm.linear(zp, W_head, b_head)
-    return nm.permute(out, (0, 2, 1))
+    """Map [B, L, d_v] -> [B, horizon, d_v] with a shared linear over time; off the tape on arrays."""
+    if nm.active_tape() is not None:
+        return nm.permute(nm.linear(nm.permute(z, (0, 2, 1)), W_head, b_head), (0, 2, 1))
+    zp = nm.permute_kernel(z.data, (0, 2, 1))
+    return nm.Tensor(nm.permute_kernel(nm.linear_kernel(zp, W_head.data, b_head.data), (0, 2, 1)))
 
 
 @dataclass

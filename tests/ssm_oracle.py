@@ -94,7 +94,8 @@ def apply_kernel(u: np.ndarray, K: np.ndarray, D: np.ndarray | None = None) -> n
 
 def reference_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
                    D: np.ndarray, u: np.ndarray, encode_h=None, smooth: bool = False) -> np.ndarray:
-    """``selective_scan`` with every op out of place: the hook encodes a fresh ``h`` each step, in place."""
+    """``selective_scan`` with every op out of place: the hook encodes a fresh ``h`` each step, in place,
+    and is handed the state alone, so it counts the steps itself."""
     def exponent(x):
         return np.clip(x if smooth else np.rint(x), EXP_LO, EXP_HI)
 
@@ -106,7 +107,7 @@ def reference_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
         h = pow2_shift(h, exponent(step_t * A))
         h = h + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
         if encode_h is not None:
-            encode_h(t, h)
+            encode_h(h)
         hc = h * C_seq[:, t][:, None, :]
         # the state entries in index order from +0.0; numpy's sum takes that order below 8 entries only
         y[:, t] = sum((hc[..., i] for i in range(hc.shape[-1])), 0.0) + D * u[:, t]
