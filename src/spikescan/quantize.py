@@ -19,8 +19,10 @@ A ``Quantizer`` owns a trainable step size ``alpha`` and offset ``beta`` over
 ``2**bits`` codes; ``Quantizer.grid`` freezes their current values into a
 ``CodeGrid``, whose ``read`` codes a small drive by one search of its T exact
 thresholds (``bisect_thresholds``) and a larger one by the arithmetic, bit for
-bit alike, and writes their values, or an activation of them, into the drive
-itself, read from one table whose last entry is the NaN an overflow makes.
+bit alike, shows the codes to an optional observer (the op counters), and
+then, on the one path every caller takes, writes their values, or an
+activation of them, into the drive itself, read from one table whose last
+entry is the NaN an overflow makes.
 
 Every real-arithmetic quantization, taped (``quantize``) or not, codes by
 ``quantize_codes`` with its quantizer grid's operands and decodes by that grid.
@@ -178,38 +180,34 @@ class CodeGrid:
             table = self._tables[fn] = levels if fn is None else fn(levels)
         return table
 
-    def read(self, drive: np.ndarray, fn=None, counted: bool = False) -> np.ndarray:
+    def read(self, drive: np.ndarray, fn=None, observe=None):
         """Writes ``fn`` of the values of ``drive``'s codes (without ``fn``, the values) into ``drive``,
-        which nothing reads again, bit for bit ``fn(decode(codes(drive)))``, and returns the codes.
+        which nothing reads again, bit for bit ``fn(decode(codes(drive)))``; returns ``observe(codes)``,
+        called once the codes exist and before any value is written (without ``observe``, ``None``).
 
         A drive of at most ``SEARCH_MAX`` entries is coded by one search of the thresholds,
         ``code = #{k: tau_k <= x}``, into a fresh index array, and its values are taken from one table
         straight into the drive.  A NaN entry sorts past the thresholds, to code T + 1, whose table entry
         is ``fn`` of the platform's default NaN: the NaN an overflow makes, which the arithmetic passes
-        through ``decode`` and ``fn``.  A larger drive is coded by the arithmetic in its own buffer, so
-        its codes come back as the drive, decoded in place or read through the table (``fn`` computed
-        where a NaN casts to no index).  ``counted`` (no ``fn``) is for a caller that tallies the codes
-        before they are decoded: a larger drive's stay in its buffer for the caller to decode, and a
-        drive holding NaN takes the arithmetic, whose NaN count the tally refuses.
+        through ``decode`` and ``fn``.  A larger drive is coded by the arithmetic in its own buffer, where
+        a NaN stays NaN, and decoded in place or read through the table (``fn`` computed where a NaN
+        casts to no index).
         """
         table = self._tables.get(fn)
         if table is None:  # built once; a call per read would cost batch-1 latency
             table = self.table(fn)
-        if drive.size <= SEARCH_MAX:
-            codes = self._tau.searchsorted(drive, side="right")
-            # counted, a NaN's code T + 1 sends the drive to the arithmetic; argmax is the cheapest test
-            if not counted or not codes.size or codes.item(codes.argmax()) <= self.T:
-                table.take(codes, mode="clip", out=drive)  # no index clips; "raise" would buffer the output
-                return codes
-        codes = self.codes(drive, out=drive)
-        if counted:
-            return codes
-        if fn is None:
-            return self.decode(codes, out=codes)
-        if np.isnan(np.maximum.reduce(codes, None)):
+        searched = drive.size <= SEARCH_MAX
+        codes = self._tau.searchsorted(drive, side="right") if searched else self.codes(drive, out=drive)
+        seen = None if observe is None else observe(codes)
+        if searched:
+            table.take(codes, mode="clip", out=drive)  # no index clips; "raise" would buffer the output
+        elif fn is None:
+            self.decode(codes, out=codes)
+        elif np.isnan(np.maximum.reduce(codes, None)):
             codes[...] = fn(self.decode(codes, out=codes))
-            return codes
-        return table.take(codes.astype(np.intp), mode="clip", out=codes)  # codes in range
+        else:
+            table.take(codes.astype(np.intp), mode="clip", out=codes)  # codes in range
+        return seen
 
 
 def init_step_size(x: np.ndarray) -> float:
@@ -408,21 +406,16 @@ def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext, alpha: bool = True,
     return grad_x, grad_alpha, grad_beta
 
 
-def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, out: np.ndarray | None = None,
-             fn=None, fn_grad=None) -> nm.Tensor:
+def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, fn=None, fn_grad=None) -> nm.Tensor:
     """Taped quantization of a Tensor through ``q``, then ``fn`` of the values when given, as one
-    tape op; without a tape, values only.
+    tape op; without a tape, values only.  ``x`` is never written.
 
     On the tape ``fn`` and its derivative ``fn_grad`` at the codes are read from ``q``'s grid
     tables, bit for bit, unless a code indexes none (under ``smooth``, or a NaN).
-    ``out`` (off the tape only) receives the values; ``x.data`` itself may be
-    passed for an input nothing reads again.  Without it ``x`` is never written.
     """
     if nm.active_tape() is None:
-        values = quantize_values(x.data, q, smooth, out=out)[0]
+        values = quantize_values(x.data, q, smooth)[0]
         return nm.Tensor(values if fn is None else fn(values))
-    if out is not None:
-        raise ValueError(f"quantize {q.name}: out= is for untaped calls; a backward reads the input")
     ctx, grid, slope = QuantizeContext(*quantize_codes(x.data, q, smooth), q.code_max), q.grid(), None
     if fn is not None and not smooth and not np.isnan(np.maximum.reduce(ctx.codes, None, initial=0.0)):
         i = ctx.codes.astype(np.intp)

@@ -46,6 +46,7 @@ forecast horizon per variable.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -514,7 +515,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
         if calibrate and not q[name].initialized:
             q[name].calibrate(t.data if taped else t)
         if taped:
-            return quantize(t, q[name], smooth, None, fn, fn_grad), None
+            return quantize(t, q[name], smooth, fn, fn_grad), None
         values = quantize_values(t, q[name], smooth, out=t)[0]
         return values if fn is None else fn(values), None
 
@@ -561,33 +562,32 @@ def block_forward_snn(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, counters=N
     once, ``offset + theta * count``, into its drive.  ``delta_int`` and
     ``x_res`` stay quantizers, whose activations (the step's softplus and the
     gate) are read through their grids' tables into theirs.  With
-    ``counters`` each site's counts are tallied before they are decoded.
+    ``counters`` each site's read shows its counts to the op counters before
+    it decodes them; counted or not, every site runs the same read.
     """
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
     T_pass = 2 ** cfg.bits - 1
     sites = p.sites
 
-    def count(name, v):
-        """Spike site ``name`` on the dead drive ``v``, into which it decodes its counts once the op
-        counters have read them; returns its spike total."""
-        site = sites[name]
-        counts = site.read(v, counted=True)
-        counters.add(f"{tag}.{name}", cmp=counts.size * site.T)
+    def count(site, layer, counts):
+        """Observer of ``site``'s read: tallies its counts under ``layer`` before they are decoded;
+        returns its spike total."""
+        counters.add(layer, cmp=counts.size * site.T)
+        # a searched NaN is code T + 1 (an arithmetic one stays NaN): the tally refuses it as NaN
+        if counts.dtype.kind == "i" and counts.size and counts.item(counts.argmax()) > site.T:
+            counts = np.where(counts > site.T, np.nan, counts)
         # rate is spikes per (neuron, timestep) slot of the pass window, so a
         # threshold-scaled site with a collapsed T reports a lower rate
-        spikes = counters.record_site(f"{tag}.{name}", counts, T_pass)
+        spikes = counters.record_site(layer, counts, T_pass)
         if spikes is None:  # a counters object that keeps no site record returns no total
             spikes = int(counts.sum())
-        if counts is v:  # a large drive's arithmetic counts, in its buffer until read above
-            site.decode(counts, out=v)
         return spikes
 
     def encode(name, t):
-        if counters is None:
-            sites[name].read(t)
-            return t, None
-        return t, count(name, t)
+        site = sites[name]
+        observe = None if counters is None else functools.partial(count, site, f"{tag}.{name}")
+        return t, site.read(t, observe=observe)
 
     def apply(name, t, fn, fn_grad):
         p.quantizers[name].grid().read(t, fn)
@@ -597,11 +597,13 @@ def block_forward_snn(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, counters=N
         if counters is None:
             return selective_scan(step, A, B_seq, C_seq, D, u, sites["h"].read)
         spikes = [0]  # per step, the state's spikes; it starts at 0 with none
+        site = sites["h"]
+        count_h = functools.partial(count, site, f"{tag}.h")
 
         def encode_h(h_pre):
             # step * A and step * B products; one shift per surviving state spike
             counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
-            spikes.append(count("h", h_pre))
+            spikes.append(site.read(h_pre, observe=count_h))
 
         y = selective_scan(step, A, B_seq, C_seq, D, u, encode_h)
         # one readout accumulate per state spike; each input spike feeds n terms B u and one D u

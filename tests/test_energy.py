@@ -8,8 +8,8 @@ import pytest
 from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import (EnergyTable, OpCounters, ann_op_counts,
                               compare_ann_energy, profile)
-from spikescan.quantize import SEARCH_MAX
-from spikescan.spike import SpikeSite
+from spikescan.quantize import SEARCH_MAX, CodeGrid
+from spikescan.spike import SpikeSite, threshold_scale
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn, load_checkpoint
 
@@ -231,11 +231,16 @@ def test_dense_counts_follow_the_spiking_tallies(kw):
         assert d["scan"] == dict(acc=0, acc_bias=0, mac=5 * neurons("h") + neurons("conv"), shift=0, cmp=0)
 
 
-@pytest.mark.parametrize("batch, window", [(1, 0), (256, 5)])
-def test_a_window_that_overflows_to_nan_names_its_site_and_window(batch, window):
+@pytest.mark.parametrize("batch, window, scaled", [(1, 0, False), (256, 5, False), (1, 0, True), (256, 5, True)],
+                         ids=["1-0", "256-5", "1-0-scaled", "256-5-scaled"])
+def test_a_window_that_overflows_to_nan_names_its_site_and_window(batch, window, scaled):
     """A window of 1.7e308 with rmsnorm gains of 4 overflows to inf and then NaN at every site;
-    ``profile`` names the first site and the window, alone or in a batch."""
+    ``profile`` names the first site and the window, alone or in a batch.  So it does when that site
+    is threshold-scaled, where a searched NaN's code, T + 1 = 2, lies inside the pass window's 0..3."""
     m, _ = snn_model(seed=3)
+    if scaled:
+        sites = m.blocks[0].sites
+        sites["x_in"] = threshold_scale(sites["x_in"])
     x = np.random.default_rng(3).normal(size=(256, m.cfg.history, m.cfg.d_value))
     x[5, 2] = 1.7e308
     m.blocks[0].g_norm.data[:] = 4.0
@@ -267,6 +272,30 @@ def test_analytic_counts_scale_with_batch():
 
 
 FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "readme_model.ckpt"
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+def test_a_counted_and_an_uncounted_forward_make_the_same_reads(batch, monkeypatch):
+    """Op counting only observes the codes the plain read makes: with ``counters`` and without, a fixture
+    forward makes the same ``CodeGrid.read`` calls (drive size and ``fn``) and gives the same bytes, at
+    batch 1, where every drive is searched, and at batch 256, where every one takes the arithmetic."""
+    m, _ = load_checkpoint(str(FIXTURE))
+    convert_to_snn(m)
+    x = np.random.default_rng(5).normal(size=(batch, m.cfg.history, m.cfg.d_value))
+    read, reads = CodeGrid.read, []
+
+    def logged(grid, drive, fn=None, observe=None):
+        reads.append((drive.size, fn))
+        return read(grid, drive, fn, observe)
+
+    monkeypatch.setattr(CodeGrid, "read", logged)
+    runs = []
+    for counters in (None, OpCounters()):
+        out = m.forward(x, counters=counters).data.tobytes()
+        runs.append((reads[:], out))
+        reads.clear()
+    assert runs[0] == runs[1]
+    assert all((size <= SEARCH_MAX) == (batch == 1) for size, _ in runs[0][0])
 
 
 def test_a_batch_tallies_what_its_windows_tally_one_by_one():

@@ -253,27 +253,35 @@ def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_
         with np.errstate(over="ignore"):
             want = s.encode_counts(piece)
         values = piece.copy()
-        counts = s.read(values)
+        counts = s.read(values, observe=np.copy)
         assert counts.dtype == np.intp  # searched
         assert np.array_equal(counts, want)
         assert values.tobytes() == s.decode_counts(want).tobytes()
 
 
-def test_a_large_or_a_counted_nan_drive_takes_the_arithmetic():
-    """A drive above ``SEARCH_MAX`` entries is counted by ``encode_counts`` in its own buffer and
-    decoded there, or left counted for a caller that tallies the counts.  A small NaN drive reads the
-    default NaN from the table's last entry, unless it is counted: the search would give NaN the count
-    T + 1 (a finite value), so it takes the arithmetic, whose count NaN the op counters refuse."""
+def test_an_observer_sees_the_codes_before_the_drive_holds_values():
+    """``observe`` gets a drive's codes once they exist and before any value is written: a small drive's
+    search index array, where NaN is code T + 1, and a large drive's ``encode_counts`` bytes, NaN
+    included, in its own buffer.  Either way the drive then holds ``decode_counts``' bytes, and ``read``
+    returns what ``observe`` returned."""
     s = site(3, 0.5, offset=-0.25)
     nan, large = np.array([0.1, DEFAULT_NAN, 2.0]), np.linspace(-1.0, 3.0, SEARCH_MAX + 1)
+    large[7] = DEFAULT_NAN
     for drive in (nan, large):
-        buf = drive.copy()
-        assert s.read(buf, counted=True) is buf
-        assert buf.tobytes() == s.encode_counts(drive).tobytes()
-        buf = drive.copy()
-        s.read(buf)
+        buf, seen = drive.copy(), []
+
+        def observe(codes):
+            seen.append((codes.copy(), buf.tobytes()))
+            return len(seen)
+
+        assert s.read(buf, observe=observe) == 1
+        [(codes, held)] = seen
+        if drive is nan:
+            assert codes.dtype == np.intp and codes.tolist() == [0, 4, 3]
+            assert held == drive.tobytes()  # the drive as it came
+        else:
+            assert codes.tobytes() == held == s.encode_counts(drive).tobytes()  # the codes, not yet values
         assert buf.tobytes() == s.decode_counts(s.encode_counts(drive)).tobytes()
-    assert s.read(nan.copy()).tolist() == [0, 4, 3]
 
 
 def test_search_tables_are_built_on_a_sites_first_small_drive():

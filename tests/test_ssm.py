@@ -551,17 +551,17 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
         if name in names:  # delta_int and x_res quantize in both modes
             drives[mode].setdefault(name, []).append(pre.copy())  # the scan may reuse h's array
 
-    def ann_site(t, q, smooth=False, out=None, fn=None, fn_grad=None):
+    def ann_site(t, q, smooth=False, fn=None, fn_grad=None):
         record("ann", q.name, t.data)
-        return quantize(t, q, smooth, out, fn, fn_grad)
+        return quantize(t, q, smooth, fn, fn_grad)
 
     def ann_state(v, q, smooth=False, out=None):  # the scan's per-step h hook, off the tape
         record("ann", q.name, v)
         return quantize_values(v, q, smooth, out=out)
 
-    def snn_site(site, pre, fn=None):
+    def snn_site(site, pre, fn=None, observe=None):
         record("snn", site.name, pre)
-        return read(site, pre, fn)
+        return read(site, pre, fn, observe)
 
     monkeypatch.setattr(ssm, "quantize", ann_site)
     monkeypatch.setattr(ssm, "quantize_values", ann_state)
@@ -632,7 +632,7 @@ def test_a_read_into_its_drive_and_an_overflowing_window_keep_the_arithmetics_by
             if fn is not None:
                 want = fn(want)
             got = piece.copy()
-            codes = grid.read(got, fn)
+            codes = grid.read(got, fn, observe=np.copy)
         assert codes.dtype == np.intp  # searched
         assert np.array_equal(codes[np.isnan(piece)], np.full(np.isnan(piece).sum(), T + 1))
         assert got.tobytes() == want.tobytes()
@@ -789,14 +789,18 @@ def test_a_taped_activation_from_tables_is_the_two_ops_bit_for_bit(fn, fn_grad, 
 # 133 while each read returned fresh values that a Tensor wrapped or the scan copied into its slot,
 # 94 while the block ran the Tensor primitives off the tape and the state hook was handed its step)
 BATCH_1_CALLS = 59
+# and of the same forward counting its ops into an ``OpCounters``, each site's tally an observer of its
+# one read (196 too while a counted read took a path of its own and the caller decoded a large drive)
+BATCH_1_COUNTED_CALLS = 196
 
 
-def test_a_batch_1_spiking_forward_makes_few_python_calls():
-    """Streaming latency is per-call overhead, so a change that adds Python calls to the batch-1
-    spiking forward fails here without a timing test; counted as ``sys.setprofile`` call events."""
+def batch_1_calls(counted: bool) -> int:
+    """The ``sys.setprofile`` call events of one batch-1 README-size spiking forward, counting its ops
+    into a fresh ``OpCounters`` when ``counted``, after a first forward has built the grids' tables."""
     m, x = readme_model()
     convert_to_snn(m)
     m.forward(x[:1])  # builds the grids' thresholds and tables
+    counters = OpCounters() if counted else None
     calls = 0
 
     def count(frame, event, arg):
@@ -806,10 +810,22 @@ def test_a_batch_1_spiking_forward_makes_few_python_calls():
     before = sys.getprofile()
     sys.setprofile(count)
     try:
-        m.forward(x[1:2])
+        m.forward(x[1:2], counters=counters)
     finally:
         sys.setprofile(before)
-    assert calls <= BATCH_1_CALLS
+    return calls
+
+
+def test_a_batch_1_spiking_forward_makes_few_python_calls():
+    """Streaming latency is per-call overhead, so a change that adds Python calls to the batch-1
+    spiking forward fails here without a timing test; counted as ``sys.setprofile`` call events."""
+    assert batch_1_calls(counted=False) <= BATCH_1_CALLS
+
+
+def test_a_counted_batch_1_forward_makes_few_python_calls():
+    """Op counting observes the plain read, so a per-site closure or a second read on the counting path
+    fails here as a higher count."""
+    assert batch_1_calls(counted=True) <= BATCH_1_COUNTED_CALLS
 
 
 def test_a_batch_1_spiking_forward_builds_three_tensors():
