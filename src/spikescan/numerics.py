@@ -13,8 +13,7 @@ primitive is its shape checks, that kernel and its tape closure, so a taped
 and an untaped forward agree bit for bit by construction.  Off the tape a
 forward skips the primitives: a block unwraps its input Tensor once, runs the
 kernels on bare arrays and wraps its output once.  A primitive called with
-no tape active still returns before it builds a backward closure or calls
-``record_op``.
+no tape active gives the same values; ``record_op`` drops its closure.
 """
 
 from __future__ import annotations
@@ -252,8 +251,6 @@ def permute_kernel(x: np.ndarray, axes: Sequence[int]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     out = Tensor(add_kernel(_data(a), _data(b)))
-    if not _TAPE_STACK:
-        return out
 
     def vjp(g, accumulate):
         if isinstance(a, Tensor):
@@ -281,8 +278,6 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     da, db = _data(a), _data(b)
     out = Tensor(mul_kernel(da, db))
-    if not _TAPE_STACK:
-        return out
 
     def vjp(g, accumulate):
         if isinstance(a, Tensor):
@@ -296,8 +291,6 @@ def mul(a, b) -> Tensor:
 
 def neg(x: Tensor) -> Tensor:
     out = Tensor(neg_kernel(x.data))
-    if not _TAPE_STACK:
-        return out
     record_op(out, lambda g, accumulate: accumulate(x, -g))
     return out
 
@@ -312,8 +305,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 def unary(x: Tensor, fn: Callable[[np.ndarray], np.ndarray], grad_fn: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """Generic differentiable elementwise op: out = fn(x), d out/dx = grad_fn(x)."""
     out = Tensor(fn(x.data))
-    if not _TAPE_STACK:
-        return out
     record_op(out, lambda g, accumulate: accumulate(x, g * grad_fn(x.data)))
     return out
 
@@ -321,8 +312,6 @@ def unary(x: Tensor, fn: Callable[[np.ndarray], np.ndarray], grad_fn: Callable[[
 def exp(x: Tensor) -> Tensor:
     e = exp_kernel(x.data)
     out = Tensor(e)
-    if not _TAPE_STACK:
-        return out
     record_op(out, lambda g, accumulate: accumulate(x, g * e))
     return out
 
@@ -341,8 +330,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             f"linear: bias shape {b.data.shape} does not match weight shape {w.data.shape}"
         )
     out = Tensor(linear_kernel(x.data, w.data, None if b is None else b.data))
-    if not _TAPE_STACK:
-        return out
 
     def vjp(g, accumulate):
         accumulate(x, g @ w.data.T)
@@ -370,8 +357,6 @@ def depthwise_conv1d(x: Tensor, k: Tensor) -> Tensor:
             f"depthwise_conv1d: kernel shape {k.data.shape} does not match input shape {x.data.shape}"
         )
     out = Tensor(depthwise_conv1d_kernel(x.data, k.data))
-    if not _TAPE_STACK:
-        return out
     L, K = x.data.shape[1], k.data.shape[1]
     kd = k.data
 
@@ -399,8 +384,6 @@ def rmsnorm(x: Tensor, g: Tensor, eps: float = 1e-6) -> Tensor:
             f"rmsnorm: gain shape {g.data.shape} does not match input shape {x.data.shape}"
         )
     out = Tensor(rmsnorm_kernel(x.data, g.data, eps))
-    if not _TAPE_STACK:
-        return out
     d = x.data.shape[-1]
 
     def vjp(grad, accumulate):
@@ -422,8 +405,6 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
     if sum(sizes) != x.data.shape[-1]:
         raise ValueError(f"split_last: sizes {tuple(sizes)} do not sum to last axis of {x.data.shape}")
     outs = tuple(Tensor(piece) for piece in split_last_kernel(x.data, sizes))
-    if not _TAPE_STACK:
-        return outs
     hi = 0
     for size, piece in zip(sizes, outs):
         lo, hi = hi, hi + size
@@ -438,8 +419,6 @@ def split_last(x: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = Tensor(permute_kernel(x.data, axes))
-    if not _TAPE_STACK:
-        return out
     # the inverse permutation is found only when a backward needs it
     record_op(out, lambda g, accumulate: accumulate(x, g.transpose(np.argsort(axes))))
     return out

@@ -304,19 +304,36 @@ class Quantizer:
 
     @classmethod
     def from_state(cls, s: dict) -> "Quantizer":
-        name = str(s["name"])
-        if s["symmetric"]:
-            raise ValueError(f"quantizer {name}: symmetric grids are not supported")
+        f = state_fields(s, "quantizer", bits=int, alpha=float, beta=float, symmetric=bool, rounding=str,
+                         train_alpha=bool, train_beta=bool)
+        if f["symmetric"]:
+            raise ValueError(f"quantizer {f['name']}: symmetric grids are not supported")
         for part in ("alpha", "beta"):
-            if not math.isfinite(float(s[part])):
-                raise ValueError(f"quantizer {name}: {part} must be finite, got {s[part]}")
+            if not math.isfinite(float(f[part])):
+                raise ValueError(f"quantizer {f['name']}: {part} must be finite, got {f[part]}")
         return cls(
-            bits=int(s["bits"]),
-            alpha=nm.Tensor(float(s["alpha"]), trainable=bool(s["train_alpha"])),
-            beta=nm.Tensor(float(s["beta"]), trainable=bool(s["train_beta"])),
-            rounding=str(s["rounding"]),
-            name=name,
+            bits=f["bits"],
+            alpha=nm.Tensor(float(f["alpha"]), trainable=f["train_alpha"]),
+            beta=nm.Tensor(float(f["beta"]), trainable=f["train_beta"]),
+            rounding=f["rounding"],
+            name=f["name"],
         )
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def state_fields(s: dict, owner: str, **kinds: type) -> dict:
+    """The ``name`` (a string) and the fields ``kinds`` of an ``owner``'s checkpoint state ``s``, each of
+    its JSON type, a ``float`` taking an integer too and neither number a bool; else a ``ValueError``."""
+    f = {}
+    for key, kind in {"name": str, **kinds}.items():
+        if key not in s:
+            raise ValueError(f"{owner} {f.get('name')}: missing field {key!r}")
+        v = f[key] = s[key]
+        if type(v) is not kind and not (kind is float and type(v) is int):
+            raise ValueError(f"{owner} {f['name']}: {key} must be {_KINDS[kind]}, got {v!r}")
+    return f
 
 
 @dataclass
@@ -408,14 +425,8 @@ def ste_backward(grad_out: np.ndarray, ctx: QuantizeContext, alpha: bool = True,
 
 def quantize(x: nm.Tensor, q: Quantizer, smooth: bool = False, fn=None, fn_grad=None) -> nm.Tensor:
     """Taped quantization of a Tensor through ``q``, then ``fn`` of the values when given, as one
-    tape op; without a tape, values only.  ``x`` is never written.
-
-    On the tape ``fn`` and its derivative ``fn_grad`` at the codes are read from ``q``'s grid
-    tables, bit for bit, unless a code indexes none (under ``smooth``, or a NaN).
-    """
-    if nm.active_tape() is None:
-        values = quantize_values(x.data, q, smooth)[0]
-        return nm.Tensor(values if fn is None else fn(values))
+    tape op; ``x`` is never written.  ``fn`` and its derivative ``fn_grad`` at the codes are read
+    from ``q``'s grid tables, bit for bit, unless a code indexes none (under ``smooth``, or a NaN)."""
     ctx, grid, slope = QuantizeContext(*quantize_codes(x.data, q, smooth), q.code_max), q.grid(), None
     if fn is not None and not smooth and not np.isnan(np.maximum.reduce(ctx.codes, None, initial=0.0)):
         i = ctx.codes.astype(np.intp)

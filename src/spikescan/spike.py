@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .quantize import GRID_SNAP, CodeGrid, Quantizer
+from .quantize import GRID_SNAP, CodeGrid, Quantizer, state_fields
 
 __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
@@ -72,9 +72,10 @@ class SpikeSite(CodeGrid):
 
     @classmethod
     def from_state(cls, s: dict) -> "SpikeSite":
-        site = cls(name=str(s["name"]), theta=float(s["theta"]), offset=float(s["offset"]), T=int(s["T"]))
-        if float(s["scale"]) != site.theta:
-            raise ValueError(f"spike site {site.name}: decode scale {s['scale']} differs from threshold {site.theta}")
+        f = state_fields(s, "spike site", theta=float, scale=float, offset=float, T=int)
+        site = cls(name=f["name"], theta=float(f["theta"]), offset=float(f["offset"]), T=f["T"])
+        if float(f["scale"]) != site.theta:
+            raise ValueError(f"spike site {site.name}: decode scale {f['scale']} differs from threshold {site.theta}")
         return site
 
 

@@ -35,13 +35,13 @@ the one loop over time, which re-encodes ``h`` in place through a per-step
 hook given the state alone; since ``y`` never feeds back, its site encodes the
 whole readout once.  In training the scan is one
 tape op whose hand-written backward walks the steps in reverse, reading what
-its forward kept: the decay factors, the exponent's straight-through mask,
-the encoded states and the ``h`` site's scaled drives and codes, in
-whole-sequence buffers each block keeps per batch shape across steps
-(``ScanKeep``).  The gate and the step's softplus are each one ``quantize``
-op too, reading their values and slopes from their quantizer grid's tables.  The
-model ends in a real-arithmetic head mapping the L history positions to the
-forecast horizon per variable.
+its forward kept: the decay factors, the exponent's straight-through mask
+and the ``h`` site's scaled drives and codes, which it decodes into the
+states, in whole-sequence buffers each block keeps per batch shape across
+steps (``ScanKeep``).  The gate and the step's softplus are each one
+``quantize`` op too, reading their values and slopes from their quantizer
+grid's tables.  The model ends in a real-arithmetic head mapping the L
+history positions to the forecast horizon per variable.
 """
 
 from __future__ import annotations
@@ -257,15 +257,15 @@ class ScanKeep:
     """What a taped scan keeps for its backward, time-major [L, B, dh, n] sequences.
 
     ``abar`` holds the decay factors, ``live`` the exponent's straight-through
-    mask (``EXP_LO <= step * A <= EXP_HI``), ``hs`` the encoded states, and
-    ``v`` and ``codes`` the ``h`` site's scaled drives and codes.  A taped
+    mask (``EXP_LO <= step * A <= EXP_HI``), and ``v`` and ``codes`` the
+    ``h`` site's scaled drives and codes, the states' only record.  A taped
     scan takes a set from its block's spares (``BlockParams.scan_keeps``), or
     builds one, and its backward puts the set back: two pending tapes hold
     two sets, and a dropped tape's set is collected with it.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self.abar, self.hs, self.v, self.codes = (np.empty(shape) for _ in range(4))
+        self.abar, self.v, self.codes = (np.empty(shape) for _ in range(3))
         self.live = np.empty(shape, dtype=bool)
 
 
@@ -302,20 +302,16 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     a working array the scan overwrites in a later chunk, so a hook that
     keeps it must copy it.
 
-    With ``keep`` (the taped scan) the decay factors and the states are
-    written into its whole-sequence buffers ``keep.abar`` and ``keep.hs``,
-    step t's slot being ``keep.hs[t]``, and the exponent's straight-through
+    With ``keep`` (the taped scan) the decay factors are written into its
+    whole-sequence buffer ``keep.abar`` and the exponent's straight-through
     mask into ``keep.live``, so the backward reads them instead of
-    recomputing them; only the input terms take a chunk buffer.
+    recomputing them.  The states stay in the chunk slots in every mode.
     """
     B, L, dh = u.shape
     n = A.shape[1]
     span = max(1, min(L, SCAN_CHUNK // max(1, B * dh * n)))  # B = 0 takes one chunk of empty steps
-    term = np.empty((span, B, dh, n))
-    if keep is None:
-        expo, hs = np.empty((span, B, dh, n)), np.empty((span, B, dh, n))
-    else:
-        expo, hs = keep.abar, keep.hs
+    term, hs = np.empty((span, B, dh, n)), np.empty((span, B, dh, n))
+    expo = np.empty((span, B, dh, n)) if keep is None else keep.abar
     # time-major views, so a chunk of each is one slice
     step_t, u_t = step.swapaxes(0, 1)[..., None], u.swapaxes(0, 1)[..., None]
     B_t, C_t = B_seq.swapaxes(0, 1)[:, :, None], C_seq.swapaxes(0, 1)[:, :, None]
@@ -324,14 +320,13 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     for t0 in range(0, L, span):
         k = min(span, L - t0)
         ts = slice(t0, t0 + k)
-        at = slice(0, k) if keep is None else ts  # this chunk's decay factors and states
         st = step_t[ts].repeat(n, axis=3)
-        x = np.multiply(st, A, out=expo[at])
+        x = np.multiply(st, A, out=expo[:k] if keep is None else expo[ts])  # this chunk's decay factors
         if keep is not None:
             live = np.greater_equal(x, _EXP_LO, out=keep.live[ts])
             live &= np.less_equal(x, _EXP_HI)
         abar = pow2_shift(nm.ONE, _exponent(x, smooth), out=x)  # 1 * 2**e is exact
-        slots = hs[at]
+        slots = hs[:k]
         bu = np.multiply(st, B_t[ts].repeat(dh, axis=2), out=term[:k])
         del st
         bu *= u_t[ts].repeat(n, axis=3)
@@ -442,20 +437,24 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
     one contraction over the whole sequence.  The ``h`` site's mask and LSQ
     terms come from ``ste_backward``'s helpers, and its step-size and offset
     gradients are per-step sums of the same products, added in reverse step
-    order.  Time-major arrays keep each step's slice contiguous.  The
+    order; then the codes are decoded in place into the states, by the grid
+    taken when the op is recorded (an optimizer may write the step size before
+    the replay).  Time-major arrays keep each step's slice contiguous.  The
     backward puts ``keep`` back on ``spares`` when done.
     """
+    grid = q.grid()
+
     def vjp(gy, accumulate):
         st, us, Bs, Cs, dy = (np.ascontiguousarray(a.swapaxes(0, 1))
                               for a in (step.data, u.data, B_seq.data, C_seq.data, gy))
         dh, n = A.data.shape
-        abar, hs, v = keep.abar, keep.hs, keep.v
-        L = len(hs)
+        abar, v = keep.abar, keep.v
+        L = len(v)
         # [t]: the gradient of the state before step t's encode, first the readout's share dy_t * C_t
         g_pre = dy[..., None].repeat(n, axis=3)
         g_pre *= Cs[:, :, None].repeat(dh, axis=2)
         clipped, passed = clip_mask(v, q.code_max)  # the site passes no gradient where it clips
-        g = np.empty(hs.shape[1:])
+        g = np.empty(v.shape[1:])
         for t in range(L - 1, 0, -1):  # g_pre[t] is now the gradient of step t's drive
             pass_through(g_pre[t], passed[t], out=g)
             g *= abar[t]
@@ -465,6 +464,7 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
             accumulate(q.alpha, np.asarray(_step_sums(np.multiply(per_entry, g_pre, out=per_entry))))
         if q.beta.trainable:
             accumulate(q.beta, np.asarray(_step_sums(np.multiply(g_pre, clipped, out=v))))
+        hs = grid.decode(keep.codes, out=keep.codes)  # the encoded states
         pass_through(g_pre, passed, out=g_pre)
         g_bu = np.matmul(g_pre, Bs[..., None])[..., 0]  # through (step_t * B_t) * u_t
         accumulate(B_seq, np.matmul((st * us)[:, :, None, :], g_pre)[:, :, 0].swapaxes(0, 1))

@@ -369,6 +369,13 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
     return model, meta
 
 
+def _named(kind: str, where: str, state: dict) -> dict:
+    """``state`` if its ``name`` is ``where``, the block and site it is stored under, as saved."""
+    if state["name"] != where:
+        raise ValueError(f"{kind} {where}: name must be {where!r}, got {state['name']!r}")
+    return state
+
+
 def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
     """The model the metadata and its config ``cfg`` describe, with quantizers and sites but no weights."""
     model = ForecastModel.build(cfg, seed=0)
@@ -381,7 +388,8 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
     for i, (blk, qstates, sstates) in enumerate(zip(model.blocks, meta["quantizers"], meta["sites"])):
         if set(qstates) != set(QUANT_SITES):
             raise ValueError(f"block{i} quantizers {sorted(qstates)} are not {sorted(QUANT_SITES)}")
-        blk.quantizers = {s: Quantizer.from_state(qstates[s]) for s in QUANT_SITES}
+        blk.quantizers = {s: Quantizer.from_state(_named("quantizer", f"block{i}.{s}", qstates[s]))
+                          for s in QUANT_SITES}
         for s, q in blk.quantizers.items():
             if q.bits != bits:
                 raise ValueError(f"quantizer block{i}.{s}: {q.bits} bits, the config has {bits}")
@@ -391,7 +399,7 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
             continue
         if set(sstates) != set(SPIKE_SITES):
             raise ValueError(f"block{i} spike sites {sorted(sstates)} are not {sorted(SPIKE_SITES)}")
-        blk.sites = {s: SpikeSite.from_state(v) for s, v in sstates.items()}
+        blk.sites = {s: SpikeSite.from_state(_named("spike site", f"block{i}.{s}", v)) for s, v in sstates.items()}
         T = 2 ** bits - 1
         for s, site in blk.sites.items():
             if blk.quantizers[s].rounding != "floor":  # as convert_to_snn requires

@@ -152,3 +152,28 @@ def test_frozen_step_sizes_and_offsets_receive_no_gradient(monkeypatch):
         ("delta_int", "alpha"), ("delta_int", "beta"), ("delta", "beta"), ("h", "alpha"), ("h", "beta")}
     for s, part, t in leaves:
         assert (id(t) in reached) == t.trainable, (s, part)
+
+
+def test_the_backward_decodes_with_the_forward_grid():
+    """An optimizer writes ``h``'s step size in place between a taped forward and its backward: the
+    backward decodes the kept codes by the grid the forward encoded with, so the gradients are those
+    of an unwritten step."""
+    m, rng = readme_model()
+    x, y = batch(rng)
+    g = grads(m, x, y)
+    alpha = m.blocks[0].quantizers["h"].alpha
+    tape, loss = taped(m, x, y)
+    np.multiply(alpha.data, 1.5, out=alpha.data)
+    assert as_bytes(m, nm.backward(tape, output=loss)) == g
+
+
+def test_a_kept_set_holds_the_decay_factors_the_mask_and_the_site_drives_and_codes():
+    """Three float64 sequences and one bool sequence of [L, B, dh, n]: the states are kept as their
+    codes alone."""
+    m, rng = readme_model()
+    grads(m, *batch(rng))
+    [(shape, [keep])] = m.blocks[0].scan_keeps.items()
+    assert shape == (12, 64, 16, 4)
+    assert sorted(vars(keep)) == ["abar", "codes", "live", "v"]
+    size = int(np.prod(shape))
+    assert sum(a.nbytes for a in vars(keep).values()) == 3 * 8 * size + size

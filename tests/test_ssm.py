@@ -664,9 +664,10 @@ def readme_model() -> tuple[ForecastModel, np.ndarray]:
 
 
 def test_only_a_taped_forward_records_backward_closures(monkeypatch):
-    """Off the tape the primitives return before they build a closure or call ``record_op``; a taped
-    README step records its 27 ops through it, so a wrapped ``record_op`` still sees every one.  Under
-    ``smooth`` the gate and the step's softplus stay one ``quantize`` op each, computed, not read."""
+    """An untaped forward, real-arithmetic or spiking, calls no Tensor primitive and no ``quantize``:
+    each calls ``record_op`` wherever it runs, so a wrapped ``record_op`` sees any that slips into an
+    untaped forward.  A taped README step records its 27 ops through it.  Under ``smooth`` the gate
+    and the step's softplus stay one ``quantize`` op each, computed, not read."""
     recorded = []
     record_op = nm.record_op
 
@@ -1020,7 +1021,8 @@ def test_multi_block_equivalence():
 
 
 def assert_gradients_match_the_taped_oracle(cfg, batch, smooth, rng, seed):
-    """Every parameter gradient of one taped step within 1e-9 relative of the per-step taped oracle."""
+    """Every parameter gradient of one taped step within 1e-9 relative of the per-step taped oracle;
+    returns the step's gradients as bytes, in parameter order."""
     m = ForecastModel.build(cfg, seed=seed)
     for blk in m.blocks:
         for s in ("x_in", "conv", "delta_raw", "h", "y"):
@@ -1041,6 +1043,7 @@ def assert_gradients_match_the_taped_oracle(cfg, batch, smooth, rng, seed):
         got, want = (np.asarray(g.get(p, np.zeros_like(p.data))) for g in grads)
         scale = max(np.max(np.abs(got)), np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-9 * scale, p.name
+    return [np.asarray(grads[0][p]).tobytes() if p in grads[0] else None for p in m.parameters()]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1059,11 +1062,17 @@ def test_gradients_match_the_per_step_taped_oracle(bits, blocks, state_size, d_h
 
 
 @pytest.mark.parametrize("smooth", [False, True])
-def test_gradients_match_the_taped_oracle_across_scan_chunks(smooth):
-    """README size at batch 64: the taped forward's scan runs three chunks of 4 steps."""
+def test_gradients_match_the_taped_oracle_across_scan_chunks(smooth, monkeypatch):
+    """README size at batch 64: the taped forward's scan runs three chunks of 4 steps, and its
+    gradients are the same bytes with one step per chunk or the whole window in one."""
     cfg = ModelConfig(d_value=2, history=12, horizon=3, d_hidden=16, state_size=4, conv_kernel=3)
-    assert ssm.SCAN_CHUNK // (64 * 16 * 4) == 4
-    assert_gradients_match_the_taped_oracle(cfg, 64, smooth, np.random.default_rng(13), 13)
+    step = 64 * 16 * 4  # state entries per step
+    assert ssm.SCAN_CHUNK // step == 4
+    grads = {}
+    for span in (4, 1, 12):
+        monkeypatch.setattr(ssm, "SCAN_CHUNK", span * step)
+        grads[span] = assert_gradients_match_the_taped_oracle(cfg, 64, smooth, np.random.default_rng(13), 13)
+    assert grads[1] == grads[4] == grads[12]
 
 
 def fd_check_parameters(model, x, y, entries=3, eps=1e-5, tol=1e-3):

@@ -617,6 +617,13 @@ def _set(group, site, key, value):
     return change
 
 
+def _without(group, site, key):
+    def change(meta):
+        del meta[group][0][site][key]
+    change.__name__ = f"_without_{key}"
+    return change
+
+
 def _config(key, value):
     def change(meta):
         meta["config"][key] = value
@@ -672,6 +679,28 @@ def _without_config(key):
     (_set("sites", "y", "T", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
     (_set("quantizers", "x_in", "rounding", "nearest"),
      "spike site block0.x_in: its quantizer rounds by nearest, a spike site counts by floor"),
+    # these loaded: bits 2.5 or "2" as 2, "no" as a trainable step, "0.5" as 0.5, T 3.9 or "3" as 3,
+    # a null site name as 'None'
+    (_set("quantizers", "h", "bits", 2.5), "quantizer block0.h: bits must be an integer, got 2.5"),
+    (_set("quantizers", "h", "bits", "2"), "quantizer block0.h: bits must be an integer, got '2'"),
+    (_set("quantizers", "h", "bits", True), "quantizer block0.h: bits must be an integer, got True"),
+    (_set("quantizers", "conv", "train_alpha", "no"),
+     "quantizer block0.conv: train_alpha must be true or false, got 'no'"),
+    (_set("quantizers", "y", "train_beta", 1), "quantizer block0.y: train_beta must be true or false, got 1"),
+    (_set("quantizers", "x_res", "symmetric", 0), "quantizer block0.x_res: symmetric must be true or false, got 0"),
+    (_set("quantizers", "conv", "alpha", "0.5"), "quantizer block0.conv: alpha must be a number, got '0.5'"),
+    (_set("quantizers", "delta", "beta", False), "quantizer block0.delta: beta must be a number, got False"),
+    (_set("quantizers", "delta_int", "rounding", 7), "quantizer block0.delta_int: rounding must be a string, got 7"),
+    (_set("quantizers", "h", "name", 7), "quantizer block0.h: name must be 'block0.h', got 7"),
+    (_set("sites", "h", "T", 3.9), "spike site block0.h: T must be an integer, got 3.9"),
+    (_set("sites", "h", "T", 3.0), "spike site block0.h: T must be an integer, got 3.0"),
+    (_set("sites", "h", "T", "3"), "spike site block0.h: T must be an integer, got '3'"),
+    (_set("sites", "conv", "theta", "1"), "spike site block0.conv: theta must be a number, got '1'"),
+    (_set("sites", "y", "scale", None), "spike site block0.y: scale must be a number, got None"),
+    (_set("sites", "h", "name", None), "spike site block0.h: name must be 'block0.h', got None"),
+    # these failed as "metadata is missing key 'train_beta'" (or 'T'), naming no block or site
+    (_without("quantizers", "h", "train_beta"), "quantizer block0.h: missing field 'train_beta'"),
+    (_without("sites", "y", "T"), "spike site block0.y: missing field 'T'"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
