@@ -53,9 +53,10 @@ class OpCounters:
     def record_site(self, site: str, counts: np.ndarray, T: int) -> int:
         """Tally a site's spikes, its neurons and ``mid``, the neurons whose
         count lies strictly between 0 and T (a site with none is saturated);
-        returns the spikes of ``counts``, whose first axis is the window."""
+        returns the spikes of ``counts``, whose first axis is the window.  Both sums are ufunc
+        reductions, which make no Python-level call on the batch-1 forward's path."""
         try:
-            spikes = int(counts.sum())
+            spikes = int(np.add.reduce(counts, None))
         except ValueError:  # NaN counts: a window overflowed upstream of this site
             w = self.windows + int(np.isnan(counts.reshape(len(counts), -1)).any(axis=1).argmax())
             raise ValueError(f"spike site {site}: window {w} has NaN spike counts "
@@ -63,7 +64,7 @@ class OpCounters:
         rec = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": int(T)})
         rec["spikes"] += spikes
         rec["neurons"] += int(counts.size)
-        rec["mid"] += int(np.count_nonzero((counts > 0) & (counts < T)))
+        rec["mid"] += int(np.add.reduce((counts > 0) & (counts < T), None))
         rec["T"] = int(T)
         return spikes
 

@@ -18,7 +18,7 @@ no tape active gives the same values; ``record_op`` drops its closure.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -24,8 +24,10 @@ then, on the one path every caller takes, writes their values, or an
 activation of them, into the drive itself, read from one table whose last
 entry is the NaN an overflow makes.
 
-Every real-arithmetic quantization, taped (``quantize``) or not, codes by
-``quantize_codes`` with its quantizer grid's operands and decodes by that grid.
+Off the tape both forwards read every code through ``CodeGrid.read``.  The
+Tensor quantization ``quantize``, which training, its ``smooth`` surrogate
+and calibration run, codes by ``quantize_codes`` with its quantizer grid's
+operands and decodes by that grid.
 
 Backward is straight-through, one rule for ``ste_backward`` and the scan's
 ``h`` site: gradients pass where the code was not clipped (``clip_mask``,
@@ -345,32 +347,19 @@ class QuantizeContext:
     top: int  # the grid's top code T
 
 
-def quantize_values(x: np.ndarray, q: Quantizer, smooth: bool = False,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward pass of the quantizer on raw values: ``(out, v, codes)``.
-
-    ``v = (x - beta) / alpha`` and ``codes`` are what a backward needs;
-    ``smooth`` replaces rounding by identity inside the clip range (the
-    straight-through surrogate used by finite-difference gradient checks).
-    With ``out`` (``x`` itself may be) every step runs in that one buffer,
-    so ``v`` and ``codes`` are overwritten: all three results are ``out``.
-    """
-    v, codes = quantize_codes(x, q, smooth, out)
-    return q.grid().decode(codes, out), v, codes
-
-
 def quantize_codes(x: np.ndarray, q: Quantizer, smooth: bool = False, out: np.ndarray | None = None,
                    codes_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``v = (x - beta) / alpha`` and its codes ``clip(round(v), 0, code_max)``, which
-    ``quantize_values`` decodes, with the operands of ``q``'s grid; with ``out`` (``x`` itself
-    may be) both are ``out``, unless ``codes_out`` takes the codes."""
+    """``v = (x - beta) / alpha`` and its codes ``clip(round(v), 0, code_max)`` with the operands of
+    ``q``'s grid, which decodes them; ``smooth`` replaces the rounding by the identity (the
+    straight-through surrogate of finite-difference gradient checks).  With ``out`` (``x`` itself may
+    be) both are ``out``, unless ``codes_out`` takes the codes."""
     g = q.grid()
     rule = np.positive if smooth else _ROUNDING[q.rounding]  # smooth: no rounding, the identity ufunc
     return _codes(np.asanyarray(x, dtype=np.float64), g._theta, g._offset, rule, g._T, out, codes_out)
 
 
 def quantize_with_context(x: np.ndarray, q: Quantizer, smooth: bool = False) -> tuple[np.ndarray, QuantizeContext]:
-    """``quantize_values`` plus the context ``ste_backward`` reads."""
+    """The values of ``x`` on ``q``'s grid and the context ``ste_backward`` reads."""
     ctx = QuantizeContext(*quantize_codes(x, q, smooth), q.code_max)
     return q.grid().decode(ctx.codes), ctx
 

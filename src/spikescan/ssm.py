@@ -20,17 +20,19 @@ inference it quantizes onto the site grid with integrate-and-fire floor
 semantics; after conversion the same site emits spike counts by the same
 floor rule, so the counts are the codes, and decodes them once,
 ``offset + theta * count`` (the quantizer's ``beta + alpha * code``).
-Both forwards run one block body, ``_block``, and differ only in the site
-encoder and the activation hook they bind, so every site drive, and with it
-every output, agrees bit for bit (a threshold-scaled site only while it
-saturates).  ``x_res`` and ``delta_int`` stay quantizers in both; the
-spiking forward reads every site, and the gate and the step's softplus from
-their quantizers' grids, through one code-grid read (``CodeGrid.read``), bit
-for bit, which writes the values into the drive itself, so off the tape a
-site's or activation's output is its input array, and the state's its slot.
-Tensors belong to the tape: under one ``_block`` runs the Tensor primitives,
-and off it the block unwraps its input once, runs their array kernels on bare
-arrays and wraps its output once.  The recurrence runs in ``selective_scan``,
+Off the tape both forwards run one array block body, ``_block``, which
+reads every site, the gate and the step's softplus from their quantizers'
+grids, and the state, through one code-grid read (``CodeGrid.read``): the
+spiking forward reads its spike sites, the real-arithmetic one the grids of
+the quantizers those sites count (``SpikeSite.of``), so every site drive, and
+with it every output, agrees bit for bit (a threshold-scaled site only while
+it saturates).  ``x_res`` and ``delta_int`` stay quantizers in both.  A read
+writes the values into the drive itself, so a site's or activation's output
+is its input array, and the state's its slot; the block unwraps its input
+once and wraps its output once.  Tensors belong to the tape: training, its
+``smooth`` surrogate and calibration run the same body on the Tensor
+primitives, each site one ``quantize`` op, which records nothing off the tape.
+The recurrence runs in ``selective_scan``,
 the one loop over time, which re-encodes ``h`` in place through a per-step
 hook given the state alone; since ``y`` never feeds back, its site encodes the
 whole readout once.  In training the scan is one
@@ -61,7 +63,7 @@ from . import numerics as nm
 from .activations import (LN2, pow2_silu, pow2_silu_grad, pow2_silu_t, pow2_softplus, pow2_softplus_grad,
                           pow2_softplus_t)
 from .quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, clip_mask, lsq_terms, pass_through, quantize,
-                       quantize_codes, quantize_values, quantize_with_context)
+                       quantize_codes, quantize_with_context)
 from .spike import SpikeSite, pow2_shift
 
 EXP_LO = -32
@@ -343,36 +345,75 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     return y
 
 
-def _block(x, p: BlockParams, cfg: ModelConfig, encode, apply, scan, counters, tag: str):
+def _block(x, p: BlockParams, cfg: ModelConfig, sites=None, counters=None, tag: str = "block", hooks=None):
     """One block's dataflow, the same in both forwards and on and off the tape.
 
-    A Tensor ``x`` runs the Tensor primitives, which a tape records, on the
-    block's weight Tensors; an array ``x`` (off the tape) runs the unchecked
-    array kernels on their arrays, and every hook then reads and writes
-    arrays.  Either way each value passes through the same kernel, so the
-    two agree bit for bit.
-
-    ``encode(name, t)`` returns spike site ``name``'s values and its spike
-    total (``None`` unless the spiking forward counts); off the tape it
-    consumes its drive, which may come back holding the values, so each
-    drive is encoded after its last other reader.  ``apply(name, t, fn,
-    fn_grad)`` returns the activation ``fn`` (with its derivative ``fn_grad``
-    on the tape) of quantizer ``name``'s values of ``t``, consuming ``t`` the
-    same way.  ``scan(step,
-    A, B_seq, C_seq, D, u, u_spikes)`` returns the scan's readout.
-    ``counters`` (arrays only), unless ``None``, gets each layer's op tally
-    right after the layer.
+    Without ``hooks`` ``x`` is an array (off the tape): the block runs the
+    unchecked array kernels on its weight arrays, and every site reads through
+    ``sites[name]`` (a spike site, or the grid of the quantizer it counts), the
+    gate and the step's softplus through their quantizers' grids and the state
+    through ``sites["h"]`` at every step, each by ``CodeGrid.read`` into its
+    dead drive.  ``counters``, unless ``None``, observes each read's codes and
+    gets each layer's op tally right after the layer.  With ``hooks``, the
+    real-arithmetic forward's ``(encode, apply, scan)`` for the Tensor
+    primitives a tape records, ``x`` is a Tensor: ``encode(name, t)`` returns
+    site ``name``'s values and ``None``, ``apply(name, t, fn, fn_grad)`` the
+    activation ``fn`` (derivative ``fn_grad``) of quantizer ``name``'s values
+    of ``t``, and ``scan(step, A, B_seq, C_seq, D, u, u_spikes)`` the readout.
+    Either way each value passes through the same kernel, so the two agree
+    bit for bit; each drive is encoded after its last other reader.
     """
     dv, dh, n, r = cfg.d_value, cfg.d_hidden, cfg.state_size, cfg.delta_rank
-    if isinstance(x, nm.Tensor):
+    if hooks is not None:
         rmsnorm, linear, split, conv, exp, neg, mul, add = (
             nm.rmsnorm, nm.linear, nm.split_last, nm.depthwise_conv1d, nm.exp, nm.neg, nm.mul, nm.add)
         weights = _WEIGHT_TENSORS(p)
+        encode, apply, scan = hooks
     else:
         rmsnorm, linear, split, conv, exp, neg, mul, add = (
             nm.rmsnorm_kernel, nm.linear_kernel, nm.split_last_kernel, nm.depthwise_conv1d_kernel,
             nm.exp_kernel, nm.neg_kernel, nm.mul_kernel, nm.add_kernel)
         weights = _WEIGHT_ARRAYS(p)
+
+        def count(site, layer, counts):
+            """Observer of ``site``'s read: tallies its counts under ``layer`` before they are decoded;
+            returns its spike total."""
+            counters.add(layer, cmp=counts.size * site.T)
+            # a searched NaN is code T + 1 (an arithmetic one stays NaN): the tally refuses it as NaN
+            if counts.dtype.kind == "i" and counts.size and counts.item(counts.argmax()) > site.T:
+                counts = np.where(counts > site.T, np.nan, counts)
+            # rate is spikes per (neuron, timestep) slot of the pass window, so a
+            # threshold-scaled site with a collapsed T reports a lower rate
+            spikes = counters.record_site(layer, counts, 2 ** cfg.bits - 1)
+            if spikes is None:  # a counters object that keeps no site record returns no total
+                spikes = int(counts.sum())
+            return spikes
+
+        def encode(name, t):
+            site = sites[name]
+            observe = None if counters is None else functools.partial(count, site, f"{tag}.{name}")
+            return t, site.read(t, observe=observe)
+
+        def apply(name, t, fn, fn_grad):
+            p.quantizers[name].grid().read(t, fn)
+            return t
+
+        def scan(step, A, B_seq, C_seq, D, u, u_spikes):
+            if counters is None:
+                return selective_scan(step, A, B_seq, C_seq, D, u, sites["h"].read)
+            spikes = [0]  # per step, the state's spikes; it starts at 0 with none
+            site = sites["h"]
+            count_h = functools.partial(count, site, f"{tag}.h")
+
+            def encode_h(h_pre):
+                # step * A and step * B products; one shift per surviving state spike
+                counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
+                spikes.append(site.read(h_pre, observe=count_h))
+
+            y = selective_scan(step, A, B_seq, C_seq, D, u, encode_h)
+            # one readout accumulate per state spike; each input spike feeds n terms B u and one D u
+            counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
+            return y
     W_in, conv_k, W, b, W_delta, b_delta, A_log, D, g_norm, W_out, b_out = weights
 
     xn = rmsnorm(x, g_norm, cfg.rmsnorm_eps)
@@ -496,36 +537,37 @@ def _step_sums(products: np.ndarray) -> float:
 
 def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
                       smooth: bool = False, calibrate: bool = False) -> nm.Tensor:
-    """Real-arithmetic forward of one block, a Tensor in and a Tensor out; under an active tape the
-    scan is one tape op.
+    """Real-arithmetic forward of one block, a Tensor in and a Tensor out.
+
+    Off the tape, with neither ``smooth`` nor ``calibrate``, it runs the
+    spiking forward's array block, each site reading its quantizer's grid
+    where that reads the spike site counting it (``SpikeSite.of``).  Otherwise
+    every site, the gate and the step's softplus included, is one ``quantize``
+    op on Tensors, which an active tape records; ``smooth`` leaves the codes
+    unrounded (the finite-difference surrogate of the taped forward).  On the
+    tape the scan is one op and keeps what its backward reads in one of the
+    block's spare buffer sets (``ScanKeep``); off it the scan codes and
+    decodes the state in its slot.
 
     With ``calibrate`` a site that has no step size yet first fits one to the
     values arriving at it (``Quantizer.calibrate``), then quantizes as usual.
     Sites are reached in forward order, so every site upstream already
     quantizes and each step size is fit to the values it will actually see.
-    On the tape every site, the gate and the step's softplus included, is one
-    ``quantize`` op, and the scan keeps what its backward reads in one of the
-    block's spare buffer sets (``ScanKeep``).  Off it the block runs on
-    arrays, and each site quantizes its dead drive in place.
     """
     q = p.quantizers
-    taped = nm.active_tape() is not None
+    if not (smooth or calibrate) and nm.active_tape() is None:
+        return nm.Tensor(_block(x.data, p, cfg, {s: q[s].grid() for s in SPIKE_SITES}))
 
     def encode(name, t, fn=None, fn_grad=None):
         if calibrate and not q[name].initialized:
-            q[name].calibrate(t.data if taped else t)
-        if taped:
-            return quantize(t, q[name], smooth, fn, fn_grad), None
-        values = quantize_values(t, q[name], smooth, out=t)[0]
-        return values if fn is None else fn(values), None
+            q[name].calibrate(t.data)
+        return quantize(t, q[name], smooth, fn, fn_grad), None
 
     def apply(name, t, fn, fn_grad):
         return encode(name, t, fn, fn_grad)[0]
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
-        args = (step, A, B_seq, C_seq, D, u)
-        if taped:
-            args = tuple(a.data for a in args)
+        args = tuple(a.data for a in (step, A, B_seq, C_seq, D, u))
         qh = q["h"]
         if calibrate and not qh.initialized:
             # h feeds back into itself: fit it on the states of a scan that leaves them unencoded
@@ -533,12 +575,13 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
             selective_scan(*args, lambda h: states.append(h.ravel().copy()), smooth)  # copies: buffers get reused
             if states:  # a scan that never calls its hook leaves h to the model's check
                 qh.calibrate(np.concatenate(states))
-        if not taped:
-            return selective_scan(*args, lambda h: quantize_values(h, qh, smooth, out=h), smooth)
+        grid = qh.grid()
+        if nm.active_tape() is None:  # calibration or the untaped surrogate: no backward to keep for
+            return nm.Tensor(selective_scan(
+                *args, lambda h: grid.decode(quantize_codes(h, qh, smooth, h)[1], out=h), smooth))
         shape = (u.shape[1], u.shape[0]) + A.shape
         spares = p.scan_keeps.setdefault(shape, [])
         kept = spares.pop() if spares else ScanKeep(shape)
-        grid = qh.grid()
         slots = zip(kept.v, kept.codes)  # each step's own, in step order
 
         def encode_h(h_pre):  # v and the codes into the kept buffers, the state in place
@@ -549,68 +592,24 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
         nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept, spares))
         return y
 
-    if taped:
-        return _block(x, p, cfg, encode, apply, scan, None, "block")
-    return nm.Tensor(_block(x.data, p, cfg, encode, apply, scan, None, "block"))
+    return _block(x, p, cfg, hooks=(encode, apply, scan))
 
 
 def block_forward_snn(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, counters=None,
                       tag: str = "block") -> nm.Tensor:
     """Spike-driven forward of one converted block, a Tensor in and a Tensor out (no tape).
 
-    The block runs on arrays.  Each spike site emits counts and decodes them
-    once, ``offset + theta * count``, into its drive.  ``delta_int`` and
-    ``x_res`` stay quantizers, whose activations (the step's softplus and the
-    gate) are read through their grids' tables into theirs.  With
-    ``counters`` each site's read shows its counts to the op counters before
-    it decodes them; counted or not, every site runs the same read.
+    The block runs on arrays, the untaped real-arithmetic forward's body.
+    Each spike site emits counts and decodes them once, ``offset + theta *
+    count``, into its drive.  ``delta_int`` and ``x_res`` stay quantizers,
+    whose activations (the step's softplus and the gate) are read through
+    their grids' tables into theirs.  With ``counters`` each site's read shows
+    its counts to the op counters before it decodes them; counted or not,
+    every site runs the same read.
     """
     if p.sites is None:
         raise RuntimeError("block has no spike sites; convert the model first")
-    T_pass = 2 ** cfg.bits - 1
-    sites = p.sites
-
-    def count(site, layer, counts):
-        """Observer of ``site``'s read: tallies its counts under ``layer`` before they are decoded;
-        returns its spike total."""
-        counters.add(layer, cmp=counts.size * site.T)
-        # a searched NaN is code T + 1 (an arithmetic one stays NaN): the tally refuses it as NaN
-        if counts.dtype.kind == "i" and counts.size and counts.item(counts.argmax()) > site.T:
-            counts = np.where(counts > site.T, np.nan, counts)
-        # rate is spikes per (neuron, timestep) slot of the pass window, so a
-        # threshold-scaled site with a collapsed T reports a lower rate
-        spikes = counters.record_site(layer, counts, T_pass)
-        if spikes is None:  # a counters object that keeps no site record returns no total
-            spikes = int(counts.sum())
-        return spikes
-
-    def encode(name, t):
-        site = sites[name]
-        observe = None if counters is None else functools.partial(count, site, f"{tag}.{name}")
-        return t, site.read(t, observe=observe)
-
-    def apply(name, t, fn, fn_grad):
-        p.quantizers[name].grid().read(t, fn)
-        return t
-
-    def scan(step, A, B_seq, C_seq, D, u, u_spikes):
-        if counters is None:
-            return selective_scan(step, A, B_seq, C_seq, D, u, sites["h"].read)
-        spikes = [0]  # per step, the state's spikes; it starts at 0 with none
-        site = sites["h"]
-        count_h = functools.partial(count, site, f"{tag}.h")
-
-        def encode_h(h_pre):
-            # step * A and step * B products; one shift per surviving state spike
-            counters.add(f"{tag}.scan", mac=2 * h_pre.size, shift=spikes[-1])
-            spikes.append(site.read(h_pre, observe=count_h))
-
-        y = selective_scan(step, A, B_seq, C_seq, D, u, encode_h)
-        # one readout accumulate per state spike; each input spike feeds n terms B u and one D u
-        counters.add(f"{tag}.scan", acc=sum(spikes) + u_spikes * (cfg.state_size + 1))
-        return y
-
-    return nm.Tensor(_block(x.data, p, cfg, encode, apply, scan, counters, tag))
+    return nm.Tensor(_block(x.data, p, cfg, p.sites, counters, tag))
 
 
 # --- forecaster ---------------------------------------------------------------

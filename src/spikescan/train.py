@@ -371,6 +371,8 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
 
 def _named(kind: str, where: str, state: dict) -> dict:
     """``state`` if its ``name`` is ``where``, the block and site it is stored under, as saved."""
+    if "name" not in state:
+        raise ValueError(f"{kind} {where}: missing field 'name'")
     if state["name"] != where:
         raise ValueError(f"{kind} {where}: name must be {where!r}, got {state['name']!r}")
     return state

@@ -11,16 +11,27 @@ primitives, the gradient reference for the scan's hand-written backward;
 uncalibrated site.  ``round_half_away`` is the textbook nearest rule the
 quantizer's ``round_half_up`` is checked against, and ``ste_backward_where``
 the straight-through backward written with ``np.where``, the bit-exact
-reference for ``quantize.ste_backward``'s masks.
+reference for ``quantize.ste_backward``'s masks.  ``quantize_values`` is a
+quantizer's values by arithmetic, the reference ``CodeGrid.read`` is checked
+against.
 """
 
 import numpy as np
 
 import spikescan.numerics as nm
 from spikescan.activations import pow2_silu_t, pow2_softplus_t
-from spikescan.quantize import init_step_size, quantize
+from spikescan.quantize import init_step_size, quantize, quantize_codes
 from spikescan.spike import pow2_shift
 from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, forecast_head, pow2_round_ste
+
+
+def quantize_values(x: np.ndarray, q, smooth: bool = False,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(values, v, codes)`` of quantizer ``q`` on ``x`` by arithmetic: ``v = (x - beta) / alpha``,
+    its codes (``quantize_codes``; ``smooth`` leaves them unrounded) and their decode on ``q``'s grid.
+    With ``out`` (``x`` itself may be) every step runs in that one buffer: all three are ``out``."""
+    v, codes = quantize_codes(x, q, smooth, out)
+    return q.grid().decode(codes, out), v, codes
 
 
 def round_half_away(v: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from spikescan import ssm
 from spikescan.dataset import make_coupled_sinusoids, make_windows
+from spikescan.quantize import CodeGrid
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import TrainConfig, train
 
@@ -65,16 +65,16 @@ def test_the_clipping_model_clips_its_state_on_both_sides(monkeypatch):
     m, x, *_ = seeded_run("h_clips_both")
     q = m.blocks[0].quantizers["h"]
     lo, hi = [], []
-    quantize_values = ssm.quantize_values
+    read = CodeGrid.read  # the one entry of every untaped site read
 
-    def watching(h, quantizer, *args, **kw):
-        if quantizer is q:
-            v = (h - q.beta.data) / q.alpha.data
+    def watching(grid, drive, *args, **kw):
+        if grid is q.grid():
+            v = (drive - q.beta.data) / q.alpha.data
             lo.append(v.min())
             hi.append(v.max())
-        return quantize_values(h, quantizer, *args, **kw)
+        return read(grid, drive, *args, **kw)
 
-    monkeypatch.setattr(ssm, "quantize_values", watching)
+    monkeypatch.setattr(CodeGrid, "read", watching)
     m.forward(x[:64])
     assert min(lo) < 0 and max(hi) > q.code_max
 

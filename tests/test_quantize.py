@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 import spikescan.numerics as nm
 import spikescan.quantize as quantize_mod
 from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with_snap, init_step_size,
-                                quantize, quantize_values, quantize_with_context, round_half_up,
+                                quantize, quantize_with_context, round_half_up,
                                 ste_backward)
 from spikescan.ssm import EXP_HI, EXP_LO
-from ssm_oracle import round_half_away, ste_backward_where
+from ssm_oracle import quantize_values, round_half_away, ste_backward_where
 
 
 def q2(alpha=0.5, beta=0.0, **kw):

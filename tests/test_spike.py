@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikescan.activations import pow2_silu, pow2_softplus
-from spikescan.quantize import SEARCH_MAX, Quantizer, quantize_codes, quantize_values, quantize_with_context
+from spikescan.quantize import SEARCH_MAX, Quantizer, quantize_codes, quantize_with_context
 from spikescan.spike import SpikeSite, pow2_shift, simulate_if, threshold_scale
 from spikescan.ssm import EXP_HI, EXP_LO, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
+from ssm_oracle import quantize_values
 
 
 def site(T, theta, offset=0.0):

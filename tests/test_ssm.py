@@ -21,8 +21,8 @@ from spikescan.ssm import (EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConf
                            block_forward_ann, pow2_round_ste, selective_scan)
 from spikescan.energy import EnergyTable, OpCounters, profile
 from spikescan.train import TrainConfig, convert_to_snn, train
-from ssm_oracle import (apply_kernel, dense_ssm_reference, multi_pass_calibrate, reference_scan, ssm_kernel,
-                        taped_forward)
+from ssm_oracle import (apply_kernel, dense_ssm_reference, multi_pass_calibrate, quantize_values, reference_scan,
+                        ssm_kernel, taped_forward)
 
 RNG = np.random.default_rng(99)
 
@@ -87,7 +87,7 @@ H_SITE = ssm.Quantizer(bits=2, alpha=0.3, beta=-0.2, rounding="floor", name="h")
 
 def floor_h(h):
     """A scan hook: ``H_SITE``'s values of the state, in its slot."""
-    ssm.quantize_values(h, H_SITE, out=h)
+    quantize_values(h, H_SITE, out=h)
 
 
 def scan_inputs(rng, batch, L, dh, n):
@@ -107,7 +107,7 @@ def assert_scan_matches_reference(args, smooth, hook):
         def encode_h(h):
             seen[key].append(h.copy())
             if hook == "floor":
-                ssm.quantize_values(h, H_SITE, smooth, out=h)
+                quantize_values(h, H_SITE, smooth, out=h)
         return None if hook == "none" else encode_h
 
     y = selective_scan(*args, make_hook("scan"), smooth)
@@ -540,32 +540,20 @@ def test_spiking_tallies_are_pinned():
 
 
 def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
-    """At every encode point, each spike site sees bit for bit the drive its quantizer sees."""
+    """At every encode point, each spike site reads bit for bit the drive its quantizer's grid reads in
+    the real-arithmetic forward: both go through ``CodeGrid.read``, the one entry of both modes."""
     m, x = pinned_model()
     names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
     drives = {"ann": {}, "snn": {}}
-    quantize, quantize_values = ssm.quantize, ssm.quantize_values
-    read = SpikeSite.read  # the entry point of every spiking encode, search or arithmetic
+    read = quantize.CodeGrid.read
 
-    def record(mode, name, pre):
-        if name in names:  # delta_int and x_res quantize in both modes
-            drives[mode].setdefault(name, []).append(pre.copy())  # the scan may reuse h's array
+    def recording(grid, drive, fn=None, observe=None):
+        if grid.name in names:  # delta_int and x_res read their quantizers' grids in both modes
+            assert isinstance(grid, SpikeSite) == (m.mode == "snn"), grid
+            drives[m.mode].setdefault(grid.name, []).append(drive.copy())  # the scan reuses h's array
+        return read(grid, drive, fn, observe)
 
-    def ann_site(t, q, smooth=False, fn=None, fn_grad=None):
-        record("ann", q.name, t.data)
-        return quantize(t, q, smooth, fn, fn_grad)
-
-    def ann_state(v, q, smooth=False, out=None):  # the scan's per-step h hook, off the tape
-        record("ann", q.name, v)
-        return quantize_values(v, q, smooth, out=out)
-
-    def snn_site(site, pre, fn=None, observe=None):
-        record("snn", site.name, pre)
-        return read(site, pre, fn, observe)
-
-    monkeypatch.setattr(ssm, "quantize", ann_site)
-    monkeypatch.setattr(ssm, "quantize_values", ann_state)
-    monkeypatch.setattr(SpikeSite, "read", snn_site)
+    monkeypatch.setattr(quantize.CodeGrid, "read", recording)
     m.forward(x)
     m.mode = "ann"
     m.forward(x)
@@ -667,7 +655,8 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
     """An untaped forward, real-arithmetic or spiking, calls no Tensor primitive and no ``quantize``:
     each calls ``record_op`` wherever it runs, so a wrapped ``record_op`` sees any that slips into an
     untaped forward.  A taped README step records its 27 ops through it.  Under ``smooth`` the gate
-    and the step's softplus stay one ``quantize`` op each, computed, not read."""
+    and the step's softplus stay one ``quantize`` op each, computed, not read.  Calibration runs the
+    Tensor primitives, off the tape, so the model is calibrated before ``record_op`` is wrapped."""
     recorded = []
     record_op = nm.record_op
 
@@ -675,8 +664,8 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
         recorded.append(out)
         return record_op(out, vjp)
 
-    monkeypatch.setattr(nm, "record_op", counting)
     m, x = readme_model()
+    monkeypatch.setattr(nm, "record_op", counting)
     m.forward(x)
     assert recorded == []
     for smooth in (True, False):
@@ -716,9 +705,9 @@ def test_a_warmed_spiking_forward_reads_the_gate_and_step_from_tables(monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError("a warmed spiking forward reads its gate and step from tables")
 
-    for owner, name in ((ssm, "quantize"), (ssm, "quantize_values"), (quantize, "quantize_values"),
-                        (quantize, "quantize_codes"), (ssm, "pow2_silu_t"), (ssm, "pow2_softplus_t"),
-                        (activations, "pow2_silu"), (activations, "pow2_softplus")):
+    for owner, name in ((ssm, "quantize"), (ssm, "quantize_codes"), (quantize, "quantize_codes"),
+                        (ssm, "pow2_silu_t"), (ssm, "pow2_softplus_t"), (activations, "pow2_silu"),
+                        (activations, "pow2_softplus")):
         monkeypatch.setattr(owner, name, forbidden)
     got = [m.forward(xb).data for xb in (x[:1], x)]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -791,8 +780,9 @@ def test_a_taped_activation_from_tables_is_the_two_ops_bit_for_bit(fn, fn_grad, 
 # 94 while the block ran the Tensor primitives off the tape and the state hook was handed its step)
 BATCH_1_CALLS = 59
 # and of the same forward counting its ops into an ``OpCounters``, each site's tally an observer of its
-# one read (196 too while a counted read took a path of its own and the caller decoded a large drive)
-BATCH_1_COUNTED_CALLS = 196
+# one read (196 while each site record summed its counts through ``ndarray.sum`` and ``np.count_nonzero``,
+# and while a counted read took a path of its own and the caller decoded a large drive)
+BATCH_1_COUNTED_CALLS = 145
 
 
 def batch_1_calls(counted: bool) -> int:
@@ -858,7 +848,9 @@ def test_a_batch_1_spiking_forward_builds_three_tensors():
 def test_taped_and_untaped_forwards_give_the_same_bytes(bits, blocks, batch, offsets, seed):
     """Off the tape a block runs the array kernels its taped primitives wrap, one kernel per primitive,
     so a real-arithmetic forward gives the same bytes under a ``GradTape`` and off it, with and
-    without ``smooth``."""
+    without ``smooth``.  The converted model's spiking forward gives the taped forward's bytes too: off
+    the tape both modes read every site through ``CodeGrid.read``, and on it every site codes by
+    arithmetic (``quantize_codes``), so the two modes stay checked against an independent side."""
     rng = np.random.default_rng(seed)
     m = ForecastModel.build(small_cfg(bits=bits, blocks=blocks), seed=seed)
     if offsets:
@@ -873,6 +865,10 @@ def test_taped_and_untaped_forwards_give_the_same_bytes(bits, blocks, batch, off
             on = m.forward(x, smooth=smooth)
         assert len(tape) > 0
         assert on.data.tobytes() == off.data.tobytes(), smooth
+        if not smooth:
+            taped = on.data.tobytes()
+    convert_to_snn(m)
+    assert m.forward(x).data.tobytes() == taped
 
 
 class OperandLog(np.ndarray):
@@ -921,9 +917,9 @@ def test_hot_path_ufuncs_take_no_python_scalar_operands():
     }
     for q in qs:
         for smooth in (False, True):
-            calls[f"quantize_values {q.name} {smooth}"] = lambda q=q, s=smooth: ssm.quantize_values(drive(), q, s)
+            calls[f"quantize_values {q.name} {smooth}"] = lambda q=q, s=smooth: quantize_values(drive(), q, s)
             calls[f"quantize_values {q.name} {smooth} in place"] = into_itself(
-                lambda d, o, q=q, s=smooth: ssm.quantize_values(d, q, s, out=o))
+                lambda d, o, q=q, s=smooth: quantize_values(d, q, s, out=o))
     fewest = {"smooth exponent": 1}  # a single clip; every other entry makes at least two calls
     for name, call in calls.items():
         OperandLog.calls.clear()

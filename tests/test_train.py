@@ -701,6 +701,9 @@ def _without_config(key):
     # these failed as "metadata is missing key 'train_beta'" (or 'T'), naming no block or site
     (_without("quantizers", "h", "train_beta"), "quantizer block0.h: missing field 'train_beta'"),
     (_without("sites", "y", "T"), "spike site block0.y: missing field 'T'"),
+    # these failed as "metadata is missing key 'name'"
+    (_without("quantizers", "conv", "name"), "quantizer block0.conv: missing field 'name'"),
+    (_without("sites", "delta", "name"), "spike site block0.delta: missing field 'name'"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
