@@ -69,6 +69,10 @@ _SNAP = nm.operand(GRID_SNAP)
 # it is negative: uint64 keys in the order of the values, -0.0 just below +0.0.
 _SIGN = np.uint64(1 << 63)
 _KEY_LO, _KEY_HI = np.uint64(0x000F_FFFF_FFFF_FFFF), np.uint64(0xFFF0_0000_0000_0000)  # -inf, +inf
+# Keys either side of a grid's estimate of a threshold where its search starts: on grids of steps
+# 1e-8..3.3e5 from offsets 0..+-1e6 every threshold lay within 31 keys of its estimate, and a bracket
+# of 512 keys takes 9 halvings against the whole range's 64
+_BRACKET = np.uint64(256)
 
 
 def round_half_up(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -112,26 +116,42 @@ def _codes(x: np.ndarray, step: np.ndarray, offset: np.ndarray, rule, top: np.nd
     return v, clip_inplace(rule(v, out=out if codes_out is None else codes_out), nm.ZERO, top)
 
 
+def _keys(values: np.ndarray) -> np.ndarray:
+    """The order keys of float64 values."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    return np.where(bits & _SIGN, ~bits, bits | _SIGN)
+
+
 def _key_values(keys: np.ndarray) -> np.ndarray:
     """The float64 values of order keys."""
     return np.where(keys & _SIGN, keys & ~_SIGN, ~keys).view(np.float64)
 
 
-def bisect_thresholds(count, n: int) -> np.ndarray:
-    """``tau_k`` for k = 1..n: the least float64 ``x`` with ``count(x) >= k``.
+def bisect_thresholds(count, guess: np.ndarray) -> np.ndarray:
+    """``tau_k`` for k = 1..n, n = ``len(guess)``: the least float64 ``x`` with ``count(x) >= k``.
 
     ``count`` maps a float64 array to counts entrywise, monotone in ``x``, with
     ``count(+inf) >= n``, so each ``tau_k`` lies in (-inf, +inf] and is found by
     bisection over the order keys of float64 values, every k at once: the count
-    itself decides each step, so the thresholds are exact by construction.  The
-    keys are uint64, where ``hi - lo`` cannot overflow, and fewer than 2**64 lie
-    between -inf and +inf, so 64 halvings leave ``hi`` just above ``lo``.
+    itself decides each step, so the thresholds are exact by construction.
+    Each search starts from the ``_BRACKET`` keys either side of its estimate
+    ``guess[k - 1]``, kept only where the count confirms it, below k at its low
+    end and k or more at its high end, and otherwise from the whole range
+    -inf..+inf; it halves until every bracket is one key wide, ``hi`` just
+    above ``lo``.  The keys are uint64, where ``hi - lo`` cannot overflow, and
+    fewer than 2**64 lie between -inf and +inf, so a whole range takes 64
+    halvings and a confirmed bracket 9.
     """
+    n = len(guess)
     k = np.arange(1, n + 1)
-    lo = np.full(n, _KEY_LO)  # count below k
-    hi = np.full(n, _KEY_HI)  # count k or more
+    key = _keys(guess)  # a NaN guess keys beyond +-inf, where the clamps below leave no confirmed bracket
+    lo = np.maximum(key, _KEY_LO + _BRACKET) - _BRACKET
+    hi = np.minimum(key, _KEY_HI - _BRACKET) + _BRACKET
     with np.errstate(over="ignore"):  # inputs near the float64 extremes overflow to +-inf
-        for _ in range(64):
+        ends = count(_key_values(np.concatenate([lo, hi])))
+        confirmed = (ends[:n] < k) & (ends[n:] >= k)
+        lo, hi = np.where(confirmed, lo, _KEY_LO), np.where(confirmed, hi, _KEY_HI)
+        for _ in range(int((hi - lo).max(initial=1) - 1).bit_length()):  # halvings to one key wide
             mid = lo + (hi - lo) // 2
             reached = count(_key_values(mid)) >= k
             hi = np.where(reached, mid, hi)
@@ -165,8 +185,12 @@ class CodeGrid:
         return np.add(v, self._offset, out=v)
 
     def thresholds(self) -> np.ndarray:
-        """``tau_k`` for k = 1..T: the least float64 whose code is k or more."""
-        return bisect_thresholds(self.codes, self.T)
+        """``tau_k`` for k = 1..T: the least float64 whose code is k or more, searched from the
+        decode of where the rounding reaches k (``k - 0.5`` to nearest, ``k - GRID_SNAP`` by floor)."""
+        below = 0.5 if self.rounding == "nearest" else GRID_SNAP
+        with np.errstate(over="ignore"):  # a step near the float64 maximum overflows the estimate to inf
+            guess = self.decode(np.arange(1, self.T + 1) - below)
+        return bisect_thresholds(self.codes, guess)
 
     @functools.cached_property
     def _tau(self) -> np.ndarray:  # the thresholds with a NaN after them, built on the first search
@@ -213,12 +237,16 @@ class CodeGrid:
 
 
 def init_step_size(x: np.ndarray) -> float:
-    """Initial step size: mean of entries >= 0.5, else max(mean |x|, 1e-3)."""
+    """Initial step size: mean of entries >= 0.5, else max(mean |x|, 1e-3).
+
+    Consumes ``x``: a float64 array is overwritten by ``|x|`` in place when no
+    entry reaches 0.5, so a caller that reads it again passes a copy.
+    """
     x = np.asarray(x, dtype=np.float64)
     big = x[x >= 0.5]
     if big.size:
         return float(big.mean())
-    return float(max(np.mean(np.abs(x)), 1e-3))
+    return float(max(np.mean(np.abs(x, out=x)), 1e-3))
 
 
 @dataclass
@@ -283,8 +311,14 @@ class Quantizer:
         return self._grid[1]
 
     def calibrate(self, x: np.ndarray) -> None:
-        """Set alpha from the values ``x`` reaching the site, measured from beta (kept)."""
-        self.set_alpha(init_step_size(np.ravel(x) - float(self.beta.data)))
+        """Set alpha from the values ``x`` reaching the site, measured from beta (kept).
+
+        Consumes ``x``, as ``CodeGrid.read`` consumes its drive: the offset is
+        subtracted from a float64 array in place and ``init_step_size`` takes
+        over, so a caller that reads the values again passes a copy.
+        """
+        x = np.ravel(np.asarray(x, dtype=np.float64))
+        self.set_alpha(init_step_size(np.subtract(x, float(self.beta.data), out=x)))
 
     def parameters(self) -> list[nm.Tensor]:
         return [t for t in (self.alpha, self.beta) if t is not None and t.trainable]

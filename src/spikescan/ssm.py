@@ -31,7 +31,10 @@ writes the values into the drive itself, so a site's or activation's output
 is its input array, and the state's its slot; the block unwraps its input
 once and wraps its output once.  Tensors belong to the tape: training, its
 ``smooth`` surrogate and calibration run the same body on the Tensor
-primitives, each site one ``quantize`` op, which records nothing off the tape.
+primitives, each site one ``quantize`` op, which records nothing off the tape;
+calibration fits each site's step size to a copy of its drive, and the
+``h`` site's to one buffer of the states of a scan that leaves them
+unencoded, which the fit consumes in place.
 The recurrence runs in ``selective_scan``,
 the one loop over time, which re-encodes ``h`` in place through a per-step
 hook given the state alone; since ``y`` never feeds back, its site encodes the
@@ -49,6 +52,7 @@ history positions to the forecast horizon per variable.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -550,8 +554,11 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
     decodes the state in its slot.
 
     With ``calibrate`` a site that has no step size yet first fits one to the
-    values arriving at it (``Quantizer.calibrate``), then quantizes as usual.
-    Sites are reached in forward order, so every site upstream already
+    values arriving at it (``Quantizer.calibrate``, which consumes them: a
+    site drive is handed over as a copy), then quantizes as usual.  The
+    ``h`` site fits on the states of an extra scan that leaves them
+    unencoded, written into one time-major [L, B, dh, n] buffer the fit then
+    consumes.  Sites are reached in forward order, so every site upstream already
     quantizes and each step size is fit to the values it will actually see.
     """
     q = p.quantizers
@@ -560,7 +567,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
 
     def encode(name, t, fn=None, fn_grad=None):
         if calibrate and not q[name].initialized:
-            q[name].calibrate(t.data)
+            q[name].calibrate(t.data.copy())  # calibrate consumes its values; the drive is read below
         return quantize(t, q[name], smooth, fn, fn_grad), None
 
     def apply(name, t, fn, fn_grad):
@@ -569,17 +576,20 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         args = tuple(a.data for a in (step, A, B_seq, C_seq, D, u))
         qh = q["h"]
+        shape = (u.shape[1], u.shape[0]) + A.shape  # [L, B, dh, n], time-major as the scan runs
         if calibrate and not qh.initialized:
-            # h feeds back into itself: fit it on the states of a scan that leaves them unencoded
-            states = []
-            selective_scan(*args, lambda h: states.append(h.ravel().copy()), smooth)  # copies: buffers get reused
-            if states:  # a scan that never calls its hook leaves h to the model's check
-                qh.calibrate(np.concatenate(states))
+            # h feeds back into itself: fit it on the states of a scan that leaves them unencoded,
+            # each copied out of its reused slot into one sequence, which the fit then consumes
+            states, steps = np.empty(shape), itertools.count()
+            selective_scan(*args, lambda h: np.copyto(states[next(steps)], h), smooth)
+            filled = next(steps)
+            if filled:  # a scan that never calls its hook leaves h to the model's check
+                qh.calibrate(states[:filled])
+            del states
         grid = qh.grid()
         if nm.active_tape() is None:  # calibration or the untaped surrogate: no backward to keep for
             return nm.Tensor(selective_scan(
                 *args, lambda h: grid.decode(quantize_codes(h, qh, smooth, h)[1], out=h), smooth))
-        shape = (u.shape[1], u.shape[0]) + A.shape
         spares = p.scan_keeps.setdefault(shape, [])
         kept = spares.pop() if spares else ScanKeep(shape)
         slots = zip(kept.v, kept.codes)  # each step's own, in step order

@@ -8,7 +8,10 @@ buffered ``selective_scan``.  ``taped_forward`` is the model's
 real-arithmetic forward with the scan unrolled into per-step tape
 primitives, the gradient reference for the scan's hand-written backward;
 ``multi_pass_calibrate`` is the calibration reference, one full forward per
-uncalibrated site.  ``round_half_away`` is the textbook nearest rule the
+uncalibrated site, fitting each step size by ``step_size_rule``, the
+initializer's rule written on a fresh array.  ``bisect_whole_range`` is the
+threshold search over every float64, the reference for the bracketed
+``quantize.bisect_thresholds``.  ``round_half_away`` is the textbook nearest rule the
 quantizer's ``round_half_up`` is checked against, and ``ste_backward_where``
 the straight-through backward written with ``np.where``, the bit-exact
 reference for ``quantize.ste_backward``'s masks.  ``quantize_values`` is a
@@ -20,7 +23,7 @@ import numpy as np
 
 import spikescan.numerics as nm
 from spikescan.activations import pow2_silu_t, pow2_softplus_t
-from spikescan.quantize import init_step_size, quantize, quantize_codes
+from spikescan.quantize import quantize, quantize_codes
 from spikescan.spike import pow2_shift
 from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, forecast_head, pow2_round_ste
 
@@ -32,6 +35,35 @@ def quantize_values(x: np.ndarray, q, smooth: bool = False,
     With ``out`` (``x`` itself may be) every step runs in that one buffer: all three are ``out``."""
     v, codes = quantize_codes(x, q, smooth, out)
     return q.grid().decode(codes, out), v, codes
+
+
+def step_size_rule(x: np.ndarray) -> float:
+    """A quantizer's initial step size from the values ``x`` (never written): the mean of the entries
+    >= 0.5, else the larger of mean |x| and 1e-3."""
+    x = np.array(x, dtype=np.float64).ravel()
+    big = x[x >= 0.5]
+    if big.size:
+        return float(np.mean(big))
+    return float(max(np.mean(np.abs(x)), 1e-3))
+
+
+def bisect_whole_range(count, n: int) -> np.ndarray:
+    """``tau_k`` for k = 1..n, the least float64 with ``count >= k``: 64 halvings of the order keys from
+    -inf to +inf, every k at once."""
+    top = np.uint64(1 << 63)  # a value's key: its bits plus 2**63, or its bits flipped if it is negative
+
+    def value(keys):
+        return np.where(keys >= top, keys - top, ~keys).view(np.float64)
+
+    k = np.arange(1, n + 1)
+    lo = np.full(n, ~np.array(-np.inf).view(np.uint64))
+    hi = np.full(n, np.array(np.inf).view(np.uint64) + top)
+    with np.errstate(over="ignore"):
+        for _ in range(64):
+            mid = lo + (hi - lo) // 2
+            reached = count(value(mid)) >= k
+            hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+    return value(hi)
 
 
 def round_half_away(v: np.ndarray) -> np.ndarray:
@@ -191,4 +223,4 @@ def multi_pass_calibrate(model, x: np.ndarray) -> None:
         for blk in model.blocks:
             h = taped_block(h, blk, model.cfg, collect=collect)
         vals = np.concatenate([v.ravel() for v in collect[q.name]])
-        q.set_alpha(init_step_size(vals - float(q.beta.data)))
+        q.set_alpha(step_size_rule(vals - float(q.beta.data)))

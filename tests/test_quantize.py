@@ -11,8 +11,8 @@ import spikescan.quantize as quantize_mod
 from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with_snap, init_step_size,
                                 quantize, quantize_with_context, round_half_up,
                                 ste_backward)
-from spikescan.ssm import EXP_HI, EXP_LO
-from ssm_oracle import quantize_values, round_half_away, ste_backward_where
+from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig
+from ssm_oracle import bisect_whole_range, quantize_values, round_half_away, step_size_rule, ste_backward_where
 
 
 def q2(alpha=0.5, beta=0.0, **kw):
@@ -73,6 +73,31 @@ class TestInitializer:
         q.set_beta(-0.5)
         q.calibrate(np.array([0.1, 0.3, -0.4]))  # [0.6, 0.8, 0.1] above the offset
         assert float(q.alpha.data) == pytest.approx(0.7) and float(q.beta.data) == -0.5
+
+
+STEP_SIZE_EDGES = [0.0, -0.0, 0.5, np.nextafter(0.5, 0.0), -0.5, 1e-3, -1e-3, 5e-324, 1e300, -1e300]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(st.sampled_from(STEP_SIZE_EDGES), st.floats(-3.0, 3.0)), min_size=1, max_size=40),
+       beta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)), shape=st.sampled_from([(-1,), (1, -1)]))
+@example(values=[0.6, 0.8, 0.1, -0.0], beta=0.0, shape=(-1,))  # entries >= 0.5: their mean
+@example(values=[0.1, -0.2, -0.0, 0.0], beta=-0.0, shape=(-1,))  # none: mean |x|
+@example(values=[-0.0, -0.0], beta=-0.0, shape=(1, -1))  # none, mean |x| +0.0: the 1e-3 floor
+@example(values=[-0.0, 0.0], beta=0.0, shape=(-1,))
+def test_calibration_consumes_its_values_and_fits_the_copy_based_rule(values, beta, shape):
+    """``calibrate`` and ``init_step_size`` fit the bytes the rule gives on a fresh copy, in both of its
+    branches, with -0.0 entries and offsets of +-0.0; ``calibrate`` leaves its values measured from the
+    offset in the array it was handed, as their magnitudes when no entry reaches 0.5."""
+    x = np.array(values).reshape(shape)
+    shifted = np.ravel(x) - beta
+    want = np.float64(step_size_rule(shifted))
+    assert np.float64(init_step_size(shifted.copy())).tobytes() == want.tobytes()
+    q = Quantizer(bits=2, beta=beta, name="c")
+    q.calibrate(x)
+    assert q.alpha.data.tobytes() == want.tobytes() and q.beta.data.tobytes() == np.float64(beta).tobytes()
+    left = shifted if (shifted >= 0.5).any() else np.abs(shifted)
+    assert x.ravel().tobytes() == left.tobytes()
 
 
 EDGE_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 15.5]
@@ -339,3 +364,37 @@ def test_reset_keeps_the_tensor_flag():
 
 def test_alpha_floor_constant():
     assert ALPHA_FLOOR == 1e-8
+
+
+THRESHOLD_OFFSETS = [0.0, -0.0, -0.133, 1.0, 12345.6, -1e6, 5e-324, -5e-324, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(theta=st.one_of(st.floats(-8.0, 5.52).map(lambda e: 10.0 ** e), st.sampled_from([5e-324, 1e-300, 1e300])),
+       offset=st.one_of(st.sampled_from(THRESHOLD_OFFSETS), st.floats(-1e6, 1e6)),
+       T=st.sampled_from([1, 3, 7, 15]), rounding=st.sampled_from(["nearest", "floor"]))
+@example(theta=1e308, offset=-1.7976931348623157e308, T=15, rounding="nearest")  # x - offset overflows
+@example(theta=1.7976931348623157e308, offset=1.0, T=3, rounding="floor")  # the estimate overflows
+@example(theta=1e-8, offset=-0.0, T=15, rounding="floor")
+def test_bracketed_thresholds_equal_the_whole_range_search(theta, offset, T, rounding):
+    """Thresholds searched from a bracket around the grid's estimate, kept only where the count confirms
+    it, are the bytes 64 halvings of the whole float64 range give, for tiny, huge and overflowing steps
+    and offsets, +-0 among them."""
+    grid = quantize_mod.CodeGrid("g", theta, offset, T, rounding)
+    assert grid.thresholds().tobytes() == bisect_whole_range(grid.codes, T).tobytes()
+
+
+def test_a_readme_grid_finds_its_thresholds_in_ten_counts(monkeypatch):
+    """Every grid of a calibrated README-size model (2 bits) confirms its brackets and halves them to one
+    key: one count of their ends and 9 halvings, where the whole range takes 64."""
+    m = ForecastModel.build(ModelConfig(d_value=2, history=12, horizon=3), seed=0)
+    m.calibrate(np.random.default_rng(0).normal(size=(64, 12, 2)))
+    calls = []
+    codes = quantize_mod.CodeGrid.codes
+    monkeypatch.setattr(quantize_mod.CodeGrid, "codes", lambda self, x, out=None: calls.append(1) or codes(self, x, out))
+    for q in (blk.quantizers[s] for blk in m.blocks for s in QUANT_SITES):
+        grid, before = q.grid(), len(calls)
+        tau = grid.thresholds()
+        assert len(calls) - before <= 10, q.name
+        assert tau.tobytes() == bisect_whole_range(lambda x: codes(grid, x), q.code_max).tobytes(), q.name

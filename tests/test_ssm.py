@@ -311,6 +311,23 @@ def test_calibration_runs_each_block_once(monkeypatch):
     assert m.calibrated() and [id(p) for p in calls] == [id(b) for b in m.blocks]
 
 
+def test_calibration_keeps_the_scan_states_once():
+    """At a shape where the states dominate (B 256, L 32, dh 16, n 8), calibration's traced peak stays
+    under 2.5 times the [L, B, dh, n] state sequence: its collecting scan writes the states into one
+    buffer, which the ``h`` fit consumes in place (a list of copies, their join, the offset-shifted copy
+    and its magnitudes made about 3.6 times)."""
+    B, L, dh, n = 256, 32, 16, 8
+    m = ForecastModel.build(small_cfg(history=L, d_hidden=dh, state_size=n), seed=0)
+    x = np.random.default_rng(0).normal(size=(B, L, m.cfg.d_value))
+    tracemalloc.start()
+    try:
+        m.calibrate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.calibrated() and peak < 2.5 * L * B * dh * n * 8, peak
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(bits=st.integers(1, 4), blocks=st.integers(1, 3), state_size=st.integers(1, 4),
        conv_kernel=st.integers(2, 4), d_hidden=st.integers(1, 7), batch=st.integers(1, 6),
