@@ -6,11 +6,12 @@ over a window of ``T`` steps to ``A = d / T`` and runs
     V(0) = 0;  for t = 1..T:  V += A;  if V >= theta: spike, V -= theta.
 
 After t steps ``V = t*A - theta*(spikes so far)``, so the count over the
-window is ``clip(floor(d / theta), 0, T)``: a site is a named floor grid
-(``quantize.CodeGrid``) whose codes are those counts.  The threshold is the
-quantizer step and decoding is the quantizer's ``beta + alpha * code``, so
-quantized activations and spike counts are interchangeable by construction,
-and a drive of ``m * theta`` (integer m in [0, T]) emits exactly m spikes.
+window is ``clip(floor(d / theta), 0, T)``: a site is a floor grid
+(``quantize.CodeGrid``) whose codes are those counts.  A converted block's
+sites are its quantizers' own grids, so quantized activations and spike
+counts are interchangeable by construction, and a drive of ``m * theta``
+(integer m in [0, T]) emits exactly m spikes.  ``SpikeSite`` is a standalone
+site and the writer and reader of a site's v1 checkpoint record.
 Run step by step in floating point (``simulate_if``, the reference the
 counts are checked against), the recurrence can disagree with that floor a
 few ulps under ``(k - 1e-9) * theta``; the grid keeps the real-arithmetic
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .quantize import GRID_SNAP, CodeGrid, Quantizer, state_fields
+from .quantize import GRID_SNAP, CodeGrid, state_fields
 
 __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 
@@ -47,7 +48,7 @@ def pow2_shift(v: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> n
 
 @dataclass(frozen=True)
 class SpikeSite(CodeGrid):
-    """Spiking configuration of one encode site in a converted network: a floor grid."""
+    """A spike site of given fields, checked: a floor grid whose codes are spike counts."""
 
     rounding: str = field(default="floor", init=False, repr=False)  # integrate-and-fire counts floor
     encode_counts, decode_counts = CodeGrid.codes, CodeGrid.decode  # its codes are spike counts
@@ -61,14 +62,10 @@ class SpikeSite(CodeGrid):
             raise ValueError(f"spike site {self.name}: offset must be finite, got {self.offset}")
         super().__post_init__()
 
-    @classmethod
-    def of(cls, q: Quantizer) -> "SpikeSite":
-        """The site that counts ``q``'s codes: threshold = step, offset = offset, window = largest code."""
-        return cls(name=q.name, theta=float(q.alpha.data), offset=float(q.beta.data), T=q.code_max)
-
-    def state(self) -> dict:
-        # checkpoint format v1 keeps the decode "scale" key; it is always theta
-        return {"name": self.name, "theta": self.theta, "scale": self.theta, "offset": self.offset, "T": self.T}
+    @staticmethod
+    def state(grid: CodeGrid) -> dict:
+        """The checkpoint record of a site's grid; format v1 keeps the decode "scale" key, always theta."""
+        return {"name": grid.name, "theta": grid.theta, "scale": grid.theta, "offset": grid.offset, "T": grid.T}
 
     @classmethod
     def from_state(cls, s: dict) -> "SpikeSite":
@@ -95,7 +92,7 @@ def simulate_if(drive: np.ndarray, T: int, theta: float) -> np.ndarray:
     return bits
 
 
-def threshold_scale(site: SpikeSite) -> SpikeSite:
+def threshold_scale(site: CodeGrid) -> CodeGrid:
     """Collapse a site's window to a single spike.
 
     theta grows by T and the window shrinks to 1, so a train of T saturated

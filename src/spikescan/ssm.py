@@ -22,14 +22,13 @@ floor rule, so the counts are the codes, and decodes them once,
 ``offset + theta * count`` (the quantizer's ``beta + alpha * code``).
 Off the tape both forwards run one array block body, ``_block``, which
 reads every site, the gate and the step's softplus from their quantizers'
-grids, and the state, through one code-grid read (``CodeGrid.read``): the
-spiking forward reads its spike sites, the real-arithmetic one the grids of
-the quantizers those sites count (``SpikeSite.of``), so every site drive, and
-with it every output, agrees bit for bit (a threshold-scaled site only while
-it saturates).  ``x_res`` and ``delta_int`` stay quantizers in both.  A read
-writes the values into the drive itself, so a site's or activation's output
-is its input array, and the state's its slot; the block unwraps its input
-once and wraps its output once.  Tensors belong to the tape: training, its
+grids, and the state, through one code-grid read (``CodeGrid.read``): a
+converted block's spike sites are those grids themselves, so both forwards
+make the same reads bit for bit (a threshold-scaled site, the grid's
+``threshold_scale``, only while it saturates); ``x_res`` and ``delta_int``
+stay quantizers in both.  A read writes the values into the drive itself,
+so a site's or activation's output is its input array, and the state's its
+slot; the block unwraps its input once and wraps its output once.  Tensors belong to the tape: training, its
 ``smooth`` surrogate and calibration run the same body on the Tensor
 primitives, each site one ``quantize`` op, which records nothing off the tape;
 calibration fits each site's step size to a copy of its drive, and the
@@ -66,9 +65,9 @@ from . import numerics as nm
 # wrappers nor ``quantize_with_context``, which stay as its spans and as test oracles
 from .activations import (LN2, pow2_silu, pow2_silu_grad, pow2_silu_t, pow2_softplus, pow2_softplus_grad,
                           pow2_softplus_t)
-from .quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, clip_mask, lsq_terms, pass_through, quantize,
-                       quantize_codes, quantize_with_context)
-from .spike import SpikeSite, pow2_shift
+from .quantize import (ALPHA_FLOOR, CodeGrid, Quantizer, clip_inplace, clip_mask, lsq_terms, pass_through,
+                       quantize, quantize_codes, quantize_with_context)
+from .spike import pow2_shift
 
 EXP_LO = -32
 EXP_HI = 0
@@ -181,7 +180,7 @@ class BlockParams:
     W_out: nm.Tensor
     b_out: nm.Tensor
     quantizers: dict[str, Quantizer]
-    sites: dict[str, SpikeSite] | None = None  # populated by conversion
+    sites: dict[str, CodeGrid] | None = None  # conversion's: each quantizer's grid, or its threshold_scale
     # per [L, B, dh, n] shape, the spare sets of sequences a taped scan keeps for its backward
     scan_keeps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -354,7 +353,7 @@ def _block(x, p: BlockParams, cfg: ModelConfig, sites=None, counters=None, tag: 
 
     Without ``hooks`` ``x`` is an array (off the tape): the block runs the
     unchecked array kernels on its weight arrays, and every site reads through
-    ``sites[name]`` (a spike site, or the grid of the quantizer it counts), the
+    ``sites[name]`` (its quantizer's grid, or a threshold-scaled one), the
     gate and the step's softplus through their quantizers' grids and the state
     through ``sites["h"]`` at every step, each by ``CodeGrid.read`` into its
     dead drive.  ``counters``, unless ``None``, observes each read's codes and
@@ -544,8 +543,8 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
     """Real-arithmetic forward of one block, a Tensor in and a Tensor out.
 
     Off the tape, with neither ``smooth`` nor ``calibrate``, it runs the
-    spiking forward's array block, each site reading its quantizer's grid
-    where that reads the spike site counting it (``SpikeSite.of``).  Otherwise
+    spiking forward's array block, each site reading its quantizer's grid,
+    the very grid a converted block's spike site is.  Otherwise
     every site, the gate and the step's softplus included, is one ``quantize``
     op on Tensors, which an active tape records; ``smooth`` leaves the codes
     unrounded (the finite-difference surrogate of the taped forward).  On the

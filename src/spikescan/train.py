@@ -217,9 +217,9 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
 def convert_to_snn(model: ForecastModel) -> ForecastModel:
     """Turn every spike-encode site into an integrate-and-fire site in place.
 
-    Each site's threshold is the learned quantizer step, its decode offset
-    is the quantizer offset, and the spike window is the largest code,
-    T = 2**bits - 1, so spike counts and codes coincide.
+    Each site is its floor quantizer's own grid (``Quantizer.grid``): threshold
+    = learned step, offset = quantizer offset, window = largest code 2**bits - 1,
+    so spike counts are codes and both forwards read one grid and its tables.
     """
     if model.mode == "snn":
         raise RuntimeError("model is already converted (would discard scaled thresholds)")
@@ -232,7 +232,7 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
     if bad:
         raise ValueError("cannot convert, spike sites need floor rounding: " + ", ".join(bad))
     for blk in model.blocks:
-        blk.sites = {s: SpikeSite.of(blk.quantizers[s]) for s in SPIKE_SITES}
+        blk.sites = {s: blk.quantizers[s].grid() for s in SPIKE_SITES}
     model.mode = "snn"
     return model
 
@@ -284,7 +284,7 @@ def _metadata(model: ForecastModel, norm: dict | None, extra: dict | None) -> di
         "quantizers": [{s: blk.quantizers[s].state() for s in QUANT_SITES}
                        for blk in model.blocks],
         "sites": [None if blk.sites is None
-                  else {s: blk.sites[s].state() for s in blk.sites}
+                  else {s: SpikeSite.state(g) for s, g in blk.sites.items()}
                   for blk in model.blocks],
         "norm": norm,
         "extra": extra or {},
@@ -379,7 +379,8 @@ def _named(kind: str, where: str, state: dict) -> dict:
 
 
 def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
-    """The model the metadata and its config ``cfg`` describe, with quantizers and sites but no weights."""
+    """The model the metadata and its config ``cfg`` describe, with quantizers and sites but no weights:
+    each site the grid its checked v1 record describes, its quantizer's own or that grid's threshold_scale."""
     model = ForecastModel.build(cfg, seed=0)
     mode, n, bits = meta["mode"], len(model.blocks), model.cfg.bits
     if mode not in ("ann", "snn"):
@@ -401,9 +402,9 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
             continue
         if set(sstates) != set(SPIKE_SITES):
             raise ValueError(f"block{i} spike sites {sorted(sstates)} are not {sorted(SPIKE_SITES)}")
-        blk.sites = {s: SpikeSite.from_state(_named("spike site", f"block{i}.{s}", v)) for s, v in sstates.items()}
-        T = 2 ** bits - 1
-        for s, site in blk.sites.items():
+        records = {s: SpikeSite.from_state(_named("spike site", f"block{i}.{s}", v)) for s, v in sstates.items()}
+        T, blk.sites = 2 ** bits - 1, {}
+        for s, site in records.items():
             if blk.quantizers[s].rounding != "floor":  # as convert_to_snn requires
                 raise ValueError(f"spike site block{i}.{s}: its quantizer rounds by "
                                  f"{blk.quantizers[s].rounding}, a spike site counts by floor")
@@ -411,11 +412,13 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
                 raise ValueError(f"spike site block{i}.{s}: window T={site.T} exceeds the "
                                  f"largest {bits}-bit code {T}")
             # the site must count the quantizer's codes, or their threshold-scaled form
-            got, plain = (site.theta, site.offset, site.T), SpikeSite.of(blk.quantizers[s])
-            allowed = [(a.theta, a.offset, a.T) for a in (plain, threshold_scale(plain))]
+            plain = blk.quantizers[s].grid()
+            grids = plain, threshold_scale(plain)
+            got, allowed = (site.theta, site.offset, site.T), [(a.theta, a.offset, a.T) for a in grids]
             if got not in allowed:
                 raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = {got} is neither "
                                  f"the quantizer's {allowed[0]} nor its threshold-scaled {allowed[1]}")
+            blk.sites[s] = grids[allowed.index(got)]
     if meta.get("norm") is not None:
         _check_norm(meta["norm"], model.cfg.d_value)
     model.mode = mode

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikescan.activations import pow2_silu, pow2_softplus
-from spikescan.quantize import SEARCH_MAX, Quantizer, quantize_codes, quantize_with_context
+from spikescan.quantize import SEARCH_MAX, CodeGrid, Quantizer, quantize_codes, quantize_with_context
 from spikescan.spike import SpikeSite, pow2_shift, simulate_if, threshold_scale
-from spikescan.ssm import EXP_HI, EXP_LO, ForecastModel, ModelConfig
+from spikescan.ssm import EXP_HI, EXP_LO, SPIKE_SITES, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 from ssm_oracle import quantize_values
 
@@ -80,36 +80,36 @@ def test_tie_edge_counts_equal_quantizer_codes_bit_for_bit():
         edge = beta + (k - 1e-9) * alpha
         pre = edge + rng.integers(-64, 65, size=edge.size) * np.spacing(edge)
         codes = quantize_with_context(pre, q)[1].codes
-        counts = SpikeSite.of(q).encode_counts(pre)
+        counts = q.grid().codes(pre)
         assert np.array_equal(counts, codes), bits
 
 
 class TestQuantizedCodec:
-    """A site built from a floor quantizer counts spikes equal to its codes."""
+    """A floor quantizer's grid, a converted block's spike site, counts spikes equal to its codes."""
 
     Q = Quantizer(bits=2, alpha=0.5, beta=0.0, rounding="floor", name="codec")
 
     def test_count_equals_code(self):
-        assert SpikeSite.of(self.Q).encode_counts(np.array([1.0]))[0] == 2
+        assert self.Q.grid().codes(np.array([1.0]))[0] == 2
 
     def test_offset_maps_to_silence(self):
         q = Quantizer(bits=2, alpha=0.5, beta=-0.2, rounding="floor", name="o")
-        s = SpikeSite.of(q)
-        counts = s.encode_counts(np.array([-0.2]))
+        s = q.grid()
+        counts = s.codes(np.array([-0.2]))
         assert counts[0] == 0
-        assert s.decode_counts(counts)[0] == -0.2
+        assert s.decode(counts)[0] == -0.2
 
     def test_max_code_saturates_window(self):
-        s = SpikeSite.of(self.Q)
-        assert s.encode_counts(np.array([1.5]))[0] == 3 == s.T
+        s = self.Q.grid()
+        assert s.codes(np.array([1.5]))[0] == 3 == s.T
 
     def test_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(0)
         q = Quantizer(bits=3, alpha=0.37, beta=0.21, rounding="floor", name="rt")
         xq, ctx = quantize_with_context(rng.normal(size=300) * 2, q)
-        s = SpikeSite.of(q)
-        assert np.array_equal(s.encode_counts(xq), ctx.codes)
-        assert np.array_equal(s.decode_counts(s.encode_counts(xq)), xq)
+        s = q.grid()
+        assert np.array_equal(s.codes(xq), ctx.codes)
+        assert np.array_equal(s.decode(s.codes(xq)), xq)
 
     def test_symmetric_quantizer_rejected(self):
         cfg = ModelConfig(d_value=1, history=4, horizon=1, d_hidden=2, state_size=1)
@@ -298,6 +298,28 @@ def test_search_tables_are_built_on_a_sites_first_small_drive():
     built = [(vars(s)["_tau"], s._tables[None]) for s in sites]
     m.forward(x[1:2])
     assert all(vars(s)["_tau"] is tau and s._tables[None] is levels for s, (tau, levels) in zip(sites, built))
+
+
+def test_a_spiking_forward_reuses_the_thresholds_and_tables_the_real_arithmetic_one_built(monkeypatch):
+    """A converted block's spike sites are its quantizers' grids, so the thresholds and tables a batch-1
+    real-arithmetic forward built are the ones the spiking forward reads: it builds none of its own."""
+    cfg = ModelConfig(d_value=2, history=6, horizon=2, d_hidden=4, state_size=2, conv_kernel=2)
+    m = ForecastModel.build(cfg, seed=0)
+    x = np.random.default_rng(0).normal(size=(8, 6, 2))
+    m.calibrate(x)
+    ann = m.forward(x[:1]).data
+    grids = [m.blocks[0].quantizers[s].grid() for s in SPIKE_SITES]
+    built = [(vars(g)["_tau"], g._tables[None]) for g in grids]
+    convert_to_snn(m)
+    assert list(m.blocks[0].sites.values()) == grids
+
+    def forbidden(*args):
+        raise AssertionError("the spiking forward built a table or thresholds again")
+
+    monkeypatch.setattr(CodeGrid, "thresholds", forbidden)
+    monkeypatch.setattr(CodeGrid, "table", forbidden)
+    assert m.forward(x[:1]).data.tobytes() == ann.tobytes()
+    assert all(vars(g)["_tau"] is tau and g._tables[None] is levels for g, (tau, levels) in zip(grids, built))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -558,7 +558,8 @@ def test_spiking_tallies_are_pinned():
 
 def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
     """At every encode point, each spike site reads bit for bit the drive its quantizer's grid reads in
-    the real-arithmetic forward: both go through ``CodeGrid.read``, the one entry of both modes."""
+    the real-arithmetic forward, and it is that grid object: both go through ``CodeGrid.read``, the one
+    entry of both modes."""
     m, x = pinned_model()
     names = [f"block{i}.{s}" for i in range(2) for s in SPIKE_SITES]
     drives = {"ann": {}, "snn": {}}
@@ -566,7 +567,8 @@ def test_spike_site_drives_equal_the_real_arithmetic_ones(monkeypatch):
 
     def recording(grid, drive, fn=None, observe=None):
         if grid.name in names:  # delta_int and x_res read their quantizers' grids in both modes
-            assert isinstance(grid, SpikeSite) == (m.mode == "snn"), grid
+            block, site = grid.name.split(".")
+            assert grid is m.blocks[int(block[5:])].quantizers[site].grid(), (m.mode, grid)
             drives[m.mode].setdefault(grid.name, []).append(drive.copy())  # the scan reuses h's array
         return read(grid, drive, fn, observe)
 

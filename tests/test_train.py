@@ -474,6 +474,32 @@ def test_checkpoint_keeps_scaled_sites(tmp_path):
             assert b2.sites[s].theta == b1.sites[s].theta
 
 
+def scaled_sites(m) -> list[str]:
+    """The sites of a converted model that are the ``threshold_scale`` of their quantizer's grid; every
+    other site must be that grid object itself."""
+    scaled = []
+    for i, blk in enumerate(m.blocks):
+        for s in SPIKE_SITES:
+            grid = blk.quantizers[s].grid()
+            if blk.sites[s] is not grid:
+                assert blk.sites[s] == threshold_scale(grid), f"block{i}.{s}"
+                scaled.append(f"block{i}.{s}")
+    return scaled
+
+
+@pytest.mark.parametrize("scale", [False, True])
+def test_conversion_and_loading_install_the_quantizers_own_grids(tmp_path, scale):
+    """A converted block's spike sites are its quantizers' grid objects, or a grid's threshold_scale where
+    threshold scaling collapsed the site; a loaded checkpoint installs the same: no site copies a grid."""
+    m, _ = trained_snn(tmp_path, scale=scale)
+    scaled = scaled_sites(m)
+    assert bool(scaled) == scale
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, m)
+    m2, _ = load_checkpoint(path)
+    assert scaled_sites(m2) == scaled
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "x.ckpt"
     p.write_bytes(b"NOPE" + b"\x00" * 32)
