@@ -445,12 +445,10 @@ def _block(x, p: BlockParams, cfg: ModelConfig, sites=None, counters=None, tag: 
     del pbc
     d_spikes, c_dr = encode("delta_raw", d_raw)
     dproj = linear(d_spikes, W_delta, b_delta)
-    if counters is not None:
-        counters.add(f"{tag}.delta_proj", acc=c_dr * dh, acc_bias=2 * dproj.size)
     step_pt = apply("delta_int", dproj, pow2_softplus, pow2_softplus_grad)
-    del d_raw, d_spikes, c_dr, dproj
     if counters is not None:
-        counters.add(f"{tag}.delta_proj", shift=step_pt.size, acc_bias=step_pt.size)
+        counters.add(f"{tag}.delta_proj", acc=c_dr * dh, shift=step_pt.size, acc_bias=2 * dproj.size + step_pt.size)
+    del d_raw, d_spikes, c_dr, dproj
     step, _ = encode("delta", step_pt)
     del step_pt
 
@@ -461,11 +459,9 @@ def _block(x, p: BlockParams, cfg: ModelConfig, sites=None, counters=None, tag: 
 
     gate = apply("x_res", x_res, pow2_silu, pow2_silu_grad)
     del x_res
-    if counters is not None:
-        counters.add(f"{tag}.gate", shift=gate.size, acc_bias=gate.size)
     gated = mul(y, gate)
     if counters is not None:
-        counters.add(f"{tag}.gate", acc=y_spikes)
+        counters.add(f"{tag}.gate", acc=y_spikes, shift=gate.size, acc_bias=gate.size)
     z = linear(gated, W_out, b_out)
     if counters is not None:
         counters.add(f"{tag}.out_proj", mac=gated.size * dv, acc_bias=z.size)
@@ -678,6 +674,8 @@ class ForecastModel:
         see, every site upstream of it already quantizing.
         """
         h = self._windows(x, "calibrate")
+        if h.shape[0] == 0:  # every step size would be the mean of nothing, NaN
+            raise ValueError("calibrate: expected at least one window, got 0")
         for blk in self.blocks:
             h = block_forward_ann(h, blk, self.cfg, calibrate=True)
         for q in (blk.quantizers[s] for blk in self.blocks for s in QUANT_SITES):

@@ -9,7 +9,6 @@ present.  Conversion and checkpoints are specific to ``ForecastModel``.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import sys
 import typing
@@ -21,7 +20,7 @@ from . import numerics as nm
 from .energy import OpCounters
 from .quantize import Quantizer
 from .spike import SpikeSite, threshold_scale
-from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig
+from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig, field_types
 
 CHECKPOINT_MAGIC = b"SPKY"
 CHECKPOINT_VERSION = 1
@@ -39,18 +38,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"train config: {key} must be >= 1, got {getattr(self, key)}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"train config: lr must be finite and > 0, got {self.lr}")
-        for key in ("beta1", "beta2"):
-            if not 0 <= getattr(self, key) < 1:
-                raise ValueError(f"train config: {key} must be in [0, 1), got {getattr(self, key)}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"train config: eps must be finite and > 0, got {self.eps}")
-        if self.seed < 0:
-            raise ValueError(f"train config: seed must be >= 0, got {self.seed}")
+        for key, t in field_types(TrainConfig).items():
+            v = getattr(self, key)
+            if type(v) is bool or not isinstance(v, t if t is int else (int, float)):  # True is no number, 2.5 no integer
+                raise ValueError(f"train config: {key} must be {'an integer' if t is int else 'a number'}, got {v!r}")
+            if key in ("beta1", "beta2"):
+                rule, ok = "in [0, 1)", 0 <= v < 1
+            elif t is int:
+                rule, ok = (">= 0", v >= 0) if key == "seed" else (">= 1", v >= 1)
+            else:  # an int compares exactly, so one too large for a float64 fails
+                rule, ok = "finite and > 0", 0 < v <= sys.float_info.max
+            if not ok:
+                raise ValueError(f"train config: {key} must be {rule}, got {v}")
 
 
 class Adam:
@@ -220,6 +219,8 @@ def convert_to_snn(model: ForecastModel) -> ForecastModel:
     Each site is its floor quantizer's own grid (``Quantizer.grid``): threshold
     = learned step, offset = quantizer offset, window = largest code 2**bits - 1,
     so spike counts are codes and both forwards read one grid and its tables.
+    A spike site that rounds otherwise is refused.  ``load_checkpoint`` converts
+    a checkpoint with site records here, then installs its threshold-scaled sites.
     """
     if model.mode == "snn":
         raise RuntimeError("model is already converted (would discard scaled thresholds)")
@@ -246,7 +247,7 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
     original, cutting its comparisons and downstream accumulations by T.
     The rewrite is applied to every such site, then checked end to end on
     ``verify_x`` (``x`` when omitted); any output drift beyond the 1e-9
-    equivalence bound rolls all sites back.  Returns the names of the sites left scaled.
+    equivalence bound, or a NaN one, rolls all sites back.  Returns the names of the sites left scaled.
     """
     if model.mode != "snn":
         raise RuntimeError("threshold scaling applies to converted models only")
@@ -267,7 +268,7 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
     if not scaled:
         return []
     drift = float(np.max(np.abs(model.forward(check).data - baseline)))
-    if drift > 1e-9:
+    if not drift <= 1e-9:  # a NaN drift rolls back too
         for blk, sites in saved:
             blk.sites = sites
         return []
@@ -380,7 +381,8 @@ def _named(kind: str, where: str, state: dict) -> dict:
 
 def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
     """The model the metadata and its config ``cfg`` describe, with quantizers and sites but no weights:
-    each site the grid its checked v1 record describes, its quantizer's own or that grid's threshold_scale."""
+    every quantizer's grid built (``Quantizer.grid`` refuses a step of 0 or below) and, if any block has
+    site records, converted by ``convert_to_snn``, each record then the installed grid or its threshold_scale."""
     model = ForecastModel.build(cfg, seed=0)
     mode, n, bits = meta["mode"], len(model.blocks), model.cfg.bits
     if mode not in ("ann", "snn"):
@@ -388,6 +390,7 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
     if len(meta["quantizers"]) != n or len(meta["sites"]) != n:
         raise ValueError(f"{len(meta['quantizers'])} quantizer and {len(meta['sites'])} site "
                          f"entries for {n} blocks")
+    records = []
     for i, (blk, qstates, sstates) in enumerate(zip(model.blocks, meta["quantizers"], meta["sites"])):
         if set(qstates) != set(QUANT_SITES):
             raise ValueError(f"block{i} quantizers {sorted(qstates)} are not {sorted(QUANT_SITES)}")
@@ -396,24 +399,19 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
         for s, q in blk.quantizers.items():
             if q.bits != bits:
                 raise ValueError(f"quantizer block{i}.{s}: {q.bits} bits, the config has {bits}")
+            q.grid()  # refuses a step of 0 or below
         if sstates is None:
             if mode == "snn":
                 raise ValueError(f"snn-mode checkpoint has no spike sites for block{i}")
-            continue
-        if set(sstates) != set(SPIKE_SITES):
+            sstates = {}
+        elif set(sstates) != set(SPIKE_SITES):
             raise ValueError(f"block{i} spike sites {sorted(sstates)} are not {sorted(SPIKE_SITES)}")
-        records = {s: SpikeSite.from_state(_named("spike site", f"block{i}.{s}", v)) for s, v in sstates.items()}
-        T, blk.sites = 2 ** bits - 1, {}
-        for s, site in records.items():
-            if blk.quantizers[s].rounding != "floor":  # as convert_to_snn requires
-                raise ValueError(f"spike site block{i}.{s}: its quantizer rounds by "
-                                 f"{blk.quantizers[s].rounding}, a spike site counts by floor")
-            if site.T > T:
-                raise ValueError(f"spike site block{i}.{s}: window T={site.T} exceeds the "
-                                 f"largest {bits}-bit code {T}")
-            # the site must count the quantizer's codes, or their threshold-scaled form
-            plain = blk.quantizers[s].grid()
-            grids = plain, threshold_scale(plain)
+        records.append({s: SpikeSite.from_state(_named("spike site", f"block{i}.{s}", v)) for s, v in sstates.items()})
+    if any(records):
+        convert_to_snn(model)
+    for i, (blk, sites) in enumerate(zip(model.blocks, records)):
+        for s, site in sites.items():
+            grids = blk.sites[s], threshold_scale(blk.sites[s])
             got, allowed = (site.theta, site.offset, site.T), [(a.theta, a.offset, a.T) for a in grids]
             if got not in allowed:
                 raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = {got} is neither "

@@ -696,6 +696,15 @@ def mutation_inputs(tmp_path_factory):
     return d, {"ann": FIXTURE.read_bytes(), "snn": (d / "snn.ckpt").read_bytes()}
 
 
+def with_metadata(raw: bytes, change) -> bytes:
+    """The checkpoint ``raw`` with its JSON metadata passed through ``change``."""
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + mlen])
+    change(meta)
+    blob = json.dumps(meta).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_a_non_finite_head_weight_in_the_fixture_is_a_usage_error(mutation_inputs, capsys, value):
     """The fixture's last float32 is ``head.b[2]``: made NaN or inf, ``forecast`` exits 2 and names it."""
@@ -713,16 +722,30 @@ def test_a_null_delta_rank_in_the_fixture_is_a_usage_error(mutation_inputs, caps
     the fixture with ``"delta_rank": null`` loaded with that default; ``forecast`` now exits 2 naming
     the file and the field."""
     d, raw = mutation_inputs
-    (mlen,) = struct.unpack_from("<I", raw["ann"], 8)
-    meta = json.loads(raw["ann"][12:12 + mlen])
-    meta["config"]["delta_rank"] = None
-    blob = json.dumps(meta).encode()
     ckpt = d / "null.ckpt"
-    ckpt.write_bytes(raw["ann"][:8] + struct.pack("<I", len(blob)) + blob + raw["ann"][12 + mlen:])
+    ckpt.write_bytes(with_metadata(raw["ann"], lambda meta: meta["config"].update(delta_rank=None)))
     assert cli.main(["forecast", "--model", str(ckpt), "--data", str(d / "series.csv"), "--has-header",
                      "--out", str(d / "null.csv")]) == 2
     assert f"error: {ckpt}: model config: delta_rank must be an integer, got None" in capsys.readouterr().err
     assert not (d / "null.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5])
+def test_a_step_of_zero_or_below_in_the_fixture_is_refused_at_load(mutation_inputs, capsys, alpha):
+    """The fixture is an ann checkpoint without site records: with ``block0.y``'s step set to 0 or below
+    it loaded, and its first forward refused the step naming no file; loading now refuses it, so
+    ``forecast`` exits 2 naming the file and the quantizer."""
+    d, raw = mutation_inputs
+    ckpt = d / "step.ckpt"
+    ckpt.write_bytes(with_metadata(raw["ann"], lambda meta: meta["quantizers"][0]["y"].update(alpha=alpha)))
+    defect = f"{ckpt}: quantizer block0.y: step size must be positive, got {alpha}"
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(str(ckpt))
+    assert str(e.value) == defect
+    assert cli.main(["forecast", "--model", str(ckpt), "--data", str(d / "series.csv"), "--has-header",
+                     "--out", str(d / "step.csv")]) == 2
+    assert f"error: {defect}" in capsys.readouterr().err
+    assert not (d / "step.csv").exists()
 
 
 def _mutate_key(meta, walk, how) -> None:

@@ -302,6 +302,20 @@ def test_calibration_checks_its_windows_as_the_forward_does(bad):
     assert not any(blk.quantizers[s].initialized for blk in m.blocks for s in SPIKE_SITES)
 
 
+def test_calibration_refuses_no_windows():
+    """Calibrating on 0 windows returned, every step size the mean of nothing, NaN, and the model
+    calibrated and forecasting NaN; training on no windows did the same.  Both are now refused."""
+    cfg = small_cfg()
+    m = ForecastModel.build(cfg, seed=0)
+    x = np.zeros((0, cfg.history, cfg.d_value))
+    with pytest.raises(ValueError, match="^calibrate: expected at least one window, got 0$"):
+        m.calibrate(x)
+    with pytest.raises(ValueError, match="^calibrate: "):
+        train(m, x, x[:, :cfg.horizon], x, x[:, :cfg.horizon])
+    assert not m.calibrated()
+    assert not any(blk.quantizers[s].initialized for blk in m.blocks for s in SPIKE_SITES)
+
+
 def test_calibration_runs_each_block_once(monkeypatch):
     calls = []
     forward = ssm.block_forward_ann
@@ -800,8 +814,9 @@ def test_a_taped_activation_from_tables_is_the_two_ops_bit_for_bit(fn, fn_grad, 
 BATCH_1_CALLS = 59
 # and of the same forward counting its ops into an ``OpCounters``, each site's tally an observer of its
 # one read (196 while each site record summed its counts through ``ndarray.sum`` and ``np.count_nonzero``,
-# and while a counted read took a path of its own and the caller decoded a large drive)
-BATCH_1_COUNTED_CALLS = 145
+# and while a counted read took a path of its own and the caller decoded a large drive; 145 while
+# the step projection and the gate each tallied in two calls)
+BATCH_1_COUNTED_CALLS = 143
 
 
 def batch_1_calls(counted: bool) -> int:

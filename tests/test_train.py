@@ -1,6 +1,7 @@
 """Optimizer behavior, the training loop, conversion, checkpoints."""
 
 import hashlib
+import importlib
 import json
 import struct
 from pathlib import Path
@@ -295,6 +296,19 @@ def test_train_config_validates_every_field(key, value, rule):
         TrainConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("batch_size", 2.5, "an integer"), ("max_epochs", 2.5, "an integer"), ("patience", 3.0, "an integer"),
+    ("seed", 1.5, "an integer"), ("seed", True, "an integer"), ("batch_size", "8", "an integer"),
+    ("lr", True, "a number"), ("eps", False, "a number"), ("beta1", "0.9", "a number"),
+])
+def test_train_config_checks_the_type_of_every_field(key, value, kind):
+    """A float count and a bool passed the range checks: a float batch size or seed failed later in
+    ``train`` with a bare TypeError, and ``lr=True`` trained with lr 1."""
+    with pytest.raises(ValueError) as e:
+        TrainConfig(**{key: value})
+    assert str(e.value) == f"train config: {key} must be {kind}, got {value!r}"
+
+
 def test_train_config_accepts_the_edges_of_its_ranges():
     TrainConfig(max_epochs=1, patience=1, lr=1e9, beta1=0.0, beta2=0.0, eps=1e-300, seed=0)
 
@@ -424,6 +438,24 @@ def test_threshold_scaling_rolls_back_on_drift():
     assert np.array_equal(m.forward(x_mid).data, baseline)
 
 
+def test_threshold_scaling_rolls_back_on_a_nan_drift():
+    """The fixture with ``block0.x_in``'s step at 1e308: scaling its threshold by T overflows to inf,
+    and the scaled model forecasts NaN, a drift that compares false against any bound.  The rewrite
+    was kept, all six sites scaled; it is rolled back, and the forecasts keep their bytes."""
+    m, meta = load_checkpoint(str(FIXTURE))
+    norm = meta["norm"]
+    x = make_windows(make_coupled_sinusoids(n_steps=300, seed=8675309), m.cfg.history, m.cfg.horizon,
+                     (1.0, 0.0, 0.0), stats=(np.asarray(norm["mean"]), np.asarray(norm["std"]))).x_train[:64]
+    m.blocks[0].quantizers["x_in"].set_alpha(1e308)
+    convert_to_snn(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf levels of the x_in site, and inf - inf
+        before = m.forward(x).data
+        assert apply_threshold_scaling(m, x) == []
+        after = m.forward(x).data
+    assert after.tobytes() == before.tobytes()
+    assert scaled_sites(m) == []
+
+
 def trained_snn(tmp_path, scale=False):
     cfg = small_cfg()
     x, y = make_data(cfg=cfg)
@@ -498,6 +530,28 @@ def test_conversion_and_loading_install_the_quantizers_own_grids(tmp_path, scale
     save_checkpoint(path, m)
     m2, _ = load_checkpoint(path)
     assert scaled_sites(m2) == scaled
+
+
+def test_loading_converts_through_convert_to_snn(tmp_path, monkeypatch):
+    """A converted and a threshold-scaled checkpoint each load through one ``convert_to_snn`` call, and
+    every site is its quantizer's grid or that grid's threshold_scale: the loader states no conversion
+    rule of its own."""
+    calls = []
+
+    def spy(model):
+        calls.append(model)
+        return convert_to_snn(model)
+
+    monkeypatch.setattr(importlib.import_module("spikescan.train"), "convert_to_snn", spy)
+    for scale in (False, True):
+        m, _ = trained_snn(tmp_path, scale=scale)
+        path = str(tmp_path / f"spy{scale}.ckpt")
+        save_checkpoint(path, m)
+        calls.clear()
+        m2, _ = load_checkpoint(path)
+        assert calls == [m2]
+        assert scaled_sites(m2) == scaled_sites(m)
+        assert bool(scaled_sites(m2)) == scale
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -672,7 +726,7 @@ def _without_config(key):
     (_extra_block, "2 quantizer and 1 site entries for 1 blocks"),
     (_unknown_mode, "unknown mode 'hybrid'"),
     (_quantizer_bits, "quantizer block0.h: 5 bits, the config has 2"),
-    (_site_window, "spike site block0.h: window T=7 exceeds the largest 2-bit code 3"),
+    (_site_window, r"spike site block0.h: \(theta, offset, T\) = \(.*, 7\) is neither the quantizer's"),
     (_site_scale, "spike site block0.y: decode scale .* differs from threshold"),
     (_set("quantizers", "conv", "alpha", float("inf")), "quantizer block0.conv: alpha must be finite, got inf"),
     (_set("quantizers", "x_in", "beta", float("nan")), "quantizer block0.x_in: beta must be finite, got nan"),
@@ -703,8 +757,7 @@ def _without_config(key):
     (_set("quantizers", "h", "alpha", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
     (_set("sites", "conv", "theta", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
     (_set("sites", "y", "T", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
-    (_set("quantizers", "x_in", "rounding", "nearest"),
-     "spike site block0.x_in: its quantizer rounds by nearest, a spike site counts by floor"),
+    (_set("quantizers", "x_in", "rounding", "nearest"), "cannot convert, spike sites need floor rounding: block0.x_in"),
     # these loaded: bits 2.5 or "2" as 2, "no" as a trainable step, "0.5" as 0.5, T 3.9 or "3" as 3,
     # a null site name as 'None'
     (_set("quantizers", "h", "bits", 2.5), "quantizer block0.h: bits must be an integer, got 2.5"),
