@@ -28,6 +28,11 @@ import numpy as np
 
 from .ssm import ForecastModel, ModelConfig
 
+try:  # numpy >= 2; the C function, without ``np.count_nonzero``'s Python dispatcher
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
+
 KINDS = ("acc", "acc_bias", "mac", "shift", "cmp")
 
 
@@ -53,8 +58,10 @@ class OpCounters:
     def record_site(self, site: str, counts: np.ndarray, T: int) -> int:
         """Tally a site's spikes, its neurons and ``mid``, the neurons whose
         count lies strictly between 0 and T (a site with none is saturated);
-        returns the spikes of ``counts``, whose first axis is the window.  Both sums are ufunc
-        reductions, which make no Python-level call on the batch-1 forward's path."""
+        returns the spikes of ``counts``, whose first axis is the window.  Every count lies in
+        [0, T] (a site's codes never pass its window, which threshold scaling only shortens), so
+        ``mid`` is the nonzero counts less those at T.  The sum and both counts are C calls, which
+        make no Python-level call on the batch-1 forward's path."""
         try:
             spikes = int(np.add.reduce(counts, None))
         except ValueError:  # NaN counts: a window overflowed upstream of this site
@@ -64,7 +71,8 @@ class OpCounters:
         rec = self.sites.setdefault(site, {"spikes": 0, "neurons": 0, "mid": 0, "T": int(T)})
         rec["spikes"] += spikes
         rec["neurons"] += int(counts.size)
-        rec["mid"] += int(np.add.reduce((counts > 0) & (counts < T), None))
+        # each count a boolean first: count_nonzero walks booleans several times as fast as float64s
+        rec["mid"] += int(_count_nonzero(counts != 0) - _count_nonzero(counts == T))
         rec["T"] = int(T)
         return spikes
 

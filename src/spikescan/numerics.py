@@ -219,10 +219,13 @@ def depthwise_conv1d_kernel(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Causal depthwise convolution of ``x`` [B, L, D] by ``k`` [D, K] along time."""
     L, K = x.shape[1], k.shape[1]
     xpad = _pad_time(x, K - 1, 0)
+    # tap j's weights as a whole [L, D] time row, so a product runs over L * D entries at a time
+    # instead of broadcasting a D-wide vector along time
+    taps = k.T[:, None].repeat(L, axis=1)
     # K shifted multiply-adds in tap order: the sum order of sum_j k[:, j] x[t - K+1 + j]
-    y = xpad[:, 0:L] * k[:, 0]
+    y = xpad[:, 0:L] * taps[0]
     for j in range(1, K):
-        y += xpad[:, j:j + L] * k[:, j]
+        y += xpad[:, j:j + L] * taps[j]
     return y
 
 

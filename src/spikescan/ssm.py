@@ -10,8 +10,8 @@ One block is a gated selective scan over quantized activations:
     step_int          = Q_int(W_d @ SN(d_raw) + b_d)        # integer codes
     step              = SN(pow2_softplus(step_int))          # > 0
     A                 = -exp(A_log)
-    for t:  Abar_t    = 2 ** clip(rint(step_t * A), lo, hi)  # exact powers of two
-            h_t       = SN(Abar_t * h_{t-1} + (step_t * B_t) * s_t)
+    for t:  e_t       = clip(rint(step_t * A), lo, hi)       # int32 exponents
+            h_t       = SN(h_{t-1} * 2 ** e_t + (step_t * B_t) * s_t)   # an exact shift
             y_t       = sum_n C_t * h_t + D * s_t
     out               = x + W_out @ (SN(y) * pow2_silu(Q(x_res))) + b_out
 
@@ -35,9 +35,11 @@ calibration fits each site's step size to a copy of its drive, and the
 ``h`` site's to one buffer of the states of a scan that leaves them
 unencoded, which the fit consumes in place.
 The recurrence runs in ``selective_scan``,
-the one loop over time, which re-encodes ``h`` in place through a per-step
-hook given the state alone; since ``y`` never feeds back, its site encodes the
-whole readout once.  In training the scan is one
+the one loop over time, which decays the state by shifting it by its int32
+exponents (``exp2`` and a multiply only under ``smooth``, whose exponents
+are not integers, or where an exponent is NaN) and re-encodes ``h`` in place
+through a per-step hook given the state alone; since ``y`` never feeds back,
+its site encodes the whole readout once.  In training the scan is one
 tape op whose hand-written backward walks the steps in reverse, reading what
 its forward kept: the decay factors, the exponent's straight-through mask
 and the ``h`` site's scaled drives and codes, which it decodes into the
@@ -289,17 +291,21 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
 
     Time runs in chunks of ``span`` steps, as many as fit ``SCAN_CHUNK``
     entries of state (at least one, at most L), so no buffer grows with L.
-    Only the state update is sequential: a chunk's decay factors (its
-    exponents, then ``pow2_shift(1, e)`` written over them, which is 2**e
-    exactly), its input terms and, after its last step, its readout
-    are one call each over time-major [span, B, dh, n] buffers, allocated once
-    per scan.  A step is then ``h * Abar_t``, bit for bit the shift
-    ``pow2_shift(h, e_t)``, plus its term.  Every product runs on whole
-    [k, B, dh, n] operands: each chunk first repeats
+    Only the state update is sequential: a chunk's exponents (rounded and
+    clipped, then cast to int32), its input terms and, after its last step,
+    its readout are one call each over time-major [span, B, dh, n] buffers,
+    allocated once per scan.  A step is then the shift
+    ``pow2_shift(h, e_t)``, bit for bit ``h * 2**e_t``, plus its term.  Only
+    exponents that are not all integers take ``exp2`` and a multiply: under
+    ``smooth``, and in a chunk where some exponent is NaN (a NaN step or
+    ``A`` entry, or ``0 * inf``), whose state turns NaN as ``NaN * h`` does,
+    where an int32 exponent would shift it to zero.  Every product runs on
+    whole [k, B, dh, n] operands: each chunk first repeats
     ``step`` and ``u`` along the state axis and ``B_t``, ``C_t`` along the
     channel axis, since a ufunc that broadcasts a length-1 axis against the
-    short state axis costs several times the arithmetic.  The readout adds
-    the state entries in index order from +0.0, the order numpy's
+    short state axis costs several times the arithmetic.  ``y`` starts as
+    ``D u``, written once per scan, and each chunk adds its readout onto it,
+    the state entries added in index order from +0.0, the order numpy's
     ``sum`` takes over fewer than 8 entries.  Each step
     writes its state into the chunk's slot ``hs[j]``, and that slot is the
     ``h`` the hook receives, step by step in time order: the hook encodes
@@ -307,44 +313,58 @@ def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     a working array the scan overwrites in a later chunk, so a hook that
     keeps it must copy it.
 
-    With ``keep`` (the taped scan) the decay factors are written into its
-    whole-sequence buffer ``keep.abar`` and the exponent's straight-through
-    mask into ``keep.live``, so the backward reads them instead of
-    recomputing them.  The states stay in the chunk slots in every mode.
+    With ``keep`` (the taped scan) the decay factors 2**e
+    (``pow2_shift(1, e)``) are written into its whole-sequence buffer
+    ``keep.abar`` and the exponent's straight-through mask into
+    ``keep.live``, so the backward reads them instead of recomputing them.
+    The states stay in the chunk slots in every mode.
     """
     B, L, dh = u.shape
     n = A.shape[1]
     span = max(1, min(L, SCAN_CHUNK // max(1, B * dh * n)))  # B = 0 takes one chunk of empty steps
     term, hs = np.empty((span, B, dh, n)), np.empty((span, B, dh, n))
-    expo = np.empty((span, B, dh, n)) if keep is None else keep.abar
+    expo = np.empty((span, B, dh, n), np.int32)
     # time-major views, so a chunk of each is one slice
     step_t, u_t = step.swapaxes(0, 1)[..., None], u.swapaxes(0, 1)[..., None]
     B_t, C_t = B_seq.swapaxes(0, 1)[:, :, None], C_seq.swapaxes(0, 1)[:, :, None]
-    y = np.empty((B, L, dh))
+    y = np.multiply(u, D)  # D u_t, which each chunk's readout is added onto
+    y_t = y.swapaxes(0, 1)
     h = nm.ZERO  # the zero initial state, broadcast by the first step
     for t0 in range(0, L, span):
         k = min(span, L - t0)
+        if k < span:  # the last chunk is short: its buffers are the first k slots
+            term, hs, expo = term[:k], hs[:k], expo[:k]
         ts = slice(t0, t0 + k)
         st = step_t[ts].repeat(n, axis=3)
-        x = np.multiply(st, A, out=expo[:k] if keep is None else expo[ts])  # this chunk's decay factors
+        x = np.multiply(st, A, out=term if keep is None else keep.abar[ts])  # this chunk's exponents
         if keep is not None:
             live = np.greater_equal(x, _EXP_LO, out=keep.live[ts])
             live &= np.less_equal(x, _EXP_HI)
-        abar = pow2_shift(nm.ONE, _exponent(x, smooth), out=x)  # 1 * 2**e is exact
-        slots = hs[:k]
-        bu = np.multiply(st, B_t[ts].repeat(dh, axis=2), out=term[:k])
+        _exponent(x, smooth)
+        # each rounded exponent lies in [EXP_LO, EXP_HI] or is NaN, so their sum is NaN just where one
+        # is (np.vdot, a BLAS call, would slow the next few products by up to 2x at batch 256)
+        if smooth or math.isnan(np.add.reduce(x, None)):
+            # not all integers: multiply by the factors 2**e, so a NaN exponent makes a NaN state
+            shift, factor = np.multiply, np.exp2(x, out=None if keep is None else x)
+        else:
+            shift, factor = pow2_shift, expo
+            np.copyto(expo, x, casting="unsafe")  # integers in [EXP_LO, EXP_HI]: exact
+            if keep is not None:
+                pow2_shift(nm.ONE, expo, out=x)  # the factors 2**e the backward reads
+        bu = np.multiply(st, B_t[ts].repeat(dh, axis=2), out=term)
         del st
         bu *= u_t[ts].repeat(n, axis=3)
         for j in range(k):
-            h = np.multiply(h, abar[j], out=slots[j])
+            h = shift(h, factor[j], out=hs[j])
             h += bu[j]
             if encode_h is not None:
                 encode_h(h)
-        hc = np.multiply(slots, C_t[ts].repeat(dh, axis=2), out=term[:k])
+        hc = np.multiply(hs, C_t[ts].repeat(dh, axis=2), out=term)
         readout = np.add(nm.ZERO, hc[..., 0])
         for i in range(1, n):
             readout += hc[..., i]
-        np.add(readout, D * u_t[ts, ..., 0], out=y.swapaxes(0, 1)[ts])
+        y_ts = y_t[ts]
+        y_ts += readout
     return y
 
 

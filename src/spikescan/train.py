@@ -161,7 +161,9 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
     """
     cfg = cfg or TrainConfig()
     if hasattr(model, "calibrated") and not model.calibrated():
-        model.calibrate(x_train)
+        model.calibrate(x_train)  # which refuses no windows itself
+    if x_train.shape[0] == 0:  # every epoch would run no step and report a loss of 0.0
+        raise ValueError("train: expected at least one training window, got 0")
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)

@@ -24,7 +24,6 @@ import numpy as np
 import spikescan.numerics as nm
 from spikescan.activations import pow2_silu_t, pow2_softplus_t
 from spikescan.quantize import quantize, quantize_codes
-from spikescan.spike import pow2_shift
 from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, forecast_head, pow2_round_ste
 
 
@@ -147,7 +146,7 @@ def reference_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np
     y = np.empty((B, L, dh))
     for t in range(L):
         step_t = step[:, t][:, :, None]
-        h = pow2_shift(h, exponent(step_t * A))
+        h = h * np.exp2(exponent(step_t * A))  # the decay factors 2**e themselves, NaN where e is
         h = h + (step_t * B_seq[:, t][:, None, :]) * u[:, t][:, :, None]
         if encode_h is not None:
             encode_h(h)

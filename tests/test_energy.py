@@ -47,6 +47,32 @@ def test_spike_rate_uses_the_pass_window():
     assert ct.spike_rate("s") == pytest.approx(12 / 18)
 
 
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("T", range(1, 16))
+def test_record_site_tallies_what_the_boolean_formula_counts(T, scaled):
+    """``mid`` counts the nonzero codes less those at T; on a site's searched (intp) codes and its
+    arithmetic (float) codes, and on a threshold-scaled site's single spikes tallied against the
+    model's window, every tally equals the formula it replaced: spikes the sum, neurons the size,
+    ``mid`` the count of ``(counts > 0) & (counts < T)``."""
+    rng = np.random.default_rng(T)
+    site = SpikeSite(name="s", theta=0.3, offset=-0.2, T=T)
+    if scaled:
+        site = threshold_scale(site)
+    for size in (SEARCH_MAX, SEARCH_MAX + 4, 4 * SEARCH_MAX):
+        # codes across the window, with a share of both ends
+        drive = site.offset + site.theta * site.T * rng.uniform(-0.3, 1.3, size=(size // 4, 4))
+        seen = []
+        site.read(drive, observe=lambda c: seen.append(c.copy()))  # an arithmetic read decodes in place
+        codes = seen[0]
+        assert codes.dtype.kind == ("i" if size <= SEARCH_MAX else "f")
+        ct = OpCounters()
+        assert ct.record_site("s", codes, T) == int(codes.sum())
+        assert ct.sites["s"] == {"spikes": int(codes.sum()), "neurons": codes.size,
+                                 "mid": int(np.count_nonzero((codes > 0) & (codes < T))), "T": T}
+        assert all(type(v) is int for v in ct.sites["s"].values())
+        assert 0 < ct.sites["s"]["mid"] < codes.size or T == 1
+
+
 # --- EnergyTable ---------------------------------------------------------------
 
 

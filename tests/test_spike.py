@@ -156,29 +156,52 @@ class TestThresholdScale:
 
 def test_pow2_shift_is_exact_ldexp():
     v = np.array([1.5, -2.0, 0.75])
-    e = np.array([-3, 0, -1])
+    e = np.array([-3, 0, -1], dtype=np.int32)
     assert np.array_equal(pow2_shift(v, e), v * np.exp2(e))
     # every exponent the scan uses, on values that round once shifted into the subnormals
     rng = np.random.default_rng(3)
-    e = np.repeat(np.arange(EXP_LO, EXP_HI + 1), 2000)
+    e = np.repeat(np.arange(EXP_LO, EXP_HI + 1, dtype=np.int32), 2000)
     v = rng.uniform(-1.0, 1.0, size=e.size) * 10.0 ** rng.uniform(-318.0, 3.0, size=e.size)
     got = pow2_shift(v, e)
-    assert np.array_equal(got, np.ldexp(v, e))
+    assert got.tobytes() == (v * np.exp2(e)).tobytes()
     assert np.count_nonzero((got != 0) & (np.abs(got) < np.finfo(np.float64).tiny)) > 1000
     buf = np.empty_like(v)
     assert pow2_shift(v, e, out=buf) is buf
-    assert np.array_equal(buf, np.ldexp(v, e))
+    assert buf.tobytes() == got.tobytes()
 
 
-def test_pow2_shift_writes_2_to_the_e_into_out_first():
-    e = np.array([-3.0, 0.0, -32.0])
-    assert pow2_shift(np.ones(1), e, out=e) is e
-    assert e.tolist() == [0.125, 1.0, 2.0 ** -32]
+def test_pow2_shift_takes_int32_exponents_and_shifts_in_place():
+    """The scan's contract: int32 exponents, the state shifted into its own slot, and ``1 * 2**e``
+    written into the buffer that held the exponents' floats."""
+    e = np.array([-3, 0, -32], dtype=np.int32)
+    out = np.array([7.0, 7.0, 7.0])
+    assert pow2_shift(np.ones(()), e, out=out) is out
+    assert out.tolist() == [0.125, 1.0, 2.0 ** -32]
     v = np.array([1.5, -2.0, 0.75])
-    for out in (v, v[::-1], v.reshape(3, 1)[:, 0]):  # the shift would read 2**e for v
-        with pytest.raises(ValueError, match="overlap"):
-            pow2_shift(v, np.zeros(3), out=out)
-    assert v.tolist() == [1.5, -2.0, 0.75]
+    for view in (v, v[::-1]):  # a ufunc reads overlapping operands as if copied first
+        w = view.copy()
+        assert pow2_shift(view, e, out=view) is view
+        assert view.tolist() == (w * np.exp2(e)).tolist()
+        v[:] = [1.5, -2.0, 0.75]
+    with pytest.raises(TypeError):  # a float exponent is no shift
+        pow2_shift(v, e.astype(np.float64))
+
+
+SHIFTED_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, np.finfo(np.float64).tiny,
+                    -np.finfo(np.float64).tiny, 5e-324, np.finfo(np.float64).max, 1.0, -1.5]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(st.sampled_from(SHIFTED_SPECIALS), st.floats(allow_subnormal=True),
+                                 st.floats(-1e-300, 1e-300)), min_size=1, max_size=8),
+       e=st.integers(-1022, 1023))
+def test_pow2_shift_has_the_bytes_of_the_multiply_by_2_to_the_e(values, e):
+    """For every normal 2**e the shift is the product's bytes: signed zeros, subnormal results (small
+    values shifted down), overflow to inf, infinities and NaN."""
+    v = np.array(values)
+    exps = np.full(v.shape, e, dtype=np.int32)
+    with np.errstate(over="ignore"):  # both overflow to inf alike
+        assert pow2_shift(v, exps).tobytes() == (v * np.exp2(exps)).tobytes()
 
 
 def test_a_site_is_frozen():

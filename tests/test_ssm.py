@@ -139,6 +139,80 @@ def test_selective_scan_chunk_boundaries_match_the_reference(batch, L, span, hoo
     assert_scan_matches_reference(scan_inputs(rng, batch, L, 16, 4), smooth, hook)
 
 
+def nan_exponent_inputs(case: str, batch: int):
+    """README-size scan operands whose exponent ``step * A`` is NaN somewhere: a NaN step at one token
+    (in the third chunk at batch 64), a NaN entry of ``A``, or a zero step against ``A = -inf``."""
+    step, A, *rest = scan_inputs(np.random.default_rng(7), batch, 12, 16, 4)
+    if case == "step":
+        step[batch - 1, 9, 3] = np.nan
+    elif case == "A":
+        A[3, 1] = np.nan
+    else:
+        step[0, 9, 3] = 0.0
+        A[3, 1] = -np.inf
+    return (step, A, *rest)
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("case", ["step", "A", "zero times inf"])
+def test_a_nan_exponent_makes_a_nan_state(case, batch):
+    """The state shifts by int32 exponents, which hold no NaN: a chunk whose exponents do decays by
+    multiplying with 2**e, so its states turn NaN as the out-of-place scan's do, with no warning
+    (pytest turns an invalid cast's RuntimeWarning into an error; ``0 * inf`` itself warns, in the
+    reference too)."""
+    args = nan_exponent_inputs(case, batch)
+    with np.errstate(invalid="ignore" if case == "zero times inf" else "raise"):
+        for hook in ("none", "floor"):
+            assert_scan_matches_reference(args, False, hook)
+        y = selective_scan(*args)
+        assert np.isnan(y).any()
+        # the taped scan keeps the factors 2**e for its backward, NaN where the exponent is
+        keep = ssm.ScanKeep((12, batch, 16, 4))
+        assert selective_scan(*args, keep=keep).tobytes() == y.tobytes()
+        step, A = args[:2]
+        x = step.swapaxes(0, 1)[..., None] * A
+        assert keep.abar.tobytes() == np.exp2(np.clip(np.rint(x), EXP_LO, EXP_HI)).tobytes()
+        assert np.array_equal(keep.live, (x >= EXP_LO) & (x <= EXP_HI))
+
+
+@pytest.mark.parametrize("case", ["step", "A_log"])
+def test_a_nan_exponent_reaches_the_forecast(monkeypatch, case):
+    """A NaN step at one token of window 2 makes that window's forecast NaN and leaves every other
+    window's bits; a NaN ``A_log`` entry makes every forecast NaN.  So in the real-arithmetic forward,
+    on and off the tape, and the spiking one; the counted forward refuses the first window whose
+    state turned NaN."""
+    m, x = readme_model()
+    x = x[:6]
+    clean = m.forward(x).data
+    if case == "A_log":
+        m.blocks[0].A_log.data[3, 1] = np.nan
+        nan_windows = [True] * 6
+    else:
+        scan = ssm.selective_scan
+
+        def nan_step(step, *args, **kwargs):
+            step = step.copy()
+            step[2, 5, 3] = np.nan
+            return scan(step, *args, **kwargs)
+
+        monkeypatch.setattr(ssm, "selective_scan", nan_step)
+        nan_windows = [w == 2 for w in range(6)]
+
+    def check(y):
+        assert np.isnan(y).all(axis=(1, 2)).tolist() == nan_windows
+        assert not np.isnan(y[~np.array(nan_windows)]).any()
+        assert y[~np.array(nan_windows)].tobytes() == clean[~np.array(nan_windows)].tobytes()
+
+    check(m.forward(x).data)
+    with nm.GradTape():
+        check(m.forward(x).data)
+    convert_to_snn(m)
+    check(m.forward(x).data)
+    table = EnergyTable(e_acc=1e-12, e_mac=4e-12, e_shift=1e-13, e_cmp=1e-13)
+    with pytest.raises(ValueError, match=f"spike site block0.h: window {nan_windows.index(True)} has NaN"):
+        profile(m, x, table)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_index_order_sum_is_numpys_sum_below_eight_entries(n):
     """Why the scan's readout keeps the bits of ``.sum(axis=-1)`` at the README's n = 4."""
@@ -182,7 +256,7 @@ def test_selective_scan_writes_no_slot_itself(monkeypatch, batch):
 
     empty = np.empty
     with monkeypatch.context() as mp:
-        mp.setattr(np, "empty", lambda shape: empty(shape).view(Slots))
+        mp.setattr(np, "empty", lambda shape, dtype=float: empty(shape, dtype).view(Slots))
         y = np.asarray(selective_scan(*args, floor_h))
     assert writes == []
     assert y.tobytes() == reference_scan(*args, floor_h).tobytes()
@@ -810,13 +884,15 @@ def test_a_taped_activation_from_tables_is_the_two_ops_bit_for_bit(fn, fn_grad, 
 # (265 when every site encoded by arithmetic and every primitive built its backward closure,
 # 157 while the gate and the step's softplus were computed rather than read from tables,
 # 133 while each read returned fresh values that a Tensor wrapped or the scan copied into its slot,
-# 94 while the block ran the Tensor primitives off the tape and the state hook was handed its step)
-BATCH_1_CALLS = 59
+# 94 while the block ran the Tensor primitives off the tape and the state hook was handed its step,
+# 59 while the scan built its decay factors through a Python-level ``spike.pow2_shift``)
+BATCH_1_CALLS = 58
 # and of the same forward counting its ops into an ``OpCounters``, each site's tally an observer of its
 # one read (196 while each site record summed its counts through ``ndarray.sum`` and ``np.count_nonzero``,
 # and while a counted read took a path of its own and the caller decoded a large drive; 145 while
-# the step projection and the gate each tallied in two calls)
-BATCH_1_COUNTED_CALLS = 143
+# the step projection and the gate each tallied in two calls, 143 before the decay's ``pow2_shift``
+# was numpy's ``ldexp`` itself)
+BATCH_1_COUNTED_CALLS = 142
 
 
 def batch_1_calls(counted: bool) -> int:
@@ -937,6 +1013,7 @@ def test_hot_path_ufuncs_take_no_python_scalar_operands():
         return call
 
     site = SpikeSite(name="s", theta=0.4, offset=-0.1, T=3)
+    exponents = rng.integers(EXP_LO, EXP_HI + 1, size=(2, 3, 4), dtype=np.int32)
     qs = [Quantizer(bits=2, alpha=0.4, beta=-0.1, rounding=r, name=r) for r in ("floor", "nearest")]
     calls = {
         "encode_counts": lambda: site.encode_counts(drive()),
@@ -945,7 +1022,7 @@ def test_hot_path_ufuncs_take_no_python_scalar_operands():
         "decode_counts in place": into_itself(lambda d, o: site.decode_counts(d, out=o)),
         "exponent": lambda: ssm._exponent(drive(), False),
         "smooth exponent": lambda: ssm._exponent(drive(), True),
-        "pow2_shift into the exponent": into_itself(lambda e, o: ssm.pow2_shift(nm.ONE, e, out=o)),
+        "pow2_shift in place": into_itself(lambda d, o: ssm.pow2_shift(d, exponents, out=o)),
         "pow2_softplus": lambda: pow2_softplus(drive()),
         "pow2_silu": lambda: pow2_silu(drive()),
     }
@@ -954,7 +1031,8 @@ def test_hot_path_ufuncs_take_no_python_scalar_operands():
             calls[f"quantize_values {q.name} {smooth}"] = lambda q=q, s=smooth: quantize_values(drive(), q, s)
             calls[f"quantize_values {q.name} {smooth} in place"] = into_itself(
                 lambda d, o, q=q, s=smooth: quantize_values(d, q, s, out=o))
-    fewest = {"smooth exponent": 1}  # a single clip; every other entry makes at least two calls
+    # a single clip and a single ldexp; every other entry makes at least two calls
+    fewest = {"smooth exponent": 1, "pow2_shift in place": 1}
     for name, call in calls.items():
         OperandLog.calls.clear()
         call()

@@ -278,6 +278,22 @@ def test_shuffle_seed_changes_the_trajectory():
     assert losses[0] != losses[1]
 
 
+def test_train_refuses_no_training_windows():
+    """A calibrated model trained on 0 windows ran every epoch with no step and reported a training
+    loss of 0.0, and with no validation windows either a best validation loss of 0.0; it is refused
+    before any parameter moves, in the wording of calibration's check."""
+    cfg = ModelConfig(d_value=2, history=8, horizon=2, d_hidden=4, state_size=2, conv_kernel=2)
+    m = ForecastModel.build(cfg, seed=0)
+    x = np.random.default_rng(0).normal(size=(6, cfg.history, cfg.d_value))
+    y = x[:, :cfg.horizon]
+    m.calibrate(x)
+    before = [p.data.copy() for p in m.parameters()]
+    for x_val, y_val in ((x, y), (x[:0], y[:0])):
+        with pytest.raises(ValueError, match="^train: expected at least one training window, got 0$"):
+            train(m, x[:0], y[:0], x_val, y_val, TrainConfig(max_epochs=2))
+    assert all(np.array_equal(p.data, b) for p, b in zip(m.parameters(), before))
+
+
 def test_train_config_rejects_an_empty_batch():
     with pytest.raises(ValueError, match="train config: batch_size must be >= 1, got 0"):
         TrainConfig(batch_size=0)
