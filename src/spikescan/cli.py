@@ -17,7 +17,8 @@ from .dataset import (DEFAULT_SPLIT, SeriesDataset, WindowSplits, denormalize, l
                       read_utf8, write_csv)
 from .energy import EnergyTable, OpCounters, compare_ann_energy, profile
 from .metrics import r2, rrse
-from .spike import SpikeSite, simulate_if
+from .quantize import CodeGrid
+from .spike import simulate_if
 from .ssm import ForecastModel, ModelConfig, field_types
 from .train import (TrainConfig, apply_threshold_scaling, convert_to_snn,
                     load_checkpoint, save_checkpoint, train)
@@ -242,16 +243,16 @@ def _verify_checks(model_path: str | None, data_path: str | None,
         checks.append((f"branch continuity: {name}", gap <= 1e-12, f"gap {gap:.2e}"))
 
     rng = np.random.default_rng(0)
-    site = SpikeSite(name="verify", theta=0.25, offset=-0.1, T=3)
+    site = CodeGrid("verify", 0.25, -0.1, 3)
     vals = 0.25 * rng.integers(0, 4, size=500) - 0.1
-    codec_gap = float(np.max(np.abs(site.decode_counts(site.encode_counts(vals)) - vals)))
+    codec_gap = float(np.max(np.abs(site.decode(site.codes(vals)) - vals)))
     checks.append(("spike codec round-trip", codec_gap == 0.0, "500 grid values"))
 
     sim_ok = True
     for _ in range(200):
         T, theta = int(rng.integers(1, 9)), float(rng.uniform(0.05, 2.0))
         drive = np.asarray([rng.uniform(-1.0, 2.5 * T * theta)])
-        counts = SpikeSite(name="verify", theta=theta, offset=0.0, T=T).encode_counts(drive)
+        counts = CodeGrid("verify", theta, 0.0, T).codes(drive)
         sim_ok &= bool(counts[0] == simulate_if(drive, T, theta).sum())
     checks.append(("average-IF vs literal simulator", sim_ok, "200 random cases"))
 

@@ -106,6 +106,8 @@ class EnergyTable:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            if type(v) is bool or not isinstance(v, (int, float)):  # True is no energy
+                raise ValueError(f"energy table entry {f.name} must be a number, got {v!r}")
             if not 0 <= v < np.inf:
                 raise ValueError(f"energy table entry {f.name} must be finite and >= 0, got {v}")
 
@@ -116,7 +118,7 @@ class EnergyTable:
         if missing:
             raise ValueError("energy table is missing entries: " + ", ".join(missing)
                              + " (per-op joules must be supplied, none are built in)")
-        return cls(**{k: float(cfg[k]) for k in keys})
+        return cls(**{k: cfg[k] for k in keys})
 
     def cost(self, row: Mapping[str, int]) -> float:
         return ((row["acc"] + row["acc_bias"]) * self.e_acc

@@ -12,8 +12,8 @@ quantizer, under one of two rounding rules:
   sites); under the clip it is round half away from zero except that a
   ``v`` in (-0.5, 0) gives +0.0;
 * ``floor``: floor with a +1e-9 grid-snap nudge (ties that land one ulp
-  under a grid point stay on it).  A converted block's spike site is its floor
-  quantizer's grid, whose codes are its spike counts.
+  under a grid point stay on it).  Every spike site, a converted block's
+  quantizer grid or a standalone one, is a floor grid of spike-count codes.
 
 A ``Quantizer`` owns a trainable step size ``alpha`` and offset ``beta`` over
 ``2**bits`` codes; ``Quantizer.grid`` freezes their current values into a

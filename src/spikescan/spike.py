@@ -10,8 +10,9 @@ window is ``clip(floor(d / theta), 0, T)``: a site is a floor grid
 (``quantize.CodeGrid``) whose codes are those counts.  A converted block's
 sites are its quantizers' own grids, so quantized activations and spike
 counts are interchangeable by construction, and a drive of ``m * theta``
-(integer m in [0, T]) emits exactly m spikes.  ``SpikeSite`` is a standalone
-site and the writer and reader of a site's v1 checkpoint record.
+(integer m in [0, T]) emits exactly m spikes; a standalone site is a
+``CodeGrid(name, theta, offset, T)``.  ``SpikeSite`` is no grid, only the
+writer and checked reader of a site's v1 checkpoint record.
 Run step by step in floating point (``simulate_if``, the reference the
 counts are checked against), the recurrence can disagree with that floor a
 few ulps under ``(k - 1e-9) * theta``; the grid keeps the real-arithmetic
@@ -25,7 +26,7 @@ neuron per encode, the neuron hardware running the recurrence, whether
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,34 +43,28 @@ __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 pow2_shift = np.ldexp
 
 
-@dataclass(frozen=True)
-class SpikeSite(CodeGrid):
-    """A spike site of given fields, checked: a floor grid whose codes are spike counts."""
-
-    rounding: str = field(default="floor", init=False, repr=False)  # integrate-and-fire counts floor
-    encode_counts, decode_counts = CodeGrid.codes, CodeGrid.decode  # its codes are spike counts
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"spike site {self.name}: window length must be >= 1, got {self.T}")
-        if not 0 < self.theta < math.inf:
-            raise ValueError(f"spike site {self.name}: threshold must be positive and finite, got {self.theta}")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"spike site {self.name}: offset must be finite, got {self.offset}")
-        super().__post_init__()
+class SpikeSite:
+    """The v1 checkpoint record of a spike site: its writer and its checked reader."""
 
     @staticmethod
     def state(grid: CodeGrid) -> dict:
         """The checkpoint record of a site's grid; format v1 keeps the decode "scale" key, always theta."""
         return {"name": grid.name, "theta": grid.theta, "scale": grid.theta, "offset": grid.offset, "T": grid.T}
 
-    @classmethod
-    def from_state(cls, s: dict) -> "SpikeSite":
+    @staticmethod
+    def from_state(s: dict) -> CodeGrid:
+        """The floor grid a record describes: T >= 1, 0 < theta < inf, a finite offset, scale theta."""
         f = state_fields(s, "spike site", theta=float, scale=float, offset=float, T=int)
-        site = cls(name=f["name"], theta=float(f["theta"]), offset=float(f["offset"]), T=f["T"])
-        if float(f["scale"]) != site.theta:
-            raise ValueError(f"spike site {site.name}: decode scale {f['scale']} differs from threshold {site.theta}")
-        return site
+        name, theta, offset, T = f["name"], float(f["theta"]), float(f["offset"]), f["T"]
+        if T < 1:
+            raise ValueError(f"spike site {name}: window length must be >= 1, got {T}")
+        if not 0 < theta < math.inf:
+            raise ValueError(f"spike site {name}: threshold must be positive and finite, got {theta}")
+        if not math.isfinite(offset):
+            raise ValueError(f"spike site {name}: offset must be finite, got {offset}")
+        if float(f["scale"]) != theta:
+            raise ValueError(f"spike site {name}: decode scale {f['scale']} differs from threshold {theta}")
+        return CodeGrid(name, theta, offset, T)
 
 
 def simulate_if(drive: np.ndarray, T: int, theta: float) -> np.ndarray:

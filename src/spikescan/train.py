@@ -250,12 +250,16 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
     The rewrite is applied to every such site, then checked end to end on
     ``verify_x`` (``x`` when omitted); any output drift beyond the 1e-9
     equivalence bound, or a NaN one, rolls all sites back.  Returns the names of the sites left scaled.
+    An empty probe or verification set is refused before any site changes.
     """
     if model.mode != "snn":
         raise RuntimeError("threshold scaling applies to converted models only")
+    check = x if verify_x is None else verify_x
+    for kind, windows in (("probe", x), ("verification", check)):
+        if windows.shape[0] == 0:  # no probe reads every site saturated; no verification checks nothing
+            raise ValueError(f"apply_threshold_scaling: expected at least one {kind} window, got 0")
     probe = OpCounters()
     model.forward(x, counters=probe)
-    check = x if verify_x is None else verify_x
     baseline = model.forward(check).data.copy()
 
     saved = [(blk, dict(blk.sites)) for blk in model.blocks]

@@ -17,8 +17,8 @@ from spikescan.activations import (SILU_GRAD_BOUND, SILU_VALUE_BOUND,
 from spikescan.dataset import denormalize, make_coupled_sinusoids, make_windows
 from spikescan.energy import EnergyTable, OpCounters
 from spikescan.metrics import r2, rrse
-from spikescan.quantize import Quantizer, quantize, quantize_with_context
-from spikescan.spike import SpikeSite, simulate_if
+from spikescan.quantize import CodeGrid, Quantizer, quantize, quantize_with_context
+from spikescan.spike import simulate_if
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import TrainConfig, apply_threshold_scaling, convert_to_snn, train
 from ssm_oracle import apply_kernel, dense_ssm_reference, round_half_away, ssm_kernel
@@ -124,7 +124,7 @@ def test_criterion_06_average_if_fidelity():
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
         drive = np.asarray([rng.uniform(-theta, (T + 1.5) * theta)])
-        got = SpikeSite("c06", theta, 0.0, T).encode_counts(drive)[0]
+        got = CodeGrid("c06", theta, 0.0, T).codes(drive)[0]
         if got != simulate_if(drive, T, theta).sum():
             exact = False
             break
@@ -133,7 +133,7 @@ def test_criterion_06_average_if_fidelity():
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
         m = int(rng.integers(0, T + 1))
-        if int(SpikeSite("c06", theta, 0.0, T).encode_counts(np.asarray([m * theta]))[0]) != m:
+        if int(CodeGrid("c06", theta, 0.0, T).codes(np.asarray([m * theta]))[0]) != m:
             grid_ok = False
             break
     ok = exact and grid_ok
@@ -241,8 +241,7 @@ def test_criterion_07_gradients_match_finite_differences():
 
 def saturate_site(model: ForecastModel, block: int = 0, name: str = "x_in") -> None:
     site = model.blocks[block].sites[name]
-    model.blocks[block].sites[name] = SpikeSite(
-        name=site.name, theta=site.theta, offset=site.offset - 1e4 * site.theta, T=site.T)
+    model.blocks[block].sites[name] = CodeGrid(site.name, site.theta, site.offset - 1e4 * site.theta, site.T)
 
 
 def test_criterion_08_threshold_scaling():

@@ -9,7 +9,7 @@ from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import (EnergyTable, OpCounters, ann_op_counts,
                               compare_ann_energy, profile)
 from spikescan.quantize import SEARCH_MAX, CodeGrid
-from spikescan.spike import SpikeSite, threshold_scale
+from spikescan.spike import threshold_scale
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn, load_checkpoint
 
@@ -55,7 +55,7 @@ def test_record_site_tallies_what_the_boolean_formula_counts(T, scaled):
     model's window, every tally equals the formula it replaced: spikes the sum, neurons the size,
     ``mid`` the count of ``(counts > 0) & (counts < T)``."""
     rng = np.random.default_rng(T)
-    site = SpikeSite(name="s", theta=0.3, offset=-0.2, T=T)
+    site = CodeGrid("s", 0.3, -0.2, T)
     if scaled:
         site = threshold_scale(site)
     for size in (SEARCH_MAX, SEARCH_MAX + 4, 4 * SEARCH_MAX):
@@ -87,11 +87,14 @@ def test_table_rejects_negative_energies():
         EnergyTable(e_acc=1e-12, e_mac=-1.0, e_shift=0.0, e_cmp=0.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1", None])
 def test_table_rejects_non_finite_energies(value):
-    """A NaN or infinite entry used to price every report at nan or inf joules."""
-    with pytest.raises(ValueError, match=f"energy table entry e_shift must be finite and >= 0, got {value}"):
+    """A NaN or infinite entry used to price every report at nan or inf joules; ``True`` priced every
+    op at 1 J, and a string or ``None`` raised a ``TypeError`` that named no entry."""
+    rule = "be finite and >= 0" if isinstance(value, float) else "be a number"
+    with pytest.raises(ValueError) as e:
         EnergyTable.from_config({"e_acc": 1e-12, "e_mac": 1e-12, "e_shift": value, "e_cmp": 0.0})
+    assert str(e.value) == f"energy table entry e_shift must {rule}, got {value!r}"
 
 
 def test_cost_is_exactly_linear():
@@ -209,7 +212,7 @@ def test_saturated_single_spike_layer_matches_dense_macs():
     # as the dense layer's multiplies
     m, x = snn_model(seed=7, bits=1)
     blk = m.blocks[0]
-    blk.sites["x_in"] = SpikeSite(name="block0.x_in", theta=1e-9, offset=-100.0, T=1)
+    blk.sites["x_in"] = CodeGrid("block0.x_in", 1e-9, -100.0, 1)
     ct = OpCounters()
     m.forward(x, counters=ct)
     assert ct.spike_rate("block0.x_in") == 1.0

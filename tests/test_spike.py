@@ -15,22 +15,22 @@ from ssm_oracle import quantize_values
 
 
 def site(T, theta, offset=0.0):
-    return SpikeSite(name="s", theta=theta, offset=offset, T=T)
+    return CodeGrid("s", theta, offset, T)
 
 
 def test_worked_example_two_thirds_average():
     # total drive 2 over T=3 steps at threshold 1: potential walks 2/3, 4/3, 1
     assert list(simulate_if(np.array([2.0]), 3, 1.0)[:, 0]) == [0, 1, 1]
-    assert site(3, 1.0).encode_counts(np.array([2.0]))[0] == 2
+    assert site(3, 1.0).codes(np.array([2.0]))[0] == 2
 
 
 def test_zero_and_negative_drive_never_fire():
-    counts = site(4, 0.7).encode_counts(np.array([0.0, -0.5, -100.0]))
+    counts = site(4, 0.7).codes(np.array([0.0, -0.5, -100.0]))
     assert counts.sum() == 0
 
 
 def test_saturated_drive_fires_every_step():
-    counts = site(3, 0.9).encode_counts(np.array([3.0 * 0.9, 50.0]))
+    counts = site(3, 0.9).codes(np.array([3.0 * 0.9, 50.0]))
     assert list(counts) == [3, 3]
 
 
@@ -40,7 +40,7 @@ def test_matches_literal_simulator_on_1000_random_cases():
         T = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.01, 3.0))
         drive = float(rng.uniform(-theta, (T + 1.5) * theta))
-        got = site(T, theta).encode_counts(np.array([drive]))[0]
+        got = site(T, theta).codes(np.array([drive]))[0]
         want = simulate_if(np.array([drive]), T, theta)[:, 0].sum()
         assert got == want, (drive, T, theta)
 
@@ -51,19 +51,33 @@ def test_integer_multiples_of_theta_fire_exactly_m():
         T = int(rng.integers(1, 12))
         theta = float(rng.uniform(0.001, 5.0))
         m = int(rng.integers(0, T + 1))
-        counts = site(T, theta).encode_counts(np.array([m * theta]))
+        counts = site(T, theta).codes(np.array([m * theta]))
         assert counts[0] == m, (m, T, theta)
 
 
-def test_encode_validates_window_and_threshold():
-    with pytest.raises(ValueError):
-        site(0, 1.0)
-    with pytest.raises(ValueError):
-        site(3, 0.0)
-    with pytest.raises(ValueError):
-        site(3, -0.5)
-    with pytest.raises(ValueError):
-        SpikeSite.from_state({"name": "s", "theta": 1.0, "scale": 1.0, "offset": 0.0, "T": 0})
+@pytest.mark.parametrize("bad, message", [
+    ({"T": 0}, "window length must be >= 1, got 0"),
+    ({"theta": 0.0, "scale": 0.0}, "threshold must be positive and finite, got 0.0"),
+    ({"theta": -1.0, "scale": -1.0}, "threshold must be positive and finite, got -1.0"),
+    ({"theta": float("inf"), "scale": float("inf")}, "threshold must be positive and finite, got inf"),
+    ({"offset": float("nan")}, "offset must be finite, got nan"),
+    ({"scale": 2.0}, "decode scale 2.0 differs from threshold 1.0"),
+], ids=["T 0", "theta 0", "theta -1", "theta inf", "offset nan", "scale not theta"])
+def test_a_site_record_refuses_each_bad_field(bad, message):
+    with pytest.raises(ValueError) as e:
+        SpikeSite.from_state({"name": "s", "theta": 1.0, "scale": 1.0, "offset": 0.0, "T": 3, **bad})
+    assert str(e.value) == f"spike site s: {message}"
+
+
+def test_a_site_record_reads_back_as_the_floor_grid_it_was_written_from():
+    """One grid class: a record is no grid, and its reader returns the ``CodeGrid`` it describes."""
+    assert not issubclass(SpikeSite, CodeGrid)
+    grid = Quantizer(bits=2, alpha=0.4, beta=-0.1, rounding="floor", name="s").grid()
+    for g in (grid, threshold_scale(grid)):
+        state = SpikeSite.state(g)
+        assert state == {"name": "s", "theta": g.theta, "scale": g.theta, "offset": -0.1, "T": g.T}
+        back = SpikeSite.from_state(state)
+        assert type(back) is CodeGrid and back == g and back.rounding == "floor"
 
 
 def test_tie_edge_counts_equal_quantizer_codes_bit_for_bit():
@@ -122,36 +136,36 @@ class TestQuantizedCodec:
 
 class TestThresholdScale:
     def site(self, theta=0.5, T=3):
-        return SpikeSite(name="s", theta=theta, offset=0.1, T=T)
+        return CodeGrid("s", theta, 0.1, T)
 
     def test_saturated_counts_collapse(self):
         site = self.site()
         pre = np.array([10.0, 0.1 + 3 * 0.5, 0.0])  # counts 3, 3, 0
-        before = site.decode_counts(site.encode_counts(pre))
+        before = site.decode(site.codes(pre))
         scaled = threshold_scale(site)
-        counts = scaled.encode_counts(pre)
+        counts = scaled.codes(pre)
         assert list(counts) == [1, 1, 0]
-        after = scaled.decode_counts(counts)
+        after = scaled.decode(counts)
         assert np.array_equal(before, after)
 
     def test_a_scaled_site_encodes_with_its_own_operands(self):
         site = self.site()
         scaled = threshold_scale(site)
-        fresh = SpikeSite(name="s", theta=site.theta * site.T, offset=site.offset, T=1)
+        fresh = CodeGrid("s", site.theta * site.T, site.offset, 1)
         pre = np.random.default_rng(4).normal(scale=3.0, size=500)
         pre[:3] = [0.1 + 1.5, 0.1 + 1.5 - 1e-6, 0.1]  # on and just under the scaled threshold
-        counts = scaled.encode_counts(pre)
-        assert counts.tobytes() == fresh.encode_counts(pre).tobytes()
+        counts = scaled.codes(pre)
+        assert counts.tobytes() == fresh.codes(pre).tobytes()
         assert counts[:3].tolist() == [1, 0, 0] and counts.max() == 1
-        assert scaled.decode_counts(counts).tobytes() == fresh.decode_counts(counts).tobytes()
-        assert site.encode_counts(pre).max() == 3  # the site it came from keeps its own
+        assert scaled.decode(counts).tobytes() == fresh.decode(counts).tobytes()
+        assert site.codes(pre).max() == 3  # the site it came from keeps its own
 
     def test_rate_drops_by_factor(self):
         site = self.site()
         pre = np.full(100, 5.0)  # saturates every neuron
-        assert site.encode_counts(pre).sum() == 300
+        assert site.codes(pre).sum() == 300
         scaled = threshold_scale(site)
-        assert scaled.encode_counts(pre).sum() == 100
+        assert scaled.codes(pre).sum() == 100
 
 
 def test_pow2_shift_is_exact_ldexp():
@@ -210,7 +224,7 @@ def test_a_site_is_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, field, value)
     assert s == site(3, 0.5, offset=0.1)
-    assert s.encode_counts(np.array([0.1 + 2 * 0.5]))[0] == 2
+    assert s.codes(np.array([0.1 + 2 * 0.5]))[0] == 2
 
 
 def test_encode_and_decode_write_into_their_input_only_when_asked():
@@ -218,19 +232,19 @@ def test_encode_and_decode_write_into_their_input_only_when_asked():
     pre = np.random.default_rng(8).normal(size=(64, 12, 16))
     pre[0, 0, :4] = [-0.0, -0.15, 0.4 * 2 - 0.15, 5.0]
     kept = pre.copy()
-    counts = s.encode_counts(pre)
+    counts = s.codes(pre)
     assert pre.tobytes() == kept.tobytes()
-    decoded = s.decode_counts(counts)
-    assert counts.tobytes() == s.encode_counts(kept).tobytes()
-    assert s.encode_counts(pre, out=pre) is pre
+    decoded = s.decode(counts)
+    assert counts.tobytes() == s.codes(kept).tobytes()
+    assert s.codes(pre, out=pre) is pre
     assert pre.tobytes() == counts.tobytes()
-    assert s.decode_counts(pre, out=pre) is pre
+    assert s.decode(pre, out=pre) is pre
     assert pre.tobytes() == decoded.tobytes()
 
 
 def test_spike_train_invariants():
     drive = np.array([[1.0, 2.0], [0.0, 3.0], [-1.0, 7.5]])
-    counts = site(3, 1.0).encode_counts(drive)
+    counts = site(3, 1.0).codes(drive)
     assert counts.shape == drive.shape
     assert np.array_equal(counts, np.round(counts))
     assert counts.min() >= 0 and counts.max() <= 3
@@ -259,7 +273,7 @@ SPECIAL_DRIVES = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5
 def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_offset, offset_sign, T,
                                                                  scaled, seed):
     """Each threshold is the least drive that reaches its count, and a small drive counted by searching
-    them gets ``encode_counts``' counts and ``decode_counts``' bytes, at and within 3 ulps of every
+    them gets ``codes``' counts and ``decode``' bytes, at and within 3 ulps of every
     threshold, at the float64 extremes and on random drives."""
     s = site(T, 10.0 ** log_theta, offset_sign * 10.0 ** log_offset)
     if scaled:
@@ -267,7 +281,7 @@ def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_
     tau = s.thresholds()
     k = np.arange(1, s.T + 1)
     with np.errstate(over="ignore"):  # the arithmetic on drives near the float64 extremes
-        assert (s.encode_counts(tau) >= k).all() and (s.encode_counts(np.nextafter(tau, -np.inf)) < k).all()
+        assert (s.codes(tau) >= k).all() and (s.codes(np.nextafter(tau, -np.inf)) < k).all()
     rng = np.random.default_rng(seed)
     spread = s.offset + s.theta * rng.uniform(-2.0, s.T + 2.0, size=200)
     wide = rng.choice([-1.0, 1.0], size=100) * 10.0 ** rng.uniform(-320.0, 308.0, size=100)
@@ -275,18 +289,18 @@ def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_
     drive = np.concatenate([drive, np.zeros(-drive.size % SEARCH_MAX)])
     for piece in drive.reshape(-1, 4, SEARCH_MAX // 4):  # drives the size of the largest search
         with np.errstate(over="ignore"):
-            want = s.encode_counts(piece)
+            want = s.codes(piece)
         values = piece.copy()
         counts = s.read(values, observe=np.copy)
         assert counts.dtype == np.intp  # searched
         assert np.array_equal(counts, want)
-        assert values.tobytes() == s.decode_counts(want).tobytes()
+        assert values.tobytes() == s.decode(want).tobytes()
 
 
 def test_an_observer_sees_the_codes_before_the_drive_holds_values():
     """``observe`` gets a drive's codes once they exist and before any value is written: a small drive's
-    search index array, where NaN is code T + 1, and a large drive's ``encode_counts`` bytes, NaN
-    included, in its own buffer.  Either way the drive then holds ``decode_counts``' bytes, and ``read``
+    search index array, where NaN is code T + 1, and a large drive's ``codes`` bytes, NaN
+    included, in its own buffer.  Either way the drive then holds ``decode``' bytes, and ``read``
     returns what ``observe`` returned."""
     s = site(3, 0.5, offset=-0.25)
     nan, large = np.array([0.1, DEFAULT_NAN, 2.0]), np.linspace(-1.0, 3.0, SEARCH_MAX + 1)
@@ -304,8 +318,8 @@ def test_an_observer_sees_the_codes_before_the_drive_holds_values():
             assert codes.dtype == np.intp and codes.tolist() == [0, 4, 3]
             assert held == drive.tobytes()  # the drive as it came
         else:
-            assert codes.tobytes() == held == s.encode_counts(drive).tobytes()  # the codes, not yet values
-        assert buf.tobytes() == s.decode_counts(s.encode_counts(drive)).tobytes()
+            assert codes.tobytes() == held == s.codes(drive).tobytes()  # the codes, not yet values
+        assert buf.tobytes() == s.decode(s.codes(drive)).tobytes()
 
 
 def test_search_tables_are_built_on_a_sites_first_small_drive():

@@ -16,7 +16,6 @@ import spikescan.quantize as quantize
 import spikescan.ssm as ssm
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.quantize import Quantizer
-from spikescan.spike import SpikeSite
 from spikescan.ssm import (EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig, SPIKE_SITES,
                            block_forward_ann, pow2_round_ste, selective_scan)
 from spikescan.energy import EnergyTable, OpCounters, profile
@@ -1012,14 +1011,14 @@ def test_hot_path_ufuncs_take_no_python_scalar_operands():
             return fn(d, d)
         return call
 
-    site = SpikeSite(name="s", theta=0.4, offset=-0.1, T=3)
+    site = quantize.CodeGrid("s", 0.4, -0.1, 3)
     exponents = rng.integers(EXP_LO, EXP_HI + 1, size=(2, 3, 4), dtype=np.int32)
     qs = [Quantizer(bits=2, alpha=0.4, beta=-0.1, rounding=r, name=r) for r in ("floor", "nearest")]
     calls = {
-        "encode_counts": lambda: site.encode_counts(drive()),
-        "encode_counts in place": into_itself(lambda d, o: site.encode_counts(d, out=o)),
-        "decode_counts": lambda: site.decode_counts(drive()),
-        "decode_counts in place": into_itself(lambda d, o: site.decode_counts(d, out=o)),
+        "codes": lambda: site.codes(drive()),
+        "codes in place": into_itself(lambda d, o: site.codes(d, out=o)),
+        "decode": lambda: site.decode(drive()),
+        "decode in place": into_itself(lambda d, o: site.decode(d, out=o)),
         "exponent": lambda: ssm._exponent(drive(), False),
         "smooth exponent": lambda: ssm._exponent(drive(), True),
         "pow2_shift in place": into_itself(lambda d, o: ssm.pow2_shift(d, exponents, out=o)),

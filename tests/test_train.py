@@ -472,6 +472,22 @@ def test_threshold_scaling_rolls_back_on_a_nan_drift():
     assert scaled_sites(m) == []
 
 
+@pytest.mark.parametrize("kind", ["probe", "verification"])
+def test_threshold_scaling_refuses_an_empty_probe_or_verification_set(kind):
+    """With no verification windows, saturated fixture sites were scaled and then numpy's empty
+    ``max`` raised, leaving them scaled and unchecked; with no probe windows every site with T > 1
+    read as saturated.  Either is refused before any site changes."""
+    m, meta = load_checkpoint(str(FIXTURE))
+    convert_to_snn(m)
+    x = np.full((4, m.cfg.history, m.cfg.d_value), 100.0)
+    probe, verify_x = (x[:0], x) if kind == "probe" else (x, x[:0])
+    before = [dict(blk.sites) for blk in m.blocks]
+    with pytest.raises(ValueError, match=f"^apply_threshold_scaling: expected at least one {kind} window, got 0$"):
+        apply_threshold_scaling(m, probe, verify_x=verify_x)
+    assert [dict(blk.sites) for blk in m.blocks] == before
+    assert scaled_sites(m) == []
+
+
 def trained_snn(tmp_path, scale=False):
     cfg = small_cfg()
     x, y = make_data(cfg=cfg)
