@@ -6,7 +6,6 @@ from .dataset import (SeriesDataset, WindowSplits, load_csv, make_coupled_sinuso
 from .energy import EnergyReport, EnergyTable, OpCounters, compare_ann_energy, profile
 from .metrics import r2, rrse
 from .quantize import Quantizer
-from .spike import SpikeSite
 from .ssm import ForecastModel, ModelConfig, selective_scan
 from .train import (Adam, TrainConfig, TrainResult, apply_threshold_scaling,
                     convert_to_snn, load_checkpoint, save_checkpoint, train)
@@ -15,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "EnergyReport", "EnergyTable", "ForecastModel", "ModelConfig",
-    "OpCounters", "Quantizer", "SeriesDataset", "SpikeSite", "TrainConfig",
+    "OpCounters", "Quantizer", "SeriesDataset", "TrainConfig",
     "TrainResult", "WindowSplits", "apply_threshold_scaling",
     "compare_ann_energy", "convert_to_snn", "load_checkpoint", "load_csv",
     "make_coupled_sinusoids",

@@ -180,11 +180,13 @@ def _eval_model(model: ForecastModel, meta: dict, path: str, data: str, has_head
 def cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
     true, pred = _eval_model(model, meta, args.model, args.data, args.has_header)
+    rows = [("overall", true, pred)] + [(f"step {g + 1:2d}", true[:, g], pred[:, g]) for g in range(true.shape[1])]
+    try:  # every metric before any line, so a refusal prints nothing else
+        lines = [f"{label}  R2 = {r2(t, p):.6f}   RRSE = {rrse(t, p):.6f}" for label, t, p in rows]
+    except ValueError as e:
+        raise ValueError(f"{args.data}: {e}") from None
     print(f"windows: {true.shape[0]}   mode: {model.mode}")
-    print(f"overall  R2 = {r2(true, pred):.6f}   RRSE = {rrse(true, pred):.6f}")
-    for g in range(true.shape[1]):
-        print(f"step {g + 1:2d}  R2 = {r2(true[:, g], pred[:, g]):.6f}   "
-              f"RRSE = {rrse(true[:, g], pred[:, g]):.6f}")
+    print("\n".join(lines))
     return 0
 
 

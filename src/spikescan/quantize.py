@@ -39,7 +39,6 @@ gradient on clipped entries only; a frozen step size or offset gets no pass.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -322,54 +321,6 @@ class Quantizer:
 
     def parameters(self) -> list[nm.Tensor]:
         return [t for t in (self.alpha, self.beta) if t is not None and t.trainable]
-
-    def state(self) -> dict:
-        if not self.initialized:
-            raise RuntimeError(f"quantizer {self.name} has no calibrated step size")
-        # checkpoint format v1 keeps the "symmetric" key; every grid is unsigned
-        return {
-            "bits": self.bits,
-            "alpha": float(self.alpha.data),
-            "beta": float(self.beta.data),
-            "symmetric": False,
-            "rounding": self.rounding,
-            "train_alpha": self.alpha.trainable,
-            "train_beta": self.beta.trainable,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_state(cls, s: dict) -> "Quantizer":
-        f = state_fields(s, "quantizer", bits=int, alpha=float, beta=float, symmetric=bool, rounding=str,
-                         train_alpha=bool, train_beta=bool)
-        if f["symmetric"]:
-            raise ValueError(f"quantizer {f['name']}: symmetric grids are not supported")
-        for part in ("alpha", "beta"):
-            if not math.isfinite(float(f[part])):
-                raise ValueError(f"quantizer {f['name']}: {part} must be finite, got {f[part]}")
-        return cls(
-            bits=f["bits"],
-            alpha=nm.Tensor(float(f["alpha"]), trainable=f["train_alpha"]),
-            beta=nm.Tensor(float(f["beta"]), trainable=f["train_beta"]),
-            rounding=f["rounding"],
-            name=f["name"],
-        )
-
-
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-
-
-def state_fields(s: dict, owner: str, **kinds: type) -> dict:
-    """The ``name`` (a string) and the fields ``kinds`` of an ``owner``'s checkpoint state ``s``, each of
-    its JSON type, a ``float`` taking an integer too and neither number a bool; else a ``ValueError``."""
-    f = {}
-    for key, kind in {"name": str, **kinds}.items():
-        if key not in s:
-            raise ValueError(f"{owner} {f.get('name')}: missing field {key!r}")
-        v = f[key] = s[key]
-        if type(v) is not kind and not (kind is float and type(v) is int):
-            raise ValueError(f"{owner} {f['name']}: {key} must be {_KINDS[kind]}, got {v!r}")
-    return f
 
 
 @dataclass

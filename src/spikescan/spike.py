@@ -11,8 +11,7 @@ window is ``clip(floor(d / theta), 0, T)``: a site is a floor grid
 sites are its quantizers' own grids, so quantized activations and spike
 counts are interchangeable by construction, and a drive of ``m * theta``
 (integer m in [0, T]) emits exactly m spikes; a standalone site is a
-``CodeGrid(name, theta, offset, T)``.  ``SpikeSite`` is no grid, only the
-writer and checked reader of a site's v1 checkpoint record.
+``CodeGrid(name, theta, offset, T)``.
 Run step by step in floating point (``simulate_if``, the reference the
 counts are checked against), the recurrence can disagree with that floor a
 few ulps under ``(k - 1e-9) * theta``; the grid keeps the real-arithmetic
@@ -25,14 +24,13 @@ neuron per encode, the neuron hardware running the recurrence, whether
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
-from .quantize import GRID_SNAP, CodeGrid, state_fields
+from .quantize import GRID_SNAP, CodeGrid
 
-__all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
+__all__ = ["pow2_shift", "simulate_if", "threshold_scale"]
 
 
 # pow2_shift(v, e, out=None): the shift v * 2**e of float64 ``v`` by int32 exponents ``e``, the
@@ -41,30 +39,6 @@ __all__ = ["SpikeSite", "pow2_shift", "simulate_if", "threshold_scale"]
 # NaN included.  Exponents must be int32: int64 ones take numpy's scalar ldexp loop, 72-83 us against
 # 5 us on 16384 entries (shared 2-vCPU Xeon, numpy 2.4), and float ones are refused.
 pow2_shift = np.ldexp
-
-
-class SpikeSite:
-    """The v1 checkpoint record of a spike site: its writer and its checked reader."""
-
-    @staticmethod
-    def state(grid: CodeGrid) -> dict:
-        """The checkpoint record of a site's grid; format v1 keeps the decode "scale" key, always theta."""
-        return {"name": grid.name, "theta": grid.theta, "scale": grid.theta, "offset": grid.offset, "T": grid.T}
-
-    @staticmethod
-    def from_state(s: dict) -> CodeGrid:
-        """The floor grid a record describes: T >= 1, 0 < theta < inf, a finite offset, scale theta."""
-        f = state_fields(s, "spike site", theta=float, scale=float, offset=float, T=int)
-        name, theta, offset, T = f["name"], float(f["theta"]), float(f["offset"]), f["T"]
-        if T < 1:
-            raise ValueError(f"spike site {name}: window length must be >= 1, got {T}")
-        if not 0 < theta < math.inf:
-            raise ValueError(f"spike site {name}: threshold must be positive and finite, got {theta}")
-        if not math.isfinite(offset):
-            raise ValueError(f"spike site {name}: offset must be finite, got {offset}")
-        if float(f["scale"]) != theta:
-            raise ValueError(f"spike site {name}: decode scale {f['scale']} differs from threshold {theta}")
-        return CodeGrid(name, theta, offset, T)
 
 
 def simulate_if(drive: np.ndarray, T: int, theta: float) -> np.ndarray:

@@ -110,19 +110,6 @@ class ModelConfig:
         if self.bits > MAX_BITS:
             raise ValueError(f"model config: bits must be <= {MAX_BITS}, got {self.bits}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config a checkpoint holds: every field and no other key, and none null (the
-        ``delta_rank`` a Python caller leaves ``None`` takes its default)."""
-        odd = set(d) ^ cls.__dataclass_fields__.keys()  # unknown keys and missing fields
-        if odd:
-            k = min(odd)
-            raise ValueError(f"model config: {'unknown' if k in d else 'missing'} field {k!r}")
-        for k, v in d.items():
-            if v is None:
-                _check_field(k, v)
-        return cls(**d)
-
 
 # each field and the type it takes, found once: get_type_hints compiles the string annotations
 ModelConfig.FIELD_TYPES = field_types(ModelConfig)

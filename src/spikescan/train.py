@@ -9,6 +9,7 @@ present.  Conversion and checkpoints are specific to ``ForecastModel``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 import typing
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import numerics as nm
 from .energy import OpCounters
-from .quantize import Quantizer
-from .spike import SpikeSite, threshold_scale
+from .quantize import CodeGrid, Quantizer
+from .spike import threshold_scale
 from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig, field_types
 
 CHECKPOINT_MAGIC = b"SPKY"
@@ -281,17 +282,31 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
     return scaled
 
 
-# --- checkpoints -----------------------------------------------------------------
+# --- checkpoints: format v1, every record of which is written and read here ------
+
+
+def _quantizer_record(q: Quantizer) -> dict:
+    """v1 keeps a "symmetric" key, always false: every grid is unsigned."""
+    if not q.initialized:
+        raise RuntimeError(f"quantizer {q.name} has no calibrated step size")
+    return {"bits": q.bits, "alpha": float(q.alpha.data), "beta": float(q.beta.data), "symmetric": False,
+            "rounding": q.rounding, "train_alpha": q.alpha.trainable, "train_beta": q.beta.trainable,
+            "name": q.name}
+
+
+def _site_record(grid: CodeGrid) -> dict:
+    """v1 keeps the decode "scale" key, always theta."""
+    return {"name": grid.name, "theta": grid.theta, "scale": grid.theta, "offset": grid.offset, "T": grid.T}
 
 
 def _metadata(model: ForecastModel, norm: dict | None, extra: dict | None) -> dict:
     return {
         "config": asdict(model.cfg),
         "mode": model.mode,
-        "quantizers": [{s: blk.quantizers[s].state() for s in QUANT_SITES}
+        "quantizers": [{s: _quantizer_record(blk.quantizers[s]) for s in QUANT_SITES}
                        for blk in model.blocks],
         "sites": [None if blk.sites is None
-                  else {s: SpikeSite.state(g) for s, g in blk.sites.items()}
+                  else {s: _site_record(g) for s, g in blk.sites.items()}
                   for blk in model.blocks],
         "norm": norm,
         "extra": extra or {},
@@ -350,7 +365,7 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
         raise ValueError(f"metadata is not UTF-8 JSON ({e})") from None
     off = 12 + mlen
     try:
-        cfg = ModelConfig.from_dict(meta["config"])
+        cfg = _read_config(meta["config"])
         # the payload's length before the model, whose weights the claimed sizes would allocate
         expected = 4 * ForecastModel.weight_count(cfg)
         if len(raw) - off < expected:
@@ -376,13 +391,63 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
     return model, meta
 
 
-def _named(kind: str, where: str, state: dict) -> dict:
-    """``state`` if its ``name`` is ``where``, the block and site it is stored under, as saved."""
-    if "name" not in state:
+def _read_config(d: dict) -> ModelConfig:
+    """The config a record holds: every field and no other key; ``ModelConfig`` checks each value, but
+    would fill a null ``delta_rank`` with its default, so that null is refused here."""
+    odd = set(d) ^ ModelConfig.FIELD_TYPES.keys()  # unknown keys and missing fields
+    if odd:
+        k = min(odd)
+        raise ValueError(f"model config: {'unknown' if k in d else 'missing'} field {k!r}")
+    if d["delta_rank"] is None:
+        raise ValueError("model config: delta_rank must be an integer, got None")
+    return ModelConfig(**d)
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _fields(kind: str, where: str, record: dict, **kinds: type) -> dict:
+    """``record`` if its ``name`` is ``where``, the block and site it is stored under, and each field of
+    ``kinds`` has its JSON type, a ``float`` taking an integer too and neither number a bool."""
+    if "name" not in record:
         raise ValueError(f"{kind} {where}: missing field 'name'")
-    if state["name"] != where:
-        raise ValueError(f"{kind} {where}: name must be {where!r}, got {state['name']!r}")
-    return state
+    if record["name"] != where:
+        raise ValueError(f"{kind} {where}: name must be {where!r}, got {record['name']!r}")
+    for key, t in kinds.items():
+        if key not in record:
+            raise ValueError(f"{kind} {where}: missing field {key!r}")
+        v = record[key]
+        if type(v) is not t and not (t is float and type(v) is int):
+            raise ValueError(f"{kind} {where}: {key} must be {_KINDS[t]}, got {v!r}")
+    return record
+
+
+def _read_quantizer(where: str, record: dict) -> Quantizer:
+    f = _fields("quantizer", where, record, bits=int, alpha=float, beta=float, symmetric=bool, rounding=str,
+                train_alpha=bool, train_beta=bool)
+    if f["symmetric"]:
+        raise ValueError(f"quantizer {where}: symmetric grids are not supported")
+    for part in ("alpha", "beta"):
+        if not math.isfinite(float(f[part])):
+            raise ValueError(f"quantizer {where}: {part} must be finite, got {f[part]}")
+    return Quantizer(bits=f["bits"], alpha=nm.Tensor(float(f["alpha"]), trainable=f["train_alpha"]),
+                     beta=nm.Tensor(float(f["beta"]), trainable=f["train_beta"]), rounding=f["rounding"],
+                     name=where)
+
+
+def _read_site(where: str, record: dict) -> tuple[float, float, int]:
+    """A site record's ``(theta, offset, T)``: T >= 1, 0 < theta < inf, a finite offset, scale theta."""
+    f = _fields("spike site", where, record, theta=float, scale=float, offset=float, T=int)
+    theta, offset, T = float(f["theta"]), float(f["offset"]), f["T"]
+    if T < 1:
+        raise ValueError(f"spike site {where}: window length must be >= 1, got {T}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"spike site {where}: threshold must be positive and finite, got {theta}")
+    if not math.isfinite(offset):
+        raise ValueError(f"spike site {where}: offset must be finite, got {offset}")
+    if float(f["scale"]) != theta:
+        raise ValueError(f"spike site {where}: decode scale {f['scale']} differs from threshold {theta}")
+    return theta, offset, T
 
 
 def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
@@ -400,8 +465,7 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
     for i, (blk, qstates, sstates) in enumerate(zip(model.blocks, meta["quantizers"], meta["sites"])):
         if set(qstates) != set(QUANT_SITES):
             raise ValueError(f"block{i} quantizers {sorted(qstates)} are not {sorted(QUANT_SITES)}")
-        blk.quantizers = {s: Quantizer.from_state(_named("quantizer", f"block{i}.{s}", qstates[s]))
-                          for s in QUANT_SITES}
+        blk.quantizers = {s: _read_quantizer(f"block{i}.{s}", qstates[s]) for s in QUANT_SITES}
         for s, q in blk.quantizers.items():
             if q.bits != bits:
                 raise ValueError(f"quantizer block{i}.{s}: {q.bits} bits, the config has {bits}")
@@ -412,13 +476,13 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
             sstates = {}
         elif set(sstates) != set(SPIKE_SITES):
             raise ValueError(f"block{i} spike sites {sorted(sstates)} are not {sorted(SPIKE_SITES)}")
-        records.append({s: SpikeSite.from_state(_named("spike site", f"block{i}.{s}", v)) for s, v in sstates.items()})
+        records.append({s: _read_site(f"block{i}.{s}", v) for s, v in sstates.items()})
     if any(records):
         convert_to_snn(model)
     for i, (blk, sites) in enumerate(zip(model.blocks, records)):
-        for s, site in sites.items():
+        for s, got in sites.items():
             grids = blk.sites[s], threshold_scale(blk.sites[s])
-            got, allowed = (site.theta, site.offset, site.T), [(a.theta, a.offset, a.T) for a in grids]
+            allowed = [(a.theta, a.offset, a.T) for a in grids]
             if got not in allowed:
                 raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = {got} is neither "
                                  f"the quantizer's {allowed[0]} nor its threshold-scaled {allowed[1]}")

@@ -294,6 +294,16 @@ def test_eval_prints_metrics_per_step(work):
     assert "step  1" in out and "step  2" in out
 
 
+def test_eval_names_the_csv_whose_targets_are_constant(work):
+    """Every metric is computed before a line is printed: constant targets print nothing to stdout and
+    an error naming the CSV."""
+    write_csv(str(work / "flat.csv"), np.ones((60, 2)), ["s1", "s2"])
+    p = run("eval", "--model", str(work / "snn.ckpt"), "--data", str(work / "flat.csv"), "--has-header",
+            expect=2)
+    assert p.stdout == ""
+    assert f"error: {work / 'flat.csv'}: targets are constant; relative metrics are undefined" in p.stderr
+
+
 def test_forecast_covers_every_window(work):
     out_csv = work / "fc.csv"
     run("forecast", "--model", str(work / "snn.ckpt"), "--data", str(work / "series.csv"),

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it.
+"""The package's source holds together: every import is used, every ``__all__`` entry resolves, and
+the v1 checkpoint records have one home.
 
 An imported name counts as used where the module reads it (in an annotation
 too, quoted or not), where the module's ``__all__`` re-exports it, or, in
@@ -7,6 +8,7 @@ module (``SSM_IMPORTS``, read from the source of ``perfbench/tracing.py``).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,27 @@ def test_every_import_is_used(path):
         kept |= set(assigned_literal(tracing, "SSM_IMPORTS"))
     unused = {name: line for name, line in imported(tree).items() if name not in kept}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if "__all__" in p.read_text(encoding="utf-8")],
+                         ids=lambda p: p.stem)
+def test_every_all_entry_resolves(path):
+    module = importlib.import_module("spikescan" if path.stem == "__init__" else f"spikescan.{path.stem}")
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{path.name} exports names it does not define: {missing}"
+
+
+def test_only_train_writes_and_reads_the_v1_records():
+    """The keys only a v1 record has are string constants in ``train`` alone, and ``spike``, ``quantize``
+    and ``ssm`` define no record writer or reader."""
+    v1_keys = {"symmetric", "train_alpha", "train_beta"}
+    record_names = {"SpikeSite", "state", "from_state", "from_dict", "state_fields"}
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.stem != "train" and isinstance(node, ast.Constant) and node.value in v1_keys:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            if (path.stem in ("spike", "quantize", "ssm") and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in record_names):
+                found.append(f"{path.name}:{node.lineno}: defines {node.name}")
+    assert not found, found

@@ -12,6 +12,7 @@ from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with
                                 quantize, quantize_with_context, round_half_up,
                                 ste_backward)
 from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig
+from spikescan.train import _quantizer_record, _read_quantizer
 from ssm_oracle import bisect_whole_range, quantize_values, round_half_away, step_size_rule, ste_backward_where
 
 
@@ -345,10 +346,10 @@ def test_smooth_mode_is_differentiable_everywhere():
 
 def test_quantizer_state_roundtrip():
     q = Quantizer(bits=2, alpha=0.123, beta=nm.Tensor(0.456), rounding="floor", name="block0.h")
-    s = q.state()
+    s = _quantizer_record(q)
     assert (s["symmetric"], s["train_alpha"], s["train_beta"]) == (False, True, False)
-    q2_ = Quantizer.from_state(s)
-    assert q2_.state() == s
+    q2_ = _read_quantizer("block0.h", s)
+    assert _quantizer_record(q2_) == s
     assert float(q2_.alpha.data) == 0.123 and not q2_.beta.trainable
     assert q2_.parameters() == [q2_.alpha]
 

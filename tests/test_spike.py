@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from spikescan.activations import pow2_silu, pow2_softplus
 from spikescan.quantize import SEARCH_MAX, CodeGrid, Quantizer, quantize_codes, quantize_with_context
-from spikescan.spike import SpikeSite, pow2_shift, simulate_if, threshold_scale
+from spikescan.spike import pow2_shift, simulate_if, threshold_scale
 from spikescan.ssm import EXP_HI, EXP_LO, SPIKE_SITES, ForecastModel, ModelConfig
-from spikescan.train import convert_to_snn
+from spikescan.train import _read_site, _site_record, convert_to_snn, load_checkpoint, save_checkpoint
 from ssm_oracle import quantize_values
 
 
@@ -65,19 +65,27 @@ def test_integer_multiples_of_theta_fire_exactly_m():
 ], ids=["T 0", "theta 0", "theta -1", "theta inf", "offset nan", "scale not theta"])
 def test_a_site_record_refuses_each_bad_field(bad, message):
     with pytest.raises(ValueError) as e:
-        SpikeSite.from_state({"name": "s", "theta": 1.0, "scale": 1.0, "offset": 0.0, "T": 3, **bad})
+        _read_site("s", {"name": "s", "theta": 1.0, "scale": 1.0, "offset": 0.0, "T": 3, **bad})
     assert str(e.value) == f"spike site s: {message}"
 
 
-def test_a_site_record_reads_back_as_the_floor_grid_it_was_written_from():
-    """One grid class: a record is no grid, and its reader returns the ``CodeGrid`` it describes."""
-    assert not issubclass(SpikeSite, CodeGrid)
+def test_a_site_record_reads_back_as_the_floor_grid_it_was_written_from(tmp_path):
+    """One grid class: a record holds a grid's fields and reads back as its (theta, offset, T), and a
+    saved model's sites, threshold-scaled or not, load as the ``CodeGrid`` objects they were written from."""
     grid = Quantizer(bits=2, alpha=0.4, beta=-0.1, rounding="floor", name="s").grid()
     for g in (grid, threshold_scale(grid)):
-        state = SpikeSite.state(g)
-        assert state == {"name": "s", "theta": g.theta, "scale": g.theta, "offset": -0.1, "T": g.T}
-        back = SpikeSite.from_state(state)
-        assert type(back) is CodeGrid and back == g and back.rounding == "floor"
+        record = _site_record(g)
+        assert record == {"name": "s", "theta": g.theta, "scale": g.theta, "offset": -0.1, "T": g.T}
+        assert _read_site("s", record) == (g.theta, g.offset, g.T)
+    m = ForecastModel.build(ModelConfig(d_value=1, history=4, horizon=1, d_hidden=2, state_size=1), seed=0)
+    m.calibrate(np.random.default_rng(0).normal(size=(4, 4, 1)))
+    sites = convert_to_snn(m).blocks[0].sites
+    sites["h"] = threshold_scale(sites["h"])
+    save_checkpoint(str(tmp_path / "sites.ckpt"), m)
+    back = load_checkpoint(str(tmp_path / "sites.ckpt"))[0].blocks[0].sites
+    for s, g in sites.items():
+        assert type(back[s]) is CodeGrid and back[s] == g and back[s].rounding == "floor"
+    assert back["h"].T == 1
 
 
 def test_tie_edge_counts_equal_quantizer_codes_bit_for_bit():

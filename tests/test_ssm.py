@@ -19,7 +19,7 @@ from spikescan.quantize import Quantizer
 from spikescan.ssm import (EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig, SPIKE_SITES,
                            block_forward_ann, pow2_round_ste, selective_scan)
 from spikescan.energy import EnergyTable, OpCounters, profile
-from spikescan.train import TrainConfig, convert_to_snn, train
+from spikescan.train import TrainConfig, _quantizer_record, _read_config, convert_to_snn, train
 from ssm_oracle import (apply_kernel, dense_ssm_reference, multi_pass_calibrate, quantize_values, reference_scan,
                         ssm_kernel, taped_forward)
 
@@ -297,7 +297,7 @@ def calibrated_model(cfg=None, seed=0, batch=12):
 def test_config_defaults():
     cfg = ModelConfig(d_value=3, history=12, horizon=3, d_hidden=20)
     assert cfg.delta_rank == math.ceil(20 / 8)
-    assert ModelConfig.from_dict(asdict(cfg)) == cfg
+    assert _read_config(asdict(cfg)) == cfg
 
 
 @pytest.mark.parametrize("key", ["d_value", "history", "horizon", "d_hidden", "state_size",
@@ -1072,7 +1072,7 @@ def test_no_forward_writes_into_its_callers_arrays(batch, history):
 
     def model_bytes():
         ws = [t.data.tobytes() for blk in m.blocks for t in blk.weight_tensors()]
-        qs = [blk.quantizers[s].state() for blk in m.blocks for s in QUANT_SITES]
+        qs = [_quantizer_record(blk.quantizers[s]) for blk in m.blocks for s in QUANT_SITES]
         return ws + [m.W_head.data.tobytes(), m.b_head.data.tobytes()], qs, [blk.sites for blk in m.blocks]
 
     def check(forward):

@@ -701,6 +701,10 @@ def _extra_block(meta):
     meta["quantizers"].append(meta["quantizers"][0])
 
 
+def _config_list(meta):
+    meta["config"] = list(meta["config"])
+
+
 def _unknown_mode(meta):
     meta["mode"] = "hybrid"
 
@@ -785,10 +789,11 @@ def _without_config(key):
     (_config("delta_rank", None), "model config: delta_rank must be an integer, got None"),
     (_config("rmsnorm_eps", None), "model config: rmsnorm_eps must be a finite number > 0, got None"),
     (_config("dropout", 0.5), "model config: unknown field 'dropout'"),
+    (_config_list, r"malformed metadata \(list indices must be integers or slices, not str\)"),
     (_config("history", 10 ** 400), r"truncated weight payload: \d+ of \d{400,} bytes"),
     (_set("quantizers", "h", "alpha", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
     (_set("sites", "conv", "theta", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
-    (_set("sites", "y", "T", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
+    (_set("sites", "y", "T", 10 ** 400), r"spike site block0.y: \(theta, offset, T\) = .* is neither the quantizer's"),
     (_set("quantizers", "x_in", "rounding", "nearest"), "cannot convert, spike sites need floor rounding: block0.x_in"),
     # these loaded: bits 2.5 or "2" as 2, "no" as a trainable step, "0.5" as 0.5, T 3.9 or "3" as 3,
     # a null site name as 'None'
