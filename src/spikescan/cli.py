@@ -16,15 +16,16 @@ from .activations import DEVIATION_BOUNDS, branch_continuity_gaps, verify_deviat
 from .dataset import (DEFAULT_SPLIT, SeriesDataset, WindowSplits, denormalize, load_csv, make_windows,
                       read_utf8, write_csv)
 from .energy import EnergyTable, OpCounters, compare_ann_energy, profile
+from .fields import AT_LEAST_1, check, field_types
 from .metrics import r2, rrse
 from .quantize import CodeGrid
 from .spike import simulate_if
-from .ssm import ForecastModel, ModelConfig, field_types
+from .ssm import ForecastModel, ModelConfig
 from .train import (TrainConfig, apply_threshold_scaling, convert_to_snn,
                     load_checkpoint, save_checkpoint, train)
 
 # config-file keys and parse types, per command; d_value is the CSV's column count
-MODEL_KEYS = {k: t for k, t in ModelConfig.FIELD_TYPES.items() if k != "d_value"}
+MODEL_KEYS = {k: t for k, t in field_types(ModelConfig).items() if k != "d_value"}
 TRAIN_KEYS = field_types(TrainConfig)
 SPLIT_KEYS = {"split_train": float, "split_val": float, "split_test": float}
 ENERGY_KEYS = field_types(EnergyTable)
@@ -108,13 +109,13 @@ def cmd_train(args) -> int:
         raise ValueError("history and horizon must be given (flags or config file)")
 
     ds = load_csv(args.data, has_header=args.has_header)
-    splits = _windows(ds, args.data, model_kw["history"], model_kw["horizon"], _split_from(cfg))
+    mc = ModelConfig(d_value=ds.values.shape[1], **model_kw)
+    tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k in cfg})
+    splits = _windows(ds, args.data, mc.history, mc.horizon, _split_from(cfg))
     n_tr, n_va, n_te = splits.counts()
     print(f"windows: {n_tr} train / {n_va} val / {n_te} test "
           f"({ds.values.shape[0]} rows, {ds.values.shape[1]} variables)")
 
-    mc = ModelConfig(d_value=ds.values.shape[1], **model_kw)
-    tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k in cfg})
     model = ForecastModel.build(mc, seed=tc.seed)
     model.calibrate(splits.x_train[:512])
 
@@ -206,8 +207,8 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    if args.limit is not None and args.limit < 1:
-        raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    if args.limit is not None:
+        check("", "--limit", args.limit, (int, AT_LEAST_1))
     model, meta = load_checkpoint(args.model)
     if model.mode != "snn":
         raise ValueError(f"{args.model}: energy profiling requires a converted (snn-mode) checkpoint")

@@ -21,11 +21,12 @@ exactly linear in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
+from .fields import NONNEGATIVE, check_fields, field_types
 from .ssm import ForecastModel, ModelConfig
 
 try:  # numpy >= 2; the C function, without ``np.count_nonzero``'s Python dispatcher
@@ -104,21 +105,16 @@ class EnergyTable:
     e_cmp: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if type(v) is bool or not isinstance(v, (int, float)):  # True is no energy
-                raise ValueError(f"energy table entry {f.name} must be a number, got {v!r}")
-            if not 0 <= v < np.inf:
-                raise ValueError(f"energy table entry {f.name} must be finite and >= 0, got {v}")
+        check_fields(self, "energy table entry ", e_acc=NONNEGATIVE, e_mac=NONNEGATIVE, e_shift=NONNEGATIVE,
+                     e_cmp=NONNEGATIVE)
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, object]) -> "EnergyTable":
-        keys = [f.name for f in fields(cls)]
-        missing = [k for k in keys if k not in cfg]
+        missing = [k for k in field_types(cls) if k not in cfg]
         if missing:
             raise ValueError("energy table is missing entries: " + ", ".join(missing)
                              + " (per-op joules must be supplied, none are built in)")
-        return cls(**{k: cfg[k] for k in keys})
+        return cls(**{k: cfg[k] for k in field_types(cls)})
 
     def cost(self, row: Mapping[str, int]) -> float:
         return ((row["acc"] + row["acc_bias"]) * self.e_acc

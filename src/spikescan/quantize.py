@@ -45,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics as nm
+from .fields import AT_LEAST_1, check
 
 try:  # numpy >= 2
     from numpy._core.umath import clip as _clip_ufunc
@@ -266,8 +267,7 @@ class Quantizer:
     _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (key, CodeGrid)
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError(f"quantizer {self.name}: bits must be >= 1, got {self.bits}")
+        check(f"quantizer {self.name}: ", "bits", self.bits, (int, AT_LEAST_1))
         if self.rounding not in _ROUNDING:
             raise ValueError(f"quantizer {self.name}: unknown rounding {self.rounding!r}")
         if self.alpha is not None:

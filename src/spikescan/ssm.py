@@ -56,7 +56,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 import typing
 from dataclasses import dataclass, field
 
@@ -67,6 +66,7 @@ from . import numerics as nm
 # wrappers nor ``quantize_with_context``, which stay as its spans and as test oracles
 from .activations import (LN2, pow2_silu, pow2_silu_grad, pow2_silu_t, pow2_softplus, pow2_softplus_grad,
                           pow2_softplus_t)
+from .fields import AT_LEAST_1, POSITIVE, check_fields
 from .quantize import (ALPHA_FLOOR, CodeGrid, Quantizer, clip_inplace, clip_mask, lsq_terms, pass_through,
                        quantize, quantize_codes, quantize_with_context)
 from .spike import pow2_shift
@@ -84,11 +84,6 @@ SPIKE_SITES = ("x_in", "conv", "delta_raw", "delta", "h", "y")
 QUANT_SITES = SPIKE_SITES + ("delta_int", "x_res")
 
 
-def field_types(cls) -> dict[str, type]:
-    """A config dataclass's fields and the type each takes, ``int`` for an optional ``int | None``."""
-    return {k: (typing.get_args(t) or (t,))[0] for k, t in typing.get_type_hints(cls).items()}
-
-
 @dataclass
 class ModelConfig:
     d_value: int
@@ -103,28 +98,13 @@ class ModelConfig:
     rmsnorm_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.delta_rank is None:
+        if self.delta_rank is None and isinstance(self.d_hidden, int):  # else the check names d_hidden
             self.delta_rank = max(1, math.ceil(self.d_hidden / 8))
-        for k in self.FIELD_TYPES:
-            _check_field(k, getattr(self, k))
+        check_fields(self, "model config: ", d_value=AT_LEAST_1, history=AT_LEAST_1, horizon=AT_LEAST_1,
+                     d_hidden=AT_LEAST_1, state_size=AT_LEAST_1, conv_kernel=AT_LEAST_1, delta_rank=AT_LEAST_1,
+                     blocks=AT_LEAST_1, bits=AT_LEAST_1, rmsnorm_eps=POSITIVE)
         if self.bits > MAX_BITS:
             raise ValueError(f"model config: bits must be <= {MAX_BITS}, got {self.bits}")
-
-
-# each field and the type it takes, found once: get_type_hints compiles the string annotations
-ModelConfig.FIELD_TYPES = field_types(ModelConfig)
-
-
-def _check_field(k: str, v) -> None:
-    """Refuse the value ``v`` of ``ModelConfig`` field ``k`` unless its type and range fit."""
-    t = ModelConfig.FIELD_TYPES[k]
-    if type(v) is bool or (t is int and type(v) is not int):  # JSON true is no number, 4.0 no integer
-        raise ValueError(f"model config: {k} must be {'an integer' if t is int else 'a number'}, got {v!r}")
-    if t is int and v < 1:
-        raise ValueError(f"model config: {k} must be >= 1, got {v}")
-    # an int compares exactly, so one too large for a float64 fails
-    if t is float and not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
-        raise ValueError(f"model config: {k} must be a finite number > 0, got {v!r}")
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -9,7 +9,6 @@ present.  Conversion and checkpoints are specific to ``ForecastModel``.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import sys
 import typing
@@ -19,9 +18,11 @@ import numpy as np
 
 from . import numerics as nm
 from .energy import OpCounters
+from .fields import (AT_LEAST_0, AT_LEAST_1, FINITE, POSITIVE, UNIT, check, check_fields, check_keys,
+                     field_types)
 from .quantize import CodeGrid, Quantizer
 from .spike import threshold_scale
-from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig, field_types
+from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig
 
 CHECKPOINT_MAGIC = b"SPKY"
 CHECKPOINT_VERSION = 1
@@ -39,18 +40,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key, t in field_types(TrainConfig).items():
-            v = getattr(self, key)
-            if type(v) is bool or not isinstance(v, t if t is int else (int, float)):  # True is no number, 2.5 no integer
-                raise ValueError(f"train config: {key} must be {'an integer' if t is int else 'a number'}, got {v!r}")
-            if key in ("beta1", "beta2"):
-                rule, ok = "in [0, 1)", 0 <= v < 1
-            elif t is int:
-                rule, ok = (">= 0", v >= 0) if key == "seed" else (">= 1", v >= 1)
-            else:  # an int compares exactly, so one too large for a float64 fails
-                rule, ok = "finite and > 0", 0 < v <= sys.float_info.max
-            if not ok:
-                raise ValueError(f"train config: {key} must be {rule}, got {v}")
+        check_fields(self, "train config: ", lr=POSITIVE, batch_size=AT_LEAST_1, max_epochs=AT_LEAST_1,
+                     patience=AT_LEAST_1, beta1=UNIT, beta2=UNIT, eps=POSITIVE, seed=AT_LEAST_0)
 
 
 class Adam:
@@ -394,60 +385,41 @@ def _parse_checkpoint(raw: bytes) -> tuple[ForecastModel, dict]:
 def _read_config(d: dict) -> ModelConfig:
     """The config a record holds: every field and no other key; ``ModelConfig`` checks each value, but
     would fill a null ``delta_rank`` with its default, so that null is refused here."""
-    odd = set(d) ^ ModelConfig.FIELD_TYPES.keys()  # unknown keys and missing fields
-    if odd:
-        k = min(odd)
-        raise ValueError(f"model config: {'unknown' if k in d else 'missing'} field {k!r}")
-    if d["delta_rank"] is None:
-        raise ValueError("model config: delta_rank must be an integer, got None")
+    check_keys("model config: ", d, field_types(ModelConfig))
+    check("model config: ", "delta_rank", d["delta_rank"], int)
     return ModelConfig(**d)
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-
-
-def _fields(kind: str, where: str, record: dict, **kinds: type) -> dict:
-    """``record`` if its ``name`` is ``where``, the block and site it is stored under, and each field of
-    ``kinds`` has its JSON type, a ``float`` taking an integer too and neither number a bool."""
-    if "name" not in record:
-        raise ValueError(f"{kind} {where}: missing field 'name'")
-    if record["name"] != where:
-        raise ValueError(f"{kind} {where}: name must be {where!r}, got {record['name']!r}")
-    for key, t in kinds.items():
-        if key not in record:
-            raise ValueError(f"{kind} {where}: missing field {key!r}")
-        v = record[key]
-        if type(v) is not t and not (t is float and type(v) is int):
-            raise ValueError(f"{kind} {where}: {key} must be {_KINDS[t]}, got {v!r}")
+def _fields(what: str, name: str, record: dict, **spec) -> dict:
+    """``record`` if it holds ``name``, the block and site it is stored under, and each field of ``spec``
+    and no other key, each value the type, or the type with the rule, ``spec`` gives it (``fields.check``)."""
+    where = f"{what} {name}: "
+    check_keys(where, record, ("name", *spec))
+    if record["name"] != name:
+        raise ValueError(f"{where}name must be {name!r}, got {record['name']!r}")
+    for key, want in spec.items():
+        check(where, key, record[key], want)
     return record
 
 
-def _read_quantizer(where: str, record: dict) -> Quantizer:
-    f = _fields("quantizer", where, record, bits=int, alpha=float, beta=float, symmetric=bool, rounding=str,
-                train_alpha=bool, train_beta=bool)
+def _read_quantizer(name: str, record: dict) -> Quantizer:
+    f = _fields("quantizer", name, record, bits=int, alpha=(float, FINITE), beta=(float, FINITE), symmetric=bool,
+                rounding=str, train_alpha=bool, train_beta=bool)
     if f["symmetric"]:
-        raise ValueError(f"quantizer {where}: symmetric grids are not supported")
-    for part in ("alpha", "beta"):
-        if not math.isfinite(float(f[part])):
-            raise ValueError(f"quantizer {where}: {part} must be finite, got {f[part]}")
+        raise ValueError(f"quantizer {name}: symmetric grids are not supported")
     return Quantizer(bits=f["bits"], alpha=nm.Tensor(float(f["alpha"]), trainable=f["train_alpha"]),
                      beta=nm.Tensor(float(f["beta"]), trainable=f["train_beta"]), rounding=f["rounding"],
-                     name=where)
+                     name=name)
 
 
-def _read_site(where: str, record: dict) -> tuple[float, float, int]:
-    """A site record's ``(theta, offset, T)``: T >= 1, 0 < theta < inf, a finite offset, scale theta."""
-    f = _fields("spike site", where, record, theta=float, scale=float, offset=float, T=int)
-    theta, offset, T = float(f["theta"]), float(f["offset"]), f["T"]
-    if T < 1:
-        raise ValueError(f"spike site {where}: window length must be >= 1, got {T}")
-    if not 0 < theta < math.inf:
-        raise ValueError(f"spike site {where}: threshold must be positive and finite, got {theta}")
-    if not math.isfinite(offset):
-        raise ValueError(f"spike site {where}: offset must be finite, got {offset}")
-    if float(f["scale"]) != theta:
-        raise ValueError(f"spike site {where}: decode scale {f['scale']} differs from threshold {theta}")
-    return theta, offset, T
+def _read_site(name: str, record: dict) -> tuple[float, float, int]:
+    """A site record's ``(theta, offset, T)``, its decode scale theta."""
+    f = _fields("spike site", name, record, theta=(float, POSITIVE), scale=float, offset=(float, FINITE),
+                T=(int, AT_LEAST_1))
+    theta = float(f["theta"])
+    if f["scale"] != theta:  # an int compares exactly, so one no float64 holds differs too
+        raise ValueError(f"spike site {name}: decode scale {f['scale']} differs from threshold {theta}")
+    return theta, float(f["offset"]), f["T"]
 
 
 def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:

@@ -175,7 +175,7 @@ def test_bad_spike_site_in_checkpoint_is_a_usage_error(work):
     bad = work / "bad_site.ckpt"
     save_checkpoint(str(bad), model, norm=meta["norm"])
     p = run("verify", "--model", str(bad), expect=2)
-    assert "block0.h" in p.stderr and "window length" in p.stderr
+    assert "spike site block0.h: T must be >= 1, got 0" in p.stderr
 
 
 def test_symmetric_quantizer_in_checkpoint_is_a_usage_error(work):
@@ -200,7 +200,7 @@ def test_infinite_site_threshold_is_a_usage_error(work):
     bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + mlen:])
     p = run("forecast", "--model", str(bad), "--data", str(work / "series.csv"), "--has-header",
             "--out", str(work / "inf_theta.csv"), expect=2)
-    assert "inf_theta.ckpt: spike site block0.h: threshold" in p.stderr
+    assert "inf_theta.ckpt: spike site block0.h: theta must be finite and > 0, got inf" in p.stderr
 
 
 def test_site_inconsistent_with_its_quantizer_is_a_usage_error(work):
@@ -604,6 +604,17 @@ def test_degenerate_sizes_are_usage_errors(work, setting, key):
     assert f"{key} must be >= 1, got 0" in p.stderr and "Traceback" not in p.stderr
 
 
+@pytest.mark.parametrize("history", ["-3", "0"])
+def test_a_bad_config_is_refused_before_the_csv_is_windowed(work, history):
+    """``--history -3`` failed in numpy's windowing, naming the CSV and giving numpy's words, and
+    ``--history 0`` printed the window counts before it failed: the configs are now built first."""
+    p = run("train", "--data", str(work / "series.csv"), "--has-header", "--history", history, "--horizon", "2",
+            "--config", str(work / "train.cfg"), "--out", str(work / "bad_history.ckpt"), expect=2)
+    assert p.stdout == ""
+    assert f"error: model config: history must be >= 1, got {history}" in p.stderr
+    assert not (work / "bad_history.ckpt").exists()
+
+
 def test_a_code_width_over_16_bits_is_a_usage_error(work):
     """Every code grid holds 2**bits table entries, rebuilt each step for a trainable quantizer."""
     out = work / "wide.ckpt"
@@ -738,6 +749,18 @@ def test_a_null_delta_rank_in_the_fixture_is_a_usage_error(mutation_inputs, caps
                      "--out", str(d / "null.csv")]) == 2
     assert f"error: {ckpt}: model config: delta_rank must be an integer, got None" in capsys.readouterr().err
     assert not (d / "null.csv").exists()
+
+
+def test_a_misspelled_quantizer_key_in_the_fixture_is_a_usage_error(mutation_inputs, capsys):
+    """The fixture with an extra ``alpah`` key in ``block0.h``'s quantizer record loaded, the key ignored;
+    ``forecast`` now exits 2 naming the file, the quantizer and the key."""
+    d, raw = mutation_inputs
+    ckpt = d / "alpah.ckpt"
+    ckpt.write_bytes(with_metadata(raw["ann"], lambda meta: meta["quantizers"][0]["h"].update(alpah=0.5)))
+    assert cli.main(["forecast", "--model", str(ckpt), "--data", str(d / "series.csv"), "--has-header",
+                     "--out", str(d / "alpah.csv")]) == 2
+    assert f"error: {ckpt}: quantizer block0.h: unknown field 'alpah'" in capsys.readouterr().err
+    assert not (d / "alpah.csv").exists()
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5])

@@ -1,5 +1,5 @@
-"""The package's source holds together: every import is used, every ``__all__`` entry resolves, and
-the v1 checkpoint records have one home.
+"""The package's source holds together: every import is used, every ``__all__`` entry resolves, the
+v1 checkpoint records have one home, and so do the words that refuse a value from outside.
 
 An imported name counts as used where the module reads it (in an annotation
 too, quoted or not), where the module's ``__all__`` re-exports it, or, in
@@ -9,9 +9,12 @@ module (``SSM_IMPORTS``, read from the source of ``perfbench/tracing.py``).
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+from spikescan import fields
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "spikescan").glob("*.py"))
@@ -85,3 +88,22 @@ def test_only_train_writes_and_reads_the_v1_records():
                     and node.name in record_names):
                 found.append(f"{path.name}:{node.lineno}: defines {node.name}")
     assert not found, found
+
+
+def test_only_fields_words_the_type_and_range_rules():
+    """The kind wordings and the range-rule wordings are string constants in ``fields`` alone, each as
+    itself or as ``must be <wording>, got`` in a message: every other reader states no rule of its own."""
+    wordings = ["an integer", "a number", "true or false", "a string", fields.AT_LEAST_1, fields.AT_LEAST_0,
+                fields.UNIT, fields.FINITE, fields.POSITIVE, fields.NONNEGATIVE]
+    stated = re.compile("must be (?:" + "|".join(map(re.escape, wordings)) + "), got")
+    found, home = [], set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                    node.value in wordings or stated.search(node.value)):
+                if path.stem == "fields":
+                    home.add(node.value)
+                else:
+                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found
+    assert set(wordings) <= home, set(wordings) - home

@@ -399,3 +399,15 @@ def test_a_readme_grid_finds_its_thresholds_in_ten_counts(monkeypatch):
         tau = grid.thresholds()
         assert len(calls) - before <= 10, q.name
         assert tau.tobytes() == bisect_whole_range(lambda x: codes(grid, x), q.code_max).tobytes(), q.name
+
+
+@pytest.mark.parametrize("bits, message", [
+    (2.5, "bits must be an integer, got 2.5"), (True, "bits must be an integer, got True"),
+    ("2", "bits must be an integer, got '2'"), (0, "bits must be >= 1, got 0"), (-1, "bits must be >= 1, got -1"),
+])
+def test_a_quantizer_refuses_bits_that_are_no_positive_integer(bits, message):
+    """``bits=2.5`` built a grid of ``T = 2**2.5 - 1``, which coded a drive of 9.0 as 4.657, and
+    ``bits=True`` a 1-code grid; the constructor now reads ``bits`` as every config reads an integer."""
+    with pytest.raises(ValueError) as e:
+        Quantizer(bits=bits, alpha=0.5, rounding="floor")
+    assert str(e.value) == f"quantizer q: {message}"

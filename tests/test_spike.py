@@ -56,13 +56,15 @@ def test_integer_multiples_of_theta_fire_exactly_m():
 
 
 @pytest.mark.parametrize("bad, message", [
-    ({"T": 0}, "window length must be >= 1, got 0"),
-    ({"theta": 0.0, "scale": 0.0}, "threshold must be positive and finite, got 0.0"),
-    ({"theta": -1.0, "scale": -1.0}, "threshold must be positive and finite, got -1.0"),
-    ({"theta": float("inf"), "scale": float("inf")}, "threshold must be positive and finite, got inf"),
+    ({"T": 0}, "T must be >= 1, got 0"),
+    ({"theta": 0.0, "scale": 0.0}, "theta must be finite and > 0, got 0.0"),
+    ({"theta": -1.0, "scale": -1.0}, "theta must be finite and > 0, got -1.0"),
+    ({"theta": float("inf"), "scale": float("inf")}, "theta must be finite and > 0, got inf"),
     ({"offset": float("nan")}, "offset must be finite, got nan"),
     ({"scale": 2.0}, "decode scale 2.0 differs from threshold 1.0"),
-], ids=["T 0", "theta 0", "theta -1", "theta inf", "offset nan", "scale not theta"])
+    # this one failed converting the scale to a float, as malformed metadata naming no site
+    ({"scale": 10 ** 400}, f"decode scale {10 ** 400} differs from threshold 1.0"),
+], ids=["T 0", "theta 0", "theta -1", "theta inf", "offset nan", "scale not theta", "scale huge"])
 def test_a_site_record_refuses_each_bad_field(bad, message):
     with pytest.raises(ValueError) as e:
         _read_site("s", {"name": "s", "theta": 1.0, "scale": 1.0, "offset": 0.0, "T": 3, **bad})

@@ -766,7 +766,7 @@ def _without_config(key):
     (_site_scale, "spike site block0.y: decode scale .* differs from threshold"),
     (_set("quantizers", "conv", "alpha", float("inf")), "quantizer block0.conv: alpha must be finite, got inf"),
     (_set("quantizers", "x_in", "beta", float("nan")), "quantizer block0.x_in: beta must be finite, got nan"),
-    (_set("sites", "h", "theta", float("inf")), "spike site block0.h: threshold must be positive and finite, got inf"),
+    (_set("sites", "h", "theta", float("inf")), "spike site block0.h: theta must be finite and > 0, got inf"),
     (_set("sites", "conv", "offset", -float("inf")), "spike site block0.conv: offset must be finite, got -inf"),
     (_set("sites", "y", "T", 2), r"spike site block0.y: \(theta, offset, T\) = .* is neither the quantizer's"),
     (_config("state_size", 0), "model config: state_size must be >= 1, got 0"),
@@ -775,9 +775,9 @@ def _without_config(key):
     (_config("blocks", 0), "model config: blocks must be >= 1, got 0"),
     (_config("bits", 0), "model config: bits must be >= 1, got 0"),
     (_config("bits", 17), "model config: bits must be <= 16, got 17"),
-    (_config("rmsnorm_eps", "x"), "model config: rmsnorm_eps must be a finite number > 0, got 'x'"),
-    (_config("rmsnorm_eps", -1.0), "model config: rmsnorm_eps must be a finite number > 0, got -1.0"),
-    (_config("rmsnorm_eps", 10 ** 400), "model config: rmsnorm_eps must be a finite number > 0, got 1000"),
+    (_config("rmsnorm_eps", "x"), "model config: rmsnorm_eps must be a number, got 'x'"),
+    (_config("rmsnorm_eps", -1.0), "model config: rmsnorm_eps must be finite and > 0, got -1.0"),
+    (_config("rmsnorm_eps", 10 ** 400), "model config: rmsnorm_eps must be finite and > 0, got 1000"),
     # these loaded (true as 1, a missing field as its default, an unknown key ignored), or, 4.0,
     # failed as malformed metadata naming no key
     (_config("rmsnorm_eps", True), "model config: rmsnorm_eps must be a number, got True"),
@@ -787,12 +787,12 @@ def _without_config(key):
     (_without_config("delta_rank"), "model config: missing field 'delta_rank'"),
     # null loaded as the default ceil(d_hidden / 8), which ModelConfig(...) still gives a None
     (_config("delta_rank", None), "model config: delta_rank must be an integer, got None"),
-    (_config("rmsnorm_eps", None), "model config: rmsnorm_eps must be a finite number > 0, got None"),
+    (_config("rmsnorm_eps", None), "model config: rmsnorm_eps must be a number, got None"),
     (_config("dropout", 0.5), "model config: unknown field 'dropout'"),
     (_config_list, r"malformed metadata \(list indices must be integers or slices, not str\)"),
     (_config("history", 10 ** 400), r"truncated weight payload: \d+ of \d{400,} bytes"),
-    (_set("quantizers", "h", "alpha", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
-    (_set("sites", "conv", "theta", 10 ** 400), r"malformed metadata \(int too large to convert to float\)"),
+    (_set("quantizers", "h", "alpha", 10 ** 400), "quantizer block0.h: alpha must be finite, got 1000"),
+    (_set("sites", "conv", "theta", 10 ** 400), "spike site block0.conv: theta must be finite and > 0, got 1000"),
     (_set("sites", "y", "T", 10 ** 400), r"spike site block0.y: \(theta, offset, T\) = .* is neither the quantizer's"),
     (_set("quantizers", "x_in", "rounding", "nearest"), "cannot convert, spike sites need floor rounding: block0.x_in"),
     # these loaded: bits 2.5 or "2" as 2, "no" as a trainable step, "0.5" as 0.5, T 3.9 or "3" as 3,
@@ -820,6 +820,9 @@ def _without_config(key):
     # these failed as "metadata is missing key 'name'"
     (_without("quantizers", "conv", "name"), "quantizer block0.conv: missing field 'name'"),
     (_without("sites", "delta", "name"), "spike site block0.delta: missing field 'name'"),
+    # these loaded, the key ignored
+    (_set("quantizers", "h", "alpah", 0.5), "quantizer block0.h: unknown field 'alpah'"),
+    (_set("sites", "y", "thetaa", 0.5), "spike site block0.y: unknown field 'thetaa'"),
 ])
 def test_malformed_metadata_is_named(small_ckpt, change, defect):
     d, raw = small_ckpt
