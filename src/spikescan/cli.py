@@ -13,13 +13,12 @@ import sys
 import numpy as np
 
 from .activations import DEVIATION_BOUNDS, branch_continuity_gaps, verify_deviation_bounds
-from .dataset import (DEFAULT_SPLIT, SeriesDataset, WindowSplits, denormalize, load_csv, make_windows,
-                      read_utf8, write_csv)
+from .dataset import (DEFAULT_SPLIT, SeriesDataset, WindowSplits, check_split, denormalize, load_csv,
+                      make_windows, read_utf8, write_csv)
 from .energy import EnergyTable, OpCounters, compare_ann_energy, profile
 from .fields import AT_LEAST_1, check, field_types
 from .metrics import r2, rrse
-from .quantize import CodeGrid
-from .spike import simulate_if
+from .quantize import CodeGrid, simulate_if
 from .ssm import ForecastModel, ModelConfig
 from .train import (TrainConfig, apply_threshold_scaling, convert_to_snn,
                     load_checkpoint, save_checkpoint, train)
@@ -54,10 +53,6 @@ def load_config(path: str | None, keys: dict[str, type]) -> dict:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: key {k!r} expects {keys[k].__name__}, got {v!r}") from None
     return cfg
-
-
-def _split_from(cfg: dict) -> tuple[float, float, float]:
-    return tuple(cfg.get(k, d) for k, d in zip(SPLIT_KEYS, DEFAULT_SPLIT))
 
 
 def _windows(ds: SeriesDataset, data: str, history: int, horizon: int, split: tuple[float, float, float],
@@ -103,6 +98,11 @@ def _checkpoint_windows(model: ForecastModel, meta: dict, path: str, data: str, 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, {**MODEL_KEYS, **TRAIN_KEYS, **SPLIT_KEYS})
+    split = tuple(cfg.get(k, d) for k, d in zip(SPLIT_KEYS, DEFAULT_SPLIT))
+    try:
+        check_split(split)
+    except ValueError as e:
+        raise ValueError(f"{args.config}: {e}") from None
     flags = {k: getattr(args, k) for k in ("history", "horizon", "bits") if getattr(args, k) is not None}
     model_kw = {**{k: cfg[k] for k in MODEL_KEYS if k in cfg}, **flags}
     if "history" not in model_kw or "horizon" not in model_kw:
@@ -111,7 +111,7 @@ def cmd_train(args) -> int:
     ds = load_csv(args.data, has_header=args.has_header)
     mc = ModelConfig(d_value=ds.values.shape[1], **model_kw)
     tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k in cfg})
-    splits = _windows(ds, args.data, mc.history, mc.horizon, _split_from(cfg))
+    splits = _windows(ds, args.data, mc.history, mc.horizon, split)
     n_tr, n_va, n_te = splits.counts()
     print(f"windows: {n_tr} train / {n_va} val / {n_te} test "
           f"({ds.values.shape[0]} rows, {ds.values.shape[1]} variables)")
@@ -123,7 +123,7 @@ def cmd_train(args) -> int:
     print(f"trained {res.epochs_run} epochs; best val mse {res.best_val:.6f} at epoch {res.best_epoch}")
     norm = {"mean": splits.mean.tolist(), "std": splits.std.tolist()}
     save_checkpoint(args.out, model, norm=norm,
-                    extra={"split": list(_split_from(cfg)), "data": args.data})
+                    extra={"split": list(split), "data": args.data})
     print(f"saved {args.out}")
     return 0
 
@@ -222,10 +222,16 @@ def cmd_energy(args) -> int:
     counters = OpCounters()
     for i in range(0, x.shape[0], BATCH):  # each report prices every batch so far
         report = profile(model, x[i:i + BATCH], table, counters)
+    comparison = None
+    if args.compare:  # before any line, so a refusal prints nothing else
+        try:
+            comparison = compare_ann_energy(report, model.cfg, x.shape[0], table)
+        except ValueError as e:
+            raise ValueError(f"{args.table}: {e}") from None
     print(report.to_text())
-    if args.compare:
+    if comparison is not None:
         print()
-        print(compare_ann_energy(report, model.cfg, x.shape[0], table).to_text())
+        print(comparison.to_text())
     if args.out:
         kv = report.to_kv()
         with open(args.out, "w", encoding="utf-8") as f:

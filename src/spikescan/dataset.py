@@ -176,6 +176,12 @@ def normalization_stats(values: np.ndarray, train_rows: int) -> tuple[np.ndarray
     return mean, std
 
 
+def check_split(split: tuple[float, float, float]) -> None:
+    """Refuse split ratios that are not finite and nonnegative or that sum to more than 1."""
+    if not (all(0 <= r < math.inf for r in split) and sum(split) <= 1.0 + 1e-9):
+        raise ValueError(f"split ratios must be finite, nonnegative and sum to at most 1, got {split}")
+
+
 def make_windows(ds: SeriesDataset, history: int, horizon: int,
                  split: tuple[float, float, float] = DEFAULT_SPLIT,
                  stats: tuple[np.ndarray, np.ndarray] | None = None) -> WindowSplits:
@@ -191,8 +197,7 @@ def make_windows(ds: SeriesDataset, history: int, horizon: int,
     M = window_count(rows, history, horizon)
     if M <= 0:
         raise ValueError(f"series has {rows} rows; need at least history + horizon = {history + horizon}")
-    if not (all(0 <= r < math.inf for r in split) and sum(split) <= 1.0 + 1e-9):
-        raise ValueError(f"split ratios must be finite, nonnegative and sum to at most 1, got {split}")
+    check_split(split)
     n_tr = math.floor(split[0] * M)
     n_va = math.floor(split[1] * M)
     n_te = math.floor(split[2] * M)

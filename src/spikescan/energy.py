@@ -231,11 +231,13 @@ def compare_ann_energy(report: EnergyReport, cfg: ModelConfig, batch: int,
 
     The dense side is the analytic MAC count of the same architecture on
     ``batch`` windows; the spiking side is ``report``, priced with ``table``
-    by ``profile``.  Runs no forward.
+    by ``profile``.  Runs no forward.  A table under which the dense path costs 0 J is refused.
     """
     ann_ct = ann_op_counts(cfg, batch)
     ann_j = sum(table.cost(row) for row in ann_ct.layers.values())
-    ratio = report.total_joules / ann_j if ann_j > 0 else float("inf")
+    if ann_j == 0:
+        raise ValueError("the dense path costs 0 J under this table, so the ratio (snn/ann) is undefined")
+    ratio = report.total_joules / ann_j
     return EnergyComparison(
         ann_joules=ann_j,
         snn_joules=report.total_joules,

@@ -12,8 +12,11 @@ def _sums(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape:
         raise ValueError(f"shape mismatch: targets {y_true.shape} vs predictions {y_pred.shape}")
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        ss_res = float(np.sum((y_true - y_pred) ** 2))
+        ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    if not (math.isfinite(ss_res) and math.isfinite(ss_tot)):
+        raise ValueError("sums of squares are not finite; relative metrics are undefined")
     if ss_tot == 0.0:
         raise ValueError("targets are constant; relative metrics are undefined")
     return ss_res, ss_tot

@@ -39,7 +39,7 @@ gradient on clipped entries only; a frozen step size or offset gets no pass.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -91,6 +91,29 @@ def floor_with_snap(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Floor with a tiny positive nudge so exact grid points stay put; into ``out`` when given."""
     r = np.add(np.asanyarray(v, dtype=np.float64), _SNAP, out=out)
     return np.floor(r, out=r)
+
+
+def simulate_if(drive: np.ndarray, T: int, theta: float) -> np.ndarray:
+    """The average integrate-and-fire neuron, step by step; returns its spike bits ``[T, *drive.shape]``.
+
+    It averages a total drive ``d`` over ``T`` steps to ``A = d / T`` and runs
+    ``V(0) = 0; for t = 1..T: V += A; if V >= theta: spike, V -= theta``.  After t
+    steps ``V = t*A - theta*(spikes so far)``, so its count is ``clip(floor(d / theta),
+    0, T)``: a spike site is a floor grid whose codes are its counts, and a drive of
+    ``m * theta`` (integer m in [0, T]) emits exactly m spikes.  It fires at
+    ``V >= theta * (1 - GRID_SNAP)``, the grid's snap, and can still disagree with the
+    floor a few ulps under ``(k - 1e-9) * theta``, where the grid keeps the
+    real-arithmetic contract.  The reference a grid's counts are checked against; no
+    model runs it.  Energy accounting tallies the T comparisons per neuron it makes.
+    """
+    avg = np.asarray(drive, dtype=np.float64) / T
+    v = np.zeros_like(avg)
+    bits = np.zeros((T,) + avg.shape)
+    for t in range(T):
+        v = v + avg
+        bits[t] = v >= theta * (1.0 - GRID_SNAP)
+        v = v - theta * bits[t]
+    return bits
 
 
 def clip_inplace(x: np.ndarray, lo, hi) -> np.ndarray:
@@ -184,6 +207,11 @@ class CodeGrid:
         v = np.multiply(codes, self._theta, out=out)
         return np.add(v, self._offset, out=v)
 
+    def threshold_scale(self) -> CodeGrid:
+        """This grid's window collapsed to one spike against ``theta * T``, which decodes to the value T
+        spikes decoded to: exact for drives coded only 0 or T; a grid with T = 1 comes back equal."""
+        return replace(self, theta=self.theta * self.T, T=1)
+
     def thresholds(self) -> np.ndarray:
         """``tau_k`` for k = 1..T: the least float64 whose code is k or more, searched from the
         decode of where the rounding reaches k (``k - 0.5`` to nearest, ``k - GRID_SNAP`` by floor)."""
@@ -209,22 +237,24 @@ class CodeGrid:
     def read(self, drive: np.ndarray, fn=None, observe=None):
         """Writes ``fn`` of the values of ``drive``'s codes (without ``fn``, the values) into ``drive``,
         which nothing reads again, bit for bit ``fn(decode(codes(drive)))``; returns ``observe(codes)``,
-        called once the codes exist and before any value is written (without ``observe``, ``None``).
+        called once the codes exist and before any value is written (without ``observe``, ``None``),
+        with NaN for a NaN drive entry.
 
         A drive of at most ``SEARCH_MAX`` entries is coded by one search of the thresholds,
         ``code = #{k: tau_k <= x}``, into a fresh index array, and its values are taken from one table
         straight into the drive.  A NaN entry sorts past the thresholds, to code T + 1, whose table entry
         is ``fn`` of the platform's default NaN: the NaN an overflow makes, which the arithmetic passes
-        through ``decode`` and ``fn``.  A larger drive is coded by the arithmetic in its own buffer, where
-        a NaN stays NaN, and decoded in place or read through the table (``fn`` computed where a NaN
-        casts to no index).
+        through ``decode`` and ``fn``; the observer sees that code as NaN.  A larger drive is coded by
+        the arithmetic in its own buffer, where a NaN stays NaN, and decoded in place or read through the
+        table (``fn`` computed where a NaN casts to no index).
         """
         table = self._tables.get(fn)
         if table is None:  # built once; a call per read would cost batch-1 latency
             table = self.table(fn)
         searched = drive.size <= SEARCH_MAX
         codes = self._tau.searchsorted(drive, side="right") if searched else self.codes(drive, out=drive)
-        seen = None if observe is None else observe(codes)
+        nan = observe is not None and searched and codes.size and codes.item(codes.argmax()) > self.T
+        seen = None if observe is None else observe(np.where(codes > self.T, np.nan, codes) if nan else codes)
         if searched:
             table.take(codes, mode="clip", out=drive)  # no index clips; "raise" would buffer the output
         elif fn is None:

@@ -21,7 +21,6 @@ from .energy import OpCounters
 from .fields import (AT_LEAST_0, AT_LEAST_1, FINITE, POSITIVE, UNIT, check, check_fields, check_keys,
                      field_types)
 from .quantize import CodeGrid, Quantizer
-from .spike import threshold_scale
 from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig
 
 CHECKPOINT_MAGIC = b"SPKY"
@@ -261,7 +260,7 @@ def apply_threshold_scaling(model: ForecastModel, x: np.ndarray,
             site = blk.sites[s]
             key = f"block{i}.{s}"
             if site.T > 1 and probe.sites[key]["mid"] == 0:
-                blk.sites[s] = threshold_scale(site)
+                blk.sites[s] = site.threshold_scale()
                 scaled.append(key)
     if not scaled:
         return []
@@ -453,7 +452,7 @@ def _model_from_metadata(meta: dict, cfg: ModelConfig) -> ForecastModel:
         convert_to_snn(model)
     for i, (blk, sites) in enumerate(zip(model.blocks, records)):
         for s, got in sites.items():
-            grids = blk.sites[s], threshold_scale(blk.sites[s])
+            grids = blk.sites[s], blk.sites[s].threshold_scale()
             allowed = [(a.theta, a.offset, a.T) for a in grids]
             if got not in allowed:
                 raise ValueError(f"spike site block{i}.{s}: (theta, offset, T) = {got} is neither "

@@ -17,8 +17,7 @@ from spikescan.activations import (SILU_GRAD_BOUND, SILU_VALUE_BOUND,
 from spikescan.dataset import denormalize, make_coupled_sinusoids, make_windows
 from spikescan.energy import EnergyTable, OpCounters
 from spikescan.metrics import r2, rrse
-from spikescan.quantize import CodeGrid, Quantizer, quantize, quantize_with_context
-from spikescan.spike import simulate_if
+from spikescan.quantize import CodeGrid, Quantizer, quantize, quantize_with_context, simulate_if
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import TrainConfig, apply_threshold_scaling, convert_to_snn, train
 from ssm_oracle import apply_kernel, dense_ssm_reference, round_half_away, ssm_kernel

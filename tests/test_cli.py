@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from spikescan import cli, ssm
 from spikescan.activations import DEVIATION_BOUNDS, verify_deviation_bounds
 from spikescan.dataset import load_csv, make_coupled_sinusoids, write_csv
-from spikescan.spike import threshold_scale
 from spikescan.train import convert_to_snn, load_checkpoint, save_checkpoint
 
 HISTORY, HORIZON = 8, 2
@@ -161,7 +160,7 @@ def test_verify_header_flag_without_data_is_a_usage_error(work, capsys):
 def test_verify_fails_on_tampered_checkpoint(work):
     # a threshold-scaled site loads, but y codes mid-range, so scaling it breaks equivalence
     model, meta = load_checkpoint(str(work / "snn.ckpt"))
-    model.blocks[0].sites["y"] = threshold_scale(model.blocks[0].sites["y"])
+    model.blocks[0].sites["y"] = model.blocks[0].sites["y"].threshold_scale()
     bad = work / "bad.ckpt"
     save_checkpoint(str(bad), model, norm=meta["norm"])
     p = run("verify", "--model", str(bad),
@@ -302,6 +301,20 @@ def test_eval_names_the_csv_whose_targets_are_constant(work):
             expect=2)
     assert p.stdout == ""
     assert f"error: {work / 'flat.csv'}: targets are constant; relative metrics are undefined" in p.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")  # the forward's rmsnorm
+def test_eval_names_the_csv_whose_sums_of_squares_overflow(work, capsys):
+    """One finite cell of 1e308 overflows the sums of squares: eval printed ``R2 = nan   RRSE = nan`` and
+    exited 0."""
+    values = make_coupled_sinusoids(n_steps=60, seed=1).values
+    values[30, 0] = 1e308
+    write_csv(str(work / "huge.csv"), values, ["s1", "s2"])
+    assert cli.main(["eval", "--model", str(work / "snn.ckpt"), "--data", str(work / "huge.csv"),
+                     "--has-header"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {work / 'huge.csv'}: sums of squares are not finite; relative metrics are undefined\n"
 
 
 def test_forecast_covers_every_window(work):
@@ -470,6 +483,30 @@ def test_energy_table_errors_name_the_table(work, capsys, text, message):
     table.write_text(text)
     assert config_command(work, "energy", table) == 2
     assert f"error: {table}: {message}" in capsys.readouterr().err
+
+
+def test_a_bad_split_in_a_train_config_names_the_config(work, capsys):
+    """The split was checked only in windowing, after the CSV was read, and the error named the CSV."""
+    cfg = work / "bad_split.cfg"
+    cfg.write_text("max_epochs = 1\nsplit_val = -0.1\n")
+    assert config_command(work, "train", cfg) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {cfg}: split ratios must be finite, nonnegative and sum to at most 1, "
+                   "got (0.7, -0.1, 0.2)\n")
+
+
+def test_energy_compare_refuses_a_table_that_prices_the_dense_path_at_zero(work, capsys):
+    """An all-zero table prices a profile, but its dense path costs 0 J: ``--compare`` printed
+    ``ratio (snn/ann): inf`` and ``reduction: -inf%`` and exited 0."""
+    table = work / "zero_table.cfg"
+    table.write_text("e_acc = 0\ne_mac = 0\ne_shift = 0\ne_cmp = 0\n")
+    assert config_command(work, "energy", table, "--limit", "4") == 0
+    assert "total energy" in capsys.readouterr().out
+    assert config_command(work, "energy", table, "--limit", "4", "--compare") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {table}: the dense path costs 0 J under this table, so the ratio (snn/ann) is undefined\n"
 
 
 def test_a_config_may_start_with_a_byte_order_mark(work, capsys):

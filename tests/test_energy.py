@@ -9,7 +9,6 @@ from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import (EnergyTable, OpCounters, ann_op_counts,
                               compare_ann_energy, profile)
 from spikescan.quantize import SEARCH_MAX, CodeGrid
-from spikescan.spike import threshold_scale
 from spikescan.ssm import ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn, load_checkpoint
 
@@ -57,7 +56,7 @@ def test_record_site_tallies_what_the_boolean_formula_counts(T, scaled):
     rng = np.random.default_rng(T)
     site = CodeGrid("s", 0.3, -0.2, T)
     if scaled:
-        site = threshold_scale(site)
+        site = site.threshold_scale()
     for size in (SEARCH_MAX, SEARCH_MAX + 4, 4 * SEARCH_MAX):
         # codes across the window, with a share of both ends
         drive = site.offset + site.theta * site.T * rng.uniform(-0.3, 1.3, size=(size // 4, 4))
@@ -269,7 +268,7 @@ def test_a_window_that_overflows_to_nan_names_its_site_and_window(batch, window,
     m, _ = snn_model(seed=3)
     if scaled:
         sites = m.blocks[0].sites
-        sites["x_in"] = threshold_scale(sites["x_in"])
+        sites["x_in"] = sites["x_in"].threshold_scale()
     x = np.random.default_rng(3).normal(size=(256, m.cfg.history, m.cfg.d_value))
     x[5, 2] = 1.7e308
     m.blocks[0].g_norm.data[:] = 4.0

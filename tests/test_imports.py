@@ -75,8 +75,8 @@ def test_every_all_entry_resolves(path):
 
 
 def test_only_train_writes_and_reads_the_v1_records():
-    """The keys only a v1 record has are string constants in ``train`` alone, and ``spike``, ``quantize``
-    and ``ssm`` define no record writer or reader."""
+    """The keys only a v1 record has are string constants in ``train`` alone, and ``quantize`` and ``ssm``
+    define no record writer or reader."""
     v1_keys = {"symmetric", "train_alpha", "train_beta"}
     record_names = {"SpikeSite", "state", "from_state", "from_dict", "state_fields"}
     found = []
@@ -84,7 +84,7 @@ def test_only_train_writes_and_reads_the_v1_records():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if path.stem != "train" and isinstance(node, ast.Constant) and node.value in v1_keys:
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
-            if (path.stem in ("spike", "quantize", "ssm") and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if (path.stem in ("quantize", "ssm") and isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name in record_names):
                 found.append(f"{path.name}:{node.lineno}: defines {node.name}")
     assert not found, found

@@ -12,7 +12,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from spikescan.spike import threshold_scale
 from spikescan.ssm import SPIKE_SITES, ForecastModel, ModelConfig
 from spikescan.train import convert_to_snn
 
@@ -60,7 +59,7 @@ def seeded_model(name: str) -> tuple[ForecastModel, np.ndarray]:
     convert_to_snn(m)
     for blk in m.blocks:
         for s in scaled:
-            blk.sites[s] = threshold_scale(blk.sites[s])
+            blk.sites[s] = blk.sites[s].threshold_scale()
     return m, 2.0 * rng.normal(size=(256, cfg.history, cfg.d_value))
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikescan.activations import pow2_silu, pow2_softplus
-from spikescan.quantize import SEARCH_MAX, CodeGrid, Quantizer, quantize_codes, quantize_with_context
-from spikescan.spike import pow2_shift, simulate_if, threshold_scale
-from spikescan.ssm import EXP_HI, EXP_LO, SPIKE_SITES, ForecastModel, ModelConfig
+from spikescan.quantize import (SEARCH_MAX, CodeGrid, Quantizer, quantize_codes, quantize_with_context,
+                                simulate_if)
+from spikescan.ssm import EXP_HI, EXP_LO, SPIKE_SITES, ForecastModel, ModelConfig, pow2_shift
 from spikescan.train import _read_site, _site_record, convert_to_snn, load_checkpoint, save_checkpoint
 from ssm_oracle import quantize_values
 
@@ -75,14 +75,14 @@ def test_a_site_record_reads_back_as_the_floor_grid_it_was_written_from(tmp_path
     """One grid class: a record holds a grid's fields and reads back as its (theta, offset, T), and a
     saved model's sites, threshold-scaled or not, load as the ``CodeGrid`` objects they were written from."""
     grid = Quantizer(bits=2, alpha=0.4, beta=-0.1, rounding="floor", name="s").grid()
-    for g in (grid, threshold_scale(grid)):
+    for g in (grid, grid.threshold_scale()):
         record = _site_record(g)
         assert record == {"name": "s", "theta": g.theta, "scale": g.theta, "offset": -0.1, "T": g.T}
         assert _read_site("s", record) == (g.theta, g.offset, g.T)
     m = ForecastModel.build(ModelConfig(d_value=1, history=4, horizon=1, d_hidden=2, state_size=1), seed=0)
     m.calibrate(np.random.default_rng(0).normal(size=(4, 4, 1)))
     sites = convert_to_snn(m).blocks[0].sites
-    sites["h"] = threshold_scale(sites["h"])
+    sites["h"] = sites["h"].threshold_scale()
     save_checkpoint(str(tmp_path / "sites.ckpt"), m)
     back = load_checkpoint(str(tmp_path / "sites.ckpt"))[0].blocks[0].sites
     for s, g in sites.items():
@@ -152,7 +152,7 @@ class TestThresholdScale:
         site = self.site()
         pre = np.array([10.0, 0.1 + 3 * 0.5, 0.0])  # counts 3, 3, 0
         before = site.decode(site.codes(pre))
-        scaled = threshold_scale(site)
+        scaled = site.threshold_scale()
         counts = scaled.codes(pre)
         assert list(counts) == [1, 1, 0]
         after = scaled.decode(counts)
@@ -160,7 +160,7 @@ class TestThresholdScale:
 
     def test_a_scaled_site_encodes_with_its_own_operands(self):
         site = self.site()
-        scaled = threshold_scale(site)
+        scaled = site.threshold_scale()
         fresh = CodeGrid("s", site.theta * site.T, site.offset, 1)
         pre = np.random.default_rng(4).normal(scale=3.0, size=500)
         pre[:3] = [0.1 + 1.5, 0.1 + 1.5 - 1e-6, 0.1]  # on and just under the scaled threshold
@@ -174,7 +174,7 @@ class TestThresholdScale:
         site = self.site()
         pre = np.full(100, 5.0)  # saturates every neuron
         assert site.codes(pre).sum() == 300
-        scaled = threshold_scale(site)
+        scaled = site.threshold_scale()
         assert scaled.codes(pre).sum() == 100
 
 
@@ -287,7 +287,7 @@ def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_
     threshold, at the float64 extremes and on random drives."""
     s = site(T, 10.0 ** log_theta, offset_sign * 10.0 ** log_offset)
     if scaled:
-        s = threshold_scale(s)
+        s = s.threshold_scale()
     tau = s.thresholds()
     k = np.arange(1, s.T + 1)
     with np.errstate(over="ignore"):  # the arithmetic on drives near the float64 extremes
@@ -309,7 +309,7 @@ def test_threshold_search_counts_and_decodes_like_the_arithmetic(log_theta, log_
 
 def test_an_observer_sees_the_codes_before_the_drive_holds_values():
     """``observe`` gets a drive's codes once they exist and before any value is written: a small drive's
-    search index array, where NaN is code T + 1, and a large drive's ``codes`` bytes, NaN
+    searched codes, where a NaN drive entry is NaN, and a large drive's ``codes`` bytes, NaN
     included, in its own buffer.  Either way the drive then holds ``decode``' bytes, and ``read``
     returns what ``observe`` returned."""
     s = site(3, 0.5, offset=-0.25)
@@ -325,11 +325,31 @@ def test_an_observer_sees_the_codes_before_the_drive_holds_values():
         assert s.read(buf, observe=observe) == 1
         [(codes, held)] = seen
         if drive is nan:
-            assert codes.dtype == np.intp and codes.tolist() == [0, 4, 3]
+            assert np.isnan(codes[1]) and codes[[0, 2]].tolist() == [0, 3]
             assert held == drive.tobytes()  # the drive as it came
         else:
             assert codes.tobytes() == held == s.codes(drive).tobytes()  # the codes, not yet values
         assert buf.tobytes() == s.decode(s.codes(drive)).tobytes()
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["plain", "threshold-scaled"])
+@pytest.mark.parametrize("fn", [None, pow2_silu], ids=["values", "fn"])
+@pytest.mark.parametrize("size", [8, SEARCH_MAX + 1], ids=["searched", "arithmetic"])
+def test_an_observer_sees_nan_for_a_nan_drive(size, fn, scaled):
+    """Either path shows ``observe`` NaN where the drive is NaN and every other entry's code, also on a
+    threshold-scaled grid, whose T = 1 a searched NaN would pass as code 2; the drive then holds what a
+    read without an observer writes."""
+    s = site(3, 0.5, offset=-0.25)
+    if scaled:
+        s = s.threshold_scale()
+        assert s.T == 1
+    drive = np.linspace(-1.0, 3.0, size)
+    drive[[1, size // 2]] = DEFAULT_NAN
+    nan, got, unobserved = np.isnan(drive), drive.copy(), drive.copy()
+    seen = s.read(got, fn, observe=np.copy)
+    s.read(unobserved, fn)
+    assert np.isnan(seen[nan]).all() and np.array_equal(seen[~nan], s.codes(drive[~nan]))
+    assert got.tobytes() == unobserved.tobytes()
 
 
 def test_search_tables_are_built_on_a_sites_first_small_drive():

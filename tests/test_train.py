@@ -14,7 +14,6 @@ import spikescan.numerics as nm
 from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import OpCounters
 from spikescan.quantize import ALPHA_FLOOR
-from spikescan.spike import threshold_scale
 from spikescan.ssm import SPIKE_SITES, ForecastModel, ModelConfig
 from spikescan.train import (Adam, CHECKPOINT_MAGIC, TrainConfig, apply_threshold_scaling,
                              convert_to_snn, load_checkpoint, save_checkpoint, train)
@@ -546,7 +545,7 @@ def scaled_sites(m) -> list[str]:
         for s in SPIKE_SITES:
             grid = blk.quantizers[s].grid()
             if blk.sites[s] is not grid:
-                assert blk.sites[s] == threshold_scale(grid), f"block{i}.{s}"
+                assert blk.sites[s] == grid.threshold_scale(), f"block{i}.{s}"
                 scaled.append(f"block{i}.{s}")
     return scaled
 
@@ -882,7 +881,7 @@ def test_spike_sites_round_trip_and_any_other_site_is_refused(tmp_path, bits, bl
     convert_to_snn(m)
     keys = [(i, s) for i in range(blocks) for s in SPIKE_SITES]
     for i, s in data.draw(st.lists(st.sampled_from(keys), unique=True), label="scaled"):
-        m.blocks[i].sites[s] = threshold_scale(m.blocks[i].sites[s])
+        m.blocks[i].sites[s] = m.blocks[i].sites[s].threshold_scale()
     snn = m.forward(x).data
     p = tmp_path / "rt.ckpt"
     save_checkpoint(str(p), m)
