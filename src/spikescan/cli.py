@@ -117,8 +117,6 @@ def cmd_train(args) -> int:
           f"({ds.values.shape[0]} rows, {ds.values.shape[1]} variables)")
 
     model = ForecastModel.build(mc, seed=tc.seed)
-    model.calibrate(splits.x_train[:512])
-
     res = train(model, splits.x_train, splits.y_train, splits.x_val, splits.y_val, tc)
     print(f"trained {res.epochs_run} epochs; best val mse {res.best_val:.6f} at epoch {res.best_epoch}")
     norm = {"mean": splits.mean.tolist(), "std": splits.std.tolist()}

@@ -192,6 +192,7 @@ def make_windows(ds: SeriesDataset, history: int, horizon: int,
     chronological order; leftover windows at the end are dropped.  Pass
     ``stats`` to normalize with externally fixed mean/std (model reuse);
     otherwise the statistics come from the rows the training windows cover.
+    A row an input window reads whose normalized squares overflow is refused.
     """
     rows, width = ds.values.shape
     M = window_count(rows, history, horizon)
@@ -210,7 +211,17 @@ def make_windows(ds: SeriesDataset, history: int, horizon: int,
         mean, std = normalization_stats(ds.values, n_tr + history + horizon - 1)
     else:
         mean, std = (np.asarray(s, dtype=np.float64) for s in stats)
-    z = (ds.values - mean) / std
+    starts = n_tr + n_va + n_te  # the window starting at row s reads rows s .. s + history - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        z = (ds.values - mean) / std
+        read = z[:starts + history - 1 if starts else 0]
+        big = read.size and max(read.max(), -read.min())  # the largest |z| read: a row's squares sum to <= width big**2
+        finite = big * big * width <= 1e300 or np.isfinite(np.add.reduce(read * read, axis=1))  # summed as rmsnorm does
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        j = int(np.abs(z[i]).argmax())
+        raise ValueError(f"cell {float(ds.values[i, j])!r} at row {i}, column {j} is too large: "
+                         "the row's normalized squares do not sum to a finite float64")
 
     win = np.lib.stride_tricks.sliding_window_view(z, history + horizon, axis=0)
     win = win.transpose(0, 2, 1)  # [M, history+horizon, width]

@@ -53,7 +53,6 @@ history positions to the forecast horizon per variable.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import typing
@@ -563,14 +562,11 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
         qh = q["h"]
         shape = (u.shape[1], u.shape[0]) + A.shape  # [L, B, dh, n], time-major as the scan runs
         if calibrate and not qh.initialized:
-            # h feeds back into itself: fit it on the states of a scan that leaves them unencoded,
-            # each copied out of its reused slot into one sequence, which the fit then consumes
-            states, steps = np.empty(shape), itertools.count()
-            selective_scan(*args, lambda h: np.copyto(states[next(steps)], h), smooth)
-            filled = next(steps)
-            if filled:  # a scan that never calls its hook leaves h to the model's check
-                qh.calibrate(states[:filled])
-            del states
+            # h feeds back into itself: fit it on an unencoded scan's states, each copied out of its reused slot
+            states = np.empty(shape)  # a row a step: the hook runs once per step, and history is at least 1
+            selective_scan(*args, lambda h, rows=iter(states): np.copyto(next(rows), h), smooth)
+            qh.calibrate(states)
+            del states  # freed before the encoding scan allocates
         grid = qh.grid()
         if nm.active_tape() is None:  # calibration or the untaped surrogate: no backward to keep for
             return nm.Tensor(selective_scan(
@@ -657,20 +653,13 @@ class ForecastModel:
         return all(b.quantizers[s].initialized for b in self.blocks for s in QUANT_SITES)
 
     def calibrate(self, x: np.ndarray) -> None:
-        """Initialize every quantizer step size in one forward pass over ``x``.
-
-        Each block runs once with ``calibrate``.  Sites are reached in forward
-        order, so each fits its step size to the activations it will actually
-        see, every site upstream of it already quantizing.
-        """
+        """Initialize every quantizer step size in one forward pass over ``x``: each block runs once
+        with ``calibrate`` (``block_forward_ann``, which fits its sites in forward order)."""
         h = self._windows(x, "calibrate")
         if h.shape[0] == 0:  # every step size would be the mean of nothing, NaN
             raise ValueError("calibrate: expected at least one window, got 0")
         for blk in self.blocks:
             h = block_forward_ann(h, blk, self.cfg, calibrate=True)
-        for q in (blk.quantizers[s] for blk in self.blocks for s in QUANT_SITES):
-            if not q.initialized:
-                raise RuntimeError(f"calibration: quantizer {q.name} collected no values")
 
     def clamp_steps(self) -> None:
         """Keep every quantizer step size positive after an optimizer update."""

@@ -25,6 +25,7 @@ from .ssm import QUANT_SITES, SPIKE_SITES, ForecastModel, ModelConfig
 
 CHECKPOINT_MAGIC = b"SPKY"
 CHECKPOINT_VERSION = 1
+CALIBRATION_WINDOWS = 512  # the training windows, from the first, that ``train`` calibrates a fresh model on
 
 
 @dataclass
@@ -146,13 +147,13 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
     patience counter and snapshots the parameters; after ``patience``
     consecutive epochs without such an improvement training stops and the
     snapshot is restored.  With an empty validation set the training loss
-    is monitored instead.  Fully deterministic for a given seed.  A
-    non-finite training-step loss raises ``ValueError`` naming the epoch,
-    the step and the first non-finite parameter.
+    is monitored instead.  A fresh model is first calibrated on ``x_train[:CALIBRATION_WINDOWS]``.
+    Fully deterministic for a given seed.  A non-finite training-step loss
+    raises ``ValueError`` naming the epoch, the step and the first non-finite parameter.
     """
     cfg = cfg or TrainConfig()
     if hasattr(model, "calibrated") and not model.calibrated():
-        model.calibrate(x_train)  # which refuses no windows itself
+        model.calibrate(x_train[:CALIBRATION_WINDOWS])  # which refuses no windows itself
     if x_train.shape[0] == 0:  # every epoch would run no step and report a loss of 0.0
         raise ValueError("train: expected at least one training window, got 0")
     params = model.parameters()

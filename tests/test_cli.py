@@ -303,18 +303,40 @@ def test_eval_names_the_csv_whose_targets_are_constant(work):
     assert f"error: {work / 'flat.csv'}: targets are constant; relative metrics are undefined" in p.stderr
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")  # the forward's rmsnorm
 def test_eval_names_the_csv_whose_sums_of_squares_overflow(work, capsys):
     """One finite cell of 1e308 overflows the sums of squares: eval printed ``R2 = nan   RRSE = nan`` and
-    exited 0."""
+    exited 0.  The cell is in the last row, which only targets read."""
     values = make_coupled_sinusoids(n_steps=60, seed=1).values
-    values[30, 0] = 1e308
+    values[-1, 0] = 1e308
     write_csv(str(work / "huge.csv"), values, ["s1", "s2"])
     assert cli.main(["eval", "--model", str(work / "snn.ckpt"), "--data", str(work / "huge.csv"),
                      "--has-header"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {work / 'huge.csv'}: sums of squares are not finite; relative metrics are undefined\n"
+
+
+@pytest.mark.parametrize("command, ckpt, extra", [
+    ("forecast", "ann.ckpt", ("--out", "fc.csv")),
+    ("forecast", "snn.ckpt", ("--out", "fc.csv")),
+    ("plot-data", "snn.ckpt", ("--out", "pd.csv")),
+    ("energy", "snn.ckpt", ("--table", "energy.cfg")),
+    ("eval", "snn.ckpt", ()),
+])
+def test_a_cell_that_overflows_the_forward_is_named(work, capsys, command, ckpt, extra):
+    """A finite cell of 1e308 in a row the input windows read overflowed block 0's rmsnorm: forecast,
+    plot-data and energy exited 0 with values near +-3.3e307 and numpy's overflow warning, and eval
+    refused only the metrics.  Each now refuses the CSV, naming the cell's row and column."""
+    values = make_coupled_sinusoids(n_steps=260, seed=1).values
+    values[100, 1] = 1e308
+    write_csv(str(work / "huge_row.csv"), values, ["s1", "s2"])
+    files = [extra[0], str(work / extra[1])] if extra else []
+    assert cli.main([command, "--model", str(work / ckpt), "--data", str(work / "huge_row.csv"), "--has-header",
+                     *files]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {work / 'huge_row.csv'}: cell 1e+308 at row 100, column 1 is too large: "
+                   "the row's normalized squares do not sum to a finite float64\n")
 
 
 def test_forecast_covers_every_window(work):
@@ -443,6 +465,18 @@ def test_config_syntax_errors_carry_line_numbers(work):
             "--history", "8", "--horizon", "2",
             "--config", str(work / "syntax.cfg"), "--out", str(work / "t.ckpt"), expect=2)
     assert ":2:" in p.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("d_hidden = 6\nd_hidden 8\n", "2: expected 'key = value', got 'd_hidden 8'"),
+    ("d_hidden = 6\nlr = fast\n", "2: key 'lr' expects float, got 'fast'"),
+])
+def test_load_config_names_the_line_of_a_bad_pair(tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ValueError) as e:
+        cli.load_config(str(cfg), {**cli.MODEL_KEYS, **cli.TRAIN_KEYS})
+    assert str(e.value) == f"{cfg}:{message}"
 
 
 def config_command(work, command, cfg, *extra) -> int:

@@ -101,6 +101,25 @@ def test_empty_train_split_without_stats_is_an_error():
         make_windows(series(15), 3, 1, split=(0.0, 0.0, 1.0))
 
 
+def test_a_row_whose_normalized_squares_overflow_is_named():
+    """A finite cell whose row's normalized squares overflow reached the forward, whose rmsnorm warned
+    and forecast values near +-3e307; the windowing now refuses the row, unless only targets read it."""
+    ds = series(15, width=2)
+    stats = (np.zeros(2), np.ones(2))
+    ds.values[5, 1] = 1e200
+    with pytest.raises(ValueError, match=r"^cell 1e\+200 at row 5, column 1 is too large: the row's normalized "
+                                         "squares do not sum to a finite float64$"):
+        make_windows(ds, 3, 1, split=(1.0, 0.0, 0.0), stats=stats)
+    ds.values[5] = 1.3e154, -1.2e154  # each square is finite, their sum is not
+    with pytest.raises(ValueError, match=r"^cell 1\.3e\+154 at row 5, column 0 is too large"):
+        make_windows(ds, 3, 1, split=(1.0, 0.0, 0.0), stats=stats)
+    ds.values[5] = 1e152, 0.0  # a finite sum, though past the bound under which no row is summed
+    assert make_windows(ds, 3, 1, split=(1.0, 0.0, 0.0), stats=stats).x_train[5, 0, 0] == 1e152
+    ds.values[5] = 0.0
+    ds.values[14, 0] = 1e200  # the last row, which only the last target reads
+    assert make_windows(ds, 3, 1, split=(1.0, 0.0, 0.0), stats=stats).y_train[-1, 0, 0] == 1e200
+
+
 def test_denormalize_inverts_normalization():
     ds = series(30, width=3, seed=4)
     w = make_windows(ds, 5, 2)
@@ -378,6 +397,11 @@ def test_write_csv_bytes_match_the_per_element_rule(tmp_path, values, columns, e
 def test_dataset_requires_2d_values():
     with pytest.raises(ValueError):
         SeriesDataset(values=np.zeros(5), columns=["a"])
+
+
+def test_dataset_requires_one_name_per_column():
+    with pytest.raises(ValueError, match="^1 column names for 2 variables$"):
+        SeriesDataset(values=np.zeros((5, 2)), columns=["a"])
 
 
 # --- synthetic generator ----------------------------------------------------------

@@ -76,6 +76,20 @@ def test_linear_shape_error_names_both_shapes():
     assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
 
 
+def test_linear_refuses_a_bias_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^linear: bias shape \(4,\) does not match weight shape \(3, 5\)$"):
+        nm.linear(nm.tensor(np.zeros((2, 3))), nm.tensor(np.zeros((3, 5))), nm.tensor(np.zeros(4)))
+
+
+@pytest.mark.parametrize("x_shape, k_shape, message", [
+    ((4, 3), (3, 2), r"^depthwise_conv1d: expected \[B, L, D\] input, got shape \(4, 3\)$"),
+    ((2, 4, 3), (2, 2), r"^depthwise_conv1d: kernel shape \(2, 2\) does not match input shape \(2, 4, 3\)$"),
+])
+def test_depthwise_conv_refuses_mismatched_shapes(x_shape, k_shape, message):
+    with pytest.raises(ValueError, match=message):
+        nm.depthwise_conv1d(nm.tensor(np.zeros(x_shape)), nm.tensor(np.zeros(k_shape)))
+
+
 def brute_causal_depthwise(x, k):
     B, L, D = x.shape
     K = k.shape[1]
@@ -158,6 +172,16 @@ def test_rmsnorm_gradient_and_scale_invariance():
     a = nm.rmsnorm(nm.tensor(x), nm.tensor(g), 0.0).data
     b = nm.rmsnorm(nm.tensor(7.0 * x), nm.tensor(g), 0.0).data
     assert np.max(np.abs(a - b)) < 1e-10
+
+
+def test_rmsnorm_refuses_a_gain_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^rmsnorm: gain shape \(2,\) does not match input shape \(2, 4, 3\)$"):
+        nm.rmsnorm(nm.tensor(np.ones((2, 4, 3))), nm.tensor(np.ones(2)))
+
+
+def test_split_last_refuses_sizes_that_miss_the_last_axis():
+    with pytest.raises(ValueError, match=r"^split_last: sizes \(2, 3\) do not sum to last axis of \(2, 6\)$"):
+        nm.split_last(nm.tensor(np.zeros((2, 6))), [2, 3])
 
 
 def test_reshape_permute_split_stack_take():

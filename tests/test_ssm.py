@@ -345,14 +345,39 @@ def test_forward_names_the_first_non_finite_window():
             m.forward(xb)
 
 
-def test_calibration_rejects_a_site_that_collected_nothing(monkeypatch):
-    """A site the forward never reaches fails calibration instead of getting a made-up step."""
-    scan = ssm.selective_scan
-    monkeypatch.setattr(ssm, "selective_scan", lambda step, A, B_seq, C_seq, D, u, encode_h=None, smooth=False,
-                        keep=None: scan(step, A, B_seq, C_seq, D, u, None, smooth, keep))  # h is never encoded
-    m = ForecastModel.build(small_cfg(), seed=0)
-    with pytest.raises(RuntimeError, match="block0.h"):
-        m.calibrate(np.random.default_rng(0).normal(size=(4, 10, 2)))
+def test_calibration_fits_h_on_one_state_per_step(monkeypatch):
+    """Every scan calls its hook once per step, so the collecting scan fills each row of its
+    [L, B, dh, n] buffer and the ``h`` fit reads them all: no site is left without values."""
+    cfg = small_cfg(blocks=2)
+    hooked, fitted = [], {}
+    scan, fit = ssm.selective_scan, Quantizer.calibrate
+
+    def counting_scan(step, A, B_seq, C_seq, D, u, encode_h=None, smooth=False, keep=None):
+        hooked.append(0)
+
+        def hook(h):
+            hooked[-1] += 1
+            encode_h(h)
+
+        return scan(step, A, B_seq, C_seq, D, u, hook, smooth, keep)
+
+    def recording_fit(q, x):
+        fitted[q.name] = np.shape(x)
+        fit(q, x)
+
+    monkeypatch.setattr(ssm, "selective_scan", counting_scan)
+    monkeypatch.setattr(Quantizer, "calibrate", recording_fit)
+    m = ForecastModel.build(cfg, seed=0)
+    m.calibrate(np.random.default_rng(0).normal(size=(4, cfg.history, cfg.d_value)))
+    assert hooked == [cfg.history] * 2 * cfg.blocks  # per block: the collecting scan, then the encoding one
+    assert all(fitted[f"block{i}.h"] == (cfg.history, 4, cfg.d_hidden, cfg.state_size) for i in range(cfg.blocks))
+    assert m.calibrated()
+
+
+def test_the_spiking_block_forward_needs_a_converted_block():
+    m, x = calibrated_model()
+    with pytest.raises(RuntimeError, match="^block has no spike sites; convert the model first$"):
+        ssm.block_forward_snn(nm.tensor(x), m.blocks[0], m.cfg)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "shape"])

@@ -15,7 +15,7 @@ from spikescan.dataset import make_coupled_sinusoids, make_windows
 from spikescan.energy import OpCounters
 from spikescan.quantize import ALPHA_FLOOR
 from spikescan.ssm import SPIKE_SITES, ForecastModel, ModelConfig
-from spikescan.train import (Adam, CHECKPOINT_MAGIC, TrainConfig, apply_threshold_scaling,
+from spikescan.train import (Adam, CALIBRATION_WINDOWS, CHECKPOINT_MAGIC, TrainConfig, apply_threshold_scaling,
                              convert_to_snn, load_checkpoint, save_checkpoint, train)
 
 
@@ -367,6 +367,31 @@ def test_train_autocalibrates_uninitialized_models():
     assert m.calibrated()
 
 
+def test_train_calibrates_a_fresh_model_on_the_first_calibration_windows(monkeypatch):
+    """``train`` fitted a fresh model's step sizes on every training window, in one forward whose copy
+    of the scan states grew with the data; it now takes the first ``CALIBRATION_WINDOWS``, as
+    ``spikescan train`` always did, and leaves a model calibrated beforehand as it is."""
+    cfg = small_cfg()
+    x, y = make_data(n=CALIBRATION_WINDOWS + 40, cfg=cfg)
+    seen = []
+    calibrate = ForecastModel.calibrate
+
+    def recording_calibrate(model, windows):
+        seen.append(windows.copy())
+        calibrate(model, windows)
+
+    monkeypatch.setattr(ForecastModel, "calibrate", recording_calibrate)
+    tc = TrainConfig(max_epochs=1, batch_size=256)
+    fresh = ForecastModel.build(cfg, seed=2)
+    train(fresh, x, y, x[:0], y[:0], tc)
+    assert len(seen) == 1 and np.array_equal(seen[0], x[:CALIBRATION_WINDOWS])
+    ahead = ForecastModel.build(cfg, seed=2)
+    ahead.calibrate(x[:CALIBRATION_WINDOWS])
+    train(ahead, x, y, x[:0], y[:0], tc)
+    assert len(seen) == 2  # the explicit call only
+    assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(fresh.parameters(), ahead.parameters()))
+
+
 def test_convert_requires_calibration():
     m = ForecastModel.build(small_cfg(), seed=0)
     with pytest.raises(RuntimeError) as e:
@@ -487,6 +512,18 @@ def test_threshold_scaling_refuses_an_empty_probe_or_verification_set(kind):
     assert scaled_sites(m) == []
 
 
+def test_threshold_scaling_changes_nothing_when_no_site_can_collapse():
+    """At 1 bit every site's window is one spike (T = 1), which no rewrite can shorten."""
+    cfg = small_cfg(bits=1)
+    x, _ = make_data(cfg=cfg)
+    m = ForecastModel.build(cfg, seed=0)
+    m.calibrate(x)
+    convert_to_snn(m)
+    before = [dict(blk.sites) for blk in m.blocks]
+    assert apply_threshold_scaling(m, x) == []
+    assert all(blk.sites[s] is site for blk, sites in zip(m.blocks, before) for s, site in sites.items())
+
+
 def trained_snn(tmp_path, scale=False):
     cfg = small_cfg()
     x, y = make_data(cfg=cfg)
@@ -583,6 +620,13 @@ def test_loading_converts_through_convert_to_snn(tmp_path, monkeypatch):
         assert calls == [m2]
         assert scaled_sites(m2) == scaled_sites(m)
         assert bool(scaled_sites(m2)) == scale
+
+
+def test_an_uncalibrated_model_is_not_saved(tmp_path):
+    path = tmp_path / "fresh.ckpt"
+    with pytest.raises(RuntimeError, match="^quantizer block0.x_in has no calibrated step size$"):
+        save_checkpoint(str(path), ForecastModel.build(small_cfg(), seed=0))
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
