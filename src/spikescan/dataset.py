@@ -169,10 +169,18 @@ def window_count(rows: int, history: int, horizon: int) -> int:
 
 
 def normalization_stats(values: np.ndarray, train_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-variable mean/std over the first ``train_rows`` rows; std floored."""
+    """Per-variable mean/std over the first ``train_rows`` rows; std floored.  A column whose mean or std
+    is not a finite float64 is refused, naming its cell of largest magnitude among those rows."""
     seg = values[:train_rows]
-    mean = seg.mean(axis=0)
-    std = np.maximum(seg.std(axis=0), 1e-8)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean = seg.mean(axis=0)
+        std = np.maximum(seg.std(axis=0), 1e-8)
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        i = int(np.abs(seg[:, j]).argmax())
+        raise ValueError(f"cell {float(values[i, j])!r} at row {i}, column {j} is too large: "
+                         "its column's mean or standard deviation over the training rows is not a finite float64")
     return mean, std
 
 

@@ -28,12 +28,13 @@ make the same reads bit for bit (a threshold-scaled site, the grid's
 ``CodeGrid.threshold_scale``, only while it saturates); ``x_res`` and ``delta_int``
 stay quantizers in both.  A read writes the values into the drive itself,
 so a site's or activation's output is its input array, and the state's its
-slot; the block unwraps its input once and wraps its output once.  Tensors belong to the tape: training, its
-``smooth`` surrogate and calibration run the same body on the Tensor
-primitives, each site one ``quantize`` op, which records nothing off the tape;
-calibration fits each site's step size to a copy of its drive, and the
-``h`` site's to one buffer of the states of a scan that leaves them
-unencoded, which the fit consumes in place.
+slot; the block unwraps its input once and wraps its output once.  Calibration
+runs that array body too, where a site with no step size first fits one to a
+copy of its drive, and the ``h`` site to the states of an extra scan that
+leaves them unencoded, handed to its fit a step at a time (``StepSizeFit``).
+Tensors belong to the tape: training and its ``smooth`` surrogate run the same
+body on the Tensor primitives, each site one ``quantize`` op, which records
+nothing off the tape.
 The recurrence runs in ``selective_scan``,
 the one loop over time, which decays the state by shifting it by its int32
 exponents (``exp2`` and a multiply only under ``smooth``, whose exponents
@@ -66,8 +67,8 @@ from . import numerics as nm
 from .activations import (LN2, pow2_silu, pow2_silu_grad, pow2_silu_t, pow2_softplus, pow2_softplus_grad,
                           pow2_softplus_t)
 from .fields import AT_LEAST_1, POSITIVE, check_fields
-from .quantize import (ALPHA_FLOOR, CodeGrid, Quantizer, clip_inplace, clip_mask, lsq_terms, pass_through,
-                       quantize, quantize_codes, quantize_with_context)
+from .quantize import (ALPHA_FLOOR, CodeGrid, Quantizer, StepSizeFit, clip_inplace, clip_mask, lsq_terms,
+                       pass_through, quantize, quantize_codes, quantize_with_context)
 
 # pow2_shift(v, e, out=None): the shift v * 2**e of float64 ``v`` by int32 exponents ``e``, the
 # ldexp ufunc itself, so a call adds no Python frame.  It is exact: bit for bit ``v * np.exp2(e)``
@@ -348,10 +349,15 @@ def _block(x, p: BlockParams, cfg: ModelConfig, sites=None, counters=None, tag: 
     ``sites[name]`` (its quantizer's grid, or a threshold-scaled one), the
     gate and the step's softplus through their quantizers' grids and the state
     through ``sites["h"]`` at every step, each by ``CodeGrid.read`` into its
-    dead drive.  ``counters``, unless ``None``, observes each read's codes and
-    gets each layer's op tally right after the layer.  With ``hooks``, the
-    real-arithmetic forward's ``(encode, apply, scan)`` for the Tensor
-    primitives a tape records, ``x`` is a Tensor: ``encode(name, t)`` returns
+    dead drive.  Without ``sites`` the block calibrates: each quantizer reads
+    its own grid, and one with no step size first fits one
+    (``Quantizer.calibrate``) to a copy of its drive, the ``h`` site to the
+    states of an extra scan that leaves them unencoded (``StepSizeFit``, a
+    part per step); sites are reached in forward order, so each step size is
+    fit to the values it will see.  ``counters``, unless ``None``, observes
+    each read's codes and gets each layer's op tally right after the layer.
+    With ``hooks``, the real-arithmetic forward's ``(encode, apply, scan)``
+    for the Tensor primitives a tape records, ``x`` is a Tensor: ``encode(name, t)`` returns
     site ``name``'s values and ``None``, ``apply(name, t, fn, fn_grad)`` the
     activation ``fn`` (derivative ``fn_grad``) of quantizer ``name``'s values
     of ``t``, and ``scan(step, A, B_seq, C_seq, D, u, u_spikes)`` the readout.
@@ -381,16 +387,31 @@ def _block(x, p: BlockParams, cfg: ModelConfig, sites=None, counters=None, tag: 
                 spikes = int(counts.sum())
             return spikes
 
+        def fitted(name, drive):
+            """Calibration's grid of quantizer ``name``, fitted first to a copy of ``drive`` if it has no step size."""
+            q = p.quantizers[name]
+            if not q.initialized:
+                q.calibrate(drive.copy())  # calibrate consumes its values; the drive is read next
+            return q.grid()
+
         def encode(name, t):
-            site = sites[name]
+            site = sites[name] if sites is not None else fitted(name, t)
             observe = None if counters is None else functools.partial(count, site, f"{tag}.{name}")
             return t, site.read(t, observe=observe)
 
         def apply(name, t, fn, fn_grad):
-            p.quantizers[name].grid().read(t, fn)
+            (p.quantizers[name].grid() if sites is not None else fitted(name, t)).read(t, fn)
             return t
 
         def scan(step, A, B_seq, C_seq, D, u, u_spikes):
+            if sites is None:  # calibration: h feeds back into itself, so it fits on an unencoded scan's states
+                qh = p.quantizers["h"]
+                if not qh.initialized:
+                    fit = StepSizeFit(qh, u.size * A.shape[1])  # [L, B, dh, n] entries, a part per step
+                    selective_scan(step, A, B_seq, C_seq, D, u, fit.add)
+                    fit.finish()
+                    del fit  # its buffer freed before the encoding scan allocates
+                return selective_scan(step, A, B_seq, C_seq, D, u, qh.grid().read)
             if counters is None:
                 return selective_scan(step, A, B_seq, C_seq, D, u, sites["h"].read)
             spikes = [0]  # per step, the state's spikes; it starts at 0 with none
@@ -523,54 +544,36 @@ def _step_sums(products: np.ndarray) -> float:
     return total
 
 
-def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig,
-                      smooth: bool = False, calibrate: bool = False) -> nm.Tensor:
+def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, smooth: bool = False) -> nm.Tensor:
     """Real-arithmetic forward of one block, a Tensor in and a Tensor out.
 
-    Off the tape, with neither ``smooth`` nor ``calibrate``, it runs the
-    spiking forward's array block, each site reading its quantizer's grid,
-    the very grid a converted block's spike site is.  Otherwise
-    every site, the gate and the step's softplus included, is one ``quantize``
-    op on Tensors, which an active tape records; ``smooth`` leaves the codes
-    unrounded (the finite-difference surrogate of the taped forward).  On the
-    tape the scan is one op and keeps what its backward reads in one of the
-    block's spare buffer sets (``ScanKeep``); off it the scan codes and
-    decodes the state in its slot.
-
-    With ``calibrate`` a site that has no step size yet first fits one to the
-    values arriving at it (``Quantizer.calibrate``, which consumes them: a
-    site drive is handed over as a copy), then quantizes as usual.  The
-    ``h`` site fits on the states of an extra scan that leaves them
-    unencoded, written into one time-major [L, B, dh, n] buffer the fit then
-    consumes.  Sites are reached in forward order, so every site upstream already
-    quantizes and each step size is fit to the values it will actually see.
+    Off the tape, without ``smooth``, it runs the spiking forward's array
+    block, each site reading its quantizer's grid, the very grid a converted
+    block's spike site is.  Otherwise every site, the gate and the step's
+    softplus included, is one ``quantize`` op on Tensors, which an active tape
+    records; ``smooth`` leaves the codes unrounded (the finite-difference
+    surrogate of the taped forward).  On the tape the scan is one op and keeps
+    what its backward reads in one of the block's spare buffer sets
+    (``ScanKeep``); off it the scan codes and decodes the state in its slot.
     """
     q = p.quantizers
-    if not (smooth or calibrate) and nm.active_tape() is None:
+    if not smooth and nm.active_tape() is None:
         return nm.Tensor(_block(x.data, p, cfg, {s: q[s].grid() for s in SPIKE_SITES}))
 
-    def encode(name, t, fn=None, fn_grad=None):
-        if calibrate and not q[name].initialized:
-            q[name].calibrate(t.data.copy())  # calibrate consumes its values; the drive is read below
-        return quantize(t, q[name], smooth, fn, fn_grad), None
+    def encode(name, t):
+        return quantize(t, q[name], smooth), None
 
     def apply(name, t, fn, fn_grad):
-        return encode(name, t, fn, fn_grad)[0]
+        return quantize(t, q[name], smooth, fn, fn_grad)
 
     def scan(step, A, B_seq, C_seq, D, u, u_spikes):
         args = tuple(a.data for a in (step, A, B_seq, C_seq, D, u))
         qh = q["h"]
-        shape = (u.shape[1], u.shape[0]) + A.shape  # [L, B, dh, n], time-major as the scan runs
-        if calibrate and not qh.initialized:
-            # h feeds back into itself: fit it on an unencoded scan's states, each copied out of its reused slot
-            states = np.empty(shape)  # a row a step: the hook runs once per step, and history is at least 1
-            selective_scan(*args, lambda h, rows=iter(states): np.copyto(next(rows), h), smooth)
-            qh.calibrate(states)
-            del states  # freed before the encoding scan allocates
         grid = qh.grid()
-        if nm.active_tape() is None:  # calibration or the untaped surrogate: no backward to keep for
+        if nm.active_tape() is None:  # the untaped surrogate: no backward to keep for
             return nm.Tensor(selective_scan(
                 *args, lambda h: grid.decode(quantize_codes(h, qh, smooth, h)[1], out=h), smooth))
+        shape = (u.shape[1], u.shape[0]) + A.shape  # [L, B, dh, n], time-major as the scan runs
         spares = p.scan_keeps.setdefault(shape, [])
         kept = spares.pop() if spares else ScanKeep(shape)
         slots = zip(kept.v, kept.codes)  # each step's own, in step order
@@ -653,13 +656,13 @@ class ForecastModel:
         return all(b.quantizers[s].initialized for b in self.blocks for s in QUANT_SITES)
 
     def calibrate(self, x: np.ndarray) -> None:
-        """Initialize every quantizer step size in one forward pass over ``x``: each block runs once
-        with ``calibrate`` (``block_forward_ann``, which fits its sites in forward order)."""
-        h = self._windows(x, "calibrate")
+        """Initialize every quantizer step size in one forward pass over ``x``: each block runs its
+        array body once without sites (``_block``, which fits its sites in forward order)."""
+        h = self._windows(x, "calibrate").data
         if h.shape[0] == 0:  # every step size would be the mean of nothing, NaN
             raise ValueError("calibrate: expected at least one window, got 0")
         for blk in self.blocks:
-            h = block_forward_ann(h, blk, self.cfg, calibrate=True)
+            h = _block(h, blk, self.cfg)
 
     def clamp_steps(self) -> None:
         """Keep every quantizer step size positive after an optimizer update."""

@@ -530,6 +530,25 @@ def test_a_bad_split_in_a_train_config_names_the_config(work, capsys):
                    "got (0.7, -0.1, 0.2)\n")
 
 
+@pytest.mark.parametrize("cell", [1e200, 1e308])
+def test_a_training_cell_that_overflows_the_statistics_is_a_usage_error(work, capsys, cell):
+    """With a training cell of 1e200, ``train`` printed numpy's overflow warning, trained on a column
+    whose std was inf, every normalized value in it 0, saved a checkpoint and exited 0."""
+    values = make_coupled_sinusoids(n_steps=260, seed=1).values
+    values[100, 1] = cell
+    data = work / "huge_train_cell.csv"
+    write_csv(str(data), values, ["s1", "s2"])
+    cfg = work / "huge_train_cell.cfg"
+    cfg.write_text("d_hidden = 4\nstate_size = 2\nmax_epochs = 2\n")
+    out_path = work / "huge_train_cell.ckpt"
+    assert cli.main(["train", "--data", str(data), "--has-header", "--history", str(HISTORY), "--horizon",
+                     str(HORIZON), "--config", str(cfg), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not out_path.exists()
+    assert err == (f"error: {data}: cell {cell!r} at row 100, column 1 is too large: its column's mean or "
+                   "standard deviation over the training rows is not a finite float64\n")
+
+
 def test_energy_compare_refuses_a_table_that_prices_the_dense_path_at_zero(work, capsys):
     """An all-zero table prices a profile, but its dense path costs 0 J: ``--compare`` printed
     ``ratio (snn/ann): inf`` and ``reduction: -inf%`` and exited 0."""

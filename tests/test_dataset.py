@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ def test_a_row_whose_normalized_squares_overflow_is_named():
     ds.values[5] = 0.0
     ds.values[14, 0] = 1e200  # the last row, which only the last target reads
     assert make_windows(ds, 3, 1, split=(1.0, 0.0, 0.0), stats=stats).y_train[-1, 0, 0] == 1e200
+
+
+@pytest.mark.parametrize("cell", [1e200, 1e308, -1e200])
+def test_a_training_cell_that_overflows_the_statistics_is_named(cell):
+    """A training cell of 1e200 overflowed the square in the std with numpy's warning, and its column's
+    std turned inf, every normalized value in it 0; the windowing now refuses the cell of largest
+    magnitude in that column's training rows, as it refuses a row whose squares overflow."""
+    ds = make_coupled_sinusoids(260, seed=1)
+    ds.values[100, 1] = cell
+    ds.values[90, 1] = cell / 2  # also too large, but not the largest
+    message = (f"^cell {re.escape(repr(cell))} at row 100, column 1 is too large: its column's mean or standard "
+               "deviation over the training rows is not a finite float64$")
+    with pytest.raises(ValueError, match=message):
+        make_windows(ds, 8, 2)
+    with pytest.raises(ValueError, match=message):
+        normalization_stats(ds.values, 184)
+    mean, std = normalization_stats(ds.values, 90)  # rows before either cell
+    assert np.isfinite(mean).all() and np.isfinite(std).all()
 
 
 def test_denormalize_inverts_normalization():

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import spikescan.numerics as nm
 import spikescan.quantize as quantize_mod
-from spikescan.quantize import (ALPHA_FLOOR, Quantizer, clip_inplace, floor_with_snap, init_step_size,
-                                quantize, quantize_with_context, round_half_up,
+from spikescan.quantize import (ALPHA_FLOOR, Quantizer, StepSizeFit, clip_inplace, floor_with_snap,
+                                init_step_size, quantize, quantize_with_context, round_half_up,
                                 ste_backward)
 from spikescan.ssm import EXP_HI, EXP_LO, QUANT_SITES, ForecastModel, ModelConfig
 from spikescan.train import _quantizer_record, _read_quantizer
@@ -99,6 +99,33 @@ def test_calibration_consumes_its_values_and_fits_the_copy_based_rule(values, be
     assert q.alpha.data.tobytes() == want.tobytes() and q.beta.data.tobytes() == np.float64(beta).tobytes()
     left = shifted if (shifted >= 0.5).any() else np.abs(shifted)
     assert x.ravel().tobytes() == left.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(st.sampled_from(STEP_SIZE_EDGES), st.floats(-3.0, 3.0)), min_size=1, max_size=48),
+       width=st.integers(1, 6), beta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)))
+@example(values=[0.6, 0.1, 0.2, 0.9, -0.3, 0.7], width=3, beta=0.0)  # an entry >= 0.5 in the first part
+@example(values=[0.1, -0.2, -0.0, 0.3, 0.9, 0.6], width=3, beta=-0.0)  # first in a later part
+@example(values=[0.1, -0.2, -0.0, 0.3, 0.4, -0.4], width=3, beta=0.0)  # none: mean |x|
+@example(values=[1.0, 1.2, 0.0, 0.6], width=2, beta=0.5)  # nonzero offsets, the first in a later part
+@example(values=[0.4, 0.2, 0.3, 0.1], width=2, beta=-0.05)
+def test_a_step_size_fit_by_parts_equals_calibrate_on_them_joined(values, width, beta):
+    """``StepSizeFit`` takes the values a part at a time, leaves each part as it was, and sets the step
+    size ``Quantizer.calibrate`` fits on all of them joined, bit for bit in both of the rule's branches,
+    whichever part first reaches 0.5 above the offset, with -0.0 entries and offsets of +-0.0."""
+    width = min(width, len(values))
+    parts = np.array(values[:len(values) // width * width]).reshape(-1, width)
+    q = Quantizer(bits=2, beta=beta, name="parts")
+    fit = StepSizeFit(q, parts.size)
+    for part in parts:
+        before = part.tobytes()
+        fit.add(part)
+        assert part.tobytes() == before
+    fit.finish()
+    whole = Quantizer(bits=2, beta=beta, name="whole")
+    whole.calibrate(parts.copy())
+    assert q.alpha.data.tobytes() == whole.alpha.data.tobytes()
+    assert q.alpha.data.tobytes() == np.float64(step_size_rule(parts.ravel() - beta)).tobytes()
 
 
 EDGE_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 15.5]

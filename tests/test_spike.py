@@ -352,19 +352,30 @@ def test_an_observer_sees_nan_for_a_nan_drive(size, fn, scaled):
     assert got.tobytes() == unobserved.tobytes()
 
 
-def test_search_tables_are_built_on_a_sites_first_small_drive():
-    """Conversion pays nothing for the thresholds and tables; a batch-1 forward builds each site's once."""
+def test_search_tables_are_built_on_a_sites_first_small_drive(monkeypatch):
+    """Calibration reads its small drives through the grids, which builds their thresholds and tables;
+    conversion builds none beyond those, and a batch-1 forward reuses them."""
     cfg = ModelConfig(d_value=2, history=6, horizon=2, d_hidden=4, state_size=2, conv_kernel=2)
     m = ForecastModel.build(cfg, seed=0)
     x = np.random.default_rng(0).normal(size=(8, 6, 2))
-    m.calibrate(x)
+    m.calibrate(x)  # every drive here is at most SEARCH_MAX entries, so every site's read searched
+    grids = [m.blocks[0].quantizers[s].grid() for s in SPIKE_SITES]
+    built = [(vars(g)["_tau"], dict(g._tables)) for g in grids]
+    assert all(set(tables) == {None} for _, tables in built)
+
+    def forbidden(*args):
+        raise AssertionError("a table or thresholds were built again")
+
+    monkeypatch.setattr(CodeGrid, "thresholds", forbidden)
+    monkeypatch.setattr(CodeGrid, "table", forbidden)
     convert_to_snn(m)
     sites = list(m.blocks[0].sites.values())
-    assert all("_tau" not in vars(s) and s._tables == {} for s in sites)
-    m.forward(x[:1])
-    built = [(vars(s)["_tau"], s._tables[None]) for s in sites]
-    m.forward(x[1:2])
-    assert all(vars(s)["_tau"] is tau and s._tables[None] is levels for s, (tau, levels) in zip(sites, built))
+    assert all(s is g for s, g in zip(sites, grids))
+    for forward in (x[:1], x[1:2]):
+        m.forward(forward)
+        for s, (tau, tables) in zip(sites, built):
+            assert vars(s)["_tau"] is tau and s._tables.keys() == tables.keys()
+            assert all(s._tables[fn] is table for fn, table in tables.items())
 
 
 def test_a_spiking_forward_reuses_the_thresholds_and_tables_the_real_arithmetic_one_built(monkeypatch):

@@ -345,33 +345,84 @@ def test_forward_names_the_first_non_finite_window():
             m.forward(xb)
 
 
-def test_calibration_fits_h_on_one_state_per_step(monkeypatch):
-    """Every scan calls its hook once per step, so the collecting scan fills each row of its
-    [L, B, dh, n] buffer and the ``h`` fit reads them all: no site is left without values."""
-    cfg = small_cfg(blocks=2)
-    hooked, fitted = [], {}
-    scan, fit = ssm.selective_scan, Quantizer.calibrate
+def collecting_calibration(monkeypatch, m, x):
+    """Calibrates ``m`` on ``x`` with every scan's hook wrapped; returns, per scan, the states its hook
+    received, each copied before the hook ran (per block: the collecting scan's, then the encoding one's)."""
+    scan, seqs = ssm.selective_scan, []
 
-    def counting_scan(step, A, B_seq, C_seq, D, u, encode_h=None, smooth=False, keep=None):
-        hooked.append(0)
+    def copying_scan(step, A, B_seq, C_seq, D, u, encode_h=None, smooth=False, keep=None):
+        seqs.append([])
 
         def hook(h):
-            hooked[-1] += 1
+            seqs[-1].append(h.copy())
             encode_h(h)
 
         return scan(step, A, B_seq, C_seq, D, u, hook, smooth, keep)
 
-    def recording_fit(q, x):
-        fitted[q.name] = np.shape(x)
-        fit(q, x)
+    monkeypatch.setattr(ssm, "selective_scan", copying_scan)
+    m.calibrate(x)
+    monkeypatch.setattr(ssm, "selective_scan", scan)
+    return seqs
 
-    monkeypatch.setattr(ssm, "selective_scan", counting_scan)
-    monkeypatch.setattr(Quantizer, "calibrate", recording_fit)
+
+def h_fit_on_the_copies(blk, states: list) -> bytes:
+    """The bytes of the ``h`` step size ``Quantizer.calibrate`` fits on the whole copied state sequence."""
+    qh = blk.quantizers["h"]
+    fresh = Quantizer(bits=qh.bits, beta=float(qh.beta.data), rounding=qh.rounding, name="fresh")
+    fresh.calibrate(np.stack(states))  # time-major [L, B, dh, n], as the states arrive
+    return fresh.alpha.data.tobytes()
+
+
+def test_calibration_fits_h_on_one_state_per_step(monkeypatch):
+    """Every scan calls its hook once per step, so the ``h`` fit sees every state of the collecting
+    scan: its step size is ``Quantizer.calibrate``'s on the whole sequence, copied step by step."""
+    cfg = small_cfg(blocks=2)
     m = ForecastModel.build(cfg, seed=0)
-    m.calibrate(np.random.default_rng(0).normal(size=(4, cfg.history, cfg.d_value)))
-    assert hooked == [cfg.history] * 2 * cfg.blocks  # per block: the collecting scan, then the encoding one
-    assert all(fitted[f"block{i}.h"] == (cfg.history, 4, cfg.d_hidden, cfg.state_size) for i in range(cfg.blocks))
+    seqs = collecting_calibration(monkeypatch, m, np.random.default_rng(0).normal(size=(4, cfg.history, cfg.d_value)))
+    # per block: the collecting scan, then the encoding one
+    assert [len(s) for s in seqs] == [cfg.history] * 2 * cfg.blocks
+    assert all(h.shape == (4, cfg.d_hidden, cfg.state_size) for s in seqs for h in s)
+    for i, blk in enumerate(m.blocks):
+        assert blk.quantizers["h"].alpha.data.tobytes() == h_fit_on_the_copies(blk, seqs[2 * i])
     assert m.calibrated()
+
+
+# (first step whose state reaches 0.5 above the offset, offset, scale of the state's B projection): at
+# scale 1 the states of ``small_cfg(conv_kernel=1)`` on these windows peak at 0.196 in step 0, rising
+# to 0.587 in step 5 and 0.782 in step 8
+H_BRANCHES = [(0, 0.0, 3.0), (0, -0.0, 3.0), (0, -0.35, 1.0),
+              (5, 0.0, 1.0), (5, -0.0, 1.0), (8, 0.1, 1.0),
+              (None, 0.0, 0.5), (None, -0.0, 0.5), (None, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("first, beta, scale", H_BRANCHES)
+def test_the_h_fit_streams_each_branch_bit_for_bit(monkeypatch, first, beta, scale):
+    """The ``h`` fit keeps its states' magnitudes only until one reaches 0.5 above the offset, and from
+    there only the entries that do; in each branch, at offsets +0.0, -0.0 and one nonzero, its step size
+    is ``Quantizer.calibrate``'s on the whole state sequence: the mean of the entries >= 0.5 where the
+    first arrives at step 0 or later, the mean magnitude where none does."""
+    cfg = small_cfg(conv_kernel=1)
+    m = ForecastModel.build(cfg, seed=0)
+    blk = m.blocks[0]
+    blk.W.data[:, cfg.delta_rank:cfg.delta_rank + cfg.state_size] *= scale  # the states scale with B
+    blk.quantizers["h"].set_beta(beta)
+    seqs = collecting_calibration(monkeypatch, m, np.random.default_rng(0).normal(size=(4, cfg.history, cfg.d_value)))
+    reached = [t for t, h in enumerate(seqs[0]) if (h - beta >= 0.5).any()]
+    assert (reached[0] if reached else None) == first
+    assert blk.quantizers["h"].alpha.data.tobytes() == h_fit_on_the_copies(blk, seqs[0])
+    assert blk.quantizers["h"].beta.data.tobytes() == np.float64(beta).tobytes()
+
+
+def test_a_fresh_model_of_the_paper_shape_proportions_fits_h_by_the_fallback(monkeypatch):
+    """At the paper-scale probe's proportions (d_value 21, d_hidden 64, state 16, 2 blocks) a fresh
+    model's states stay under 0.5 in both blocks, so each ``h`` fit is the mean magnitude of every state,
+    bit for bit."""
+    cfg = ModelConfig(d_value=21, history=8, horizon=8, d_hidden=64, state_size=16, blocks=2)
+    m = ForecastModel.build(cfg, seed=0)
+    seqs = collecting_calibration(monkeypatch, m, np.random.default_rng(0).normal(size=(4, cfg.history, cfg.d_value)))
+    for i, blk in enumerate(m.blocks):
+        assert not any((h >= 0.5).any() for h in seqs[2 * i])
+        assert blk.quantizers["h"].alpha.data.tobytes() == h_fit_on_the_copies(blk, seqs[2 * i])
 
 
 def test_the_spiking_block_forward_needs_a_converted_block():
@@ -416,8 +467,8 @@ def test_calibration_refuses_no_windows():
 
 def test_calibration_runs_each_block_once(monkeypatch):
     calls = []
-    forward = ssm.block_forward_ann
-    monkeypatch.setattr(ssm, "block_forward_ann", lambda x, p, *a, **kw: calls.append(p) or forward(x, p, *a, **kw))
+    block = ssm._block
+    monkeypatch.setattr(ssm, "_block", lambda x, p, *a, **kw: calls.append(p) or block(x, p, *a, **kw))
     m = ForecastModel.build(small_cfg(blocks=3), seed=0)
     m.calibrate(np.random.default_rng(0).normal(size=(4, 10, 2)))
     assert m.calibrated() and [id(p) for p in calls] == [id(b) for b in m.blocks]

@@ -3,7 +3,10 @@
 import hashlib
 import importlib
 import json
+import platform
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spikescan.numerics as nm
-from spikescan.dataset import make_coupled_sinusoids, make_windows
+from spikescan.dataset import SeriesDataset, make_coupled_sinusoids, make_windows
 from spikescan.energy import OpCounters
 from spikescan.quantize import ALPHA_FLOOR
 from spikescan.ssm import SPIKE_SITES, ForecastModel, ModelConfig
@@ -496,6 +499,30 @@ def test_threshold_scaling_rolls_back_on_a_nan_drift():
     assert scaled_sites(m) == []
 
 
+def test_threshold_scaling_rolls_back_a_drift_between_the_bound_and_1e_3():
+    """The fixture with its head shrunk by 1e-3, scaled on a flat series of 100.0 and verified on an
+    unseen one: its five saturated sites collapse and the forecasts drift by about 9e-5, over the 1e-9
+    bound though under 1e-3, so every site rolls back to the very grid it was."""
+    m, meta = load_checkpoint(str(FIXTURE))
+    m.W_head.data *= 1e-3
+    m.b_head.data *= 1e-3
+    stats = tuple(np.asarray(meta["norm"][k]) for k in ("mean", "std"))
+    flat = make_windows(SeriesDataset(np.full((200, m.cfg.d_value), 100.0)), m.cfg.history, m.cfg.horizon,
+                        (1.0, 0.0, 0.0), stats=stats).x_train[:4]
+    unseen = make_windows(make_coupled_sinusoids(n_steps=600, seed=8675309), m.cfg.history, m.cfg.horizon,
+                          (1.0, 0.0, 0.0), stats=stats).x_train
+    convert_to_snn(m)
+    before = [dict(blk.sites) for blk in m.blocks]
+    baseline = m.forward(unseen).data.copy()
+    assert apply_threshold_scaling(m, flat, verify_x=unseen) == []
+    assert all(blk.sites[s] is site for blk, sites in zip(m.blocks, before) for s, site in sites.items())
+    assert m.forward(unseen).data.tobytes() == baseline.tobytes()
+    for s in ("conv", "delta_raw", "delta", "h", "y"):  # the sites the probe reads saturated
+        m.blocks[0].sites[s] = m.blocks[0].sites[s].threshold_scale()
+    drift = float(np.max(np.abs(m.forward(unseen).data - baseline)))
+    assert 1e-9 < drift < 1e-3, drift
+
+
 @pytest.mark.parametrize("kind", ["probe", "verification"])
 def test_threshold_scaling_refuses_an_empty_probe_or_verification_set(kind):
     """With no verification windows, saturated fixture sites were scaled and then numpy's empty
@@ -949,3 +976,34 @@ def test_spike_sites_round_trip_and_any_other_site_is_refused(tmp_path, bits, bl
         p.write_bytes(with_metadata(raw, change))
         with pytest.raises(ValueError, match=rf"rt\.ckpt: spike site block{i}\.{s}: (\(theta, offset, T\)|window T=)"):
             load_checkpoint(str(p))
+
+
+# Minor page faults per step of a README training epoch, after calibration and a first epoch, in a fresh
+# interpreter: the steps reuse heap memory only while glibc's dynamic mmap threshold sits above their
+# transient arrays, and calibration's ``h`` fit freeing its [L, B, dh, n] buffer (3.1 MB here) is what
+# raises it.  10 a step with that buffer, 716 when the fit kept its parts in arrays of their own.
+SECOND_EPOCH_FAULTS = """
+import resource
+from spikescan.dataset import make_coupled_sinusoids, make_windows
+from spikescan.ssm import ForecastModel, ModelConfig
+from spikescan.train import CALIBRATION_WINDOWS, TrainConfig, train
+
+sp = make_windows(make_coupled_sinusoids(2000, seed=0), 12, 3)
+m = ForecastModel.build(ModelConfig(d_value=2, history=12, horizon=3, conv_kernel=3), seed=0)
+m.calibrate(sp.x_train[:CALIBRATION_WINDOWS])
+tc = TrainConfig(max_epochs=1, patience=1, lr=5e-4, batch_size=64, seed=0)
+train(m, sp.x_train, sp.y_train, sp.x_val, sp.y_val, tc)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(m, sp.x_train, sp.y_train, sp.x_val, sp.y_val, tc)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / -(-sp.x_train.shape[0] // tc.batch_size))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the fault counts follow glibc's malloc")
+def test_a_readme_training_epoch_takes_few_page_faults_a_step():
+    """A README training step runs at about 15 k windows/s only while its arrays reuse the heap; page
+    faulted afresh each step, it slowed by 17 %.  Counted in a fresh interpreter's second epoch."""
+    proc = subprocess.run([sys.executable, "-c", SECOND_EPOCH_FAULTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100, proc.stdout
