@@ -43,9 +43,10 @@ through a per-step hook given the state alone; since ``y`` never feeds back,
 its site encodes the whole readout once.  In training the scan is one
 tape op whose hand-written backward walks the steps in reverse, reading what
 its forward kept: the decay factors, the exponent's straight-through mask
-and the ``h`` site's scaled drives and codes, which it decodes into the
-states, in whole-sequence buffers each block keeps per batch shape across
-steps (``ScanKeep``).  The gate and the step's softplus are each one
+and the ``h`` site's scaled drives and float32 codes, which it decodes into
+the states, in whole-sequence buffers a block reuses across steps, one spare
+set sized for its largest batch, which ``train`` drops when it ends
+(``ScanKeep``).  The gate and the step's softplus are each one
 ``quantize`` op too, reading their values and slopes from their quantizer
 grid's tables.  The model ends in a real-arithmetic head mapping the L
 history positions to the forecast horizon per variable.
@@ -139,6 +140,45 @@ def _make_quantizers(bits: int, prefix: str) -> dict[str, Quantizer]:
     return qs
 
 
+class ScanKeep:
+    """What a taped scan keeps for its backward, time-major [L, B, dh, n] sequences.
+
+    ``abar`` holds the decay factors, ``live`` the exponent's straight-through
+    mask (``EXP_LO <= step * A <= EXP_HI``), and ``v`` and ``codes`` the
+    ``h`` site's scaled drives and codes, the states' only record.  The codes
+    are float32, which holds every code up to ``2**MAX_BITS - 1`` exactly and
+    keeps NaN and -0.0, or float64 under ``smooth``, whose codes are not
+    integers.  The four sequences are views of flat buffers built for one
+    shape: ``fit(shape)`` views their first entries as a shape of no more
+    entries, so a smaller batch, such as an epoch's short last one, takes
+    contiguous prefixes of the same buffers.  A block keeps at most one spare
+    set (``BlockParams.scan_keep``), the largest its backwards put back; a
+    taped scan takes it, or builds one when it is missing or too small, so two
+    pending tapes hold two sets, and a dropped tape's set is collected with it.
+    """
+
+    def __init__(self, shape: tuple[int, ...], smooth: bool = False):
+        size = math.prod(shape)
+        self._flat = (np.empty(size), np.empty(size), np.empty(size, np.float64 if smooth else np.float32),
+                      np.empty(size, bool))
+        self.fit(shape)
+
+    @property
+    def size(self) -> int:
+        """The entries each buffer holds."""
+        return self._flat[0].size
+
+    def holds(self, shape: tuple[int, ...], smooth: bool) -> bool:
+        """Whether the buffers hold a scan of ``shape``, their codes float64 under ``smooth`` and float32 otherwise."""
+        return self._flat[2].dtype == (np.float64 if smooth else np.float32) and self.size >= math.prod(shape)
+
+    def fit(self, shape: tuple[int, ...]) -> "ScanKeep":
+        """Views the buffers' first entries as ``shape``; returns this set."""
+        size = math.prod(shape)
+        self.abar, self.v, self.codes, self.live = (a[:size].reshape(shape) for a in self._flat)
+        return self
+
+
 @dataclass
 class BlockParams:
     """Weights and per-site quantizers of one selective-scan block."""
@@ -156,8 +196,8 @@ class BlockParams:
     b_out: nm.Tensor
     quantizers: dict[str, Quantizer]
     sites: dict[str, CodeGrid] | None = None  # conversion's: each quantizer's grid, or its threshold_scale
-    # per [L, B, dh, n] shape, the spare sets of sequences a taped scan keeps for its backward
-    scan_keeps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the spare set of sequences a taped scan keeps for its backward, sized for the largest batch taped
+    scan_keep: ScanKeep | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -231,22 +271,6 @@ def pow2_round_ste(x: nm.Tensor, smooth: bool = False) -> nm.Tensor:
 
 
 # --- the block ------------------------------------------------------------------
-
-
-class ScanKeep:
-    """What a taped scan keeps for its backward, time-major [L, B, dh, n] sequences.
-
-    ``abar`` holds the decay factors, ``live`` the exponent's straight-through
-    mask (``EXP_LO <= step * A <= EXP_HI``), and ``v`` and ``codes`` the
-    ``h`` site's scaled drives and codes, the states' only record.  A taped
-    scan takes a set from its block's spares (``BlockParams.scan_keeps``), or
-    builds one, and its backward puts the set back: two pending tapes hold
-    two sets, and a dropped tape's set is collected with it.
-    """
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.abar, self.v, self.codes = (np.empty(shape) for _ in range(3))
-        self.live = np.empty(shape, dtype=bool)
 
 
 def selective_scan(step: np.ndarray, A: np.ndarray, B_seq: np.ndarray, C_seq: np.ndarray,
@@ -478,7 +502,16 @@ def _block(x, p: BlockParams, cfg: ModelConfig, sites=None, counters=None, tag: 
     return add(x, z)
 
 
-def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares: list):
+def _take_keep(p: BlockParams, shape: tuple[int, ...], smooth: bool) -> ScanKeep:
+    """Block ``p``'s spare set, fitted to ``shape``, or a new one when it has none that holds the scan."""
+    spare, p.scan_keep = p.scan_keep, None
+    if spare is not None and spare.holds(shape, smooth):
+        return spare.fit(shape)
+    del spare  # a spare too small is freed before its successor is built
+    return ScanKeep(shape, smooth)
+
+
+def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, p: BlockParams):
     """Backward of the taped scan, reading the sequences its forward kept in ``keep``.
 
     Under the straight-through estimator the state gradient runs back through
@@ -487,10 +520,11 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
     one contraction over the whole sequence.  The ``h`` site's mask and LSQ
     terms come from ``ste_backward``'s helpers, and its step-size and offset
     gradients are per-step sums of the same products, added in reverse step
-    order; then the codes are decoded in place into the states, by the grid
-    taken when the op is recorded (an optimizer may write the step size before
-    the replay).  Time-major arrays keep each step's slice contiguous.  The
-    backward puts ``keep`` back on ``spares`` when done.
+    order; then the codes are decoded into the states in ``v``'s buffer, by
+    the grid taken when the op is recorded (an optimizer may write the step
+    size before the replay).  Time-major arrays keep each step's slice
+    contiguous.  When done the backward makes ``keep`` block ``p``'s spare,
+    unless the block holds a larger one.
     """
     grid = q.grid()
 
@@ -514,7 +548,7 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
             accumulate(q.alpha, np.asarray(_step_sums(np.multiply(per_entry, g_pre, out=per_entry))))
         if q.beta.trainable:
             accumulate(q.beta, np.asarray(_step_sums(np.multiply(g_pre, clipped, out=v))))
-        hs = grid.decode(keep.codes, out=keep.codes)  # the encoded states
+        hs = grid.decode(keep.codes, out=v)  # the encoded states, exact from float32 codes
         pass_through(g_pre, passed, out=g_pre)
         g_bu = np.matmul(g_pre, Bs[..., None])[..., 0]  # through (step_t * B_t) * u_t
         accumulate(B_seq, np.matmul((st * us)[:, :, None, :], g_pre)[:, :, 0].swapaxes(0, 1))
@@ -530,7 +564,8 @@ def _scan_vjp(step, A, B_seq, C_seq, D, u, q: Quantizer, keep: ScanKeep, spares:
         g_step[1:] += LN2 * np.einsum("lbdn,dn->lbd", g_x, A.data)
         accumulate(step, g_step.swapaxes(0, 1))
         accumulate(A, LN2 * np.einsum("lbdn,lbd->dn", g_x, st[1:]))
-        spares.append(keep)
+        if p.scan_keep is None or p.scan_keep.size < keep.size:
+            p.scan_keep = keep
 
     return vjp
 
@@ -553,7 +588,7 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, smooth: bo
     softplus included, is one ``quantize`` op on Tensors, which an active tape
     records; ``smooth`` leaves the codes unrounded (the finite-difference
     surrogate of the taped forward).  On the tape the scan is one op and keeps
-    what its backward reads in one of the block's spare buffer sets
+    what its backward reads in the block's spare buffer set, or a new one
     (``ScanKeep``); off it the scan codes and decodes the state in its slot.
     """
     q = p.quantizers
@@ -574,16 +609,16 @@ def block_forward_ann(x: nm.Tensor, p: BlockParams, cfg: ModelConfig, smooth: bo
             return nm.Tensor(selective_scan(
                 *args, lambda h: grid.decode(quantize_codes(h, qh, smooth, h)[1], out=h), smooth))
         shape = (u.shape[1], u.shape[0]) + A.shape  # [L, B, dh, n], time-major as the scan runs
-        spares = p.scan_keeps.setdefault(shape, [])
-        kept = spares.pop() if spares else ScanKeep(shape)
+        kept = _take_keep(p, shape, smooth)
         slots = zip(kept.v, kept.codes)  # each step's own, in step order
 
-        def encode_h(h_pre):  # v and the codes into the kept buffers, the state in place
+        def encode_h(h_pre):  # v into its kept buffer, the codes into the state's slot, then cast into theirs
             v, codes = next(slots)
-            grid.decode(quantize_codes(h_pre, qh, smooth, v, codes)[1], out=h_pre)
+            np.copyto(codes, quantize_codes(h_pre, qh, smooth, v, h_pre)[1])
+            grid.decode(h_pre, out=h_pre)
 
         y = nm.Tensor(selective_scan(*args, encode_h, smooth, kept))
-        nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept, spares))
+        nm.record_op(y, _scan_vjp(step, A, B_seq, C_seq, D, u, qh, kept, p))
         return y
 
     return _block(x, p, cfg, hooks=(encode, apply, scan))
@@ -671,6 +706,11 @@ class ForecastModel:
                 q = blk.quantizers[s]
                 if q.initialized and q.alpha.trainable:
                     np.maximum(q.alpha.data, ALPHA_FLOOR, out=q.alpha.data)
+
+    def drop_scan_keeps(self) -> None:
+        """Drop every block's spare ``ScanKeep`` set, which only a later taped step would reuse."""
+        for blk in self.blocks:
+            blk.scan_keep = None
 
     def _windows(self, x, caller: str) -> nm.Tensor:
         """``x`` as a Tensor, checked to be finite [B, history, d_value] windows; an error names ``caller``."""

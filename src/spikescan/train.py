@@ -2,8 +2,8 @@
 
 The training pieces are deliberately generic: anything exposing
 ``parameters() -> list[Tensor]`` and ``forward(x) -> Tensor`` trains, with
-optional ``calibrate``/``calibrated``/``clamp_steps`` hooks picked up when
-present.  Conversion and checkpoints are specific to ``ForecastModel``.
+optional ``calibrate``/``calibrated``/``clamp_steps``/``drop_scan_keeps`` hooks
+picked up when present.  Conversion and checkpoints are specific to ``ForecastModel``.
 """
 
 from __future__ import annotations
@@ -148,14 +148,29 @@ def train(model, x_train: np.ndarray, y_train: np.ndarray,
     consecutive epochs without such an improvement training stops and the
     snapshot is restored.  With an empty validation set the training loss
     is monitored instead.  A fresh model is first calibrated on ``x_train[:CALIBRATION_WINDOWS]``.
-    Fully deterministic for a given seed.  A non-finite training-step loss
-    raises ``ValueError`` naming the epoch, the step and the first non-finite parameter.
+    Fully deterministic for a given seed.  No training windows, or a split whose
+    targets are not one per input window, raise ``ValueError`` before the model
+    is touched; a non-finite training-step loss raises it naming the epoch, the
+    step and the first non-finite parameter.  Whether it returns or raises,
+    ``train`` drops what the model keeps only for its training steps
+    (``drop_scan_keeps``: the scan sequences a taped step reuses).
     """
     cfg = cfg or TrainConfig()
-    if hasattr(model, "calibrated") and not model.calibrated():
-        model.calibrate(x_train[:CALIBRATION_WINDOWS])  # which refuses no windows itself
     if x_train.shape[0] == 0:  # every epoch would run no step and report a loss of 0.0
         raise ValueError("train: expected at least one training window, got 0")
+    for split, x, y in (("training", x_train, y_train), ("validation", x_val, y_val)):
+        if y.shape[0] != x.shape[0]:  # a step would index past the targets, or the loss mix other windows
+            raise ValueError(f"train: the {split} split has {x.shape[0]} input windows but {y.shape[0]} targets")
+    if hasattr(model, "calibrated") and not model.calibrated():
+        model.calibrate(x_train[:CALIBRATION_WINDOWS])
+    try:
+        return _train(model, x_train, y_train, x_val, y_val, cfg)
+    finally:
+        if hasattr(model, "drop_scan_keeps"):  # what only the training steps reuse
+            model.drop_scan_keeps()
+
+
+def _train(model, x_train, y_train, x_val, y_val, cfg: TrainConfig) -> TrainResult:
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(cfg.seed)

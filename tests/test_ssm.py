@@ -453,13 +453,14 @@ def test_calibration_checks_its_windows_as_the_forward_does(bad):
 
 def test_calibration_refuses_no_windows():
     """Calibrating on 0 windows returned, every step size the mean of nothing, NaN, and the model
-    calibrated and forecasting NaN; training on no windows did the same.  Both are now refused."""
+    calibrated and forecasting NaN; training on no windows did the same.  Both are now refused, training
+    before it calibrates."""
     cfg = small_cfg()
     m = ForecastModel.build(cfg, seed=0)
     x = np.zeros((0, cfg.history, cfg.d_value))
     with pytest.raises(ValueError, match="^calibrate: expected at least one window, got 0$"):
         m.calibrate(x)
-    with pytest.raises(ValueError, match="^calibrate: "):
+    with pytest.raises(ValueError, match="^train: expected at least one training window, got 0$"):
         train(m, x, x[:, :cfg.horizon], x, x[:, :cfg.horizon])
     assert not m.calibrated()
     assert not any(blk.quantizers[s].initialized for blk in m.blocks for s in SPIKE_SITES)
@@ -839,7 +840,7 @@ def test_only_a_taped_forward_records_backward_closures(monkeypatch):
     each calls ``record_op`` wherever it runs, so a wrapped ``record_op`` sees any that slips into an
     untaped forward.  A taped README step records its 27 ops through it.  Under ``smooth`` the gate
     and the step's softplus stay one ``quantize`` op each, computed, not read.  Calibration runs the
-    Tensor primitives, off the tape, so the model is calibrated before ``record_op`` is wrapped."""
+    array block, as the untaped forwards do; the model is calibrated before ``record_op`` is wrapped."""
     recorded = []
     record_op = nm.record_op
 

@@ -1,5 +1,6 @@
 """Optimizer behavior, the training loop, conversion, checkpoints."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -280,20 +282,48 @@ def test_shuffle_seed_changes_the_trajectory():
     assert losses[0] != losses[1]
 
 
-def test_train_refuses_no_training_windows():
-    """A calibrated model trained on 0 windows ran every epoch with no step and reported a training
-    loss of 0.0, and with no validation windows either a best validation loss of 0.0; it is refused
-    before any parameter moves, in the wording of calibration's check."""
+def small_split_model(calibrated: bool):
     cfg = ModelConfig(d_value=2, history=8, horizon=2, d_hidden=4, state_size=2, conv_kernel=2)
     m = ForecastModel.build(cfg, seed=0)
     x = np.random.default_rng(0).normal(size=(6, cfg.history, cfg.d_value))
-    y = x[:, :cfg.horizon]
-    m.calibrate(x)
-    before = [p.data.copy() for p in m.parameters()]
-    for x_val, y_val in ((x, y), (x[:0], y[:0])):
-        with pytest.raises(ValueError, match="^train: expected at least one training window, got 0$"):
-            train(m, x[:0], y[:0], x_val, y_val, TrainConfig(max_epochs=2))
-    assert all(np.array_equal(p.data, b) for p, b in zip(m.parameters(), before))
+    if calibrated:
+        m.calibrate(x)
+    return m, x, x[:, :cfg.horizon]
+
+
+def state_of(m) -> list[bytes]:
+    """Every parameter's bytes, and whether each quantizer has a step size."""
+    return [p.data.tobytes() for p in m.parameters()] + [
+        str([blk.quantizers[s].initialized for s in blk.quantizers]).encode() for blk in m.blocks]
+
+
+def test_train_refuses_no_training_windows():
+    """A calibrated model trained on 0 windows ran every epoch with no step and reported a training
+    loss of 0.0, and with no validation windows either a best validation loss of 0.0; a fresh one
+    failed in calibration's words.  Both are refused before the model is touched."""
+    for calibrated in (True, False):
+        m, x, y = small_split_model(calibrated)
+        before = state_of(m)
+        for x_val, y_val in ((x, y), (x[:0], y[:0])):
+            with pytest.raises(ValueError, match="^train: expected at least one training window, got 0$"):
+                train(m, x[:0], y[:0], x_val, y_val, TrainConfig(max_epochs=2))
+        assert state_of(m) == before
+
+
+@pytest.mark.parametrize("calibrated", [True, False])
+@pytest.mark.parametrize("split", ["training", "validation"])
+def test_train_refuses_targets_of_another_length(split, calibrated):
+    """Short training targets raised IndexError at the first step, after calibration; validation
+    targets of another length raised numpy's broadcast error after a whole epoch of updates.  Each is
+    refused before the model is touched, naming the split; so are longer targets."""
+    m, x, y = small_split_model(calibrated)
+    before = state_of(m)
+    for targets in (y[:-1], np.concatenate([y, y[:1]])):
+        args = (x, targets, x, y) if split == "training" else (x, y, x, targets)
+        with pytest.raises(ValueError, match=f"^train: the {split} split has 6 input windows "
+                                             f"but {len(targets)} targets$"):
+            train(m, *args, TrainConfig(max_epochs=2, batch_size=4))
+        assert state_of(m) == before
 
 
 def test_train_config_rejects_an_empty_batch():
@@ -1007,3 +1037,22 @@ def test_a_readme_training_epoch_takes_few_page_faults_a_step():
     proc = subprocess.run([sys.executable, "-c", SECOND_EPOCH_FAULTS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 100, proc.stdout
+
+
+def test_a_trained_readme_model_retains_little_heap():
+    """Once ``train`` returns the model keeps nothing only the training steps reuse: a README model
+    trained one epoch kept 2.07 MB of scan sequences, a set for batch 64 and one for the short last
+    batch, when each block kept a set per batch shape."""
+    sp = make_windows(make_coupled_sinusoids(2000, seed=0), 12, 3)
+    m = ForecastModel.build(ModelConfig(d_value=2, history=12, horizon=3, conv_kernel=3), seed=0)
+    tc = TrainConfig(max_epochs=1, batch_size=64, seed=0)
+    assert sp.x_train.shape[0] % tc.batch_size != 0  # the epoch ends in a short batch
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train(m, sp.x_train, sp.y_train, sp.x_val, sp.y_val, tc)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.2e6, retained
